@@ -66,8 +66,7 @@ def cli() -> None:
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--ctl", "ctl_text", default=None, help="Property (overrides the //@ ctl: annotation).")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable report on stdout.")
-@click.option("--seed", default=0, show_default=True, help="Random seed (reserved).")
-def verify(file: str, ctl_text: str | None, as_json: bool, seed: int) -> None:
+def verify(file: str, ctl_text: str | None, as_json: bool) -> None:
     """Check whether FILE satisfies its property. Exit 0 holds, 1 violated, 2 unknown."""
     source = _read_source(file)
     analysis = rp.analyze(source, ctl_text)
@@ -107,7 +106,6 @@ def verify(file: str, ctl_text: str | None, as_json: bool, seed: int) -> None:
     help="Comma-separated template priority.",
 )
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable report on stdout.")
-@click.option("--seed", default=0, show_default=True, help="Random seed (reserved).")
 def repair(
     file: str,
     ctl_text: str | None,
@@ -118,7 +116,6 @@ def repair(
     max_delete: int,
     template_order: str,
     as_json: bool,
-    seed: int,
 ) -> None:
     """Search for source patches making FILE satisfy its property.
 
@@ -133,7 +130,6 @@ def repair(
         max_add=max_add,
         max_delete=max_delete,
         depth=depth,
-        seed=seed,
     )
     result = rp.repair_loop(source, config, ctl_text)
     report = result.to_json()

@@ -5,14 +5,23 @@ arithmetic in rule bodies, no existential heads, no aggregation.  Programs
 are stratified by SCC condensation of the predicate dependency graph
 (recursion through negation is rejected), then evaluated stratum by stratum
 with a semi-naive fixpoint.  Iteration is insertion-ordered throughout so
-dumps and query results are deterministic.
+dumps and evaluation results are deterministic.
+
+One evaluator, ``_fixpoint``, serves both plain and sign-annotated
+evaluation.  Every atom carries a mask: an integer bitmask over a set of
+worlds (for ``sedl``, the 2^k truth assignments to k sign symbols), bit w
+set when the atom is derivable in world w; ``full`` has every world's bit
+set.  Joins intersect masks, alternative derivations union them, and
+negation complements a lower stratum's final mask within ``full``.  Plain
+evaluation (``evaluate``) is the one-world case: every fact at mask 1 and
+``full=1``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -321,107 +330,107 @@ def _instantiate(atom: Atom, env: dict[str, object]) -> Atom:
     )
 
 
-class _Database:
-    """Insertion-ordered fact storage grouped by predicate."""
-
-    def __init__(self) -> None:
-        self.by_pred: dict[str, list[Atom]] = {}
-        self.all: set[Atom] = set()
-
-    def add(self, fact: Atom) -> bool:
-        if fact in self.all:
-            return False
-        self.all.add(fact)
-        self.by_pred.setdefault(fact.predicate, []).append(fact)
-        return True
-
-    def facts(self, predicate: str) -> list[Atom]:
-        return self.by_pred.get(predicate, [])
-
-
-def _join(
-    body: Sequence[Literal],
-    db: _Database,
-    env: dict[str, object],
-    idx: int,
-    delta_at: int,
-    delta: set[Atom],
-) -> Iterable[dict[str, object]]:
-    """Enumerate environments satisfying body[idx:]; body[delta_at] must
-    match a delta fact (semi-naive restriction); -1 disables it."""
-    if idx == len(body):
-        yield env
-        return
-    lit = body[idx]
-    if lit.positive:
-        for fact in db.facts(lit.atom.predicate):
-            if idx == delta_at and fact not in delta:
-                continue
-            new_env = _match(lit.atom, fact, env)
-            if new_env is not None:
-                yield from _join(body, db, new_env, idx + 1, delta_at, delta)
-    else:
-        ground = _instantiate(lit.atom, env)
-        if ground not in db.all:
-            yield from _join(body, db, env, idx + 1, delta_at, delta)
-
-
 def _ordered_body(body: tuple[Literal, ...]) -> tuple[Literal, ...]:
     """Positive literals first so negatives are ground when checked."""
     return tuple(l for l in body if l.positive) + tuple(l for l in body if not l.positive)
 
 
-def evaluate(program: DatalogProgram) -> set[Atom]:
-    """All ground atoms derivable from the program (EDB plus IDB)."""
-    program.validate()
-    strata = stratify(program)
-    stratum_of = {p: i for i, comp in enumerate(strata) for p in comp}
-    program = DatalogProgram(
-        rules=[Rule(r.head, _ordered_body(r.body)) for r in program.rules],
-        facts=program.facts,
-    )
+def _firings(
+    body: tuple[Literal, ...],
+    delta_at: int,
+    delta: set[Atom],
+    by_pred: dict[str, list[Atom]],
+    masks: dict[Atom, int],
+    full: int,
+) -> list[tuple[dict[str, object], int]]:
+    """Every (environment, nonzero mask) satisfying ``body``, depth first in
+    fact order; body[delta_at] must match a delta fact (semi-naive
+    restriction), -1 disables it."""
+    results: list[tuple[dict[str, object], int]] = []
+    stack: list[tuple[int, dict[str, object], int]] = [(0, {}, full)]
+    while stack:
+        idx, env, mask = stack.pop()
+        if mask == 0:
+            continue
+        if idx == len(body):
+            results.append((env, mask))
+            continue
+        lit = body[idx]
+        if lit.positive:
+            children = []
+            for fact in by_pred.get(lit.atom.predicate, []):
+                if idx == delta_at and fact not in delta:
+                    continue
+                env2 = _match(lit.atom, fact, env)
+                if env2 is not None:
+                    children.append((idx + 1, env2, mask & masks[fact]))
+            stack.extend(reversed(children))
+        else:
+            ground = _instantiate(lit.atom, env)
+            stack.append((idx + 1, env, mask & (full & ~masks.get(ground, 0))))
+    return results
 
-    db = _Database()
-    for fact in program.facts:
-        db.add(fact)
+
+def _fixpoint(rules: Sequence[Rule], masks: dict[Atom, int], full: int) -> dict[Atom, int]:
+    """Extend ``masks`` (initial fact -> world mask) to the least fixpoint.
+
+    Strata are evaluated in order, each by semi-naive rounds in which one
+    in-stratum positive literal must match a fact derived in the previous
+    round.  A body's mask is the intersection of its positive facts' masks
+    and the complements (within ``full``) of its negated atoms' masks, which
+    are final because they lie in a lower stratum; a head's mask is the
+    union over its derivations.  Each round collects a rule's firings before
+    adding them, and an atom enters ``masks`` (insertion-ordered, updated in
+    place and returned) when it is first derived; ``sedl`` reads its
+    disjuncts in that order.
+    """
+    by_pred: dict[str, list[Atom]] = {}
+    for fact in masks:
+        by_pred.setdefault(fact.predicate, []).append(fact)
+
+    def put(fact: Atom, mask: int) -> bool:
+        old = masks.get(fact)
+        if old is None:
+            masks[fact] = mask
+            by_pred.setdefault(fact.predicate, []).append(fact)
+            return mask != 0
+        new = old | mask
+        if new != old:
+            masks[fact] = new
+            return True
+        return False
+
+    rules = [Rule(r.head, _ordered_body(r.body)) for r in rules]
+    strata = stratify(DatalogProgram(rules=rules, facts=list(masks)))
+    stratum_of = {p: i for i, comp in enumerate(strata) for p in comp}
 
     for level, comp in enumerate(strata):
-        rules = [r for r in program.rules if stratum_of[r.head.predicate] == level]
-        if not rules:
+        level_rules = [r for r in rules if stratum_of[r.head.predicate] == level]
+        if not level_rules:
             continue
-        # Initial round: full join.
-        delta = set()
-        for rule in rules:
-            for env in _join(rule.body, db, {}, 0, -1, delta):
-                fact = _instantiate(rule.head, env)
-                if db.add(fact):
-                    delta.add(fact)
-        # Semi-naive rounds: require one recursive literal to hit the delta.
         in_stratum = set(comp)
+        delta: set[Atom] = set()
+        for rule in level_rules:
+            for env, mask in _firings(rule.body, -1, delta, by_pred, masks, full):
+                head = _instantiate(rule.head, env)
+                if put(head, mask):
+                    delta.add(head)
         while delta:
             new_delta: set[Atom] = set()
-            for rule in rules:
-                for pos in range(len(rule.body)):
-                    lit = rule.body[pos]
+            for rule in level_rules:
+                for pos, lit in enumerate(rule.body):
                     if not lit.positive or lit.atom.predicate not in in_stratum:
                         continue
-                    for env in _join(rule.body, db, {}, 0, pos, delta):
-                        fact = _instantiate(rule.head, env)
-                        if db.add(fact):
-                            new_delta.add(fact)
+                    for env, mask in _firings(rule.body, pos, delta, by_pred, masks, full):
+                        head = _instantiate(rule.head, env)
+                        if put(head, mask):
+                            new_delta.add(head)
             delta = new_delta
-    return db.all
+    return masks
 
 
-def query(program: DatalogProgram, goal: Atom, idb: set[Atom] | None = None) -> list[dict[str, object]]:
-    """All substitutions grounding ``goal`` in the evaluated program."""
-    if idb is None:
-        idb = evaluate(program)
-    results = []
-    for fact in sorted(
-        (f for f in idb if f.predicate == goal.predicate), key=lambda f: repr(f.args)
-    ):
-        env = _match(goal, fact, {})
-        if env is not None:
-            results.append(env)
-    return results
+def evaluate(program: DatalogProgram) -> set[Atom]:
+    """All ground atoms derivable from the program (EDB plus IDB): the
+    one-world fixpoint, every fact at mask 1."""
+    program.validate()
+    return set(_fixpoint(program.rules, dict.fromkeys(program.facts, 1), 1))

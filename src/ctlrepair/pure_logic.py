@@ -318,16 +318,6 @@ def pure_vars(pi: Pure) -> set[str]:
     raise TypeError(f"not a pure constraint: {pi!r}")
 
 
-def pure_has_wildcard(pi: Pure) -> bool:
-    if isinstance(pi, Bop):
-        return has_wildcard(pi.left) or has_wildcard(pi.right)
-    if isinstance(pi, Rel):
-        return any(has_wildcard(a) for a in pi.args)
-    if isinstance(pi, (And, Or)):
-        return pure_has_wildcard(pi.left) or pure_has_wildcard(pi.right)
-    return False
-
-
 def subst_pure(pi: Pure, env: dict[str, Term]) -> Pure:
     if isinstance(pi, (TrueP, FalseP)):
         return pi
@@ -654,14 +644,6 @@ def branch_substitution(assignments: list[tuple[str, Term]]) -> dict[str, Term]:
         env = dict(env)
         env[var] = subst_term(rhs, env)
     return env
-
-
-def scale_term(t: Term, k: int) -> Term | None:
-    """``k * t`` for a linear wildcard-free term, or None if not linear."""
-    lin = linearize(t)
-    if lin is None:
-        return None
-    return term_of_linear({v: k * c for v, c in lin[0].items()}, k * lin[1])
 
 
 def _delta_of_branch(rf: Term, assignments: list[tuple[str, Term]]):

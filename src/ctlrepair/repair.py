@@ -38,8 +38,6 @@ class RepairConfig:
     max_add: int = 2
     max_delete: int = 2
     depth: int = 1
-    strategy: str = "depth-first"
-    seed: int = 0
 
 
 def _count(stats: dict | None, key: str, n: int = 1) -> None:

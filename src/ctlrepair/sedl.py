@@ -23,11 +23,8 @@ from .datalog_engine import (
     DVar,
     Literal,
     Rule,
-    _instantiate,
-    _match,
-    _ordered_body,
+    _fixpoint,
     evaluate,
-    stratify,
 )
 
 
@@ -319,83 +316,14 @@ def annotated_eval(
 
     A world is one of the 2^k assignments to the sign symbols, encoded as a
     bit position; an atom's annotation is an integer bitmask over worlds.
-    Joins intersect masks, alternatives union them, and negation complements
-    the (already final, lower-stratum) mask.
+    Plain facts hold in every world, the fact of sign ``i`` in the worlds
+    where bit ``i`` is set.
     """
-    nworlds = 1 << k
-    full = (1 << nworlds) - 1
-    masks: dict[Atom, int] = {}
-    by_pred: dict[str, list[Atom]] = {}
-
-    def put(fact: Atom, mask: int) -> bool:
-        old = masks.get(fact)
-        if old is None:
-            masks[fact] = mask
-            by_pred.setdefault(fact.predicate, []).append(fact)
-            return mask != 0
-        new = old | mask
-        if new != old:
-            masks[fact] = new
-            return True
-        return False
-
-    for f in plain_facts:
-        put(f, full)
+    full = (1 << (1 << k)) - 1
+    masks = dict.fromkeys(plain_facts, full)
     for atom, i in xi_facts:
-        put(atom, _pattern(i, k))
-
-    rules = [Rule(r.head, _ordered_body(r.body)) for r in rules]
-    program = DatalogProgram(rules=list(rules), facts=list(masks))
-    strata = stratify(program)
-    stratum_of = {p: i for i, comp in enumerate(strata) for p in comp}
-
-    def fire(rule: Rule, delta_at: int, delta: set[Atom]):
-        results: list[tuple[dict, int]] = []
-
-        def join(idx: int, env: dict, mask: int) -> None:
-            if mask == 0:
-                return
-            if idx == len(rule.body):
-                results.append((env, mask))
-                return
-            lit = rule.body[idx]
-            if lit.positive:
-                for fact in by_pred.get(lit.atom.predicate, []):
-                    if idx == delta_at and fact not in delta:
-                        continue
-                    env2 = _match(lit.atom, fact, env)
-                    if env2 is not None:
-                        join(idx + 1, env2, mask & masks[fact])
-            else:
-                ground = _instantiate(lit.atom, env)
-                join(idx + 1, env, mask & (full & ~masks.get(ground, 0)))
-
-        join(0, {}, full)
-        return results
-
-    for level, comp in enumerate(strata):
-        level_rules = [r for r in rules if stratum_of[r.head.predicate] == level]
-        if not level_rules:
-            continue
-        in_stratum = set(comp)
-        delta: set[Atom] = set()
-        for rule in level_rules:
-            for env, mask in fire(rule, -1, delta):
-                head = _instantiate(rule.head, env)
-                if put(head, mask):
-                    delta.add(head)
-        while delta:
-            new_delta: set[Atom] = set()
-            for rule in level_rules:
-                for pos, lit in enumerate(rule.body):
-                    if not lit.positive or lit.atom.predicate not in in_stratum:
-                        continue
-                    for env, mask in fire(rule, pos, delta):
-                        head = _instantiate(rule.head, env)
-                        if put(head, mask):
-                            new_delta.add(head)
-            delta = new_delta
-    return masks, full
+        masks[atom] = masks.get(atom, 0) | _pattern(i, k)
+    return _fixpoint(rules, masks, full), full
 
 
 def _world_signs(w: int, xi_names: list[str]) -> tuple[list[str], list[str]]:
@@ -403,76 +331,6 @@ def _world_signs(w: int, xi_names: list[str]) -> tuple[list[str], list[str]]:
     for i, name in enumerate(xi_names):
         (true_ if (w >> i) & 1 else false_).append(name)
     return true_, false_
-
-
-def _target_mask(
-    rules: list[Rule],
-    plain_facts: list[Atom],
-    xi_facts: list[tuple[Atom, str]],
-    target: Atom,
-    budget: int,
-) -> tuple[int, int, list[str]]:
-    """Bitmask of sign-worlds in which the target is derivable."""
-    xi_names: list[str] = []
-    for _, name in xi_facts:
-        if name not in xi_names:
-            xi_names.append(name)
-    k = len(xi_names)
-    if k > budget:
-        raise SignBudgetExceeded(f"{k} sign symbols exceed the budget of {budget}")
-    indexed = [(atom, xi_names.index(name)) for atom, name in xi_facts]
-    masks, full = annotated_eval(rules, plain_facts, indexed, k)
-    return masks.get(target, 0), full, xi_names
-
-
-def sign_worlds(
-    rules: list[Rule],
-    plain_facts: list[Atom],
-    xi_facts: list[tuple[Atom, str]],
-    target: Atom,
-    mode: str = "enable",
-    budget: int = 16,
-) -> list[dict[str, bool]]:
-    """All total sign assignments making ``target`` derivable (or not)."""
-    mask, full, xi_names = _target_mask(rules, plain_facts, xi_facts, target, budget)
-    if mode == "disable":
-        mask = full & ~mask
-    out = []
-    for w in range(1 << len(xi_names)):
-        if (mask >> w) & 1:
-            out.append({name: bool((w >> i) & 1) for i, name in enumerate(xi_names)})
-    return out
-
-
-def sign_assignments(
-    rules: list[Rule],
-    plain_facts: list[Atom],
-    xi_facts: list[tuple[Atom, str]],
-    target: Atom,
-    mode: str = "enable",
-    budget: int = 16,
-) -> list[frozenset[str]]:
-    """Subset-minimal sign sets flipping the target's derivability.
-
-    In "enable" mode each returned set names the signs that must be true
-    (minimal present-fact sets); in "disable" mode the signs that must be
-    false (minimal deleted-fact sets).
-    """
-    mask, full, xi_names = _target_mask(rules, plain_facts, xi_facts, target, budget)
-    if mode == "disable":
-        mask = full & ~mask
-    k = len(xi_names)
-    sets: list[set[str]] = []
-    for w in range(1 << k):
-        if not (mask >> w) & 1:
-            continue
-        chosen = w if mode == "enable" else (~w & ((1 << k) - 1))
-        cur = {xi_names[i] for i in range(k) if (chosen >> i) & 1}
-        if any(s <= cur for s in sets):
-            continue
-        sets = [s for s in sets if not cur <= s]
-        sets.append(cur)
-    return sorted((frozenset(s) for s in sets), key=lambda s: (len(s), sorted(s)))
 
 
 # ---------------------------------------------------------------------------

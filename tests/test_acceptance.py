@@ -278,7 +278,13 @@ a(X) :- e(X), !c(X).
         (Atom("d", (1,)), "xd"),
         (Atom("e", (1,)), "xe"),
     ]
-    assert set(sedl.sign_assignments(rules3, [], facts, Atom("a", (1,)))) == {
+    psi = sedl.symbolic_execute(
+        rules3,
+        sedl.SymbolicEdb([sedl.SymbolicFact(atom, xi=name) for atom, name in facts]),
+        Atom("a", (1,)),
+    )
+    present = {frozenset(d.sign_true) for d in psi.disjuncts}
+    assert {s for s in present if not any(other < s for other in present)} == {
         frozenset({"xd"}),
         frozenset({"xe"}),
         frozenset({"xb", "xc"}),

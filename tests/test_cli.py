@@ -128,9 +128,9 @@ def test_repair_unknown_exit_two(run_cli, tmp_fixture):
 
 def test_repair_json_deterministic(run_cli, tmp_fixture):
     target = tmp_fixture("overview.imp")
-    _, first, _ = run_cli("repair", "--json", "--seed", "0", target)
-    _, second, _ = run_cli("repair", "--json", "--seed", "0", target)
-    assert first == second  # byte-identical report for identical input + seed
+    _, first, _ = run_cli("repair", "--json", target)
+    _, second, _ = run_cli("repair", "--json", target)
+    assert first == second  # byte-identical report for identical input
 
 
 def test_repair_rejects_bad_template_order(run_cli, tmp_fixture):

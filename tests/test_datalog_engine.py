@@ -9,7 +9,6 @@ from ctlrepair.datalog_engine import (
     Rule,
     evaluate,
     parse_program,
-    query,
     stratify,
 )
 
@@ -99,12 +98,6 @@ def test_types_distinguished_in_matching():
     idb = evaluate(program)
     assert Atom("q", (1,)) in idb
     assert Atom("q", ("1",)) not in idb
-
-
-def test_query_bindings():
-    program = parse_program(TC)
-    results = query(program, Atom("path", (1, DVar("Y"))))
-    assert sorted(env["Y"] for env in results) == [2, 3, 4]
 
 
 def test_validate_rejects_unbound_head_var():

@@ -60,6 +60,21 @@ def test_domains_for_two_symbolic_constants():
     assert sedl.domain_of(A2, dep, edb) == [n1, n2]
 
 
+def signed_edb(facts) -> sedl.SymbolicEdb:
+    """An alpha-free EDB of (atom, sign name) facts."""
+    return sedl.SymbolicEdb([sedl.SymbolicFact(atom, xi=name) for atom, name in facts])
+
+
+def minimal_sign_sets(psi: sedl.Psi, mode: str) -> set[frozenset[str]]:
+    """Subset-minimal sets of signs that must be true ("enable": present
+    facts) or false ("disable": deleted facts) over the disjuncts' worlds."""
+    sets = {
+        frozenset(d.sign_true if mode == "enable" else d.sign_false)
+        for d in psi.disjuncts
+    }
+    return {s for s in sets if not any(other < s for other in sets)}
+
+
 def test_all_dependent_sets_found_under_negation():
     facts = [
         (Atom("b", (1,)), "xb"),
@@ -67,8 +82,8 @@ def test_all_dependent_sets_found_under_negation():
         (Atom("d", (1,)), "xd"),
         (Atom("e", (1,)), "xe"),
     ]
-    sets = sedl.sign_assignments(NEGATION_RULES, [], facts, Atom("a", (1,)), mode="enable")
-    assert set(sets) == {
+    psi = sedl.symbolic_execute(NEGATION_RULES, signed_edb(facts), Atom("a", (1,)), mode="enable")
+    assert minimal_sign_sets(psi, "enable") == {
         frozenset({"xd"}),
         frozenset({"xe"}),
         frozenset({"xb", "xc"}),
@@ -78,21 +93,21 @@ def test_all_dependent_sets_found_under_negation():
 def test_disable_mode_minimal_deletions():
     rules = parse_program("a(X) :- b(X).\na(X) :- c(X).").rules
     facts = [(Atom("b", (1,)), "xb"), (Atom("c", (1,)), "xc")]
-    sets = sedl.sign_assignments(rules, [], facts, Atom("a", (1,)), mode="disable")
-    assert set(sets) == {frozenset({"xb", "xc"})}
+    psi = sedl.symbolic_execute(rules, signed_edb(facts), Atom("a", (1,)), mode="disable")
+    assert minimal_sign_sets(psi, "disable") == {frozenset({"xb", "xc"})}
 
 
 def test_sign_worlds_exhaustive():
     rules = parse_program("a(X) :- b(X), !c(X).").rules
     facts = [(Atom("b", (1,)), "xb"), (Atom("c", (1,)), "xc")]
-    worlds = sedl.sign_worlds(rules, [], facts, Atom("a", (1,)))
-    assert worlds == [{"xb": True, "xc": False}]
+    psi = sedl.symbolic_execute(rules, signed_edb(facts), Atom("a", (1,)))
+    assert [(d.sign_true, d.sign_false) for d in psi.disjuncts] == [(["xb"], ["xc"])]
 
 
 def test_budget_exceeded():
     facts = [(Atom("b", (i,)), f"x{i}") for i in range(5)]
     with pytest.raises(sedl.SignBudgetExceeded):
-        sedl.sign_assignments([], [], facts, Atom("b", (0,)), budget=3)
+        sedl.symbolic_execute([], signed_edb(facts), Atom("b", (0,)), budget=3)
 
 
 def test_symbolic_execution_two_disjunct_constraint():
