@@ -460,7 +460,7 @@ def _check_scopes(proc: ProcedureAst) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Pretty printer (round-trip oracle)
+# Condition printer (repair writes inserted guards with it)
 # ---------------------------------------------------------------------------
 
 
@@ -479,75 +479,6 @@ def _pp_cond(c) -> str:
     if isinstance(c, pl.Or):
         return f"({_pp_cond(c.left)}) || ({_pp_cond(c.right)})"
     raise TypeError(f"not a printable condition: {c!r}")
-
-
-def _pp_rhs(value) -> str:
-    if isinstance(value, CallExpr):
-        return f"{value.callee}({', '.join(map(str, value.args))})"
-    return str(value)
-
-
-def pretty_print(program: ProgramAst) -> str:
-    out: list[str] = []
-    if program.ctl:
-        out.append(f"//@ ctl: {program.ctl}")
-
-    def emit(stmts, indent: int) -> None:
-        pad = "  " * indent
-        for s in stmts:
-            if isinstance(s, DeclStmt):
-                if s.init is None:
-                    out.append(f"{pad}int {s.name};")
-                else:
-                    out.append(f"{pad}int {s.name} = {_pp_rhs(s.init)};")
-            elif isinstance(s, AssignStmt):
-                out.append(f"{pad}{s.name} = {_pp_rhs(s.value)};")
-            elif isinstance(s, IfStmt):
-                out.append(f"{pad}if ({_pp_cond(s.cond)}) {{")
-                emit(s.then, indent + 1)
-                if s.orelse:
-                    out.append(f"{pad}}} else {{")
-                    emit(s.orelse, indent + 1)
-                out.append(f"{pad}}}")
-            elif isinstance(s, WhileStmt):
-                out.append(f"{pad}while ({_pp_cond(s.cond)}) {{")
-                emit(s.body, indent + 1)
-                out.append(f"{pad}}}")
-            elif isinstance(s, ReturnStmt):
-                out.append(f"{pad}return{'' if s.value is None else ' ' + str(s.value)};")
-            elif isinstance(s, BreakStmt):
-                out.append(f"{pad}break;")
-
-    for proc in program.procedures:
-        out.append(f"void {proc.name}({', '.join('int ' + p for p in proc.params)}) {{")
-        emit(proc.body, 1)
-        out.append("}")
-    return "\n".join(out) + "\n"
-
-
-def ast_equal(a: ProgramAst, b: ProgramAst) -> bool:
-    """Structural AST equality ignoring source spans."""
-
-    def strip(node):
-        if isinstance(node, ProgramAst):
-            return ("prog", node.ctl, tuple(strip(p) for p in node.procedures))
-        if isinstance(node, ProcedureAst):
-            return ("proc", node.name, node.params, tuple(strip(s) for s in node.body))
-        if isinstance(node, DeclStmt):
-            return ("decl", node.name, node.init)
-        if isinstance(node, AssignStmt):
-            return ("assign", node.name, node.value)
-        if isinstance(node, IfStmt):
-            return ("if", node.cond, tuple(strip(s) for s in node.then), tuple(strip(s) for s in node.orelse))
-        if isinstance(node, WhileStmt):
-            return ("while", node.cond, tuple(strip(s) for s in node.body))
-        if isinstance(node, ReturnStmt):
-            return ("return", node.value)
-        if isinstance(node, BreakStmt):
-            return ("break",)
-        return node
-
-    return strip(a) == strip(b)
 
 
 # ---------------------------------------------------------------------------

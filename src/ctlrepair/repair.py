@@ -311,7 +311,7 @@ def inject_symbols(
 # ---------------------------------------------------------------------------
 
 
-def _alpha_valuations(shape, analysis, budget: int) -> list[sedl.Valuation]:
+def _alpha_valuations(shape, analysis, budget: int) -> list[dict[str, object]]:
     """Instantiations worth trying: unify the injected fact against every
     rule literal of its shape, filling variable positions from the constants
     known to interact there."""
@@ -322,7 +322,7 @@ def _alpha_valuations(shape, analysis, budget: int) -> list[sedl.Valuation]:
     for (p, i, c) in dep:
         if not sedl.is_placeholder(c):
             consts_at.setdefault((p, i), []).append(c)
-    vals: list[sedl.Valuation] = []
+    vals: list[dict[str, object]] = []
     seen = set()
 
     def push(args: tuple) -> None:
@@ -330,9 +330,7 @@ def _alpha_valuations(shape, analysis, budget: int) -> list[sedl.Valuation]:
         if key in seen or len(vals) >= budget:
             return
         seen.add(key)
-        vals.append(
-            sedl.Valuation(tuple((f"alpha{i + 1}", a) for i, a in enumerate(args)), ())
-        )
+        vals.append({f"alpha{i + 1}": a for i, a in enumerate(args)})
 
     for lit in _body_literals(analysis.rules):
         if lit.predicate != pred or len(lit.args) != arity:
@@ -437,21 +435,23 @@ def run_template(analysis: Analysis, template: str, config: RepairConfig, stats=
         if shape is not None:
             valuations = _alpha_valuations(shape, analysis, config.alpha_budget)
         else:
-            valuations = [sedl.Valuation((), ())]
+            valuations = [{}]
         _count(stats, "sign_searches")
         try:
             psi = sedl.symbolic_execute(
                 analysis.rules,
                 edb,
                 target,
-                mode="enable",
                 budget=config.xi_budget,
                 valuations=valuations,
                 candidate_worlds=worlds,
             )
         except sedl.SignBudgetExceeded as exc:
+            _count(stats, "sign_budget_exceeded")
             log.warning("sign search skipped for template %s: %s", template, exc)
             continue
+        if psi.truncated:
+            _count(stats, "sign_truncated")
         report_disjuncts = []
         report_seen = set()
         for d in psi.disjuncts:

@@ -9,7 +9,8 @@ The extensional database may contain two kinds of unknowns:
 
 ``symbolic_execute`` characterizes, as a disjunction of constraints over the
 alphas and xis, exactly which instantiations and fact subsets make a target
-atom derivable (or non-derivable, in "disable" mode).
+atom derivable.  By default the alphas range over the product of their finite
+domains and every sign world is inspected; callers may restrict both.
 """
 
 from __future__ import annotations
@@ -17,15 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .datalog_engine import (
-    Atom,
-    DatalogProgram,
-    DVar,
-    Literal,
-    Rule,
-    _fixpoint,
-    evaluate,
-)
+from .datalog_engine import Atom, DVar, Rule, _fixpoint
 
 
 @dataclass(frozen=True)
@@ -168,130 +161,6 @@ def domain_of(
 
 
 # ---------------------------------------------------------------------------
-# Valuation pruning via a widened meta-program
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Valuation:
-    alpha: tuple[tuple[str, object], ...]  # alpha name -> chosen value
-    bindings: tuple[tuple[str, object], ...]  # placeholder -> bound constant
-
-    def alpha_dict(self) -> dict[str, object]:
-        return dict(self.alpha)
-
-    def bindings_dict(self) -> dict[str, object]:
-        return dict(self.bindings)
-
-
-def _unify_args(args, target_args):
-    """Match derived args against a ground target, binding placeholders."""
-    bindings: dict[str, object] = {}
-    for a, t in zip(args, target_args):
-        if is_placeholder(a):
-            if a in bindings and bindings[a] != t:
-                return None
-            bindings[a] = t
-        elif a != t or type(a) is not type(t):
-            return None
-    return bindings
-
-
-def prune_valuations(
-    rules: list[Rule],
-    edb: SymbolicEdb,
-    targets: list[Atom],
-    domains: dict[Alpha, list] | None = None,
-) -> list[Valuation]:
-    """Alpha instantiations that can possibly derive a target atom.
-
-    Every predicate is widened with one column per alpha plus a definiteness
-    indicator (0 = holds regardless of signs, 1 = requires a sign-marked
-    fact).  Negative literals require the absence of any definite fact and
-    split on whether a sign-marked fact could be present.  Valuations are
-    read off the widened target rows, binding placeholders as needed.
-    """
-    alphas = edb.alphas()
-    m = len(alphas)
-    if m == 0:
-        return [Valuation((), ())]
-    if domains is None:
-        dep = compute_depend(rules, edb)
-        domains = {a: domain_of(a, dep, edb) for a in alphas}
-    cvars = tuple(DVar(f"__C{i + 1}") for i in range(m))
-    dom_lits = tuple(
-        Literal(Atom(f"__dom{i + 1}", (cvars[i],))) for i in range(m)
-    )
-
-    def widen_args(args, alpha_cols, ind):
-        new_args = tuple(
-            cvars[alphas.index(a)] if isinstance(a, Alpha) else a for a in args
-        )
-        return new_args + alpha_cols + (ind,)
-
-    meta = DatalogProgram()
-    for i, a in enumerate(alphas):
-        for value in domains[a]:
-            meta.facts.append(Atom(f"__dom{i + 1}", (value,)))
-    for f in edb.facts:
-        ind = 1 if f.xi is not None else 0
-        head = Atom(f.atom.predicate, widen_args(f.atom.args, cvars, ind))
-        meta.rules.append(Rule(head, dom_lits))
-    fresh = itertools.count(1)
-    for rule in rules:
-        negatives = [lit for lit in rule.body if not lit.positive]
-        for choice in itertools.product((0, 1), repeat=len(negatives)):
-            # A head is definite (indicator 0) only when every positive
-            # premise is definite and no negation relied on the absence of a
-            # merely optional fact; any contingent premise makes the head
-            # itself optional (indicator 1), so later negations over it stay
-            # sound.
-            head_inds = (1,) if any(choice) else (0, 1)
-            for head_ind in head_inds:
-                body: list[Literal] = []
-                ni = 0
-                for lit in rule.body:
-                    if lit.positive:
-                        ind = 0 if head_ind == 0 else DVar(f"__I{next(fresh)}")
-                        body.append(
-                            Literal(Atom(lit.atom.predicate, widen_args(lit.atom.args, cvars, ind)))
-                        )
-                    else:
-                        definite = Atom(lit.atom.predicate, widen_args(lit.atom.args, cvars, 0))
-                        optional = Atom(lit.atom.predicate, widen_args(lit.atom.args, cvars, 1))
-                        body.append(Literal(definite, positive=False))
-                        if choice[ni]:
-                            body.append(Literal(optional))
-                        else:
-                            body.append(Literal(optional, positive=False))
-                        ni += 1
-                body.extend(dom_lits)
-                head = Atom(rule.head.predicate, widen_args(rule.head.args, cvars, head_ind))
-                meta.rules.append(Rule(head, tuple(body)))
-    idb = evaluate(meta)
-    out: list[Valuation] = []
-    seen = set()
-    for target in targets:
-        arity = len(target.args)
-        for fact in idb:
-            if fact.predicate != target.predicate or len(fact.args) != arity + m + 1:
-                continue
-            bindings = _unify_args(fact.args[:arity], target.args)
-            if bindings is None:
-                continue
-            alpha_map = tuple(
-                (alphas[i].name, fact.args[arity + i]) for i in range(m)
-            )
-            val = Valuation(alpha_map, tuple(sorted(bindings.items())))
-            key = (alpha_map, val.bindings)
-            if key not in seen:
-                seen.add(key)
-                out.append(val)
-    out.sort(key=repr)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Sign search via truth-table-annotated evaluation
 # ---------------------------------------------------------------------------
 
@@ -378,6 +247,19 @@ def _instantiate_edb(edb: SymbolicEdb, alpha_map: dict[str, object]):
     return plain, xi_facts
 
 
+def _unify_args(args, target_args):
+    """Match derived args against a ground target, binding placeholders."""
+    bindings: dict[str, object] = {}
+    for a, t in zip(args, target_args):
+        if is_placeholder(a):
+            if a in bindings and bindings[a] != t:
+                return None
+            bindings[a] = t
+        elif a != t or type(a) is not type(t):
+            return None
+    return bindings
+
+
 def _target_variants(masks: dict[Atom, int], target: Atom):
     """Derived atoms unifying with the target up to placeholder binding."""
     out = []
@@ -390,61 +272,60 @@ def _target_variants(masks: dict[Atom, int], target: Atom):
     return out
 
 
+_MAX_DISJUNCTS = 4096
+
+
 def symbolic_execute(
     rules: list[Rule],
     edb: SymbolicEdb,
     target: Atom,
-    mode: str = "enable",
     budget: int = 16,
-    domains: dict[Alpha, list] | None = None,
-    valuations: list[Valuation] | None = None,
+    valuations: list[dict[str, object]] | None = None,
     candidate_worlds: list[int] | None = None,
-    max_disjuncts: int = 4096,
 ) -> Psi:
     """Constraint over alphas and signs under which the target holds.
 
-    With ``candidate_worlds`` the sign search inspects only the given worlds
-    (an intentional restriction used by callers that bound edit sizes);
-    otherwise every world is enumerated, ascending.
+    A valuation maps alpha names to values.  Without ``valuations`` every
+    combination of the alphas' ``domain_of`` domains is tried; callers may
+    pass a narrower list.  With ``candidate_worlds`` the sign search inspects
+    only the given worlds (an intentional restriction used by callers that
+    bound edit sizes); otherwise every world is enumerated, ascending.
     """
     xi_names: list[str] = edb.xis()
     k = len(xi_names)
     if k > budget:
         raise SignBudgetExceeded(f"{k} sign symbols exceed the budget of {budget}")
     if valuations is None:
-        valuations = prune_valuations(rules, edb, [target], domains)
+        alphas = edb.alphas()
+        dep = compute_depend(rules, edb)
+        domains = [domain_of(a, dep, edb) for a in alphas]
+        valuations = [
+            {a.name: v for a, v in zip(alphas, combo)}
+            for combo in itertools.product(*domains)
+        ]
+    worlds = candidate_worlds if candidate_worlds is not None else range(1 << k)
     disjuncts: list[Disjunct] = []
     seen = set()
     truncated = False
-    for val in valuations:
-        alpha_map = val.alpha_dict()
+    for alpha_map in valuations:
         plain, xi_facts = _instantiate_edb(edb, alpha_map)
         indexed = [(atom, xi_names.index(name)) for atom, name in xi_facts]
-        masks, full = annotated_eval(rules, plain, indexed, k)
-        variants = _target_variants(masks, target)
-        if mode == "disable":
-            all_mask = 0
-            for _, m in variants:
-                all_mask |= m
-            variants = [({}, full & ~all_mask)]
-        for bindings, mask in variants:
-            merged = dict(val.bindings_dict())
-            merged.update(bindings)
-            worlds = candidate_worlds if candidate_worlds is not None else range(1 << k)
+        masks, _ = annotated_eval(rules, plain, indexed, k)
+        for bindings, mask in _target_variants(masks, target):
             for w in worlds:
                 if not (mask >> w) & 1:
                     continue
                 true_, false_ = _world_signs(w, xi_names)
                 key = (
                     tuple(sorted(alpha_map.items(), key=repr)),
-                    tuple(sorted(merged.items(), key=repr)),
+                    tuple(sorted(bindings.items(), key=repr)),
                     w,
                 )
                 if key in seen:
                     continue
                 seen.add(key)
-                disjuncts.append(Disjunct(dict(alpha_map), merged, true_, false_))
-                if len(disjuncts) >= max_disjuncts:
+                disjuncts.append(Disjunct(dict(alpha_map), bindings, true_, false_))
+                if len(disjuncts) >= _MAX_DISJUNCTS:
                     truncated = True
                     break
             if truncated:

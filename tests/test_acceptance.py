@@ -307,7 +307,7 @@ a(X) :- e(X), !c(X).
         ((("alpha1", n2), ("alpha2", n2)), ((n2, 1),), frozenset({"xi1", "xi2"}), frozenset()),
     }
 
-    # pruning retains 2 of the 4 candidate valuations
+    # of the 4 candidate valuations only the 2 diagonal ones derive a(1)
     prune_rules = parse_program("a(X) :- b(X), c(X), !d(X).").rules
     prune_edb = sedl.SymbolicEdb(
         [
@@ -316,10 +316,11 @@ a(X) :- e(X), !c(X).
             sedl.SymbolicFact(Atom("d", (1,)), xi="xi1"),
         ]
     )
-    vals = sedl.prune_valuations(
-        prune_rules, prune_edb, [Atom("a", (1,))], domains={a1: [n1, n2], a2: [n1, n2]}
+    valuations = [{"alpha1": v1, "alpha2": v2} for v1 in (n1, n2) for v2 in (n1, n2)]
+    psi = sedl.symbolic_execute(
+        prune_rules, prune_edb, Atom("a", (1,)), valuations=valuations
     )
-    assert {v.alpha for v in vals} == {
+    assert {tuple(sorted(d.alpha.items())) for d in psi.disjuncts} == {
         (("alpha1", n1), ("alpha2", n1)),
         (("alpha1", n2), ("alpha2", n2)),
     }
@@ -618,6 +619,8 @@ def test_criterion_8_symbolic_execution_matches_brute_force():
         xi_names = edb.xis()
         psi = sedl.symbolic_execute(rules, edb, target)
         assert not psi.truncated
+        # a disjunct binds only the placeholders of one derived target atom
+        assert all(len(d.bindings) <= len(target.args) for d in psi.disjuncts)
         psi_set = {
             (tuple(sorted(d.alpha.items())), frozenset(d.sign_true))
             for d in psi.disjuncts

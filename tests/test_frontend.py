@@ -12,13 +12,6 @@ PARSEABLE = sorted(
 )
 
 
-@pytest.mark.parametrize("name", PARSEABLE)
-def test_pretty_print_round_trip(name, fixture_text):
-    ast = fe.parse(fixture_text(name))
-    printed = fe.pretty_print(ast)
-    assert fe.ast_equal(ast, fe.parse(printed))
-
-
 def test_property_annotation(fixture_text):
     assert fe.property_annotation(fixture_text("overview.imp")) == "AF(y=5)"
     assert fe.property_annotation(fixture_text("no_property.imp")) is None

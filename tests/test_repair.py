@@ -96,6 +96,16 @@ def test_repair_unrepairable_program(fixture_text):
     assert result.patches == []
 
 
+def test_sign_budget_cut_offs_are_counted(fixture_text):
+    # with no sign symbols allowed every search is skipped; the report must
+    # say so rather than pass the result off as a plain Unrepaired
+    result = rp.repair_loop(fixture_text("overview.imp"), rp.RepairConfig(xi_budget=0))
+    assert result.verdict == "Unrepaired"
+    timing = result.to_json()["timing"]
+    assert timing["sign_budget_exceeded"] == timing["sign_searches"] == 11
+    assert "sign_truncated" not in timing
+
+
 def test_every_patch_source_verifies(fixture_text):
     result = rp.repair_loop(fixture_text("overview.imp"), rp.RepairConfig())
     assert result.verdict == "Repaired"

@@ -65,13 +65,10 @@ def signed_edb(facts) -> sedl.SymbolicEdb:
     return sedl.SymbolicEdb([sedl.SymbolicFact(atom, xi=name) for atom, name in facts])
 
 
-def minimal_sign_sets(psi: sedl.Psi, mode: str) -> set[frozenset[str]]:
-    """Subset-minimal sets of signs that must be true ("enable": present
-    facts) or false ("disable": deleted facts) over the disjuncts' worlds."""
-    sets = {
-        frozenset(d.sign_true if mode == "enable" else d.sign_false)
-        for d in psi.disjuncts
-    }
+def minimal_sign_sets(psi: sedl.Psi) -> set[frozenset[str]]:
+    """Subset-minimal sets of signs that must be true (present facts) over
+    the disjuncts' worlds."""
+    sets = {frozenset(d.sign_true) for d in psi.disjuncts}
     return {s for s in sets if not any(other < s for other in sets)}
 
 
@@ -82,19 +79,12 @@ def test_all_dependent_sets_found_under_negation():
         (Atom("d", (1,)), "xd"),
         (Atom("e", (1,)), "xe"),
     ]
-    psi = sedl.symbolic_execute(NEGATION_RULES, signed_edb(facts), Atom("a", (1,)), mode="enable")
-    assert minimal_sign_sets(psi, "enable") == {
+    psi = sedl.symbolic_execute(NEGATION_RULES, signed_edb(facts), Atom("a", (1,)))
+    assert minimal_sign_sets(psi) == {
         frozenset({"xd"}),
         frozenset({"xe"}),
         frozenset({"xb", "xc"}),
     }
-
-
-def test_disable_mode_minimal_deletions():
-    rules = parse_program("a(X) :- b(X).\na(X) :- c(X).").rules
-    facts = [(Atom("b", (1,)), "xb"), (Atom("c", (1,)), "xc")]
-    psi = sedl.symbolic_execute(rules, signed_edb(facts), Atom("a", (1,)), mode="disable")
-    assert minimal_sign_sets(psi, "disable") == {frozenset({"xb", "xc"})}
 
 
 def test_sign_worlds_exhaustive():
@@ -141,21 +131,15 @@ def test_pruning_keeps_only_consistent_valuations():
         ]
     )
     n1, n2 = sedl.placeholder(1), sedl.placeholder(2)
-    domains = {A1: [n1, n2], A2: [n1, n2]}
-    vals = sedl.prune_valuations(rules, edb, [Atom("a", (1,))], domains=domains)
+    valuations = [
+        {"alpha1": v1, "alpha2": v2} for v1 in (n1, n2) for v2 in (n1, n2)
+    ]
+    psi = sedl.symbolic_execute(rules, edb, Atom("a", (1,)), valuations=valuations)
     # of the four candidate valuations only the diagonal ones can derive a(1)
-    assert {v.alpha for v in vals} == {
+    assert {tuple(sorted(d.alpha.items())) for d in psi.disjuncts} == {
         (("alpha1", n1), ("alpha2", n1)),
         (("alpha1", n2), ("alpha2", n2)),
     }
-
-
-def test_no_symbols_single_empty_valuation():
-    rules = parse_program("a(X) :- b(X).").rules
-    edb = sedl.SymbolicEdb([sedl.SymbolicFact(Atom("b", (1,)))])
-    vals = sedl.prune_valuations(rules, edb, [Atom("a", (1,))])
-    assert len(vals) == 1
-    assert vals[0].alpha == ()
 
 
 def test_annotated_eval_masks_match_plain_eval():
