@@ -218,6 +218,15 @@ def main(argv=None) -> None:
     except _PARSE_ERRORS as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(3)
+    except click.exceptions.Abort:
+        click.echo("Aborted!", err=True)
+        sys.exit(130)
+    except Exception as exc:
+        # a crash must not end in 1, which reports a violated property
+        logging.getLogger(__name__).debug("internal error", exc_info=True)
+        message = " ".join(str(exc).splitlines())
+        click.echo(f"error: internal: {type(exc).__name__}: {message}", err=True)
+        sys.exit(4)
 
 
 if __name__ == "__main__":

@@ -15,13 +15,28 @@ set.  Joins intersect masks, alternative derivations union them, and
 negation complements a lower stratum's final mask within ``full``.  Plain
 evaluation (``evaluate``) is the one-world case: every fact at mask 1 and
 ``full=1``.
+
+The join, ``_firings``, is indexed.  Each rule's body is put in binding
+order (positive literals first) and planned once per evaluation: every
+literal gets the argument positions already bound when it is reached, its
+constants and the variables of earlier positive literals.  A positive
+literal then looks its bound values up in a hash table for its predicate
+and those positions, built on first use and extended as facts are derived;
+the semi-naive literal looks them up in the same kind of table over the
+previous round's facts.  Indexing changes no result and no order: tables
+list facts in the order they first entered the mask table, firings are
+depth first in that order, and ``_match`` still checks every candidate, so
+hash-equal constants of different types (``1`` and ``True``) stay apart.
 """
 
 from __future__ import annotations
 
+import logging
 import re
 from dataclasses import dataclass, field
 from typing import Sequence
+
+log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -42,10 +57,24 @@ class DVar:
 Value = "DVar | str | int"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     predicate: str
     args: tuple = ()
+    # the dataclass hash, computed once: atoms are looked up far more often
+    # than they are built
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.predicate, self.args)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild rather than restore: a str hash is only valid in the
+        # process that computed it
+        return Atom, (self.predicate, self.args)
 
     def __str__(self) -> str:
         return f"{self.predicate}({', '.join(_arg_str(a) for a in self.args)})"
@@ -335,32 +364,93 @@ def _ordered_body(body: tuple[Literal, ...]) -> tuple[Literal, ...]:
     return tuple(l for l in body if l.positive) + tuple(l for l in body if not l.positive)
 
 
+def _binding_plan(body: tuple[Literal, ...]) -> tuple[tuple[Literal, tuple[int, ...], tuple], ...]:
+    """Each literal of an ordered body with the argument positions bound
+    when the join reaches it (its constants and the variables of earlier
+    positive literals) and its arguments at those positions."""
+    bound: set[str] = set()
+    plan = []
+    for lit in body:
+        args = lit.atom.args
+        positions = tuple(
+            i for i, a in enumerate(args) if not isinstance(a, DVar) or a.name in bound
+        )
+        plan.append((lit, positions, tuple(args[i] for i in positions)))
+        if lit.positive:
+            bound |= {a.name for a in args if isinstance(a, DVar)}
+    return tuple(plan)
+
+
+class _Index:
+    """Facts per predicate in insertion order, and per predicate the hash
+    tables built on first lookup: for a tuple of bound argument positions,
+    the values at those positions -> the facts holding them, in insertion
+    order.  ``add`` appends a fact to its predicate's list and tables."""
+
+    def __init__(self, facts) -> None:
+        self.by_pred: dict[str, list[Atom]] = {}
+        self.tables: dict[str, dict[tuple[int, ...], dict[tuple, list[Atom]]]] = {}
+        for fact in facts:
+            self.by_pred.setdefault(fact.predicate, []).append(fact)
+
+    def add(self, fact: Atom) -> None:
+        self.by_pred.setdefault(fact.predicate, []).append(fact)
+        tables = self.tables.get(fact.predicate)
+        if tables:
+            for positions, table in tables.items():
+                _index_fact(table, positions, fact)
+
+    def lookup(self, predicate: str, positions: tuple[int, ...], key: tuple) -> Sequence[Atom]:
+        if not positions:
+            return self.by_pred.get(predicate, ())
+        tables = self.tables.get(predicate)
+        if tables is None:
+            tables = self.tables[predicate] = {}
+        table = tables.get(positions)
+        if table is None:
+            table = tables[positions] = {}
+            for fact in self.by_pred.get(predicate, ()):
+                _index_fact(table, positions, fact)
+        return table.get(key, ())
+
+    def table_count(self) -> int:
+        return sum(map(len, self.tables.values()))
+
+
+def _index_fact(table: dict[tuple, list[Atom]], positions: tuple[int, ...], fact: Atom) -> None:
+    # positions ascend; a shorter fact matches no literal using this table
+    if len(fact.args) > positions[-1]:
+        table.setdefault(tuple(fact.args[i] for i in positions), []).append(fact)
+
+
 def _firings(
-    body: tuple[Literal, ...],
+    plan: tuple[tuple[Literal, tuple[int, ...], tuple], ...],
     delta_at: int,
-    delta: set[Atom],
-    by_pred: dict[str, list[Atom]],
+    delta: _Index | None,
+    facts: _Index,
     masks: dict[Atom, int],
     full: int,
 ) -> list[tuple[dict[str, object], int]]:
-    """Every (environment, nonzero mask) satisfying ``body``, depth first in
-    fact order; body[delta_at] must match a delta fact (semi-naive
-    restriction), -1 disables it."""
+    """Every (environment, nonzero mask) satisfying the planned body, depth
+    first in fact order; plan[delta_at] must match a ``delta`` fact
+    (semi-naive restriction), -1 disables it.  A positive literal looks up
+    the facts agreeing with its bound positions; ``_match`` then checks each
+    one, which also keeps apart hash-equal constants such as 1 and True."""
     results: list[tuple[dict[str, object], int]] = []
     stack: list[tuple[int, dict[str, object], int]] = [(0, {}, full)]
     while stack:
         idx, env, mask = stack.pop()
         if mask == 0:
             continue
-        if idx == len(body):
+        if idx == len(plan):
             results.append((env, mask))
             continue
-        lit = body[idx]
+        lit, positions, key_args = plan[idx]
         if lit.positive:
+            key = tuple(env[a.name] if isinstance(a, DVar) else a for a in key_args)
+            index = delta if idx == delta_at else facts
             children = []
-            for fact in by_pred.get(lit.atom.predicate, []):
-                if idx == delta_at and fact not in delta:
-                    continue
+            for fact in index.lookup(lit.atom.predicate, positions, key):
                 env2 = _match(lit.atom, fact, env)
                 if env2 is not None:
                     children.append((idx + 1, env2, mask & masks[fact]))
@@ -375,24 +465,33 @@ def _fixpoint(rules: Sequence[Rule], masks: dict[Atom, int], full: int) -> dict[
     """Extend ``masks`` (initial fact -> world mask) to the least fixpoint.
 
     Strata are evaluated in order, each by semi-naive rounds in which one
-    in-stratum positive literal must match a fact derived in the previous
-    round.  A body's mask is the intersection of its positive facts' masks
-    and the complements (within ``full``) of its negated atoms' masks, which
-    are final because they lie in a lower stratum; a head's mask is the
-    union over its derivations.  Each round collects a rule's firings before
-    adding them, and an atom enters ``masks`` (insertion-ordered, updated in
+    in-stratum positive literal must match a fact whose mask grew in the
+    previous round.  A body's mask is the intersection of its positive
+    facts' masks and the complements (within ``full``) of its negated
+    atoms' masks, which are final because they lie in a lower stratum; a
+    head's mask is the union over its derivations.
+
+    Joins use the rule's binding plan (``_binding_plan``) and hash indexes
+    (``_Index``) over all facts and, per round, over the previous round's
+    facts; neither changes the order of derivation.  Firings are depth
+    first in fact order, where fact order is the order in which facts first
+    entered ``masks``, and each round collects a rule's firings before
+    adding them.  An atom enters ``masks`` (insertion-ordered, updated in
     place and returned) when it is first derived; ``sedl`` reads its
     disjuncts in that order.
     """
-    by_pred: dict[str, list[Atom]] = {}
-    for fact in masks:
-        by_pred.setdefault(fact.predicate, []).append(fact)
+    n_input = len(masks)
+    facts = _Index(masks)
+    # first-insertion position: a round's delta is visited in this order,
+    # since a grown delta fact can be older than facts grown before it
+    seq = {fact: i for i, fact in enumerate(masks)}
 
     def put(fact: Atom, mask: int) -> bool:
         old = masks.get(fact)
         if old is None:
             masks[fact] = mask
-            by_pred.setdefault(fact.predicate, []).append(fact)
+            seq[fact] = len(seq)
+            facts.add(fact)
             return mask != 0
         new = old | mask
         if new != old:
@@ -403,29 +502,40 @@ def _fixpoint(rules: Sequence[Rule], masks: dict[Atom, int], full: int) -> dict[
     rules = [Rule(r.head, _ordered_body(r.body)) for r in rules]
     strata = stratify(DatalogProgram(rules=rules, facts=list(masks)))
     stratum_of = {p: i for i, comp in enumerate(strata) for p in comp}
+    rounds = delta_tables = 0
 
     for level, comp in enumerate(strata):
-        level_rules = [r for r in rules if stratum_of[r.head.predicate] == level]
+        level_rules = [
+            (r.head, _binding_plan(r.body)) for r in rules if stratum_of[r.head.predicate] == level
+        ]
         if not level_rules:
             continue
         in_stratum = set(comp)
-        delta: set[Atom] = set()
-        for rule in level_rules:
-            for env, mask in _firings(rule.body, -1, delta, by_pred, masks, full):
-                head = _instantiate(rule.head, env)
-                if put(head, mask):
-                    delta.add(head)
-        while delta:
-            new_delta: set[Atom] = set()
-            for rule in level_rules:
-                for pos, lit in enumerate(rule.body):
+        grown: set[Atom] = set()
+        for head, plan in level_rules:
+            for env, mask in _firings(plan, -1, None, facts, masks, full):
+                fact = _instantiate(head, env)
+                if put(fact, mask):
+                    grown.add(fact)
+        while grown:
+            rounds += 1
+            delta = _Index(sorted(grown, key=seq.__getitem__))
+            grown = set()
+            for head, plan in level_rules:
+                for pos, (lit, _, _) in enumerate(plan):
                     if not lit.positive or lit.atom.predicate not in in_stratum:
                         continue
-                    for env, mask in _firings(rule.body, pos, delta, by_pred, masks, full):
-                        head = _instantiate(rule.head, env)
-                        if put(head, mask):
-                            new_delta.add(head)
-            delta = new_delta
+                    for env, mask in _firings(plan, pos, delta, facts, masks, full):
+                        fact = _instantiate(head, env)
+                        if put(fact, mask):
+                            grown.add(fact)
+            delta_tables += delta.table_count()
+    log.debug(
+        "fixpoint: %d rules, %d strata, %d input facts, %d derived, "
+        "%d semi-naive rounds, %d index tables",
+        len(rules), len(strata), n_input, len(masks) - n_input,
+        rounds, facts.table_count() + delta_tables,
+    )
     return masks
 
 

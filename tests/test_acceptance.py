@@ -837,3 +837,20 @@ def test_criterion_9_nonterminating_disjuncts_never_exit_early():
         assert status == "fuel", (store, status)
         assert visits > 3 * bound, (store, visits)
     watch.check()
+
+
+# ===========================================================================
+# Scale guard: the AF lasso join on a long straight-line program
+# ===========================================================================
+
+
+def test_straight_line_200_analyze_within_budget():
+    # AF's binary lasso relation has ~n^2/2 facts here; joining it against
+    # flow without an index took several seconds
+    watch = Stopwatch(1.5)
+    src = "//@ ctl: AF(Exit(_))\nvoid main() {\n  int x = 0;\n"
+    src += "  x = x + 1;\n" * 200 + "  return;\n}\n"
+    analysis = rp.analyze(src)
+    assert analysis.unknown is None
+    assert analysis.holds
+    watch.check()

@@ -80,6 +80,29 @@ def test_unknown_subcommand_exit_three(run_cli):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["verify", "repair"])
+def test_internal_error_exit_four(run_cli, monkeypatch, tmp_fixture, command):
+    # a crash must not exit 1, which reports a violated property
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(rp, "analyze", crash)
+    code, out, err = run_cli(command, tmp_fixture("overview.imp"))
+    assert code == 4
+    assert out == ""
+    assert err == "error: internal: RuntimeError: boom second line\n"
+
+
+def test_interrupt_is_not_an_internal_error(run_cli, monkeypatch):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(rp, "analyze", interrupt)
+    code, _, err = run_cli("verify", fix("overview.imp"))
+    assert code == 130
+    assert err.strip() == "Aborted!"
+
+
 # ---------------------------------------------------------------------------
 # repair
 # ---------------------------------------------------------------------------

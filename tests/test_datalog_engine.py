@@ -1,3 +1,6 @@
+import json
+import logging
+
 import pytest
 
 from ctlrepair.datalog_engine import (
@@ -7,6 +10,7 @@ from ctlrepair.datalog_engine import (
     DVar,
     Literal,
     Rule,
+    _fixpoint,
     evaluate,
     parse_program,
     stratify,
@@ -111,3 +115,98 @@ def test_parse_errors():
     for text in ("p(1", "p(1) :- .", ":- q(1).", "p(1)"):
         with pytest.raises(DatalogError):
             parse_program(text)
+
+
+def test_bound_join_keeps_types_apart():
+    # 1, "1" and True are three constants, though 1 == True and both hash
+    # alike; the join looks q up on X already bound by p
+    x = DVar("X")
+    rule = Rule(Atom("r", (x,)), (Literal(Atom("p", (x,))), Literal(Atom("q", (x,)))))
+    facts = [Atom("p", (1,)), Atom("q", ("1",)), Atom("q", (True,))]
+    idb = evaluate(DatalogProgram(rules=[rule], facts=facts))
+    assert {a for a in idb if a.predicate == "r"} == set()
+
+
+def test_repeated_variable_matches_diagonal_only():
+    idb = evaluate(parse_program("e(1, 1). e(1, 2). e(2, 2). e(3, 1).\ns(X) :- e(X, X)."))
+    assert {a.args for a in idb if a.predicate == "s"} == {(1,), (2,)}
+
+
+CYCLIC_TC = """
+node(1). node(2). node(3). node(4). node(5).
+edge(1, 2). edge(2, 3). edge(3, 4). edge(2, 4). edge(4, 5). edge(5, 3).
+path(X, Y) :- edge(X, Y).
+path(X, Z) :- edge(X, Y), path(Y, Z).
+unreached(X) :- node(X), !path(1, X).
+"""
+
+
+def test_derivation_order_golden():
+    # sedl reads disjuncts in the order atoms first enter the mask table, so
+    # the order is part of the engine's contract, not an accident of it
+    program = parse_program(CYCLIC_TC)
+    derived = list(_fixpoint(program.rules, dict.fromkeys(program.facts, 1), 1))
+    assert derived[: len(program.facts)] == program.facts
+    assert [str(a) for a in derived[len(program.facts):]] == [
+        "path(1, 2)", "path(2, 3)", "path(3, 4)", "path(2, 4)", "path(4, 5)",
+        "path(5, 3)", "path(1, 3)", "path(1, 4)", "path(3, 5)", "path(2, 5)",
+        "path(4, 3)", "path(5, 4)", "path(1, 5)", "path(3, 3)", "path(4, 4)",
+        "path(5, 5)", "unreached(1)",
+    ]
+
+
+def test_derivation_order_golden_with_growing_masks():
+    # two worlds: a round can widen the mask of a fact inserted before the
+    # facts first derived in it, and the next round must still visit the
+    # widened facts in insertion order, not in the order they grew
+    program = parse_program(
+        """
+edge(1, 2). edge(1, 3). edge(2, 3). edge(3, 4). edge(4, 1).
+path(X, Y) :- edge(X, Y).
+path(X, Z) :- path(X, Y), edge(Y, Z).
+"""
+    )
+    masks = dict(zip(program.facts, [3, 1, 3, 2, 3]))
+    derived = list(_fixpoint(program.rules, masks, 3).items())
+    assert [(str(a), m) for a, m in derived[len(program.facts):]] == [
+        ("path(1, 2)", 3), ("path(1, 3)", 3), ("path(2, 3)", 3), ("path(3, 4)", 2),
+        ("path(4, 1)", 3), ("path(2, 4)", 2), ("path(3, 1)", 2), ("path(4, 2)", 3),
+        ("path(4, 3)", 3), ("path(1, 4)", 2), ("path(2, 1)", 2), ("path(3, 2)", 2),
+        ("path(4, 4)", 2), ("path(1, 1)", 2), ("path(2, 2)", 2), ("path(3, 3)", 2),
+    ]
+
+
+def test_atom_hash_survives_pickling_across_hash_seeds():
+    # an atom pickled by a process with another str-hash seed must hash as
+    # an atom built here, or dict and set lookups would miss it
+    import pickle
+    import subprocess
+    import sys
+
+    code = (
+        "import pickle, sys; from ctlrepair.datalog_engine import Atom; "
+        "sys.stdout.buffer.write(pickle.dumps(Atom('flow', ('a', 2))))"
+    )
+    env = {"PYTHONHASHSEED": "1", "PYTHONPATH": ":".join(sys.path)}
+    payload = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, check=True
+    ).stdout
+    atom = pickle.loads(payload)
+    assert hash(atom) == hash(Atom("flow", ("a", 2)))
+    assert atom in {Atom("flow", ("a", 2))}
+
+
+def test_fixpoint_debug_line(caplog, run_cli, fixtures_dir):
+    with caplog.at_level(logging.DEBUG, logger="ctlrepair.datalog_engine"):
+        evaluate(parse_program(TC))
+    assert [r.getMessage() for r in caplog.records] == [
+        "fixpoint: 2 rules, 2 strata, 3 input facts, 6 derived, "
+        "2 semi-naive rounds, 1 index tables"
+    ]
+    # the line goes to the log, never into a command's stdout report
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="ctlrepair.datalog_engine"):
+        code, out, _ = run_cli("verify", "--json", fixtures_dir / "overview.imp")
+    assert code == 1
+    assert json.loads(out)["verdict"] == "Violated"
+    assert any(r.getMessage().startswith("fixpoint: ") for r in caplog.records)
