@@ -85,8 +85,7 @@ _CTL_TOKEN = re.compile(
     r"\s*(->|&&|\|\||>=|<=|!=|[!()=<>]|-?\d+|[A-Za-z_][A-Za-z0-9_]*)"
 )
 
-_OP_NAME = {"=": "EQ", ">": "GT", "<": "LT", ">=": "GTEQ", "<=": "LTEQ", "!=": "NEQ"}
-_OP_PURE = {"=": pl.EQ, ">": pl.GT, "<": pl.LT, ">=": pl.GTEQ, "<=": pl.LTEQ, "!=": pl.NEQ}
+_OP_PURE = {text: op for op, text in pl._OP_SYMBOL.items()}
 
 
 class CtlSyntaxError(ValueError):
@@ -98,8 +97,7 @@ def ap_name(pi: pl.Pure) -> str:
     if isinstance(pi, pl.Rel):
         return pi.name
     if isinstance(pi, pl.Bop):
-        op = {"Gt": "GT", "Lt": "LT", "GtEq": "GTEQ", "LtEq": "LTEQ", "Eq": "EQ", "Neq": "NEQ"}[pi.op]
-        return f"{_name_part(pi.left)}{op}{_name_part(pi.right)}"
+        return f"{_name_part(pi.left)}{pi.op.upper()}{_name_part(pi.right)}"
     if isinstance(pi, pl.And):
         return f"{ap_name(pi.left)}_AND_{ap_name(pi.right)}"
     raise CtlSyntaxError(f"cannot name atomic proposition {pi}")
@@ -292,18 +290,6 @@ S1 = DVar("S1")
 S2 = DVar("S2")
 
 
-def pure_to_body_atoms(pi: pl.Pure, state) -> list[Atom]:
-    """Decompose a pure constraint into abstract-predicate body atoms.
-
-    Conjunctions split into one atom per conjunct; each conjunct becomes the
-    same fact shape the encoder emits (see encode module).
-    """
-    atoms: list[Atom] = []
-    for conj in pl.conjuncts(pi):
-        atoms.append(pure_atom(conj, state))
-    return atoms
-
-
 _OP_MIRROR = {
     pl.GT: pl.LT,
     pl.LT: pl.GT,
@@ -376,7 +362,8 @@ def ctl_to_datalog(phi: CtlFormula) -> tuple[str, list[Rule]]:
             return memo[node]
         if isinstance(node, AP):
             name = fresh(node.name)
-            body = tuple(Literal(a) for a in pure_to_body_atoms(node.pure, S))
+            # one body atom per conjunct, in the fact shape the encoder emits
+            body = tuple(Literal(pure_atom(c, S)) for c in pl.conjuncts(node.pure))
             rules.append(Rule(Atom(name, (S,)), body))
         elif isinstance(node, Not):
             p = translate(node.operand)

@@ -54,9 +54,6 @@ class DVar:
         return self.name
 
 
-Value = "DVar | str | int"
-
-
 @dataclass(frozen=True, slots=True)
 class Atom:
     predicate: str

@@ -113,9 +113,7 @@ class _Encoder:
     def apply_event(self, ev: gw.Ev, store: SymStore) -> SymStore:
         out = store.copy()
         for v, t in ev.assigns:
-            rhs = pl.subst_term(t, out.env)
-            rhs = self._dewildcard(rhs)
-            out.env[v] = rhs
+            out.env[v] = pl.dewildcard(pl.subst_term(t, out.env), self.fresh_symbol)
             out.def_state[v] = ev.s
         if not isinstance(ev.constraint, pl.TrueP):
             pi = pl.subst_pure(ev.constraint, out.env)
@@ -134,17 +132,6 @@ class _Encoder:
             pi = pl.mk_and(pi, conj)
         out.constraint = pl.mk_and(out.constraint, pl.subst_pure(pi, out.env))
         return out
-
-    def _dewildcard(self, t: pl.Term) -> pl.Term:
-        if isinstance(t, pl.Wildcard):
-            return self.fresh_symbol()
-        if isinstance(t, pl.Add):
-            return pl.Add(self._dewildcard(t.left), self._dewildcard(t.right))
-        if isinstance(t, pl.Sub):
-            return pl.Sub(self._dewildcard(t.left), self._dewildcard(t.right))
-        if isinstance(t, pl.Neg):
-            return pl.Neg(self._dewildcard(t.operand))
-        return t
 
     # -- fact emission ----------------------------------------------------------
 

@@ -105,7 +105,7 @@ class StmtAst:
 @dataclass(frozen=True)
 class DeclStmt(StmtAst):
     name: str
-    init: object  # pl.Term | CallExpr | None
+    value: object  # pl.Term | CallExpr; `int x;` declares x = *
     span: Span
 
 
@@ -307,12 +307,12 @@ class _Parser:
         if tok.text == "int":
             self.take("int")
             name = self.take(kind="id").text
-            init = None
+            value = pl.Wildcard()
             if self.peek().text == "=":
                 self.take("=")
-                init = self.parse_rhs()
+                value = self.parse_rhs()
             end = self.take(";").pos + 1
-            return DeclStmt(name, init, Span(start, end))
+            return DeclStmt(name, value, Span(start, end))
         if tok.text == "if":
             self.take("if")
             self.take("(")
@@ -433,13 +433,13 @@ def _check_scopes(proc: ProcedureAst) -> None:
         if isinstance(value, CallExpr):
             for a in value.args:
                 term_ok(a)
-        elif value is not None:
+        else:
             term_ok(value)
 
     def walk(stmts) -> None:
         for s in stmts:
             if isinstance(s, DeclStmt):
-                rhs_ok(s.init)
+                rhs_ok(s.value)
                 declared.add(s.name)
             elif isinstance(s, AssignStmt):
                 if s.name not in declared:
@@ -464,6 +464,9 @@ def _check_scopes(proc: ProcedureAst) -> None:
 # ---------------------------------------------------------------------------
 
 
+_RELOP_TEXT = {op: text for text, op in _Parser._RELOPS.items()}
+
+
 def _pp_cond(c) -> str:
     if isinstance(c, NondetCond):
         return "*"
@@ -472,8 +475,7 @@ def _pp_cond(c) -> str:
     if isinstance(c, pl.FalseP):
         return "0"
     if isinstance(c, pl.Bop):
-        sym = {"Gt": ">", "Lt": "<", "GtEq": ">=", "LtEq": "<=", "Eq": "==", "Neq": "!="}[c.op]
-        return f"{c.left} {sym} {c.right}"
+        return f"{c.left} {_RELOP_TEXT[c.op]} {c.right}"
     if isinstance(c, pl.And):
         return f"{_pp_cond(c.left)} && {_pp_cond(c.right)}"
     if isinstance(c, pl.Or):
@@ -570,6 +572,14 @@ class _CfgBuilder:
         if b not in self.proc.trans[a]:
             self.proc.trans[a].append(b)
 
+    def prune_pair(self, cond, span: Span) -> tuple[int, int]:
+        """The true and false Prune nodes of a two-way branch on ``cond``."""
+        nondet = isinstance(cond, NondetCond)
+        true_pi, false_pi = (pl.TRUE, pl.TRUE) if nondet else (cond, pl.negate(cond))
+        p_true = self.new(lambda s: Prune(true_pi, s, nondet), span, "guard")
+        p_false = self.new(lambda s: Prune(false_pi, s, nondet), span, "guard")
+        return p_true, p_false
+
     def build(self, ast_proc: ProcedureAst) -> Procedure:
         self.proc = Procedure(ast_proc.name, ast_proc.params, entry=-1)
         start = self.new(Start)
@@ -594,30 +604,13 @@ class _CfgBuilder:
             for p in preds:
                 self.edge(p, sid)
 
-        if isinstance(stmt, DeclStmt):
-            if isinstance(stmt.init, CallExpr):
-                sid = self.new(
-                    lambda s: Call(stmt.init.callee, stmt.init.args, stmt.name, s),
-                    stmt.span,
-                    "call",
-                )
-            elif stmt.init is None:
-                sid = self.new(lambda s: Assign(stmt.name, pl.Wildcard(), s), stmt.span, "nondet-assign")
+        if isinstance(stmt, (DeclStmt, AssignStmt)):
+            value = stmt.value
+            if isinstance(value, CallExpr):
+                sid = self.new(lambda s: Call(value.callee, value.args, stmt.name, s), stmt.span, "call")
             else:
-                role = "nondet-assign" if pl.has_wildcard(stmt.init) else "assign"
-                sid = self.new(lambda s: Assign(stmt.name, stmt.init, s), stmt.span, role)
-            link(sid)
-            return [sid]
-        if isinstance(stmt, AssignStmt):
-            if isinstance(stmt.value, CallExpr):
-                sid = self.new(
-                    lambda s: Call(stmt.value.callee, stmt.value.args, stmt.name, s),
-                    stmt.span,
-                    "call",
-                )
-            else:
-                role = "nondet-assign" if pl.has_wildcard(stmt.value) else "assign"
-                sid = self.new(lambda s: Assign(stmt.name, stmt.value, s), stmt.span, role)
+                role = "nondet-assign" if pl.has_wildcard(value) else "assign"
+                sid = self.new(lambda s: Assign(stmt.name, value, s), stmt.span, role)
             link(sid)
             return [sid]
         if isinstance(stmt, ReturnStmt):
@@ -632,13 +625,7 @@ class _CfgBuilder:
         if isinstance(stmt, IfStmt):
             join = self.new(Join, stmt.span, "guard")
             link(join)
-            if isinstance(stmt.cond, NondetCond):
-                p_true = self.new(lambda s: Prune(pl.TRUE, s, nondet=True), stmt.span, "guard")
-                p_false = self.new(lambda s: Prune(pl.TRUE, s, nondet=True), stmt.span, "guard")
-            else:
-                cond = stmt.cond
-                p_true = self.new(lambda s: Prune(cond, s), stmt.span, "guard")
-                p_false = self.new(lambda s: Prune(pl.negate(cond), s), stmt.span, "guard")
+            p_true, p_false = self.prune_pair(stmt.cond, stmt.span)
             self.edge(join, p_true)
             then_tails, _ = self.lower_block(stmt.then, [p_true], breaks)
             self.edge(join, p_false)
@@ -648,13 +635,7 @@ class _CfgBuilder:
             join = self.new(Join, stmt.span, "loop")
             self.proc.loop_insert[join] = stmt.body_end
             link(join)
-            if isinstance(stmt.cond, NondetCond):
-                p_true = self.new(lambda s: Prune(pl.TRUE, s, nondet=True), stmt.span, "guard")
-                p_false = self.new(lambda s: Prune(pl.TRUE, s, nondet=True), stmt.span, "guard")
-            else:
-                cond = stmt.cond
-                p_true = self.new(lambda s: Prune(cond, s), stmt.span, "guard")
-                p_false = self.new(lambda s: Prune(pl.negate(cond), s), stmt.span, "guard")
+            p_true, p_false = self.prune_pair(stmt.cond, stmt.span)
             self.edge(join, p_true)
             loop_breaks: list[int] = []
             body_tails, _ = self.lower_block(stmt.body, [p_true], loop_breaks)
@@ -702,33 +683,8 @@ def run_cfg(
     proc = program.procedures[proc_name]
     store = dict(store)
 
-    def ev(t: pl.Term) -> int:
-        if isinstance(t, pl.Wildcard):
-            return rng.randint(-8, 8)
-        if isinstance(t, pl.Var):
-            return store.setdefault(t.name, rng.randint(-8, 8))
-        if isinstance(t, pl.Const):
-            return t.value
-        if isinstance(t, pl.Add):
-            return ev(t.left) + ev(t.right)
-        if isinstance(t, pl.Sub):
-            return ev(t.left) - ev(t.right)
-        if isinstance(t, pl.Neg):
-            return -ev(t.operand)
-        raise TypeError(f"not a term: {t!r}")
-
-    def holds(pi) -> bool:
-        if isinstance(pi, pl.TrueP):
-            return True
-        if isinstance(pi, pl.FalseP):
-            return False
-        if isinstance(pi, pl.Bop):
-            return pl._OP_EVAL[pi.op](ev(pi.left), ev(pi.right))
-        if isinstance(pi, pl.And):
-            return holds(pi.left) and holds(pi.right)
-        if isinstance(pi, pl.Or):
-            return holds(pi.left) or holds(pi.right)
-        raise TypeError(f"cannot evaluate guard {pi!r}")
+    def draw() -> int:
+        return rng.randint(-8, 8)
 
     node_id = proc.entry
     visits = 0
@@ -736,22 +692,22 @@ def run_cfg(
         node = proc.nodes[node_id]
         if isinstance(node, Return):
             if node.x is not None:
-                store["__ret__"] = ev(node.x)
+                store["__ret__"] = pl.eval_term(node.x, store, draw)
             return "return", visits, store
         if isinstance(node, ExitNode):
             return "end", visits, store
         if isinstance(node, Join) and node_id == watch_join:
             visits += 1
         if isinstance(node, Assign):
-            store[node.x] = ev(node.t)
+            store[node.x] = pl.eval_term(node.t, store, draw)
         elif isinstance(node, Call):
             callee = program.procedures.get(node.p)
             if callee is None:
-                store[node.r] = rng.randint(-8, 8)
+                store[node.r] = draw()
             else:
-                sub = {f: ev(a) for f, a in zip(callee.params, node.args)}
+                sub = {f: pl.eval_term(a, store, draw) for f, a in zip(callee.params, node.args)}
                 status, _, sub_store = run_cfg(program, node.p, sub, rng, max_steps)
-                store[node.r] = sub_store.get("__ret__", rng.randint(-8, 8))
+                store[node.r] = sub_store.get("__ret__", draw())
         succs = proc.trans[node_id]
         if not succs:
             return "end", visits, store
@@ -760,7 +716,7 @@ def run_cfg(
             if isinstance(a, Prune) and a.nondet:
                 node_id = rng.choice(succs)
                 continue
-            node_id = succs[0] if holds(a.pi) else succs[1]
+            node_id = succs[0] if pl.eval_pure(a.pi, store, draw) else succs[1]
             continue
         # Prune with a failing guard on a 1-successor chain cannot happen in
         # lowered code; move on.

@@ -11,7 +11,9 @@ analysis of the cycle body; inconclusive loops raise
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator
 
 from . import frontend as fe
 from . import pure_logic as pl
@@ -219,81 +221,71 @@ def derivative(seg: Re, re: Re) -> Re:
     raise TypeError(f"not an effect: {re!r}")
 
 
+def _leaves(re: Re) -> Iterator[Ev | Guard]:
+    """Events and guards in syntactic left-to-right order, omega bodies
+    included."""
+    stack = [re]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (Ev, Guard)):
+            yield node
+        elif isinstance(node, (Seq, OrRe)):
+            stack.append(node.right)
+            stack.append(node.left)
+        elif isinstance(node, Omega):
+            stack.append(node.body)
+
+
+def _map_leaves(re: Re, fn: Callable[[Ev | Guard], Re]) -> Re:
+    """``re`` with every event and guard replaced by ``fn`` of it."""
+    if isinstance(re, (Ev, Guard)):
+        return fn(re)
+    if isinstance(re, (Seq, OrRe)):
+        return type(re)(_map_leaves(re.left, fn), _map_leaves(re.right, fn))
+    if isinstance(re, Omega):
+        return Omega(_map_leaves(re.body, fn))
+    return re
+
+
 def states_of(re: Re) -> list[int]:
     """All state ids, in syntactic left-to-right order, deduplicated."""
-    out: list[int] = []
-
-    def walk(node: Re) -> None:
-        if isinstance(node, (Ev, Guard)):
-            if node.s not in out:
-                out.append(node.s)
-        elif isinstance(node, (Seq, OrRe)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, Omega):
-            walk(node.body)
-
-    walk(re)
-    return out
+    return list(dict.fromkeys(leaf.s for leaf in _leaves(re)))
 
 
 def pure_of_gwre(re: Re) -> list[pl.Pure]:
     """Guard payloads and event constraints, flattened to atomic conjuncts."""
     out: list[pl.Pure] = []
-
-    def add(pi: pl.Pure) -> None:
+    for leaf in _leaves(re):
+        pi = leaf.pi if isinstance(leaf, Guard) else leaf.constraint
         for conj in pl.conjuncts(pi):
             if isinstance(conj, pl.Bop) and conj not in out:
                 out.append(conj)
-
-    def walk(node: Re) -> None:
-        if isinstance(node, Guard):
-            add(node.pi)
-        elif isinstance(node, Ev):
-            add(node.constraint)
-        elif isinstance(node, (Seq, OrRe)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, Omega):
-            walk(node.body)
-
-    walk(re)
     return out
 
 
+def _assigned_vars(re: Re) -> set[str]:
+    return {v for leaf in _leaves(re) if isinstance(leaf, Ev) for v, _ in leaf.assigns}
+
+
 def _map_states(re: Re, mapping: dict[int, int]) -> Re:
-    if isinstance(re, Ev):
-        return replace(re, s=mapping.get(re.s, re.s))
-    if isinstance(re, Guard):
-        return replace(re, s=mapping.get(re.s, re.s))
-    if isinstance(re, Seq):
-        return Seq(_map_states(re.left, mapping), _map_states(re.right, mapping))
-    if isinstance(re, OrRe):
-        return OrRe(_map_states(re.left, mapping), _map_states(re.right, mapping))
-    if isinstance(re, Omega):
-        return Omega(_map_states(re.body, mapping))
-    return re
+    return _map_leaves(re, lambda leaf: replace(leaf, s=mapping.get(leaf.s, leaf.s)))
 
 
 def _subst_re(re: Re, env: dict[str, pl.Term], rename: dict[str, str]) -> Re:
     """Rename assigned variables and substitute into read positions."""
-    if isinstance(re, Ev):
+
+    def subst(leaf: Ev | Guard) -> Re:
+        if isinstance(leaf, Guard):
+            return replace(leaf, pi=pl.subst_pure(leaf.pi, env))
         assigns = tuple(
-            (rename.get(v, v), pl.subst_term(t, env)) for v, t in re.assigns
+            (rename.get(v, v), pl.subst_term(t, env)) for v, t in leaf.assigns
         )
         rels = tuple(
-            pl.Rel(r.name, tuple(pl.subst_term(a, env) for a in r.args)) for r in re.rels
+            pl.Rel(r.name, tuple(pl.subst_term(a, env) for a in r.args)) for r in leaf.rels
         )
-        return replace(re, assigns=assigns, constraint=pl.subst_pure(re.constraint, env), rels=rels)
-    if isinstance(re, Guard):
-        return replace(re, pi=pl.subst_pure(re.pi, env))
-    if isinstance(re, Seq):
-        return Seq(_subst_re(re.left, env, rename), _subst_re(re.right, env, rename))
-    if isinstance(re, OrRe):
-        return OrRe(_subst_re(re.left, env, rename), _subst_re(re.right, env, rename))
-    if isinstance(re, Omega):
-        return Omega(_subst_re(re.body, env, rename))
-    return re
+        return replace(leaf, assigns=assigns, constraint=pl.subst_pure(leaf.constraint, env), rels=rels)
+
+    return _map_leaves(re, subst)
 
 
 # ---------------------------------------------------------------------------
@@ -344,18 +336,7 @@ def renumber(re: Re) -> tuple[Re, dict[int, int]]:
     the remainder of the current chain until the level is exhausted, so
     shared continuations are numbered after the branch-specific states.
     """
-    counts: dict[int, int] = {}
-
-    def count(node: Re) -> None:
-        if isinstance(node, (Ev, Guard)):
-            counts[node.s] = counts.get(node.s, 0) + 1
-        elif isinstance(node, (Seq, OrRe)):
-            count(node.left)
-            count(node.right)
-        elif isinstance(node, Omega):
-            count(node.body)
-
-    count(re)
+    counts = Counter(leaf.s for leaf in _leaves(re))
     mapping: dict[int, int] = {}
     next_id = [1]
     queue: list[list[Re]] = [c for c in _chains(re)]
@@ -457,7 +438,6 @@ class GwreResult:
     origins: dict[int, Origin]
     summaries: list[SummaryInfo]
     entry_state: int
-    state_map: dict[int, int]  # pre-renumbering id -> final id
 
 
 def _prune_disjuncts(pi: pl.Pure) -> pl.Pure:
@@ -537,22 +517,6 @@ def _branch_guard_assigns(segs: list[Re]) -> tuple[pl.Pure, list[tuple[str, pl.T
         else:
             raise TypeError(f"unexpected segment in clean branch: {seg!r}")
     return guard, assigns
-
-
-def _assigned_vars(re: Re) -> set[str]:
-    out: set[str] = set()
-
-    def walk(node: Re) -> None:
-        if isinstance(node, Ev):
-            out.update(v for v, _ in node.assigns)
-        elif isinstance(node, (Seq, OrRe)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, Omega):
-            walk(node.body)
-
-    walk(re)
-    return out
 
 
 def _reads_of_ev(ev: Ev) -> set[str]:
@@ -1126,7 +1090,6 @@ def cfg_to_gwre(program: fe.Program, proc_name: str = "main") -> GwreResult:
         origins=origins,
         summaries=builder.summaries,
         entry_state=entry_state,
-        state_map=mapping,
     )
 
 
@@ -1156,43 +1119,13 @@ def simulate(
     def draw() -> int:
         return rng.randint(-8, 8)
 
-    def ev_value(t: pl.Term) -> int:
-        if isinstance(t, pl.Wildcard):
-            return draw()
-        if isinstance(t, pl.Var):
-            return store.setdefault(t.name, draw())
-        if isinstance(t, pl.Const):
-            return t.value
-        if isinstance(t, pl.Add):
-            return ev_value(t.left) + ev_value(t.right)
-        if isinstance(t, pl.Sub):
-            return ev_value(t.left) - ev_value(t.right)
-        if isinstance(t, pl.Neg):
-            return -ev_value(t.operand)
-        raise TypeError(f"not a term: {t!r}")
-
-    def constraint_holds(pi: pl.Pure) -> bool:
-        if isinstance(pi, pl.TrueP):
-            return True
-        if isinstance(pi, pl.FalseP):
-            return False
-        if isinstance(pi, pl.Rel):
-            return True
-        if isinstance(pi, pl.Bop):
-            return pl._OP_EVAL[pi.op](ev_value(pi.left), ev_value(pi.right))
-        if isinstance(pi, pl.And):
-            return constraint_holds(pi.left) and constraint_holds(pi.right)
-        if isinstance(pi, pl.Or):
-            return constraint_holds(pi.left) or constraint_holds(pi.right)
-        raise TypeError(f"not a pure constraint: {pi!r}")
-
     current = phi
     for _ in range(fuel):
         firsts = first(current)
         options: list[Re] = []
         for f in firsts:
             if isinstance(f, Guard):
-                if constraint_holds(f.pi):
+                if pl.eval_pure(f.pi, store, draw):
                     options.append(f)
             else:
                 options.append(f)
@@ -1207,8 +1140,8 @@ def simulate(
             continue
         if isinstance(f, Ev):
             for v, t in f.assigns:
-                store[v] = ev_value(t)
-            if not constraint_holds(f.constraint):
+                store[v] = pl.eval_term(t, store, draw)
+            if not pl.eval_pure(f.constraint, store, draw):
                 return SimResult(trace, "stuck", store)
             trace.append((f.s, str(f)))
         else:

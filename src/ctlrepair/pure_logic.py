@@ -5,6 +5,8 @@ propositions, and loop analysis:
 
 * ``Term`` — linear integer terms with a nondeterministic wildcard;
 * ``Pure`` — boolean combinations of comparisons and uninterpreted relations;
+* ``eval_term`` / ``eval_pure`` — concrete evaluation, drawing wildcards and
+  unset variables from a caller's generator when one is given;
 * ``negate`` / ``entails`` — guard complementation and a sound integer
   entailment check based on rational Fourier-Motzkin elimination with
   integer tightening of strict bounds;
@@ -18,9 +20,10 @@ Everything here is immutable and hash-based; integer semantics throughout.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 
 # ---------------------------------------------------------------------------
@@ -128,19 +131,38 @@ def subst_term(t: Term, env: dict[str, Term]) -> Term:
     raise TypeError(f"not a term: {t!r}")
 
 
-def eval_term(t: Term, store: dict[str, int]) -> int:
-    """Evaluate a wildcard-free term under a concrete store."""
+def eval_term(t: Term, store: dict[str, int], draw: Callable[[], int] | None = None) -> int:
+    """Evaluate a term under a concrete store.
+
+    Without ``draw`` a wildcard raises ValueError and an unset variable
+    KeyError.  With ``draw`` a wildcard evaluates to ``draw()`` and a
+    variable to ``store.setdefault(name, draw())``, so every variable read
+    consumes one draw, set or not; seeded runs replay on that order.
+    """
     if isinstance(t, Var):
-        return store[t.name]
+        return store[t.name] if draw is None else store.setdefault(t.name, draw())
     if isinstance(t, Const):
         return t.value
+    if isinstance(t, Wildcard) and draw is not None:
+        return draw()
     if isinstance(t, Add):
-        return eval_term(t.left, store) + eval_term(t.right, store)
+        return eval_term(t.left, store, draw) + eval_term(t.right, store, draw)
     if isinstance(t, Sub):
-        return eval_term(t.left, store) - eval_term(t.right, store)
+        return eval_term(t.left, store, draw) - eval_term(t.right, store, draw)
     if isinstance(t, Neg):
-        return -eval_term(t.operand, store)
+        return -eval_term(t.operand, store, draw)
     raise ValueError(f"cannot evaluate {t!r}")
+
+
+def dewildcard(t: Term, fresh: Callable[[], Term]) -> Term:
+    """Replace each wildcard occurrence, left to right, by ``fresh()``."""
+    if isinstance(t, Wildcard):
+        return fresh()
+    if isinstance(t, (Add, Sub)):
+        return type(t)(dewildcard(t.left, fresh), dewildcard(t.right, fresh))
+    if isinstance(t, Neg):
+        return Neg(dewildcard(t.operand, fresh))
+    return t
 
 
 def linearize(t: Term) -> tuple[dict[str, int], int] | None:
@@ -332,18 +354,19 @@ def subst_pure(pi: Pure, env: dict[str, Term]) -> Pure:
     raise TypeError(f"not a pure constraint: {pi!r}")
 
 
-def eval_pure(pi: Pure, store: dict[str, int]) -> bool:
-    """Evaluate a relation-free, wildcard-free constraint concretely."""
+def eval_pure(pi: Pure, store: dict[str, int], draw: Callable[[], int] | None = None) -> bool:
+    """Evaluate a relation-free constraint concretely (``draw`` as in
+    ``eval_term``)."""
     if isinstance(pi, TrueP):
         return True
     if isinstance(pi, FalseP):
         return False
     if isinstance(pi, Bop):
-        return _OP_EVAL[pi.op](eval_term(pi.left, store), eval_term(pi.right, store))
+        return _OP_EVAL[pi.op](eval_term(pi.left, store, draw), eval_term(pi.right, store, draw))
     if isinstance(pi, And):
-        return eval_pure(pi.left, store) and eval_pure(pi.right, store)
+        return eval_pure(pi.left, store, draw) and eval_pure(pi.right, store, draw)
     if isinstance(pi, Or):
-        return eval_pure(pi.left, store) or eval_pure(pi.right, store)
+        return eval_pure(pi.left, store, draw) or eval_pure(pi.right, store, draw)
     raise ValueError(f"cannot evaluate {pi!r} concretely")
 
 
@@ -415,17 +438,10 @@ def _nnf(pi: Pure, positive: bool) -> Pure | tuple[str, Rel]:
     if isinstance(pi, Rel):
         return ("+", pi) if positive else ("-", pi)
     if isinstance(pi, And):
-        l, r = _nnf(pi.left, positive), _nnf(pi.right, positive)
-        return _mk_node(And if positive else Or, l, r)
+        return (And if positive else Or, _nnf(pi.left, positive), _nnf(pi.right, positive))
     if isinstance(pi, Or):
-        l, r = _nnf(pi.left, positive), _nnf(pi.right, positive)
-        return _mk_node(Or if positive else And, l, r)
+        return (Or if positive else And, _nnf(pi.left, positive), _nnf(pi.right, positive))
     raise TypeError(f"not a pure constraint: {pi!r}")
-
-
-def _mk_node(ctor, l, r):
-    # And/Or over possibly signed-Rel leaves: wrap leaves in a marker list.
-    return (ctor, l, r)
 
 
 def _dnf(node) -> list[list]:
@@ -448,33 +464,13 @@ def _dnf(node) -> list[list]:
     return [[node]]
 
 
-def _rows_of_bop(atom: Bop, wcounter: list[int]) -> list[tuple[dict[str, Fraction], Fraction]] | None:
-    """Comparison -> rows of form coeffs·x + const >= 0 (integer tightened)."""
+def _rows_of_bop(atom: Bop, fresh: Callable[[], Term]) -> list[tuple[dict[str, Fraction], Fraction]]:
+    """Comparison -> rows of form coeffs·x + const >= 0 (integer tightened).
 
-    def lin(t: Term) -> tuple[dict[str, int], int]:
-        # Each wildcard occurrence becomes a fresh unconstrained variable.
-        if isinstance(t, Wildcard):
-            wcounter[0] += 1
-            return {f"__w{wcounter[0]}": 1}, 0
-        if isinstance(t, (Add, Sub)):
-            lc, lk = lin(t.left)
-            rc, rk = lin(t.right)
-            sign = 1 if isinstance(t, Add) else -1
-            out = dict(lc)
-            for v, c in rc.items():
-                out[v] = out.get(v, 0) + sign * c
-            return out, lk + sign * rk
-        if isinstance(t, Neg):
-            c, k = lin(t.operand)
-            return {v: -x for v, x in c.items()}, -k
-        if isinstance(t, Var):
-            return {t.name: 1}, 0
-        if isinstance(t, Const):
-            return {}, t.value
-        raise TypeError(f"not a term: {t!r}")
-
-    lc, lk = lin(atom.left)
-    rc, rk = lin(atom.right)
+    Each wildcard occurrence becomes a fresh unconstrained variable.
+    """
+    lc, lk = linearize(dewildcard(atom.left, fresh))
+    rc, rk = linearize(dewildcard(atom.right, fresh))
 
     def diff(sign: int, tighten: int):
         coeffs = {}
@@ -535,13 +531,15 @@ def _conj_unsat(literals: list) -> bool:
     if pos_rels & neg_rels:
         return True
     rows: list[tuple[dict[str, Fraction], Fraction]] = []
-    wcounter = [0]
+    # the names matter: Fourier-Motzkin eliminates variables in sorted-name order
+    wildcards = itertools.count(1)
+
+    def fresh() -> Term:
+        return Var(f"__w{next(wildcards)}")
+
     for lit in literals:
         if isinstance(lit, Bop):
-            converted = _rows_of_bop(lit, wcounter)
-            if converted is None:
-                return False
-            rows.extend(converted)
+            rows.extend(_rows_of_bop(lit, fresh))
     return _fm_unsat(rows)
 
 
@@ -714,8 +712,6 @@ def wp_delta(
 
 def models(pi: Pure, names: list[str], lo: int, hi: int) -> Iterator[dict[str, int]]:
     """Brute-force integer models of a relation-free constraint (test oracle)."""
-    import itertools
-
     for values in itertools.product(range(lo, hi + 1), repeat=len(names)):
         store = dict(zip(names, values))
         if eval_pure(pi, store):

@@ -93,14 +93,6 @@ def analyze(source: str, ctl_text: str | None = None, stats: dict | None = None)
     return Analysis(source, text, ast, cfg, gwre_result, enc, top, rules, holds, None, idb)
 
 
-def verify(source: str, ctl_text: str | None = None) -> str:
-    """One of "holds", "violated", "unknown"."""
-    analysis = analyze(source, ctl_text)
-    if analysis.unknown:
-        return "unknown"
-    return "holds" if analysis.holds else "violated"
-
-
 # ---------------------------------------------------------------------------
 # Fact deltas and source edits
 # ---------------------------------------------------------------------------
@@ -530,25 +522,35 @@ def _stmt_span(analysis: Analysis, state: int):
     return origin, proc, span, role
 
 
+def _pair_updates(cand: _Candidate):
+    """Pair each deleted family with the first remaining add on its
+    variable: (updates as (family, atom) pairs, plain deletes, plain adds)."""
+    updates: list[tuple[enc_mod.Family, Atom]] = []
+    plain_deletes: list[enc_mod.Family] = []
+    plain_adds = list(cand.adds)
+    for fam in cand.deletes:
+        match = next((a for a in plain_adds if _fact_var(a) == fam.var and fam.var), None)
+        if match is not None:
+            plain_adds.remove(match)
+            updates.append((fam, match))
+        else:
+            plain_deletes.append(fam)
+    return updates, plain_deletes, plain_adds
+
+
 def _synthesize(analysis: Analysis, cand: _Candidate):
     """Source edits realizing a candidate, or None if inexpressible."""
     deltas: list = []
     edits: list = []
     anchor = 0
-    add_list = list(cand.adds)
-    plain_deletes: list[enc_mod.Family] = []
-    for fam in cand.deletes:
-        match = next((a for a in add_list if _fact_var(a) == fam.var and fam.var), None)
-        if match is not None:
-            add_list.remove(match)
-            edit = _modify_assign(analysis, fam, match)
-            if edit is None:
-                return None
-            edits.append(edit)
-            deltas.append(UpdateFact(_fam_representative(fam), match, fam.key))
-            anchor = max(anchor, fam.def_state)
-        else:
-            plain_deletes.append(fam)
+    updates, plain_deletes, plain_adds = _pair_updates(cand)
+    for fam, atom in updates:
+        edit = _modify_assign(analysis, fam, atom)
+        if edit is None:
+            return None
+        edits.append(edit)
+        deltas.append(UpdateFact(_fam_representative(fam), atom, fam.key))
+        anchor = max(anchor, fam.def_state)
     if plain_deletes:
         exit_edit, exit_anchor = _early_exit(analysis, plain_deletes) or (None, 0)
         if exit_edit is None:
@@ -556,7 +558,7 @@ def _synthesize(analysis: Analysis, cand: _Candidate):
         edits.append(exit_edit)
         deltas.extend(DeleteFact(f.key, _fam_representative(f)) for f in plain_deletes)
         anchor = max(anchor, exit_anchor)
-    for a in add_list:
+    for a in plain_adds:
         edit = _insert_assign(analysis, a)
         if edit is None:
             return None
@@ -709,12 +711,7 @@ def repair_loop(source: str, config: RepairConfig, ctl_text: str | None = None) 
 
 def _estimated_cost(cand: _Candidate) -> int:
     """Delta count after delete/add pairs merge into single updates."""
-    adds = list(cand.adds)
-    for fam in cand.deletes:
-        match = next((a for a in adds if _fact_var(a) == fam.var and fam.var), None)
-        if match is not None:
-            adds.remove(match)
-    return len(cand.deletes) + len(adds)
+    return sum(map(len, _pair_updates(cand)))
 
 
 def _search(analysis: Analysis, config: RepairConfig, depth: int, stats, collect: bool):

@@ -2,7 +2,17 @@ import pathlib
 
 import pytest
 
+from ctlrepair import repair as rp
+
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
+def verdict(source: str, ctl_text: str | None = None) -> str:
+    """One of "holds", "violated", "unknown" for the program's property."""
+    analysis = rp.analyze(source, ctl_text)
+    if analysis.unknown:
+        return "unknown"
+    return "holds" if analysis.holds else "violated"
 
 
 @pytest.fixture

@@ -29,6 +29,8 @@ from ctlrepair.datalog_engine import (
     stratify,
 )
 
+from conftest import verdict
+
 
 class Stopwatch:
     def __init__(self, budget: float):
@@ -193,7 +195,7 @@ def test_criterion_3_loop_summaries(fixture_text):
     step_ge_1 = pl.Bop(pl.GTEQ, pl.Var("step"), pl.Const(1))
     assert pl.entails(wpc, step_ge_1)
     assert pl.entails(step_ge_1, wpc)
-    assert rp.verify(fixture_text("nested.imp")) == "holds"
+    assert verdict(fixture_text("nested.imp")) == "holds"
 
     # (iii) both multiphase loops always terminate (precondition T)
     for name, n_phases in (("multiphase1.imp", 2), ("multiphase2.imp", 3)):
@@ -201,10 +203,10 @@ def test_criterion_3_loop_summaries(fixture_text):
         (s,) = res.summaries
         assert s.always_terminates, name
         assert len(s.phases) == n_phases, name
-        assert rp.verify(fixture_text(name)) == "holds"
+        assert verdict(fixture_text(name)) == "holds"
 
     # (iv) x = x - * admits no conclusive ranking argument
-    assert rp.verify(fixture_text("unknown.imp")) == "unknown"
+    assert verdict(fixture_text("unknown.imp")) == "unknown"
     watch.check()
 
 

@@ -6,7 +6,7 @@ import pytest
 from ctlrepair import frontend as fe
 from ctlrepair import repair as rp
 
-from conftest import FIXTURES
+from conftest import FIXTURES, verdict
 
 
 def fix(name: str) -> str:
@@ -128,7 +128,7 @@ def test_repair_writes_fixed_file(run_cli, tmp_fixture, tmp_path):
     assert report["fixed_file"] == str(fixed)
     patched = fixed.read_text()
     fe.parse(patched)  # the patch is syntactically valid
-    assert rp.verify(patched, report["property"]) == "holds"
+    assert verdict(patched, report["property"]) == "holds"
 
 
 def test_repair_verified_program_exits_zero_without_file(run_cli, tmp_fixture, tmp_path):

@@ -65,6 +65,12 @@ void main(int n) {
     assert store["n"] == 0
 
 
+def test_run_cfg_replays_exact_draws(fixture_text):
+    program = fe.build_cfg(fe.parse(fixture_text("overview.imp")))
+    result = fe.run_cfg(program, "main", {}, random.Random(5))
+    assert result == ("end", 0, {"y": 5, "i": 0, "x": 3})
+
+
 def test_run_cfg_watch_join_counts_iterations():
     src = """//@ ctl: AF(Exit(_))
 void main(int n) {

@@ -1,0 +1,52 @@
+"""Byte-identical CLI output on every fixture.
+
+For each fixture, ``goldens/<stem>.json`` holds the exit code, stdout and
+stderr of ``repair --json --depth 1`` (with the ``.fixed.imp`` it writes),
+``dump-gwre``, ``dump-datalog`` and ``simulate --seed 0``.  The commands run
+from a temporary directory on a relative path, so ``fixed_file`` in the
+report does not depend on where the checkout lives.
+
+A fixture without a golden gets one written and its test fails, so a new
+golden is looked at before it is committed.  To accept an intended output
+change, delete the golden and run the test twice.
+"""
+
+import json
+import pathlib
+import shutil
+
+import pytest
+
+from conftest import FIXTURES
+
+GOLDENS = pathlib.Path(__file__).parent / "goldens"
+
+COMMANDS = {
+    "repair": ("repair", "--json", "--depth", "1"),
+    "dump-gwre": ("dump-gwre",),
+    "dump-datalog": ("dump-datalog",),
+    "simulate": ("simulate", "--seed", "0"),
+}
+
+
+def _lines(text: str) -> list[str]:
+    return text.splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.imp")))
+def test_cli_output_matches_golden(name, run_cli, tmp_path, monkeypatch):
+    shutil.copy(FIXTURES / name, tmp_path / name)
+    monkeypatch.chdir(tmp_path)
+    record = {}
+    for key, argv in COMMANDS.items():
+        code, out, err = run_cli(*argv, name)
+        record[key] = {"code": code, "stdout": _lines(out), "stderr": _lines(err)}
+    fixed = tmp_path / f"{pathlib.Path(name).stem}.fixed.imp"
+    record["repair"]["fixed"] = _lines(fixed.read_text()) if fixed.exists() else None
+
+    golden = GOLDENS / f"{pathlib.Path(name).stem}.json"
+    if not golden.exists():
+        GOLDENS.mkdir(exist_ok=True)
+        golden.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+        pytest.fail(f"wrote missing golden {golden.name}; check it and rerun")
+    assert record == json.loads(golden.read_text())

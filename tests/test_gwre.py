@@ -122,3 +122,9 @@ def test_simulate_deterministic_for_seed(fixture_text):
     a = gw.simulate(res.phi, fuel=25, rng=random.Random(9))
     b = gw.simulate(res.phi, fuel=25, rng=random.Random(9))
     assert a.trace == b.trace and a.store == b.store and a.status == b.status
+
+
+def test_simulate_replays_exact_draws(fixture_text):
+    res = summarize(fixture_text("overview.imp"))
+    sim = gw.simulate(res.phi, fuel=40, rng=random.Random(3))
+    assert sim.store == {"y": 5, "i": 3, "x": -6}

@@ -92,6 +92,34 @@ def test_entails_sound_against_brute_force():
     assert checked > 10  # the sample must actually exercise entailments
 
 
+def test_entails_treats_each_wildcard_as_its_own_value():
+    x, w, zero = pl.Var("x"), pl.Wildcard(), pl.Const(0)
+    assert not pl.entails(pl.TRUE, pl.Bop(pl.EQ, pl.Sub(w, w), zero))
+    assert pl.entails(pl.TRUE, pl.Bop(pl.EQ, pl.Sub(x, x), zero))
+    assert not pl.entails(pl.Bop(pl.GT, x, w), pl.Bop(pl.GT, x, zero))
+
+
+def test_eval_term_with_and_without_draw():
+    x, w = pl.Var("x"), pl.Wildcard()
+    assert pl.eval_term(pl.Sub(x, pl.Const(2)), {"x": 5}) == 3
+    with pytest.raises(ValueError):
+        pl.eval_term(w, {"x": 5})
+    with pytest.raises(KeyError):
+        pl.eval_term(x, {})
+    drawn: list[int] = []
+
+    def draw() -> int:
+        drawn.append(10 * (len(drawn) + 1))
+        return drawn[-1]
+
+    store: dict[str, int] = {}
+    assert pl.eval_term(pl.Add(pl.Add(x, w), x), store, draw) == 10 + 20 + 10
+    assert store == {"x": 10}
+    assert drawn == [10, 20, 30]  # the second read of x draws too
+    assert pl.eval_pure(pl.Bop(pl.LT, x, w), store, draw)
+    assert drawn == [10, 20, 30, 40, 50]
+
+
 def test_linearize_round_trip():
     rng = random.Random(6)
     for _ in range(200):

@@ -4,11 +4,13 @@ from ctlrepair import pure_logic as pl
 from ctlrepair import repair as rp
 from ctlrepair.datalog_engine import Atom
 
+from conftest import verdict
+
 
 def test_verify_verdicts(fixture_text):
-    assert rp.verify(fixture_text("overview.imp")) == "violated"
-    assert rp.verify(fixture_text("overview_fixed.imp")) == "holds"
-    assert rp.verify(fixture_text("unknown.imp")) == "unknown"
+    assert verdict(fixture_text("overview.imp")) == "violated"
+    assert verdict(fixture_text("overview_fixed.imp")) == "holds"
+    assert verdict(fixture_text("unknown.imp")) == "unknown"
 
 
 def test_property_flag_overrides_annotation(fixture_text):
@@ -110,7 +112,7 @@ def test_every_patch_source_verifies(fixture_text):
     result = rp.repair_loop(fixture_text("overview.imp"), rp.RepairConfig())
     assert result.verdict == "Repaired"
     for patch in result.patches:
-        assert rp.verify(patch.source, result.property_text) == "holds"
+        assert verdict(patch.source, result.property_text) == "holds"
 
 
 def test_patched_source_applies_reported_edits(fixture_text):
