@@ -6,6 +6,19 @@ emitted as abstract facts at each state.  An undecided comparison emits both
 itself and its complement (a closure pair), modeling the two futures of a
 nondeterministic value.  Guards become conditional flow rules whose bodies
 consult the facts of the predecessor state.
+
+The walk is one loop over an explicit stack, in this order (the lists of
+facts, rules and families follow it):
+
+- depth first over the derivatives, taking the leading segments of an
+  effect in ``gw.first`` order;
+- a segment's store update, incoming flow and emitted facts come before
+  its derivative is walked;
+- an effect reached again from the same state with the same store is
+  skipped, except inside an omega body, which is walked without that check;
+- an omega block walks its body, collecting the states where the body may
+  end (its terminals), then adds the flow from each terminal back to each
+  head of the body.  Nested omega blocks raise ``TypeError``.
 """
 
 from __future__ import annotations
@@ -71,6 +84,9 @@ class EncodeResult:
     entry_state: int
 
 
+_ENTER, _CLOSE = "enter", "close"  # work-item steps of _Encoder.walk
+
+
 class _Encoder:
     def __init__(self, atoms: list[pl.Pure]):
         self.atoms = atoms  # atomic comparisons worth tracking
@@ -122,11 +138,11 @@ class _Encoder:
 
     def apply_guard(self, g: gw.Guard, store: SymStore) -> SymStore:
         out = store.copy()
-        known = {
+        known = dict.fromkeys(
             conj
             for conj in pl.conjuncts(g.pi)
             if pl.pure_vars(conj) <= set(out.env)
-        }
+        )
         pi = pl.TRUE
         for conj in known:
             pi = pl.mk_and(pi, conj)
@@ -205,59 +221,51 @@ class _Encoder:
 
     # -- traversal ----------------------------------------------------------------
 
-    def walk(self, phi: gw.Re, prev: int, store: SymStore) -> None:
-        key = (phi, prev, self._store_sig(store))
-        if key in self.visited:
-            return
-        self.visited.add(key)
-        if gw.nullable(phi) and prev >= 0:
-            self.add_flow(prev, prev)
-        for f in gw.first(phi):
-            if isinstance(f, gw.Ev):
-                store2 = self.apply_event(f, store)
-                if prev >= 0:
-                    self.add_flow(prev, f.s)
-                self.emit(f.s, store2, f.rels)
-                self.walk(gw.derivative(f, phi), f.s, store2)
-            elif isinstance(f, gw.Guard):
-                store2 = self.apply_guard(f, store)
-                self.guard_rule(prev, f.s, f.pi)
-                self.emit(f.s, store2)
-                self.walk(gw.derivative(f, phi), f.s, store2)
-            elif isinstance(f, gw.Omega):
-                self.walk_omega(f.body, prev, store)
-            else:
-                raise TypeError(f"unexpected first segment: {f!r}")
-
-    def walk_omega(self, body: gw.Re, prev: int, store: SymStore) -> None:
-        terminals: list[int] = []
-
-        def inner(phi: gw.Re, prev_s: int, st: SymStore) -> None:
-            if gw.nullable(phi) and prev_s >= 0 and prev_s not in terminals:
-                terminals.append(prev_s)
-            for f in gw.first(phi):
-                if isinstance(f, gw.Ev):
-                    st2 = self.apply_event(f, st)
-                    if prev_s >= 0:
-                        self.add_flow(prev_s, f.s)
-                    self.emit(f.s, st2, f.rels)
-                    inner(gw.derivative(f, phi), f.s, st2)
-                elif isinstance(f, gw.Guard):
-                    st2 = self.apply_guard(f, st)
-                    self.guard_rule(prev_s, f.s, f.pi)
-                    self.emit(f.s, st2)
-                    inner(gw.derivative(f, phi), f.s, st2)
-                else:
+    def walk(self, phi: gw.Re) -> None:
+        """Walk ``phi`` from the entry; see the module docstring for the order."""
+        # A work item is (step, phi, prev, store, terminals): step _ENTER
+        # enters phi reached from prev, a leading segment of phi takes it,
+        # and _CLOSE closes the omega block whose body is phi.  terminals is
+        # None outside omega bodies, else the enclosing body's terminal list.
+        work: list[tuple] = [(_ENTER, phi, -1, SymStore(), None)]
+        while work:
+            step, phi, prev, store, terminals = work.pop()
+            if step is _CLOSE:
+                heads = gw.first(phi)
+                for t in terminals:
+                    for h in heads:
+                        if isinstance(h, gw.Ev):
+                            self.add_flow(t, h.s)
+                        else:
+                            self.guard_rule(t, h.s, h.pi)
+            elif step is _ENTER:
+                if terminals is None:
+                    key = (phi, prev, self._store_sig(store))
+                    if key in self.visited:
+                        continue
+                    self.visited.add(key)
+                    if gw.nullable(phi) and prev >= 0:
+                        self.add_flow(prev, prev)
+                elif gw.nullable(phi) and prev >= 0 and prev not in terminals:
+                    terminals.append(prev)
+                work.extend((f, phi, prev, store, terminals) for f in reversed(gw.first(phi)))
+            elif isinstance(step, gw.Omega):
+                if terminals is not None:
                     raise TypeError("nested omega blocks are not supported")
-
-        inner(body, prev, store)
-        heads = gw.first(body)
-        for t in terminals:
-            for h in heads:
-                if isinstance(h, gw.Ev):
-                    self.add_flow(t, h.s)
-                elif isinstance(h, gw.Guard):
-                    self.guard_rule(t, h.s, h.pi)
+                body_terminals: list[int] = []
+                work.append((_CLOSE, step.body, -1, None, body_terminals))
+                work.append((_ENTER, step.body, prev, store, body_terminals))
+            else:
+                if isinstance(step, gw.Ev):
+                    store = self.apply_event(step, store)
+                    if prev >= 0:
+                        self.add_flow(prev, step.s)
+                    self.emit(step.s, store, step.rels)
+                else:
+                    store = self.apply_guard(step, store)
+                    self.guard_rule(prev, step.s, step.pi)
+                    self.emit(step.s, store)
+                work.append((_ENTER, gw.derivative(step, phi), step.s, store, terminals))
 
     @staticmethod
     def _store_sig(store: SymStore):
@@ -285,7 +293,7 @@ def abstract_facts(
             if isinstance(conj, pl.Bop) and conj not in atoms:
                 atoms.append(conj)
     enc = _Encoder(atoms)
-    enc.walk(result.phi, -1, SymStore())
+    enc.walk(result.phi)
     for s in enc.states:
         enc.add_fact(Atom("State", (s,)))
     return EncodeResult(

@@ -541,8 +541,8 @@ class Procedure:
     entry: int
     nodes: dict[int, CfgNode] = field(default_factory=dict)
     trans: dict[int, list[int]] = field(default_factory=dict)
-    # source info: node id -> (span, role); while-Join id -> body insertion offset
-    spans: dict[int, tuple[Span, str]] = field(default_factory=dict)
+    # source info: node id -> span; while-Join id -> body insertion offset
+    spans: dict[int, Span] = field(default_factory=dict)
     loop_insert: dict[int, int] = field(default_factory=dict)
 
 
@@ -553,19 +553,18 @@ class Program:
 
 
 class _CfgBuilder:
-    def __init__(self, counter: list[int], ast_source: str):
+    def __init__(self, counter: list[int]):
         self.counter = counter
-        self.source = ast_source
         self.proc: Procedure | None = None
 
-    def new(self, node_factory, span: Span | None = None, role: str = "") -> int:
+    def new(self, node_factory, span: Span | None = None) -> int:
         sid = self.counter[0]
         self.counter[0] += 1
         node = node_factory(sid)
         self.proc.nodes[sid] = node
         self.proc.trans[sid] = []
         if span is not None:
-            self.proc.spans[sid] = (span, role)
+            self.proc.spans[sid] = span
         return sid
 
     def edge(self, a: int, b: int) -> None:
@@ -576,8 +575,8 @@ class _CfgBuilder:
         """The true and false Prune nodes of a two-way branch on ``cond``."""
         nondet = isinstance(cond, NondetCond)
         true_pi, false_pi = (pl.TRUE, pl.TRUE) if nondet else (cond, pl.negate(cond))
-        p_true = self.new(lambda s: Prune(true_pi, s, nondet), span, "guard")
-        p_false = self.new(lambda s: Prune(false_pi, s, nondet), span, "guard")
+        p_true = self.new(lambda s: Prune(true_pi, s, nondet), span)
+        p_false = self.new(lambda s: Prune(false_pi, s, nondet), span)
         return p_true, p_false
 
     def build(self, ast_proc: ProcedureAst) -> Procedure:
@@ -607,23 +606,22 @@ class _CfgBuilder:
         if isinstance(stmt, (DeclStmt, AssignStmt)):
             value = stmt.value
             if isinstance(value, CallExpr):
-                sid = self.new(lambda s: Call(value.callee, value.args, stmt.name, s), stmt.span, "call")
+                sid = self.new(lambda s: Call(value.callee, value.args, stmt.name, s), stmt.span)
             else:
-                role = "nondet-assign" if pl.has_wildcard(value) else "assign"
-                sid = self.new(lambda s: Assign(stmt.name, value, s), stmt.span, role)
+                sid = self.new(lambda s: Assign(stmt.name, value, s), stmt.span)
             link(sid)
             return [sid]
         if isinstance(stmt, ReturnStmt):
-            sid = self.new(lambda s: Return(stmt.value, s), stmt.span, "return")
+            sid = self.new(lambda s: Return(stmt.value, s), stmt.span)
             link(sid)
             return []
         if isinstance(stmt, BreakStmt):
-            sid = self.new(Join, stmt.span, "break")
+            sid = self.new(Join, stmt.span)
             link(sid)
             breaks.append(sid)
             return []
         if isinstance(stmt, IfStmt):
-            join = self.new(Join, stmt.span, "guard")
+            join = self.new(Join, stmt.span)
             link(join)
             p_true, p_false = self.prune_pair(stmt.cond, stmt.span)
             self.edge(join, p_true)
@@ -632,7 +630,7 @@ class _CfgBuilder:
             else_tails, _ = self.lower_block(stmt.orelse, [p_false], breaks)
             return then_tails + else_tails
         if isinstance(stmt, WhileStmt):
-            join = self.new(Join, stmt.span, "loop")
+            join = self.new(Join, stmt.span)
             self.proc.loop_insert[join] = stmt.body_end
             link(join)
             p_true, p_false = self.prune_pair(stmt.cond, stmt.span)
@@ -655,7 +653,7 @@ def build_cfg(program_ast: ProgramAst) -> Program:
     # main last so user-facing state numbering of main starts right after its
     # callees only when main comes last in the file; build in file order.
     for proc_ast in program_ast.procedures:
-        builder = _CfgBuilder(counter, program_ast.source)
+        builder = _CfgBuilder(counter)
         procedures[proc_ast.name] = builder.build(proc_ast)
     return Program(procedures, program_ast)
 

@@ -293,39 +293,35 @@ def _subst_re(re: Re, env: dict[str, pl.Term], rename: dict[str, str]) -> Re:
 # ---------------------------------------------------------------------------
 
 
-def _chains(re: Re) -> list[list[Re]]:
-    """Flatten into alternative chains of segments / Or / Omega markers."""
-    # A chain is a list whose items are Ev, Guard, Omega, OrRe, or marker nodes.
-    if isinstance(re, Bot):
-        return []
-    if isinstance(re, Eps):
-        return [[]]
-    if isinstance(re, ContinueMark):
-        return [[CONTINUE]]
-    if isinstance(re, (Ev, Guard, Omega, OrRe)):
-        return [[re]]
-    if isinstance(re, Seq):
-        left = _chains(re.left)
-        right = _chains(re.right)
-        return [a + b for a in left for b in right]
-    raise TypeError(f"not an effect: {re!r}")
+def _spine(re: Re) -> list[Re]:
+    """The items of a sequence: nested ``Seq`` flattened left to right,
+    ``Eps`` dropped."""
+    out: list[Re] = []
+    stack = [re]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Seq):
+            stack.append(node.right)
+            stack.append(node.left)
+        elif not isinstance(node, Eps):
+            out.append(node)
+    return out
 
 
 def _paths(re: Re) -> list[list[Re]]:
     """Fully distribute disjunction: every alternative as a segment list."""
     if isinstance(re, Bot):
         return []
-    if isinstance(re, Eps):
-        return [[]]
-    if isinstance(re, ContinueMark):
-        return [[CONTINUE]]
-    if isinstance(re, (Ev, Guard, Omega)):
+    if isinstance(re, (ContinueMark, Ev, Guard, Omega)):
         return [[re]]
-    if isinstance(re, Seq):
-        return [a + b for a in _paths(re.left) for b in _paths(re.right)]
     if isinstance(re, OrRe):
         return _paths(re.left) + _paths(re.right)
-    raise TypeError(f"not an effect: {re!r}")
+    if not isinstance(re, (Seq, Eps)):
+        raise TypeError(f"not an effect: {re!r}")
+    out: list[list[Re]] = [[]]
+    for item in _spine(re):
+        out = [a + b for a in out for b in _paths(item)]
+    return out
 
 
 def renumber(re: Re) -> tuple[Re, dict[int, int]]:
@@ -339,7 +335,7 @@ def renumber(re: Re) -> tuple[Re, dict[int, int]]:
     counts = Counter(leaf.s for leaf in _leaves(re))
     mapping: dict[int, int] = {}
     next_id = [1]
-    queue: list[list[Re]] = [c for c in _chains(re)]
+    queue: list[list[Re]] = [_spine(re)]
     deferred: list[list[Re]] = []
 
     def assign(s: int) -> None:
@@ -366,8 +362,8 @@ def renumber(re: Re) -> tuple[Re, dict[int, int]]:
                 continue
             if isinstance(item, OrRe):
                 tail = chain[i + 1 :]
-                for sub in _chains(item.left) + _chains(item.right):
-                    queue.append(sub + tail)
+                for alt in (item.left, item.right):
+                    queue.append(_spine(alt) + tail)
                 return
             if isinstance(item, Omega):
                 body_first = first(item.body)
@@ -381,8 +377,7 @@ def renumber(re: Re) -> tuple[Re, dict[int, int]]:
                     if rest not in deferred:
                         deferred.append(rest)
                     return
-                for sub in _chains(item.body):
-                    queue.append(sub)
+                queue.append(_spine(item.body))
                 i += 1
                 continue
             i += 1
@@ -577,39 +572,44 @@ class _Builder:
     # -- CFG traversal ------------------------------------------------------
 
     def walk(self, proc: fe.Procedure, nid: int, stop: int | None) -> Re:
-        if nid == stop:
-            return CONTINUE
-        node = proc.nodes[nid]
-        succs = proc.trans[nid]
-        if isinstance(node, fe.ExitNode):
-            return EPS
-        if isinstance(node, fe.Return):
-            self.origins[nid] = Origin("return", node=nid, proc=proc.name)
-            args = (node.x,) if node.x is not None else ()
-            return Omega(Ev(s=nid, rels=(pl.Rel("Exit", args),)))
-        if isinstance(node, fe.Start):
-            return self.walk(proc, succs[0], stop) if succs else EPS
-        if isinstance(node, fe.Assign):
-            self.origins[nid] = Origin("stmt", node=nid, proc=proc.name)
-            eff: Re = Ev(s=nid, assigns=((node.x, node.t),))
-            rest = self.walk(proc, succs[0], stop) if succs else EPS
-            return seq(eff, rest)
-        if isinstance(node, fe.Call):
-            eff = self.inline_call(proc, node)
-            rest = self.walk(proc, succs[0], stop) if succs else EPS
-            return seq(eff, rest)
-        if isinstance(node, fe.Prune):
-            self.origins[nid] = Origin("guard", node=nid, proc=proc.name)
-            rest = self.walk(proc, succs[0], stop) if succs else EPS
-            return seq(Guard(node.pi, nid), rest)
-        if isinstance(node, fe.Join):
-            if self.is_loop(proc, nid, stop):
-                return self.summarize(proc, nid, stop)
-            branches = [self.walk(proc, s, stop) for s in succs]
-            if not branches:
-                return EPS
-            return or_list(branches)
-        raise TypeError(f"unknown CFG node: {node!r}")
+        """The effect of the CFG from ``nid`` up to ``stop``: the straight-line
+        run of statements and guards, then what ends it; only a ``Join``
+        recurses."""
+        run: list[Re] = []
+        tail: Re = CONTINUE
+        while nid != stop:
+            node = proc.nodes[nid]
+            succs = proc.trans[nid]
+            if isinstance(node, fe.ExitNode):
+                tail = EPS
+                break
+            if isinstance(node, fe.Return):
+                self.origins[nid] = Origin("return", node=nid, proc=proc.name)
+                args = (node.x,) if node.x is not None else ()
+                tail = Omega(Ev(s=nid, rels=(pl.Rel("Exit", args),)))
+                break
+            if isinstance(node, fe.Join):
+                if self.is_loop(proc, nid, stop):
+                    tail = self.summarize(proc, nid, stop)
+                else:
+                    branches = [self.walk(proc, s, stop) for s in succs]
+                    tail = or_list(branches) if branches else EPS
+                break
+            if isinstance(node, fe.Assign):
+                self.origins[nid] = Origin("stmt", node=nid, proc=proc.name)
+                run.append(Ev(s=nid, assigns=((node.x, node.t),)))
+            elif isinstance(node, fe.Call):
+                run.append(self.inline_call(proc, node))
+            elif isinstance(node, fe.Prune):
+                self.origins[nid] = Origin("guard", node=nid, proc=proc.name)
+                run.append(Guard(node.pi, nid))
+            elif not isinstance(node, fe.Start):
+                raise TypeError(f"unknown CFG node: {node!r}")
+            if not succs:
+                tail = EPS
+                break
+            nid = succs[0]
+        return seq_list(run + [tail])
 
     def is_loop(self, proc: fe.Procedure, join: int, stop: int | None = None) -> bool:
         return any(self._reaches(proc, s, join, stop) for s in proc.trans[join])
@@ -685,10 +685,7 @@ class _Builder:
 
     def _peephole_chain(self, re: Re) -> Re:
         """Simplify a straight-line inlined chain of plain assignments."""
-        chains = _chains(re)
-        if len(chains) != 1:
-            return re
-        chain = chains[0]
+        chain = _spine(re)
         if not all(isinstance(seg, Ev) and not seg.rels and isinstance(seg.constraint, pl.TrueP) and len(seg.assigns) == 1 for seg in chain):
             return re
         items: list[Ev] = list(chain)  # type: ignore[arg-type]
@@ -837,21 +834,17 @@ class _Builder:
 
         self.summaries.append(info)
         if not disjuncts:
-            return BOT
+            # every entry skips the loop, leaves it or stays in it, so a
+            # summary without behaviour is a wrong termination argument
+            raise SummaryInconclusive(
+                f"the summary of the loop at node {join} admits no behaviour"
+            )
         return seq(seq_list(hoisted), or_list(disjuncts))
 
     def _hoist(self, phi_cycle: Re) -> tuple[list[Re], Re]:
         """Pull leading one-shot havoc events of loop-constant vars out."""
-        chains = _chains(phi_cycle)
-        if not chains:
-            return [], phi_cycle
         # The hoistable window is the common top-level prefix before any Or.
-        def flat(re: Re) -> list[Re]:
-            if isinstance(re, Seq):
-                return flat(re.left) + flat(re.right)
-            return [re]
-
-        items = flat(phi_cycle)
+        items = _spine(phi_cycle)
         k = 0
         while k < len(items) and isinstance(items[k], (Ev, Guard)):
             k += 1
@@ -916,7 +909,8 @@ class _Builder:
                     for c in pl.candidate_rfs(neg):
                         add(c)
 
-        conclusive = []
+        # the first useful candidate, else the first conclusive one
+        fallback = None
         for rf in candidates:
             pi_t, pi_nt = pl.wp_delta(rf, clean_ga)
             if isinstance(pi_t, pl.FalseP) and isinstance(pi_nt, pl.FalseP):
@@ -927,15 +921,11 @@ class _Builder:
             if chain is None:
                 continue
             phases, pi_res = chain
-            useful = pl.satisfiable(pl.mk_and(pi_g, pi_t))
-            conclusive.append((useful, rf, pi_t, pi_nt, phases, pi_res))
-        for useful, rf, pi_t, pi_nt, phases, pi_res in conclusive:
-            if useful:
+            if pl.satisfiable(pl.mk_and(pi_g, pi_t)):
                 return rf, pi_t, pi_nt, phases, pi_res
-        if conclusive:
-            _, rf, pi_t, pi_nt, phases, pi_res = conclusive[0]
-            return rf, pi_t, pi_nt, phases, pi_res
-        return None
+            if fallback is None:
+                fallback = (rf, pi_t, pi_nt, phases, pi_res)
+        return fallback
 
     def _phase_chain(self, rf, pi_t, pi_nt, pi_g, clean_ga):
         """Refine the non-decreasing precondition through successive phases."""
@@ -1003,7 +993,7 @@ class _Builder:
             if delta is None or delta[0] or delta[1] != 1:
                 return []
             env = pl.branch_substitution(assigns)
-            for v in {a for a, _ in assigns}:
+            for v in dict.fromkeys(a for a, _ in assigns):
                 lin = pl.linearize(env[v])
                 if lin is None or lin[0] != {v: 1}:
                     return []

@@ -106,16 +106,6 @@ def term_vars(t: Term) -> set[str]:
     raise TypeError(f"not a term: {t!r}")
 
 
-def has_wildcard(t: Term) -> bool:
-    if isinstance(t, Wildcard):
-        return True
-    if isinstance(t, (Add, Sub)):
-        return has_wildcard(t.left) or has_wildcard(t.right)
-    if isinstance(t, Neg):
-        return has_wildcard(t.operand)
-    return False
-
-
 def subst_term(t: Term, env: dict[str, Term]) -> Term:
     """Simultaneously substitute variables in ``t`` by ``env``."""
     if isinstance(t, Var):

@@ -518,8 +518,7 @@ def _stmt_span(analysis: Analysis, state: int):
     proc = analysis.cfg.procedures.get(origin.proc)
     if proc is None or origin.node not in proc.spans:
         return None
-    span, role = proc.spans[origin.node]
-    return origin, proc, span, role
+    return origin, proc, proc.spans[origin.node]
 
 
 def _pair_updates(cand: _Candidate):
@@ -574,7 +573,7 @@ def _modify_assign(analysis: Analysis, fam: enc_mod.Family, new_atom: Atom):
     info = _stmt_span(analysis, fam.def_state)
     if info is None:
         return None
-    origin, proc, span, role = info
+    origin, proc, span = info
     node = proc.nodes.get(origin.node)
     var = fam.var
     if isinstance(node, fe.Assign):
@@ -615,7 +614,7 @@ def _insert_assign(analysis: Analysis, atom: Atom):
     if proc is None:
         return None
     if origin.kind == "return" and origin.node in proc.spans:
-        span, _ = proc.spans[origin.node]
+        span = proc.spans[origin.node]
         return InsertAssign(var, value, state, span.start, f"{var} = {value}; ")
     if origin.kind in ("loop-event", "exit-event") and origin.join is not None:
         offset = proc.loop_insert.get(origin.join)
@@ -623,7 +622,7 @@ def _insert_assign(analysis: Analysis, atom: Atom):
             return None
         return InsertAssign(var, value, state, offset, f"{var} = {value}; ")
     if origin.kind == "stmt" and origin.node in proc.spans:
-        span, _ = proc.spans[origin.node]
+        span = proc.spans[origin.node]
         return InsertAssign(var, value, state, span.end, f" {var} = {value};")
     return None
 
@@ -636,7 +635,7 @@ def _early_exit(analysis: Analysis, fams: list[enc_mod.Family]):
     info = _stmt_span(analysis, anchor_state)
     if info is None or info[0].kind != "stmt":
         return None
-    origin, proc, span, role = info
+    origin, proc, span = info
     conds = []
     for fam in fams:
         cond = fe._pp_cond(fam.pure)

@@ -846,12 +846,14 @@ def test_criterion_9_nonterminating_disjuncts_never_exit_early():
 # ===========================================================================
 
 
-def test_straight_line_200_analyze_within_budget():
+@pytest.mark.parametrize("n, budget", [(200, 1.5), (300, 3.0)])
+def test_straight_line_200_analyze_within_budget(n, budget):
     # AF's binary lasso relation has ~n^2/2 facts here; joining it against
-    # flow without an index took several seconds
-    watch = Stopwatch(1.5)
+    # flow without an index took several seconds.  At 300 assignments a
+    # walk with one frame per statement hits the recursion limit.
+    watch = Stopwatch(budget)
     src = "//@ ctl: AF(Exit(_))\nvoid main() {\n  int x = 0;\n"
-    src += "  x = x + 1;\n" * 200 + "  return;\n}\n"
+    src += "  x = x + 1;\n" * n + "  return;\n}\n"
     analysis = rp.analyze(src)
     assert analysis.unknown is None
     assert analysis.holds

@@ -1,8 +1,13 @@
 import json
+import os
+import pathlib
 import shutil
+import subprocess
+import sys
 
 import pytest
 
+import ctlrepair
 from ctlrepair import frontend as fe
 from ctlrepair import repair as rp
 
@@ -187,6 +192,21 @@ def test_dump_gwre_inconclusive_exit_two(run_cli):
     code, _, err = run_cli("dump-gwre", fix("unknown.imp"))
     assert code == 2
     assert "inconclusive" in err
+
+
+def test_dump_gwre_independent_of_hash_seed():
+    # the exit event of a loop that updates several variables lists them in
+    # program order, whatever order a set of their names would have
+    src_dir = pathlib.Path(ctlrepair.__file__).parents[1]
+    outs = []
+    for seed in ("0", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src_dir))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ctlrepair.cli", "dump-gwre", fix("multi_update.imp")],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_dump_datalog(run_cli):

@@ -109,5 +109,5 @@ def test_spans_cover_statements(fixture_text):
     program = fe.build_cfg(fe.parse(fixture_text("overview.imp")))
     proc = program.procedures["main"]
     source = program.ast.source
-    for span, _role in proc.spans.values():
+    for span in proc.spans.values():
         assert 0 <= span.start <= span.end <= len(source)

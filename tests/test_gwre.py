@@ -6,6 +6,8 @@ from ctlrepair import frontend as fe
 from ctlrepair import gwre as gw
 from ctlrepair import pure_logic as pl
 
+from conftest import verdict
+
 
 def summarize(source: str) -> gw.GwreResult:
     return gw.cfg_to_gwre(fe.build_cfg(fe.parse(source)))
@@ -82,6 +84,12 @@ def test_multiphase_summaries(fixture_text):
 def test_inconclusive_loop_raises(fixture_text):
     with pytest.raises(gw.SummaryInconclusive):
         summarize(fixture_text("unknown.imp"))
+
+
+def test_loop_summary_without_behaviour_is_unknown(fixture_text):
+    # the body flips between the phases k-1 and -k forever, yet both are
+    # accepted as a phase chain; every run with n >= 6 enters the loop
+    assert verdict(fixture_text("phase_flip.imp")) == "unknown"
 
 
 def test_unsupported_missing_procedure():
