@@ -142,6 +142,8 @@ def repair(
         _emit_json(report)
     else:
         click.echo(f"{result.verdict}: {result.property_text}")
+        if "detail" in report:
+            click.echo(report["detail"], err=True)
         for i, patch in enumerate(result.patches):
             click.echo(f"patch {i + 1} (cost {patch.cost}, iterations {patch.iterations}):")
             for edit in patch.edits:

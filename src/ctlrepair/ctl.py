@@ -28,7 +28,7 @@ class CtlFormula:
 @dataclass(frozen=True)
 class AP(CtlFormula):
     name: str
-    pure: pl.Pure
+    pure: pl.Pure | pl.Rel
 
     def __str__(self) -> str:
         return str(self.pure)
@@ -92,7 +92,7 @@ class CtlSyntaxError(ValueError):
     pass
 
 
-def ap_name(pi: pl.Pure) -> str:
+def ap_name(pi: pl.Pure | pl.Rel) -> str:
     """Deterministic predicate name for an atomic proposition."""
     if isinstance(pi, pl.Rel):
         return pi.name
@@ -263,9 +263,9 @@ def desugar(phi: CtlFormula) -> CtlFormula:
     raise TypeError(f"not a property AST node: {phi!r}")
 
 
-def pure_of_ctl(phi: CtlFormula) -> list[pl.Pure]:
+def pure_of_ctl(phi: CtlFormula) -> list[pl.Pure | pl.Rel]:
     """All atomic-proposition payloads, deduplicated, pre-order."""
-    out: list[pl.Pure] = []
+    out: list[pl.Pure | pl.Rel] = []
 
     def walk(node: CtlFormula) -> None:
         if isinstance(node, AP):
@@ -315,7 +315,7 @@ def _canonical_bop(pi: pl.Bop) -> pl.Bop:
     return pl.Bop(op, left, right)
 
 
-def pure_atom(pi: pl.Pure, state) -> Atom:
+def pure_atom(pi: pl.Pure | pl.Rel, state) -> Atom:
     """The Datalog atom standing for one comparison/relation at a state."""
     if isinstance(pi, pl.Rel):
         return Atom(pi.name, tuple(_value_of_term(a) for a in pi.args) + (state,))

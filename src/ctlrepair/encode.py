@@ -50,7 +50,7 @@ def _atom_of(pi: pl.Pure, state) -> Atom | None:
     """The fact shape of one comparison, or None if not expressible."""
     try:
         return ctl_mod.pure_atom(pi, state)
-    except (ValueError, ctl_mod.CtlSyntaxError):
+    except ValueError:  # CtlSyntaxError is a ValueError
         return None
 
 
@@ -77,7 +77,6 @@ class Family:
 class EncodeResult:
     facts: list[Atom]
     rules: list[Rule]
-    states: list[int]
     families: dict[FamilyKey, Family]
     fact_family: dict[Atom, FamilyKey]
     pair_of: dict[FamilyKey, FamilyKey]
@@ -167,10 +166,7 @@ class _Encoder:
             if pl.entails(store.constraint, grounded):
                 self.record(pi, atom, store, pair=None)
                 continue
-            try:
-                neg = pl.negate(pi)
-            except pl.NonNegatableGuard:
-                continue
+            neg = pl.negate(pi)
             if pl.entails(store.constraint, pl.subst_pure(neg, store.env)):
                 continue
             neg_atom = _atom_of(neg, s)
@@ -277,7 +273,7 @@ class _Encoder:
 
 
 def abstract_facts(
-    result: gw.GwreResult, ctl_pures: list[pl.Pure]
+    result: gw.GwreResult, ctl_pures: list[pl.Pure | pl.Rel]
 ) -> EncodeResult:
     """Encode an effect into facts, flow rules, and fact families.
 
@@ -299,7 +295,6 @@ def abstract_facts(
     return EncodeResult(
         facts=enc.facts,
         rules=enc.rules,
-        states=enc.states,
         families=enc.families,
         fact_family=enc.fact_family,
         pair_of=enc.pair_of,

@@ -453,12 +453,9 @@ def _prune_disjuncts(pi: pl.Pure) -> pl.Pure:
         for j, other in enumerate(ds):
             if i == j:
                 continue
-            try:
-                if pl.entails(d, other) and (other in kept or j > i):
-                    redundant = True
-                    break
-            except Exception:
-                continue
+            if pl.entails(d, other) and (other in kept or j > i):
+                redundant = True
+                break
         if not redundant:
             kept.append(d)
     out = pl.FALSE
@@ -480,13 +477,10 @@ def prune_conjuncts(pi: pl.Pure) -> pl.Pure:
             others = pl.TRUE
             for r in rest:
                 others = pl.mk_and(others, r)
-            try:
-                if pl.entails(others, c):
-                    cs = rest
-                    changed = True
-                    break
-            except Exception:
-                continue
+            if pl.entails(others, c):
+                cs = rest
+                changed = True
+                break
     out = pl.TRUE
     for c in cs:
         out = pl.mk_and(out, c)
@@ -781,7 +775,7 @@ class _Builder:
 
         if chosen is not None:
             rf, pi_t1, pi_nt1, phases, pi_res = chosen
-            info.rf = rf.rf
+            info.rf = rf
             info.pi_t = pi_t1
             info.pi_nt = pi_nt1
             info.phases = phases
@@ -806,7 +800,7 @@ class _Builder:
                 d3_guard = prune_conjuncts(pl.mk_and(pi_g, pi_res))
                 info.omega_condition = d3_guard
                 w = self.cached_event(join, "loop-event", proc.name)
-                body = Ev(s=w, constraint=pretty_nonneg(rf.rf))
+                body = Ev(s=w, constraint=pretty_nonneg(rf))
                 disjuncts.append(seq(guard_seg(d3_guard), Omega(body)))
         else:
             if not (guard_is_true or nondet):
@@ -887,31 +881,18 @@ class _Builder:
 
     def _find_ranking(self, pi_g, clean_ga, leaks):
         """Choose a ranking candidate with a conclusive (multi-phase) split."""
-        candidates = list(pl.candidate_rfs(pi_g))
-        seen = {c.rf for c in candidates}
-
-        def add(c: pl.RankingCandidate) -> None:
-            if c.rf not in seen:
-                seen.add(c.rf)
-                candidates.append(c)
-
+        candidates = pl.candidate_rfs(pi_g)
         for guard, _ in clean_ga:
-            for c in pl.candidate_rfs(guard):
-                add(c)
+            candidates += pl.candidate_rfs(guard)
         for leak in leaks:
             guard, _ = _leak_guard(leak)
             for conj in pl.conjuncts(guard):
                 if isinstance(conj, pl.Bop):
-                    try:
-                        neg = pl.negate(conj)
-                    except pl.NonNegatableGuard:
-                        continue
-                    for c in pl.candidate_rfs(neg):
-                        add(c)
+                    candidates += pl.candidate_rfs(pl.negate(conj))
 
         # the first useful candidate, else the first conclusive one
         fallback = None
-        for rf in candidates:
+        for rf in dict.fromkeys(candidates):
             pi_t, pi_nt = pl.wp_delta(rf, clean_ga)
             if isinstance(pi_t, pl.FalseP) and isinstance(pi_nt, pl.FalseP):
                 continue
@@ -929,7 +910,7 @@ class _Builder:
 
     def _phase_chain(self, rf, pi_t, pi_nt, pi_g, clean_ga):
         """Refine the non-decreasing precondition through successive phases."""
-        phases = [PhaseInfo(rf.rf, pi_t, pi_nt)]
+        phases = [PhaseInfo(rf, pi_t, pi_nt)]
         pi_res = pi_nt
         last_nt = pi_nt
         for _ in range(_PHASE_BOUND):
@@ -946,7 +927,7 @@ class _Builder:
                     continue
                 if not pl.satisfiable(pl.mk_and(pl.mk_and(pi_g, pi_res), t2)):
                     continue
-                phases.append(PhaseInfo(cand.rf, t2, n2))
+                phases.append(PhaseInfo(cand, t2, n2))
                 pi_res = pl.mk_and(pi_res, n2)
                 last_nt = n2
                 found = True
@@ -989,7 +970,7 @@ class _Builder:
             return []
         incs: dict[str, int] = {}
         for guard, assigns in clean_ga:
-            delta = pl._delta_of_branch(rf.rf, assigns)
+            delta = pl._delta_of_branch(rf, assigns)
             if delta is None or delta[0] or delta[1] != 1:
                 return []
             env = pl.branch_substitution(assigns)
@@ -1001,19 +982,13 @@ class _Builder:
                 if v in incs and incs[v] != c:
                     return []
                 incs[v] = c
-        rf_lin = pl.linearize(rf.rf)
+        rf_lin = pl.linearize(rf)
         if rf_lin is None:
             return []
-        out = []
-        for v, c in incs.items():
-            coeffs = {v: 1}
-            for u, k in rf_lin[0].items():
-                coeffs[u] = coeffs.get(u, 0) + c * k
-                if coeffs[u] == 0:
-                    del coeffs[u]
-            const = c * (rf_lin[1] + 1)
-            out.append((v, pl.term_of_linear(coeffs, const)))
-        return out
+        return [
+            (v, pl.term_of_linear(*pl.lin_combine(({v: 1}, c), rf_lin, c)))
+            for v, c in incs.items()
+        ]
 
 
 def _order_assignments(assigns: list[tuple[str, pl.Term]]):

@@ -4,12 +4,16 @@ This module houses the constraint fragment shared by branch guards, atomic
 propositions, and loop analysis:
 
 * ``Term`` — linear integer terms with a nondeterministic wildcard;
-* ``Pure`` — boolean combinations of comparisons and uninterpreted relations;
+* ``Pure`` — boolean combinations of integer comparisons;
+* ``Rel`` — an uninterpreted relation, which is an event payload or a
+  property atom and never part of a ``Pure`` constraint;
 * ``eval_term`` / ``eval_pure`` — concrete evaluation, drawing wildcards and
   unset variables from a caller's generator when one is given;
-* ``negate`` / ``entails`` — guard complementation and a sound integer
-  entailment check based on rational Fourier-Motzkin elimination with
-  integer tightening of strict bounds;
+* ``negate`` / ``satisfiable`` / ``entails`` — complementation and a sound
+  integer satisfiability check based on rational Fourier-Motzkin
+  elimination with integer tightening of strict bounds; ``state`` entails
+  ``goal`` when ``state`` conjoined with the complement of ``goal`` is
+  unsatisfiable;
 * ``candidate_rfs`` — candidate ranking functions read off a loop guard;
 * ``wp_delta`` — the per-iteration change of a ranking function across a
   loop body, split into a "strictly decreasing" and a "not decreasing"
@@ -155,7 +159,20 @@ def dewildcard(t: Term, fresh: Callable[[], Term]) -> Term:
     return t
 
 
-def linearize(t: Term) -> tuple[dict[str, int], int] | None:
+Linear = tuple[dict[str, int], int]  # (coefficient of each variable, constant)
+
+
+def lin_combine(a: Linear, b: Linear, k: int) -> Linear:
+    """The linear form ``a + k·b``, with zero coefficients dropped."""
+    coeffs = dict(a[0])
+    for v, c in b[0].items():
+        coeffs[v] = coeffs.get(v, 0) + k * c
+        if coeffs[v] == 0:
+            del coeffs[v]
+    return coeffs, a[1] + k * b[1]
+
+
+def linearize(t: Term) -> Linear | None:
     """Express ``t`` as a linear combination (coeffs, constant).
 
     Returns None if the term contains a wildcard.
@@ -171,18 +188,10 @@ def linearize(t: Term) -> tuple[dict[str, int], int] | None:
         rhs = linearize(t.right)
         if lhs is None or rhs is None:
             return None
-        sign = 1 if isinstance(t, Add) else -1
-        coeffs = dict(lhs[0])
-        for v, c in rhs[0].items():
-            coeffs[v] = coeffs.get(v, 0) + sign * c
-            if coeffs[v] == 0:
-                del coeffs[v]
-        return coeffs, lhs[1] + sign * rhs[1]
+        return lin_combine(lhs, rhs, 1 if isinstance(t, Add) else -1)
     if isinstance(t, Neg):
         inner = linearize(t.operand)
-        if inner is None:
-            return None
-        return {v: -c for v, c in inner[0].items()}, -inner[1]
+        return None if inner is None else lin_combine(({}, 0), inner, -1)
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -254,17 +263,6 @@ class Bop(Pure):
 
 
 @dataclass(frozen=True)
-class Rel(Pure):
-    """An uninterpreted relation such as Exit() or a call event."""
-
-    name: str
-    args: tuple[Term, ...] = ()
-
-    def __str__(self) -> str:
-        return f"{self.name}({', '.join(map(str, self.args))})"
-
-
-@dataclass(frozen=True)
 class And(Pure):
     left: Pure
     right: Pure
@@ -284,6 +282,21 @@ class Or(Pure):
 
 TRUE = TrueP()
 FALSE = FalseP()
+
+
+@dataclass(frozen=True)
+class Rel:
+    """An uninterpreted relation such as Exit() or a call event.
+
+    Relations are event payloads and property atoms only; no constraint
+    contains one.
+    """
+
+    name: str
+    args: tuple[Term, ...] = ()
+
+    def __str__(self) -> str:
+        return f"{self.name}({', '.join(map(str, self.args))})"
 
 
 def mk_and(a: Pure, b: Pure) -> Pure:
@@ -320,11 +333,6 @@ def pure_vars(pi: Pure) -> set[str]:
         return set()
     if isinstance(pi, Bop):
         return term_vars(pi.left) | term_vars(pi.right)
-    if isinstance(pi, Rel):
-        out: set[str] = set()
-        for a in pi.args:
-            out |= term_vars(a)
-        return out
     if isinstance(pi, (And, Or)):
         return pure_vars(pi.left) | pure_vars(pi.right)
     raise TypeError(f"not a pure constraint: {pi!r}")
@@ -335,8 +343,6 @@ def subst_pure(pi: Pure, env: dict[str, Term]) -> Pure:
         return pi
     if isinstance(pi, Bop):
         return Bop(pi.op, subst_term(pi.left, env), subst_term(pi.right, env))
-    if isinstance(pi, Rel):
-        return Rel(pi.name, tuple(subst_term(a, env) for a in pi.args))
     if isinstance(pi, And):
         return mk_and(subst_pure(pi.left, env), subst_pure(pi.right, env))
     if isinstance(pi, Or):
@@ -345,8 +351,7 @@ def subst_pure(pi: Pure, env: dict[str, Term]) -> Pure:
 
 
 def eval_pure(pi: Pure, store: dict[str, int], draw: Callable[[], int] | None = None) -> bool:
-    """Evaluate a relation-free constraint concretely (``draw`` as in
-    ``eval_term``)."""
+    """Evaluate a constraint concretely (``draw`` as in ``eval_term``)."""
     if isinstance(pi, TrueP):
         return True
     if isinstance(pi, FalseP):
@@ -360,15 +365,11 @@ def eval_pure(pi: Pure, store: dict[str, int], draw: Callable[[], int] | None = 
     raise ValueError(f"cannot evaluate {pi!r} concretely")
 
 
-class NonNegatableGuard(ValueError):
-    """Raised when asked to complement an uninterpreted relation."""
-
-
 def negate(pi: Pure) -> Pure:
-    """Complement a relation-free constraint.
+    """Complement a constraint.
 
     Comparison operators flip to their integer complements; And/Or obey
-    De Morgan.  Uninterpreted relations have no complement here.
+    De Morgan.
     """
     if isinstance(pi, TrueP):
         return FALSE
@@ -376,8 +377,6 @@ def negate(pi: Pure) -> Pure:
         return TRUE
     if isinstance(pi, Bop):
         return Bop(_OP_COMPLEMENT[pi.op], pi.left, pi.right)
-    if isinstance(pi, Rel):
-        raise NonNegatableGuard(f"non-negatable guard: {pi}")
     if isinstance(pi, And):
         return mk_or(negate(pi.left), negate(pi.right))
     if isinstance(pi, Or):
@@ -390,14 +389,8 @@ def simplify(pi: Pure) -> Pure:
     if isinstance(pi, Bop):
         lin_l = linearize(pi.left)
         lin_r = linearize(pi.right)
-        if lin_l is not None and lin_r is not None:
-            coeffs = dict(lin_l[0])
-            for v, c in lin_r[0].items():
-                coeffs[v] = coeffs.get(v, 0) - c
-                if coeffs[v] == 0:
-                    del coeffs[v]
-            if not coeffs:
-                return TRUE if _OP_EVAL[pi.op](lin_l[1], lin_r[1]) else FALSE
+        if lin_l is not None and lin_r is not None and not lin_combine(lin_l, lin_r, -1)[0]:
+            return TRUE if _OP_EVAL[pi.op](lin_l[1], lin_r[1]) else FALSE
         return pi
     if isinstance(pi, And):
         return mk_and(simplify(pi.left), simplify(pi.right))
@@ -411,47 +404,30 @@ def simplify(pi: Pure) -> Pure:
 # ---------------------------------------------------------------------------
 
 # A "row" is a linear inequality  sum(coeffs) + const >= 0  with Fraction
-# coefficients; a "literal" during unsatisfiability checking is either a
-# row-producing comparison or a signed uninterpreted relation.
+# coefficients.
 
 _ROW_LIMIT = 5000
 
 
-def _nnf(pi: Pure, positive: bool) -> Pure | tuple[str, Rel]:
-    """Negation normal form allowing signed Rel leaves for entailment."""
-    if isinstance(pi, TrueP):
-        return TRUE if positive else FALSE
-    if isinstance(pi, FalseP):
-        return FALSE if positive else TRUE
-    if isinstance(pi, Bop):
-        return pi if positive else Bop(_OP_COMPLEMENT[pi.op], pi.left, pi.right)
-    if isinstance(pi, Rel):
-        return ("+", pi) if positive else ("-", pi)
-    if isinstance(pi, And):
-        return (And if positive else Or, _nnf(pi.left, positive), _nnf(pi.right, positive))
-    if isinstance(pi, Or):
-        return (Or if positive else And, _nnf(pi.left, positive), _nnf(pi.right, positive))
-    raise TypeError(f"not a pure constraint: {pi!r}")
-
-
-def _dnf(node) -> list[list]:
-    """DNF as a list of conjunctions of literals (Bop or signed Rel).
+def _dnf(pi: Pure) -> list[list[Bop]]:
+    """DNF as a list of conjunctions of comparisons, left to right.
 
     Neq atoms split into strict < / > disjuncts.
     """
-    if isinstance(node, tuple) and len(node) == 3 and node[0] in (And, Or):
-        ctor, l, r = node
-        ld, rd = _dnf(l), _dnf(r)
-        if ctor is Or:
-            return ld + rd
-        return [a + b for a in ld for b in rd]
-    if isinstance(node, TrueP):
+    if isinstance(pi, Or):
+        return _dnf(pi.left) + _dnf(pi.right)
+    if isinstance(pi, And):
+        right = _dnf(pi.right)
+        return [a + b for a in _dnf(pi.left) for b in right]
+    if isinstance(pi, TrueP):
         return [[]]
-    if isinstance(node, FalseP):
+    if isinstance(pi, FalseP):
         return []
-    if isinstance(node, Bop) and node.op == NEQ:
-        return [[Bop(LT, node.left, node.right)], [Bop(GT, node.left, node.right)]]
-    return [[node]]
+    if isinstance(pi, Bop):
+        if pi.op == NEQ:
+            return [[Bop(LT, pi.left, pi.right)], [Bop(GT, pi.left, pi.right)]]
+        return [[pi]]
+    raise TypeError(f"not a pure constraint: {pi!r}")
 
 
 def _rows_of_bop(atom: Bop, fresh: Callable[[], Term]) -> list[tuple[dict[str, Fraction], Fraction]]:
@@ -459,27 +435,23 @@ def _rows_of_bop(atom: Bop, fresh: Callable[[], Term]) -> list[tuple[dict[str, F
 
     Each wildcard occurrence becomes a fresh unconstrained variable.
     """
-    lc, lk = linearize(dewildcard(atom.left, fresh))
-    rc, rk = linearize(dewildcard(atom.right, fresh))
+    coeffs, const = lin_combine(
+        linearize(dewildcard(atom.left, fresh)), linearize(dewildcard(atom.right, fresh)), -1
+    )
 
-    def diff(sign: int, tighten: int):
-        coeffs = {}
-        for v in set(lc) | set(rc):
-            c = sign * (lc.get(v, 0) - rc.get(v, 0))
-            if c:
-                coeffs[v] = Fraction(c)
-        return coeffs, Fraction(sign * (lk - rk) - tighten)
+    def row(sign: int, tighten: int):
+        return {v: Fraction(sign * c) for v, c in coeffs.items()}, Fraction(sign * const - tighten)
 
     if atom.op == GTEQ:
-        return [diff(1, 0)]
+        return [row(1, 0)]
     if atom.op == LTEQ:
-        return [diff(-1, 0)]
+        return [row(-1, 0)]
     if atom.op == GT:
-        return [diff(1, 1)]
+        return [row(1, 1)]
     if atom.op == LT:
-        return [diff(-1, 1)]
+        return [row(-1, 1)]
     if atom.op == EQ:
-        return [diff(1, 0), diff(-1, 0)]
+        return [row(1, 0), row(-1, 0)]
     raise ValueError(f"unexpected operator in row conversion: {atom.op}")
 
 
@@ -514,47 +486,35 @@ def _fm_unsat(rows: list[tuple[dict[str, Fraction], Fraction]]) -> bool:
         rows = new_rows
 
 
-def _conj_unsat(literals: list) -> bool:
-    """Unsatisfiability of a conjunction of Bop atoms and signed Rels."""
-    pos_rels = {lit[1] for lit in literals if isinstance(lit, tuple) and lit[0] == "+"}
-    neg_rels = {lit[1] for lit in literals if isinstance(lit, tuple) and lit[0] == "-"}
-    if pos_rels & neg_rels:
-        return True
-    rows: list[tuple[dict[str, Fraction], Fraction]] = []
+def _conj_unsat(literals: list[Bop]) -> bool:
+    """Unsatisfiability of a conjunction of comparisons."""
     # the names matter: Fourier-Motzkin eliminates variables in sorted-name order
     wildcards = itertools.count(1)
 
     def fresh() -> Term:
         return Var(f"__w{next(wildcards)}")
 
-    for lit in literals:
-        if isinstance(lit, Bop):
-            rows.extend(_rows_of_bop(lit, fresh))
-    return _fm_unsat(rows)
+    return _fm_unsat([row for lit in literals for row in _rows_of_bop(lit, fresh)])
+
+
+def _unsat(pi: Pure) -> bool:
+    """The one decision behind ``satisfiable`` and ``entails``, so that
+    neither module global calls the other."""
+    return all(_conj_unsat(d) for d in _dnf(pi))
 
 
 def satisfiable(pi: Pure) -> bool:
     """Sound-for-unsat satisfiability: False only if truly unsatisfiable."""
-    for disjunct in _dnf(_nnf(pi, True)):
-        if not _conj_unsat(disjunct):
-            return True
-    return False
+    return not _unsat(pi)
 
 
 def entails(state: Pure, goal: Pure) -> bool:
     """Sound integer entailment: True only if every model of state meets goal.
 
-    Decided by checking that state conjoined with the complement of goal is
-    rationally unsatisfiable (strict bounds tightened for integers before
-    elimination).  Uninterpreted relations are matched syntactically.
+    That is, ``not satisfiable(state /\\ negate(goal))``: the conjunction is
+    rationally unsatisfiable once strict bounds are tightened for integers.
     """
-    state_d = _dnf(_nnf(state, True))
-    goal_neg_d = _dnf(_nnf(goal, False))
-    for sd in state_d:
-        for gd in goal_neg_d:
-            if not _conj_unsat(sd + gd):
-                return False
-    return True
+    return _unsat(mk_and(state, negate(goal)))
 
 
 # ---------------------------------------------------------------------------
@@ -562,37 +522,19 @@ def entails(state: Pure, goal: Pure) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RankingCandidate:
-    """A candidate ranking function: a linear, wildcard-free term."""
-
-    rf: Term
-
-    def __str__(self) -> str:
-        return str(self.rf)
-
-
-def _normalized(t: Term) -> Term | None:
-    lin = linearize(t)
-    if lin is None:
-        return None
-    return term_of_linear(lin[0], lin[1])
-
-
-def candidate_rfs(guard: Pure) -> list[RankingCandidate]:
+def candidate_rfs(guard: Pure) -> list[Term]:
     """Candidate ranking functions read off a guard's comparison atoms.
 
-    Every candidate is nonnegative whenever the guard holds.  Deduplicated
-    after linear normalization; iteration order follows the guard's atoms.
+    Every candidate is a linear, wildcard-free term, nonnegative whenever
+    the guard holds.  Deduplicated after linear normalization; iteration
+    order follows the guard's atoms.
     """
-    out: list[RankingCandidate] = []
-    seen: set[Term] = set()
+    out: dict[Term, None] = {}
 
     def add(t: Term) -> None:
-        norm = _normalized(t)
-        if norm is not None and norm not in seen:
-            seen.add(norm)
-            out.append(RankingCandidate(norm))
+        lin = linearize(t)
+        if lin is not None:
+            out.setdefault(term_of_linear(*lin))
 
     def walk(pi: Pure) -> None:
         if isinstance(pi, Bop):
@@ -614,10 +556,10 @@ def candidate_rfs(guard: Pure) -> list[RankingCandidate]:
         elif isinstance(pi, And):
             walk(pi.left)
             walk(pi.right)
-        # T, F, Rel, Or contribute nothing.
+        # T, F, Or contribute nothing.
 
     walk(guard)
-    return out
+    return list(out)
 
 
 # ---------------------------------------------------------------------------
@@ -634,33 +576,20 @@ def branch_substitution(assignments: list[tuple[str, Term]]) -> dict[str, Term]:
     return env
 
 
-def _delta_of_branch(rf: Term, assignments: list[tuple[str, Term]]):
+def _delta_of_branch(rf: Term, assignments: list[tuple[str, Term]]) -> Linear | None:
     """Linear form of rf - rf' across one branch, or None if wildcarded."""
-    env = branch_substitution(assignments)
-    rf_after = subst_term(rf, env)
     before = linearize(rf)
-    after = linearize(rf_after)
+    after = linearize(subst_term(rf, branch_substitution(assignments)))
     if before is None or after is None:
         return None
-    coeffs = dict(before[0])
-    for v, c in after[0].items():
-        coeffs[v] = coeffs.get(v, 0) - c
-        if coeffs[v] == 0:
-            del coeffs[v]
-    return coeffs, before[1] - after[1]
+    return lin_combine(before, after, -1)
 
 
-def _linear_ge(coeffs: dict[str, int], const: int, bound: int) -> Pure:
-    """The constraint  coeffs·x + const >= bound,  simplified."""
+def _linear_cmp(op: str, coeffs: dict[str, int], const: int, bound: int) -> Pure:
+    """The constraint  coeffs·x + const  op  bound,  simplified."""
     if not coeffs:
-        return TRUE if const >= bound else FALSE
-    return Bop(GTEQ, term_of_linear(coeffs, 0), Const(bound - const))
-
-
-def _linear_le(coeffs: dict[str, int], const: int, bound: int) -> Pure:
-    if not coeffs:
-        return TRUE if const <= bound else FALSE
-    return Bop(LTEQ, term_of_linear(coeffs, 0), Const(bound - const))
+        return TRUE if _OP_EVAL[op](const, bound) else FALSE
+    return Bop(op, term_of_linear(coeffs, 0), Const(bound - const))
 
 
 def _implies(premise: Pure, conclusion: Pure) -> Pure:
@@ -672,7 +601,7 @@ def _implies(premise: Pure, conclusion: Pure) -> Pure:
 
 
 def wp_delta(
-    rf: RankingCandidate,
+    rf: Term,
     branches: Iterable[tuple[Pure, list[tuple[str, Term]]]],
 ) -> tuple[Pure, Pure]:
     """Split the change of ``rf`` across a cycle body into two preconditions.
@@ -691,17 +620,16 @@ def wp_delta(
     any_enabled: Pure = FALSE
     for guard, assignments in branches:
         any_enabled = mk_or(any_enabled, guard)
-        delta = _delta_of_branch(rf.rf, assignments)
+        delta = _delta_of_branch(rf, assignments)
         if delta is None:
             return FALSE, FALSE
-        coeffs, const = delta
-        pi_t = mk_and(pi_t, _implies(guard, _linear_ge(coeffs, const, 1)))
-        pi_nt = mk_and(pi_nt, _implies(guard, _linear_le(coeffs, const, 0)))
+        pi_t = mk_and(pi_t, _implies(guard, _linear_cmp(GTEQ, *delta, 1)))
+        pi_nt = mk_and(pi_nt, _implies(guard, _linear_cmp(LTEQ, *delta, 0)))
     return pi_t, mk_and(pi_nt, any_enabled)
 
 
 def models(pi: Pure, names: list[str], lo: int, hi: int) -> Iterator[dict[str, int]]:
-    """Brute-force integer models of a relation-free constraint (test oracle)."""
+    """Brute-force integer models of a constraint (test oracle)."""
     for values in itertools.product(range(lo, hi + 1), repeat=len(names)):
         store = dict(zip(names, values))
         if eval_pure(pi, store):

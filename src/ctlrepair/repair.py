@@ -471,9 +471,8 @@ def run_template(analysis: Analysis, template: str, config: RepairConfig, stats=
 
 
 def _disjunct_candidate(d, fam_of_xi, shape, enc, config, template) -> _Candidate | None:
+    # at most config.max_delete of them: _candidate_worlds caps the false signs
     deletes = [fam_of_xi[n] for n in d.sign_false if n in fam_of_xi]
-    if len(deletes) > config.max_delete:
-        return None
     keys = {f.key for f in deletes}
     for f in deletes:
         if enc.pair_of.get(f.key) in keys:
@@ -676,13 +675,16 @@ class RepairResult:
     analysis: Analysis | None = None
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "verdict": self.verdict,
             "property": self.property_text,
             "patches": [p.to_json() for p in self.patches],
             "constraints": self.constraints,
             "timing": {k: self.stats[k] for k in sorted(self.stats)},
         }
+        if self.verdict == "Unknown":
+            out["detail"] = self.analysis.unknown
+        return out
 
 
 _MAX_RECURSED = 6

@@ -154,6 +154,17 @@ def test_repair_unknown_exit_two(run_cli, tmp_fixture):
     assert code == 2
 
 
+@pytest.mark.parametrize("name", ["unknown.imp", "phase_flip.imp"])
+def test_repair_unknown_says_why(run_cli, tmp_fixture, name):
+    target = tmp_fixture(name)
+    _, _, reason = run_cli("verify", target)
+    assert reason.strip()
+    assert run_cli("repair", target)[::2] == (2, reason)
+    code, out, _ = run_cli("repair", "--json", target)
+    assert code == 2
+    assert json.loads(out)["detail"] == reason.strip()
+
+
 def test_repair_json_deterministic(run_cli, tmp_fixture):
     target = tmp_fixture("overview.imp")
     _, first, _ = run_cli("repair", "--json", target)

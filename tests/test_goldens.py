@@ -1,10 +1,10 @@
 """Byte-identical CLI output on every fixture.
 
 For each fixture, ``goldens/<stem>.json`` holds the exit code, stdout and
-stderr of ``repair --json --depth 1`` (with the ``.fixed.imp`` it writes),
-``dump-gwre``, ``dump-datalog`` and ``simulate --seed 0``.  The commands run
-from a temporary directory on a relative path, so ``fixed_file`` in the
-report does not depend on where the checkout lives.
+stderr of ``repair --json`` at depth 1 and 2 (each with the ``.fixed.imp``
+it writes), ``dump-gwre``, ``dump-datalog`` and ``simulate --seed 0``.  The
+commands run from a temporary directory on a relative path, so
+``fixed_file`` in the report does not depend on where the checkout lives.
 
 A fixture without a golden gets one written and its test fails, so a new
 golden is looked at before it is committed.  To accept an intended output
@@ -23,6 +23,7 @@ GOLDENS = pathlib.Path(__file__).parent / "goldens"
 
 COMMANDS = {
     "repair": ("repair", "--json", "--depth", "1"),
+    "repair-2": ("repair", "--json", "--depth", "2"),
     "dump-gwre": ("dump-gwre",),
     "dump-datalog": ("dump-datalog",),
     "simulate": ("simulate", "--seed", "0"),
@@ -37,12 +38,14 @@ def _lines(text: str) -> list[str]:
 def test_cli_output_matches_golden(name, run_cli, tmp_path, monkeypatch):
     shutil.copy(FIXTURES / name, tmp_path / name)
     monkeypatch.chdir(tmp_path)
+    fixed = tmp_path / f"{pathlib.Path(name).stem}.fixed.imp"
     record = {}
     for key, argv in COMMANDS.items():
         code, out, err = run_cli(*argv, name)
         record[key] = {"code": code, "stdout": _lines(out), "stderr": _lines(err)}
-    fixed = tmp_path / f"{pathlib.Path(name).stem}.fixed.imp"
-    record["repair"]["fixed"] = _lines(fixed.read_text()) if fixed.exists() else None
+        if argv[0] == "repair":
+            record[key]["fixed"] = _lines(fixed.read_text()) if fixed.exists() else None
+            fixed.unlink(missing_ok=True)
 
     golden = GOLDENS / f"{pathlib.Path(name).stem}.json"
     if not golden.exists():

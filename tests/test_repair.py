@@ -90,6 +90,7 @@ def test_repair_verified_program_short_circuits(fixture_text):
 def test_repair_unknown_program(fixture_text):
     result = rp.repair_loop(fixture_text("unknown.imp"), rp.RepairConfig())
     assert result.verdict == "Unknown"
+    assert result.to_json()["detail"] == result.analysis.unknown != ""
 
 
 def test_repair_unrepairable_program(fixture_text):
@@ -106,6 +107,18 @@ def test_sign_budget_cut_offs_are_counted(fixture_text):
     timing = result.to_json()["timing"]
     assert timing["sign_budget_exceeded"] == timing["sign_searches"] == 11
     assert "sign_truncated" not in timing
+
+
+def _families_deleted(patch: rp.Patch) -> int:
+    return sum(isinstance(d, (rp.DeleteFact, rp.UpdateFact)) for d in patch.deltas)
+
+
+@pytest.mark.parametrize("max_delete, most", [(1, 1), (2, 2)])
+def test_max_delete_caps_deleted_families(fixture_text, max_delete, most):
+    # an update deletes the family of the fact it replaces
+    result = rp.repair_loop(fixture_text("infinite.imp"), rp.RepairConfig(max_delete=max_delete))
+    assert result.verdict == "Repaired"
+    assert max(map(_families_deleted, result.patches)) == most
 
 
 def test_every_patch_source_verifies(fixture_text):
