@@ -7,6 +7,20 @@ itself and its complement (a closure pair), modeling the two futures of a
 nondeterministic value.  Guards become conditional flow rules whose bodies
 consult the facts of the predecessor state.
 
+A tracked comparison is decided at state ``s`` only where a fact of it could
+be read (the per-location predicates of "Lazy Abstraction", Henzinger et
+al., POPL 2002):
+
+- its fact shape, or its complement's, is in the read set of ``s``: the
+  conjuncts of every guard that can follow ``s``, the omega terminal →
+  head edges included (``read_sets``);
+- its shape, or its complement's, is a property atom, which the property's
+  rules read at every state;
+- ``s`` is the ``def_state`` of one of its variables.  Nothing may read
+  that member, but it is where the family is created and the member that
+  stands for the family in a repair, so families, their order and the
+  ``xi`` names do not depend on which later states read them.
+
 The walk is one loop over an explicit stack, in this order (the lists of
 facts, rules and families follow it):
 
@@ -23,6 +37,7 @@ facts, rules and families follow it):
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 from . import ctl as ctl_mod
@@ -30,6 +45,7 @@ from . import gwre as gw
 from . import pure_logic as pl
 from .datalog_engine import Atom, Literal, Rule
 
+log = logging.getLogger(__name__)
 
 # ---------------------------------------------------------------------------
 # Symbolic store
@@ -54,6 +70,13 @@ def _atom_of(pi: pl.Pure, state) -> Atom | None:
         return None
 
 
+def _shape(pi: pl.Pure) -> tuple | None:
+    """What a rule body matches of the facts of one comparison: all but the
+    state, or None if the comparison has no fact shape."""
+    atom = _atom_of(pi, None)
+    return None if atom is None else (atom.predicate, atom.args[:-1])
+
+
 @dataclass(frozen=True)
 class FamilyKey:
     predicate: str
@@ -67,6 +90,7 @@ class Family:
     pure: pl.Pure  # the comparison this family abstracts
     var: str | None  # primary (left) variable, if any
     members: list[Atom] = field(default_factory=list)
+    read: bool = False  # some member is read by a rule at its state
 
     @property
     def def_state(self) -> int:
@@ -87,8 +111,22 @@ _ENTER, _CLOSE = "enter", "close"  # work-item steps of _Encoder.walk
 
 
 class _Encoder:
-    def __init__(self, atoms: list[pl.Pure]):
-        self.atoms = atoms  # atomic comparisons worth tracking
+    def __init__(
+        self,
+        atoms: list[pl.Pure],
+        reads: dict[int, set[tuple]],
+        property_shapes: set[tuple],
+    ):
+        # atomic comparisons worth tracking, each with its variables, its
+        # complement, and the fact shapes of both
+        self.tracked = [
+            (pi, pl.pure_vars(pi), pl.negate(pi), (_shape(pi), _shape(pl.negate(pi))))
+            for pi in atoms
+            if _shape(pi) is not None
+        ]
+        self.reads = reads  # per state, the shapes its guard rules read
+        self.property_shapes = property_shapes
+        self.decided = 0  # comparisons decided, over all emits
         self.facts: list[Atom] = []
         self.fact_set: set[Atom] = set()
         self.rules: list[Rule] = []
@@ -150,23 +188,31 @@ class _Encoder:
 
     # -- fact emission ----------------------------------------------------------
 
+    def is_read(self, shape: tuple | None, s: int) -> bool:
+        return shape in self.property_shapes or shape in self.reads.get(s, ())
+
     def emit(self, s: int, store: SymStore, rels: tuple[pl.Rel, ...] = ()) -> None:
         self.note_state(s)
-        if not pl.satisfiable(store.constraint):
+        known = set(store.env)
+        decide = [
+            (pi, neg)
+            for pi, names, neg, shapes in self.tracked
+            if names <= known
+            and (
+                any(self.is_read(shape, s) for shape in shapes)
+                or any(store.def_state.get(v) == s for v in names)
+            )
+        ]
+        if not (rels or decide) or not pl.satisfiable(store.constraint):
             return
+        self.decided += len(decide)
         for rel in rels:
             self.add_fact(Atom(rel.name, (s,)))
-        for pi in self.atoms:
-            if not pl.pure_vars(pi) <= set(store.env):
-                continue
+        for pi, neg in decide:
             atom = _atom_of(pi, s)
-            if atom is None:
-                continue
-            grounded = pl.subst_pure(pi, store.env)
-            if pl.entails(store.constraint, grounded):
+            if pl.entails(store.constraint, pl.subst_pure(pi, store.env)):
                 self.record(pi, atom, store, pair=None)
                 continue
-            neg = pl.negate(pi)
             if pl.entails(store.constraint, pl.subst_pure(neg, store.env)):
                 continue
             neg_atom = _atom_of(neg, s)
@@ -183,6 +229,7 @@ class _Encoder:
         fam = self.families[key]
         if atom not in fam.members:
             fam.members.append(atom)
+            fam.read = fam.read or self.is_read(_shape(pi), atom.args[-1])
         self.fact_family[atom] = key
         if pair is not None:
             pair_atom = _atom_of(pair, atom.args[-1])
@@ -272,6 +319,61 @@ class _Encoder:
         )
 
 
+def read_sets(phi: gw.Re) -> dict[int, set[tuple]]:
+    """Per state, the fact shapes that a guard rule out of it reads.
+
+    A guard rule out of state ``s`` reads the conjuncts of a guard that can
+    follow ``s``; a state on several paths reads the union.  One postorder
+    pass, on an explicit stack, gives each node whether it is nullable, the
+    shapes its leading guards read and the states it can end at; a ``Seq``
+    adds the follow step from its left part's ends to its right part's
+    leading guards, and an ``Omega`` the step from its body's ends (the
+    terminals) to its body's leading guards (the heads).
+    """
+    reads: dict[int, set[tuple]] = {}
+    # id of a node -> (nullable, shapes its leading guards read, end states)
+    info: dict[int, tuple[bool, frozenset, frozenset]] = {}
+    none = frozenset()
+
+    def follow(ends: frozenset, shapes: frozenset) -> None:
+        if shapes:
+            for s in ends:
+                reads.setdefault(s, set()).update(shapes)
+
+    stack: list[tuple[gw.Re, bool]] = [(phi, False)]
+    while stack:
+        node, children_done = stack.pop()
+        if id(node) in info:
+            continue
+        if isinstance(node, (gw.Seq, gw.OrRe)) and not children_done:
+            stack += [(node, True), (node.right, False), (node.left, False)]
+            continue
+        if isinstance(node, gw.Omega) and not children_done:
+            stack += [(node, True), (node.body, False)]
+            continue
+        if isinstance(node, gw.Ev):
+            info[id(node)] = (False, none, frozenset((node.s,)))
+        elif isinstance(node, gw.Guard):
+            shapes = frozenset(map(_shape, pl.conjuncts(node.pi))) - {None}
+            info[id(node)] = (False, shapes, frozenset((node.s,)))
+        elif isinstance(node, gw.Seq):
+            ln, lf, ll = info[id(node.left)]
+            rn, rf, rl = info[id(node.right)]
+            follow(ll, rf)
+            info[id(node)] = (ln and rn, lf | rf if ln else lf, rl | ll if rn else rl)
+        elif isinstance(node, gw.OrRe):
+            ln, lf, ll = info[id(node.left)]
+            rn, rf, rl = info[id(node.right)]
+            info[id(node)] = (ln or rn, lf | rf, ll | rl)
+        elif isinstance(node, gw.Omega):
+            _, bf, bl = info[id(node.body)]
+            follow(bl, bf)
+            info[id(node)] = (False, bf, none)  # an omega block is never left
+        else:  # Eps, ContinueMark, Bot
+            info[id(node)] = (gw.nullable(node), none, none)
+    return reads
+
+
 def abstract_facts(
     result: gw.GwreResult, ctl_pures: list[pl.Pure | pl.Rel]
 ) -> EncodeResult:
@@ -284,14 +386,24 @@ def abstract_facts(
     for pi in gw.pure_of_gwre(result.phi):
         if pi not in atoms:
             atoms.append(pi)
+    property_shapes: set[tuple] = set()
     for pure in ctl_pures:
         for conj in pl.conjuncts(pure):
-            if isinstance(conj, pl.Bop) and conj not in atoms:
-                atoms.append(conj)
-    enc = _Encoder(atoms)
+            if isinstance(conj, pl.Bop):
+                property_shapes.add(_shape(conj))
+                if conj not in atoms:
+                    atoms.append(conj)
+    property_shapes.discard(None)
+    enc = _Encoder(atoms, read_sets(result.phi), property_shapes)
     enc.walk(result.phi)
     for s in enc.states:
         enc.add_fact(Atom("State", (s,)))
+    log.debug(
+        "encode: %d states, %d facts, %d rules, %d families, "
+        "%d comparisons decided (states x tracked atoms: %d x %d)",
+        len(enc.states), len(enc.facts), len(enc.rules), len(enc.families),
+        enc.decided, len(enc.states), len(enc.tracked),
+    )
     return EncodeResult(
         facts=enc.facts,
         rules=enc.rules,

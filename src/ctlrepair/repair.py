@@ -20,7 +20,7 @@ from . import frontend as fe
 from . import gwre as gw
 from . import pure_logic as pl
 from . import sedl
-from .datalog_engine import Atom, DatalogProgram, DVar, evaluate, _match
+from .datalog_engine import Atom, DatalogProgram, DVar, evaluate
 
 log = logging.getLogger(__name__)
 
@@ -233,27 +233,8 @@ def _body_literals(rules) -> list[Atom]:
     return [lit.atom for r in rules for lit in r.body]
 
 
-def _non_inert_families(enc: enc_mod.EncodeResult, rules) -> list[enc_mod.Family]:
-    """Families whose facts some rule actually consults."""
-    body = _body_literals(rules)
-    out = []
-    for fam in enc.families.values():
-        hit = False
-        for member in fam.members:
-            for lit in body:
-                if lit.predicate == member.predicate and len(lit.args) == len(member.args):
-                    if _match(lit, member, {}) is not None:
-                        hit = True
-                        break
-            if hit:
-                break
-        if hit:
-            out.append(fam)
-    return out
-
-
-def _xi_families(enc, rules, template: str) -> list[enc_mod.Family]:
-    fams = _non_inert_families(enc, rules)
+def _xi_families(enc: enc_mod.EncodeResult, template: str) -> list[enc_mod.Family]:
+    fams = [f for f in enc.families.values() if f.read]
     if template == "delete":
         # only facts modeling a nondeterministic value carry a sign: these
         # are exactly the families emitted as undecided closure pairs
@@ -279,12 +260,11 @@ def _alpha_shapes(enc, rules) -> list[tuple[str, int]]:
 
 def inject_symbols(
     enc: enc_mod.EncodeResult,
-    rules,
     template: str,
     shape: tuple[str, int] | None,
 ) -> tuple[sedl.SymbolicEdb, dict[str, enc_mod.Family]]:
     """Mark the template's facts with signs and inject one symbolic fact."""
-    fams = _xi_families(enc, rules, template)
+    fams = _xi_families(enc, template)
     xi_of_key = {fam.key: f"xi{i + 1}" for i, fam in enumerate(fams)}
     fam_of_xi = {f"xi{i + 1}": fam for i, fam in enumerate(fams)}
     facts = [
@@ -421,7 +401,7 @@ def run_template(analysis: Analysis, template: str, config: RepairConfig, stats=
     candidates: list[_Candidate] = []
     run_reports = []
     for shape in shapes:
-        edb, fam_of_xi = inject_symbols(enc, analysis.rules, template, shape)
+        edb, fam_of_xi = inject_symbols(enc, template, shape)
         k_fams = len(fam_of_xi)
         worlds = _candidate_worlds(k_fams, shape is not None, config.max_delete)
         if shape is not None:

@@ -2,7 +2,8 @@ from ctlrepair import ctl
 from ctlrepair import encode as enc_mod
 from ctlrepair import frontend as fe
 from ctlrepair import gwre as gw
-from ctlrepair.datalog_engine import Atom
+from ctlrepair import pure_logic as pl
+from ctlrepair.datalog_engine import Atom, DVar
 
 
 def encode(source: str, prop: str) -> enc_mod.EncodeResult:
@@ -86,3 +87,62 @@ void main() {
     )
     # the store x=1 contradicts the branch guard x<0: no y=1 fact anywhere
     assert not any(f.predicate == "Eq" and f.args[:2] == ("y", 1) for f in enc.facts)
+
+
+def test_comparisons_decided_only_where_read(fixture_text):
+    enc = encode(fixture_text("overview.imp"), "AF(y=5)")
+    facts = set(enc.facts)
+    # state 4 (the guard i > 10) reads nothing and defines nothing
+    assert Atom("Gt", ("i", 10, 4)) not in facts
+    assert Atom("Gt", ("i", 10, 3)) in facts  # read by flow(3, 4)
+    assert Atom("Gt", ("i", 10, 2)) in facts  # i's def-state member
+
+
+def _analyzable_fixtures(fixtures_dir):
+    for path in sorted(fixtures_dir.glob("*.imp")):
+        try:
+            ast = fe.parse(path.read_text())
+            if ast.ctl is None:
+                continue
+            gwre_result = gw.cfg_to_gwre(fe.build_cfg(ast))
+        except (fe.ImpSyntaxError, gw.SummaryInconclusive):
+            continue
+        phi = ctl.desugar(ctl.parse_ctl(ast.ctl))
+        yield path.name, gwre_result, phi
+
+
+def _matches(lit: Atom, fact: Atom) -> bool:
+    return lit.predicate == fact.predicate and len(lit.args) == len(fact.args) and all(
+        isinstance(a, DVar) or a == b for a, b in zip(lit.args, fact.args)
+    )
+
+
+def _complement(fact: Atom) -> Atom:
+    op = fact.predicate.removesuffix("Var")
+    return Atom(pl._OP_COMPLEMENT[op] + fact.predicate[len(op):], fact.args)
+
+
+def test_every_comparison_fact_is_read_or_at_a_def_state(fixtures_dir):
+    """A comparison is decided where its fact or its complement's is read, or
+    where one of its variables is defined."""
+    for name, gwre_result, phi in _analyzable_fixtures(fixtures_dir):
+        enc = enc_mod.abstract_facts(gwre_result, ctl.pure_of_ctl(phi))
+        _, ctl_rules = ctl.ctl_to_datalog(phi)
+        body = [lit.atom for r in list(enc.rules) + ctl_rules for lit in r.body]
+        for fact, key in enc.fact_family.items():
+            fam = enc.families[key]
+            read = any(_matches(lit, f) for lit in body for f in (fact, _complement(fact)))
+            assert read or fact.args[-1] in fam.key.def_states, (name, fact)
+            assert fam.read == any(_matches(lit, m) for m in fam.members for lit in body)
+
+
+def test_read_sets_cover_every_guard_rule(fixtures_dir):
+    for name, gwre_result, phi in _analyzable_fixtures(fixtures_dir):
+        reads = enc_mod.read_sets(gwre_result.phi)
+        enc = enc_mod.abstract_facts(gwre_result, ctl.pure_of_ctl(phi))
+        for rule in enc.rules:
+            prev = rule.head.args[0]
+            for lit in rule.body:
+                shape = (lit.atom.predicate, lit.atom.args[:-1])
+                assert lit.atom.args[-1] == prev
+                assert shape in reads.get(prev, ()), (name, str(rule))

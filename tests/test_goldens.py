@@ -7,8 +7,9 @@ commands run from a temporary directory on a relative path, so
 ``fixed_file`` in the report does not depend on where the checkout lives.
 
 A fixture without a golden gets one written and its test fails, so a new
-golden is looked at before it is committed.  To accept an intended output
-change, delete the golden and run the test twice.
+golden is looked at before it is committed.  Each command is compared on
+its own, and a failure names the commands whose output moved.  To accept
+an intended output change, delete the golden and run the test twice.
 """
 
 import json
@@ -52,4 +53,9 @@ def test_cli_output_matches_golden(name, run_cli, tmp_path, monkeypatch):
         GOLDENS.mkdir(exist_ok=True)
         golden.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
         pytest.fail(f"wrote missing golden {golden.name}; check it and rerun")
-    assert record == json.loads(golden.read_text())
+    expected = json.loads(golden.read_text())
+    assert sorted(expected) == sorted(COMMANDS)
+    differing = [key for key in COMMANDS if record[key] != expected[key]]
+    assert {k: record[k] for k in differing} == {k: expected[k] for k in differing}, (
+        f"{name}: output of {', '.join(differing)} differs from {golden.name}"
+    )
