@@ -94,11 +94,11 @@ def verify(file: str, ctl_text: str | None, as_json: bool) -> None:
 @cli.command()
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--ctl", "ctl_text", default=None, help="Property (overrides the //@ ctl: annotation).")
-@click.option("--depth", default=1, show_default=True, help="Maximum rounds of nested repair.")
-@click.option("--alpha-budget", default=64, show_default=True, help="Cap on tried fact instantiations.")
-@click.option("--xi-budget", default=16, show_default=True, help="Cap on signed facts per search.")
-@click.option("--max-add", default=2, show_default=True, help="Maximum added facts per patch.")
-@click.option("--max-delete", default=2, show_default=True, help="Maximum deleted fact families per patch.")
+@click.option("--depth", default=1, type=click.IntRange(min=1), show_default=True, help="Maximum rounds of nested repair.")
+@click.option("--alpha-budget", default=64, type=click.IntRange(min=1), show_default=True, help="Cap on tried fact instantiations.")
+@click.option("--xi-budget", default=16, type=click.IntRange(min=0), show_default=True, help="Cap on signed facts per search.")
+@click.option("--max-add", default=2, type=click.IntRange(min=0), show_default=True, help="Maximum added facts per patch.")
+@click.option("--max-delete", default=2, type=click.IntRange(min=0), show_default=True, help="Maximum deleted fact families per patch.")
 @click.option(
     "--template-order",
     default=",".join(rp.TEMPLATES),
@@ -166,7 +166,7 @@ def dump_gwre(file: str) -> None:
     except gw.SummaryInconclusive as exc:
         click.echo(f"inconclusive: {exc}", err=True)
         sys.exit(2)
-    click.echo(gw.dump_gwre(result.phi))
+    click.echo(str(result.phi))
 
 
 @cli.command(name="dump-datalog")
@@ -188,7 +188,7 @@ def dump_datalog(file: str, ctl_text: str | None) -> None:
 @cli.command()
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--seed", default=0, show_default=True, help="Random seed for nondeterministic choices.")
-@click.option("--fuel", default=50, show_default=True, help="Maximum number of steps.")
+@click.option("--fuel", default=50, type=click.IntRange(min=0), show_default=True, help="Maximum number of steps.")
 def simulate(file: str, seed: int, fuel: int) -> None:
     """Draw one concrete trace from the program's effect."""
     source = _read_source(file)

@@ -28,8 +28,6 @@ facts, rules and families follow it):
   effect in ``gw.first`` order;
 - a segment's store update, incoming flow and emitted facts come before
   its derivative is walked;
-- an effect reached again from the same state with the same store is
-  skipped, except inside an omega body, which is walked without that check;
 - an omega block walks its body, collecting the states where the body may
   end (its terminals), then adds the flow from each terminal back to each
   head of the body.  Nested omega blocks raise ``TypeError``.
@@ -127,46 +125,30 @@ class _Encoder:
         self.reads = reads  # per state, the shapes its guard rules read
         self.property_shapes = property_shapes
         self.decided = 0  # comparisons decided, over all emits
-        self.facts: list[Atom] = []
-        self.fact_set: set[Atom] = set()
-        self.rules: list[Rule] = []
-        self.rule_set: set[Rule] = set()
-        self.states: list[int] = []
+        # each output once, in first-insertion order
+        self.facts: dict[Atom, None] = {}
+        self.rules: dict[Rule, None] = {}
+        self.states: dict[int, None] = {}
         self.families: dict[FamilyKey, Family] = {}
         self.fact_family: dict[Atom, FamilyKey] = {}
         self.pair_of: dict[FamilyKey, FamilyKey] = {}
-        self.sym_counter = [0]
-        self.visited: set[tuple] = set()
+        self.sym_counter = 0
 
     # -- bookkeeping ----------------------------------------------------------
 
-    def note_state(self, s: int) -> None:
-        if s not in self.states:
-            self.states.append(s)
-
-    def add_fact(self, fact: Atom) -> None:
-        if fact not in self.fact_set:
-            self.fact_set.add(fact)
-            self.facts.append(fact)
-
-    def add_rule(self, rule: Rule) -> None:
-        if rule not in self.rule_set:
-            self.rule_set.add(rule)
-            self.rules.append(rule)
-
     def add_flow(self, a: int, b: int) -> None:
-        self.add_fact(Atom("flow", (a, b)))
+        self.facts[Atom("flow", (a, b))] = None
 
     def fresh_symbol(self) -> pl.Term:
-        self.sym_counter[0] += 1
-        return pl.Var(f"${self.sym_counter[0]}")
+        self.sym_counter += 1
+        return pl.Var(f"${self.sym_counter}")
 
     # -- store transitions ------------------------------------------------------
 
     def apply_event(self, ev: gw.Ev, store: SymStore) -> SymStore:
         out = store.copy()
         for v, t in ev.assigns:
-            out.env[v] = pl.dewildcard(pl.subst_term(t, out.env), self.fresh_symbol)
+            out.env[v] = pl.subst_term(pl.dewildcard(t, self.fresh_symbol), out.env)
             out.def_state[v] = ev.s
         if not isinstance(ev.constraint, pl.TrueP):
             pi = pl.subst_pure(ev.constraint, out.env)
@@ -192,7 +174,7 @@ class _Encoder:
         return shape in self.property_shapes or shape in self.reads.get(s, ())
 
     def emit(self, s: int, store: SymStore, rels: tuple[pl.Rel, ...] = ()) -> None:
-        self.note_state(s)
+        self.states[s] = None
         known = set(store.env)
         decide = [
             (pi, neg)
@@ -207,7 +189,7 @@ class _Encoder:
             return
         self.decided += len(decide)
         for rel in rels:
-            self.add_fact(Atom(rel.name, (s,)))
+            self.facts[Atom(rel.name, (s,))] = None
         for pi, neg in decide:
             atom = _atom_of(pi, s)
             if pl.entails(store.constraint, pl.subst_pure(pi, store.env)):
@@ -221,7 +203,7 @@ class _Encoder:
                 self.record(neg, neg_atom, store, pair=pi)
 
     def record(self, pi: pl.Pure, atom: Atom, store: SymStore, pair: pl.Pure | None) -> None:
-        self.add_fact(atom)
+        self.facts[atom] = None
         key = self.family_key(atom, store)
         if key not in self.families:
             var = next((a for a in atom.args[:-1] if isinstance(a, str)), None)
@@ -260,7 +242,7 @@ class _Encoder:
         if not body:
             self.add_flow(prev, s)
         else:
-            self.add_rule(Rule(Atom("flow", (prev, s)), tuple(body)))
+            self.rules[Rule(Atom("flow", (prev, s)), tuple(body))] = None
 
     # -- traversal ----------------------------------------------------------------
 
@@ -282,15 +264,11 @@ class _Encoder:
                         else:
                             self.guard_rule(t, h.s, h.pi)
             elif step is _ENTER:
-                if terminals is None:
-                    key = (phi, prev, self._store_sig(store))
-                    if key in self.visited:
-                        continue
-                    self.visited.add(key)
-                    if gw.nullable(phi) and prev >= 0:
+                if gw.nullable(phi) and prev >= 0:
+                    if terminals is None:
                         self.add_flow(prev, prev)
-                elif gw.nullable(phi) and prev >= 0 and prev not in terminals:
-                    terminals.append(prev)
+                    elif prev not in terminals:
+                        terminals.append(prev)
                 work.extend((f, phi, prev, store, terminals) for f in reversed(gw.first(phi)))
             elif isinstance(step, gw.Omega):
                 if terminals is not None:
@@ -309,14 +287,6 @@ class _Encoder:
                     self.guard_rule(prev, step.s, step.pi)
                     self.emit(step.s, store)
                 work.append((_ENTER, gw.derivative(step, phi), step.s, store, terminals))
-
-    @staticmethod
-    def _store_sig(store: SymStore):
-        return (
-            tuple(sorted((v, str(t)) for v, t in store.env.items())),
-            str(store.constraint),
-            tuple(sorted(store.def_state.items())),
-        )
 
 
 def read_sets(phi: gw.Re) -> dict[int, set[tuple]]:
@@ -397,7 +367,7 @@ def abstract_facts(
     enc = _Encoder(atoms, read_sets(result.phi), property_shapes)
     enc.walk(result.phi)
     for s in enc.states:
-        enc.add_fact(Atom("State", (s,)))
+        enc.facts[Atom("State", (s,))] = None
     log.debug(
         "encode: %d states, %d facts, %d rules, %d families, "
         "%d comparisons decided (states x tracked atoms: %d x %d)",
@@ -405,8 +375,8 @@ def abstract_facts(
         enc.decided, len(enc.states), len(enc.tracked),
     )
     return EncodeResult(
-        facts=enc.facts,
-        rules=enc.rules,
+        facts=list(enc.facts),
+        rules=list(enc.rules),
         families=enc.families,
         fact_family=enc.fact_family,
         pair_of=enc.pair_of,

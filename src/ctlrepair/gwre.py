@@ -153,10 +153,6 @@ def or_list(items: list[Re]) -> Re:
     return out
 
 
-def dump_gwre(re: Re) -> str:
-    return str(re)
-
-
 # ---------------------------------------------------------------------------
 # nullable / first / derivative
 # ---------------------------------------------------------------------------

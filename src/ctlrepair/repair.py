@@ -678,7 +678,7 @@ def repair_loop(source: str, config: RepairConfig, ctl_text: str | None = None) 
         return RepairResult("Unknown", analysis.property_text, stats=stats, analysis=analysis)
     if analysis.holds:
         return RepairResult("Verified", analysis.property_text, stats=stats, analysis=analysis)
-    patches, constraints = _search(analysis, config, config.depth, stats, collect=True)
+    patches, constraints = _search(analysis, config, config.depth, stats)
     verdict = "Repaired" if patches else "Unrepaired"
     return RepairResult(
         verdict,
@@ -695,7 +695,7 @@ def _estimated_cost(cand: _Candidate) -> int:
     return sum(map(len, _pair_updates(cand)))
 
 
-def _search(analysis: Analysis, config: RepairConfig, depth: int, stats, collect: bool):
+def _search(analysis: Analysis, config: RepairConfig, depth: int, stats):
     candidates: list[_Candidate] = []
     constraints: dict = {}
     seen = set()
@@ -704,8 +704,7 @@ def _search(analysis: Analysis, config: RepairConfig, depth: int, stats, collect
             raise ValueError(f"unknown template {template!r}")
         _count(stats, "templates")
         cands, reports = run_template(analysis, template, config, stats)
-        if collect:
-            constraints[template] = reports
+        constraints[template] = reports
         for c in cands:
             key = (frozenset(f.key for f in c.deletes), frozenset(c.adds))
             if key not in seen:
@@ -744,7 +743,7 @@ def _search(analysis: Analysis, config: RepairConfig, depth: int, stats, collect
             )
         elif depth > 1 and recursed < _MAX_RECURSED:
             recursed += 1
-            sub_patches, _ = _search(sub_analysis, config, depth - 1, stats, collect=False)
+            sub_patches, _ = _search(sub_analysis, config, depth - 1, stats)
             if sub_patches:
                 best = rank_patches(sub_patches)[0]
                 patches.append(

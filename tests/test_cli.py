@@ -85,6 +85,25 @@ def test_unknown_subcommand_exit_three(run_cli):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("repair", "--depth", "0"),
+        ("repair", "--depth", "-1"),
+        ("repair", "--alpha-budget", "0"),
+        ("repair", "--xi-budget", "-1"),
+        ("repair", "--max-add", "-1"),
+        ("repair", "--max-delete", "-1"),
+        ("simulate", "--fuel", "-3"),
+    ],
+)
+def test_out_of_range_number_exit_three(run_cli, tmp_fixture, command, option, value):
+    code, out, err = run_cli(command, option, value, tmp_fixture("overview.imp"))
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: Invalid value for '{option}'")
+
+
 @pytest.mark.parametrize("command", ["verify", "repair"])
 def test_internal_error_exit_four(run_cli, monkeypatch, tmp_fixture, command):
     # a crash must not exit 1, which reports a violated property
