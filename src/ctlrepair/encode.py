@@ -296,9 +296,9 @@ def read_sets(phi: gw.Re) -> dict[int, set[tuple]]:
     follow ``s``; a state on several paths reads the union.  One postorder
     pass, on an explicit stack, gives each node whether it is nullable, the
     shapes its leading guards read and the states it can end at; a ``Seq``
-    adds the follow step from its left part's ends to its right part's
-    leading guards, and an ``Omega`` the step from its body's ends (the
-    terminals) to its body's leading guards (the heads).
+    adds the follow step from the ends of each prefix of its items to the
+    leading guards of the next item, and an ``Omega`` the step from its
+    body's ends (the terminals) to its body's leading guards (the heads).
     """
     reads: dict[int, set[tuple]] = {}
     # id of a node -> (nullable, shapes its leading guards read, end states)
@@ -315,11 +315,12 @@ def read_sets(phi: gw.Re) -> dict[int, set[tuple]]:
         node, children_done = stack.pop()
         if id(node) in info:
             continue
-        if isinstance(node, (gw.Seq, gw.OrRe)) and not children_done:
-            stack += [(node, True), (node.right, False), (node.left, False)]
-            continue
-        if isinstance(node, gw.Omega) and not children_done:
-            stack += [(node, True), (node.body, False)]
+        if not children_done and isinstance(node, (gw.Seq, gw.OrRe, gw.Omega)):
+            parts = (
+                node.items if isinstance(node, gw.Seq)
+                else node.alts if isinstance(node, gw.OrRe) else (node.body,)
+            )
+            stack += [(node, True)] + [(part, False) for part in parts]
             continue
         if isinstance(node, gw.Ev):
             info[id(node)] = (False, none, frozenset((node.s,)))
@@ -327,14 +328,18 @@ def read_sets(phi: gw.Re) -> dict[int, set[tuple]]:
             shapes = frozenset(map(_shape, pl.conjuncts(node.pi))) - {None}
             info[id(node)] = (False, shapes, frozenset((node.s,)))
         elif isinstance(node, gw.Seq):
-            ln, lf, ll = info[id(node.left)]
-            rn, rf, rl = info[id(node.right)]
-            follow(ll, rf)
-            info[id(node)] = (ln and rn, lf | rf if ln else lf, rl | ll if rn else rl)
+            # fold left: each item follows the ends of the items before it
+            nul, heads, ends = info[id(node.items[0])]
+            for item in node.items[1:]:
+                item_nul, item_heads, item_ends = info[id(item)]
+                follow(ends, item_heads)
+                heads = heads | item_heads if nul else heads
+                ends = item_ends | ends if item_nul else item_ends
+                nul = nul and item_nul
+            info[id(node)] = (nul, heads, ends)
         elif isinstance(node, gw.OrRe):
-            ln, lf, ll = info[id(node.left)]
-            rn, rf, rl = info[id(node.right)]
-            info[id(node)] = (ln or rn, lf | rf, ll | rl)
+            nuls, heads, ends = zip(*(info[id(alt)] for alt in node.alts))
+            info[id(node)] = (any(nuls), none.union(*heads), none.union(*ends))
         elif isinstance(node, gw.Omega):
             _, bf, bl = info[id(node.body)]
             follow(bl, bf)

@@ -407,14 +407,19 @@ class _Parser:
 
 
 def parse(source: str) -> ProgramAst:
-    """Parse mini-language text; checks variable declarations per procedure."""
+    """Parse mini-language text; checks each procedure's declarations,
+    ``break`` statements and calls."""
     program = _Parser(source).parse_program()
+    arity = {proc.name: len(proc.params) for proc in program.procedures}
     for proc in program.procedures:
-        _check_scopes(proc)
+        _check_scopes(proc, arity)
     return program
 
 
-def _check_scopes(proc: ProcedureAst) -> None:
+def _check_scopes(proc: ProcedureAst, arity: dict[str, int]) -> None:
+    """Declarations before use, ``break`` only inside a loop, and as many
+    arguments as parameters in a call to a procedure of the program (a call
+    to any other name is an external call)."""
     declared = set(proc.params)
 
     def term_ok(t: pl.Term) -> None:
@@ -431,12 +436,17 @@ def _check_scopes(proc: ProcedureAst) -> None:
 
     def rhs_ok(value) -> None:
         if isinstance(value, CallExpr):
+            if value.callee in arity and len(value.args) != arity[value.callee]:
+                raise ImpSyntaxError(
+                    f"{value.callee!r} takes {arity[value.callee]} argument(s) "
+                    f"but is called with {len(value.args)} in {proc.name}"
+                )
             for a in value.args:
                 term_ok(a)
         else:
             term_ok(value)
 
-    def walk(stmts) -> None:
+    def walk(stmts, in_loop: bool) -> None:
         for s in stmts:
             if isinstance(s, DeclStmt):
                 rhs_ok(s.value)
@@ -447,16 +457,18 @@ def _check_scopes(proc: ProcedureAst) -> None:
                 rhs_ok(s.value)
             elif isinstance(s, IfStmt):
                 cond_ok(s.cond)
-                walk(s.then)
-                walk(s.orelse)
+                walk(s.then, in_loop)
+                walk(s.orelse, in_loop)
             elif isinstance(s, WhileStmt):
                 cond_ok(s.cond)
-                walk(s.body)
+                walk(s.body, True)
             elif isinstance(s, ReturnStmt):
                 if s.value is not None:
                     term_ok(s.value)
+            elif isinstance(s, BreakStmt) and not in_loop:
+                raise ImpSyntaxError(f"`break` outside a loop in {proc.name}")
 
-    walk(proc.body)
+    walk(proc.body, False)
 
 
 # ---------------------------------------------------------------------------
@@ -583,20 +595,22 @@ class _CfgBuilder:
         self.proc = Procedure(ast_proc.name, ast_proc.params, entry=-1)
         start = self.new(Start)
         self.proc.entry = start
-        tails, _ = self.lower_block(ast_proc.body, [start], [])
+        # `parse` rejects a `break` outside a loop, so no break is left over
+        tails = self.lower_block(ast_proc.body, [start], [])
         if tails:
             exit_id = self.new(ExitNode)
             for t in tails:
                 self.edge(t, exit_id)
         return self.proc
 
-    def lower_block(self, stmts, preds: list[int], breaks: list[int]):
-        """Lower a statement list; returns (dangling tails, breaks)."""
+    def lower_block(self, stmts, preds: list[int], breaks: list[int]) -> list[int]:
+        """Lower a statement list; returns its dangling tails.  A ``break``
+        adds its node to ``breaks``, the list of the innermost loop."""
         for stmt in stmts:
             if not preds:
                 break  # unreachable code after return/break
             preds = self.lower_stmt(stmt, preds, breaks)
-        return preds, breaks
+        return preds
 
     def lower_stmt(self, stmt, preds: list[int], breaks: list[int]) -> list[int]:
         def link(sid: int) -> None:
@@ -625,9 +639,9 @@ class _CfgBuilder:
             link(join)
             p_true, p_false = self.prune_pair(stmt.cond, stmt.span)
             self.edge(join, p_true)
-            then_tails, _ = self.lower_block(stmt.then, [p_true], breaks)
+            then_tails = self.lower_block(stmt.then, [p_true], breaks)
             self.edge(join, p_false)
-            else_tails, _ = self.lower_block(stmt.orelse, [p_false], breaks)
+            else_tails = self.lower_block(stmt.orelse, [p_false], breaks)
             return then_tails + else_tails
         if isinstance(stmt, WhileStmt):
             join = self.new(Join, stmt.span)
@@ -636,7 +650,7 @@ class _CfgBuilder:
             p_true, p_false = self.prune_pair(stmt.cond, stmt.span)
             self.edge(join, p_true)
             loop_breaks: list[int] = []
-            body_tails, _ = self.lower_block(stmt.body, [p_true], loop_breaks)
+            body_tails = self.lower_block(stmt.body, [p_true], loop_breaks)
             for t in body_tails:
                 self.edge(t, join)  # back edge
             self.edge(join, p_false)
@@ -676,7 +690,8 @@ def run_cfg(
     Returns (status, join_visits, final store) where status is one of
     "return", "end", or "fuel".  ``join_visits`` counts arrivals at
     ``watch_join`` (used to bound loop iterations in tests).  Calls to other
-    procedures execute recursively; wildcard values are drawn from ``rng``.
+    procedures execute recursively, and a callee that runs out of fuel ends
+    the caller's run with "fuel" too; wildcard values are drawn from ``rng``.
     """
     proc = program.procedures[proc_name]
     store = dict(store)
@@ -705,6 +720,8 @@ def run_cfg(
             else:
                 sub = {f: pl.eval_term(a, store, draw) for f, a in zip(callee.params, node.args)}
                 status, _, sub_store = run_cfg(program, node.p, sub, rng, max_steps)
+                if status == "fuel":
+                    return "fuel", visits, store
                 store[node.r] = sub_store.get("__ret__", draw())
         succs = proc.trans[node_id]
         if not succs:

@@ -6,6 +6,14 @@ extended with an omega operator for infinite repetition.  Loops are
 replaced by disjunctive summaries computed through ranking-function
 analysis of the cycle body; inconclusive loops raise
 ``SummaryInconclusive`` so callers can report an unknown verdict.
+
+Sequences and choices are flat.  A ``Seq`` holds at least two items, none
+of them ``Eps``, ``Bot`` or ``Seq``; an ``OrRe`` holds at least two
+alternatives, none of them ``Bot`` or ``OrRe``.  ``seq`` and ``or_`` build
+them, splicing nested ones in and dropping units (``derivative`` also
+slices the items of a sequence), so a sequence or choice is the same node
+however its parts were grouped, and recursion over an effect goes as deep
+as the program nests, not as long as it runs.
 """
 
 from __future__ import annotations
@@ -84,20 +92,18 @@ class Guard(Re):
 
 @dataclass(frozen=True)
 class Seq(Re):
-    left: Re
-    right: Re
+    items: tuple[Re, ...]
 
     def __str__(self) -> str:
-        return f"{_paren(self.left)}·{_paren(self.right)}"
+        return "·".join(map(_paren, self.items))
 
 
 @dataclass(frozen=True)
 class OrRe(Re):
-    left: Re
-    right: Re
+    alts: tuple[Re, ...]
 
     def __str__(self) -> str:
-        return f"{self.left} \\/ {self.right}"
+        return " \\/ ".join(map(str, self.alts))
 
 
 @dataclass(frozen=True)
@@ -121,36 +127,41 @@ def _paren(re: Re) -> str:
     return f"({re})" if isinstance(re, OrRe) else str(re)
 
 
-def seq(a: Re, b: Re) -> Re:
-    if isinstance(a, Bot) or isinstance(b, Bot):
-        return BOT
-    if isinstance(a, Eps):
-        return b
-    if isinstance(b, Eps):
-        return a
-    return Seq(a, b)
-
-
-def seq_list(items: list[Re]) -> Re:
-    out: Re = EPS
-    for item in reversed(items):
-        out = seq(item, out)
-    return out
-
-
-def or_(a: Re, b: Re) -> Re:
-    if isinstance(a, Bot):
-        return b
-    if isinstance(b, Bot):
-        return a
-    return OrRe(a, b)
-
-
-def or_list(items: list[Re]) -> Re:
-    out: Re = BOT
+def seq(*items: Re) -> Re:
+    """The sequence of ``items``: nested sequences are spliced in and ``Eps``
+    dropped, and a ``Bot`` anywhere makes the whole ``Bot``."""
+    flat: list[Re] = []
     for item in items:
-        out = or_(out, item)
-    return out
+        if isinstance(item, Bot):
+            return BOT
+        if isinstance(item, Seq):
+            flat.extend(item.items)
+        elif not isinstance(item, Eps):
+            flat.append(item)
+    if len(flat) > 1:
+        return Seq(tuple(flat))
+    return flat[0] if flat else EPS
+
+
+def or_(*alts: Re) -> Re:
+    """The choice among ``alts``: nested choices are spliced in and ``Bot``
+    dropped."""
+    flat: list[Re] = []
+    for alt in alts:
+        if isinstance(alt, OrRe):
+            flat.extend(alt.alts)
+        elif not isinstance(alt, Bot):
+            flat.append(alt)
+    if len(flat) > 1:
+        return OrRe(tuple(flat))
+    return flat[0] if flat else BOT
+
+
+def _items(re: Re) -> list[Re]:
+    """``re`` read as a sequence: its items, none for ``Eps``."""
+    if isinstance(re, Seq):
+        return list(re.items)
+    return [] if isinstance(re, Eps) else [re]
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +175,9 @@ def nullable(re: Re) -> bool:
     if isinstance(re, (Bot, Ev, Guard, Omega)):
         return False
     if isinstance(re, Seq):
-        return nullable(re.left) and nullable(re.right)
+        return all(map(nullable, re.items))
     if isinstance(re, OrRe):
-        return nullable(re.left) or nullable(re.right)
+        return any(map(nullable, re.alts))
     raise TypeError(f"not an effect: {re!r}")
 
 
@@ -185,13 +196,14 @@ def first(re: Re) -> list[Re]:
             add(node)
             return
         if isinstance(node, Seq):
-            walk(node.left)
-            if nullable(node.left):
-                walk(node.right)
+            for item in node.items:
+                walk(item)
+                if not nullable(item):
+                    return
             return
         if isinstance(node, OrRe):
-            walk(node.left)
-            walk(node.right)
+            for alt in node.alts:
+                walk(alt)
             return
         raise TypeError(f"not an effect: {node!r}")
 
@@ -208,12 +220,20 @@ def derivative(seg: Re, re: Re) -> Re:
     if isinstance(re, Omega):
         return BOT  # an omega block, once entered, is never left
     if isinstance(re, Seq):
-        out = seq(derivative(seg, re.left), re.right)
-        if nullable(re.left):
-            out = or_(out, derivative(seg, re.right))
-        return out
+        # seg can start any item up to and including the first that is not
+        # nullable; an item fully consumed leaves the rest as it stands
+        outs: list[Re] = []
+        for i, item in enumerate(re.items):
+            head, rest = derivative(seg, item), re.items[i + 1 :]
+            if isinstance(head, Eps):
+                outs.append(Seq(rest) if len(rest) > 1 else rest[0] if rest else EPS)
+            elif not isinstance(head, Bot):
+                outs.append(seq(head, *rest))
+            if not nullable(item):
+                break
+        return or_(*outs)
     if isinstance(re, OrRe):
-        return or_(derivative(seg, re.left), derivative(seg, re.right))
+        return or_(*(derivative(seg, alt) for alt in re.alts))
     raise TypeError(f"not an effect: {re!r}")
 
 
@@ -225,9 +245,10 @@ def _leaves(re: Re) -> Iterator[Ev | Guard]:
         node = stack.pop()
         if isinstance(node, (Ev, Guard)):
             yield node
-        elif isinstance(node, (Seq, OrRe)):
-            stack.append(node.right)
-            stack.append(node.left)
+        elif isinstance(node, Seq):
+            stack.extend(reversed(node.items))
+        elif isinstance(node, OrRe):
+            stack.extend(reversed(node.alts))
         elif isinstance(node, Omega):
             stack.append(node.body)
 
@@ -236,8 +257,10 @@ def _map_leaves(re: Re, fn: Callable[[Ev | Guard], Re]) -> Re:
     """``re`` with every event and guard replaced by ``fn`` of it."""
     if isinstance(re, (Ev, Guard)):
         return fn(re)
-    if isinstance(re, (Seq, OrRe)):
-        return type(re)(_map_leaves(re.left, fn), _map_leaves(re.right, fn))
+    if isinstance(re, Seq):
+        return seq(*(_map_leaves(item, fn) for item in re.items))
+    if isinstance(re, OrRe):
+        return or_(*(_map_leaves(alt, fn) for alt in re.alts))
     if isinstance(re, Omega):
         return Omega(_map_leaves(re.body, fn))
     return re
@@ -289,21 +312,6 @@ def _subst_re(re: Re, env: dict[str, pl.Term], rename: dict[str, str]) -> Re:
 # ---------------------------------------------------------------------------
 
 
-def _spine(re: Re) -> list[Re]:
-    """The items of a sequence: nested ``Seq`` flattened left to right,
-    ``Eps`` dropped."""
-    out: list[Re] = []
-    stack = [re]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Seq):
-            stack.append(node.right)
-            stack.append(node.left)
-        elif not isinstance(node, Eps):
-            out.append(node)
-    return out
-
-
 def _paths(re: Re) -> list[list[Re]]:
     """Fully distribute disjunction: every alternative as a segment list."""
     if isinstance(re, Bot):
@@ -311,11 +319,11 @@ def _paths(re: Re) -> list[list[Re]]:
     if isinstance(re, (ContinueMark, Ev, Guard, Omega)):
         return [[re]]
     if isinstance(re, OrRe):
-        return _paths(re.left) + _paths(re.right)
+        return [path for alt in re.alts for path in _paths(alt)]
     if not isinstance(re, (Seq, Eps)):
         raise TypeError(f"not an effect: {re!r}")
     out: list[list[Re]] = [[]]
-    for item in _spine(re):
+    for item in _items(re):
         out = [a + b for a in out for b in _paths(item)]
     return out
 
@@ -329,54 +337,38 @@ def renumber(re: Re) -> tuple[Re, dict[int, int]]:
     shared continuations are numbered after the branch-specific states.
     """
     counts = Counter(leaf.s for leaf in _leaves(re))
-    mapping: dict[int, int] = {}
-    next_id = [1]
-    queue: list[list[Re]] = [_spine(re)]
+    mapping: dict[int, int] = {}  # ids are handed out 1, 2, ... in order
+    queue: list[list[Re]] = [_items(re)]
     deferred: list[list[Re]] = []
 
-    def assign(s: int) -> None:
-        if s not in mapping:
-            mapping[s] = next_id[0]
-            next_id[0] += 1
-
     def process(chain: list[Re], assigning_shared: bool) -> None:
-        i = 0
-        while i < len(chain):
-            item = chain[i]
-            if isinstance(item, (Ev, Guard)):
-                if (
-                    not assigning_shared
-                    and counts.get(item.s, 0) > 1
-                    and item.s not in mapping
-                ):
-                    rest = chain[i:]
-                    if rest not in deferred:
-                        deferred.append(rest)
-                    return
-                assign(item.s)
-                i += 1
-                continue
+        for i, item in enumerate(chain):
             if isinstance(item, OrRe):
+                # Queue all but the last alternative as one choice, then the
+                # last: the id order was set on choices folded left two at a
+                # time, and this split keeps every state's id.
                 tail = chain[i + 1 :]
-                for alt in (item.left, item.right):
-                    queue.append(_spine(alt) + tail)
+                for alt in (or_(*item.alts[:-1]), item.alts[-1]):
+                    queue.append(_items(alt) + tail)
+                return
+            if not isinstance(item, (Ev, Guard, Omega)):
+                continue
+            # an omega block is entered at the head of its body
+            head = first(item.body)[:1] if isinstance(item, Omega) else [item]
+            if (
+                not assigning_shared
+                and head
+                and counts[head[0].s] > 1
+                and head[0].s not in mapping
+            ):
+                rest = chain[i:]
+                if rest not in deferred:
+                    deferred.append(rest)
                 return
             if isinstance(item, Omega):
-                body_first = first(item.body)
-                if (
-                    not assigning_shared
-                    and body_first
-                    and counts.get(body_first[0].s, 0) > 1
-                    and body_first[0].s not in mapping
-                ):
-                    rest = chain[i:]
-                    if rest not in deferred:
-                        deferred.append(rest)
-                    return
-                queue.append(_spine(item.body))
-                i += 1
-                continue
-            i += 1
+                queue.append(_items(item.body))
+            else:
+                mapping.setdefault(item.s, len(mapping) + 1)
 
     assigning_shared = False
     while queue or deferred:
@@ -583,7 +575,7 @@ class _Builder:
                     tail = self.summarize(proc, nid, stop)
                 else:
                     branches = [self.walk(proc, s, stop) for s in succs]
-                    tail = or_list(branches) if branches else EPS
+                    tail = or_(*branches) if branches else EPS
                 break
             if isinstance(node, fe.Assign):
                 self.origins[nid] = Origin("stmt", node=nid, proc=proc.name)
@@ -599,7 +591,7 @@ class _Builder:
                 tail = EPS
                 break
             nid = succs[0]
-        return seq_list(run + [tail])
+        return seq(*run, tail)
 
     def is_loop(self, proc: fe.Procedure, join: int, stop: int | None = None) -> bool:
         return any(self._reaches(proc, s, join, stop) for s in proc.trans[join])
@@ -657,7 +649,7 @@ class _Builder:
         for formal, actual in zip(callee.params, node.args):
             sid = self.fresh(Origin("stmt", node=node.s, proc=proc.name))
             prefix.append(Ev(s=sid, assigns=((rename[formal], actual),)))
-        inlined = seq(seq_list(prefix), body)
+        inlined = seq(*prefix, body)
         return self._peephole_chain(inlined)
 
     def _replace_exit(self, re: Re, result_var: str) -> Re:
@@ -668,17 +660,16 @@ class _Builder:
                 return Ev(s=body.s, assigns=((result_var, value),))
             return re
         if isinstance(re, Seq):
-            return Seq(self._replace_exit(re.left, result_var), self._replace_exit(re.right, result_var))
+            return seq(*(self._replace_exit(item, result_var) for item in re.items))
         if isinstance(re, OrRe):
-            return OrRe(self._replace_exit(re.left, result_var), self._replace_exit(re.right, result_var))
+            return or_(*(self._replace_exit(alt, result_var) for alt in re.alts))
         return re
 
     def _peephole_chain(self, re: Re) -> Re:
         """Simplify a straight-line inlined chain of plain assignments."""
-        chain = _spine(re)
-        if not all(isinstance(seg, Ev) and not seg.rels and isinstance(seg.constraint, pl.TrueP) and len(seg.assigns) == 1 for seg in chain):
+        items = _items(re)
+        if not all(isinstance(seg, Ev) and not seg.rels and isinstance(seg.constraint, pl.TrueP) and len(seg.assigns) == 1 for seg in items):
             return re
-        items: list[Ev] = list(chain)  # type: ignore[arg-type]
         # Fuse a trailing copy r := u by renaming u to r throughout.
         if items:
             last = items[-1]
@@ -707,7 +698,7 @@ class _Builder:
                     break
             if not dead:
                 out.append(ev)
-        return seq_list(list(out))
+        return seq(*out)
 
     # -- loop summarization ---------------------------------------------------
 
@@ -789,7 +780,7 @@ class _Builder:
                 d2_guard = prune_conjuncts(pl.mk_and(pi_g, term_guard))
                 if not isinstance(d2_guard, pl.FalseP) and pl.satisfiable(d2_guard):
                     exit_ev = self._exit_event(join, proc, pi_g, rf, clean_ga, phases)
-                    disjuncts.append(seq(guard_seg(d2_guard), seq(exit_ev, phi_rest)))
+                    disjuncts.append(seq(guard_seg(d2_guard), exit_ev, phi_rest))
             # D3: the loop is entered and repeats forever.
             if not info.always_terminates:
                 info.has_omega = True
@@ -807,17 +798,17 @@ class _Builder:
             # forever; leaks below cover every way out.
             info.has_omega = True
             info.omega_condition = pi_g
-            bodies = [seq_list(b) for b in clean]
+            bodies = [seq(*b) for b in clean]
             bodies = [b for b in bodies if not isinstance(b, (Eps, Bot))]
             if bodies:
-                disjuncts.append(Omega(or_list(bodies)))
+                disjuncts.append(Omega(or_(*bodies)))
             else:
                 w = self.cached_event(join, "loop-event", proc.name)
                 disjuncts.append(Omega(Ev(s=w)))
 
         # D4: leaking branches (break / return / inner non-termination).
         for leak in leaks:
-            content = seq_list(leak)
+            content = seq(*leak)
             if not guard_is_true:
                 content = seq(guard_seg(pi_g), content)
             disjuncts.append(content)
@@ -829,25 +820,21 @@ class _Builder:
             raise SummaryInconclusive(
                 f"the summary of the loop at node {join} admits no behaviour"
             )
-        return seq(seq_list(hoisted), or_list(disjuncts))
+        return seq(*hoisted, or_(*disjuncts))
 
     def _hoist(self, phi_cycle: Re) -> tuple[list[Re], Re]:
         """Pull leading one-shot havoc events of loop-constant vars out."""
         # The hoistable window is the common top-level prefix before any Or.
-        items = _spine(phi_cycle)
+        items = _items(phi_cycle)
         k = 0
         while k < len(items) and isinstance(items[k], (Ev, Guard)):
             k += 1
         chain_head = items[:k]
-        remainder = seq_list(items[k:])
+        remainder = seq(*items[k:])
         assigned_later = _assigned_vars(remainder)
         hoisted: list[Re] = []
         kept: list[Re] = []
         read_so_far: set[str] = set()
-        assigned_in_head = set()
-        for seg in chain_head:
-            if isinstance(seg, Ev):
-                assigned_in_head |= {v for v, _ in seg.assigns}
         for i, seg in enumerate(chain_head):
             hoistable = (
                 isinstance(seg, Ev)
@@ -873,7 +860,7 @@ class _Builder:
                 read_so_far |= pl.pure_vars(seg.pi)
         if not hoisted:
             return [], phi_cycle
-        return hoisted, seq(seq_list(kept), remainder)
+        return hoisted, seq(*kept, remainder)
 
     def _find_ranking(self, pi_g, clean_ga, leaks):
         """Choose a ranking candidate with a conclusive (multi-phase) split."""

@@ -13,6 +13,7 @@ import time
 import pytest
 
 from ctlrepair import ctl
+from ctlrepair import encode
 from ctlrepair import frontend as fe
 from ctlrepair import gwre as gw
 from ctlrepair import pure_logic as pl
@@ -846,6 +847,10 @@ def test_criterion_9_nonterminating_disjuncts_never_exit_early():
 # ===========================================================================
 
 
+def _straight(n: int) -> str:
+    return "//@ ctl: AF(Exit(_))\nvoid main() {\n  int x = 0;\n" + "  x = x + 1;\n" * n + "  return;\n}\n"
+
+
 @pytest.mark.parametrize("n, budget", [(200, 1.5), (300, 3.0), (500, 8.0)])
 def test_straight_line_200_analyze_within_budget(n, budget):
     # AF's binary lasso relation has ~n^2/2 facts here; joining it against
@@ -853,11 +858,40 @@ def test_straight_line_200_analyze_within_budget(n, budget):
     # step that recurses once per statement, such as taking the str or hash
     # of the nested store term x+1+...+1, hits the recursion limit.
     watch = Stopwatch(budget)
-    src = "//@ ctl: AF(Exit(_))\nvoid main() {\n  int x = 0;\n"
-    src += "  x = x + 1;\n" * n + "  return;\n}\n"
-    analysis = rp.analyze(src)
+    analysis = rp.analyze(_straight(n))
     assert analysis.unknown is None
     assert analysis.holds
+    watch.check()
+
+
+def test_straight_line_5000_effect_and_encoding_within_budget():
+    # a sequence is one flat node, so no step over the effect recurses once
+    # per statement
+    watch = Stopwatch(5.0)
+    res = gw.cfg_to_gwre(fe.build_cfg(fe.parse(_straight(5000))))
+    assert str(res.phi).count("x=x+1") == 5000
+    enc = encode.abstract_facts(res, [])
+    # a State and an outgoing flow fact per state, and the Exit fact
+    assert len(enc.facts) == 5002 + 5002 + 1
+    watch.check()
+
+
+def test_straight_line_2000_dump_gwre(run_cli, tmp_path):
+    watch = Stopwatch(5.0)
+    path = tmp_path / "straight.imp"
+    path.write_text(_straight(2000))
+    code, out, err = run_cli("dump-gwre", path)
+    assert (code, err) == (0, "")
+    assert out.count("·") == 2001
+    watch.check()
+
+
+def test_long_callee_inlines_within_budget():
+    watch = Stopwatch(5.0)
+    src = "int f(int a) {\n  int x = a;\n" + "  x = x + 1;\n" * 2000
+    src += "  return x;\n}\nvoid main() {\n  int y = f(1);\n  return;\n}\n"
+    res = gw.cfg_to_gwre(fe.build_cfg(fe.parse(src)))
+    assert len(gw.states_of(res.phi)) == 2003
     watch.check()
 
 

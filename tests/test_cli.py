@@ -60,6 +60,24 @@ def test_verify_bad_syntax_exit_three(run_cli):
     assert "error" in err.lower()
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        "int f(int a, int b) { return b; }\n"
+        "void main() { int y = f(1); if (y > 0) { while (1) { } } return; }",
+        "void main() { int x = 0; break; x = 1; return; }",
+    ],
+    ids=["call-arity", "stray-break"],
+)
+def test_verify_malformed_program_exit_three(run_cli, tmp_path, body):
+    path = tmp_path / "prog.imp"
+    path.write_text(f"//@ ctl: AF(Exit(_))\n{body}\n")
+    code, out, err = run_cli("verify", path)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_verify_missing_property_exit_three(run_cli):
     code, _, err = run_cli("verify", fix("no_property.imp"))
     assert code == 3

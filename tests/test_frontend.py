@@ -105,6 +105,35 @@ void main(int a) {
     assert store["b"] == 42
 
 
+def test_run_cfg_callee_out_of_fuel_ends_the_run():
+    # a diverging callee must not read as a returning one
+    src = """int f(int a) { while (1) { } return a; }
+void main() { int y = f(4); return; }
+"""
+    program = fe.build_cfg(fe.parse(src))
+    status, _, _ = fe.run_cfg(program, "main", {}, random.Random(0), max_steps=200)
+    assert status == "fuel"
+
+
+@pytest.mark.parametrize("args", ["1", "1, 2, 3"])
+def test_call_arity_must_match_the_procedure(args):
+    src = f"int f(int a, int b) {{ return b; }}\nvoid main() {{ int y = f({args}); return; }}\n"
+    with pytest.raises(fe.ImpSyntaxError, match="'f' takes 2 argument"):
+        fe.parse(src)
+
+
+def test_external_call_takes_any_number_of_arguments():
+    fe.parse("void main() { int y = g(1, 2, 3); int z = g(); return; }")
+
+
+def test_break_only_inside_a_loop():
+    with pytest.raises(fe.ImpSyntaxError, match="outside a loop"):
+        fe.parse("void main() { int x = 0; break; x = 1; return; }")
+    with pytest.raises(fe.ImpSyntaxError, match="outside a loop"):
+        fe.parse("int f(int a) { if (a > 0) { break; } return a; }")
+    fe.parse("void main() { int x = 0; while (x < 3) { if (x > 1) { break; } x = x + 1; } return; }")
+
+
 def test_spans_cover_statements(fixture_text):
     program = fe.build_cfg(fe.parse(fixture_text("overview.imp")))
     proc = program.procedures["main"]

@@ -51,6 +51,18 @@ def test_first_nullable_derivative_algebra():
     assert set(f.s for f in gw.first(alt)) == {1, 2}
 
 
+def test_sequences_and_choices_are_flat():
+    a, b, c, d = (gw.Ev(s=i) for i in range(1, 5))
+    g = gw.Guard(pl.TRUE, 5)
+    left = gw.seq(gw.seq(gw.seq(a, gw.or_(gw.or_(b, g), c)), gw.EPS), d)
+    right = gw.seq(a, gw.seq(gw.or_(b, gw.or_(g, c)), gw.seq(gw.EPS, d)))
+    assert left == right == gw.Seq((a, gw.OrRe((b, g, c)), d))
+    assert str(left) == str(right) == "(T)@1·((T)@2 \\/ [T]@5 \\/ (T)@3)·(T)@4"
+    assert gw.seq(a, gw.BOT, b) == gw.BOT
+    assert gw.or_(gw.BOT, a, gw.BOT) == a
+    assert gw.seq() == gw.EPS and gw.or_() == gw.BOT
+
+
 def test_pure_of_gwre_collects_guard_atoms(fixture_text):
     res = summarize(fixture_text("overview.imp"))
     pures = {str(p) for p in gw.pure_of_gwre(res.phi)}
