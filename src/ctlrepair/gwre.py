@@ -14,6 +14,18 @@ them, splicing nested ones in and dropping units (``derivative`` also
 slices the items of a sequence), so a sequence or choice is the same node
 however its parts were grouped, and recursion over an effect goes as deep
 as the program nests, not as long as it runs.
+
+A loop summary chooses among four disjuncts.  D1: the guard fails on
+entry.  D2: the loop is entered in ``_term_region`` and left through the
+guard, all its iterations one exit event.  D3: it is entered where the
+guard and ``pi_res`` hold and repeats forever in an omega block.  D4: a
+leaking branch (``break``, ``return``, an inner loop that never comes back)
+runs once.  D2 and D3 rest on one phase chain (``_phase_chain``): each
+phase is a ranking candidate splitting the states still in the loop into
+``pi_t`` (it drops) and ``pi_nt`` (it does not), until ``pi_res``, what the
+phases leave in the loop, is F (the loop always terminates) or inductive.
+A T or nondeterministic guard needs no chain; without one, the body
+repeats in an omega block.
 """
 
 from __future__ import annotations
@@ -21,6 +33,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Callable, Iterator
 
 from . import frontend as fe
@@ -398,12 +411,8 @@ class PhaseInfo:
 class SummaryInfo:
     join: int
     guard: pl.Pure
-    rf: pl.Term | None
-    pi_t: pl.Pure
-    pi_nt: pl.Pure
-    phases: list[PhaseInfo]
+    phases: list[PhaseInfo]  # termination argument; empty only under a T guard
     always_terminates: bool
-    has_omega: bool
     omega_condition: pl.Pure  # entry condition of the non-terminating disjunct
 
 
@@ -437,52 +446,41 @@ def _prune_disjuncts(pi: pl.Pure) -> pl.Pure:
         return pi
     kept: list[pl.Pure] = []
     for i, d in enumerate(ds):
-        redundant = False
-        for j, other in enumerate(ds):
-            if i == j:
-                continue
-            if pl.entails(d, other) and (other in kept or j > i):
-                redundant = True
-                break
-        if not redundant:
+        if not any(
+            i != j and pl.entails(d, other) and (other in kept or j > i)
+            for j, other in enumerate(ds)
+        ):
             kept.append(d)
-    out = pl.FALSE
-    for d in kept:
-        out = pl.mk_or(out, d)
-    return out
+    return reduce(pl.mk_or, kept, pl.FALSE)
 
 
 def prune_conjuncts(pi: pl.Pure) -> pl.Pure:
     """Drop conjuncts entailed by the remaining ones (guard cosmetics)."""
-    cs = [_prune_disjuncts(c) for c in pl.conjuncts(pl.simplify(pi))]
-    if isinstance(pl.simplify(pi), pl.FalseP):
+    pi = pl.simplify(pi)
+    if isinstance(pi, pl.FalseP):
         return pl.FALSE
+    cs = [_prune_disjuncts(c) for c in pl.conjuncts(pi)]
     changed = True
     while changed and len(cs) > 1:
         changed = False
         for i, c in enumerate(cs):
             rest = cs[:i] + cs[i + 1 :]
-            others = pl.TRUE
-            for r in rest:
-                others = pl.mk_and(others, r)
-            if pl.entails(others, c):
+            if pl.entails(reduce(pl.mk_and, rest, pl.TRUE), c):
                 cs = rest
                 changed = True
                 break
-    out = pl.TRUE
-    for c in cs:
-        out = pl.mk_and(out, c)
-    return out
+    return reduce(pl.mk_and, cs, pl.TRUE)
 
 
 def _branch_guard_assigns(segs: list[Re]) -> tuple[pl.Pure, list[tuple[str, pl.Term]]]:
-    """A branch's entry-store guard and its sequential assignment list."""
+    """A branch's entry-store guard and its sequential assignment list, up
+    to its first omega block (nothing after one runs)."""
     env: dict[str, pl.Term] = {}
     guard: pl.Pure = pl.TRUE
     assigns: list[tuple[str, pl.Term]] = []
     for seg in segs:
-        if isinstance(seg, ContinueMark):
-            continue
+        if isinstance(seg, Omega):
+            break
         if isinstance(seg, Guard):
             guard = pl.mk_and(guard, pl.subst_pure(seg.pi, env))
         elif isinstance(seg, Ev):
@@ -492,7 +490,7 @@ def _branch_guard_assigns(segs: list[Re]) -> tuple[pl.Pure, list[tuple[str, pl.T
             if not isinstance(seg.constraint, pl.TrueP):
                 guard = pl.mk_and(guard, pl.subst_pure(seg.constraint, env))
         else:
-            raise TypeError(f"unexpected segment in clean branch: {seg!r}")
+            raise TypeError(f"unexpected segment in loop branch: {seg!r}")
     return guard, assigns
 
 
@@ -523,6 +521,14 @@ def pretty_nonneg(rf: pl.Term) -> pl.Pure:
     return pl.Bop(pl.GTEQ, pl.term_of_linear(coeffs, const), pl.Const(0))
 
 
+def _term_region(phases: list[PhaseInfo], pi_res: pl.Pure) -> pl.Pure:
+    """Where an entered loop terminates through its guard (D2): where the
+    one phase's rf drops, or wherever a chain's run leaves ``pi_res``."""
+    if len(phases) == 1:
+        return phases[0].pi_t
+    return prune_conjuncts(pl.negate(pi_res))
+
+
 _PHASE_BOUND = 4
 
 
@@ -533,15 +539,15 @@ class _Builder:
             (nid for proc in program.procedures.values() for nid in proc.nodes),
             default=0,
         )
-        self.counter = [top + 1]
+        self.counter = top + 1
         self.origins: dict[int, Origin] = {}
         self.summaries: list[SummaryInfo] = []
         self.event_cache: dict[tuple[int, str], int] = {}
         self.inline_stack: list[str] = []
 
     def fresh(self, origin: Origin) -> int:
-        sid = self.counter[0]
-        self.counter[0] += 1
+        sid = self.counter
+        self.counter += 1
         self.origins[sid] = origin
         return sid
 
@@ -705,7 +711,7 @@ class _Builder:
     def summarize(self, proc: fe.Procedure, join: int, stop: int | None) -> Re:
         succs = proc.trans[join]
         cyclic = [s for s in succs if self._reaches(proc, s, join, stop)]
-        exits = [s for s in succs if not self._reaches(proc, s, join, stop)]
+        exits = [s for s in succs if s not in cyclic]
         if len(cyclic) != 1 or len(succs) > 2:
             raise UnsupportedProgram(f"irreducible loop at node {join}")
         p_cycle = proc.nodes[cyclic[0]]
@@ -732,72 +738,48 @@ class _Builder:
         clean += [[] for b in branches if not b]
         leaks = [b for b in branches if b and not isinstance(b[-1], ContinueMark)]
 
+        # an inlined callee may run forever, so a body path may never come back
+        if any(isinstance(seg, Omega) for b in clean for seg in b):
+            raise SummaryInconclusive(f"a branch of the loop at node {join} may never return")
         clean_ga = [_branch_guard_assigns(b) for b in clean]
 
         disjuncts: list[Re] = []
-        info = SummaryInfo(
-            join=join,
-            guard=pi_g,
-            rf=None,
-            pi_t=pl.FALSE,
-            pi_nt=pl.FALSE,
-            phases=[],
-            always_terminates=False,
-            has_omega=False,
-            omega_condition=pl.FALSE,
-        )
 
         def guard_seg(pi: pl.Pure) -> Guard:
             return Guard(pi, self.fresh(Origin("summary-guard", join=join, proc=proc.name)))
 
         # D1: the loop guard fails on entry.
-        not_g = pl.FALSE if nondet else pl.negate(pi_g)
-        if nondet:
-            disjuncts.append(seq(guard_seg(pl.TRUE), phi_rest))
-        elif not isinstance(not_g, pl.FalseP):
+        not_g = pl.TRUE if nondet else pl.negate(pi_g)
+        if not isinstance(not_g, pl.FalseP):
             disjuncts.append(seq(guard_seg(not_g), phi_rest))
 
         chosen = None if nondet else self._find_ranking(pi_g, clean_ga, leaks)
         guard_is_true = isinstance(pi_g, pl.TrueP)
 
         if chosen is not None:
-            rf, pi_t1, pi_nt1, phases, pi_res = chosen
-            info.rf = rf
-            info.pi_t = pi_t1
-            info.pi_nt = pi_nt1
-            info.phases = phases
-            info.always_terminates = isinstance(pi_res, pl.FalseP) or not pl.satisfiable(
-                pl.mk_and(pi_g, pi_res)
-            )
+            phases, pi_res = chosen
+            always_terminates = isinstance(pi_res, pl.FalseP)
+            omega_condition = pl.FALSE
             # D2: the loop is entered and terminates through the guard.
             if not guard_is_true:
-                if len(phases) == 1:
-                    term_guard = pi_t1
-                elif info.always_terminates:
-                    term_guard = pl.TRUE
-                else:
-                    term_guard = prune_conjuncts(pl.negate(pi_res))
-                d2_guard = prune_conjuncts(pl.mk_and(pi_g, term_guard))
+                d2_guard = prune_conjuncts(pl.mk_and(pi_g, _term_region(phases, pi_res)))
                 if not isinstance(d2_guard, pl.FalseP) and pl.satisfiable(d2_guard):
-                    exit_ev = self._exit_event(join, proc, pi_g, rf, clean_ga, phases)
+                    exit_ev = self._exit_event(join, proc, pi_g, clean_ga, phases)
                     disjuncts.append(seq(guard_seg(d2_guard), exit_ev, phi_rest))
             # D3: the loop is entered and repeats forever.
-            if not info.always_terminates:
-                info.has_omega = True
-                d3_guard = prune_conjuncts(pl.mk_and(pi_g, pi_res))
-                info.omega_condition = d3_guard
+            if not always_terminates:
+                omega_condition = prune_conjuncts(pl.mk_and(pi_g, pi_res))
                 w = self.cached_event(join, "loop-event", proc.name)
-                body = Ev(s=w, constraint=pretty_nonneg(rf))
-                disjuncts.append(seq(guard_seg(d3_guard), Omega(body)))
+                body = Ev(s=w, constraint=pretty_nonneg(phases[0].rf))
+                disjuncts.append(seq(guard_seg(omega_condition), Omega(body)))
         else:
-            if not (guard_is_true or nondet):
+            if not guard_is_true:  # a nondeterministic guard is T too
                 raise SummaryInconclusive(
                     f"no conclusive termination argument for the loop at node {join}"
                 )
             # Fallback for always-true guards: the clean body may repeat
             # forever; leaks below cover every way out.
-            info.has_omega = True
-            info.omega_condition = pi_g
+            phases, always_terminates, omega_condition = [], False, pi_g
             bodies = [seq(*b) for b in clean]
             bodies = [b for b in bodies if not isinstance(b, (Eps, Bot))]
             if bodies:
@@ -813,7 +795,7 @@ class _Builder:
                 content = seq(guard_seg(pi_g), content)
             disjuncts.append(content)
 
-        self.summaries.append(info)
+        self.summaries.append(SummaryInfo(join, pi_g, phases, always_terminates, omega_condition))
         if not disjuncts:
             # every entry skips the loop, leaves it or stays in it, so a
             # summary without behaviour is a wrong termination argument
@@ -863,60 +845,57 @@ class _Builder:
         return hoisted, seq(*kept, remainder)
 
     def _find_ranking(self, pi_g, clean_ga, leaks):
-        """Choose a ranking candidate with a conclusive (multi-phase) split."""
+        """The phase chain of the first candidate whose chain is conclusive
+        and whose first phase can run, else of the first conclusive one."""
         candidates = pl.candidate_rfs(pi_g)
         for guard, _ in clean_ga:
             candidates += pl.candidate_rfs(guard)
-        for leak in leaks:
-            guard, _ = _leak_guard(leak)
+        for guard, _ in map(_branch_guard_assigns, leaks):
             for conj in pl.conjuncts(guard):
                 if isinstance(conj, pl.Bop):
                     candidates += pl.candidate_rfs(pl.negate(conj))
 
-        # the first useful candidate, else the first conclusive one
         fallback = None
         for rf in dict.fromkeys(candidates):
-            pi_t, pi_nt = pl.wp_delta(rf, clean_ga)
-            if isinstance(pi_t, pl.FalseP) and isinstance(pi_nt, pl.FalseP):
-                continue
-            if not pl.entails(pi_g, pl.mk_or(pi_t, pi_nt)):
-                continue
-            chain = self._phase_chain(rf, pi_t, pi_nt, pi_g, clean_ga)
+            chain = self._phase_chain([rf], pi_g, clean_ga)
             if chain is None:
                 continue
-            phases, pi_res = chain
-            if pl.satisfiable(pl.mk_and(pi_g, pi_t)):
-                return rf, pi_t, pi_nt, phases, pi_res
+            phases, _ = chain
+            if pl.satisfiable(pl.mk_and(pi_g, phases[0].pi_t)):
+                return chain
             if fallback is None:
-                fallback = (rf, pi_t, pi_nt, phases, pi_res)
+                fallback = chain
         return fallback
 
-    def _phase_chain(self, rf, pi_t, pi_nt, pi_g, clean_ga):
-        """Refine the non-decreasing precondition through successive phases."""
-        phases = [PhaseInfo(rf, pi_t, pi_nt)]
-        pi_res = pi_nt
-        last_nt = pi_nt
+    def _phase_chain(self, cands, pi_g, clean_ga):
+        """A multiphase termination argument: each round adds the first
+        candidate that splits the guarded ``pi_res`` into ``pi_t`` and
+        ``pi_nt`` (a later phase's ``pi_t`` reachable) and narrows ``pi_res``
+        by ``pi_nt``, whose candidates the next round tries.  Returns
+        (phases, F) once no run stays, (phases, pi_res) once ``pi_res`` is
+        inductive, else None."""
+        phases: list[PhaseInfo] = []
+        pi_res: pl.Pure = pl.TRUE
         for _ in range(_PHASE_BOUND):
+            region = pl.mk_and(pi_g, pi_res)
+            for rf in cands:
+                pi_t, pi_nt = pl.wp_delta(rf, clean_ga)
+                if isinstance(pi_t, pl.FalseP) and isinstance(pi_nt, pl.FalseP):
+                    continue
+                if not pl.entails(region, pl.mk_or(pi_t, pi_nt)):
+                    continue
+                if phases and not pl.satisfiable(pl.mk_and(region, pi_t)):
+                    continue
+                break
+            else:
+                return None
+            phases.append(PhaseInfo(rf, pi_t, pi_nt))
+            pi_res = pl.mk_and(pi_res, pi_nt)
             if not pl.satisfiable(pl.mk_and(pi_g, pi_res)):
                 return phases, pl.FALSE
             if self._inductive(pi_res, pi_g, clean_ga):
                 return phases, prune_conjuncts(pi_res)
-            found = False
-            for cand in pl.candidate_rfs(last_nt):
-                t2, n2 = pl.wp_delta(cand, clean_ga)
-                if isinstance(t2, pl.FalseP) and isinstance(n2, pl.FalseP):
-                    continue
-                if not pl.entails(pl.mk_and(pi_g, pi_res), pl.mk_or(t2, n2)):
-                    continue
-                if not pl.satisfiable(pl.mk_and(pl.mk_and(pi_g, pi_res), t2)):
-                    continue
-                phases.append(PhaseInfo(cand, t2, n2))
-                pi_res = pl.mk_and(pi_res, n2)
-                last_nt = n2
-                found = True
-                break
-            if not found:
-                return None
+            cands = pl.candidate_rfs(pi_nt)
         return None
 
     @staticmethod
@@ -931,26 +910,21 @@ class _Builder:
                 return False
         return True
 
-    def _exit_event(self, join, proc, pi_g, rf, clean_ga, phases) -> Ev:
+    def _exit_event(self, join, proc, pi_g, clean_ga, phases) -> Ev:
         """The state change of running the loop to guard-exit."""
         sid = self.cached_event(join, "exit-event", proc.name)
-        assigned: list[str] = []
-        for _, assigns in clean_ga:
-            for v, _t in assigns:
-                if v not in assigned:
-                    assigned.append(v)
-        exact = self._exact_updates(rf, clean_ga, phases) if assigned else []
-        if exact:
-            ordered = _order_assignments(exact)
-            return Ev(s=sid, assigns=tuple(ordered), constraint=pl.negate(pi_g))
-        havoc = tuple((v, pl.Wildcard()) for v in assigned)
-        return Ev(s=sid, assigns=havoc, constraint=pl.negate(pi_g))
+        assigned = list(dict.fromkeys(v for _, assigns in clean_ga for v, _ in assigns))
+        exact = self._exact_updates(clean_ga, phases) if assigned else []
+        assigns = _order_assignments(exact) if exact else [(v, pl.Wildcard()) for v in assigned]
+        return Ev(s=sid, assigns=tuple(assigns), constraint=pl.negate(pi_g))
 
     @staticmethod
-    def _exact_updates(rf, clean_ga, phases):
-        """v := v + c_v * (rf + 1) when every branch steps rf down by one."""
+    def _exact_updates(clean_ga, phases):
+        """v := v + c_v * (rf + 1) when the one phase's rf steps down by one
+        on every branch."""
         if len(phases) != 1:
             return []
+        rf = phases[0].rf
         incs: dict[str, int] = {}
         for guard, assigns in clean_ga:
             delta = pl._delta_of_branch(rf, assigns)
@@ -992,23 +966,6 @@ def _order_assignments(assigns: list[tuple[str, pl.Term]]):
         if not progressed:
             return [(v, pl.Wildcard()) for v, _ in assigns]  # cyclic: havoc
     return ordered
-
-
-def _leak_guard(leak_segs: list[Re]) -> tuple[pl.Pure, list[tuple[str, pl.Term]]]:
-    """Entry-store guard of a leaking branch (up to its first omega)."""
-    env: dict[str, pl.Term] = {}
-    guard: pl.Pure = pl.TRUE
-    assigns: list[tuple[str, pl.Term]] = []
-    for seg in leak_segs:
-        if isinstance(seg, Guard):
-            guard = pl.mk_and(guard, pl.subst_pure(seg.pi, env))
-        elif isinstance(seg, Ev):
-            for v, t in seg.assigns:
-                env[v] = pl.subst_term(t, env)
-                assigns.append((v, t))
-        elif isinstance(seg, Omega):
-            break
-    return guard, assigns
 
 
 # ---------------------------------------------------------------------------

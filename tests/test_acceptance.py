@@ -184,15 +184,15 @@ def test_criterion_3_loop_summaries(fixture_text):
     res = gw.cfg_to_gwre(fe.build_cfg(fe.parse(fixture_text("equal_guard.imp"))))
     (summary,) = res.summaries
     assert str(summary.guard) == "x=y"
-    assert isinstance(summary.pi_t, pl.FalseP)
-    assert summary.has_omega
+    assert isinstance(summary.phases[0].pi_t, pl.FalseP)
+    assert not summary.always_terminates
     assert str(summary.omega_condition) == "x=y"
 
     # (ii) nested loops: the inner loop's termination precondition, taken at
     # the loop entry m=0, is exactly step >= 1
     res = gw.cfg_to_gwre(fe.build_cfg(fe.parse(fixture_text("nested.imp"))))
     inner = next(s for s in res.summaries if str(s.guard) == "m<step")
-    wpc = pl.subst_pure(pl.mk_and(inner.guard, inner.pi_t), {"m": pl.Const(0)})
+    wpc = pl.subst_pure(pl.mk_and(inner.guard, inner.phases[0].pi_t), {"m": pl.Const(0)})
     step_ge_1 = pl.Bop(pl.GTEQ, pl.Var("step"), pl.Const(1))
     assert pl.entails(wpc, step_ge_1)
     assert pl.entails(step_ge_1, wpc)
@@ -762,9 +762,9 @@ def test_criterion_9_single_phase_loops_terminate_within_rf_bound():
 
     # single-step loop: guard /\ pi_t picks tmp >= 1; bound is the rf value
     program, summary = _loop_setup(SINGLE_STEP_LOOP)
-    cond = pl.mk_and(summary.guard, summary.pi_t)
+    cond = pl.mk_and(summary.guard, summary.phases[0].pi_t)
     for store in _stores(rng, ["b", "end", "tmp"], cond, 100):
-        bound = max(0, pl.eval_term(summary.rf, store)) + 2
+        bound = max(0, pl.eval_term(summary.phases[0].rf, store)) + 2
         status, visits, _ = _run(program, summary, store)
         assert status == "return"
         assert visits <= bound, (store, visits, bound)
@@ -773,7 +773,7 @@ def test_criterion_9_single_phase_loops_terminate_within_rf_bound():
     program, summary = _loop_setup(COUNTDOWN_PAIR_LOOP)
     assert summary.always_terminates
     for store in _stores(rng, ["m", "n", "step"], summary.guard, 100):
-        bound = max(0, pl.eval_term(summary.rf, store)) + 3
+        bound = max(0, pl.eval_term(summary.phases[0].rf, store)) + 3
         status, visits, _ = _run(program, summary, store)
         assert status == "return"
         assert visits <= bound, (store, visits, bound)
@@ -823,16 +823,16 @@ def test_criterion_9_nonterminating_disjuncts_never_exit_early():
 
     # single-step loop, non-terminating disjunct: guard /\ pi_nt (tmp <= 0)
     program, summary = _loop_setup(SINGLE_STEP_LOOP)
-    cond = pl.mk_and(summary.guard, summary.pi_nt)
+    cond = pl.mk_and(summary.guard, summary.phases[0].pi_nt)
     for store in _stores(rng, ["b", "end", "tmp"], cond, 100):
-        bound = max(0, pl.eval_term(summary.rf, store)) + 2
+        bound = max(0, pl.eval_term(summary.phases[0].rf, store)) + 2
         status, visits, _ = _run(program, summary, store, max_steps=(3 * bound + 10) * 8)
         assert status == "fuel", (store, status)
         assert visits > 3 * bound, (store, visits, bound)
 
     # equality-guarded loop with an empty body: entering means never leaving
     program, summary = _loop_setup(EQUAL_GUARD_LOOP)
-    assert isinstance(summary.pi_t, pl.FalseP)
+    assert isinstance(summary.phases[0].pi_t, pl.FalseP)
     cond = pl.mk_and(summary.guard, summary.omega_condition)
     for store in _stores(rng, ["x", "y"], cond, 100):
         bound = 2

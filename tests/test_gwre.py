@@ -74,8 +74,7 @@ def test_equal_guard_loop_summary(fixture_text):
     res = summarize(fixture_text("equal_guard.imp"))
     (summary,) = res.summaries
     assert str(summary.guard) == "x=y"
-    assert isinstance(summary.pi_t, pl.FalseP)
-    assert summary.has_omega
+    assert isinstance(summary.phases[0].pi_t, pl.FalseP)
     assert str(summary.omega_condition) == "x=y"
     assert not summary.always_terminates
 
@@ -85,12 +84,63 @@ def test_multiphase_summaries(fixture_text):
     (s1,) = res1.summaries
     assert s1.always_terminates
     assert len(s1.phases) == 2
-    assert not s1.has_omega
+    assert isinstance(s1.omega_condition, pl.FalseP)
 
     res2 = summarize(fixture_text("multiphase2.imp"))
     (s2,) = res2.summaries
     assert s2.always_terminates
     assert len(s2.phases) == 3
+
+
+def test_summary_invariants_on_every_fixture(fixtures_dir):
+    checked = 0
+    for path in sorted(fixtures_dir.glob("*.imp")):
+        try:
+            res = summarize(path.read_text())
+        except (fe.ImpSyntaxError, gw.SummaryInconclusive):
+            continue
+        for s in res.summaries:
+            assert s.always_terminates == isinstance(s.omega_condition, pl.FalseP), path.name
+            if not s.always_terminates:
+                assert pl.satisfiable(pl.mk_and(s.guard, s.omega_condition)), path.name
+            # a T guard is also how a nondeterministic guard is kept
+            if not isinstance(s.guard, pl.TrueP):
+                assert s.phases, path.name
+            checked += 1
+    assert checked >= 10
+
+
+# Loops whose summary claims behaviour that concrete runs do not have: no
+# lower bound on the ranking function (A1-A3), a recurrent set that ignores
+# the guard (B), and a termination region that runs can leave (C).
+UNSOUND_SUMMARY_REPROS = {
+    "A1": "while (n != 2) { n = n - 1; }",
+    "A2": "while (n != y) { y = y - 2; }",
+    "A3": "while (y < n) { if (y <= n) { n = n + 2; } else { y = 1; } }",
+    "B": "if (x == 8) { y = 8; while (x == y) { y = 7; } }",
+    "C": "if (y >= -1) { while (y != 1) { y = -2; } }",
+}
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="loop summaries are not yet sound on these loops"
+)
+@pytest.mark.parametrize("name", sorted(UNSOUND_SUMMARY_REPROS))
+def test_verdict_agrees_with_concrete_runs(name):
+    source = (
+        "//@ ctl: AF(Exit(_))\nvoid main() {\n  int y = *;\n  int n = *;\n  int x = *;\n"
+        f"  {UNSOUND_SUMMARY_REPROS[name]}\n  return;\n}}\n"
+    )
+    found = verdict(source)
+    program = fe.build_cfg(fe.parse(source))
+    statuses = {
+        fe.run_cfg(program, "main", {}, random.Random(seed), max_steps=2000)[0]
+        for seed in range(64)
+    }
+    if found == "holds":
+        assert statuses == {"return"}
+    elif found == "violated":
+        assert "fuel" in statuses
 
 
 def test_inconclusive_loop_raises(fixture_text):
@@ -148,3 +198,23 @@ def test_simulate_replays_exact_draws(fixture_text):
     res = summarize(fixture_text("overview.imp"))
     sim = gw.simulate(res.phi, fuel=40, rng=random.Random(3))
     assert sim.store == {"y": 5, "i": 3, "x": -6}
+
+
+def test_loop_branch_through_an_omega_block_is_unknown():
+    # f never returns, so the loop body never comes back to its head; read
+    # up to f's omega block the branch would look like a countdown
+    source = """//@ ctl: AF(Exit(_))
+int f(int a) {
+  while (1) { }
+  return a;
+}
+void main() {
+  int x = *;
+  while (x > 0) {
+    x = x - 1;
+    x = f(x);
+  }
+  return;
+}
+"""
+    assert verdict(source) == "unknown"
