@@ -10,10 +10,10 @@ propositions, and loop analysis:
 * ``eval_term`` / ``eval_pure`` — concrete evaluation, drawing wildcards and
   unset variables from a caller's generator when one is given;
 * ``negate`` / ``satisfiable`` / ``entails`` — complementation and a sound
-  integer satisfiability check based on rational Fourier-Motzkin
-  elimination with integer tightening of strict bounds; ``state`` entails
-  ``goal`` when ``state`` conjoined with the complement of ``goal`` is
-  unsatisfiable;
+  integer satisfiability check: a lazy case split over the DNF whose
+  disjuncts are integer Fourier-Motzkin rows, strict bounds tightened for
+  integers; ``state`` entails ``goal`` when ``state`` conjoined with the
+  complement of ``goal`` is unsatisfiable;
 * ``candidate_rfs`` — candidate ranking functions read off a loop guard;
 * ``wp_delta`` — the per-iteration change of a ranking function across a
   loop body, split into a "strictly decreasing" and a "not decreasing"
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 
@@ -172,27 +171,33 @@ def lin_combine(a: Linear, b: Linear, k: int) -> Linear:
     return coeffs, a[1] + k * b[1]
 
 
-def linearize(t: Term) -> Linear | None:
+def linearize(t: Term, fresh: Callable[[], str] | None = None) -> Linear | None:
     """Express ``t`` as a linear combination (coeffs, constant).
 
-    Returns None if the term contains a wildcard.
+    With ``fresh``, each wildcard occurrence, left to right, becomes the
+    variable ``fresh()``; without it a wildcard makes the result None.
     """
-    if isinstance(t, Var):
-        return {t.name: 1}, 0
-    if isinstance(t, Const):
-        return {}, t.value
-    if isinstance(t, Wildcard):
-        return None
-    if isinstance(t, (Add, Sub)):
-        lhs = linearize(t.left)
-        rhs = linearize(t.right)
-        if lhs is None or rhs is None:
-            return None
-        return lin_combine(lhs, rhs, 1 if isinstance(t, Add) else -1)
-    if isinstance(t, Neg):
-        inner = linearize(t.operand)
-        return None if inner is None else lin_combine(({}, 0), inner, -1)
-    raise TypeError(f"not a term: {t!r}")
+    coeffs: dict[str, int] = {}
+    const = 0
+    stack = [(t, 1)]
+    while stack:
+        t, sign = stack.pop()
+        if isinstance(t, Var):
+            coeffs[t.name] = coeffs.get(t.name, 0) + sign
+        elif isinstance(t, Wildcard):
+            if fresh is None:
+                return None
+            stack.append((Var(fresh()), sign))
+        elif isinstance(t, Const):
+            const += sign * t.value
+        elif isinstance(t, (Add, Sub)):
+            stack.append((t.right, sign if isinstance(t, Add) else -sign))
+            stack.append((t.left, sign))
+        elif isinstance(t, Neg):
+            stack.append((t.operand, -sign))
+        else:
+            raise TypeError(f"not a term: {t!r}")
+    return {v: c for v, c in coeffs.items() if c}, const
 
 
 def term_of_linear(coeffs: dict[str, int], const: int) -> Term:
@@ -403,61 +408,32 @@ def simplify(pi: Pure) -> Pure:
 # Entailment via Fourier-Motzkin
 # ---------------------------------------------------------------------------
 
-# A "row" is a linear inequality  sum(coeffs) + const >= 0  with Fraction
-# coefficients.
+# A "row" is a linear form read as  coeffs·x + const >= 0.
 
 _ROW_LIMIT = 5000
 
+# (sign, tightening) of each row that  left op right  becomes
+_ROW_SHAPES = {GTEQ: [(1, 0)], LTEQ: [(-1, 0)], GT: [(1, 1)], LT: [(-1, 1)], EQ: [(1, 0), (-1, 0)]}
 
-def _dnf(pi: Pure) -> list[list[Bop]]:
-    """DNF as a list of conjunctions of comparisons, left to right.
 
-    Neq atoms split into strict < / > disjuncts.
+def _rows_of_bop(atom: Bop, named: int) -> tuple[list[Linear], int]:
+    """Comparison -> integer-tightened rows, and the wildcards named so far.
+
+    ``named`` wildcards of the disjunct precede ``atom``; the k-th becomes
+    the unconstrained variable ``__wk``.  The names matter: Fourier-Motzkin
+    eliminates variables in sorted-name order.
     """
-    if isinstance(pi, Or):
-        return _dnf(pi.left) + _dnf(pi.right)
-    if isinstance(pi, And):
-        right = _dnf(pi.right)
-        return [a + b for a in _dnf(pi.left) for b in right]
-    if isinstance(pi, TrueP):
-        return [[]]
-    if isinstance(pi, FalseP):
-        return []
-    if isinstance(pi, Bop):
-        if pi.op == NEQ:
-            return [[Bop(LT, pi.left, pi.right)], [Bop(GT, pi.left, pi.right)]]
-        return [[pi]]
-    raise TypeError(f"not a pure constraint: {pi!r}")
+    names = itertools.count(named + 1)
+    coeffs, const = linearize(Sub(atom.left, atom.right), lambda: f"__w{next(names)}")
+    rows = [
+        ({v: sign * c for v, c in coeffs.items()}, sign * const - tighten)
+        for sign, tighten in _ROW_SHAPES[atom.op]
+    ]
+    return rows, next(names) - 1
 
 
-def _rows_of_bop(atom: Bop, fresh: Callable[[], Term]) -> list[tuple[dict[str, Fraction], Fraction]]:
-    """Comparison -> rows of form coeffs·x + const >= 0 (integer tightened).
-
-    Each wildcard occurrence becomes a fresh unconstrained variable.
-    """
-    coeffs, const = lin_combine(
-        linearize(dewildcard(atom.left, fresh)), linearize(dewildcard(atom.right, fresh)), -1
-    )
-
-    def row(sign: int, tighten: int):
-        return {v: Fraction(sign * c) for v, c in coeffs.items()}, Fraction(sign * const - tighten)
-
-    if atom.op == GTEQ:
-        return [row(1, 0)]
-    if atom.op == LTEQ:
-        return [row(-1, 0)]
-    if atom.op == GT:
-        return [row(1, 1)]
-    if atom.op == LT:
-        return [row(-1, 1)]
-    if atom.op == EQ:
-        return [row(1, 0), row(-1, 0)]
-    raise ValueError(f"unexpected operator in row conversion: {atom.op}")
-
-
-def _fm_unsat(rows: list[tuple[dict[str, Fraction], Fraction]]) -> bool:
-    """Rational Fourier-Motzkin: True iff the row system has no solution."""
-    rows = [r for r in rows]
+def _fm_unsat(rows: list[Linear]) -> bool:
+    """Fourier-Motzkin: True iff the row system has no rational solution."""
     while True:
         pending = [r for r in rows if r[0]]
         if not pending:
@@ -467,17 +443,14 @@ def _fm_unsat(rows: list[tuple[dict[str, Fraction], Fraction]]) -> bool:
         var = sorted(pending[0][0])[0]
         pos = [r for r in rows if r[0].get(var, 0) > 0]
         neg = [r for r in rows if r[0].get(var, 0) < 0]
-        rest = [r for r in rows if var not in r[0]]
-        new_rows = list(rest)
+        new_rows = [r for r in rows if var not in r[0]]
         for pc, pk in pos:
             for nc, nk in neg:
-                a = pc[var]
-                b = -nc[var]
-                coeffs: dict[str, Fraction] = {}
+                # b·p + a·n cancels var (its coefficient comes out 0)
+                a, b = pc[var], -nc[var]
+                coeffs = {}
                 for v in set(pc) | set(nc):
-                    if v == var:
-                        continue
-                    c = b * pc.get(v, Fraction(0)) + a * nc.get(v, Fraction(0))
+                    c = b * pc.get(v, 0) + a * nc.get(v, 0)
                     if c:
                         coeffs[v] = c
                 new_rows.append((coeffs, b * pk + a * nk))
@@ -486,21 +459,47 @@ def _fm_unsat(rows: list[tuple[dict[str, Fraction], Fraction]]) -> bool:
         rows = new_rows
 
 
-def _conj_unsat(literals: list[Bop]) -> bool:
-    """Unsatisfiability of a conjunction of comparisons."""
-    # the names matter: Fourier-Motzkin eliminates variables in sorted-name order
-    wildcards = itertools.count(1)
-
-    def fresh() -> Term:
-        return Var(f"__w{next(wildcards)}")
-
-    return _fm_unsat([row for lit in literals for row in _rows_of_bop(lit, fresh)])
-
-
 def _unsat(pi: Pure) -> bool:
-    """The one decision behind ``satisfiable`` and ``entails``, so that
-    neither module global calls the other."""
-    return all(_conj_unsat(d) for d in _dnf(pi))
+    """True iff no disjunct of ``pi``'s DNF has satisfiable rows; the one
+    decision behind ``satisfiable`` and ``entails``, so that neither module
+    global calls the other.
+
+    A depth-first case split visits the disjuncts left to right (``!=``
+    reads as ``<`` then ``>``), drops a branch whose rows are already
+    unsatisfiable where it splits, and stops at the first satisfiable
+    disjunct.  A stack item is (formulas left to split as nested pairs,
+    rows so far, wildcards named so far).
+    """
+    stack: list[tuple[tuple | None, list[Linear], int]] = [((pi, None), [], 0)]
+    while stack:
+        todo, rows, named = stack.pop()
+        while todo is not None:
+            head, todo = todo
+            if isinstance(head, Or):
+                left, right = head.left, head.right
+            elif isinstance(head, Bop) and head.op == NEQ:
+                left, right = Bop(LT, head.left, head.right), Bop(GT, head.left, head.right)
+            elif isinstance(head, Bop):
+                new, named = _rows_of_bop(head, named)
+                rows += new
+                continue
+            elif isinstance(head, And):
+                todo = head.left, (head.right, todo)
+                continue
+            elif isinstance(head, TrueP):
+                continue
+            elif isinstance(head, FalseP):
+                break
+            else:
+                raise TypeError(f"not a pure constraint: {head!r}")
+            if rows and _fm_unsat(rows):
+                break
+            stack.append(((right, todo), list(rows), named))
+            todo = left, todo
+        else:
+            if not _fm_unsat(rows):
+                return False
+    return True
 
 
 def satisfiable(pi: Pure) -> bool:

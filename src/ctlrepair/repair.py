@@ -695,6 +695,14 @@ def _estimated_cost(cand: _Candidate) -> int:
     return sum(map(len, _pair_updates(cand)))
 
 
+def _within_caps(deltas: tuple, config: RepairConfig) -> bool:
+    """A whole patch deletes at most ``max_delete`` families and adds at most
+    ``max_add`` facts; an update is one of each."""
+    deletes = sum(not isinstance(d, AddFact) for d in deltas)
+    adds = sum(not isinstance(d, DeleteFact) for d in deltas)
+    return deletes <= config.max_delete and adds <= config.max_add
+
+
 def _search(analysis: Analysis, config: RepairConfig, depth: int, stats):
     candidates: list[_Candidate] = []
     constraints: dict = {}
@@ -744,8 +752,11 @@ def _search(analysis: Analysis, config: RepairConfig, depth: int, stats):
         elif depth > 1 and recursed < _MAX_RECURSED:
             recursed += 1
             sub_patches, _ = _search(sub_analysis, config, depth - 1, stats)
-            if sub_patches:
-                best = rank_patches(sub_patches)[0]
+            best = next(
+                (p for p in rank_patches(sub_patches) if _within_caps(deltas + p.deltas, config)),
+                None,
+            )
+            if best is not None:
                 patches.append(
                     Patch(
                         deltas + best.deltas,

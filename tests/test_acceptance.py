@@ -847,8 +847,8 @@ def test_criterion_9_nonterminating_disjuncts_never_exit_early():
 # ===========================================================================
 
 
-def _straight(n: int) -> str:
-    return "//@ ctl: AF(Exit(_))\nvoid main() {\n  int x = 0;\n" + "  x = x + 1;\n" * n + "  return;\n}\n"
+def _straight(n: int, ctl: str = "AF(Exit(_))") -> str:
+    return f"//@ ctl: {ctl}\nvoid main() {{\n  int x = 0;\n" + "  x = x + 1;\n" * n + "  return;\n}\n"
 
 
 @pytest.mark.parametrize("n, budget", [(200, 1.5), (300, 3.0), (500, 8.0)])
@@ -861,6 +861,15 @@ def test_straight_line_200_analyze_within_budget(n, budget):
     analysis = rp.analyze(_straight(n))
     assert analysis.unknown is None
     assert analysis.holds
+    watch.check()
+
+
+def test_straight_line_2000_ag_verifies_within_budget():
+    # every entailment reads the store term 0+1+...+1, one level per
+    # update; linearizing it and splitting the constraint into cases use
+    # explicit stacks, so neither recurses once per statement
+    watch = Stopwatch(8.0)
+    assert verdict(_straight(2000, "AG(x >= 0)")) == "holds"
     watch.check()
 
 

@@ -1,27 +1,30 @@
+import functools
 import random
+import time
 
 import pytest
 
 from ctlrepair import pure_logic as pl
 
 
-def _rand_term(rng, names, depth=2):
+def _rand_term(rng, names, depth=2, wild=False):
     pick = rng.randrange(4 if depth > 0 else 2)
+    if wild and pick < 2 and rng.random() < 0.3:
+        return pl.Wildcard()
     if pick == 0:
         return pl.Var(rng.choice(names))
     if pick == 1:
         return pl.Const(rng.randint(-3, 3))
-    if pick == 2:
-        return pl.Add(_rand_term(rng, names, depth - 1), _rand_term(rng, names, depth - 1))
-    return pl.Sub(_rand_term(rng, names, depth - 1), _rand_term(rng, names, depth - 1))
+    ctor = pl.Add if pick == 2 else pl.Sub
+    return ctor(_rand_term(rng, names, depth - 1, wild), _rand_term(rng, names, depth - 1, wild))
 
 
-def _rand_pure(rng, names, depth=2):
+def _rand_pure(rng, names, depth=2, wild=False):
     if depth == 0 or rng.random() < 0.5:
         op = rng.choice([pl.GT, pl.LT, pl.GTEQ, pl.LTEQ, pl.EQ, pl.NEQ])
-        return pl.Bop(op, _rand_term(rng, names, 1), _rand_term(rng, names, 1))
+        return pl.Bop(op, _rand_term(rng, names, 1, wild), _rand_term(rng, names, 1, wild))
     ctor = pl.mk_and if rng.random() < 0.5 else pl.mk_or
-    return ctor(_rand_pure(rng, names, depth - 1), _rand_pure(rng, names, depth - 1))
+    return ctor(_rand_pure(rng, names, depth - 1, wild), _rand_pure(rng, names, depth - 1, wild))
 
 
 NAMES = ["x", "y"]
@@ -97,6 +100,63 @@ def test_entails_treats_each_wildcard_as_its_own_value():
     assert not pl.entails(pl.TRUE, pl.Bop(pl.EQ, pl.Sub(w, w), zero))
     assert pl.entails(pl.TRUE, pl.Bop(pl.EQ, pl.Sub(x, x), zero))
     assert not pl.entails(pl.Bop(pl.GT, x, w), pl.Bop(pl.GT, x, zero))
+
+
+def _split_signs(n):
+    # n conjoined  x_i > 0 \/ x_i < 0 : a DNF of 2^n disjuncts
+    zero = pl.Const(0)
+    return functools.reduce(
+        pl.mk_and,
+        (pl.Or(pl.Bop(pl.GT, pl.Var(f"x{i}"), zero), pl.Bop(pl.LT, pl.Var(f"x{i}"), zero)) for i in range(n)),
+    )
+
+
+def test_case_split_stops_at_first_model_and_prunes_conflicts():
+    y, zero = pl.Var("y"), pl.Const(0)
+    signs = _split_signs(18)
+    contradiction = pl.mk_and(pl.Bop(pl.GT, y, zero), pl.Bop(pl.LT, y, zero))
+    start = time.monotonic()
+    assert pl.satisfiable(signs)
+    assert pl.entails(pl.mk_and(contradiction, signs), pl.FALSE)
+    # expanding all 2^18 disjuncts up front takes 0.45 s and 32.5 s on a 2-CPU VM
+    assert time.monotonic() - start < 1.0
+
+
+def _ref_dnf(pi):
+    """The DNF as conjunctions of comparisons, left to right; != splits."""
+    if isinstance(pi, pl.Or):
+        return _ref_dnf(pi.left) + _ref_dnf(pi.right)
+    if isinstance(pi, pl.And):
+        right = _ref_dnf(pi.right)
+        return [a + b for a in _ref_dnf(pi.left) for b in right]
+    if isinstance(pi, (pl.TrueP, pl.FalseP)):
+        return [[]] if isinstance(pi, pl.TrueP) else []
+    if pi.op == pl.NEQ:
+        return [[pl.Bop(pl.LT, pi.left, pi.right)], [pl.Bop(pl.GT, pi.left, pi.right)]]
+    return [[pi]]
+
+
+def _ref_satisfiable(pi):
+    for disjunct in _ref_dnf(pi):
+        rows, named = [], 0
+        for atom in disjunct:
+            new, named = pl._rows_of_bop(atom, named)
+            rows += new
+        if not pl._fm_unsat(rows):
+            return True
+    return False
+
+
+def test_satisfiable_matches_whole_dnf_reference():
+    # the case split must answer exactly as deciding every DNF disjunct
+    # on its own rows, wildcards and all
+    rng = random.Random(7)
+    answers = []
+    for _ in range(300):
+        pi = _rand_pure(rng, NAMES, depth=3, wild=True)
+        answers.append(pl.satisfiable(pi))
+        assert answers[-1] == _ref_satisfiable(pi), pi
+    assert min(answers.count(False), answers.count(True)) >= 10  # both answers occur
 
 
 def test_eval_term_with_and_without_draw():

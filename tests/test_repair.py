@@ -121,6 +121,21 @@ def test_max_delete_caps_deleted_families(fixture_text, max_delete, most):
     assert max(map(_families_deleted, result.patches)) == most
 
 
+def _facts_added(patch: rp.Patch) -> int:
+    return sum(isinstance(d, (rp.AddFact, rp.UpdateFact)) for d in patch.deltas)
+
+
+def test_caps_bound_the_whole_patch_across_rounds(fixture_text):
+    # a depth-2 patch is one round plus the best sub-patch that keeps the
+    # totals within both caps, so neither cap holds only per round
+    config = rp.RepairConfig(depth=2, max_delete=1, max_add=1)
+    result = rp.repair_loop(fixture_text("infinite.imp"), config)
+    assert result.verdict == "Repaired"
+    assert any(p.iterations == 2 for p in result.patches)
+    for patch in result.patches:
+        assert _families_deleted(patch) <= 1 and _facts_added(patch) <= 1
+
+
 def test_every_patch_source_verifies(fixture_text):
     result = rp.repair_loop(fixture_text("overview.imp"), rp.RepairConfig())
     assert result.verdict == "Repaired"
