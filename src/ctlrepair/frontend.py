@@ -553,7 +553,8 @@ class Procedure:
     entry: int
     nodes: dict[int, CfgNode] = field(default_factory=dict)
     trans: dict[int, list[int]] = field(default_factory=dict)
-    # source info: node id -> span; while-Join id -> body insertion offset
+    # source info: node id -> span; the Join of each while whose body comes
+    # back to it -> body insertion offset (these Joins are the CFG's loops)
     spans: dict[int, Span] = field(default_factory=dict)
     loop_insert: dict[int, int] = field(default_factory=dict)
 
@@ -645,7 +646,6 @@ class _CfgBuilder:
             return then_tails + else_tails
         if isinstance(stmt, WhileStmt):
             join = self.new(Join, stmt.span)
-            self.proc.loop_insert[join] = stmt.body_end
             link(join)
             p_true, p_false = self.prune_pair(stmt.cond, stmt.span)
             self.edge(join, p_true)
@@ -653,6 +653,8 @@ class _CfgBuilder:
             body_tails = self.lower_block(stmt.body, [p_true], loop_breaks)
             for t in body_tails:
                 self.edge(t, join)  # back edge
+            if body_tails:  # a body that always returns or breaks never loops
+                self.proc.loop_insert[join] = stmt.body_end
             self.edge(join, p_false)
             # break statements jump past the loop, joining the false branch exit
             preds_after = [p_false] + loop_breaks

@@ -529,6 +529,14 @@ def _term_region(phases: list[PhaseInfo], pi_res: pl.Pure) -> pl.Pure:
     return prune_conjuncts(pl.negate(pi_res))
 
 
+def _closed(pre: pl.Pure, post: pl.Pure, clean_ga) -> bool:
+    """Whether every clean branch taken from ``pre`` ends in ``post``."""
+    return all(
+        pl.entails(pl.mk_and(pre, guard), pl.subst_pure(post, pl.branch_substitution(assigns)))
+        for guard, assigns in clean_ga
+    )
+
+
 _PHASE_BOUND = 4
 
 
@@ -577,7 +585,7 @@ class _Builder:
                 tail = Omega(Ev(s=nid, rels=(pl.Rel("Exit", args),)))
                 break
             if isinstance(node, fe.Join):
-                if self.is_loop(proc, nid, stop):
+                if nid in proc.loop_insert:
                     tail = self.summarize(proc, nid, stop)
                 else:
                     branches = [self.walk(proc, s, stop) for s in succs]
@@ -598,27 +606,6 @@ class _Builder:
                 break
             nid = succs[0]
         return seq(*run, tail)
-
-    def is_loop(self, proc: fe.Procedure, join: int, stop: int | None = None) -> bool:
-        return any(self._reaches(proc, s, join, stop) for s in proc.trans[join])
-
-    def _reaches(
-        self, proc: fe.Procedure, start: int, goal: int, stop: int | None = None
-    ) -> bool:
-        """Reachability that does not travel through ``stop`` (the join of an
-        enclosing loop): a nested loop's exit must not count as cyclic just
-        because the outer loop leads back around."""
-        seen = set()
-        work = [start]
-        while work:
-            n = work.pop()
-            if n == goal:
-                return True
-            if n in seen or n == stop:
-                continue
-            seen.add(n)
-            work.extend(proc.trans[n])
-        return False
 
     # -- interprocedural inlining -------------------------------------------
 
@@ -709,25 +696,12 @@ class _Builder:
     # -- loop summarization ---------------------------------------------------
 
     def summarize(self, proc: fe.Procedure, join: int, stop: int | None) -> Re:
-        succs = proc.trans[join]
-        cyclic = [s for s in succs if self._reaches(proc, s, join, stop)]
-        exits = [s for s in succs if s not in cyclic]
-        if len(cyclic) != 1 or len(succs) > 2:
-            raise UnsupportedProgram(f"irreducible loop at node {join}")
-        p_cycle = proc.nodes[cyclic[0]]
-        assert isinstance(p_cycle, fe.Prune)
-        nondet = p_cycle.nondet
-        pi_g = pl.TRUE if nondet else p_cycle.pi
-
-        if exits:
-            p_exit = proc.nodes[exits[0]]
-            assert isinstance(p_exit, fe.Prune)
-            rest_start = proc.trans[exits[0]]
-            phi_rest = self.walk(proc, rest_start[0], stop) if rest_start else EPS
-        else:
-            phi_rest = EPS
-
-        phi_cycle = self.walk(proc, proc.trans[cyclic[0]][0], join)
+        # the lowering links a loop's Join to its body's Prune, then its exit's
+        p_true, p_false = proc.trans[join]
+        nondet = proc.nodes[p_true].nondet
+        pi_g = pl.TRUE if nondet else proc.nodes[p_true].pi
+        phi_rest = self.walk(proc, proc.trans[p_false][0], stop)
+        phi_cycle = self.walk(proc, proc.trans[p_true][0], join)
 
         # Hoist per-iteration havoc events of loop-constant variables out of
         # the cycle: they behave as symbols fixed for the whole loop.
@@ -735,7 +709,6 @@ class _Builder:
 
         branches = _paths(phi_cycle)
         clean = [b[:-1] for b in branches if b and isinstance(b[-1], ContinueMark)]
-        clean += [[] for b in branches if not b]
         leaks = [b for b in branches if b and not isinstance(b[-1], ContinueMark)]
 
         # an inlined callee may run forever, so a body path may never come back
@@ -893,22 +866,10 @@ class _Builder:
             pi_res = pl.mk_and(pi_res, pi_nt)
             if not pl.satisfiable(pl.mk_and(pi_g, pi_res)):
                 return phases, pl.FALSE
-            if self._inductive(pi_res, pi_g, clean_ga):
+            if _closed(pl.mk_and(pi_g, pi_res), pi_res, clean_ga):
                 return phases, prune_conjuncts(pi_res)
             cands = pl.candidate_rfs(pi_nt)
         return None
-
-    @staticmethod
-    def _inductive(pi_res, pi_g, clean_ga) -> bool:
-        if isinstance(pi_res, pl.TrueP):
-            return True
-        for guard, assigns in clean_ga:
-            env = pl.branch_substitution(assigns)
-            post = pl.subst_pure(pi_res, env)
-            pre = pl.mk_and(pl.mk_and(pi_g, pi_res), guard)
-            if not pl.entails(pre, post):
-                return False
-        return True
 
     def _exit_event(self, join, proc, pi_g, clean_ga, phases) -> Ev:
         """The state change of running the loop to guard-exit."""

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from ctlrepair import frontend as fe
+from ctlrepair import gwre as gw
 from ctlrepair import pure_logic as pl
 
 from conftest import FIXTURES
@@ -45,6 +46,45 @@ def test_cfg_well_formed(name, fixture_text):
         for join, offset in proc.loop_insert.items():
             assert isinstance(proc.nodes[join], fe.Join)
             assert 0 <= offset <= len(program.ast.source)
+
+
+LOOPS = """void main() {
+  int c = *;
+  int n = *;
+  while (c > 0) { return; }
+  while (n > 0) { if (n > 5) { break; } n = n - 1; }
+  while (n < 0) { while (c > 0) { c = c - 1; } n = n + 1; }
+  return;
+}
+"""
+
+
+def _summarized_joins(program: fe.Program) -> set[int]:
+    return {s.join for s in gw.cfg_to_gwre(program).summaries}
+
+
+def test_loop_insert_names_exactly_the_summarized_loops():
+    program = fe.build_cfg(fe.parse(LOOPS))
+    proc = program.procedures["main"]
+    # the first while's body always returns, so it has no back edge
+    (first_while,) = [
+        n for n, node in proc.nodes.items()
+        if isinstance(node, fe.Join) and proc.spans[n].start == LOOPS.index("while")
+    ]
+    assert first_while not in proc.loop_insert
+    assert len(proc.loop_insert) == 3
+    assert set(proc.loop_insert) == _summarized_joins(program)
+
+
+@pytest.mark.parametrize("name", PARSEABLE)
+def test_loop_insert_matches_summaries_on_fixtures(name, fixture_text):
+    program = fe.build_cfg(fe.parse(fixture_text(name)))
+    loops = {j for proc in program.procedures.values() for j in proc.loop_insert}
+    try:
+        assert loops == _summarized_joins(program)
+    except gw.SummaryInconclusive:
+        # the summarizer stops at the loop it cannot summarize
+        assert loops
 
 
 def test_run_cfg_computes_store():
