@@ -23,9 +23,15 @@ leaking branch (``break``, ``return``, an inner loop that never comes back)
 runs once.  D2 and D3 rest on one phase chain (``_phase_chain``): each
 phase is a ranking candidate splitting the states still in the loop into
 ``pi_t`` (it drops) and ``pi_nt`` (it does not), until ``pi_res``, what the
-phases leave in the loop, is F (the loop always terminates) or inductive.
+phases leave in the loop, is F (the loop always terminates) or recurrent.
 A T or nondeterministic guard needs no chain; without one, the body
 repeats in an omega block.
+
+Every region is checked against the clean branches, the body paths that
+come back to the loop head.  Each rf is bounded (``rf >= 0``) where a clean
+branch runs in its ``pi_t``, and ``_closed`` shows that no clean branch
+leaves D2's region but through the guard, and that none leaves D3's region
+or the guard.
 """
 
 from __future__ import annotations
@@ -432,16 +438,16 @@ class GwreResult:
     entry_state: int
 
 
+def _disjuncts(pi: pl.Pure) -> list[pl.Pure]:
+    if isinstance(pi, pl.Or):
+        return _disjuncts(pi.left) + _disjuncts(pi.right)
+    return [pi]
+
+
 def _prune_disjuncts(pi: pl.Pure) -> pl.Pure:
     """Drop disjuncts subsumed by another one (e.g. two spellings of the
     same comparison), so guards stay encodable as single comparisons."""
-
-    def flat(p: pl.Pure) -> list[pl.Pure]:
-        if isinstance(p, pl.Or):
-            return flat(p.left) + flat(p.right)
-        return [p]
-
-    ds = flat(pi)
+    ds = _disjuncts(pi)
     if len(ds) == 1:
         return pi
     kept: list[pl.Pure] = []
@@ -454,8 +460,10 @@ def _prune_disjuncts(pi: pl.Pure) -> pl.Pure:
     return reduce(pl.mk_or, kept, pl.FALSE)
 
 
-def prune_conjuncts(pi: pl.Pure) -> pl.Pure:
-    """Drop conjuncts entailed by the remaining ones (guard cosmetics)."""
+def prune_conjuncts(pi: pl.Pure, drop_refuted: bool = False) -> pl.Pure:
+    """Drop conjuncts entailed by the remaining ones (guard cosmetics) and,
+    with ``drop_refuted``, a conjunct's disjuncts that the remaining ones
+    refute, so the encoder never reads an ``A /\\ ~A`` branch."""
     pi = pl.simplify(pi)
     if isinstance(pi, pl.FalseP):
         return pl.FALSE
@@ -465,8 +473,17 @@ def prune_conjuncts(pi: pl.Pure) -> pl.Pure:
         changed = False
         for i, c in enumerate(cs):
             rest = cs[:i] + cs[i + 1 :]
-            if pl.entails(reduce(pl.mk_and, rest, pl.TRUE), c):
+            others = reduce(pl.mk_and, rest, pl.TRUE)
+            if pl.entails(others, c):
                 cs = rest
+                changed = True
+                break
+            if not drop_refuted:
+                continue
+            ds = _disjuncts(c)
+            kept = [d for d in ds if pl.satisfiable(pl.mk_and(others, d))]
+            if kept and len(kept) < len(ds):
+                cs[i] = reduce(pl.mk_or, kept, pl.FALSE)
                 changed = True
                 break
     return reduce(pl.mk_and, cs, pl.TRUE)
@@ -715,6 +732,8 @@ class _Builder:
         if any(isinstance(seg, Omega) for b in clean for seg in b):
             raise SummaryInconclusive(f"a branch of the loop at node {join} may never return")
         clean_ga = [_branch_guard_assigns(b) for b in clean]
+        enabled = reduce(pl.mk_or, (guard for guard, _ in clean_ga), pl.FALSE)
+        assigned = list(dict.fromkeys(v for _, assigns in clean_ga for v, _ in assigns))
 
         disjuncts: list[Re] = []
 
@@ -726,22 +745,27 @@ class _Builder:
         if not isinstance(not_g, pl.FalseP):
             disjuncts.append(seq(guard_seg(not_g), phi_rest))
 
-        chosen = None if nondet else self._find_ranking(pi_g, clean_ga, leaks)
+        chosen = None if nondet else self._find_ranking(pi_g, clean_ga, enabled, leaks)
         guard_is_true = isinstance(pi_g, pl.TrueP)
 
         if chosen is not None:
-            phases, pi_res = chosen
+            phases, pi_res, term = chosen
             always_terminates = isinstance(pi_res, pl.FalseP)
             omega_condition = pl.FALSE
-            # D2: the loop is entered and terminates through the guard.
+            # D2: the loop is entered and terminates through the guard, no
+            # leak firing on the way when every variable moves by a fixed
+            # step; without one, D2 may hold states where a leak fires.
             if not guard_is_true:
-                d2_guard = prune_conjuncts(pl.mk_and(pi_g, _term_region(phases, pi_res)))
+                rf = phases[0].rf
+                steps = _exact_steps(pi_g, term, clean_ga, phases, assigned)
+                region = pl.mk_and(term, _no_leak(enabled, leaks, rf, steps))
+                d2_guard = prune_conjuncts(pl.mk_and(pi_g, region))
                 if not isinstance(d2_guard, pl.FalseP) and pl.satisfiable(d2_guard):
-                    exit_ev = self._exit_event(join, proc, pi_g, clean_ga, phases)
+                    exit_ev = self._exit_event(join, proc, pi_g, assigned, rf, steps)
                     disjuncts.append(seq(guard_seg(d2_guard), exit_ev, phi_rest))
             # D3: the loop is entered and repeats forever.
             if not always_terminates:
-                omega_condition = prune_conjuncts(pl.mk_and(pi_g, pi_res))
+                omega_condition = prune_conjuncts(pl.mk_and(pi_g, pi_res), drop_refuted=True)
                 w = self.cached_event(join, "loop-event", proc.name)
                 body = Ev(s=w, constraint=pretty_nonneg(phases[0].rf))
                 disjuncts.append(seq(guard_seg(omega_condition), Omega(body)))
@@ -817,9 +841,11 @@ class _Builder:
             return [], phi_cycle
         return hoisted, seq(*kept, remainder)
 
-    def _find_ranking(self, pi_g, clean_ga, leaks):
-        """The phase chain of the first candidate whose chain is conclusive
-        and whose first phase can run, else of the first conclusive one."""
+    def _find_ranking(self, pi_g, clean_ga, enabled, leaks):
+        """The phase chain, ``pi_res`` and D2 region of the first candidate
+        whose chain is conclusive and whose first phase can run, else of the
+        first conclusive one.  A chain is conclusive if no clean branch
+        leaves its D2 region but through the guard."""
         candidates = pl.candidate_rfs(pi_g)
         for guard, _ in clean_ga:
             candidates += pl.candidate_rfs(guard)
@@ -830,23 +856,28 @@ class _Builder:
 
         fallback = None
         for rf in dict.fromkeys(candidates):
-            chain = self._phase_chain([rf], pi_g, clean_ga)
+            chain = self._phase_chain([rf], pi_g, clean_ga, enabled)
             if chain is None:
                 continue
-            phases, _ = chain
+            phases, pi_res = chain
+            term = _term_region(phases, pi_res)
+            if not _closed(pl.mk_and(pi_g, term), pl.mk_or(pl.negate(pi_g), term), clean_ga):
+                continue
+            chain = phases, pi_res, term
             if pl.satisfiable(pl.mk_and(pi_g, phases[0].pi_t)):
                 return chain
             if fallback is None:
                 fallback = chain
         return fallback
 
-    def _phase_chain(self, cands, pi_g, clean_ga):
+    def _phase_chain(self, cands, pi_g, clean_ga, enabled):
         """A multiphase termination argument: each round adds the first
         candidate that splits the guarded ``pi_res`` into ``pi_t`` and
-        ``pi_nt`` (a later phase's ``pi_t`` reachable) and narrows ``pi_res``
-        by ``pi_nt``, whose candidates the next round tries.  Returns
-        (phases, F) once no run stays, (phases, pi_res) once ``pi_res`` is
-        inductive, else None."""
+        ``pi_nt`` (a later phase's ``pi_t`` reachable, and ``rf >= 0``
+        wherever a clean branch is ``enabled`` in ``pi_t``) and narrows
+        ``pi_res`` by ``pi_nt``, whose candidates the next round tries.  Returns
+        (phases, F) once no run stays, (phases, pi_res) once the guarded
+        ``pi_res`` is recurrent (no clean branch leaves it), else None."""
         phases: list[PhaseInfo] = []
         pi_res: pl.Pure = pl.TRUE
         for _ in range(_PHASE_BOUND):
@@ -859,6 +890,9 @@ class _Builder:
                     continue
                 if phases and not pl.satisfiable(pl.mk_and(region, pi_t)):
                     continue
+                bounded = pl.Bop(pl.GTEQ, rf, pl.Const(0))
+                if not pl.entails(pl.mk_and(pl.mk_and(region, pi_t), enabled), bounded):
+                    continue
                 break
             else:
                 return None
@@ -866,47 +900,81 @@ class _Builder:
             pi_res = pl.mk_and(pi_res, pi_nt)
             if not pl.satisfiable(pl.mk_and(pi_g, pi_res)):
                 return phases, pl.FALSE
-            if _closed(pl.mk_and(pi_g, pi_res), pi_res, clean_ga):
+            region = pl.mk_and(pi_g, pi_res)
+            if _closed(region, region, clean_ga):
                 return phases, prune_conjuncts(pi_res)
             cands = pl.candidate_rfs(pi_nt)
         return None
 
-    def _exit_event(self, join, proc, pi_g, clean_ga, phases) -> Ev:
-        """The state change of running the loop to guard-exit."""
+    def _exit_event(self, join, proc, pi_g, assigned, rf, steps) -> Ev:
+        """The state change of running the loop to guard-exit: exact after
+        ``rf + 1`` iterations when every variable moves by a fixed step."""
         sid = self.cached_event(join, "exit-event", proc.name)
-        assigned = list(dict.fromkeys(v for _, assigns in clean_ga for v, _ in assigns))
-        exact = self._exact_updates(clean_ga, phases) if assigned else []
-        assigns = _order_assignments(exact) if exact else [(v, pl.Wildcard()) for v in assigned]
+        if steps:
+            assigns = _order_assignments(list(_after(rf, steps, 1).items()))
+        else:
+            assigns = [(v, pl.Wildcard()) for v in assigned]
         return Ev(s=sid, assigns=tuple(assigns), constraint=pl.negate(pi_g))
 
-    @staticmethod
-    def _exact_updates(clean_ga, phases):
-        """v := v + c_v * (rf + 1) when the one phase's rf steps down by one
-        on every branch."""
-        if len(phases) != 1:
-            return []
-        rf = phases[0].rf
-        incs: dict[str, int] = {}
-        for guard, assigns in clean_ga:
-            delta = pl._delta_of_branch(rf, assigns)
-            if delta is None or delta[0] or delta[1] != 1:
-                return []
-            env = pl.branch_substitution(assigns)
-            for v in dict.fromkeys(a for a, _ in assigns):
-                lin = pl.linearize(env[v])
-                if lin is None or lin[0] != {v: 1}:
-                    return []
-                c = lin[1]
-                if v in incs and incs[v] != c:
-                    return []
-                incs[v] = c
-        rf_lin = pl.linearize(rf)
-        if rf_lin is None:
-            return []
-        return [
-            (v, pl.term_of_linear(*pl.lin_combine(({v: 1}, c), rf_lin, c)))
-            for v, c in incs.items()
-        ]
+
+def _exact_steps(pi_g, term, clean_ga, phases, assigned) -> dict[str, int] | None:
+    """Each ``assigned`` variable's step per iteration, when the one phase's
+    rf steps down by one on every branch, every branch moves every assigned
+    variable ``v`` to ``v + c_v`` with the same ``c_v``, and the guard holds
+    from ``term`` up to iteration ``rf``, so a run exits after exactly
+    ``rf + 1`` iterations; else None."""
+    if len(phases) != 1:
+        return None
+    rf = phases[0].rf
+    steps: dict[str, int] = {}
+    for _, assigns in clean_ga:
+        delta = pl._delta_of_branch(rf, assigns)
+        if delta is None or delta[0] or delta[1] != 1:
+            return None
+        env = pl.branch_substitution(assigns)
+        for v in assigned:
+            lin = pl.linearize(env.get(v, pl.Var(v)))
+            if lin is None or lin[0] != {v: 1} or steps.setdefault(v, lin[1]) != lin[1]:
+                return None
+    last = _after(rf, steps, 0)
+    if not pl.entails(pl.mk_and(pi_g, term), _throughout(pi_g, last)):
+        return None
+    return steps
+
+
+def _after(rf: pl.Term, steps: dict[str, int], k: int) -> dict[str, pl.Term]:
+    """The store after ``rf + k`` iterations: ``v + c_v * (rf + k)``."""
+    rf_lin = pl.linearize(rf)
+    return {
+        v: pl.term_of_linear(*pl.lin_combine(({v: 1}, c * k), rf_lin, c))
+        for v, c in steps.items()
+    }
+
+
+def _throughout(pi: pl.Pure, last: dict[str, pl.Term]) -> pl.Pure:
+    """A condition under which ``pi`` holds on every store from the entry to
+    ``last`` when each variable moves linearly between them: a comparison
+    holds at both ends, with ``!=`` on the same side at both."""
+    if isinstance(pi, (pl.And, pl.Or)):
+        join = pl.mk_and if isinstance(pi, pl.And) else pl.mk_or
+        return join(_throughout(pi.left, last), _throughout(pi.right, last))
+    if not isinstance(pi, pl.Bop):
+        return pi
+    if pi.op != pl.NEQ:
+        return pl.mk_and(pi, pl.subst_pure(pi, last))
+    sides = (pl.Bop(op, pi.left, pi.right) for op in (pl.LT, pl.GT))
+    return pl.mk_or(*(pl.mk_and(side, pl.subst_pure(side, last)) for side in sides))
+
+
+def _no_leak(enabled: pl.Pure, leaks, rf: pl.Term, steps: dict[str, int] | None) -> pl.Pure:
+    """Where a run moving by ``steps`` can take a clean branch on every
+    iteration ``i = 0 .. rf`` (one clean guard ``_throughout``), as a run
+    that no leak ends must; in a body without ``*``, where no leak's guard
+    holds on the way.  T without leaks or without exact steps (a branch
+    guard that reads a wildcard has none: the wildcard was assigned)."""
+    if not leaks or not steps:
+        return pl.TRUE
+    return _throughout(enabled, _after(rf, steps, 0))
 
 
 def _order_assignments(assigns: list[tuple[str, pl.Term]]):

@@ -1,0 +1,135 @@
+"""Random-program oracle: no `Verified` for AF(Exit(_)) may have a run that
+does not exit.
+
+Each seed gives one program over `int x = *; int y = *; int z = *;` made of
+assignments and `if`/`while` statements nested to depth 2, then `return;`,
+under `AF(Exit(_))`.  The program's verdict (`repair.analyze`, what
+`ctlrepair verify` runs) is checked against sampled concrete runs
+(`frontend.run_cfg`, wildcards drawn from a seeded generator): a `Verified`
+program with a run that runs out of fuel is a wrong `Verified`.  A
+`Violated` or `Unknown` program is never wrong here, since a divergent run
+may lie outside the sample.
+
+    PYTHONPATH=src python tests/oracle_programs.py --programs 2000
+
+prints the verdict counts against the concrete runs, every wrong `Verified`
+with its seed and source, and exits 1 if there is one.
+"""
+
+from __future__ import annotations
+
+import argparse
+import random
+import signal
+import sys
+from collections import Counter
+
+from ctlrepair import frontend as fe
+from ctlrepair import repair as rp
+
+VARS = ("x", "y", "z")
+OPS = ("<", "<=", ">", ">=", "==", "!=")
+RUNS = 16
+FUEL = 2_000
+TIMEOUT_S = 10.0
+FIRST_SEED = 1000
+
+
+def _cond(rng: random.Random) -> str:
+    v = rng.choice(VARS)
+    other = rng.choice([w for w in VARS if w != v] + [str(rng.randint(-3, 3))] * 2)
+    return f"{v} {rng.choice(OPS)} {other}"
+
+
+def _assign(rng: random.Random) -> str:
+    v, w = rng.sample(VARS, 2)
+    rhs = rng.choice(
+        [f"{v} + {rng.choice([1, 2])}", f"{v} - {rng.choice([1, 2])}", w,
+         str(rng.randint(-3, 3)), "*", f"{v} + {w}", f"{v} - {w}"]
+    )
+    return f"{v} = {rhs};"
+
+
+def _block(rng: random.Random, depth: int, indent: str) -> list[str]:
+    lines: list[str] = []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(["assign", "assign", "if", "while"]) if depth < 2 else "assign"
+        if kind == "assign":
+            lines.append(indent + _assign(rng))
+            continue
+        head = f"{kind} ({_cond(rng)}) {{"
+        lines.append(indent + head)
+        lines += _block(rng, depth + 1, indent + "  ")
+        if kind == "if" and rng.random() < 0.5:
+            lines.append(indent + "} else {")
+            lines += _block(rng, depth + 1, indent + "  ")
+        lines.append(indent + "}")
+    return lines
+
+
+def program(seed: int) -> str:
+    """The generated program of ``seed``."""
+    rng = random.Random(seed)
+    body = ["  int x = *;", "  int y = *;", "  int z = *;"] + _block(rng, 0, "  ")
+    return "\n".join(["//@ ctl: AF(Exit(_))", "void main() {", *body, "  return;", "}", ""])
+
+
+def _timeout(signum, frame):
+    raise TimeoutError
+
+
+def verdict(source: str) -> str:
+    """`holds`, `violated`, `unknown` or `timeout`."""
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.setitimer(signal.ITIMER_REAL, TIMEOUT_S)
+    try:
+        analysis = rp.analyze(source)
+    except TimeoutError:
+        return "timeout"
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    if analysis.unknown:
+        return "unknown"
+    return "holds" if analysis.holds else "violated"
+
+
+def diverges(source: str, seed: int) -> bool:
+    """Whether one of ``RUNS`` sampled runs does not exit within ``FUEL``."""
+    cfg = fe.build_cfg(fe.parse(source))
+    return any(
+        fe.run_cfg(cfg, "main", {}, random.Random(f"{seed}/{r}"), max_steps=FUEL)[0] == "fuel"
+        for r in range(RUNS)
+    )
+
+
+def check(seeds) -> tuple[Counter, list[int]]:
+    """Counts of (verdict, some run diverges) and the seeds whose
+    `Verified` has a run that does not exit."""
+    counts: Counter = Counter()
+    wrong: list[int] = []
+    for seed in seeds:
+        source = program(seed)
+        found, bad = verdict(source), diverges(source, seed)
+        counts[found, bad] += 1
+        if found == "holds" and bad:
+            wrong.append(seed)
+    return counts, wrong
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--programs", type=int, default=200)
+    args = parser.parse_args(argv)
+    counts, wrong = check(range(FIRST_SEED, FIRST_SEED + args.programs))
+    print(f"{'verdict':<10}{'runs all exit':>15}{'some run diverges':>19}")
+    for found in ("holds", "violated", "unknown", "timeout"):
+        print(f"{found:<10}{counts[found, False]:>15}{counts[found, True]:>19}")
+    for seed in wrong:
+        print(f"\nwrong Verified, seed {seed}:\n{program(seed)}")
+    print(f"{len(wrong)} wrong Verified of {args.programs} programs")
+    return 1 if wrong else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -30,6 +30,7 @@ from ctlrepair.datalog_engine import (
     stratify,
 )
 
+import oracle_programs
 from conftest import verdict
 
 
@@ -839,6 +840,17 @@ def test_criterion_9_nonterminating_disjuncts_never_exit_early():
         status, visits, _ = _run(program, summary, store, max_steps=(3 * bound + 10) * 8)
         assert status == "fuel", (store, status)
         assert visits > 3 * bound, (store, visits)
+    watch.check()
+
+
+def test_generated_programs_verified_only_if_every_run_exits():
+    # 200 generated programs over x, y, z with if/while nested to depth 2:
+    # a Verified AF(Exit(_)) must have no sampled run that runs out of fuel
+    watch = Stopwatch(30.0)
+    counts, wrong = oracle_programs.check(range(1000, 1200))
+    assert wrong == [], "\n".join(oracle_programs.program(seed) for seed in wrong)
+    # most programs that always exit are still Verified
+    assert counts["holds", False] >= 80, counts
     watch.check()
 
 

@@ -110,9 +110,9 @@ def test_summary_invariants_on_every_fixture(fixtures_dir):
     assert checked >= 10
 
 
-# Loops whose summary claims behaviour that concrete runs do not have: no
-# lower bound on the ranking function (A1-A3), a recurrent set that ignores
-# the guard (B), and a termination region that runs can leave (C).
+# Loops whose summary once claimed behaviour that concrete runs do not have:
+# no lower bound on the ranking function (A1-A3), a recurrent set that
+# ignores the guard (B), and a termination region that runs can leave (C).
 UNSOUND_SUMMARY_REPROS = {
     "A1": "while (n != 2) { n = n - 1; }",
     "A2": "while (n != y) { y = y - 2; }",
@@ -122,9 +122,6 @@ UNSOUND_SUMMARY_REPROS = {
 }
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError, reason="loop summaries are not yet sound on these loops"
-)
 @pytest.mark.parametrize("name", sorted(UNSOUND_SUMMARY_REPROS))
 def test_verdict_agrees_with_concrete_runs(name):
     source = (
@@ -141,6 +138,72 @@ def test_verdict_agrees_with_concrete_runs(name):
         assert statuses == {"return"}
     elif found == "violated":
         assert "fuel" in statuses
+
+
+def test_exit_event_is_exact_only_if_the_guard_lasts_rf_iterations():
+    # y > 0 can end the loop before x reaches 10 (from y = 3 it ends at
+    # x = 3 and then spins), so the exit event must not set x to 10
+    source = """//@ ctl: AF(Exit(_))
+void main() {
+  int x = 0;
+  int y = *;
+  while (x < 10 && y > 0) { x = x + 1; y = y - 1; }
+  if (x == 3) { while (1) { } }
+  return;
+}
+"""
+    assert "x=10" not in str(summarize(source).phi)
+    assert verdict(source) == "violated"
+
+
+def test_leak_that_may_be_skipped_keeps_the_guard_exit():
+    # `if (*)` may skip the return on every iteration, so a run can leave
+    # through the guard into the endless loop below
+    source = """//@ ctl: AF(Exit(_))
+void main() {
+  int n = *;
+  if (n > 5) {
+    while (n > 0) { if (*) { return; } n = n - 1; }
+    while (1) { }
+  }
+  return;
+}
+"""
+    assert verdict(source) == "violated"
+
+
+def test_guard_exit_holds_no_state_whose_leak_fires_on_the_way():
+    # from n = 5 every run breaks at n = 3 (n != 3 holds at both ends of
+    # 5..1 but not between), so D2 must not take it out with n = 0
+    res = summarize(
+        """//@ ctl: AF(Exit(_))
+void main() {
+  int n = *;
+  if (n >= 5) {
+    while (n > 0) { if (n == 3) { break; } n = n - 1; }
+    if (n == 3) { while (1) { } }
+  }
+  return;
+}
+"""
+    )
+    d2_guards = [
+        path[i - 1].pi
+        for path in gw._paths(res.phi)
+        for i, seg in enumerate(path)
+        if isinstance(seg, gw.Ev) and res.origins[seg.s].kind == "exit-event"
+    ]
+    n_is_5 = pl.Bop(pl.EQ, pl.Var("n"), pl.Const(5))
+    assert d2_guards
+    assert not any(pl.satisfiable(pl.mk_and(pi, n_is_5)) for pi in d2_guards)
+
+
+def test_omega_guard_drops_refuted_disjuncts(fixture_text):
+    # the outer loop's D3 guard is (n-step+1<0 \/ step<=0) /\ (0>=step \/
+    # 0<step /\ n-step+1>=0); two of its DNF disjuncts are unsatisfiable
+    res = summarize(fixture_text("nested.imp"))
+    outer = next(s for s in res.summaries if isinstance(s.guard, pl.TrueP))
+    assert str(outer.omega_condition) == "0>=step"
 
 
 def test_inconclusive_loop_raises(fixture_text):
