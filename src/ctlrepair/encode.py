@@ -344,7 +344,7 @@ def read_sets(phi: gw.Re) -> dict[int, set[tuple]]:
             _, bf, bl = info[id(node.body)]
             follow(bl, bf)
             info[id(node)] = (False, bf, none)  # an omega block is never left
-        else:  # Eps, ContinueMark, Bot
+        else:  # Eps, LoopMark, Bot
             info[id(node)] = (gw.nullable(node), none, none)
     return reads
 

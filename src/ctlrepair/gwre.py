@@ -76,11 +76,14 @@ class Eps(Re):
 
 
 @dataclass(frozen=True)
-class ContinueMark(Re):
-    """Internal marker: the cycle body returned to its loop head."""
+class LoopMark(Re):
+    """Internal marker: a loop body path came back to its loop head or, with
+    ``brk``, left the loop through a ``break``."""
+
+    brk: bool = False
 
     def __str__(self) -> str:
-        return "<loop>"
+        return "<break>" if self.brk else "<loop>"
 
 
 @dataclass(frozen=True)
@@ -139,7 +142,8 @@ class Omega(Re):
 
 BOT = Bot()
 EPS = Eps()
-CONTINUE = ContinueMark()
+CONTINUE = LoopMark()
+BREAK = LoopMark(brk=True)
 
 
 def _paren(re: Re) -> str:
@@ -189,7 +193,7 @@ def _items(re: Re) -> list[Re]:
 
 
 def nullable(re: Re) -> bool:
-    if isinstance(re, (Eps, ContinueMark)):
+    if isinstance(re, (Eps, LoopMark)):
         return True
     if isinstance(re, (Bot, Ev, Guard, Omega)):
         return False
@@ -209,7 +213,7 @@ def first(re: Re) -> list[Re]:
             out.append(seg)
 
     def walk(node: Re) -> None:
-        if isinstance(node, (Bot, Eps, ContinueMark)):
+        if isinstance(node, (Bot, Eps, LoopMark)):
             return
         if isinstance(node, (Ev, Guard, Omega)):
             add(node)
@@ -232,7 +236,7 @@ def first(re: Re) -> list[Re]:
 
 def derivative(seg: Re, re: Re) -> Re:
     """What remains of ``re`` after consuming the leading segment ``seg``."""
-    if isinstance(re, (Bot, Eps, ContinueMark)):
+    if isinstance(re, (Bot, Eps, LoopMark)):
         return BOT
     if isinstance(re, (Ev, Guard)):
         return EPS if re == seg else BOT
@@ -335,7 +339,7 @@ def _paths(re: Re) -> list[list[Re]]:
     """Fully distribute disjunction: every alternative as a segment list."""
     if isinstance(re, Bot):
         return []
-    if isinstance(re, (ContinueMark, Ev, Guard, Omega)):
+    if isinstance(re, (LoopMark, Ev, Guard, Omega)):
         return [[re]]
     if isinstance(re, OrRe):
         return [path for alt in re.alts for path in _paths(alt)]
@@ -491,12 +495,12 @@ def prune_conjuncts(pi: pl.Pure, drop_refuted: bool = False) -> pl.Pure:
 
 def _branch_guard_assigns(segs: list[Re]) -> tuple[pl.Pure, list[tuple[str, pl.Term]]]:
     """A branch's entry-store guard and its sequential assignment list, up
-    to its first omega block (nothing after one runs)."""
+    to its first omega block (nothing after one runs) or ``BREAK``."""
     env: dict[str, pl.Term] = {}
     guard: pl.Pure = pl.TRUE
     assigns: list[tuple[str, pl.Term]] = []
     for seg in segs:
-        if isinstance(seg, Omega):
+        if isinstance(seg, (Omega, LoopMark)):
             break
         if isinstance(seg, Guard):
             guard = pl.mk_and(guard, pl.subst_pure(seg.pi, env))
@@ -584,13 +588,14 @@ class _Builder:
 
     # -- CFG traversal ------------------------------------------------------
 
-    def walk(self, proc: fe.Procedure, nid: int, stop: int | None) -> Re:
-        """The effect of the CFG from ``nid`` up to ``stop``: the straight-line
-        run of statements and guards, then what ends it; only a ``Join``
-        recurses."""
+    def walk(self, proc: fe.Procedure, nid: int, loop: tuple[int, ...] = ()) -> Re:
+        """The effect of the CFG from ``nid``: the straight-line run of
+        statements and guards, then what ends it; only a ``Join`` recurses.
+        ``loop`` is the innermost loop's ``(join, after)``, or ``()`` at top
+        level: a path ends in ``CONTINUE`` at the join and in ``BREAK`` at
+        the node after the loop, which only a ``break`` reaches from inside."""
         run: list[Re] = []
-        tail: Re = CONTINUE
-        while nid != stop:
+        while nid not in loop:
             node = proc.nodes[nid]
             succs = proc.trans[nid]
             if isinstance(node, fe.ExitNode):
@@ -603,9 +608,9 @@ class _Builder:
                 break
             if isinstance(node, fe.Join):
                 if nid in proc.loop_insert:
-                    tail = self.summarize(proc, nid, stop)
+                    tail = self.summarize(proc, nid, loop)
                 else:
-                    branches = [self.walk(proc, s, stop) for s in succs]
+                    branches = [self.walk(proc, s, loop) for s in succs]
                     tail = or_(*branches) if branches else EPS
                 break
             if isinstance(node, fe.Assign):
@@ -622,6 +627,8 @@ class _Builder:
                 tail = EPS
                 break
             nid = succs[0]
+        else:
+            tail = BREAK if nid == loop[1] else CONTINUE
         return seq(*run, tail)
 
     # -- interprocedural inlining -------------------------------------------
@@ -639,7 +646,7 @@ class _Builder:
             raise UnsupportedProgram(f"recursive call to {node.p!r} is not supported")
         self.inline_stack.append(node.p)
         try:
-            body = self.walk(callee, callee.entry, None)
+            body = self.walk(callee, callee.entry)
         finally:
             self.inline_stack.pop()
         # Freshen the callee's local names and states per call site.
@@ -712,21 +719,22 @@ class _Builder:
 
     # -- loop summarization ---------------------------------------------------
 
-    def summarize(self, proc: fe.Procedure, join: int, stop: int | None) -> Re:
+    def summarize(self, proc: fe.Procedure, join: int, loop: tuple[int, ...]) -> Re:
         # the lowering links a loop's Join to its body's Prune, then its exit's
         p_true, p_false = proc.trans[join]
         nondet = proc.nodes[p_true].nondet
         pi_g = pl.TRUE if nondet else proc.nodes[p_true].pi
-        phi_rest = self.walk(proc, proc.trans[p_false][0], stop)
-        phi_cycle = self.walk(proc, proc.trans[p_true][0], join)
+        after = proc.trans[p_false][0]
+        phi_rest = self.walk(proc, after, loop)
+        phi_cycle = self.walk(proc, proc.trans[p_true][0], (join, after))
 
         # Hoist per-iteration havoc events of loop-constant variables out of
         # the cycle: they behave as symbols fixed for the whole loop.
         hoisted, phi_cycle = self._hoist(phi_cycle)
 
         branches = _paths(phi_cycle)
-        clean = [b[:-1] for b in branches if b and isinstance(b[-1], ContinueMark)]
-        leaks = [b for b in branches if b and not isinstance(b[-1], ContinueMark)]
+        clean = [b[:-1] for b in branches if b and b[-1] == CONTINUE]
+        leaks = [b for b in branches if b and b[-1] != CONTINUE]
 
         # an inlined callee may run forever, so a body path may never come back
         if any(isinstance(seg, Omega) for b in clean for seg in b):
@@ -787,7 +795,7 @@ class _Builder:
 
         # D4: leaking branches (break / return / inner non-termination).
         for leak in leaks:
-            content = seq(*leak)
+            content = seq(*leak[:-1], phi_rest) if leak[-1] == BREAK else seq(*leak)
             if not guard_is_true:
                 content = seq(guard_seg(pi_g), content)
             disjuncts.append(content)
@@ -1008,7 +1016,7 @@ def cfg_to_gwre(program: fe.Program, proc_name: str = "main") -> GwreResult:
         raise UnsupportedProgram(f"no procedure named {proc_name!r}")
     builder = _Builder(program)
     proc = program.procedures[proc_name]
-    phi = builder.walk(proc, proc.entry, None)
+    phi = builder.walk(proc, proc.entry)
     firsts = first(phi)
     if len(firsts) != 1 or nullable(phi) or isinstance(firsts[0], Omega):
         entry = builder.fresh(Origin("entry", proc=proc_name))
