@@ -20,10 +20,12 @@ entry.  D2: the loop is entered in ``_term_region`` and left through the
 guard, all its iterations one exit event.  D3: it is entered where the
 guard and ``pi_res`` hold and repeats forever in an omega block.  D4: a
 leaking branch (``break``, ``return``, an inner loop that never comes back)
-runs once.  D2 and D3 rest on one phase chain (``_phase_chain``): each
-phase is a ranking candidate splitting the states still in the loop into
-``pi_t`` (it drops) and ``pi_nt`` (it does not), until ``pi_res``, what the
-phases leave in the loop, is F (the loop always terminates) or recurrent.
+runs once, after the k clean iterations that can come before it, all of
+them one leak event.  D2 and D3 rest on one phase chain (``_phase_chain``):
+each phase is a ranking candidate splitting the states still in the loop
+into ``pi_t`` (it drops) and ``pi_nt`` (it does not), until ``pi_res``,
+what the phases leave in the loop, is F (the loop always terminates) or
+recurrent.
 A T or nondeterministic guard needs no chain; without one, the body
 repeats in an omega block.
 
@@ -32,6 +34,11 @@ come back to the loop head.  Each rf is bounded (``rf >= 0``) where a clean
 branch runs in its ``pi_t``, and ``_closed`` shows that no clean branch
 leaves D2's region but through the guard, and that none leaves D3's region
 or the guard.
+
+The CFG walk knows the innermost loop around it: a body path ends in
+``CONTINUE`` at the loop's join and in ``BREAK`` at the node after the loop,
+which only a ``break`` reaches from inside.  So the code after a loop is
+lowered and summarized once, and D1, D2 and every ``break`` share it.
 """
 
 from __future__ import annotations
@@ -428,7 +435,7 @@ class SummaryInfo:
 
 @dataclass(frozen=True)
 class Origin:
-    kind: str  # stmt | guard | summary-guard | exit-event | loop-event | return | entry
+    kind: str  # stmt | guard | summary-guard | exit-event | loop-event | leak-event | return | entry
     node: int | None = None
     join: int | None = None
     proc: str = ""
@@ -495,10 +502,21 @@ def prune_conjuncts(pi: pl.Pure, drop_refuted: bool = False) -> pl.Pure:
 
 def _branch_guard_assigns(segs: list[Re]) -> tuple[pl.Pure, list[tuple[str, pl.Term]]]:
     """A branch's entry-store guard and its sequential assignment list, up
-    to its first omega block (nothing after one runs) or ``BREAK``."""
+    to its first omega block (nothing after one runs) or ``BREAK``.
+
+    Each wildcard assigned on the way is read as one symbol, and the guard
+    says that some value of it fits: a conjunct ``symbol = t`` (coefficient
+    +-1) puts ``t`` in its place, and otherwise each read stays a wildcard of
+    its own."""
     env: dict[str, pl.Term] = {}
     guard: pl.Pure = pl.TRUE
     assigns: list[tuple[str, pl.Term]] = []
+    symbols: list[str] = []
+
+    def fresh() -> pl.Term:
+        symbols.append(f"*{len(symbols)}")
+        return pl.Var(symbols[-1])
+
     for seg in segs:
         if isinstance(seg, (Omega, LoopMark)):
             break
@@ -506,13 +524,29 @@ def _branch_guard_assigns(segs: list[Re]) -> tuple[pl.Pure, list[tuple[str, pl.T
             guard = pl.mk_and(guard, pl.subst_pure(seg.pi, env))
         elif isinstance(seg, Ev):
             for v, t in seg.assigns:
-                env[v] = pl.subst_term(t, env)
+                env[v] = pl.subst_term(pl.dewildcard(t, fresh), env)
                 assigns.append((v, t))
             if not isinstance(seg.constraint, pl.TrueP):
                 guard = pl.mk_and(guard, pl.subst_pure(seg.constraint, env))
         else:
             raise TypeError(f"unexpected segment in loop branch: {seg!r}")
+    for symbol in symbols:
+        values = (_solved_for(symbol, conj) for conj in pl.conjuncts(guard))
+        value = next((t for t in values if t is not None), pl.Wildcard())
+        guard = pl.subst_pure(guard, {symbol: value})
     return guard, assigns
+
+
+def _solved_for(v: str, pi: pl.Pure) -> pl.Term | None:
+    """``t`` where ``pi`` is an equation ``v = t`` up to a linear
+    rearrangement, else None."""
+    if not (isinstance(pi, pl.Bop) and pi.op == pl.EQ):
+        return None
+    lin = pl.linearize(pl.Sub(pi.left, pi.right))
+    if lin is None or lin[0].get(v) not in (1, -1):
+        return None
+    c = lin[0][v]
+    return pl.term_of_linear({w: -c * a for w, a in lin[0].items() if w != v}, -c * lin[1])
 
 
 def _reads_of_ev(ev: Ev) -> set[str]:
@@ -739,7 +773,9 @@ class _Builder:
         # an inlined callee may run forever, so a body path may never come back
         if any(isinstance(seg, Omega) for b in clean for seg in b):
             raise SummaryInconclusive(f"a branch of the loop at node {join} may never return")
-        clean_ga = [_branch_guard_assigns(b) for b in clean]
+        # a branch whose own path refutes its guard never runs; each one kept
+        # would double the case split of every entailment over the branches
+        clean_ga = [ga for ga in map(_branch_guard_assigns, clean) if pl.satisfiable(ga[0])]
         enabled = reduce(pl.mk_or, (guard for guard, _ in clean_ga), pl.FALSE)
         assigned = list(dict.fromkeys(v for _, assigns in clean_ga for v, _ in assigns))
 
@@ -756,16 +792,17 @@ class _Builder:
         chosen = None if nondet else self._find_ranking(pi_g, clean_ga, enabled, leaks)
         guard_is_true = isinstance(pi_g, pl.TrueP)
 
+        steps = None
         if chosen is not None:
             phases, pi_res, term = chosen
             always_terminates = isinstance(pi_res, pl.FalseP)
             omega_condition = pl.FALSE
+            steps = _exact_steps(pi_g, term, clean_ga, phases, assigned)
             # D2: the loop is entered and terminates through the guard, no
             # leak firing on the way when every variable moves by a fixed
             # step; without one, D2 may hold states where a leak fires.
             if not guard_is_true:
                 rf = phases[0].rf
-                steps = _exact_steps(pi_g, term, clean_ga, phases, assigned)
                 region = pl.mk_and(term, _no_leak(enabled, leaks, rf, steps))
                 d2_guard = prune_conjuncts(pl.mk_and(pi_g, region))
                 if not isinstance(d2_guard, pl.FalseP) and pl.satisfiable(d2_guard):
@@ -793,9 +830,11 @@ class _Builder:
                 w = self.cached_event(join, "loop-event", proc.name)
                 disjuncts.append(Omega(Ev(s=w)))
 
-        # D4: leaking branches (break / return / inner non-termination).
+        # D4: leaking branches (break / return / inner non-termination), each
+        # after the clean iterations that can come before it.
+        before = self._leak_event(join, proc, pi_g, assigned, phases, steps) if leaks else EPS
         for leak in leaks:
-            content = seq(*leak[:-1], phi_rest) if leak[-1] == BREAK else seq(*leak)
+            content = seq(before, *leak[:-1], phi_rest) if leak[-1] == BREAK else seq(before, *leak)
             if not guard_is_true:
                 content = seq(guard_seg(pi_g), content)
             disjuncts.append(content)
@@ -923,6 +962,23 @@ class _Builder:
         else:
             assigns = [(v, pl.Wildcard()) for v in assigned]
         return Ev(s=sid, assigns=tuple(assigns), constraint=pl.negate(pi_g))
+
+    def _leak_event(self, join, proc, pi_g, assigned, phases, steps) -> Ev:
+        """The state change of the clean iterations before a leak, after
+        which the guard holds: ``k`` of them for a fresh ``0 <= k <= rf + 1``
+        when every variable moves by a fixed step, else a havoc of the
+        clean-assigned variables."""
+        sid = self.cached_event(join, "leak-event", proc.name)
+        if not steps:
+            havoc = tuple((v, pl.Wildcard()) for v in assigned)
+            return Ev(s=sid, assigns=havoc, constraint=pi_g)
+        k = pl.Var(f"k__{join}")
+        moves = _after(k, steps, 0).items()
+        in_range = pl.mk_and(
+            pl.Bop(pl.GTEQ, k, pl.Const(0)),
+            pretty_nonneg(pl.Add(phases[0].rf, pl.Const(1))),
+        )
+        return Ev(s=sid, assigns=((k.name, pl.Wildcard()), *moves), constraint=pl.mk_and(in_range, pi_g))
 
 
 def _exact_steps(pi_g, term, clean_ga, phases, assigned) -> dict[str, int] | None:

@@ -15,6 +15,15 @@ def verdict(source: str, ctl_text: str | None = None) -> str:
     return "holds" if analysis.holds else "violated"
 
 
+def break_loops(n: int) -> str:
+    """``n`` sequential countdown loops, each with a guarded ``break``."""
+    loops = "".join(
+        f"  int n{i} = *;\n  while (n{i} > 0) {{ if (n{i} == 3) {{ break; }} n{i} = n{i} - 1; }}\n"
+        for i in range(n)
+    )
+    return f"//@ ctl: AF(Exit(_))\nvoid main() {{\n{loops}  return;\n}}\n"
+
+
 @pytest.fixture
 def fixtures_dir() -> pathlib.Path:
     return FIXTURES

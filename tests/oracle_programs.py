@@ -2,8 +2,9 @@
 does not exit.
 
 Each seed gives one program over `int x = *; int y = *; int z = *;` made of
-assignments and `if`/`while` statements nested to depth 2, then `return;`,
-under `AF(Exit(_))`.  The program's verdict (`repair.analyze`, what
+assignments and `if`/`while` statements nested to depth 2, with guarded
+`break` and `return` statements in `while` bodies, then `return;`, under
+`AF(Exit(_))`.  The program's verdict (`repair.analyze`, what
 `ctlrepair verify` runs) is checked against sampled concrete runs
 (`frontend.run_cfg`, wildcards drawn from a seeded generator): a `Verified`
 program with a run that runs out of fuel is a wrong `Verified`.  A
@@ -50,19 +51,24 @@ def _assign(rng: random.Random) -> str:
     return f"{v} = {rhs};"
 
 
-def _block(rng: random.Random, depth: int, indent: str) -> list[str]:
+def _block(rng: random.Random, depth: int, indent: str, in_loop: bool = False) -> list[str]:
     lines: list[str] = []
     for _ in range(rng.randint(1, 3)):
-        kind = rng.choice(["assign", "assign", "if", "while"]) if depth < 2 else "assign"
+        kinds = ["assign", "assign", "if", "while"] if depth < 2 else ["assign", "assign"]
+        kind = rng.choice(kinds + ["break", "return"] if in_loop else kinds)
         if kind == "assign":
             lines.append(indent + _assign(rng))
             continue
+        if kind in ("break", "return"):
+            lines.append(indent + f"if ({_cond(rng)}) {{ {kind}; }}")
+            continue
         head = f"{kind} ({_cond(rng)}) {{"
         lines.append(indent + head)
-        lines += _block(rng, depth + 1, indent + "  ")
+        inner = in_loop or kind == "while"
+        lines += _block(rng, depth + 1, indent + "  ", inner)
         if kind == "if" and rng.random() < 0.5:
             lines.append(indent + "} else {")
-            lines += _block(rng, depth + 1, indent + "  ")
+            lines += _block(rng, depth + 1, indent + "  ", inner)
         lines.append(indent + "}")
     return lines
 

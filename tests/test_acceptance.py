@@ -31,7 +31,7 @@ from ctlrepair.datalog_engine import (
 )
 
 import oracle_programs
-from conftest import verdict
+from conftest import break_loops, verdict
 
 
 class Stopwatch:
@@ -844,13 +844,23 @@ def test_criterion_9_nonterminating_disjuncts_never_exit_early():
 
 
 def test_generated_programs_verified_only_if_every_run_exits():
-    # 200 generated programs over x, y, z with if/while nested to depth 2:
-    # a Verified AF(Exit(_)) must have no sampled run that runs out of fuel
+    # 200 generated programs over x, y, z with if/while nested to depth 2
+    # and guarded break/return in while bodies: a Verified AF(Exit(_)) must
+    # have no sampled run that runs out of fuel
     watch = Stopwatch(30.0)
     counts, wrong = oracle_programs.check(range(1000, 1200))
     assert wrong == [], "\n".join(oracle_programs.program(seed) for seed in wrong)
-    # most programs that always exit are still Verified
-    assert counts["holds", False] >= 80, counts
+    # as many programs that always exit are Verified as before break paths
+    # stopped walking past their loop (the programs that did not crash then)
+    assert counts["holds", False] >= 102, counts
+    watch.check()
+
+
+def test_six_sequential_break_loops_verify_within_budget():
+    # a break path used to lower and summarize every later loop again, 63
+    # summaries for six loops
+    watch = Stopwatch(6.0)
+    assert verdict(break_loops(6)) == "holds"
     watch.check()
 
 

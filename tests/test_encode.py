@@ -1,9 +1,13 @@
+import pytest
+
 from ctlrepair import ctl
 from ctlrepair import encode as enc_mod
 from ctlrepair import frontend as fe
 from ctlrepair import gwre as gw
 from ctlrepair import pure_logic as pl
 from ctlrepair.datalog_engine import Atom, DVar
+
+from conftest import verdict
 
 
 def encode(source: str, prop: str) -> enc_mod.EncodeResult:
@@ -146,3 +150,32 @@ def test_read_sets_cover_every_guard_rule(fixtures_dir):
                 shape = (lit.atom.predicate, lit.atom.args[:-1])
                 assert lit.atom.args[-1] == prev
                 assert shape in reads.get(prev, ()), (name, str(rule))
+
+
+# Programs with a run that breaks the property, which the encoding still
+# reports as Verified (ROADMAP item 10): an undecided comparison emits both
+# facts of its pair and the AP rule reads one alone; a D3 loop event
+# assigns nothing, so the store in the omega block is the loop's entry
+# store; and an omega body is walked once, from its entry store.
+WRONG_VERIFIED = {
+    "undecided-pair": ("AG(x >= 0)", "int x = *; return;"),
+    "loop-event-store": ("AG(n < 100)", "int n = 5; while (n > 0) { n = n + 1; } return;"),
+    "omega-body-once": ("AG(n < 100)", "int n = 5; while (1) { n = n + 1; }"),
+}
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 10: the encoding's soundness holes")
+@pytest.mark.parametrize("name", sorted(WRONG_VERIFIED))
+def test_verified_only_if_every_run_satisfies_the_property(name):
+    prop, body = WRONG_VERIFIED[name]
+    assert verdict(f"//@ ctl: {prop}\nvoid main() {{\n  {body}\n}}\n") != "holds"
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 10: guard_rule drops an Or conjunct")
+def test_disjunctive_guard_keeps_its_condition():
+    # x stays 0, so y = 1 never runs; the flow into it has no body
+    source = (
+        "//@ ctl: AG(y!=1)\nvoid main() {\n  int x = 0;\n  int y = 0;\n"
+        "  if (x > 0 || x < -5) { y = 1; }\n  return;\n}\n"
+    )
+    assert verdict(source) == "holds"

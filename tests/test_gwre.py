@@ -6,7 +6,7 @@ from ctlrepair import frontend as fe
 from ctlrepair import gwre as gw
 from ctlrepair import pure_logic as pl
 
-from conftest import verdict
+from conftest import break_loops, verdict
 
 
 def summarize(source: str) -> gw.GwreResult:
@@ -112,13 +112,19 @@ def test_summary_invariants_on_every_fixture(fixtures_dir):
 
 # Loops whose summary once claimed behaviour that concrete runs do not have:
 # no lower bound on the ranking function (A1-A3), a recurrent set that
-# ignores the guard (B), and a termination region that runs can leave (C).
+# ignores the guard (B), a termination region that runs can leave (C), and
+# a leak that fires only after some clean iterations (D1, D2).
 UNSOUND_SUMMARY_REPROS = {
     "A1": "while (n != 2) { n = n - 1; }",
     "A2": "while (n != y) { y = y - 2; }",
     "A3": "while (y < n) { if (y <= n) { n = n + 2; } else { y = 1; } }",
     "B": "if (x == 8) { y = 8; while (x == y) { y = 7; } }",
     "C": "if (y >= -1) { while (y != 1) { y = -2; } }",
+    "D1": "if (n >= 5) { while (1) { if (n <= 2) { break; } n = n - 1; } while (1) { } }",
+    "D2": (
+        "if (n >= 5) { while (n > 0) { n = n - 1;"
+        " if (n == 2) { y = 1; while (y > 0) { } } } }"
+    ),
 }
 
 
@@ -196,6 +202,31 @@ void main() {
     n_is_5 = pl.Bop(pl.EQ, pl.Var("n"), pl.Const(5))
     assert d2_guards
     assert not any(pl.satisfiable(pl.mk_and(pi, n_is_5)) for pi in d2_guards)
+
+
+def test_break_in_an_inner_loop_ends_that_loop():
+    # the inner break leaves for the outer body's `a = a - 1`; walked past
+    # the outer loop's head it summarized the outer loop again, without end
+    source = """//@ ctl: AF(Exit(_))
+void main() {
+  int a = *;
+  while (a > 0) {
+    int b = 5;
+    while (b > 0) { if (b == 3) { break; } b = b - 1; }
+    a = a - 1;
+  }
+  return;
+}
+"""
+    assert verdict(source) == "holds"
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_code_after_a_loop_is_summarized_once(n):
+    # a break path used to lower every later loop again: 2^n - 1 summaries
+    res = summarize(break_loops(n))
+    assert len(res.summaries) == n
+    assert len(gw.states_of(res.phi)) == 7 * n + 1
 
 
 def test_omega_guard_drops_refuted_disjuncts(fixture_text):
