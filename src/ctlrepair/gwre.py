@@ -792,9 +792,10 @@ class _Builder:
         chosen = None if nondet else self._find_ranking(pi_g, clean_ga, enabled, leaks)
         guard_is_true = isinstance(pi_g, pl.TrueP)
 
-        steps = None
+        rf = steps = None
         if chosen is not None:
             phases, pi_res, term = chosen
+            rf = phases[0].rf
             always_terminates = isinstance(pi_res, pl.FalseP)
             omega_condition = pl.FALSE
             steps = _exact_steps(pi_g, term, clean_ga, phases, assigned)
@@ -802,7 +803,6 @@ class _Builder:
             # leak firing on the way when every variable moves by a fixed
             # step; without one, D2 may hold states where a leak fires.
             if not guard_is_true:
-                rf = phases[0].rf
                 region = pl.mk_and(term, _no_leak(enabled, leaks, rf, steps))
                 d2_guard = prune_conjuncts(pl.mk_and(pi_g, region))
                 if not isinstance(d2_guard, pl.FalseP) and pl.satisfiable(d2_guard):
@@ -812,7 +812,7 @@ class _Builder:
             if not always_terminates:
                 omega_condition = prune_conjuncts(pl.mk_and(pi_g, pi_res), drop_refuted=True)
                 w = self.cached_event(join, "loop-event", proc.name)
-                body = Ev(s=w, constraint=pretty_nonneg(phases[0].rf))
+                body = Ev(s=w, constraint=pretty_nonneg(rf))
                 disjuncts.append(seq(guard_seg(omega_condition), Omega(body)))
         else:
             if not guard_is_true:  # a nondeterministic guard is T too
@@ -832,7 +832,7 @@ class _Builder:
 
         # D4: leaking branches (break / return / inner non-termination), each
         # after the clean iterations that can come before it.
-        before = self._leak_event(join, proc, pi_g, assigned, phases, steps) if leaks else EPS
+        before = self._leak_event(join, proc, pi_g, assigned, rf, steps) if leaks else EPS
         for leak in leaks:
             content = seq(before, *leak[:-1], phi_rest) if leak[-1] == BREAK else seq(before, *leak)
             if not guard_is_true:
@@ -963,21 +963,24 @@ class _Builder:
             assigns = [(v, pl.Wildcard()) for v in assigned]
         return Ev(s=sid, assigns=tuple(assigns), constraint=pl.negate(pi_g))
 
-    def _leak_event(self, join, proc, pi_g, assigned, phases, steps) -> Ev:
+    def _leak_event(self, join, proc, pi_g, assigned, rf, steps) -> Ev:
         """The state change of the clean iterations before a leak, after
-        which the guard holds: ``k`` of them for a fresh ``0 <= k <= rf + 1``
-        when every variable moves by a fixed step, else a havoc of the
-        clean-assigned variables."""
+        which the guard holds: ``k`` of them for a fresh ``k >= 0`` when
+        every variable moves by a fixed step, else a havoc of the
+        clean-assigned variables.  Clean iteration ``k - 1`` runs where
+        ``rf >= 0``, so ``k >= 1`` gives ``k <= rf + 1``; ``k = 0`` (a leak on
+        the first iteration) has no bound, and a guard that gives the bound
+        makes it redundant."""
         sid = self.cached_event(join, "leak-event", proc.name)
         if not steps:
             havoc = tuple((v, pl.Wildcard()) for v in assigned)
             return Ev(s=sid, assigns=havoc, constraint=pi_g)
         k = pl.Var(f"k__{join}")
         moves = _after(k, steps, 0).items()
-        in_range = pl.mk_and(
-            pl.Bop(pl.GTEQ, k, pl.Const(0)),
-            pretty_nonneg(pl.Add(phases[0].rf, pl.Const(1))),
-        )
+        in_range = pl.Bop(pl.GTEQ, k, pl.Const(0))
+        bound = pretty_nonneg(pl.Add(rf, pl.Const(1)))
+        if not pl.entails(pi_g, bound):
+            in_range = pl.mk_and(in_range, pl.mk_or(pl.Bop(pl.EQ, k, pl.Const(0)), bound))
         return Ev(s=sid, assigns=((k.name, pl.Wildcard()), *moves), constraint=pl.mk_and(in_range, pi_g))
 
 

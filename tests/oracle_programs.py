@@ -3,7 +3,8 @@ does not exit.
 
 Each seed gives one program over `int x = *; int y = *; int z = *;` made of
 assignments and `if`/`while` statements nested to depth 2, with guarded
-`break` and `return` statements in `while` bodies, then `return;`, under
+`break` and `return` statements in `while` bodies and some `while (1)`
+loops that open with a guarded `break`, then `return;`, under
 `AF(Exit(_))`.  The program's verdict (`repair.analyze`, what
 `ctlrepair verify` runs) is checked against sampled concrete runs
 (`frontend.run_cfg`, wildcards drawn from a seeded generator): a `Verified`
@@ -61,6 +62,13 @@ def _block(rng: random.Random, depth: int, indent: str, in_loop: bool = False) -
             continue
         if kind in ("break", "return"):
             lines.append(indent + f"if ({_cond(rng)}) {{ {kind}; }}")
+            continue
+        if kind == "while" and rng.random() < 0.25:
+            # a loop that only the guarded breaks and returns in it leave
+            lines.append(indent + "while (1) {")
+            lines.append(indent + f"  if ({_cond(rng)}) {{ break; }}")
+            lines += _block(rng, depth + 1, indent + "  ", True)
+            lines.append(indent + "}")
             continue
         head = f"{kind} ({_cond(rng)}) {{"
         lines.append(indent + head)

@@ -112,8 +112,10 @@ def test_summary_invariants_on_every_fixture(fixtures_dir):
 
 # Loops whose summary once claimed behaviour that concrete runs do not have:
 # no lower bound on the ranking function (A1-A3), a recurrent set that
-# ignores the guard (B), a termination region that runs can leave (C), and
-# a leak that fires only after some clean iterations (D1, D2).
+# ignores the guard (B), a termination region that runs can leave (C), a
+# leak that fires only after some clean iterations (D1, D2), and a leak on
+# the first iteration from a store where the ranking function is below -1
+# (D3: from n = -1 the loop breaks at once, then spins).
 UNSOUND_SUMMARY_REPROS = {
     "A1": "while (n != 2) { n = n - 1; }",
     "A2": "while (n != y) { y = y - 2; }",
@@ -125,6 +127,7 @@ UNSOUND_SUMMARY_REPROS = {
         "if (n >= 5) { while (n > 0) { n = n - 1;"
         " if (n == 2) { y = 1; while (y > 0) { } } } }"
     ),
+    "D3": "while (1) { if (n <= 0) { break; } n = n - 1; } if (n < 0) { while (1) { } }",
 }
 
 
