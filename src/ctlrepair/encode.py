@@ -31,6 +31,12 @@ facts, rules and families follow it):
 - an omega block walks its body, collecting the states where the body may
   end (its terminals), then adds the flow from each terminal back to each
   head of the body.  Nested omega blocks raise ``TypeError``.
+
+After the walk every state gets a ``State`` fact, and every target of a
+back edge of one depth-first search gets a ``Cyc`` fact, where AF's lasso
+starts (``ctl.cycle_heads``).  The search covers every potential flow edge,
+the ``flow`` facts and the heads of the guard rules, with roots in the
+order the walk reached the states.
 """
 
 from __future__ import annotations
@@ -373,6 +379,9 @@ def abstract_facts(
     enc.walk(result.phi)
     for s in enc.states:
         enc.facts[Atom("State", (s,))] = None
+    edges = [f.args for f in enc.facts if f.predicate == "flow"]
+    for b in ctl_mod.cycle_heads(edges + [r.head.args for r in enc.rules], enc.states):
+        enc.facts[Atom("Cyc", (b,))] = None
     log.debug(
         "encode: %d states, %d facts, %d rules, %d families, "
         "%d comparisons decided (states x tracked atoms: %d x %d)",

@@ -416,21 +416,81 @@ def _explicit_check(phi, states, succ, label):
     raise TypeError(phi)
 
 
+def _kripke_labels(core, states, succ, label, guarded=(), enabled=()):
+    """The states the Datalog translation of ``core`` labels, over ``succ``
+    as flow facts plus each guarded edge ``(s, t)`` as the rule
+    ``flow(s, t) :- G(s)``, where ``G(s)`` holds for ``s`` in ``enabled``."""
+    edges = [(s, t) for s in states for t in sorted(succ[s])]
+    facts = [Atom("State", (s,)) for s in states]
+    facts += [Atom("flow", e) for e in edges]
+    facts += [Atom("Cyc", (b,)) for b in ctl.cycle_heads(edges + list(guarded), states)]
+    facts += [Atom("Eq", (v, 1, s)) for s in states for v in sorted(label[s])]
+    facts += [Atom("G", (s,)) for s in enabled]
+    top, rules = ctl.ctl_to_datalog(core)
+    rules += [Rule(Atom("flow", e), (Literal(Atom("G", e[:1])),)) for e in guarded]
+    idb = evaluate(DatalogProgram(rules=rules, facts=facts))
+    return {s for s in states if Atom(top, (s,)) in idb}
+
+
 def test_criterion_6_encoding_matches_explicit_checker():
     watch = Stopwatch(60.0)
     rng = random.Random(66)
     for _ in range(500):
         states, succ, label = _random_kripke(rng)
         core = ctl.desugar(_random_formula(rng, rng.randint(1, 3)))
-        facts = [Atom("State", (s,)) for s in states]
-        facts += [Atom("flow", (s, t)) for s in states for t in sorted(succ[s])]
-        facts += [Atom("Eq", (v, 1, s)) for s in states for v in sorted(label[s])]
-        top, rules = ctl.ctl_to_datalog(core)
-        idb = evaluate(DatalogProgram(rules=list(rules), facts=facts))
-        labeled = {s for s in states if Atom(top, (s,)) in idb}
-        assert labeled == _explicit_check(core, states, succ, label), (
-            f"mismatch for {core} on flow={succ} label={label}"
-        )
+        assert _kripke_labels(core, states, succ, label) == _explicit_check(
+            core, states, succ, label
+        ), f"mismatch for {core} on flow={succ} label={label}"
+    watch.check()
+
+
+def test_criterion_6_seeds_cover_every_enabled_subgraph():
+    # Cyc is computed over every potential edge, guarded ones included, and
+    # must still seed each cycle when only some guards hold
+    watch = Stopwatch(60.0)
+    rng = random.Random(67)
+    for _ in range(500):
+        states, succ, label = _random_kripke(rng)
+        core = ctl.desugar(_random_formula(rng, rng.randint(1, 3)))
+        guarded = [(s, t) for s in states for t in sorted(succ[s]) if rng.random() < 1 / 3]
+        enabled = [s for s in states if rng.random() < 0.5]
+        plain = {s: {t for t in succ[s] if (s, t) not in guarded} for s in states}
+        live = {s: set(plain[s]) for s in states}
+        for s, t in guarded:
+            if s in enabled:
+                live[s].add(t)
+        assert _kripke_labels(core, states, plain, label, guarded, enabled) == _explicit_check(
+            core, states, live, label
+        ), f"mismatch for {core} on flow={plain} guarded={guarded} enabled={enabled}"
+    watch.check()
+
+
+def test_seeded_lasso_labels_as_the_unseeded_one(fixtures_dir):
+    # every cycle passes through a Cyc state, so starting the AF lasso only
+    # there derives the same AF and AFS atoms as starting it everywhere
+    watch = Stopwatch(60.0)
+    sources = [p.read_text() for p in sorted(fixtures_dir.glob("*.imp"))]
+    sources += [oracle_programs.program(seed) for seed in range(1000, 1200)]
+    compared = 0
+    for source in sources:
+        try:
+            analysis = rp.analyze(source)
+        except (fe.ImpSyntaxError, rp.PropertyMissing):
+            continue
+        if analysis.unknown:
+            continue
+        unseeded = [
+            Rule(r.head, tuple(lit for lit in r.body if lit.atom.predicate != "Cyc"))
+            for r in analysis.rules
+        ]
+        idb = evaluate(DatalogProgram(rules=unseeded, facts=list(analysis.enc.facts)))
+
+        def af(db):
+            return {f for f in db if f.predicate.startswith(("AF_", "AFS_"))}
+
+        assert af(analysis.idb) == af(idb), source
+        compared += 1
+    assert compared > 100
     watch.check()
 
 
@@ -874,17 +934,24 @@ def _straight(n: int, ctl: str = "AF(Exit(_))") -> str:
     return f"//@ ctl: {ctl}\nvoid main() {{\n  int x = 0;\n" + "  x = x + 1;\n" * n + "  return;\n}\n"
 
 
-@pytest.mark.parametrize("n, budget", [(200, 1.5), (300, 3.0), (500, 8.0)])
+@pytest.mark.parametrize("n, budget", [(200, 1.5), (300, 3.0), (500, 8.0), (1200, 2.0)])
 def test_straight_line_200_analyze_within_budget(n, budget):
-    # AF's binary lasso relation has ~n^2/2 facts here; joining it against
-    # flow without an index took several seconds.  At 500 assignments a
-    # step that recurses once per statement, such as taking the str or hash
-    # of the nested store term x+1+...+1, hits the recursion limit.
+    # AF's binary lasso relation had ~n^2/2 facts here when a path started
+    # at every state; straight-1200 took 15 s.  At 500 assignments a step
+    # that recurses once per statement, such as taking the str or hash of
+    # the nested store term x+1+...+1, hits the recursion limit.
     watch = Stopwatch(budget)
     analysis = rp.analyze(_straight(n))
     assert analysis.unknown is None
     assert analysis.holds
     watch.check()
+
+
+def test_straight_line_200_evaluation_is_linear():
+    # the only cycle is the exit's self-loop, so the lasso starts once
+    analysis = rp.analyze(_straight(200))
+    states = sum(1 for f in analysis.enc.facts if f.predicate == "State")
+    assert len(analysis.idb) - len(analysis.enc.facts) <= 2 * states
 
 
 def test_straight_line_2000_ag_verifies_within_budget():
@@ -903,8 +970,9 @@ def test_straight_line_5000_effect_and_encoding_within_budget():
     res = gw.cfg_to_gwre(fe.build_cfg(fe.parse(_straight(5000))))
     assert str(res.phi).count("x=x+1") == 5000
     enc = encode.abstract_facts(res, [])
-    # a State and an outgoing flow fact per state, and the Exit fact
-    assert len(enc.facts) == 5002 + 5002 + 1
+    # a State and an outgoing flow fact per state, the Exit fact, and the
+    # Cyc fact of the exit's self-loop
+    assert len(enc.facts) == 5002 + 5002 + 1 + 1
     watch.check()
 
 
