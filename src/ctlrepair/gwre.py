@@ -764,7 +764,7 @@ class _Builder:
 
         # Hoist per-iteration havoc events of loop-constant variables out of
         # the cycle: they behave as symbols fixed for the whole loop.
-        hoisted, phi_cycle = self._hoist(phi_cycle)
+        hoisted, phi_cycle = self._hoist(phi_cycle, pi_g)
 
         branches = _paths(phi_cycle)
         clean = [b[:-1] for b in branches if b and b[-1] == CONTINUE]
@@ -848,8 +848,10 @@ class _Builder:
             )
         return seq(*hoisted, or_(*disjuncts))
 
-    def _hoist(self, phi_cycle: Re) -> tuple[list[Re], Re]:
-        """Pull leading one-shot havoc events of loop-constant vars out."""
+    def _hoist(self, phi_cycle: Re, pi_g: pl.Pure) -> tuple[list[Re], Re]:
+        """Pull leading one-shot havoc events of loop-constant vars out; the
+        loop guard ``pi_g`` is read before each iteration, so a variable it
+        reads stays in."""
         # The hoistable window is the common top-level prefix before any Or.
         items = _items(phi_cycle)
         k = 0
@@ -860,7 +862,7 @@ class _Builder:
         assigned_later = _assigned_vars(remainder)
         hoisted: list[Re] = []
         kept: list[Re] = []
-        read_so_far: set[str] = set()
+        read_so_far = pl.pure_vars(pi_g)
         for i, seg in enumerate(chain_head):
             hoistable = (
                 isinstance(seg, Ev)

@@ -165,6 +165,21 @@ void main() {
     assert verdict(source) == "violated"
 
 
+def test_havoc_of_a_guard_variable_is_not_hoisted():
+    # the guard reads x before every iteration, so x = * is no loop
+    # constant; hoisted out of the loop, the guard read the havocked x and
+    # this loop, which no run enters, was reported Violated
+    source = """//@ ctl: AF(Exit(_))
+void main() {
+  int x = 0;
+  int y = 0;
+  while (y > x) { x = *; }
+  return;
+}
+"""
+    assert verdict(source) in ("holds", "unknown")
+
+
 def test_leak_that_may_be_skipped_keeps_the_guard_exit():
     # `if (*)` may skip the return on every iteration, so a run can leave
     # through the guard into the endless loop below
