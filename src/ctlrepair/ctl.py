@@ -341,32 +341,24 @@ def _value_of_term(t: pl.Term):
 def cycle_heads(edges, states) -> list:
     """The targets of the back edges of one depth-first search over
     ``edges``, with roots in ``states`` order: every cycle of the graph
-    passes through one of them (the EG labelling of Clarke, Emerson &
-    Sistla, TOPLAS 1986, looks for a cycle only there)."""
+    passes through one (Clarke, Emerson & Sistla, TOPLAS 1986)."""
     succ: dict = {}
     for a, b in edges:
         succ.setdefault(a, []).append(b)
     heads: dict = {}
     seen: set = set()
-    for root in states:
-        if root in seen:
-            continue
+    for root in (r for r in states if r not in seen):
         seen.add(root)
-        on_path = {root}
-        stack = [(root, iter(succ.get(root, ())))]
-        while stack:
-            node, nexts = stack[-1]
-            for b in nexts:
-                if b in on_path:
-                    heads[b] = None
-                elif b not in seen:
-                    seen.add(b)
-                    on_path.add(b)
-                    stack.append((b, iter(succ.get(b, ()))))
-                    break
-            else:
-                stack.pop()
-                on_path.discard(node)
+        path = {root: iter(succ.get(root, ()))}  # the DFS stack, in order
+        while path:
+            b = next(path[next(reversed(path))], None)
+            if b is None:
+                path.popitem()
+            elif b in path:
+                heads[b] = None
+            elif b not in seen:
+                seen.add(b)
+                path[b] = iter(succ.get(b, ()))
     return list(heads)
 
 
@@ -442,12 +434,9 @@ def ctl_to_datalog(phi: CtlFormula) -> tuple[str, list[Rule]]:
             aft = fresh(f"AFT_{p}")
             afs = fresh(f"AFS_{p}")
             # A lasso witness: a path avoiding p that closes a cycle, or
-            # reaches such a cycle; its absence everywhere proves AF p.  The
-            # path starts only at a Cyc state, the target of a back edge of
-            # a depth-first search over every potential flow edge
-            # (cycle_heads): every cycle passes through one, and a sign
-            # world only removes edges, so each p-avoiding cycle still
-            # closes at a seed and AFS is the same set.
+            # reaches such a cycle; its absence everywhere proves AF p.  Every
+            # cycle passes through a Cyc state (cycle_heads), also in a sign
+            # world, which only removes edges, so the paths start only there.
             rules.append(
                 Rule(
                     Atom(aft, (S, S1)),

@@ -32,11 +32,9 @@ facts, rules and families follow it):
   end (its terminals), then adds the flow from each terminal back to each
   head of the body.  Nested omega blocks raise ``TypeError``.
 
-After the walk every state gets a ``State`` fact, and every target of a
-back edge of one depth-first search gets a ``Cyc`` fact, where AF's lasso
-starts (``ctl.cycle_heads``).  The search covers every potential flow edge,
-the ``flow`` facts and the heads of the guard rules, with roots in the
-order the walk reached the states.
+After the walk each state gets a ``State`` fact, and each target of a back
+edge of a depth-first search over every potential flow edge (the ``flow``
+facts and the guard rules' heads; roots in walk order) a ``Cyc`` fact.
 """
 
 from __future__ import annotations

@@ -849,9 +849,8 @@ class _Builder:
         return seq(*hoisted, or_(*disjuncts))
 
     def _hoist(self, phi_cycle: Re, pi_g: pl.Pure) -> tuple[list[Re], Re]:
-        """Pull leading one-shot havoc events of loop-constant vars out; the
-        loop guard ``pi_g`` is read before each iteration, so a variable it
-        reads stays in."""
+        """Pull leading one-shot havoc events of loop-constant vars out; a
+        var that the loop guard ``pi_g`` reads is not loop-constant."""
         # The hoistable window is the common top-level prefix before any Or.
         items = _items(phi_cycle)
         k = 0
