@@ -471,6 +471,10 @@ def test_seeded_lasso_labels_as_the_unseeded_one(fixtures_dir):
     watch = Stopwatch(60.0)
     sources = [p.read_text() for p in sorted(fixtures_dir.glob("*.imp"))]
     sources += [oracle_programs.program(seed) for seed in range(1000, 1200)]
+
+    def af(db):
+        return {f for f in db if f.predicate.startswith(("AF_", "AFS_"))}
+
     compared = 0
     for source in sources:
         try:
@@ -484,10 +488,6 @@ def test_seeded_lasso_labels_as_the_unseeded_one(fixtures_dir):
             for r in analysis.rules
         ]
         idb = evaluate(DatalogProgram(rules=unseeded, facts=list(analysis.enc.facts)))
-
-        def af(db):
-            return {f for f in db if f.predicate.startswith(("AF_", "AFS_"))}
-
         assert af(analysis.idb) == af(idb), source
         compared += 1
     assert compared > 100
