@@ -10,10 +10,10 @@ stratified Datalog over a `flow` relation and abstract-state facts.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import pure_logic as pl
-from .datalog_engine import Atom, DVar, Literal, Rule
+from .datalog_engine import Atom, DVar, Literal, Rule, parse_program
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +286,6 @@ def pure_of_ctl(phi: CtlFormula) -> list[pl.Pure | pl.Rel]:
 # ---------------------------------------------------------------------------
 
 S = DVar("S")
-S1 = DVar("S1")
-S2 = DVar("S2")
 
 
 _OP_MIRROR = {
@@ -362,11 +360,50 @@ def cycle_heads(edges, states) -> list:
     return list(heads)
 
 
+# The rules of each core operator over placeholder predicates: N is the
+# operator's own, P and Q its operands', T and A AF's lasso relations.  A
+# rule with a negative body literal carries the positive grounding atom
+# State(S), or a positive literal that binds S.
+_RULES = {
+    op: parse_program(text).rules
+    for op, text in {
+        Not: "N(S) :- State(S), !P(S).",
+        CAnd: "N(S) :- P(S), Q(S).",
+        COr: "N(S) :- P(S). N(S) :- Q(S).",
+        EX: "N(S) :- flow(S, S1), P(S1).",
+        EF: "N(S) :- P(S). N(S) :- flow(S, S1), N(S1).",
+        AF: """
+            % A lasso witness: a path avoiding P that closes a cycle, or
+            % reaches such a cycle; its absence everywhere proves AF P.  Every
+            % cycle passes through a Cyc state (cycle_heads), also in a sign
+            % world, which only removes edges, so the paths start only there.
+            T(S, S1) :- Cyc(S), !P(S), flow(S, S1).
+            T(S, S1) :- T(S, S2), !P(S2), flow(S2, S1).
+            A(S) :- T(S, S).
+            A(S) :- !P(S), flow(S, S1), A(S1).
+            N(S) :- State(S), !A(S).
+        """,
+        EU: "N(S) :- Q(S). N(S) :- P(S), flow(S, S1), N(S1).",
+    }.items()
+}
+
+# The names taken for N (then T and A), from the operands' names P and Q.
+_NAMES = {
+    Not: ("NOT_{P}",), CAnd: ("{P}_AND_{Q}",), COr: ("{P}_OR_{Q}",), EX: ("EX_{P}",),
+    EF: ("EF_{P}",), AF: ("AF_{P}", "AFT_{P}", "AFS_{P}"), EU: ("{P}_EU_{Q}",),
+}
+
+
+def _rename(atom: Atom, names: dict[str, str]) -> Atom:
+    name = names.get(atom.predicate)
+    return atom if name is None else Atom(name, atom.args)
+
+
 def ctl_to_datalog(phi: CtlFormula) -> tuple[str, list[Rule]]:
     """Translate a core-fragment property into stratified Datalog rules.
 
-    Returns the top predicate name and the rule list.  Rules with a negative
-    body literal carry the positive grounding atom State(S).
+    Returns the top predicate name and the rule list: an atomic
+    proposition's rule, then each operator's ``_RULES`` after its operands'.
     """
     rules: list[Rule] = []
     names_used: set[str] = set()
@@ -389,105 +426,14 @@ def ctl_to_datalog(phi: CtlFormula) -> tuple[str, list[Rule]]:
             # one body atom per conjunct, in the fact shape the encoder emits
             body = tuple(Literal(pure_atom(c, S)) for c in pl.conjuncts(node.pure))
             rules.append(Rule(Atom(name, (S,)), body))
-        elif isinstance(node, Not):
-            p = translate(node.operand)
-            name = fresh(f"NOT_{p}")
-            rules.append(
-                Rule(
-                    Atom(name, (S,)),
-                    (Literal(Atom("State", (S,))), Literal(Atom(p, (S,)), positive=False)),
-                )
-            )
-        elif isinstance(node, CAnd):
-            p1, p2 = translate(node.left), translate(node.right)
-            name = fresh(f"{p1}_AND_{p2}")
-            rules.append(
-                Rule(Atom(name, (S,)), (Literal(Atom(p1, (S,))), Literal(Atom(p2, (S,)))))
-            )
-        elif isinstance(node, COr):
-            p1, p2 = translate(node.left), translate(node.right)
-            name = fresh(f"{p1}_OR_{p2}")
-            rules.append(Rule(Atom(name, (S,)), (Literal(Atom(p1, (S,))),)))
-            rules.append(Rule(Atom(name, (S,)), (Literal(Atom(p2, (S,))),)))
-        elif isinstance(node, EX):
-            p = translate(node.operand)
-            name = fresh(f"EX_{p}")
-            rules.append(
-                Rule(
-                    Atom(name, (S,)),
-                    (Literal(Atom("flow", (S, S1))), Literal(Atom(p, (S1,)))),
-                )
-            )
-        elif isinstance(node, EF):
-            p = translate(node.operand)
-            name = fresh(f"EF_{p}")
-            rules.append(Rule(Atom(name, (S,)), (Literal(Atom(p, (S,))),)))
-            rules.append(
-                Rule(
-                    Atom(name, (S,)),
-                    (Literal(Atom("flow", (S, S1))), Literal(Atom(name, (S1,)))),
-                )
-            )
-        elif isinstance(node, AF):
-            p = translate(node.operand)
-            name = fresh(f"AF_{p}")
-            aft = fresh(f"AFT_{p}")
-            afs = fresh(f"AFS_{p}")
-            # A lasso witness: a path avoiding p that closes a cycle, or
-            # reaches such a cycle; its absence everywhere proves AF p.  Every
-            # cycle passes through a Cyc state (cycle_heads), also in a sign
-            # world, which only removes edges, so the paths start only there.
-            rules.append(
-                Rule(
-                    Atom(aft, (S, S1)),
-                    (
-                        Literal(Atom("Cyc", (S,))),
-                        Literal(Atom(p, (S,)), positive=False),
-                        Literal(Atom("flow", (S, S1))),
-                    ),
-                )
-            )
-            rules.append(
-                Rule(
-                    Atom(aft, (S, S1)),
-                    (
-                        Literal(Atom(aft, (S, S2))),
-                        Literal(Atom(p, (S2,)), positive=False),
-                        Literal(Atom("flow", (S2, S1))),
-                    ),
-                )
-            )
-            rules.append(Rule(Atom(afs, (S,)), (Literal(Atom(aft, (S, S))),)))
-            rules.append(
-                Rule(
-                    Atom(afs, (S,)),
-                    (
-                        Literal(Atom(p, (S,)), positive=False),
-                        Literal(Atom("flow", (S, S1))),
-                        Literal(Atom(afs, (S1,))),
-                    ),
-                )
-            )
-            rules.append(
-                Rule(
-                    Atom(name, (S,)),
-                    (Literal(Atom("State", (S,))), Literal(Atom(afs, (S,)), positive=False)),
-                )
-            )
-        elif isinstance(node, EU):
-            p1, p2 = translate(node.left), translate(node.right)
-            name = fresh(f"{p1}_EU_{p2}")
-            rules.append(Rule(Atom(name, (S,)), (Literal(Atom(p2, (S,))),)))
-            rules.append(
-                Rule(
-                    Atom(name, (S,)),
-                    (
-                        Literal(Atom(p1, (S,))),
-                        Literal(Atom("flow", (S, S1))),
-                        Literal(Atom(name, (S1,))),
-                    ),
-                )
-            )
+        elif type(node) in _NAMES:
+            sub = dict(zip("PQ", (translate(getattr(node, f.name)) for f in fields(node))))
+            names = [fresh(pattern.format(**sub)) for pattern in _NAMES[type(node)]]
+            sub.update(zip("NTA", names))
+            for r in _RULES[type(node)]:
+                body = tuple(Literal(_rename(l.atom, sub), l.positive) for l in r.body)
+                rules.append(Rule(_rename(r.head, sub), body))
+            name = names[0]
         else:
             raise TypeError(f"not in the core fragment: {node!r}")
         memo[node] = name

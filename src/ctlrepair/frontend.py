@@ -29,11 +29,11 @@ class ImpSyntaxError(ValueError):
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<comment>//[^\n]*)"
+    r"(?P<skip>\s+|//[^\n]*)"
     r"|(?P<num>\d+)"
     r"|(?P<id>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>\+=|==|!=|<=|>=|\|\||&&|[-+*(){};=,<>!])"
+    r"|(?P<bad>.)"
 )
 
 _KEYWORDS = {"int", "void", "if", "else", "while", "return", "break"}
@@ -44,35 +44,26 @@ class Token:
     kind: str  # num | id | op | kw | eof
     text: str
     pos: int
-    line: int
-    col: int
+
+
+def _where(source: str, pos: int) -> str:
+    """`line L:C` of offset ``pos``, both counted from 1."""
+    line = source.count("\n", 0, pos) + 1
+    col = pos - source.rfind("\n", 0, pos)  # rfind gives -1 on the first line
+    return f"line {line}:{col}"
 
 
 def _lex(source: str) -> list[Token]:
     tokens: list[Token] = []
-    pos = 0
-    line, col = 1, 1
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if not m:
-            raise ImpSyntaxError(f"line {line}:{col}: unexpected character {source[pos]!r}")
-        text = m.group(0)
+    for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
-        if kind == "num":
-            tokens.append(Token("num", text, pos, line, col))
-        elif kind == "id":
-            tokens.append(Token("kw" if text in _KEYWORDS else "id", text, pos, line, col))
-        elif kind == "op":
-            tokens.append(Token("op", text, pos, line, col))
-        # whitespace/comments update position only
-        for ch in text:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-        pos = m.end()
-    tokens.append(Token("eof", "<eof>", pos, line, col))
+        if kind == "skip":
+            continue
+        if kind == "bad":
+            raise ImpSyntaxError(f"{_where(source, m.start())}: unexpected character {m.group()!r}")
+        text = m.group()
+        tokens.append(Token("kw" if text in _KEYWORDS else kind, text, m.start()))
+    tokens.append(Token("eof", "<eof>", len(source)))
     return tokens
 
 
@@ -180,15 +171,18 @@ class _Parser:
         self.tokens = _lex(source)
         self.i = 0
 
+    def where(self, tok: Token) -> str:
+        return _where(self.source, tok.pos)
+
     def peek(self, offset: int = 0) -> Token:
         return self.tokens[min(self.i + offset, len(self.tokens) - 1)]
 
     def take(self, text: str | None = None, kind: str | None = None) -> Token:
         tok = self.tokens[self.i]
         if text is not None and tok.text != text:
-            raise ImpSyntaxError(f"line {tok.line}:{tok.col}: expected {text!r}, found {tok.text!r}")
+            raise ImpSyntaxError(f"{self.where(tok)}: expected {text!r}, found {tok.text!r}")
         if kind is not None and tok.kind != kind:
-            raise ImpSyntaxError(f"line {tok.line}:{tok.col}: expected a {kind}, found {tok.text!r}")
+            raise ImpSyntaxError(f"{self.where(tok)}: expected a {kind}, found {tok.text!r}")
         self.i += 1
         return tok
 
@@ -211,7 +205,7 @@ class _Parser:
             return pl.Const(int(self.take(kind="num").text))
         if tok.kind == "id":
             return pl.Var(self.take(kind="id").text)
-        raise ImpSyntaxError(f"line {tok.line}:{tok.col}: expected an expression, found {tok.text!r}")
+        raise ImpSyntaxError(f"{self.where(tok)}: expected an expression, found {tok.text!r}")
 
     def parse_expr(self) -> pl.Term:
         t = self.parse_term_atom()
@@ -266,7 +260,7 @@ class _Parser:
             self.take(")")
             if isinstance(out, pl.Pure) and self.peek().text in self._RELOPS:
                 raise ImpSyntaxError(
-                    f"line {tok.line}:{tok.col}: comparison of boolean expressions is not supported"
+                    f"{self.where(tok)}: comparison of boolean expressions is not supported"
                 )
             return out
         if tok.text == "*":
@@ -359,10 +353,10 @@ class _Parser:
             elif op.text == "+=":
                 value = pl.Add(pl.Var(name), self.parse_expr())
             else:
-                raise ImpSyntaxError(f"line {op.line}:{op.col}: expected '=' after {name!r}")
+                raise ImpSyntaxError(f"{self.where(op)}: expected '=' after {name!r}")
             end = self.take(";").pos + 1
             return AssignStmt(name, value, Span(start, end))
-        raise ImpSyntaxError(f"line {tok.line}:{tok.col}: unexpected {tok.text!r}")
+        raise ImpSyntaxError(f"{self.where(tok)}: unexpected {tok.text!r}")
 
     def parse_block_or_stmt(self) -> tuple[StmtAst, ...]:
         if self.peek().text == "{":
@@ -378,7 +372,7 @@ class _Parser:
         start = self.peek().pos
         if self.peek().text not in ("int", "void"):
             tok = self.peek()
-            raise ImpSyntaxError(f"line {tok.line}:{tok.col}: expected a procedure, found {tok.text!r}")
+            raise ImpSyntaxError(f"{self.where(tok)}: expected a procedure, found {tok.text!r}")
         self.take()
         name = self.take(kind="id").text
         self.take("(")

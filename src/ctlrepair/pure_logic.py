@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 
 # ---------------------------------------------------------------------------
@@ -625,11 +625,3 @@ def wp_delta(
         pi_t = mk_and(pi_t, _implies(guard, _linear_cmp(GTEQ, *delta, 1)))
         pi_nt = mk_and(pi_nt, _implies(guard, _linear_cmp(LTEQ, *delta, 0)))
     return pi_t, mk_and(pi_nt, any_enabled)
-
-
-def models(pi: Pure, names: list[str], lo: int, hi: int) -> Iterator[dict[str, int]]:
-    """Brute-force integer models of a constraint (test oracle)."""
-    for values in itertools.product(range(lo, hi + 1), repeat=len(names)):
-        store = dict(zip(names, values))
-        if eval_pure(pi, store):
-            yield store

@@ -58,7 +58,6 @@ class PropertyMissing(ValueError):
 class Analysis:
     source: str
     property_text: str
-    ast: fe.ProgramAst
     cfg: fe.Program
     gwre: gw.GwreResult | None
     enc: enc_mod.EncodeResult | None
@@ -66,7 +65,6 @@ class Analysis:
     rules: list
     holds: bool
     unknown: str | None
-    idb: set
 
 
 def analyze(source: str, ctl_text: str | None = None, stats: dict | None = None) -> Analysis:
@@ -83,14 +81,14 @@ def analyze(source: str, ctl_text: str | None = None, stats: dict | None = None)
     try:
         gwre_result = gw.cfg_to_gwre(cfg)
     except gw.SummaryInconclusive as exc:
-        return Analysis(source, text, ast, cfg, None, None, "", [], False, str(exc), set())
+        return Analysis(source, text, cfg, None, None, "", [], False, str(exc))
     enc = enc_mod.abstract_facts(gwre_result, ctl_mod.pure_of_ctl(phi))
     top, ctl_rules = ctl_mod.ctl_to_datalog(phi)
     rules = list(enc.rules) + list(ctl_rules)
     _count(stats, "evaluations")
     idb = evaluate(DatalogProgram(rules=rules, facts=list(enc.facts)))
     holds = Atom(top, (enc.entry_state,)) in idb
-    return Analysis(source, text, ast, cfg, gwre_result, enc, top, rules, holds, None, idb)
+    return Analysis(source, text, cfg, gwre_result, enc, top, rules, holds, None)
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,19 @@ may lie outside the sample.
     PYTHONPATH=src python tests/oracle_programs.py --programs 2000
 
 prints the verdict counts against the concrete runs, every wrong `Verified`
-with its seed and source, and exits 1 if there is one.
+with its seed and source, and exits 1 if there is one.  With `--repair` it
+also runs `repair_loop` at depth 1 (what `ctlrepair repair` runs) on every
+`Violated` program, and runs the same sampled runs on every patch of a
+`Repaired` result: a patched program with a run that does not exit is a
+wrong `Repaired`, and also makes the exit status 1.  It prints how many
+`Unrepaired` results had a sign search cut by the sign budget
+(`--xi-budget`).
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import random
 import signal
 import sys
@@ -92,17 +99,24 @@ def _timeout(signum, frame):
     raise TimeoutError
 
 
-def verdict(source: str) -> str:
-    """`holds`, `violated`, `unknown` or `timeout`."""
+def _limited(call):
+    """``call()``, or None when it runs past ``TIMEOUT_S``."""
     previous = signal.signal(signal.SIGALRM, _timeout)
     signal.setitimer(signal.ITIMER_REAL, TIMEOUT_S)
     try:
-        analysis = rp.analyze(source)
+        return call()
     except TimeoutError:
-        return "timeout"
+        return None
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def verdict(source: str) -> str:
+    """`holds`, `violated`, `unknown` or `timeout`."""
+    analysis = _limited(lambda: rp.analyze(source))
+    if analysis is None:
+        return "timeout"
     if analysis.unknown:
         return "unknown"
     return "holds" if analysis.holds else "violated"
@@ -117,32 +131,67 @@ def diverges(source: str, seed: int) -> bool:
     )
 
 
-def check(seeds) -> tuple[Counter, list[int]]:
-    """Counts of (verdict, some run diverges) and the seeds whose
-    `Verified` has a run that does not exit."""
+def check(seeds) -> tuple[Counter, list[int], list[int]]:
+    """Counts of (verdict, some run diverges), the seeds whose `Verified`
+    has a run that does not exit, and the seeds found `Violated`."""
     counts: Counter = Counter()
     wrong: list[int] = []
+    violated: list[int] = []
     for seed in seeds:
         source = program(seed)
         found, bad = verdict(source), diverges(source, seed)
         counts[found, bad] += 1
         if found == "holds" and bad:
             wrong.append(seed)
-    return counts, wrong
+        if found == "violated":
+            violated.append(seed)
+    return counts, wrong, violated
+
+
+def check_repairs(seeds) -> tuple[Counter, list[tuple[int, str]], int]:
+    """Counts of the depth-1 `repair` verdicts (`timeout` past
+    ``TIMEOUT_S``) on the programs of ``seeds``, the (seed, patched source)
+    pairs of `Repaired` patches with a run that does not exit, and how many
+    `Unrepaired` results had a sign search cut by the sign budget."""
+    counts: Counter = Counter()
+    wrong: list[tuple[int, str]] = []
+    cut = 0
+    for seed in seeds:
+        result = _limited(lambda: rp.repair_loop(program(seed), rp.RepairConfig(depth=1)))
+        found = "timeout" if result is None else result.verdict
+        counts[found] += 1
+        if found == "Repaired":
+            wrong += [(seed, p.source) for p in result.patches if diverges(p.source, seed)]
+        if found == "Unrepaired" and result.stats.get("sign_budget_exceeded"):
+            cut += 1
+    return counts, wrong, cut
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--programs", type=int, default=200)
+    parser.add_argument("--repair", action="store_true", help="also repair every Violated program")
     args = parser.parse_args(argv)
-    counts, wrong = check(range(FIRST_SEED, FIRST_SEED + args.programs))
+    counts, wrong, violated = check(range(FIRST_SEED, FIRST_SEED + args.programs))
     print(f"{'verdict':<10}{'runs all exit':>15}{'some run diverges':>19}")
     for found in ("holds", "violated", "unknown", "timeout"):
         print(f"{found:<10}{counts[found, False]:>15}{counts[found, True]:>19}")
     for seed in wrong:
         print(f"\nwrong Verified, seed {seed}:\n{program(seed)}")
     print(f"{len(wrong)} wrong Verified of {args.programs} programs")
-    return 1 if wrong else 0
+    if not args.repair:
+        return 1 if wrong else 0
+    # a skipped sign search is counted below rather than logged per template
+    logging.getLogger("ctlrepair.repair").setLevel(logging.ERROR)
+    repairs, wrong_repairs, cut = check_repairs(violated)
+    print(f"\nrepair --depth 1 on {len(violated)} Violated programs:")
+    for found in ("Repaired", "Unrepaired", "Unknown", "Verified", "timeout"):
+        print(f"{found:<12}{repairs[found]:>5}")
+    print(f"{cut} Unrepaired had a sign search cut by --xi-budget")
+    for seed, source in wrong_repairs:
+        print(f"\nwrong Repaired, seed {seed}, patched program:\n{source}")
+    print(f"{len(wrong_repairs)} wrong Repaired patches")
+    return 1 if wrong or wrong_repairs else 0
 
 
 if __name__ == "__main__":

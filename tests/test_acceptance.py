@@ -44,6 +44,11 @@ class Stopwatch:
         assert elapsed < self.budget, f"took {elapsed:.2f}s, budget {self.budget}s"
 
 
+def _database(analysis):
+    """Every atom of the analysis's evaluation, input facts included."""
+    return evaluate(DatalogProgram(rules=list(analysis.rules), facts=list(analysis.enc.facts)))
+
+
 # ===========================================================================
 # 1. Overview pipeline golden
 # ===========================================================================
@@ -88,7 +93,7 @@ def test_criterion_1_overview_pipeline(fixture_text):
     # the property fails at the entry state
     assert analysis.top == "AF_yEQ5"
     target = Atom("AF_yEQ5", (1,))
-    assert target not in analysis.idb
+    assert target not in _database(analysis)
     assert not analysis.holds
 
     # deleting the branch-condition fact families restores the property
@@ -488,7 +493,7 @@ def test_seeded_lasso_labels_as_the_unseeded_one(fixtures_dir):
             for r in analysis.rules
         ]
         idb = evaluate(DatalogProgram(rules=unseeded, facts=list(analysis.enc.facts)))
-        assert af(analysis.idb) == af(idb), source
+        assert af(_database(analysis)) == af(idb), source
         compared += 1
     assert compared > 100
     watch.check()
@@ -909,11 +914,22 @@ def test_generated_programs_verified_only_if_every_run_exits():
     # guarded break: a Verified AF(Exit(_)) must have no sampled run that
     # runs out of fuel
     watch = Stopwatch(30.0)
-    counts, wrong = oracle_programs.check(range(1000, 1200))
+    counts, wrong, _ = oracle_programs.check(range(1000, 1200))
     assert wrong == [], "\n".join(oracle_programs.program(seed) for seed in wrong)
     # as many programs that always exit are Verified as before break paths
     # stopped walking past their loop (the programs that did not crash then)
     assert counts["holds", False] >= 104, counts
+    watch.check()
+
+
+def test_generated_repairs_exit_on_every_sampled_run():
+    # repair --depth 1 on the Violated programs of 40 generated ones: every
+    # patch of a Repaired result must exit on each sampled run
+    watch = Stopwatch(45.0)
+    _, _, violated = oracle_programs.check(range(1000, 1040))
+    repairs, wrong, _ = oracle_programs.check_repairs(violated)
+    assert wrong == [], "\n".join(source for _, source in wrong)
+    assert repairs["Repaired"] >= 6, repairs
     watch.check()
 
 
@@ -951,7 +967,7 @@ def test_straight_line_200_evaluation_is_linear():
     # the only cycle is the exit's self-loop, so the lasso starts once
     analysis = rp.analyze(_straight(200))
     states = sum(1 for f in analysis.enc.facts if f.predicate == "State")
-    assert len(analysis.idb) - len(analysis.enc.facts) <= 2 * states
+    assert len(_database(analysis)) - len(analysis.enc.facts) <= 2 * states
 
 
 def test_straight_line_2000_ag_verifies_within_budget():

@@ -119,3 +119,34 @@ def test_ctl_to_datalog_fresh_names_do_not_collide():
     # the repeated AF(y=5) subterm is shared via memoization, not renamed
     assert [r.head.predicate for r in rules].count("AF_yEQ5") == 1
     assert len(set(rules)) == len(rules)
+
+
+def test_ctl_to_datalog_text_of_every_core_operator():
+    # one property over Not, CAnd, COr, EX, EF, AF and EU: the rules, their
+    # order and the fresh names are what dump-datalog prints
+    top, rules = ctl.ctl_to_datalog(
+        ctl.desugar(ctl.parse_ctl("EU(x=1)(EX(y>0)) && (AF(Exit(_)) || !EF(x<2 && y=1))"))
+    )
+    assert top == "xEQ1_EU_EX_yGT0_AND_AF_Exit_OR_NOT_EF_xLT2_AND_yEQ1"
+    assert "\n".join(map(str, rules)) == """\
+xEQ1(S) :- Eq("x", 1, S).
+yGT0(S) :- Gt("y", 0, S).
+EX_yGT0(S) :- flow(S, S1), yGT0(S1).
+xEQ1_EU_EX_yGT0(S) :- EX_yGT0(S).
+xEQ1_EU_EX_yGT0(S) :- xEQ1(S), flow(S, S1), xEQ1_EU_EX_yGT0(S1).
+Exit(S) :- Exit(S).
+AFT_Exit(S, S1) :- Cyc(S), !Exit(S), flow(S, S1).
+AFT_Exit(S, S1) :- AFT_Exit(S, S2), !Exit(S2), flow(S2, S1).
+AFS_Exit(S) :- AFT_Exit(S, S).
+AFS_Exit(S) :- !Exit(S), flow(S, S1), AFS_Exit(S1).
+AF_Exit(S) :- State(S), !AFS_Exit(S).
+xLT2(S) :- Lt("x", 2, S).
+yEQ1(S) :- Eq("y", 1, S).
+xLT2_AND_yEQ1(S) :- xLT2(S), yEQ1(S).
+EF_xLT2_AND_yEQ1(S) :- xLT2_AND_yEQ1(S).
+EF_xLT2_AND_yEQ1(S) :- flow(S, S1), EF_xLT2_AND_yEQ1(S1).
+NOT_EF_xLT2_AND_yEQ1(S) :- State(S), !EF_xLT2_AND_yEQ1(S).
+AF_Exit_OR_NOT_EF_xLT2_AND_yEQ1(S) :- AF_Exit(S).
+AF_Exit_OR_NOT_EF_xLT2_AND_yEQ1(S) :- NOT_EF_xLT2_AND_yEQ1(S).
+xEQ1_EU_EX_yGT0_AND_AF_Exit_OR_NOT_EF_xLT2_AND_yEQ1(S) :- \
+xEQ1_EU_EX_yGT0(S), AF_Exit_OR_NOT_EF_xLT2_AND_yEQ1(S)."""
