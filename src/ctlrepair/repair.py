@@ -261,10 +261,17 @@ def inject_symbols(
     template: str,
     shape: tuple[str, int] | None,
 ) -> tuple[sedl.SymbolicEdb, dict[str, enc_mod.Family]]:
-    """Mark the template's facts with signs and inject one symbolic fact."""
-    fams = _xi_families(enc, template)
-    xi_of_key = {fam.key: f"xi{i + 1}" for i, fam in enumerate(fams)}
-    fam_of_xi = {f"xi{i + 1}": fam for i, fam in enumerate(fams)}
+    """Mark the template's facts with signs and inject one symbolic fact.
+
+    Sign ``xi{i+1}`` is bit ``i`` of a sign world and the injected fact's
+    ``xiA`` comes last, the order in which ``sedl`` meets the signs on the
+    facts: families are numbered by the first fact each one owns in
+    ``enc.facts``, and a family whose every member ``enc.fact_family``
+    gives to a later family gets no sign."""
+    fams = {fam.key: fam for fam in _xi_families(enc, template)}
+    owners = dict.fromkeys(k for k in map(enc.fact_family.get, enc.facts) if k in fams)
+    fam_of_xi = {f"xi{i + 1}": fams[key] for i, key in enumerate(owners)}
+    xi_of_key = {fam.key: name for name, fam in fam_of_xi.items()}
     facts = [
         sedl.SymbolicFact(f, xi_of_key.get(enc.fact_family.get(f)))
         for f in enc.facts

@@ -4,6 +4,7 @@ from ctlrepair import pure_logic as pl
 from ctlrepair import repair as rp
 from ctlrepair.datalog_engine import Atom
 
+import oracle_programs
 from conftest import verdict
 
 
@@ -107,6 +108,33 @@ def test_sign_budget_cut_offs_are_counted(fixture_text):
     timing = result.to_json()["timing"]
     assert timing["sign_budget_exceeded"] == timing["sign_searches"] == 11
     assert "sign_truncated" not in timing
+
+
+def test_sign_bits_follow_the_families_in_fact_order():
+    # _candidate_worlds reads bit i as xi{i+1} and xiA as the last bit, and
+    # sedl numbers the bits in the order the signs first appear on facts:
+    # both must be one order, also where a fact's family is a later one
+    # (seeds 1013 and 1024 have such facts)
+    for seed in range(1000, 1040):
+        analysis = rp.analyze(oracle_programs.program(seed))
+        if analysis.unknown:
+            continue
+        for template in rp.TEMPLATES:
+            shapes = [None]
+            if template != "delete":
+                shapes = rp._alpha_shapes(analysis.enc, analysis.rules)
+            for shape in shapes:
+                edb, fam_of_xi = rp.inject_symbols(analysis.enc, template, shape)
+                expected = list(fam_of_xi) + (["xiA"] if shape else [])
+                assert edb.xis() == expected, (seed, template, shape)
+
+
+def test_generated_program_with_reordered_signs_is_repaired():
+    # seed 1219: with the signs read in another order than the worlds were
+    # built in, no candidate replayed and the program stayed Unrepaired
+    repairs, wrong, _ = oracle_programs.check_repairs([1219])
+    assert repairs == {"Repaired": 1}
+    assert wrong == []
 
 
 def _families_deleted(patch: rp.Patch) -> int:
