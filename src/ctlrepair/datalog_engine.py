@@ -9,10 +9,11 @@ dumps and evaluation results are deterministic.
 
 One evaluator, ``_fixpoint``, serves both plain and sign-annotated
 evaluation.  Every atom carries a mask: an integer bitmask over a set of
-worlds (for ``sedl``, the 2^k truth assignments to k sign symbols), bit w
-set when the atom is derivable in world w; ``full`` has every world's bit
-set.  Joins intersect masks, alternative derivations union them, and
-negation complements a lower stratum's final mask within ``full``.  Plain
+worlds (for ``sedl``, each pair of an alpha valuation and a candidate
+assignment to the sign symbols), bit w set when the atom is derivable in
+world w; ``full`` has every world's bit set.  Joins intersect masks,
+alternative derivations union them, and negation complements a lower
+stratum's final mask within ``full``.  Plain
 evaluation (``evaluate``) is the one-world case: every fact at mask 1 and
 ``full=1``.
 
@@ -474,8 +475,7 @@ def _fixpoint(rules: Sequence[Rule], masks: dict[Atom, int], full: int) -> dict[
     first in fact order, where fact order is the order in which facts first
     entered ``masks``, and each round collects a rule's firings before
     adding them.  An atom enters ``masks`` (insertion-ordered, updated in
-    place and returned) when it is first derived; ``sedl`` reads its
-    disjuncts in that order.
+    place and returned) when it is first derived.
     """
     n_input = len(masks)
     facts = _Index(masks)

@@ -10,7 +10,11 @@ The extensional database may contain two kinds of unknowns:
 ``symbolic_execute`` characterizes, as a disjunction of constraints over the
 alphas and xis, exactly which instantiations and fact subsets make a target
 atom derivable.  By default the alphas range over the product of their finite
-domains and every sign world is inspected; callers may restrict both.
+domains and every sign world is inspected; callers may restrict both.  One
+fixpoint answers them all: every atom carries a mask with one bit per pair of
+a valuation and a sign world (the provenance annotation of Green,
+Karvounarakis & Tannen, "Provenance Semirings", PODS 2007, over sets of
+worlds).
 """
 
 from __future__ import annotations
@@ -161,38 +165,25 @@ def domain_of(
 
 
 # ---------------------------------------------------------------------------
-# Sign search via truth-table-annotated evaluation
+# Sign search via world-annotated evaluation
 # ---------------------------------------------------------------------------
-
-
-def _pattern(i: int, k: int) -> int:
-    """Mask over 2^k worlds selecting those where sign bit ``i`` is true."""
-    block = 1 << i
-    unit = ((1 << block) - 1) << block
-    out = 0
-    for j in range(1 << (k - i - 1)):
-        out |= unit << (j * 2 * block)
-    return out
 
 
 def annotated_eval(
     rules: list[Rule],
-    plain_facts: list[Atom],
-    xi_facts: list[tuple[Atom, int]],
-    k: int,
-) -> tuple[dict[Atom, int], int]:
-    """Fixpoint where every atom carries the set of sign-worlds deriving it.
+    facts: list[tuple[Atom, int]],
+    full: int,
+) -> dict[Atom, int]:
+    """Fixpoint where every atom carries the set of worlds deriving it.
 
-    A world is one of the 2^k assignments to the sign symbols, encoded as a
-    bit position; an atom's annotation is an integer bitmask over worlds.
-    Plain facts hold in every world, the fact of sign ``i`` in the worlds
-    where bit ``i`` is set.
+    A world is a bit position of ``full``, and an atom's annotation is an
+    integer bitmask over the worlds.  Each input fact comes with the mask
+    of the worlds it holds in; a fact listed twice holds in the union.
     """
-    full = (1 << (1 << k)) - 1
-    masks = dict.fromkeys(plain_facts, full)
-    for atom, i in xi_facts:
-        masks[atom] = masks.get(atom, 0) | _pattern(i, k)
-    return _fixpoint(rules, masks, full), full
+    masks: dict[Atom, int] = {}
+    for atom, mask in facts:
+        masks[atom] = masks.get(atom, 0) | mask
+    return _fixpoint(rules, masks, full)
 
 
 def _world_signs(w: int, xi_names: list[str]) -> tuple[list[str], list[str]]:
@@ -232,21 +223,6 @@ class Psi:
     truncated: bool = False
 
 
-def _instantiate_edb(edb: SymbolicEdb, alpha_map: dict[str, object]):
-    plain: list[Atom] = []
-    xi_facts: list[tuple[Atom, str]] = []
-    for f in edb.facts:
-        args = tuple(
-            alpha_map[a.name] if isinstance(a, Alpha) else a for a in f.atom.args
-        )
-        atom = Atom(f.atom.predicate, args)
-        if f.xi is None:
-            plain.append(atom)
-        else:
-            xi_facts.append((atom, f.xi))
-    return plain, xi_facts
-
-
 def _unify_args(args, target_args):
     """Match derived args against a ground target, binding placeholders."""
     bindings: dict[str, object] = {}
@@ -261,15 +237,16 @@ def _unify_args(args, target_args):
 
 
 def _target_variants(masks: dict[Atom, int], target: Atom):
-    """Derived atoms unifying with the target up to placeholder binding."""
+    """Derived atoms unifying with the target up to placeholder binding,
+    sorted by their bindings."""
     out = []
     for fact, mask in masks.items():
         if fact.predicate != target.predicate or len(fact.args) != len(target.args):
             continue
         bindings = _unify_args(fact.args, target.args)
         if bindings is not None and mask:
-            out.append((bindings, mask))
-    return out
+            out.append((tuple(sorted(bindings.items(), key=repr)), mask))
+    return sorted(out, key=lambda variant: repr(variant[0]))
 
 
 _MAX_DISJUNCTS = 4096
@@ -289,7 +266,15 @@ def symbolic_execute(
     combination of the alphas' ``domain_of`` domains is tried; callers may
     pass a narrower list.  With ``candidate_worlds`` the sign search inspects
     only the given worlds (an intentional restriction used by callers that
-    bound edit sizes); otherwise every world is enumerated, ascending.
+    bound edit sizes); otherwise every world is enumerated, ascending.  A
+    sign world ``w`` sets bit ``i`` when sign ``edb.xis()[i]`` is true.
+
+    One annotated fixpoint answers every valuation: bit ``v * n + j`` of a
+    mask stands for valuation ``v`` in world ``worlds[j]`` (``n`` worlds).
+    A plain fact holds in its sign's worlds in every valuation's block, and
+    a fact with alphas gets one instance per valuation, confined to that
+    valuation's block.  Disjuncts are read valuation by valuation, then by
+    the target variant's bindings, then world by world.
     """
     xi_names: list[str] = edb.xis()
     k = len(xi_names)
@@ -304,32 +289,37 @@ def symbolic_execute(
             for combo in itertools.product(*domains)
         ]
     worlds = candidate_worlds if candidate_worlds is not None else range(1 << k)
+    n = len(worlds)
+    block = (1 << n) - 1
+    tile = sum(1 << (v * n) for v in range(len(valuations)))  # bit 0 of each block
+    in_world = {
+        name: sum(1 << j for j, w in enumerate(worlds) if (w >> i) & 1)
+        for i, name in enumerate(xi_names)
+    }
+    facts: list[tuple[Atom, int]] = []
+    for f in edb.facts:
+        mask = block if f.xi is None else in_world[f.xi]
+        if not any(isinstance(a, Alpha) for a in f.atom.args):
+            facts.append((f.atom, mask * tile))
+            continue
+        for v, alpha_map in enumerate(valuations):
+            args = tuple(
+                alpha_map[a.name] if isinstance(a, Alpha) else a for a in f.atom.args
+            )
+            facts.append((Atom(f.atom.predicate, args), mask << (v * n)))
+    variants = _target_variants(annotated_eval(rules, facts, block * tile), target)
     disjuncts: list[Disjunct] = []
     seen = set()
-    truncated = False
-    for alpha_map in valuations:
-        plain, xi_facts = _instantiate_edb(edb, alpha_map)
-        indexed = [(atom, xi_names.index(name)) for atom, name in xi_facts]
-        masks, _ = annotated_eval(rules, plain, indexed, k)
-        for bindings, mask in _target_variants(masks, target):
-            for w in worlds:
-                if not (mask >> w) & 1:
+    for v, alpha_map in enumerate(valuations):
+        alpha_key = tuple(sorted(alpha_map.items(), key=repr))
+        for bindings, mask in variants:
+            here = (mask >> (v * n)) & block
+            for j, w in enumerate(worlds):
+                if not (here >> j) & 1 or (alpha_key, bindings, w) in seen:
                     continue
+                seen.add((alpha_key, bindings, w))
                 true_, false_ = _world_signs(w, xi_names)
-                key = (
-                    tuple(sorted(alpha_map.items(), key=repr)),
-                    tuple(sorted(bindings.items(), key=repr)),
-                    w,
-                )
-                if key in seen:
-                    continue
-                seen.add(key)
-                disjuncts.append(Disjunct(dict(alpha_map), bindings, true_, false_))
+                disjuncts.append(Disjunct(dict(alpha_map), dict(bindings), true_, false_))
                 if len(disjuncts) >= _MAX_DISJUNCTS:
-                    truncated = True
-                    break
-            if truncated:
-                break
-        if truncated:
-            break
-    return Psi(disjuncts, truncated)
+                    return Psi(disjuncts, truncated=True)
+    return Psi(disjuncts)

@@ -681,6 +681,7 @@ def _random_symbolic_instance(rng):
 def test_criterion_8_symbolic_execution_matches_brute_force():
     watch = Stopwatch(120.0)
     rng = random.Random(88)
+    pick = random.Random(89)  # the restriction; rng alone draws the instances
     instances = 0
     while instances < 100:
         rules, edb, target = _random_symbolic_instance(rng)
@@ -697,9 +698,11 @@ def test_criterion_8_symbolic_execution_matches_brute_force():
 
         dep = sedl.compute_depend(rules, edb)
         domains = [sedl.domain_of(a, dep, edb) for a in alphas]
+        valuations = []
         oracle = set()
         for assignment in itertools.product(*domains):
             amap = {a.name: v for a, v in zip(alphas, assignment)}
+            valuations.append(amap)
             plain, xi_facts = [], []
             for sf in edb.facts:
                 args = tuple(
@@ -717,6 +720,32 @@ def test_criterion_8_symbolic_execution_matches_brute_force():
                 if _derives(rules, facts, target):
                     oracle.add((tuple(sorted(amap.items())), frozenset(on)))
         assert psi_set == oracle
+
+        # a sub-list of the valuations and a sorted subset of the worlds:
+        # the same answer restricted to them, in the order of one run per
+        # valuation
+        some_valuations = [amap for amap in valuations if pick.random() < 0.6]
+        worlds = sorted(w for w in range(1 << len(xi_names)) if pick.random() < 0.5)
+        restricted = sedl.symbolic_execute(
+            rules, edb, target, valuations=some_valuations, candidate_worlds=worlds
+        )
+        kept = {tuple(sorted(amap.items())) for amap in some_valuations}
+        assert {
+            (tuple(sorted(d.alpha.items())), frozenset(d.sign_true))
+            for d in restricted.disjuncts
+        } == {
+            (alpha, on)
+            for alpha, on in oracle
+            if alpha in kept
+            and sum(1 << i for i, name in enumerate(xi_names) if name in on) in worlds
+        }
+        assert restricted.disjuncts == [
+            d
+            for amap in some_valuations
+            for d in sedl.symbolic_execute(
+                rules, edb, target, valuations=[amap], candidate_worlds=worlds
+            ).disjuncts
+        ]
 
         # patch replay: applying any disjunct verbatim re-derives the target
         for d in psi.disjuncts:

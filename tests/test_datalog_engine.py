@@ -142,8 +142,8 @@ unreached(X) :- node(X), !path(1, X).
 
 
 def test_derivation_order_golden():
-    # sedl reads disjuncts in the order atoms first enter the mask table, so
-    # the order is part of the engine's contract, not an accident of it
+    # atoms enter the mask table in an order fixed by the program alone, not
+    # by hashing, so the order is part of the engine's contract
     program = parse_program(CYCLIC_TC)
     derived = list(_fixpoint(program.rules, dict.fromkeys(program.facts, 1), 1))
     assert derived[: len(program.facts)] == program.facts

@@ -144,9 +144,10 @@ def test_pruning_keeps_only_consistent_valuations():
 
 def test_annotated_eval_masks_match_plain_eval():
     rules = parse_program("a(X) :- b(X), !c(X).").rules
-    masks, full = sedl.annotated_eval(
-        rules, [], [(Atom("b", (1,)), 0), (Atom("c", (1,)), 1)], 2
+    # four worlds: b(1) holds where bit 0 of the world number is set, c(1)
+    # where bit 1 is
+    masks = sedl.annotated_eval(
+        rules, [(Atom("b", (1,)), 0b1010), (Atom("c", (1,)), 0b1100)], 0b1111
     )
-    assert full == 0b1111
     # a(1) derivable exactly when b present (bit0) and c absent (bit1)
     assert masks[Atom("a", (1,))] == 0b0010
