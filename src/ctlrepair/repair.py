@@ -405,6 +405,7 @@ def run_template(analysis: Analysis, template: str, config: RepairConfig, stats=
     shapes = _alpha_shapes(enc, analysis.rules) if template in ("update", "add") else [None]
     candidates: list[_Candidate] = []
     run_reports = []
+    skipped: list[sedl.SignBudgetExceeded] = []
     for shape in shapes:
         edb, fam_of_xi = inject_symbols(enc, template, shape)
         k_fams = len(fam_of_xi)
@@ -425,7 +426,7 @@ def run_template(analysis: Analysis, template: str, config: RepairConfig, stats=
             )
         except sedl.SignBudgetExceeded as exc:
             _count(stats, "sign_budget_exceeded")
-            log.warning("sign search skipped for template %s: %s", template, exc)
+            skipped.append(exc)
             continue
         if psi.truncated:
             _count(stats, "sign_truncated")
@@ -451,6 +452,11 @@ def run_template(analysis: Analysis, template: str, config: RepairConfig, stats=
                 },
                 "disjuncts": report_disjuncts,
             }
+        )
+    if skipped:
+        log.warning(
+            "%d of %d sign searches skipped for template %s: %s",
+            len(skipped), len(shapes), template, skipped[-1],
         )
     return candidates, run_reports
 
