@@ -40,6 +40,17 @@ def _read_source(path: str) -> str:
     return pathlib.Path(path).read_text()
 
 
+def _effect(path: str) -> gw.Re:
+    """The guarded-effect expression of the program at ``path``; exit 2 when
+    a loop summary is inconclusive."""
+    program = fe.build_cfg(fe.parse(_read_source(path)))
+    try:
+        return gw.cfg_to_gwre(program).phi
+    except gw.SummaryInconclusive as exc:
+        click.echo(f"inconclusive: {exc}", err=True)
+        sys.exit(2)
+
+
 def _emit_json(payload: dict) -> None:
     click.echo(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
@@ -159,14 +170,7 @@ def repair(
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 def dump_gwre(file: str) -> None:
     """Print the program's guarded-effect expression."""
-    source = _read_source(file)
-    program = fe.build_cfg(fe.parse(source))
-    try:
-        result = gw.cfg_to_gwre(program)
-    except gw.SummaryInconclusive as exc:
-        click.echo(f"inconclusive: {exc}", err=True)
-        sys.exit(2)
-    click.echo(str(result.phi))
+    click.echo(str(_effect(file)))
 
 
 @cli.command(name="dump-datalog")
@@ -191,14 +195,7 @@ def dump_datalog(file: str, ctl_text: str | None) -> None:
 @click.option("--fuel", default=50, type=click.IntRange(min=0), show_default=True, help="Maximum number of steps.")
 def simulate(file: str, seed: int, fuel: int) -> None:
     """Draw one concrete trace from the program's effect."""
-    source = _read_source(file)
-    program = fe.build_cfg(fe.parse(source))
-    try:
-        result = gw.cfg_to_gwre(program)
-    except gw.SummaryInconclusive as exc:
-        click.echo(f"inconclusive: {exc}", err=True)
-        sys.exit(2)
-    sim = gw.simulate(result.phi, fuel=fuel, rng=random.Random(seed))
+    sim = gw.simulate(_effect(file), fuel=fuel, rng=random.Random(seed))
     for state, text in sim.trace:
         click.echo(f"{state}\t{text}")
     click.echo(f"status: {sim.status}")
