@@ -237,16 +237,18 @@ def _unify_args(args, target_args):
 
 
 def _target_variants(masks: dict[Atom, int], target: Atom):
-    """Derived atoms unifying with the target up to placeholder binding,
-    sorted by their bindings."""
-    out = []
+    """The placeholder bindings under which derived atoms unify with the
+    target, each with the union of those atoms' masks, sorted by bindings:
+    an order that does not depend on the order of derivation."""
+    out: dict[tuple, int] = {}
     for fact, mask in masks.items():
         if fact.predicate != target.predicate or len(fact.args) != len(target.args):
             continue
         bindings = _unify_args(fact.args, target.args)
-        if bindings is not None and mask:
-            out.append((tuple(sorted(bindings.items(), key=repr)), mask))
-    return sorted(out, key=lambda variant: repr(variant[0]))
+        if bindings is not None:
+            key = tuple(sorted(bindings.items(), key=repr))
+            out[key] = out.get(key, 0) | mask
+    return sorted(out.items(), key=lambda variant: repr(variant[0]))
 
 
 _MAX_DISJUNCTS = 4096

@@ -151,3 +151,20 @@ def test_annotated_eval_masks_match_plain_eval():
     )
     # a(1) derivable exactly when b present (bit0) and c absent (bit1)
     assert masks[Atom("a", (1,))] == 0b0010
+
+
+def test_target_variants_merge_equal_bindings_in_a_fixed_order():
+    # a(#n1, 1) and a(1, #n1) both match a(1, 1) under #n1 = 1: one variant
+    # with both masks, listed where its bindings sort, whatever the order
+    # the atoms were derived in
+    n1 = sedl.placeholder(1)
+    masks = {
+        Atom("a", (n1, 1)): 0b001,
+        Atom("a", (1, 1)): 0b100,
+        Atom("a", (1, n1)): 0b010,
+        Atom("b", (1, 1)): 0b111,
+    }
+    expected = [(((n1, 1),), 0b011), ((), 0b100)]
+    assert sedl._target_variants(masks, Atom("a", (1, 1))) == expected
+    reordered = dict(reversed(list(masks.items())))
+    assert sedl._target_variants(reordered, Atom("a", (1, 1))) == expected
