@@ -82,7 +82,9 @@ CORE = (AP, Not, CAnd, COr, EX, EF, AF, EU)
 # ---------------------------------------------------------------------------
 
 _CTL_TOKEN = re.compile(
-    r"\s*(->|&&|\|\||>=|<=|!=|[!()=<>]|-?\d+|[A-Za-z_][A-Za-z0-9_]*)"
+    r"(?P<skip>\s+)"
+    r"|(?P<tok>->|&&|\|\||>=|<=|!=|[!()=<>]|-?\d+|[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<bad>.)"
 )
 
 _OP_PURE = {text: op for op, text in pl._OP_SYMBOL.items()}
@@ -114,16 +116,12 @@ def _name_part(t: pl.Term) -> str:
 def parse_ctl(text: str) -> CtlFormula:
     """Parse a property; atoms are auto-named (e.g. yEQ5 for y=5)."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
+    for m in _CTL_TOKEN.finditer(text):
+        if m.lastgroup == "skip":
             continue
-        m = _CTL_TOKEN.match(text, pos)
-        if not m:
-            raise CtlSyntaxError(f"bad character in property at offset {pos}: {text[pos]!r}")
-        tokens.append(m.group(1))
-        pos = m.end()
+        if m.lastgroup == "bad":
+            raise CtlSyntaxError(f"bad character in property at offset {m.start()}: {m.group()!r}")
+        tokens.append(m.group())
     tokens.append("<eof>")
     i = [0]
 

@@ -9,8 +9,8 @@ dumps and evaluation results are deterministic.
 
 One evaluator, ``_fixpoint``, serves both plain and sign-annotated
 evaluation.  Every atom carries a mask: an integer bitmask over a set of
-worlds (for ``sedl``, each pair of an alpha valuation and a candidate
-assignment to the sign symbols), bit w set when the atom is derivable in
+worlds (for ``sedl``, each pair of an alpha valuation and a sign world),
+bit w set when the atom is derivable in
 world w; ``full`` has every world's bit set.  Joins intersect masks,
 alternative derivations union them, and negation complements a lower
 stratum's final mask within ``full``.  Plain
@@ -150,25 +150,21 @@ class DatalogProgram:
 # Text format
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r'\s*(:-|[(),.!]|"[^"]*"|-?\d+|[A-Za-z_][A-Za-z0-9_]*)')
+_TOKEN = re.compile(
+    r"(?P<skip>\s+|%[^\n]*)"  # a comment runs to the end of its line
+    r'|(?P<tok>:-|[(),.!]|"[^"]*"|-?\d+|[A-Za-z_][A-Za-z0-9_]*)'
+    r"|(?P<bad>.)"
+)
 
 
 def _tokenize(text: str) -> list[str]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
+    for m in _TOKEN.finditer(text):
+        if m.lastgroup == "skip":
             continue
-        if text.startswith("%", pos):  # comment to end of line
-            nl = text.find("\n", pos)
-            pos = len(text) if nl < 0 else nl + 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise DatalogError(f"bad character at offset {pos}: {text[pos]!r}")
-        tokens.append(m.group(1))
-        pos = m.end()
+        if m.lastgroup == "bad":
+            raise DatalogError(f"bad character at offset {m.start()}: {m.group()!r}")
+        tokens.append(m.group())
     return tokens
 
 

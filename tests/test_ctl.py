@@ -38,6 +38,12 @@ def test_parse_errors():
             ctl.parse_ctl(text)
 
 
+def test_bad_character_message():
+    with pytest.raises(ctl.CtlSyntaxError) as err:
+        ctl.parse_ctl("AF(x = 1) $ y")
+    assert str(err.value) == "bad character in property at offset 10: '$'"
+
+
 def test_desugar_targets_core_fragment():
     def assert_core(node):
         assert isinstance(node, ctl.CORE), node

@@ -44,6 +44,14 @@ def test_quoted_strings_and_negative_numbers():
     assert Atom("q", ("a b",)) in idb
 
 
+def test_comments_and_bad_character_message():
+    program = parse_program("% a comment\np(1). % another\nq(X) :- p(X).")
+    assert Atom("q", (1,)) in evaluate(program)
+    with pytest.raises(DatalogError) as err:
+        parse_program("a(X) :- b(X) & c(X).")
+    assert str(err.value) == "bad character at offset 13: '&'"
+
+
 def test_stratified_negation():
     program = parse_program(
         """
