@@ -260,14 +260,14 @@ def inject_symbols(
     enc: enc_mod.EncodeResult,
     template: str,
     shape: tuple[str, int] | None,
-) -> tuple[sedl.SymbolicEdb, dict[str, enc_mod.Family]]:
+) -> tuple[list[sedl.SymbolicFact], dict[str, enc_mod.Family]]:
     """Mark the template's facts with signs and inject one symbolic fact.
 
-    Sign ``xi{i+1}`` is bit ``i`` of a sign world and the injected fact's
-    ``xiA`` comes last, the order in which ``sedl`` meets the signs on the
-    facts: families are numbered by the first fact each one owns in
-    ``enc.facts``, and a family whose every member ``enc.fact_family``
-    gives to a later family gets no sign."""
+    Sign ``xi{i+1}`` names the ``i``-th family to own a fact of
+    ``enc.facts``, so the signs are numbered in the order ``sedl`` meets
+    and reports them, and the injected fact's ``xiA`` comes last.  A family
+    whose every member ``enc.fact_family`` gives to a later family gets no
+    sign."""
     fams = {fam.key: fam for fam in _xi_families(enc, template)}
     owners = dict.fromkeys(k for k in map(enc.fact_family.get, enc.facts) if k in fams)
     fam_of_xi = {f"xi{i + 1}": fams[key] for i, key in enumerate(owners)}
@@ -280,7 +280,7 @@ def inject_symbols(
         pred, arity = shape
         alpha_args = tuple(sedl.Alpha(f"alpha{i + 1}") for i in range(arity))
         facts.append(sedl.SymbolicFact(Atom(pred, alpha_args), "xiA"))
-    return sedl.SymbolicEdb(facts), fam_of_xi
+    return facts, fam_of_xi
 
 
 # ---------------------------------------------------------------------------
@@ -288,17 +288,11 @@ def inject_symbols(
 # ---------------------------------------------------------------------------
 
 
-def _alpha_valuations(shape, analysis, budget: int) -> list[dict[str, object]]:
+def _alpha_valuations(shape, rules, consts_at, budget: int) -> list[dict[str, object]]:
     """Instantiations worth trying: unify the injected fact against every
     rule literal of its shape, filling variable positions from the constants
-    known to interact there."""
+    known to interact there (``consts_at``, from ``sedl.compute_depend``)."""
     pred, arity = shape
-    concrete = sedl.SymbolicEdb([sedl.SymbolicFact(f) for f in analysis.enc.facts])
-    dep = sedl.compute_depend(analysis.rules, concrete)
-    consts_at: dict[tuple[str, int], list] = {}
-    for (p, i, c) in dep:
-        if not sedl.is_placeholder(c):
-            consts_at.setdefault((p, i), []).append(c)
     vals: list[dict[str, object]] = []
     seen = set()
 
@@ -309,38 +303,27 @@ def _alpha_valuations(shape, analysis, budget: int) -> list[dict[str, object]]:
         seen.add(key)
         vals.append({f"alpha{i + 1}": a for i, a in enumerate(args)})
 
-    for lit in _body_literals(analysis.rules):
+    for lit in _body_literals(rules):
         if lit.predicate != pred or len(lit.args) != arity:
             continue
-        domains = []
-        for i, a in enumerate(lit.args):
-            if isinstance(a, DVar):
-                domains.append(sorted(set(consts_at.get((pred, i), [])), key=repr))
-            else:
-                domains.append([a])
+        domains = [
+            consts_at.get((pred, i), ()) if isinstance(a, DVar) else [a]
+            for i, a in enumerate(lit.args)
+        ]
         for combo in itertools.product(*domains):
             push(combo)
     push(tuple(sedl.placeholder(i + 1) for i in range(arity)))
     return vals
 
 
-def _candidate_worlds(k_fams: int, has_alpha: bool, max_delete: int) -> list[int]:
-    """Sign worlds honoring the edit budget: at most ``max_delete`` family
-    signs false, the injected fact's sign free."""
-    total = k_fams + (1 if has_alpha else 0)
-    full = (1 << total) - 1
-    worlds = set()
-    for r in range(min(max_delete, k_fams) + 1):
-        for false_set in itertools.combinations(range(k_fams), r):
-            w = full
-            for b in false_set:
-                w &= ~(1 << b)
-            if has_alpha:
-                worlds.add(w & ~(1 << k_fams))
-                worlds.add(w)
-            else:
-                worlds.add(w)
-    return sorted(worlds)
+def _candidate_worlds(names: list[str], max_delete: int) -> list[frozenset[str]]:
+    """Sign worlds honoring the edit budget, each the set of signs it sets
+    false: at most ``max_delete`` of the family signs ``names``."""
+    return [
+        frozenset(off)
+        for r in range(max_delete + 1)
+        for off in itertools.combinations(names, r)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +381,10 @@ def _value_for(pure: pl.Pure, var: str) -> object | None:
     return None
 
 
-def run_template(analysis: Analysis, template: str, config: RepairConfig, stats=None):
-    """All fact-level candidates one template proposes, plus its constraints."""
+def run_template(analysis: Analysis, template: str, config: RepairConfig, consts_at, stats=None):
+    """All fact-level candidates one template proposes, plus its constraints.
+
+    ``consts_at`` is ``sedl.compute_depend`` of the analysis' rules and facts."""
     enc = analysis.enc
     target = Atom(analysis.top, (enc.entry_state,))
     shapes = _alpha_shapes(enc, analysis.rules) if template in ("update", "add") else [None]
@@ -407,22 +392,16 @@ def run_template(analysis: Analysis, template: str, config: RepairConfig, stats=
     run_reports = []
     skipped: list[sedl.SignBudgetExceeded] = []
     for shape in shapes:
-        edb, fam_of_xi = inject_symbols(enc, template, shape)
-        k_fams = len(fam_of_xi)
-        worlds = _candidate_worlds(k_fams, shape is not None, config.max_delete)
+        facts, fam_of_xi = inject_symbols(enc, template, shape)
+        worlds = _candidate_worlds(list(fam_of_xi), config.max_delete)
+        valuations = [{}]
         if shape is not None:
-            valuations = _alpha_valuations(shape, analysis, config.alpha_budget)
-        else:
-            valuations = [{}]
+            worlds += [off | {"xiA"} for off in worlds]
+            valuations = _alpha_valuations(shape, analysis.rules, consts_at, config.alpha_budget)
         _count(stats, "sign_searches")
         try:
             psi = sedl.symbolic_execute(
-                analysis.rules,
-                edb,
-                target,
-                budget=config.xi_budget,
-                valuations=valuations,
-                candidate_worlds=worlds,
+                analysis.rules, facts, target, config.xi_budget, valuations, worlds
             )
         except sedl.SignBudgetExceeded as exc:
             _count(stats, "sign_budget_exceeded")
@@ -718,11 +697,12 @@ def _search(analysis: Analysis, config: RepairConfig, depth: int, stats):
     candidates: list[_Candidate] = []
     constraints: dict = {}
     seen = set()
+    consts_at = sedl.compute_depend(analysis.rules, analysis.enc.facts)
     for template in config.template_order:
         if template not in TEMPLATES:
             raise ValueError(f"unknown template {template!r}")
         _count(stats, "templates")
-        cands, reports = run_template(analysis, template, config, stats)
+        cands, reports = run_template(analysis, template, config, consts_at, stats)
         constraints[template] = reports
         for c in cands:
             key = (frozenset(f.key for f in c.deletes), frozenset(c.adds))

@@ -1,26 +1,26 @@
 """Symbolic execution of stratified Datalog.
 
-The extensional database may contain two kinds of unknowns:
+The input facts may contain two kinds of unknowns:
 
 * symbolic constants (``Alpha``) standing for argument values yet to be
-  chosen, approximated by finite domains plus placeholder constants
-  (``#n1`` ...) representing fresh values; and
-* sign symbols (``xi``) marking facts whose presence is undecided.
+  chosen; a valuation gives each one a value, which may be a placeholder
+  constant (``#n1`` ...) standing for a fresh value; and
+* sign symbols (``xi``) marking facts whose presence is undecided; a sign
+  world is the set of signs it sets false.
 
 ``symbolic_execute`` characterizes, as a disjunction of constraints over the
-alphas and xis, exactly which instantiations and fact subsets make a target
-atom derivable.  By default the alphas range over the product of their finite
-domains and every sign world is inspected; callers may restrict both.  One
-fixpoint answers them all: every atom carries a mask with one bit per pair of
-a valuation and a sign world (the provenance annotation of Green,
-Karvounarakis & Tannen, "Provenance Semirings", PODS 2007, over sets of
-worlds).
+alphas and xis, exactly which of the given valuations and sign worlds make a
+target atom derivable.  The caller names both.  One fixpoint answers them
+all: every atom carries a mask with one bit per pair of a valuation and a
+sign world (the provenance annotation of Green, Karvounarakis & Tannen,
+"Provenance Semirings", PODS 2007, over sets of worlds).  ``compute_depend``
+gives the constants that may meet at each predicate position, from which a
+caller can draw its valuations.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .datalog_engine import Atom, DVar, Rule, _fixpoint
 
@@ -47,26 +47,6 @@ def is_placeholder(value) -> bool:
 class SymbolicFact:
     atom: Atom  # args may contain Alpha
     xi: str | None = None  # sign symbol name, or None for a definite fact
-
-
-@dataclass
-class SymbolicEdb:
-    facts: list[SymbolicFact] = field(default_factory=list)
-
-    def alphas(self) -> list[Alpha]:
-        out: list[Alpha] = []
-        for f in self.facts:
-            for a in f.atom.args:
-                if isinstance(a, Alpha) and a not in out:
-                    out.append(a)
-        return out
-
-    def xis(self) -> list[str]:
-        out: list[str] = []
-        for f in self.facts:
-            if f.xi is not None and f.xi not in out:
-                out.append(f.xi)
-        return out
 
 
 class SignBudgetExceeded(Exception):
@@ -107,61 +87,27 @@ def _position_classes(rules: list[Rule]):
     return find
 
 
-def compute_depend(rules: list[Rule], edb: SymbolicEdb) -> set[tuple[str, int, object]]:
-    """Constants (and placeholders) that may matter at each predicate position.
+def compute_depend(rules: list[Rule], facts: list[Atom]) -> dict[tuple[str, int], tuple]:
+    """Constants that may matter at each predicate position, sorted by
+    ``repr``.
 
-    Seeds: one placeholder per symbolic argument position; the concrete
-    arguments of every fact; the constants written in rule literals.  The
-    seeds then propagate between positions connected by a shared variable in
-    some rule (head included); variables under negation participate too, so
-    the result over-approximates the positive-only closure.
+    Seeds: the arguments of every fact and the constants written in rule
+    literals.  The seeds then propagate between positions connected by a
+    shared variable in some rule (head included); variables under negation
+    participate too, so the result over-approximates the positive-only
+    closure.
     """
     find = _position_classes(rules)
-    alphas = edb.alphas()
-    ph_of = {a: placeholder(i + 1) for i, a in enumerate(alphas)}
     seeds: dict[tuple[str, int], set] = {}
-
-    def seed(pred: str, i: int, c) -> None:
-        seeds.setdefault(find((pred, i)), set()).add(c)
-
-    for f in edb.facts:
-        for i, a in enumerate(f.atom.args):
-            if isinstance(a, Alpha):
-                seed(f.atom.predicate, i, ph_of[a])
-            else:
-                seed(f.atom.predicate, i, a)
-    for rule in rules:
-        for atom in [rule.head] + [lit.atom for lit in rule.body]:
-            for i, a in enumerate(atom.args):
-                if not isinstance(a, DVar):
-                    seed(atom.predicate, i, a)
-
     positions: set[tuple[str, int]] = set()
-    for f in edb.facts:
-        positions.update((f.atom.predicate, i) for i in range(len(f.atom.args)))
-    for rule in rules:
-        for atom in [rule.head] + [lit.atom for lit in rule.body]:
-            positions.update((atom.predicate, i) for i in range(len(atom.args)))
-
-    out: set[tuple[str, int, object]] = set()
-    for pos in positions:
-        for c in seeds.get(find(pos), set()):
-            out.add((pos[0], pos[1], c))
-    return out
-
-
-def domain_of(
-    alpha: Alpha,
-    dep: set[tuple[str, int, object]],
-    edb: SymbolicEdb,
-) -> list:
-    """Finite domain of one symbolic constant: every constant sharing a
-    position with the constant's placeholder (placeholders included)."""
-    alphas = edb.alphas()
-    ph = placeholder(alphas.index(alpha) + 1)
-    pos = {(p, i) for (p, i, c) in dep if c == ph}
-    values = {c for (p, i, c) in dep if (p, i) in pos}
-    return sorted(values, key=repr)
+    atoms = list(facts) + [a for r in rules for a in (r.head, *(lit.atom for lit in r.body))]
+    for atom in atoms:
+        for i, a in enumerate(atom.args):
+            positions.add((atom.predicate, i))
+            if not isinstance(a, DVar):
+                seeds.setdefault(find((atom.predicate, i)), set()).add(a)
+    ordered = {root: tuple(sorted(consts, key=repr)) for root, consts in seeds.items()}
+    return {pos: ordered.get(find(pos), ()) for pos in positions}
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +130,6 @@ def annotated_eval(
     for atom, mask in facts:
         masks[atom] = masks.get(atom, 0) | mask
     return _fixpoint(rules, masks, full)
-
-
-def _world_signs(w: int, xi_names: list[str]) -> tuple[list[str], list[str]]:
-    true_, false_ = [], []
-    for i, name in enumerate(xi_names):
-        (true_ if (w >> i) & 1 else false_).append(name)
-    return true_, false_
 
 
 # ---------------------------------------------------------------------------
@@ -256,71 +195,70 @@ _MAX_DISJUNCTS = 4096
 
 def symbolic_execute(
     rules: list[Rule],
-    edb: SymbolicEdb,
+    facts: list[SymbolicFact],
     target: Atom,
-    budget: int = 16,
-    valuations: list[dict[str, object]] | None = None,
-    candidate_worlds: list[int] | None = None,
+    budget: int,
+    valuations: list[dict[str, object]],
+    worlds: list[frozenset[str]],
 ) -> Psi:
     """Constraint over alphas and signs under which the target holds.
 
-    A valuation maps alpha names to values.  Without ``valuations`` every
-    combination of the alphas' ``domain_of`` domains is tried; callers may
-    pass a narrower list.  With ``candidate_worlds`` the sign search inspects
-    only the given worlds (an intentional restriction used by callers that
-    bound edit sizes); otherwise every world is enumerated, ascending.  A
-    sign world ``w`` sets bit ``i`` when sign ``edb.xis()[i]`` is true.
+    A valuation maps alpha names to values, and a world is the set of signs
+    it sets false; only the given valuations and worlds are inspected.  The
+    signs are numbered in the order they are met on ``facts``, and the
+    worlds are read in the order of their key, the number whose bit ``i``
+    is set when sign ``i`` is true, so the result does not depend on the
+    order of ``worlds``.  A name that no fact carries is ignored, and
+    worlds with one key are one world.  More than ``budget`` signs raise
+    ``SignBudgetExceeded``.
 
     One annotated fixpoint answers every valuation: bit ``v * n + j`` of a
-    mask stands for valuation ``v`` in world ``worlds[j]`` (``n`` worlds).
+    mask stands for valuation ``v`` in the ``j``-th world (``n`` worlds).
     A plain fact holds in its sign's worlds in every valuation's block, and
     a fact with alphas gets one instance per valuation, confined to that
     valuation's block.  Disjuncts are read valuation by valuation, then by
-    the target variant's bindings, then world by world.
+    the target variant's bindings, then world by world; each lists its
+    signs in the order they are met.
     """
-    xi_names: list[str] = edb.xis()
-    k = len(xi_names)
-    if k > budget:
-        raise SignBudgetExceeded(f"{k} sign symbols exceed the budget of {budget}")
-    if valuations is None:
-        alphas = edb.alphas()
-        dep = compute_depend(rules, edb)
-        domains = [domain_of(a, dep, edb) for a in alphas]
-        valuations = [
-            {a.name: v for a, v in zip(alphas, combo)}
-            for combo in itertools.product(*domains)
-        ]
-    worlds = candidate_worlds if candidate_worlds is not None else range(1 << k)
+    signs = list(dict.fromkeys(f.xi for f in facts if f.xi is not None))
+    if len(signs) > budget:
+        raise SignBudgetExceeded(f"{len(signs)} sign symbols exceed the budget of {budget}")
+    met = frozenset(signs)
+    worlds = sorted(
+        {off & met for off in worlds},
+        key=lambda off: sum(1 << i for i, name in enumerate(signs) if name not in off),
+    )
     n = len(worlds)
     block = (1 << n) - 1
     tile = sum(1 << (v * n) for v in range(len(valuations)))  # bit 0 of each block
     in_world = {
-        name: sum(1 << j for j, w in enumerate(worlds) if (w >> i) & 1)
-        for i, name in enumerate(xi_names)
+        name: sum(1 << j for j, off in enumerate(worlds) if name not in off)
+        for name in signs
     }
-    facts: list[tuple[Atom, int]] = []
-    for f in edb.facts:
+    masked: list[tuple[Atom, int]] = []
+    for f in facts:
         mask = block if f.xi is None else in_world[f.xi]
         if not any(isinstance(a, Alpha) for a in f.atom.args):
-            facts.append((f.atom, mask * tile))
+            masked.append((f.atom, mask * tile))
             continue
         for v, alpha_map in enumerate(valuations):
             args = tuple(
                 alpha_map[a.name] if isinstance(a, Alpha) else a for a in f.atom.args
             )
-            facts.append((Atom(f.atom.predicate, args), mask << (v * n)))
-    variants = _target_variants(annotated_eval(rules, facts, block * tile), target)
+            masked.append((Atom(f.atom.predicate, args), mask << (v * n)))
+    variants = _target_variants(annotated_eval(rules, masked, block * tile), target)
     disjuncts: list[Disjunct] = []
     seen = set()
     for v, alpha_map in enumerate(valuations):
         alpha_key = tuple(sorted(alpha_map.items(), key=repr))
         for bindings, mask in variants:
             here = (mask >> (v * n)) & block
-            for j, w in enumerate(worlds):
-                if not (here >> j) & 1 or (alpha_key, bindings, w) in seen:
+            for j, off in enumerate(worlds):
+                if not (here >> j) & 1 or (alpha_key, bindings, off) in seen:
                     continue
-                seen.add((alpha_key, bindings, w))
-                true_, false_ = _world_signs(w, xi_names)
+                seen.add((alpha_key, bindings, off))
+                true_ = [name for name in signs if name not in off]
+                false_ = [name for name in signs if name in off]
                 disjuncts.append(Disjunct(dict(alpha_map), dict(bindings), true_, false_))
                 if len(disjuncts) >= _MAX_DISJUNCTS:
                     return Psi(disjuncts, truncated=True)

@@ -267,18 +267,20 @@ a(X) :- e(X), !c(X).
 """
     ).rules
     a1, a2 = sedl.Alpha("alpha1"), sedl.Alpha("alpha2")
-    edb = sedl.SymbolicEdb(
-        [
-            sedl.SymbolicFact(Atom("b", (a1,)), xi="xi1"),
-            sedl.SymbolicFact(Atom("c", (a2,)), xi="xi2"),
-        ]
-    )
+    symbolic = [
+        sedl.SymbolicFact(Atom("b", (a1,)), xi="xi1"),
+        sedl.SymbolicFact(Atom("c", (a2,)), xi="xi2"),
+    ]
     n1, n2 = sedl.placeholder(1), sedl.placeholder(2)
+    # each symbolic constant over both placeholders
+    valuations = [{"alpha1": v1, "alpha2": v2} for v1 in (n1, n2) for v2 in (n1, n2)]
 
-    # domains: both symbolic constants range over exactly {n1, n2}
-    dep = sedl.compute_depend(rules3, edb)
-    assert sedl.domain_of(a1, dep, edb) == [n1, n2]
-    assert sedl.domain_of(a2, dep, edb) == [n1, n2]
+    def all_worlds(names):
+        return [
+            frozenset(off)
+            for r in range(len(names) + 1)
+            for off in itertools.combinations(names, r)
+        ]
 
     # dependent fact sets under negation: all three, not just {d(1)}
     facts = [
@@ -289,8 +291,11 @@ a(X) :- e(X), !c(X).
     ]
     psi = sedl.symbolic_execute(
         rules3,
-        sedl.SymbolicEdb([sedl.SymbolicFact(atom, xi=name) for atom, name in facts]),
+        [sedl.SymbolicFact(atom, xi=name) for atom, name in facts],
         Atom("a", (1,)),
+        16,
+        [{}],
+        all_worlds([name for _, name in facts]),
     )
     present = {frozenset(d.sign_true) for d in psi.disjuncts}
     assert {s for s in present if not any(other < s for other in present)} == {
@@ -302,7 +307,9 @@ a(X) :- e(X), !c(X).
     # full constraint for the single-rule program: exactly the printed
     # two-disjunct formula
     first_rule = parse_program("a(X) :- b(X), c(X), !d(X), !e(X).").rules
-    psi = sedl.symbolic_execute(first_rule, edb, Atom("a", (1,)))
+    psi = sedl.symbolic_execute(
+        first_rule, symbolic, Atom("a", (1,)), 16, valuations, all_worlds(["xi1", "xi2"])
+    )
     assert {
         (
             tuple(sorted(d.alpha.items())),
@@ -318,16 +325,13 @@ a(X) :- e(X), !c(X).
 
     # of the 4 candidate valuations only the 2 diagonal ones derive a(1)
     prune_rules = parse_program("a(X) :- b(X), c(X), !d(X).").rules
-    prune_edb = sedl.SymbolicEdb(
-        [
-            sedl.SymbolicFact(Atom("b", (a1,))),
-            sedl.SymbolicFact(Atom("c", (a2,))),
-            sedl.SymbolicFact(Atom("d", (1,)), xi="xi1"),
-        ]
-    )
-    valuations = [{"alpha1": v1, "alpha2": v2} for v1 in (n1, n2) for v2 in (n1, n2)]
+    prune_facts = [
+        sedl.SymbolicFact(Atom("b", (a1,))),
+        sedl.SymbolicFact(Atom("c", (a2,))),
+        sedl.SymbolicFact(Atom("d", (1,)), xi="xi1"),
+    ]
     psi = sedl.symbolic_execute(
-        prune_rules, prune_edb, Atom("a", (1,)), valuations=valuations
+        prune_rules, prune_facts, Atom("a", (1,)), 16, valuations, all_worlds(["xi1"])
     )
     assert {tuple(sorted(d.alpha.items())) for d in psi.disjuncts} == {
         (("alpha1", n1), ("alpha2", n1)),
@@ -675,7 +679,7 @@ def _random_symbolic_instance(rng):
             xi = f"xi{xi_count}"
         sym_facts.append(sedl.SymbolicFact(Atom(pred, (arg,)), xi=xi))
     target = Atom(rng.choice(["d1", "d2"]), (rng.randint(1, 3),))
-    return rules, sedl.SymbolicEdb(sym_facts), target
+    return rules, sym_facts, target
 
 
 def test_criterion_8_symbolic_execution_matches_brute_force():
@@ -684,10 +688,23 @@ def test_criterion_8_symbolic_execution_matches_brute_force():
     pick = random.Random(89)  # the restriction; rng alone draws the instances
     instances = 0
     while instances < 100:
-        rules, edb, target = _random_symbolic_instance(rng)
-        alphas = edb.alphas()
-        xi_names = edb.xis()
-        psi = sedl.symbolic_execute(rules, edb, target)
+        rules, facts, target = _random_symbolic_instance(rng)
+        alphas = list(
+            dict.fromkeys(a for sf in facts for a in sf.atom.args if isinstance(a, sedl.Alpha))
+        )
+        xi_names = list(dict.fromkeys(sf.xi for sf in facts if sf.xi is not None))
+        # each alpha over the generator's constants plus its own placeholder
+        domains = [[1, 2, 3, sedl.placeholder(i + 1)] for i in range(len(alphas))]
+        valuations = [
+            {a.name: v for a, v in zip(alphas, assignment)}
+            for assignment in itertools.product(*domains)
+        ]
+        worlds = [
+            frozenset(off)
+            for r in range(len(xi_names) + 1)
+            for off in itertools.combinations(xi_names, r)
+        ]
+        psi = sedl.symbolic_execute(rules, facts, target, len(xi_names), valuations, worlds)
         assert not psi.truncated
         # a disjunct binds only the placeholders of one derived target atom
         assert all(len(d.bindings) <= len(target.args) for d in psi.disjuncts)
@@ -696,15 +713,10 @@ def test_criterion_8_symbolic_execution_matches_brute_force():
             for d in psi.disjuncts
         }
 
-        dep = sedl.compute_depend(rules, edb)
-        domains = [sedl.domain_of(a, dep, edb) for a in alphas]
-        valuations = []
         oracle = set()
-        for assignment in itertools.product(*domains):
-            amap = {a.name: v for a, v in zip(alphas, assignment)}
-            valuations.append(amap)
+        for amap in valuations:
             plain, xi_facts = [], []
-            for sf in edb.facts:
+            for sf in facts:
                 args = tuple(
                     amap[a.name] if isinstance(a, sedl.Alpha) else a
                     for a in sf.atom.args
@@ -716,18 +728,19 @@ def test_criterion_8_symbolic_execution_matches_brute_force():
                     xi_facts.append((atom, sf.xi))
             for world in itertools.product([False, True], repeat=len(xi_names)):
                 on = {n for n, bit in zip(xi_names, world) if bit}
-                facts = plain + [a for a, n in xi_facts if n in on]
-                if _derives(rules, facts, target):
+                kept_facts = plain + [a for a, n in xi_facts if n in on]
+                if _derives(rules, kept_facts, target):
                     oracle.add((tuple(sorted(amap.items())), frozenset(on)))
         assert psi_set == oracle
 
-        # a sub-list of the valuations and a sorted subset of the worlds:
+        # a sub-list of the valuations and a shuffled subset of the worlds:
         # the same answer restricted to them, in the order of one run per
         # valuation
         some_valuations = [amap for amap in valuations if pick.random() < 0.6]
-        worlds = sorted(w for w in range(1 << len(xi_names)) if pick.random() < 0.5)
+        some_worlds = [off for off in worlds if pick.random() < 0.5]
+        pick.shuffle(some_worlds)
         restricted = sedl.symbolic_execute(
-            rules, edb, target, valuations=some_valuations, candidate_worlds=worlds
+            rules, facts, target, len(xi_names), some_valuations, some_worlds
         )
         kept = {tuple(sorted(amap.items())) for amap in some_valuations}
         assert {
@@ -736,25 +749,24 @@ def test_criterion_8_symbolic_execution_matches_brute_force():
         } == {
             (alpha, on)
             for alpha, on in oracle
-            if alpha in kept
-            and sum(1 << i for i, name in enumerate(xi_names) if name in on) in worlds
+            if alpha in kept and frozenset(xi_names) - on in some_worlds
         }
         assert restricted.disjuncts == [
             d
             for amap in some_valuations
             for d in sedl.symbolic_execute(
-                rules, edb, target, valuations=[amap], candidate_worlds=worlds
+                rules, facts, target, len(xi_names), [amap], some_worlds
             ).disjuncts
         ]
 
         # patch replay: applying any disjunct verbatim re-derives the target
         for d in psi.disjuncts:
             amap = d.alpha
-            facts = []
-            for sf in edb.facts:
+            kept_facts = []
+            for sf in facts:
                 if sf.xi is not None and sf.xi not in d.sign_true:
                     continue
-                facts.append(
+                kept_facts.append(
                     Atom(
                         sf.atom.predicate,
                         tuple(
@@ -763,7 +775,7 @@ def test_criterion_8_symbolic_execution_matches_brute_force():
                         ),
                     )
                 )
-            assert _derives(rules, facts, target)
+            assert _derives(rules, kept_facts, target)
         instances += 1
     watch.check()
 

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from ctlrepair import sedl
@@ -15,15 +18,29 @@ FIRST_RULE = parse_program("a(X) :- b(X), c(X), !d(X), !e(X).").rules
 
 A1 = sedl.Alpha("alpha1")
 A2 = sedl.Alpha("alpha2")
+N1, N2 = sedl.placeholder(1), sedl.placeholder(2)
+BUDGET = 16
 
 
-def two_symbolic_facts() -> sedl.SymbolicEdb:
-    return sedl.SymbolicEdb(
-        [
-            sedl.SymbolicFact(Atom("b", (A1,)), xi="xi1"),
-            sedl.SymbolicFact(Atom("c", (A2,)), xi="xi2"),
-        ]
-    )
+def two_symbolic_facts() -> list[sedl.SymbolicFact]:
+    return [
+        sedl.SymbolicFact(Atom("b", (A1,)), xi="xi1"),
+        sedl.SymbolicFact(Atom("c", (A2,)), xi="xi2"),
+    ]
+
+
+def both_placeholders() -> list[dict[str, object]]:
+    """Each alpha over both placeholders: four valuations."""
+    return [{"alpha1": v1, "alpha2": v2} for v1 in (N1, N2) for v2 in (N1, N2)]
+
+
+def all_worlds(names) -> list[frozenset[str]]:
+    """Every sign world over ``names``: each subset of them set false."""
+    return [
+        frozenset(off)
+        for r in range(len(names) + 1)
+        for off in itertools.combinations(names, r)
+    ]
 
 
 def test_placeholders():
@@ -34,35 +51,26 @@ def test_placeholders():
 
 
 def test_depend_seeds_and_propagation():
-    edb = two_symbolic_facts()
-    dep = sedl.compute_depend(NEGATION_RULES, edb)
-    n1, n2 = sedl.placeholder(1), sedl.placeholder(2)
-    assert ("b", 0, n1) in dep  # per-symbolic-arg seed
-    assert ("c", 0, n2) in dep
-    # propagation through the shared rule variable, head included
-    assert ("a", 0, n1) in dep
-    assert ("a", 0, n2) in dep
-    assert ("b", 0, n2) in dep
-    assert ("c", 0, n1) in dep
+    # b(X) and a's head share X, as do e(Y) and f(Y); c meets no variable
+    rules = parse_program("a(X) :- b(X), !c(5). e(Y) :- f(Y), a(3).").rules
+    dep = sedl.compute_depend(rules, [Atom("b", (1,)), Atom("f", (2,)), Atom("c", (9,))])
+    # fact seeds, and the constants written in rule literals
+    assert dep[("b", 0)] == (1, 3)
+    assert dep[("c", 0)] == (5, 9)
+    # propagation through the shared variable, head included: 3 is written
+    # on a and reaches b, 1 is on b and reaches a; 2 stays with e and f
+    assert dep[("a", 0)] == (1, 3)
+    assert dep[("e", 0)] == dep[("f", 0)] == (2,)
+    assert set(dep) == {("a", 0), ("b", 0), ("c", 0), ("e", 0), ("f", 0)}
 
 
 def test_depend_concrete_fact_seed():
-    edb = sedl.SymbolicEdb([sedl.SymbolicFact(Atom("p", (7,)))])
-    dep = sedl.compute_depend([], edb)
-    assert dep == {("p", 0, 7)}
+    assert sedl.compute_depend([], [Atom("p", (7,))]) == {("p", 0): (7,)}
 
 
-def test_domains_for_two_symbolic_constants():
-    edb = two_symbolic_facts()
-    dep = sedl.compute_depend(NEGATION_RULES, edb)
-    n1, n2 = sedl.placeholder(1), sedl.placeholder(2)
-    assert sedl.domain_of(A1, dep, edb) == [n1, n2]
-    assert sedl.domain_of(A2, dep, edb) == [n1, n2]
-
-
-def signed_edb(facts) -> sedl.SymbolicEdb:
-    """An alpha-free EDB of (atom, sign name) facts."""
-    return sedl.SymbolicEdb([sedl.SymbolicFact(atom, xi=name) for atom, name in facts])
+def signed_facts(facts) -> list[sedl.SymbolicFact]:
+    """Alpha-free facts from (atom, sign name) pairs."""
+    return [sedl.SymbolicFact(atom, xi=name) for atom, name in facts]
 
 
 def minimal_sign_sets(psi: sedl.Psi) -> set[frozenset[str]]:
@@ -79,7 +87,10 @@ def test_all_dependent_sets_found_under_negation():
         (Atom("d", (1,)), "xd"),
         (Atom("e", (1,)), "xe"),
     ]
-    psi = sedl.symbolic_execute(NEGATION_RULES, signed_edb(facts), Atom("a", (1,)))
+    psi = sedl.symbolic_execute(
+        NEGATION_RULES, signed_facts(facts), Atom("a", (1,)), BUDGET, [{}],
+        all_worlds(["xb", "xc", "xd", "xe"]),
+    )
     assert minimal_sign_sets(psi) == {
         frozenset({"xd"}),
         frozenset({"xe"}),
@@ -90,27 +101,31 @@ def test_all_dependent_sets_found_under_negation():
 def test_sign_worlds_exhaustive():
     rules = parse_program("a(X) :- b(X), !c(X).").rules
     facts = [(Atom("b", (1,)), "xb"), (Atom("c", (1,)), "xc")]
-    psi = sedl.symbolic_execute(rules, signed_edb(facts), Atom("a", (1,)))
+    psi = sedl.symbolic_execute(
+        rules, signed_facts(facts), Atom("a", (1,)), BUDGET, [{}], all_worlds(["xb", "xc"])
+    )
     assert [(d.sign_true, d.sign_false) for d in psi.disjuncts] == [(["xb"], ["xc"])]
 
 
 def test_budget_exceeded():
     facts = [(Atom("b", (i,)), f"x{i}") for i in range(5)]
     with pytest.raises(sedl.SignBudgetExceeded):
-        sedl.symbolic_execute([], signed_edb(facts), Atom("b", (0,)), budget=3)
+        sedl.symbolic_execute([], signed_facts(facts), Atom("b", (0,)), 3, [{}], [frozenset()])
 
 
 def test_symbolic_execution_two_disjunct_constraint():
-    psi = sedl.symbolic_execute(FIRST_RULE, two_symbolic_facts(), Atom("a", (1,)))
-    n1, n2 = sedl.placeholder(1), sedl.placeholder(2)
+    psi = sedl.symbolic_execute(
+        FIRST_RULE, two_symbolic_facts(), Atom("a", (1,)), BUDGET,
+        both_placeholders(), all_worlds(["xi1", "xi2"]),
+    )
     raw = {
         (tuple(sorted(d.alpha.items())), tuple(sorted(d.bindings.items())),
          tuple(d.sign_true), tuple(d.sign_false))
         for d in psi.disjuncts
     }
     assert raw == {
-        ((("alpha1", n1), ("alpha2", n1)), ((n1, 1),), ("xi1", "xi2"), ()),
-        ((("alpha1", n2), ("alpha2", n2)), ((n2, 1),), ("xi1", "xi2"), ()),
+        ((("alpha1", N1), ("alpha2", N1)), ((N1, 1),), ("xi1", "xi2"), ()),
+        ((("alpha1", N2), ("alpha2", N2)), ((N2, 1),), ("xi1", "xi2"), ()),
     }
     # serialized form resolves the placeholder to the target constant
     for d in psi.disjuncts:
@@ -123,23 +138,59 @@ def test_symbolic_execution_two_disjunct_constraint():
 
 def test_pruning_keeps_only_consistent_valuations():
     rules = parse_program("a(X) :- b(X), c(X), !d(X).").rules
-    edb = sedl.SymbolicEdb(
-        [
-            sedl.SymbolicFact(Atom("b", (A1,))),
-            sedl.SymbolicFact(Atom("c", (A2,))),
-            sedl.SymbolicFact(Atom("d", (1,)), xi="xi1"),
-        ]
-    )
-    n1, n2 = sedl.placeholder(1), sedl.placeholder(2)
-    valuations = [
-        {"alpha1": v1, "alpha2": v2} for v1 in (n1, n2) for v2 in (n1, n2)
+    facts = [
+        sedl.SymbolicFact(Atom("b", (A1,))),
+        sedl.SymbolicFact(Atom("c", (A2,))),
+        sedl.SymbolicFact(Atom("d", (1,)), xi="xi1"),
     ]
-    psi = sedl.symbolic_execute(rules, edb, Atom("a", (1,)), valuations=valuations)
+    psi = sedl.symbolic_execute(
+        rules, facts, Atom("a", (1,)), BUDGET, both_placeholders(), all_worlds(["xi1"])
+    )
     # of the four candidate valuations only the diagonal ones can derive a(1)
     assert {tuple(sorted(d.alpha.items())) for d in psi.disjuncts} == {
-        (("alpha1", n1), ("alpha2", n1)),
-        (("alpha1", n2), ("alpha2", n2)),
+        (("alpha1", N1), ("alpha2", N1)),
+        (("alpha1", N2), ("alpha2", N2)),
     }
+
+
+def test_worlds_are_read_in_key_order_whatever_their_order():
+    # the key of a world sets bit i when the i-th sign met on the facts is
+    # true: xd is bit 0, xb bit 1, xc bit 2, xe bit 3
+    facts = [
+        (Atom("d", (1,)), "xd"),
+        (Atom("b", (1,)), "xb"),
+        (Atom("c", (1,)), "xc"),
+        (Atom("e", (1,)), "xe"),
+    ]
+    worlds = all_worlds(["xb", "xc", "xd", "xe"])
+    psi = sedl.symbolic_execute(
+        NEGATION_RULES, signed_facts(facts), Atom("a", (1,)), BUDGET, [{}], worlds
+    )
+    met = ["xd", "xb", "xc", "xe"]
+    keys = [sum(1 << i for i, name in enumerate(met) if name in d.sign_true) for d in psi.disjuncts]
+    assert keys == sorted(keys) and len(keys) > 1
+    # and each disjunct lists its signs in the order they are met
+    for d in psi.disjuncts:
+        assert d.sign_true == [name for name in met if name in d.sign_true]
+        assert d.sign_false == [name for name in met if name in d.sign_false]
+    rng = random.Random(3)
+    for _ in range(5):
+        shuffled = rng.sample(worlds, len(worlds))
+        assert sedl.symbolic_execute(
+            NEGATION_RULES, signed_facts(facts), Atom("a", (1,)), BUDGET, [{}], shuffled
+        ) == psi
+
+
+def test_unmet_sign_names_and_repeated_worlds_are_one_world():
+    rules = parse_program("a(X) :- b(X).").rules
+    facts = signed_facts([(Atom("b", (1,)), "xb")])
+    plain = sedl.symbolic_execute(rules, facts, Atom("a", (1,)), BUDGET, [{}], [frozenset()])
+    padded = sedl.symbolic_execute(
+        rules, facts, Atom("a", (1,)), BUDGET, [{}],
+        [frozenset(), frozenset({"xz"}), frozenset()],
+    )
+    assert padded == plain
+    assert [(d.sign_true, d.sign_false) for d in plain.disjuncts] == [(["xb"], [])]
 
 
 def test_annotated_eval_masks_match_plain_eval():
@@ -157,14 +208,13 @@ def test_target_variants_merge_equal_bindings_in_a_fixed_order():
     # a(#n1, 1) and a(1, #n1) both match a(1, 1) under #n1 = 1: one variant
     # with both masks, listed where its bindings sort, whatever the order
     # the atoms were derived in
-    n1 = sedl.placeholder(1)
     masks = {
-        Atom("a", (n1, 1)): 0b001,
+        Atom("a", (N1, 1)): 0b001,
         Atom("a", (1, 1)): 0b100,
-        Atom("a", (1, n1)): 0b010,
+        Atom("a", (1, N1)): 0b010,
         Atom("b", (1, 1)): 0b111,
     }
-    expected = [(((n1, 1),), 0b011), ((), 0b100)]
+    expected = [(((N1, 1),), 0b011), ((), 0b100)]
     assert sedl._target_variants(masks, Atom("a", (1, 1))) == expected
     reordered = dict(reversed(list(masks.items())))
     assert sedl._target_variants(reordered, Atom("a", (1, 1))) == expected
