@@ -19,7 +19,14 @@ propositions, and loop analysis:
   loop body, split into a "strictly decreasing" and a "not decreasing"
   precondition.
 
-Everything here is immutable and hash-based; integer semantics throughout.
+Terms and constraints are immutable; integer semantics throughout.
+``satisfiable`` and ``entails`` remember their answers, keyed by interned
+node ids (hash-consing): structurally equal nodes share one int, cached on
+the node, so a key costs one walk over the nodes not keyed before and an
+answer is never recomputed for an equal question.  The memo lives until
+``reset_memo``: ``repair.analyze`` calls it, and ``repair.repair_loop``
+only through its first analysis, so every re-analysis of one repair
+shares it.
 """
 
 from __future__ import annotations
@@ -502,9 +509,70 @@ def _unsat(pi: Pure) -> bool:
     return True
 
 
+# The memo of ``_unsat`` answers, and the interned id of each node shape.
+# A keyed node keeps (generation, id) in ``_nid``; ``reset_memo`` starts a
+# new generation, so a node keyed in an earlier one (or unpickled from
+# another process) is keyed again and its stale id never aliases.
+_ids: dict[tuple, int] = {}
+_answers: dict[int | tuple[int, int], bool] = {}
+_generation = object()
+
+
+def reset_memo() -> None:
+    """Forget every node id and every answer of ``satisfiable``/``entails``."""
+    global _generation
+    _ids.clear()
+    _answers.clear()
+    _generation = object()
+
+
+def _parts(node: object) -> tuple[tuple, tuple]:
+    """(scalar fields, children) of a term or constraint node."""
+    cls = type(node)
+    if cls is Bop:
+        return (node.op,), (node.left, node.right)
+    if cls in (Add, Sub, And, Or):
+        return (), (node.left, node.right)
+    if cls is Var:
+        return (node.name,), ()
+    if cls is Const:
+        return (node.value,), ()
+    if cls is Neg:
+        return (), (node.operand,)
+    if cls in (Wildcard, TrueP, FalseP):
+        return (), ()
+    raise TypeError(f"not a term or pure constraint: {node!r}")
+
+
+def _node_id(root: object) -> int:
+    """The interned id of ``root``; one explicit-stack walk keys the nodes
+    not yet keyed in this generation, each shared node once."""
+    gen = _generation
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        tag = getattr(node, "_nid", None)
+        if tag is not None and tag[0] is gen:
+            stack.pop()
+            continue
+        scalars, children = _parts(node)
+        pending = [c for c in children if getattr(c, "_nid", (None,))[0] is not gen]
+        if pending:
+            stack += pending
+            continue
+        stack.pop()
+        shape = (type(node), *scalars, *(c._nid[1] for c in children))
+        object.__setattr__(node, "_nid", (gen, _ids.setdefault(shape, len(_ids))))
+    return root._nid[1]
+
+
 def satisfiable(pi: Pure) -> bool:
     """Sound-for-unsat satisfiability: False only if truly unsatisfiable."""
-    return not _unsat(pi)
+    key = _node_id(pi)
+    unsat = _answers.get(key)
+    if unsat is None:
+        unsat = _answers[key] = _unsat(pi)
+    return not unsat
 
 
 def entails(state: Pure, goal: Pure) -> bool:
@@ -513,7 +581,11 @@ def entails(state: Pure, goal: Pure) -> bool:
     That is, ``not satisfiable(state /\\ negate(goal))``: the conjunction is
     rationally unsatisfiable once strict bounds are tightened for integers.
     """
-    return _unsat(mk_and(state, negate(goal)))
+    key = (_node_id(state), _node_id(goal))
+    unsat = _answers.get(key)
+    if unsat is None:
+        unsat = _answers[key] = _unsat(mk_and(state, negate(goal)))
+    return unsat
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,16 @@ class Analysis:
 
 
 def analyze(source: str, ctl_text: str | None = None, stats: dict | None = None) -> Analysis:
-    """Parse, summarize, encode, and evaluate one program end to end."""
+    """Parse, summarize, encode, and evaluate one program end to end.
+
+    Starts a new entailment memo (``pure_logic.reset_memo``).
+    """
+    pl.reset_memo()
+    return _analyze(source, ctl_text, stats)
+
+
+def _analyze(source: str, ctl_text: str | None, stats: dict | None) -> Analysis:
+    """``analyze`` within the current entailment memo."""
     _count(stats, "analyses")
     ast = fe.parse(source)
     text = ctl_text or ast.ctl
@@ -663,6 +672,7 @@ _MAX_PATCHES = 10
 
 def repair_loop(source: str, config: RepairConfig, ctl_text: str | None = None) -> RepairResult:
     stats: dict = {}
+    # starts the entailment memo that every re-analysis in _search shares
     analysis = analyze(source, ctl_text, stats)
     if analysis.unknown:
         return RepairResult("Unknown", analysis.property_text, stats=stats, analysis=analysis)
@@ -730,7 +740,7 @@ def _search(analysis: Analysis, config: RepairConfig, depth: int, stats):
         deltas, edits, anchor = syn
         new_source = apply_edits(analysis.source, edits)
         try:
-            sub_analysis = analyze(new_source, analysis.property_text, stats)
+            sub_analysis = _analyze(new_source, analysis.property_text, stats)
         except (fe.ImpSyntaxError, gw.UnsupportedProgram):
             continue
         cost = len(deltas)

@@ -1,10 +1,21 @@
 import pathlib
+import time
 
 import pytest
 
 from ctlrepair import repair as rp
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
+class Stopwatch:
+    def __init__(self, budget: float):
+        self.budget = budget
+        self.start = time.monotonic()
+
+    def check(self) -> None:
+        elapsed = time.monotonic() - self.start
+        assert elapsed < self.budget, f"took {elapsed:.2f}s, budget {self.budget}s"
 
 
 def verdict(source: str, ctl_text: str | None = None) -> str:

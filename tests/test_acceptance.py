@@ -8,7 +8,6 @@ budget.
 import itertools
 import json
 import random
-import time
 
 import pytest
 
@@ -31,17 +30,7 @@ from ctlrepair.datalog_engine import (
 )
 
 import oracle_programs
-from conftest import break_loops, verdict
-
-
-class Stopwatch:
-    def __init__(self, budget: float):
-        self.budget = budget
-        self.start = time.monotonic()
-
-    def check(self) -> None:
-        elapsed = time.monotonic() - self.start
-        assert elapsed < self.budget, f"took {elapsed:.2f}s, budget {self.budget}s"
+from conftest import Stopwatch, break_loops, verdict
 
 
 def _database(analysis):

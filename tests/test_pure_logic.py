@@ -7,6 +7,8 @@ import pytest
 
 from ctlrepair import pure_logic as pl
 
+from conftest import Stopwatch
+
 
 def _rand_term(rng, names, depth=2, wild=False):
     pick = rng.randrange(4 if depth > 0 else 2)
@@ -166,6 +168,104 @@ def test_satisfiable_matches_whole_dnf_reference():
         answers.append(pl.satisfiable(pi))
         assert answers[-1] == _ref_satisfiable(pi), pi
     assert min(answers.count(False), answers.count(True)) >= 10  # both answers occur
+
+
+def test_memo_answers_match_direct_decision_and_brute_force():
+    # each round builds equal but fresh formulas, so round 1 answers from
+    # the memo through interned ids and round 2 decides again after a reset
+    def cases():
+        rng = random.Random(8)
+        return [
+            (_rand_pure(rng, NAMES, wild=i % 2 == 0), _rand_pure(rng, NAMES, wild=i % 4 == 0))
+            for i in range(200)
+        ]
+
+    pl.reset_memo()
+    sizes = []
+    for round_ in range(3):
+        if round_ == 2:
+            pl.reset_memo()
+        for a, b in cases():
+            for _ in range(2):
+                assert pl.satisfiable(a) == (not pl._unsat(a)), a
+                assert pl.entails(a, b) == pl._unsat(pl.mk_and(a, pl.negate(b))), (a, b)
+            if "*" in f"{a} {b}":
+                continue
+            if any(True for _ in models(a, NAMES, -5, 5)):
+                assert pl.satisfiable(a)
+            if pl.entails(a, b):
+                assert all(pl.eval_pure(b, store) for store in models(a, NAMES, -5, 5))
+        sizes.append(len(pl._answers))
+    assert sizes[0] == sizes[1] == sizes[2]  # round 1 asked nothing new
+
+
+def test_node_ids_tell_apart_shapes_and_share_equal_ones():
+    x, y, z, zero = pl.Var("x"), pl.Var("y"), pl.Var("z"), pl.Const(0)
+    gt, lt = pl.Bop(pl.GT, x, zero), pl.Bop(pl.LT, x, zero)
+    pairs = [
+        (pl.Sub(x, pl.Sub(y, z)), pl.Sub(pl.Sub(x, y), z)),
+        (pl.Var("1"), pl.Const(1)),
+        (pl.Neg(x), pl.Sub(zero, x)),
+        (pl.And(gt, lt), pl.Or(gt, lt)),
+    ]
+    pl.reset_memo()
+    for a, b in pairs:
+        assert pl._node_id(a) != pl._node_id(b), (a, b)
+    assert pl._node_id(pl.Sub(pl.Var("x"), pl.Sub(pl.Var("y"), pl.Var("z")))) == pl._node_id(pairs[0][0])
+    # the memo answers each of a pair for itself
+    one = pl.Const(1)
+    assert not pl.entails(pl.TRUE, pl.Bop(pl.EQ, pl.Var("1"), one))
+    assert pl.entails(pl.TRUE, pl.Bop(pl.EQ, one, one))
+    assert not pl.satisfiable(pl.And(gt, lt))
+    assert pl.satisfiable(pl.Or(gt, lt))
+
+
+def test_node_keyed_before_a_reset_is_keyed_again():
+    pl.reset_memo()
+    old = pl.Bop(pl.GT, pl.Var("x"), pl.Var("y"))
+    assert pl.satisfiable(old)
+    stale = pl._node_id(old)
+    pl.reset_memo()
+    new = pl.Bop(pl.GT, pl.Const(0), pl.Const(1))
+    assert pl._node_id(new) == stale  # the same int, now naming another node
+    assert not pl.satisfiable(new)
+    assert pl.satisfiable(old)
+    assert pl._node_id(old) != pl._node_id(new)
+
+
+def test_relation_argument_raises_every_time():
+    exit_ = pl.Rel("Exit", ())
+    inside = pl.mk_and(pl.Bop(pl.GT, pl.Var("x"), pl.Const(0)), exit_)
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            pl.satisfiable(exit_)
+        with pytest.raises(TypeError):
+            pl.satisfiable(inside)
+        with pytest.raises(TypeError):
+            pl.entails(pl.TRUE, exit_)
+
+
+def test_keying_a_dag_walks_each_shared_node_once():
+    # x = x + x sixty times: 2^60 leaves as a tree, 61 term nodes as a DAG
+    t = pl.Var("x")
+    for _ in range(60):
+        t = pl.Add(t, t)
+    watch = Stopwatch(1.0)
+    pl.reset_memo()
+    pl._node_id(pl.Bop(pl.GTEQ, t, pl.Const(0)))
+    watch.check()
+    assert len(pl._ids) == 63
+
+
+def test_keying_a_deep_chain_does_not_recurse():
+    t = pl.Var("x")
+    for _ in range(5000):
+        t = pl.Add(t, pl.Const(1))
+    pl.reset_memo()
+    goal = pl.Bop(pl.GTEQ, t, pl.Var("x"))
+    assert pl.entails(pl.TRUE, goal)
+    assert pl.entails(pl.TRUE, goal)
+    assert len(pl._answers) == 1
 
 
 def test_eval_term_with_and_without_draw():

@@ -194,3 +194,22 @@ def test_report_shape(fixture_text):
         for run in runs:
             for d in run["disjuncts"]:
                 assert set(d) == {"alpha_bindings", "sign_true", "sign_false"}
+
+
+def test_analyze_starts_a_fresh_entailment_memo(fixture_text):
+    a, b = fixture_text("nested.imp"), fixture_text("subtitle_loop.imp")
+    rp.analyze(b)
+    alone = dict(pl._answers)
+    rp.analyze(a)
+    assert pl._answers and pl._answers != alone
+    rp.analyze(b)
+    assert pl._answers == alone
+
+
+def test_repair_loop_shares_one_memo_across_its_analyses(fixture_text):
+    src = fixture_text("subtitle_loop.imp")
+    rp.analyze(src)
+    first = dict(pl._answers)
+    result = rp.repair_loop(src, rp.RepairConfig())
+    assert result.stats["analyses"] > 1
+    assert first.items() < pl._answers.items()
