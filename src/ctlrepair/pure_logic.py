@@ -26,7 +26,8 @@ the node, so a key costs one walk over the nodes not keyed before and an
 answer is never recomputed for an equal question.  The memo lives until
 ``reset_memo``: ``repair.analyze`` calls it, and ``repair.repair_loop``
 only through its first analysis, so every re-analysis of one repair
-shares it.
+shares it.  The memo is module state: analyses in one process must not
+run on two threads at once.
 """
 
 from __future__ import annotations
