@@ -102,17 +102,20 @@ def verify(file: str, ctl_text: str | None, as_json: bool) -> None:
     sys.exit(code)
 
 
+_DEFAULTS = rp.RepairConfig()
+
+
 @cli.command()
 @click.argument("file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--ctl", "ctl_text", default=None, help="Property (overrides the //@ ctl: annotation).")
-@click.option("--depth", default=1, type=click.IntRange(min=1), show_default=True, help="Maximum rounds of nested repair.")
-@click.option("--alpha-budget", default=64, type=click.IntRange(min=1), show_default=True, help="Cap on tried fact instantiations.")
-@click.option("--xi-budget", default=16, type=click.IntRange(min=0), show_default=True, help="Cap on signed facts per search.")
-@click.option("--max-add", default=2, type=click.IntRange(min=0), show_default=True, help="Maximum added facts per patch.")
-@click.option("--max-delete", default=2, type=click.IntRange(min=0), show_default=True, help="Maximum deleted fact families per patch.")
+@click.option("--depth", default=_DEFAULTS.depth, type=click.IntRange(min=1), show_default=True, help="Maximum rounds of nested repair.")
+@click.option("--alpha-budget", default=_DEFAULTS.alpha_budget, type=click.IntRange(min=1), show_default=True, help="Cap on tried fact instantiations.")
+@click.option("--xi-budget", default=_DEFAULTS.xi_budget, type=click.IntRange(min=0), show_default=True, help="Cap on signed facts per search.")
+@click.option("--max-add", default=_DEFAULTS.max_add, type=click.IntRange(min=0), show_default=True, help="Maximum added facts per patch.")
+@click.option("--max-delete", default=_DEFAULTS.max_delete, type=click.IntRange(min=0), show_default=True, help="Maximum deleted fact families per patch.")
 @click.option(
     "--template-order",
-    default=",".join(rp.TEMPLATES),
+    default=",".join(_DEFAULTS.template_order),
     show_default=True,
     help="Comma-separated template priority.",
 )

@@ -27,8 +27,10 @@ class CtlFormula:
 
 @dataclass(frozen=True)
 class AP(CtlFormula):
+    """An atomic proposition: one comparison, or one relation."""
+
     name: str
-    pure: pl.Pure | pl.Rel
+    pure: pl.Bop | pl.Rel
 
     def __str__(self) -> str:
         return str(self.pure)
@@ -74,9 +76,6 @@ Implies = _binary("->", True)
 AU = _binary("AU", False)
 EU = _binary("EU", False)
 
-CORE = (AP, Not, CAnd, COr, EX, EF, AF, EU)
-
-
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
@@ -94,15 +93,9 @@ class CtlSyntaxError(ValueError):
     pass
 
 
-def ap_name(pi: pl.Pure | pl.Rel) -> str:
-    """Deterministic predicate name for an atomic proposition."""
-    if isinstance(pi, pl.Rel):
-        return pi.name
-    if isinstance(pi, pl.Bop):
-        return f"{_name_part(pi.left)}{pi.op.upper()}{_name_part(pi.right)}"
-    if isinstance(pi, pl.And):
-        return f"{ap_name(pi.left)}_AND_{ap_name(pi.right)}"
-    raise CtlSyntaxError(f"cannot name atomic proposition {pi}")
+def ap_name(pi: pl.Bop) -> str:
+    """Deterministic predicate name for a comparison atom."""
+    return f"{_name_part(pi.left)}{pi.op.upper()}{_name_part(pi.right)}"
 
 
 def _name_part(t: pl.Term) -> str:
@@ -261,9 +254,9 @@ def desugar(phi: CtlFormula) -> CtlFormula:
     raise TypeError(f"not a property AST node: {phi!r}")
 
 
-def pure_of_ctl(phi: CtlFormula) -> list[pl.Pure | pl.Rel]:
+def pure_of_ctl(phi: CtlFormula) -> list[pl.Bop | pl.Rel]:
     """All atomic-proposition payloads, deduplicated, pre-order."""
-    out: list[pl.Pure | pl.Rel] = []
+    out: list[pl.Bop | pl.Rel] = []
 
     def walk(node: CtlFormula) -> None:
         if isinstance(node, AP):
@@ -421,9 +414,8 @@ def ctl_to_datalog(phi: CtlFormula) -> tuple[str, list[Rule]]:
             return memo[node]
         if isinstance(node, AP):
             name = fresh(node.name)
-            # one body atom per conjunct, in the fact shape the encoder emits
-            body = tuple(Literal(pure_atom(c, S)) for c in pl.conjuncts(node.pure))
-            rules.append(Rule(Atom(name, (S,)), body))
+            # its payload in the fact shape the encoder emits
+            rules.append(Rule(Atom(name, (S,)), (Literal(pure_atom(node.pure, S)),)))
         elif type(node) in _NAMES:
             sub = dict(zip("PQ", (translate(getattr(node, f.name)) for f in fields(node))))
             names = [fresh(pattern.format(**sub)) for pattern in _NAMES[type(node)]]

@@ -204,8 +204,6 @@ def parse_program(text: str) -> DatalogProgram:
         head = parse_atom()
         if peek() == ".":
             i += 1
-            if not head.is_ground():
-                raise DatalogError(f"non-ground fact: {head}")
             program.facts.append(head)
             continue
         if peek() != ":-":
@@ -238,76 +236,52 @@ def parse_program(text: str) -> DatalogProgram:
 def stratify(program: DatalogProgram) -> list[list[str]]:
     """Order predicates into strata (lists of predicate names).
 
-    Builds the predicate dependency graph, condenses SCCs, and rejects any
-    SCC containing a negative edge (recursion through negation).
+    One pass of Tarjan's algorithm over the predicate dependency graph, its
+    roots and each predicate's dependencies in first-mention order, the DFS
+    path kept as ``ctl.cycle_heads`` keeps it; a component is emitted after
+    every component it depends on.  A negative edge inside a component
+    (recursion through negation) is rejected.
     """
-    preds: list[str] = []
-    seen: set[str] = set()
-
-    def note(p: str) -> None:
-        if p not in seen:
-            seen.add(p)
-            preds.append(p)
-
-    edges: dict[str, list[tuple[str, bool]]] = {}
+    deps: dict[str, list[str]] = {}  # each predicate's body predicates
     for fact in program.facts:
-        note(fact.predicate)
+        deps.setdefault(fact.predicate, [])
     for rule in program.rules:
-        note(rule.head.predicate)
+        targets = deps.setdefault(rule.head.predicate, [])
         for lit in rule.body:
-            note(lit.atom.predicate)
-            edges.setdefault(rule.head.predicate, []).append(
-                (lit.atom.predicate, lit.positive)
-            )
+            deps.setdefault(lit.atom.predicate, [])
+            targets.append(lit.atom.predicate)
 
-    # Tarjan SCC, iterative.
     index: dict[str, int] = {}
     low: dict[str, int] = {}
-    on_stack: dict[str, bool] = {}
+    comp_of: dict[str, int] = {}  # an indexed predicate without one is on the stack
     stack: list[str] = []
-    sccs: list[list[str]] = []
-    counter = [0]
+    strata: list[list[str]] = []
+    for root in deps:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        path = {root: iter(deps[root])}  # the DFS path, in order
+        while path:
+            node = next(reversed(path))
+            dep = next(path[node], None)
+            if dep is None:
+                path.popitem()
+                if path:
+                    parent = next(reversed(path))
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    at = stack.index(node)
+                    comp, stack[at:] = stack[at:], []
+                    comp_of.update(dict.fromkeys(comp, len(strata)))
+                    strata.append(sorted(comp))
+            elif dep not in index:
+                index[dep] = low[dep] = len(index)
+                stack.append(dep)
+                path[dep] = iter(deps[dep])
+            elif dep not in comp_of:
+                low[node] = min(low[node], index[dep])
 
-    def strongconnect(root: str) -> None:
-        work = [(root, 0)]
-        while work:
-            node, ei = work.pop()
-            if ei == 0:
-                index[node] = low[node] = counter[0]
-                counter[0] += 1
-                stack.append(node)
-                on_stack[node] = True
-            deps = edges.get(node, [])
-            advanced = False
-            for j in range(ei, len(deps)):
-                target = deps[j][0]
-                if target not in index:
-                    work.append((node, j + 1))
-                    work.append((target, 0))
-                    advanced = True
-                    break
-                if on_stack.get(target):
-                    low[node] = min(low[node], index[target])
-            if advanced:
-                continue
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == node:
-                        break
-                sccs.append(comp)
-
-    for p in preds:
-        if p not in index:
-            strongconnect(p)
-
-    comp_of = {p: ci for ci, comp in enumerate(sccs) for p in comp}
     for rule in program.rules:
         for lit in rule.body:
             if not lit.positive and comp_of[lit.atom.predicate] == comp_of[rule.head.predicate]:
@@ -315,9 +289,7 @@ def stratify(program: DatalogProgram) -> list[list[str]]:
                     "not stratifiable: negation cycle through "
                     f"{rule.head.predicate} and {lit.atom.predicate}"
                 )
-
-    # Tarjan emits SCCs in reverse topological order (dependencies first).
-    return [sorted(comp) for comp in sccs]
+    return strata
 
 
 # ---------------------------------------------------------------------------

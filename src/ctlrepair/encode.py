@@ -354,7 +354,7 @@ def read_sets(phi: gw.Re) -> dict[int, set[tuple]]:
 
 
 def abstract_facts(
-    result: gw.GwreResult, ctl_pures: list[pl.Pure | pl.Rel]
+    result: gw.GwreResult, ctl_pures: list[pl.Bop | pl.Rel]
 ) -> EncodeResult:
     """Encode an effect into facts, flow rules, and fact families.
 
@@ -367,11 +367,10 @@ def abstract_facts(
             atoms.append(pi)
     property_shapes: set[tuple] = set()
     for pure in ctl_pures:
-        for conj in pl.conjuncts(pure):
-            if isinstance(conj, pl.Bop):
-                property_shapes.add(_shape(conj))
-                if conj not in atoms:
-                    atoms.append(conj)
+        if isinstance(pure, pl.Bop):
+            property_shapes.add(_shape(pure))
+            if pure not in atoms:
+                atoms.append(pure)
     property_shapes.discard(None)
     enc = _Encoder(atoms, read_sets(result.phi), property_shapes)
     enc.walk(result.phi)

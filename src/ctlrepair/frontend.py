@@ -325,12 +325,8 @@ class _Parser:
             cond = self.parse_cond()
             self.take(")")
             if self.peek().text == "{":
-                self.take("{")
-                body: list[StmtAst] = []
-                while self.peek().text != "}":
-                    body.append(self.parse_stmt())
-                closing = self.take("}")
-                return WhileStmt(cond, tuple(body), Span(start, closing.pos + 1), closing.pos)
+                body, closing = self.parse_block()
+                return WhileStmt(cond, body, Span(start, closing.pos + 1), closing.pos)
             stmt = self.parse_stmt()
             end = self.tokens[self.i - 1].pos + len(self.tokens[self.i - 1].text)
             return WhileStmt(cond, (stmt,), Span(start, end), end - 1)
@@ -358,14 +354,17 @@ class _Parser:
             return AssignStmt(name, value, Span(start, end))
         raise ImpSyntaxError(f"{self.where(tok)}: unexpected {tok.text!r}")
 
+    def parse_block(self) -> tuple[tuple[StmtAst, ...], Token]:
+        """The statements of a braced block, and its closing brace."""
+        self.take("{")
+        out: list[StmtAst] = []
+        while self.peek().text != "}":
+            out.append(self.parse_stmt())
+        return tuple(out), self.take("}")
+
     def parse_block_or_stmt(self) -> tuple[StmtAst, ...]:
         if self.peek().text == "{":
-            self.take("{")
-            out: list[StmtAst] = []
-            while self.peek().text != "}":
-                out.append(self.parse_stmt())
-            self.take("}")
-            return tuple(out)
+            return self.parse_block()[0]
         return (self.parse_stmt(),)
 
     def parse_procedure(self) -> ProcedureAst:
@@ -383,12 +382,8 @@ class _Parser:
             if self.peek().text == ",":
                 self.take(",")
         self.take(")")
-        self.take("{")
-        body: list[StmtAst] = []
-        while self.peek().text != "}":
-            body.append(self.parse_stmt())
-        closing = self.take("}")
-        return ProcedureAst(name, tuple(params), tuple(body), Span(start, closing.pos + 1))
+        body, closing = self.parse_block()
+        return ProcedureAst(name, tuple(params), body, Span(start, closing.pos + 1))
 
     def parse_program(self) -> ProgramAst:
         procs: list[ProcedureAst] = []

@@ -644,8 +644,7 @@ class _Builder:
                 if nid in proc.loop_insert:
                     tail = self.summarize(proc, nid, loop)
                 else:
-                    branches = [self.walk(proc, s, loop) for s in succs]
-                    tail = or_(*branches) if branches else EPS
+                    tail = or_(*(self.walk(proc, s, loop) for s in succs))
                 break
             if isinstance(node, fe.Assign):
                 self.origins[nid] = Origin("stmt", node=nid, proc=proc.name)
@@ -657,9 +656,6 @@ class _Builder:
                 run.append(Guard(node.pi, nid))
             elif not isinstance(node, fe.Start):
                 raise TypeError(f"unknown CFG node: {node!r}")
-            if not succs:
-                tail = EPS
-                break
             nid = succs[0]
         else:
             tail = BREAK if nid == loop[1] else CONTINUE
@@ -1070,20 +1066,20 @@ def _order_assignments(assigns: list[tuple[str, pl.Term]]):
 # ---------------------------------------------------------------------------
 
 
-def cfg_to_gwre(program: fe.Program, proc_name: str = "main") -> GwreResult:
-    """Summarize a procedure into a guarded effect with renumbered states."""
-    if proc_name not in program.procedures:
-        raise UnsupportedProgram(f"no procedure named {proc_name!r}")
+def cfg_to_gwre(program: fe.Program) -> GwreResult:
+    """Summarize ``main`` into a guarded effect with renumbered states."""
+    proc = program.procedures.get("main")
+    if proc is None:
+        raise UnsupportedProgram("no procedure named 'main'")
     builder = _Builder(program)
-    proc = program.procedures[proc_name]
     phi = builder.walk(proc, proc.entry)
     firsts = first(phi)
     if len(firsts) != 1 or nullable(phi) or isinstance(firsts[0], Omega):
-        entry = builder.fresh(Origin("entry", proc=proc_name))
+        entry = builder.fresh(Origin("entry", proc=proc.name))
         phi = seq(Ev(s=entry), phi)
     phi, mapping = renumber(phi)
     origins = {
-        mapping[s]: builder.origins.get(s, Origin("stmt", node=s, proc=proc_name))
+        mapping[s]: builder.origins.get(s, Origin("stmt", node=s, proc=proc.name))
         for s in mapping
     }
     entry_state = first(phi)[0].s if first(phi) else 0
@@ -1108,13 +1104,10 @@ class SimResult:
 
 
 def simulate(
-    phi: Re,
-    store: dict[str, int] | None = None,
-    fuel: int = 50,
-    rng: random.Random | None = None,
+    phi: Re, fuel: int, rng: random.Random, store: dict[str, int] | None = None
 ) -> SimResult:
-    """Draw one concrete trace from an effect (wildcards via ``rng``)."""
-    rng = rng or random.Random(0)
+    """Draw one concrete trace of at most ``fuel`` steps from an effect
+    (choices and wildcards via ``rng``)."""
     store = dict(store or {})
     trace: list[tuple[int, str]] = []
 

@@ -598,39 +598,18 @@ def candidate_rfs(guard: Pure) -> list[Term]:
     """Candidate ranking functions read off a guard's comparison atoms.
 
     Every candidate is a linear, wildcard-free term, nonnegative whenever
-    the guard holds.  Deduplicated after linear normalization; iteration
-    order follows the guard's atoms.
+    the guard holds: a row of ``_ROW_SHAPES`` (``!=`` read as ``>`` then
+    ``<``) of each wildcard-free comparison among the guard's conjuncts.
+    Deduplicated after linear normalization; iteration order follows the
+    guard's atoms.
     """
     out: dict[Term, None] = {}
-
-    def add(t: Term) -> None:
-        lin = linearize(t)
-        if lin is not None:
-            out.setdefault(term_of_linear(*lin))
-
-    def walk(pi: Pure) -> None:
+    for pi in conjuncts(guard):
         if isinstance(pi, Bop):
-            a, b = pi.left, pi.right
-            if pi.op == GTEQ:
-                add(Sub(a, b))
-            elif pi.op == LTEQ:
-                add(Sub(b, a))
-            elif pi.op == GT:
-                add(Sub(Sub(a, b), Const(1)))
-            elif pi.op == LT:
-                add(Sub(Sub(b, a), Const(1)))
-            elif pi.op == EQ:
-                add(Sub(a, b))
-                add(Sub(b, a))
-            elif pi.op == NEQ:
-                add(Sub(Sub(a, b), Const(1)))
-                add(Sub(Sub(b, a), Const(1)))
-        elif isinstance(pi, And):
-            walk(pi.left)
-            walk(pi.right)
-        # T, F, Or contribute nothing.
-
-    walk(guard)
+            for op in (GT, LT) if pi.op == NEQ else (pi.op,):
+                rows, wildcards = _rows_of_bop(Bop(op, pi.left, pi.right), 0)
+                if not wildcards:
+                    out.update(dict.fromkeys(term_of_linear(*row) for row in rows))
     return list(out)
 
 

@@ -107,7 +107,6 @@ def _analyze(source: str, ctl_text: str | None, stats: dict | None) -> Analysis:
 
 @dataclass(frozen=True)
 class DeleteFact:
-    family: enc_mod.FamilyKey
     representative: Atom
 
     def to_json(self) -> dict:
@@ -126,7 +125,6 @@ class AddFact:
 class UpdateFact:
     old: Atom
     new: Atom
-    family: enc_mod.FamilyKey
 
     def to_json(self) -> dict:
         return {"op": "update", "old": str(self.old), "new": str(self.new)}
@@ -251,7 +249,7 @@ def _xi_families(enc: enc_mod.EncodeResult, template: str) -> list[enc_mod.Famil
     return []  # add: no signs on existing facts
 
 
-def _alpha_shapes(enc, rules) -> list[tuple[str, int]]:
+def _alpha_shapes(rules) -> list[tuple[str, int]]:
     """Injectable fact shapes: comparison predicates consulted by rules."""
     heads = {r.head.predicate for r in rules}
     shapes: list[tuple[str, int]] = []
@@ -396,7 +394,7 @@ def run_template(analysis: Analysis, template: str, config: RepairConfig, consts
     ``consts_at`` is ``sedl.compute_depend`` of the analysis' rules and facts."""
     enc = analysis.enc
     target = Atom(analysis.top, (enc.entry_state,))
-    shapes = _alpha_shapes(enc, analysis.rules) if template in ("update", "add") else [None]
+    shapes = _alpha_shapes(analysis.rules) if template in ("update", "add") else [None]
     candidates: list[_Candidate] = []
     run_reports = []
     skipped: list[sedl.SignBudgetExceeded] = []
@@ -526,14 +524,14 @@ def _synthesize(analysis: Analysis, cand: _Candidate):
         if edit is None:
             return None
         edits.append(edit)
-        deltas.append(UpdateFact(_fam_representative(fam), atom, fam.key))
+        deltas.append(UpdateFact(_fam_representative(fam), atom))
         anchor = max(anchor, fam.def_state)
     if plain_deletes:
         exit_edit, exit_anchor = _early_exit(analysis, plain_deletes) or (None, 0)
         if exit_edit is None:
             return None
         edits.append(exit_edit)
-        deltas.extend(DeleteFact(f.key, _fam_representative(f)) for f in plain_deletes)
+        deltas.extend(DeleteFact(_fam_representative(f)) for f in plain_deletes)
         anchor = max(anchor, exit_anchor)
     for a in plain_adds:
         edit = _insert_assign(analysis, a)

@@ -236,6 +236,24 @@ def test_dump_gwre(run_cli):
     assert "^w" in out
 
 
+def test_dump_gwre_havocs_a_cyclic_exit_update(run_cli, tmp_path):
+    # x and y each read the other across the loop, so no order of the exit
+    # event's updates lets every read see the entry value: both are havocked
+    path = tmp_path / "cyclic.imp"
+    path.write_text(
+        "//@ ctl: AF(Exit(_))\n"
+        "void main() {\n"
+        "  int x = *;\n"
+        "  int y = *;\n"
+        "  while (x + y > 0) { x = x - 2; y = y + 1; }\n"
+        "  return;\n"
+        "}\n"
+    )
+    code, out, _ = run_cli("dump-gwre", path)
+    assert code == 0
+    assert "(x=*, y=*, x+y<=0)@5" in out
+
+
 def test_dump_gwre_inconclusive_exit_two(run_cli):
     code, _, err = run_cli("dump-gwre", fix("unknown.imp"))
     assert code == 2

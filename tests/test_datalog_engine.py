@@ -1,7 +1,10 @@
 import json
 import logging
+import random
 
 import pytest
+
+from ctlrepair import repair as rp
 
 from ctlrepair.datalog_engine import (
     Atom,
@@ -92,6 +95,55 @@ top(X) :- base(X), !derived(X).
     assert order["base"] < order["derived"] < order["top"]
 
 
+def _random_rule_set(rng):
+    """Up to six nullary predicates, some with facts, joined by random
+    positive and negative dependency edges, drawn as the acceptance tests
+    draw their Kripke structures."""
+    preds = [f"p{i}" for i in range(rng.randint(1, 6))]
+    facts = [Atom(p) for p in preds if rng.random() < 0.4]
+    edges = [
+        (head, body, rng.random() < 0.7)
+        for head in preds
+        for body in preds
+        if rng.random() < 0.25
+    ]
+    rng.shuffle(edges)
+    rules = [Rule(Atom(h), (Literal(Atom(b), positive),)) for h, b, positive in edges]
+    return preds, edges, DatalogProgram(rules=rules, facts=facts)
+
+
+def test_stratify_matches_reachability_on_random_rule_sets():
+    rng = random.Random(20)
+    for _ in range(500):
+        preds, edges, program = _random_rule_set(rng)
+        # reach[p]: the predicates p depends on, transitively, p included
+        reach = {p: {p} for p in preds}
+        for _ in preds:
+            for h, b, _positive in edges:
+                reach[h] |= reach[b]
+        negative_on_cycle = any(not pos and h in reach[b] for h, b, pos in edges)
+        if negative_on_cycle:
+            with pytest.raises(DatalogError, match="not stratifiable: negation cycle through"):
+                stratify(program)
+            continue
+        strata = stratify(program)
+        named = {f.predicate for f in program.facts} | {p for h, b, _ in edges for p in (h, b)}
+        classes = {frozenset(q for q in named if p in reach[q] and q in reach[p]) for p in named}
+        assert sorted(map(sorted, classes)) == sorted(strata)
+        level = {p: i for i, comp in enumerate(strata) for p in comp}
+        assert all(level[b] <= level[h] for h, b, _ in edges), (edges, strata)
+
+
+def test_stratify_golden_on_overview(fixture_text):
+    # evaluation visits the strata in this order, so it is pinned exactly
+    analysis = rp.analyze(fixture_text("overview.imp"))
+    program = DatalogProgram(rules=list(analysis.rules), facts=list(analysis.enc.facts))
+    assert stratify(program) == [
+        ["Gt"], ["NeqVar"], ["EqVar"], ["LtEq"], ["flow"], ["GtEqVar"], ["LtVar"],
+        ["Eq"], ["State"], ["Cyc"], ["yEQ5"], ["AFT_yEQ5"], ["AFS_yEQ5"], ["AF_yEQ5"],
+    ]
+
+
 def test_negative_literal_before_positive_still_grounds():
     # body literal order must not matter for correctness
     rule = Rule(
@@ -123,6 +175,8 @@ def test_parse_errors():
     for text in ("p(1", "p(1) :- .", ":- q(1).", "p(1)"):
         with pytest.raises(DatalogError):
             parse_program(text)
+    with pytest.raises(DatalogError, match=r"^non-ground fact: p\(X\)$"):
+        parse_program("p(X).")
 
 
 def test_bound_join_keeps_types_apart():

@@ -6,6 +6,7 @@ from ctlrepair import frontend as fe
 from ctlrepair import gwre as gw
 from ctlrepair import pure_logic as pl
 
+import oracle_programs
 from conftest import FIXTURES
 
 PARSEABLE = sorted(
@@ -37,15 +38,16 @@ def _summarized_joins(program: fe.Program) -> set[int]:
     return {s.join for s in gw.cfg_to_gwre(program).summaries}
 
 
-@pytest.mark.parametrize("name", PARSEABLE)
-def test_cfg_well_formed(name, fixture_text):
-    program = fe.build_cfg(fe.parse(fixture_text(name)))
+def _assert_well_formed(program: fe.Program) -> None:
     for proc in program.procedures.values():
         assert isinstance(proc.nodes[proc.entry], fe.Start)
         for nid, succs in proc.trans.items():
             assert nid in proc.nodes
             for s in succs:
                 assert s in proc.nodes
+            # only an exit or a return ends a path; gwre's walk relies on it
+            if not isinstance(proc.nodes[nid], (fe.ExitNode, fe.Return)):
+                assert succs, f"{proc.name}: node {nid} has no successor"
         # every while loop whose body comes back records a body insertion
         # offset
         for join, offset in proc.loop_insert.items():
@@ -56,6 +58,16 @@ def test_cfg_well_formed(name, fixture_text):
         assert loops == _summarized_joins(program)
     except gw.SummaryInconclusive:
         assert loops  # the summarizer stops at the loop it cannot summarize
+
+
+@pytest.mark.parametrize("name", PARSEABLE)
+def test_cfg_well_formed(name, fixture_text):
+    _assert_well_formed(fe.build_cfg(fe.parse(fixture_text(name))))
+
+
+def test_generated_cfgs_well_formed():
+    for seed in range(1000, 1200):
+        _assert_well_formed(fe.build_cfg(fe.parse(oracle_programs.program(seed))))
 
 
 LOOPS = """void main() {

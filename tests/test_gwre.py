@@ -269,7 +269,7 @@ def test_loop_summary_without_behaviour_is_unknown(fixture_text):
 def test_unsupported_missing_procedure():
     program = fe.build_cfg(fe.parse("void helper() { return; }"))
     with pytest.raises(gw.UnsupportedProgram):
-        gw.cfg_to_gwre(program, "main")
+        gw.cfg_to_gwre(program)
 
 
 def test_simulate_trace_matches_states(fixture_text):
