@@ -1,3 +1,7 @@
+import json
+import pathlib
+import random
+
 import pytest
 
 from ctlrepair import ctl
@@ -159,3 +163,66 @@ AF_Exit_OR_NOT_EF_xLT2_AND_yEQ1(S) :- AF_Exit(S).
 AF_Exit_OR_NOT_EF_xLT2_AND_yEQ1(S) :- NOT_EF_xLT2_AND_yEQ1(S).
 xEQ1_EU_EX_yGT0_AND_AF_Exit_OR_NOT_EF_xLT2_AND_yEQ1(S) :- \
 xEQ1_EU_EX_yGT0(S), AF_Exit_OR_NOT_EF_xLT2_AND_yEQ1(S)."""
+
+
+# ---------------------------------------------------------------------------
+# A seeded corpus of property texts and what parse_ctl makes of each
+# ---------------------------------------------------------------------------
+
+PARSE_CORPUS = pathlib.Path(__file__).parent / "goldens" / "parse_ctl.json"
+
+
+def _corpus_formula(rng: random.Random, depth: int) -> str:
+    """A property text drawn from the grammar, with random spacing."""
+    sp = lambda: rng.choice(("", "", " "))  # noqa: E731
+    kind = rng.choice(("atom",) * 3 + ("unary", "until", "not", "and", "or", "implies", "group"))
+    if depth == 0 or kind == "atom":
+        if rng.random() < 0.3:
+            name = rng.choice(("Exit", "Exit", "Call", "exit", "E"))
+            args = rng.choice(("", "_", "_", "0", "x", "-1", "_ _", "_, _", "_ 0"))
+            return f"{name}({sp()}{args}{sp()})"
+        term = lambda: rng.choice(("x", "y", "n_1", "AFx", str(rng.randint(-3, 12))))  # noqa: E731
+        op = rng.choice(("=", "!=", "<", "<=", ">", ">=") * 3 + ("==",))
+        return f"{term()}{sp()}{op}{sp()}{term()}"
+    sub = lambda: _corpus_formula(rng, depth - 1)  # noqa: E731
+    if kind == "unary":
+        return f"{rng.choice(('AF', 'AG', 'EF', 'EG', 'AX', 'EX'))}{sp()}({sp()}{sub()}{sp()})"
+    if kind == "until":
+        return f"{rng.choice(('AU', 'EU'))}({sub()}){sp()}({sub()})"
+    if kind == "not":
+        return f"!{sp()}{sub()}"
+    if kind == "group":
+        return f"({sp()}{sub()}{sp()})"
+    op = {"and": "&&", "or": "||", "implies": "->"}[kind]
+    return f"{sub()}{sp()}{op}{sp()}{sub()}"
+
+
+def _parse_corpus() -> list[str]:
+    """500 texts: 400 drawn from the grammar, then 100 of them with one
+    character deleted."""
+    rng = random.Random(20)
+    texts = [_corpus_formula(rng, rng.randint(0, 4)) for _ in range(400)]
+    for text in rng.sample(texts, 100):
+        i = rng.randrange(len(text))
+        texts.append(text[:i] + text[i + 1 :])
+    return texts
+
+
+def _parsed(text: str) -> str:
+    try:
+        return str(ctl.parse_ctl(text))
+    except ctl.CtlSyntaxError as exc:
+        return f"CtlSyntaxError: {exc}"
+
+
+def test_parse_ctl_corpus_matches_golden():
+    # every result and error message of the parser, pinned; to accept an
+    # intended change, delete the golden and run the test twice
+    record = [[text, _parsed(text)] for text in _parse_corpus()]
+    if not PARSE_CORPUS.exists():
+        PARSE_CORPUS.write_text(json.dumps(record, indent=0) + "\n")
+        pytest.fail(f"wrote missing golden {PARSE_CORPUS.name}; check it and rerun")
+    expected = json.loads(PARSE_CORPUS.read_text())
+    assert [t for t, _ in record] == [t for t, _ in expected]
+    differing = [(t, got, want) for (t, got), (_, want) in zip(record, expected) if got != want]
+    assert not differing
