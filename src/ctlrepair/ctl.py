@@ -87,6 +87,8 @@ _CTL_TOKEN = re.compile(
 )
 
 _OP_PURE = {text: op for op, text in pl._OP_SYMBOL.items()}
+_UNARY = {"AF": AF, "AG": AG, "EF": EF, "EG": EG, "AX": AX, "EX": EX}
+_UNTIL = {"AU": AU, "EU": EU}
 
 
 class CtlSyntaxError(ValueError):
@@ -136,76 +138,59 @@ def parse_ctl(text: str) -> CtlFormula:
             return pl.Var(tok)
         raise CtlSyntaxError(f"expected a variable or constant, found {tok!r}")
 
-    def parse_atom() -> CtlFormula:
+    def group() -> CtlFormula:
+        take("(")
+        out = parse_implies()
+        take(")")
+        return out
+
+    def parse_primary() -> CtlFormula:
         tok = peek()
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok) and tokens[i[0] + 1] == "(" and tok not in (
-            "AF", "AG", "EF", "EG", "AX", "EX", "AU", "EU"
-        ):
-            # Relation atom such as Exit().
-            name = take()
+        if tok == "(":
+            return group()
+        if tok == "!":
+            take()
+            return Not(parse_primary())
+        if tok in _UNARY:
+            take()
+            return _UNARY[tok](group())
+        if tok in _UNTIL:
+            take()
+            return _UNTIL[tok](group(), group())
+        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok) and tokens[i[0] + 1] == "(":
+            # Relation atom such as Exit().  Wildcard arguments mean "any
+            # value" and are dropped: the encoder emits relation events
+            # without value payloads.
+            take()
             take("(")
-            # Wildcard arguments mean "any value" and are dropped: the
-            # encoder emits relation events without value payloads.
             args: list[pl.Term] = []
             while peek() != ")":
                 if peek() == "_":
                     take()
                 else:
                     args.append(parse_term())
-                if peek() == ",":
-                    take()
             take(")")
-            rel = pl.Rel(name, tuple(args))
-            return AP(name, rel)
+            return AP(tok, pl.Rel(tok, tuple(args)))
         left = parse_term()
         op = take()
         if op not in _OP_PURE:
             raise CtlSyntaxError(f"expected a comparison operator, found {op!r}")
-        right = parse_term()
-        pi = pl.Bop(_OP_PURE[op], left, right)
+        pi = pl.Bop(_OP_PURE[op], left, parse_term())
         return AP(ap_name(pi), pi)
 
-    def parse_primary() -> CtlFormula:
-        tok = peek()
-        if tok == "(":
-            take()
-            out = parse_implies()
-            take(")")
+    def infix(operand, op: str, node):
+        """A left fold of ``operand``s joined by ``op``."""
+
+        def parse() -> CtlFormula:
+            out = operand()
+            while peek() == op:
+                take()
+                out = node(out, operand())
             return out
-        if tok == "!":
-            take()
-            return Not(parse_primary())
-        if tok in ("AF", "AG", "EF", "EG", "AX", "EX"):
-            take()
-            take("(")
-            inner = parse_implies()
-            take(")")
-            ctor = {"AF": AF, "AG": AG, "EF": EF, "EG": EG, "AX": AX, "EX": EX}[tok]
-            return ctor(inner)
-        if tok in ("AU", "EU"):
-            take()
-            take("(")
-            first = parse_implies()
-            take(")")
-            take("(")
-            second = parse_implies()
-            take(")")
-            return (AU if tok == "AU" else EU)(first, second)
-        return parse_atom()
 
-    def parse_and() -> CtlFormula:
-        out = parse_primary()
-        while peek() == "&&":
-            take()
-            out = CAnd(out, parse_primary())
-        return out
+        return parse
 
-    def parse_or() -> CtlFormula:
-        out = parse_and()
-        while peek() == "||":
-            take()
-            out = COr(out, parse_and())
-        return out
+    parse_or = infix(infix(parse_primary, "&&", CAnd), "||", COr)
 
     def parse_implies() -> CtlFormula:
         out = parse_or()
@@ -304,27 +289,39 @@ def _canonical_bop(pi: pl.Bop) -> pl.Bop:
     return pl.Bop(op, left, right)
 
 
-def pure_atom(pi: pl.Pure | pl.Rel, state) -> Atom:
-    """The Datalog atom standing for one comparison/relation at a state."""
+# the predicates of comparison facts: an operator, with "Var" when both
+# sides are variables
+COMPARISON_PREDICATES = frozenset(op + suffix for op in pl._OP_SYMBOL for suffix in ("", "Var"))
+
+
+def pure_atom(pi: pl.Pure | pl.Rel, state) -> Atom | None:
+    """The Datalog atom standing for one comparison/relation at a state, or
+    None if the payload has no fact shape: a relation, or a comparison of
+    variables and constants."""
     if isinstance(pi, pl.Rel):
-        return Atom(pi.name, tuple(_value_of_term(a) for a in pi.args) + (state,))
-    if isinstance(pi, pl.Bop):
-        pi = _canonical_bop(pi)
-        left = _value_of_term(pi.left)
-        right = _value_of_term(pi.right)
-        pred = pi.op
-        if isinstance(pi.left, pl.Var) and isinstance(pi.right, pl.Var):
-            pred += "Var"
-        return Atom(pred, (left, right, state))
-    raise ValueError(f"cannot encode constraint as a fact shape: {pi}")
+        return Atom(pi.name, tuple(a.name if isinstance(a, pl.Var) else a.value for a in pi.args) + (state,))
+    if not isinstance(pi, pl.Bop):
+        return None
+    pi = _canonical_bop(pi)
+    sides = (pi.left, pi.right)
+    if not all(isinstance(t, (pl.Var, pl.Const)) for t in sides):
+        return None
+    args = tuple(t.name if isinstance(t, pl.Var) else t.value for t in sides)
+    suffix = "Var" if all(isinstance(a, str) for a in args) else ""
+    return Atom(pi.op + suffix, args + (state,))
 
 
-def _value_of_term(t: pl.Term):
-    if isinstance(t, pl.Var):
-        return t.name
-    if isinstance(t, pl.Const):
-        return t.value
-    raise ValueError(f"fact arguments must be variables or constants: {t}")
+def fact_pure(atom: Atom) -> pl.Bop | None:
+    """The comparison a fact of ``pure_atom``'s shape stands for, or None."""
+    if atom.predicate not in COMPARISON_PREDICATES:
+        return None
+    left, right = (pl.Var(a) if isinstance(a, str) else pl.Const(a) for a in atom.args[:2])
+    return pl.Bop(atom.predicate.removesuffix("Var"), left, right)
+
+
+def fact_var(atom: Atom) -> str | None:
+    """The variable a comparison fact constrains: its left argument."""
+    return atom.args[0] if atom.args and isinstance(atom.args[0], str) else None
 
 
 def cycle_heads(edges, states) -> list:

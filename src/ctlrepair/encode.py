@@ -64,18 +64,10 @@ class SymStore:
         return SymStore(dict(self.env), self.constraint, dict(self.def_state))
 
 
-def _atom_of(pi: pl.Pure, state) -> Atom | None:
-    """The fact shape of one comparison, or None if not expressible."""
-    try:
-        return ctl_mod.pure_atom(pi, state)
-    except ValueError:  # CtlSyntaxError is a ValueError
-        return None
-
-
 def _shape(pi: pl.Pure) -> tuple | None:
     """What a rule body matches of the facts of one comparison: all but the
     state, or None if the comparison has no fact shape."""
-    atom = _atom_of(pi, None)
+    atom = ctl_mod.pure_atom(pi, None)
     return None if atom is None else (atom.predicate, atom.args[:-1])
 
 
@@ -106,7 +98,6 @@ class EncodeResult:
     families: dict[FamilyKey, Family]
     fact_family: dict[Atom, FamilyKey]
     pair_of: dict[FamilyKey, FamilyKey]
-    entry_state: int
 
 
 _ENTER, _CLOSE = "enter", "close"  # work-item steps of _Encoder.walk
@@ -195,13 +186,13 @@ class _Encoder:
         for rel in rels:
             self.facts[Atom(rel.name, (s,))] = None
         for pi, neg in decide:
-            atom = _atom_of(pi, s)
+            atom = ctl_mod.pure_atom(pi, s)
             if pl.entails(store.constraint, pl.subst_pure(pi, store.env)):
                 self.record(pi, atom, store, pair=None)
                 continue
             if pl.entails(store.constraint, pl.subst_pure(neg, store.env)):
                 continue
-            neg_atom = _atom_of(neg, s)
+            neg_atom = ctl_mod.pure_atom(neg, s)
             self.record(pi, atom, store, pair=None)
             if neg_atom is not None:
                 self.record(neg, neg_atom, store, pair=pi)
@@ -210,15 +201,14 @@ class _Encoder:
         self.facts[atom] = None
         key = self.family_key(atom, store)
         if key not in self.families:
-            var = next((a for a in atom.args[:-1] if isinstance(a, str)), None)
-            self.families[key] = Family(key, pi, var)
+            self.families[key] = Family(key, pi, ctl_mod.fact_var(atom))
         fam = self.families[key]
         if atom not in fam.members:
             fam.members.append(atom)
             fam.read = fam.read or self.is_read(_shape(pi), atom.args[-1])
         self.fact_family[atom] = key
         if pair is not None:
-            pair_atom = _atom_of(pair, atom.args[-1])
+            pair_atom = ctl_mod.pure_atom(pair, atom.args[-1])
             if pair_atom is not None:
                 pair_key = self.family_key(pair_atom, store)
                 if pair_key in self.families:
@@ -240,7 +230,7 @@ class _Encoder:
             return
         body: list[Literal] = []
         for conj in pl.conjuncts(pi):
-            atom = _atom_of(conj, prev)
+            atom = ctl_mod.pure_atom(conj, prev)
             if atom is not None:
                 body.append(Literal(atom))
         if not body:
@@ -361,10 +351,7 @@ def abstract_facts(
     ``ctl_pures`` are the property's atomic payloads; together with the
     effect's own guard/constraint atoms they form the tracked comparison set.
     """
-    atoms: list[pl.Pure] = []
-    for pi in gw.pure_of_gwre(result.phi):
-        if pi not in atoms:
-            atoms.append(pi)
+    atoms = gw.pure_of_gwre(result.phi)
     property_shapes: set[tuple] = set()
     for pure in ctl_pures:
         if isinstance(pure, pl.Bop):
@@ -391,5 +378,4 @@ def abstract_facts(
         families=enc.families,
         fact_family=enc.fact_family,
         pair_of=enc.pair_of,
-        entry_state=result.entry_state,
     )

@@ -219,9 +219,6 @@ class _Parser:
 
     _RELOPS = {"==": pl.EQ, "!=": pl.NEQ, "<": pl.LT, ">": pl.GT, "<=": pl.LTEQ, ">=": pl.GTEQ}
 
-    def parse_cond(self) -> object:
-        return self.parse_disj()
-
     def parse_disj(self) -> object:
         out = self.parse_conj()
         while self.peek().text == "||":
@@ -310,7 +307,7 @@ class _Parser:
         if tok.text == "if":
             self.take("if")
             self.take("(")
-            cond = self.parse_cond()
+            cond = self.parse_disj()
             self.take(")")
             then = self.parse_block_or_stmt()
             orelse: tuple[StmtAst, ...] = ()
@@ -322,7 +319,7 @@ class _Parser:
         if tok.text == "while":
             self.take("while")
             self.take("(")
-            cond = self.parse_cond()
+            cond = self.parse_disj()
             self.take(")")
             if self.peek().text == "{":
                 body, closing = self.parse_block()
@@ -655,8 +652,8 @@ def build_cfg(program_ast: ProgramAst) -> Program:
     """Lower every procedure; node ids are globally unique and pre-ordered."""
     counter = [1]
     procedures: dict[str, Procedure] = {}
-    # main last so user-facing state numbering of main starts right after its
-    # callees only when main comes last in the file; build in file order.
+    # Procedures are lowered in file order, so main's node ids follow those
+    # of every procedure written before it.
     for proc_ast in program_ast.procedures:
         builder = _CfgBuilder(counter)
         procedures[proc_ast.name] = builder.build(proc_ast)

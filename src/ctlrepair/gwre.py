@@ -500,17 +500,19 @@ def prune_conjuncts(pi: pl.Pure, drop_refuted: bool = False) -> pl.Pure:
     return reduce(pl.mk_and, cs, pl.TRUE)
 
 
-def _branch_guard_assigns(segs: list[Re]) -> tuple[pl.Pure, list[tuple[str, pl.Term]]]:
-    """A branch's entry-store guard and its sequential assignment list, up
-    to its first omega block (nothing after one runs) or ``BREAK``.
+def _loop_branch(segs: list[Re]) -> tuple[pl.Pure, dict[str, pl.Term]]:
+    """A loop branch's guard over the entry store and its parallel
+    substitution (the new value of each assigned variable, over the entry
+    store, with every wildcard kept), up to its first omega block (nothing
+    after one runs) or ``BREAK``.
 
-    Each wildcard assigned on the way is read as one symbol, and the guard
-    says that some value of it fits: a conjunct ``symbol = t`` (coefficient
-    +-1) puts ``t`` in its place, and otherwise each read stays a wildcard of
-    its own."""
+    For the guard, each wildcard assigned on the way is read as one symbol,
+    and the guard says that some value of it fits: a conjunct ``symbol = t``
+    (coefficient +-1) puts ``t`` in its place, and otherwise each read stays
+    a wildcard of its own."""
     env: dict[str, pl.Term] = {}
     guard: pl.Pure = pl.TRUE
-    assigns: list[tuple[str, pl.Term]] = []
+    moves: dict[str, pl.Term] = {}
     symbols: list[str] = []
 
     def fresh() -> pl.Term:
@@ -525,7 +527,7 @@ def _branch_guard_assigns(segs: list[Re]) -> tuple[pl.Pure, list[tuple[str, pl.T
         elif isinstance(seg, Ev):
             for v, t in seg.assigns:
                 env[v] = pl.subst_term(pl.dewildcard(t, fresh), env)
-                assigns.append((v, t))
+                moves[v] = pl.subst_term(t, moves)
             if not isinstance(seg.constraint, pl.TrueP):
                 guard = pl.mk_and(guard, pl.subst_pure(seg.constraint, env))
         else:
@@ -534,7 +536,7 @@ def _branch_guard_assigns(segs: list[Re]) -> tuple[pl.Pure, list[tuple[str, pl.T
         values = (_solved_for(symbol, conj) for conj in pl.conjuncts(guard))
         value = next((t for t in values if t is not None), pl.Wildcard())
         guard = pl.subst_pure(guard, {symbol: value})
-    return guard, assigns
+    return guard, moves
 
 
 def _solved_for(v: str, pi: pl.Pure) -> pl.Term | None:
@@ -585,11 +587,9 @@ def _term_region(phases: list[PhaseInfo], pi_res: pl.Pure) -> pl.Pure:
 
 
 def _closed(pre: pl.Pure, post: pl.Pure, clean_ga) -> bool:
-    """Whether every clean branch taken from ``pre`` ends in ``post``."""
-    return all(
-        pl.entails(pl.mk_and(pre, guard), pl.subst_pure(post, pl.branch_substitution(assigns)))
-        for guard, assigns in clean_ga
-    )
+    """Whether every clean branch taken from ``pre`` ends in ``post``: each
+    is the (guard, parallel substitution) pair of ``_loop_branch``."""
+    return all(pl.entails(pl.mk_and(pre, guard), pl.subst_pure(post, moves)) for guard, moves in clean_ga)
 
 
 _PHASE_BOUND = 4
@@ -771,9 +771,9 @@ class _Builder:
             raise SummaryInconclusive(f"a branch of the loop at node {join} may never return")
         # a branch whose own path refutes its guard never runs; each one kept
         # would double the case split of every entailment over the branches
-        clean_ga = [ga for ga in map(_branch_guard_assigns, clean) if pl.satisfiable(ga[0])]
+        clean_ga = [ga for ga in map(_loop_branch, clean) if pl.satisfiable(ga[0])]
         enabled = reduce(pl.mk_or, (guard for guard, _ in clean_ga), pl.FALSE)
-        assigned = list(dict.fromkeys(v for _, assigns in clean_ga for v, _ in assigns))
+        assigned = list(dict.fromkeys(v for _, moves in clean_ga for v in moves))
 
         disjuncts: list[Re] = []
 
@@ -893,7 +893,7 @@ class _Builder:
         candidates = pl.candidate_rfs(pi_g)
         for guard, _ in clean_ga:
             candidates += pl.candidate_rfs(guard)
-        for guard, _ in map(_branch_guard_assigns, leaks):
+        for guard, _ in map(_loop_branch, leaks):
             for conj in pl.conjuncts(guard):
                 if isinstance(conj, pl.Bop):
                     candidates += pl.candidate_rfs(pl.negate(conj))
@@ -991,13 +991,12 @@ def _exact_steps(pi_g, term, clean_ga, phases, assigned) -> dict[str, int] | Non
         return None
     rf = phases[0].rf
     steps: dict[str, int] = {}
-    for _, assigns in clean_ga:
-        delta = pl._delta_of_branch(rf, assigns)
+    for _, moves in clean_ga:
+        delta = pl._delta_of_branch(rf, moves)
         if delta is None or delta[0] or delta[1] != 1:
             return None
-        env = pl.branch_substitution(assigns)
         for v in assigned:
-            lin = pl.linearize(env.get(v, pl.Var(v)))
+            lin = pl.linearize(moves.get(v, pl.Var(v)))
             if lin is None or lin[0] != {v: 1} or steps.setdefault(v, lin[1]) != lin[1]:
                 return None
     last = _after(rf, steps, 0)
@@ -1078,16 +1077,11 @@ def cfg_to_gwre(program: fe.Program) -> GwreResult:
         entry = builder.fresh(Origin("entry", proc=proc.name))
         phi = seq(Ev(s=entry), phi)
     phi, mapping = renumber(phi)
-    origins = {
-        mapping[s]: builder.origins.get(s, Origin("stmt", node=s, proc=proc.name))
-        for s in mapping
-    }
-    entry_state = first(phi)[0].s if first(phi) else 0
     return GwreResult(
         phi=phi,
-        origins=origins,
+        origins={mapping[s]: builder.origins[s] for s in mapping},
         summaries=builder.summaries,
-        entry_state=entry_state,
+        entry_state=first(phi)[0].s,
     )
 
 

@@ -16,8 +16,8 @@ propositions, and loop analysis:
   complement of ``goal`` is unsatisfiable;
 * ``candidate_rfs`` — candidate ranking functions read off a loop guard;
 * ``wp_delta`` — the per-iteration change of a ranking function across a
-  loop body, split into a "strictly decreasing" and a "not decreasing"
-  precondition.
+  loop body, given as one (guard, parallel substitution) pair per branch,
+  split into a "strictly decreasing" and a "not decreasing" precondition.
 
 Terms and constraints are immutable; integer semantics throughout.
 ``satisfiable`` and ``entails`` remember their answers, keyed by interned
@@ -618,19 +618,11 @@ def candidate_rfs(guard: Pure) -> list[Term]:
 # ---------------------------------------------------------------------------
 
 
-def branch_substitution(assignments: list[tuple[str, Term]]) -> dict[str, Term]:
-    """Compose a sequence of assignments into one parallel substitution."""
-    env: dict[str, Term] = {}
-    for var, rhs in assignments:
-        env = dict(env)
-        env[var] = subst_term(rhs, env)
-    return env
-
-
-def _delta_of_branch(rf: Term, assignments: list[tuple[str, Term]]) -> Linear | None:
-    """Linear form of rf - rf' across one branch, or None if wildcarded."""
+def _delta_of_branch(rf: Term, moves: dict[str, Term]) -> Linear | None:
+    """Linear form of rf - rf' across one branch, whose parallel
+    substitution is ``moves``, or None if wildcarded."""
     before = linearize(rf)
-    after = linearize(subst_term(rf, branch_substitution(assignments)))
+    after = linearize(subst_term(rf, moves))
     if before is None or after is None:
         return None
     return lin_combine(before, after, -1)
@@ -653,13 +645,13 @@ def _implies(premise: Pure, conclusion: Pure) -> Pure:
 
 def wp_delta(
     rf: Term,
-    branches: Iterable[tuple[Pure, list[tuple[str, Term]]]],
+    branches: Iterable[tuple[Pure, dict[str, Term]]],
 ) -> tuple[Pure, Pure]:
     """Split the change of ``rf`` across a cycle body into two preconditions.
 
-    ``branches`` is the list of (branch guard, assignment sequence) pairs of
-    the body's disjunctive branches, with the guard already expressed over
-    the cycle-entry store.  Returns (pi_T, pi_NT) where pi_T guarantees the
+    ``branches`` is the list of (branch guard, parallel substitution) pairs
+    of the body's disjunctive branches, both over the cycle-entry store: the
+    substitution maps each variable the branch assigns to its new value.  Returns (pi_T, pi_NT) where pi_T guarantees the
     value of rf drops by at least 1 on every enabled branch, and pi_NT
     guarantees it fails to drop on every enabled branch while at least one
     branch is enabled.  If an enabled branch's change depends on a
@@ -669,9 +661,9 @@ def wp_delta(
     pi_t: Pure = TRUE
     pi_nt: Pure = TRUE
     any_enabled: Pure = FALSE
-    for guard, assignments in branches:
+    for guard, moves in branches:
         any_enabled = mk_or(any_enabled, guard)
-        delta = _delta_of_branch(rf, assignments)
+        delta = _delta_of_branch(rf, moves)
         if delta is None:
             return FALSE, FALSE
         pi_t = mk_and(pi_t, _implies(guard, _linear_cmp(GTEQ, *delta, 1)))

@@ -26,9 +26,6 @@ log = logging.getLogger(__name__)
 
 TEMPLATES = ("delete", "update", "add")
 
-# fact predicates that stand for comparisons (and thus map back to source)
-_COMPARISON_PREDS = {op + suffix for op in pl._OP_SYMBOL for suffix in ("", "Var")}
-
 
 @dataclass
 class RepairConfig:
@@ -96,7 +93,7 @@ def _analyze(source: str, ctl_text: str | None, stats: dict | None) -> Analysis:
     rules = list(enc.rules) + list(ctl_rules)
     _count(stats, "evaluations")
     idb = evaluate(DatalogProgram(rules=rules, facts=list(enc.facts)))
-    holds = Atom(top, (enc.entry_state,)) in idb
+    holds = Atom(top, (gwre_result.entry_state,)) in idb
     return Analysis(source, text, cfg, gwre_result, enc, top, rules, holds, None)
 
 
@@ -255,7 +252,7 @@ def _alpha_shapes(rules) -> list[tuple[str, int]]:
     shapes: list[tuple[str, int]] = []
     for lit in _body_literals(rules):
         p = lit.predicate
-        if p in heads or p in ("flow", "State") or p not in _COMPARISON_PREDS:
+        if p in heads or p not in ctl_mod.COMPARISON_PREDICATES:
             continue
         shape = (p, len(lit.args))
         if shape not in shapes:
@@ -341,12 +338,11 @@ def _candidate_worlds(names: list[str], max_delete: int) -> list[frozenset[str]]
 @dataclass(frozen=True)
 class _Candidate:
     deletes: tuple  # Family objects
-    adds: tuple  # Atom objects, already re-anchored where applicable
+    adds: tuple  # at most one Atom, re-anchored at ``updated``'s def_state
+    # the first deleted family on the add's variable: the add is the new
+    # fact of that family's assignment
+    updated: enc_mod.Family | None
     template: str
-
-
-def _fact_var(atom: Atom) -> str | None:
-    return atom.args[0] if atom.args and isinstance(atom.args[0], str) else None
 
 
 def _fam_representative(fam: enc_mod.Family) -> Atom:
@@ -354,20 +350,6 @@ def _fam_representative(fam: enc_mod.Family) -> Atom:
         if m.args[-1] == fam.def_state:
             return m
     return fam.members[0]
-
-
-def _pure_of_fact(atom: Atom) -> pl.Pure | None:
-    pred = atom.predicate
-    if pred.endswith("Var"):
-        op = pred[:-3]
-        if op not in pl._OP_SYMBOL:
-            return None
-        return pl.Bop(op, pl.Var(atom.args[0]), pl.Var(atom.args[1]))
-    if pred not in pl._OP_SYMBOL:
-        return None
-    left = pl.Var(atom.args[0]) if isinstance(atom.args[0], str) else pl.Const(atom.args[0])
-    right = pl.Var(atom.args[1]) if isinstance(atom.args[1], str) else pl.Const(atom.args[1])
-    return pl.Bop(pred, left, right)
 
 
 _VALUE_SEARCH = [0] + [s * i for i in range(1, 11) for s in (1, -1)]
@@ -393,7 +375,7 @@ def run_template(analysis: Analysis, template: str, config: RepairConfig, consts
 
     ``consts_at`` is ``sedl.compute_depend`` of the analysis' rules and facts."""
     enc = analysis.enc
-    target = Atom(analysis.top, (enc.entry_state,))
+    target = Atom(analysis.top, (analysis.gwre.entry_state,))
     shapes = _alpha_shapes(analysis.rules) if template in ("update", "add") else [None]
     candidates: list[_Candidate] = []
     run_reports = []
@@ -454,7 +436,8 @@ def _disjunct_candidate(d, fam_of_xi, shape, enc, config, template) -> _Candidat
     for f in deletes:
         if enc.pair_of.get(f.key) in keys:
             return None  # deleting both halves of a closure pair says nothing
-    adds: list[Atom] = []
+    adds: tuple[Atom, ...] = ()
+    updated = None
     if shape is not None and "xiA" in d.sign_true:
         args = []
         for i in range(shape[1]):
@@ -463,23 +446,20 @@ def _disjunct_candidate(d, fam_of_xi, shape, enc, config, template) -> _Candidat
                 v = d.bindings.get(v, v)
             args.append(v)
         if not any(sedl.is_placeholder(a) for a in args):
-            adds.append(Atom(shape[0], tuple(args)))
-    if len(adds) > config.max_add:
+            if config.max_add < 1:
+                return None
+            add = Atom(shape[0], tuple(args))
+            # paired with a same-variable deletion, the added fact describes
+            # the new fact of that assignment, anchored where the variable
+            # is defined
+            var = ctl_mod.fact_var(add)
+            updated = next((f for f in deletes if f.var == var and var), None)
+            if updated is not None:
+                add = Atom(add.predicate, add.args[:-1] + (updated.def_state,))
+            adds = (add,)
+    if not deletes and not adds:
         return None
-    # pair an added fact with a same-variable deletion: the addition then
-    # describes the new fact of that assignment, anchored where the variable
-    # is defined
-    final_adds: list[Atom] = []
-    for a in adds:
-        var = _fact_var(a)
-        fam = next((f for f in deletes if f.var == var and var), None)
-        if fam is not None:
-            final_adds.append(Atom(a.predicate, a.args[:-1] + (fam.def_state,)))
-        else:
-            final_adds.append(a)
-    if not deletes and not final_adds:
-        return None
-    return _Candidate(tuple(deletes), tuple(final_adds), template)
+    return _Candidate(tuple(deletes), adds, updated, template)
 
 
 # ---------------------------------------------------------------------------
@@ -497,35 +477,21 @@ def _stmt_span(analysis: Analysis, state: int):
     return origin, proc, proc.spans[origin.node]
 
 
-def _pair_updates(cand: _Candidate):
-    """Pair each deleted family with the first remaining add on its
-    variable: (updates as (family, atom) pairs, plain deletes, plain adds)."""
-    updates: list[tuple[enc_mod.Family, Atom]] = []
-    plain_deletes: list[enc_mod.Family] = []
-    plain_adds = list(cand.adds)
-    for fam in cand.deletes:
-        match = next((a for a in plain_adds if _fact_var(a) == fam.var and fam.var), None)
-        if match is not None:
-            plain_adds.remove(match)
-            updates.append((fam, match))
-        else:
-            plain_deletes.append(fam)
-    return updates, plain_deletes, plain_adds
-
-
 def _synthesize(analysis: Analysis, cand: _Candidate):
     """Source edits realizing a candidate, or None if inexpressible."""
     deltas: list = []
     edits: list = []
     anchor = 0
-    updates, plain_deletes, plain_adds = _pair_updates(cand)
-    for fam, atom in updates:
-        edit = _modify_assign(analysis, fam, atom)
+    fam = cand.updated
+    if fam is not None:
+        edit = _modify_assign(analysis, fam, cand.adds[0])
         if edit is None:
             return None
         edits.append(edit)
-        deltas.append(UpdateFact(_fam_representative(fam), atom))
+        deltas.append(UpdateFact(_fam_representative(fam), cand.adds[0]))
         anchor = max(anchor, fam.def_state)
+    plain_deletes = [f for f in cand.deletes if f is not fam]
+    plain_adds = cand.adds if fam is None else ()
     if plain_deletes:
         exit_edit, exit_anchor = _early_exit(analysis, plain_deletes) or (None, 0)
         if exit_edit is None:
@@ -560,7 +526,7 @@ def _modify_assign(analysis: Analysis, fam: enc_mod.Family, new_atom: Atom):
             return None
     else:
         return None
-    pure = _pure_of_fact(new_atom)
+    pure = ctl_mod.fact_pure(new_atom)
     if pure is None:
         return None
     value = _value_for(pure, var)
@@ -576,8 +542,8 @@ def _insert_assign(analysis: Analysis, atom: Atom):
     state = atom.args[-1]
     if not isinstance(state, int):
         return None
-    var = _fact_var(atom)
-    pure = _pure_of_fact(atom)
+    var = ctl_mod.fact_var(atom)
+    pure = ctl_mod.fact_pure(atom)
     if var is None or pure is None:
         return None
     value = _value_for(pure, var)
@@ -639,7 +605,7 @@ def _replay(analysis: Analysis, cand: _Candidate, stats=None) -> bool:
             facts.append(a)
     _count(stats, "evaluations")
     idb = evaluate(DatalogProgram(rules=list(analysis.rules), facts=facts))
-    return Atom(analysis.top, (analysis.enc.entry_state,)) in idb
+    return Atom(analysis.top, (analysis.gwre.entry_state,)) in idb
 
 
 @dataclass
@@ -689,8 +655,8 @@ def repair_loop(source: str, config: RepairConfig, ctl_text: str | None = None) 
 
 
 def _estimated_cost(cand: _Candidate) -> int:
-    """Delta count after delete/add pairs merge into single updates."""
-    return sum(map(len, _pair_updates(cand)))
+    """Delta count after a delete/add pair merges into a single update."""
+    return len(cand.deletes) + len(cand.adds) - (cand.updated is not None)
 
 
 def _within_caps(deltas: tuple, config: RepairConfig) -> bool:

@@ -105,6 +105,42 @@ def test_pure_atom_canonicalizes_mirrored_comparisons():
     assert ctl.pure_atom(swapped, s) == Atom("Gt", ("x", 5, s))
 
 
+MIRROR = {pl.LT: pl.GT, pl.GT: pl.LT, pl.LTEQ: pl.GTEQ, pl.GTEQ: pl.LTEQ, pl.EQ: pl.EQ, pl.NEQ: pl.NEQ}
+
+
+def test_fact_pure_inverts_pure_atom():
+    # a comparison's fact reads back as the comparison with a variable on
+    # the left, under a comparison-fact predicate
+    x, y = pl.Var("x"), pl.Var("y")
+    for op in MIRROR:
+        for c in (pl.Const(3), pl.Const(0), pl.Const(-4)):
+            for pi, canonical in (
+                (pl.Bop(op, x, c), pl.Bop(op, x, c)),
+                (pl.Bop(op, c, x), pl.Bop(MIRROR[op], x, c)),
+                (pl.Bop(op, pl.Neg(x), c), pl.Bop(MIRROR[op], x, pl.Const(-c.value))),
+                (pl.Bop(op, x, y), pl.Bop(op, x, y)),
+            ):
+                atom = ctl.pure_atom(pi, 7)
+                assert atom.predicate in ctl.COMPARISON_PREDICATES, pi
+                assert atom.args[-1] == 7
+                assert ctl.fact_pure(atom) == canonical, pi
+                assert ctl.fact_var(atom) == "x"
+
+
+def test_pure_atom_is_none_without_a_fact_shape():
+    x = pl.Var("x")
+    for pi in (
+        pl.Bop(pl.GT, x, pl.Neg(pl.Const(5))),  # how the program parser reads -5
+        pl.Bop(pl.EQ, pl.Add(x, pl.Const(1)), pl.Const(2)),
+        pl.mk_and(pl.Bop(pl.GT, x, pl.Const(0)), pl.Bop(pl.LT, x, pl.Const(9))),
+        pl.mk_or(pl.Bop(pl.GT, x, pl.Const(0)), pl.Bop(pl.LT, x, pl.Const(-9))),
+    ):
+        assert ctl.pure_atom(pi, 7) is None, pi
+    for atom in (Atom("Exit", (3,)), Atom("flow", (1, 2)), Atom("State", (1,))):
+        assert atom.predicate not in ctl.COMPARISON_PREDICATES
+        assert ctl.fact_pure(atom) is None
+
+
 def test_ap_name_deterministic():
     assert ctl.ap_name(pl.Bop(pl.EQ, pl.Var("y"), pl.Const(5))) == "yEQ5"
     assert ctl.ap_name(pl.Bop(pl.GTEQ, pl.Var("x"), pl.Const(-2))) == "xGTEQm2"

@@ -20,7 +20,6 @@ def test_overview_state_facts(fixture_text):
     enc = encode(fixture_text("overview.imp"), "AF(y=5)")
     states = {f.args[0] for f in enc.facts if f.predicate == "State"}
     assert states == set(range(1, 13))
-    assert enc.entry_state == 1
 
 
 def test_overview_tracked_facts(fixture_text):

@@ -63,6 +63,20 @@ def test_sequences_and_choices_are_flat():
     assert gw.seq() == gw.EPS and gw.or_() == gw.BOT
 
 
+def test_loop_branch_substitution_sequences_assignments():
+    # x = x + 1; y = x; z = *: y reads the updated x, and the wildcard stays
+    guard, moves = gw._loop_branch(
+        [
+            gw.Ev(s=1, assigns=(("x", pl.Add(pl.Var("x"), pl.Const(1))),)),
+            gw.Ev(s=2, assigns=(("y", pl.Var("x")), ("z", pl.Wildcard()))),
+        ]
+    )
+    assert guard == pl.TRUE
+    assert list(moves) == ["x", "y", "z"]
+    assert pl.eval_term(moves["y"], {"x": 5, "y": 0}) == 6
+    assert moves["z"] == pl.Wildcard()
+
+
 def test_pure_of_gwre_collects_guard_atoms(fixture_text):
     res = summarize(fixture_text("overview.imp"))
     pures = {str(p) for p in gw.pure_of_gwre(res.phi)}

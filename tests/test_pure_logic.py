@@ -326,22 +326,13 @@ def test_candidate_rfs_for_simple_guard():
 def test_wp_delta_single_decreasing_branch():
     # while (...) { x = x - y }  with rf = x: decreases iff y >= 1
     rf = pl.candidate_rfs(pl.Bop(pl.GTEQ, pl.Var("x"), pl.Const(0)))[0]
-    pi_t, pi_nt = pl.wp_delta(rf, [(pl.TRUE, [("x", pl.Sub(pl.Var("x"), pl.Var("y")))])])
+    pi_t, pi_nt = pl.wp_delta(rf, [(pl.TRUE, {"x": pl.Sub(pl.Var("x"), pl.Var("y"))})])
     assert pl.entails(pi_t, pl.Bop(pl.GTEQ, pl.Var("y"), pl.Const(1)))
     assert pl.entails(pl.Bop(pl.GTEQ, pl.Var("y"), pl.Const(1)), pi_t)
     assert pl.entails(pi_nt, pl.Bop(pl.LTEQ, pl.Var("y"), pl.Const(0)))
 
 
 def test_wp_delta_wildcard_is_inconclusive():
-    pi_t, pi_nt = pl.wp_delta(pl.Var("x"), [(pl.TRUE, [("x", pl.Wildcard())])])
+    pi_t, pi_nt = pl.wp_delta(pl.Var("x"), [(pl.TRUE, {"x": pl.Wildcard()})])
     assert isinstance(pi_t, pl.FalseP)
     assert isinstance(pi_nt, pl.FalseP)
-
-
-def test_branch_substitution_sequences_assignments():
-    env = pl.branch_substitution(
-        [("x", pl.Add(pl.Var("x"), pl.Const(1))), ("y", pl.Var("x"))]
-    )
-    # y reads the updated x
-    store = {"x": 5, "y": 0}
-    assert pl.eval_term(env["y"], store) == 6

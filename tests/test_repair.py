@@ -7,7 +7,7 @@ from ctlrepair import repair as rp
 from ctlrepair.datalog_engine import Atom
 
 import oracle_programs
-from conftest import verdict
+from conftest import FIXTURES, verdict
 
 
 def test_verify_verdicts(fixture_text):
@@ -213,3 +213,30 @@ def test_repair_loop_shares_one_memo_across_its_analyses(fixture_text):
     result = rp.repair_loop(src, rp.RepairConfig())
     assert result.stats["analyses"] > 1
     assert first.items() < pl._answers.items()
+
+
+def test_candidate_invariants(monkeypatch):
+    # each sign search injects one fact, so a candidate adds at most one;
+    # a candidate that is not an update adds only what its world added, and
+    # so replays true (an update's add is re-anchored, which the search
+    # never saw)
+    replays = []
+    replay = rp._replay
+
+    def recording(analysis, cand, stats=None):
+        holds = replay(analysis, cand, stats)
+        replays.append((cand, holds))
+        return holds
+
+    monkeypatch.setattr(rp, "_replay", recording)
+    monkeypatch.syspath_prepend(str(FIXTURES.parents[1] / "perfbench"))
+    import workloads
+
+    broken = ("bad_syntax.imp", "no_property.imp")  # no analysis to repair
+    sources = [p.read_text() for p in sorted(FIXTURES.glob("*.imp")) if p.name not in broken]
+    sources += [p.source for p in workloads.generate("repair-deep", 1)]
+    for source in sources:
+        rp.repair_loop(source, rp.RepairConfig(depth=1))
+    assert all(len(cand.adds) <= 1 for cand, _ in replays)
+    assert any(cand.updated is not None for cand, _ in replays)
+    assert all(holds for cand, holds in replays if cand.updated is None)
