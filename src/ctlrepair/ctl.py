@@ -2,7 +2,7 @@
 
 The surface grammar supports AF/AG/EF/EG/AX/EX, AU(p)(q), EU(p)(q), `->`,
 `&&`, `||`, `!`, arithmetic atoms such as `y=5` or `x>=y`, and relation
-atoms such as `Exit()`.  Properties are desugared into an 8-construct core
+atoms such as `Exit(_)`, which take no values.  Properties are desugared into an 8-construct core
 (AP, Not, And, Or, EX, EF, AF, EU) which translates rule-by-rule into
 stratified Datalog over a `flow` relation and abstract-state facts.
 """
@@ -158,19 +158,18 @@ def parse_ctl(text: str) -> CtlFormula:
             take()
             return _UNTIL[tok](group(), group())
         if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok) and tokens[i[0] + 1] == "(":
-            # Relation atom such as Exit().  Wildcard arguments mean "any
-            # value" and are dropped: the encoder emits relation events
-            # without value payloads.
+            # Relation atom such as Exit(_).  The encoder emits relation
+            # events without values, so an argument can only be "_".
             take()
             take("(")
-            args: list[pl.Term] = []
-            while peek() != ")":
-                if peek() == "_":
-                    take()
-                else:
-                    args.append(parse_term())
-            take(")")
-            return AP(tok, pl.Rel(tok, tuple(args)))
+            while peek() == "_":
+                take()
+            if peek() != ")":
+                raise CtlSyntaxError(
+                    f"expected '_' or ')' in {tok}(...), found {peek()!r}: relation atoms take no values"
+                )
+            take()
+            return AP(tok, pl.Rel(tok))
         left = parse_term()
         op = take()
         if op not in _OP_PURE:
@@ -299,7 +298,7 @@ def pure_atom(pi: pl.Pure | pl.Rel, state) -> Atom | None:
     None if the payload has no fact shape: a relation, or a comparison of
     variables and constants."""
     if isinstance(pi, pl.Rel):
-        return Atom(pi.name, tuple(a.name if isinstance(a, pl.Var) else a.value for a in pi.args) + (state,))
+        return Atom(pi.name, (state,))
     if not isinstance(pi, pl.Bop):
         return None
     pi = _canonical_bop(pi)

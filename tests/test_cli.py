@@ -93,6 +93,18 @@ def test_verify_bad_property_exit_three(run_cli):
     assert code == 3
 
 
+@pytest.mark.parametrize("prop", ["AF(Exit(0))", "AG(!Exit(0))"])
+def test_relation_atom_with_a_value_exit_three(run_cli, tmp_path, prop):
+    # the encoder drops relation values, so Exit(0) would hold wherever any
+    # Exit does: AF(Exit(0)) printed Verified on a program that returns 5
+    path = tmp_path / "prog.imp"
+    path.write_text("int main() { int x = 5; return x; }\n")
+    code, out, err = run_cli("verify", "--ctl", prop, path)
+    assert code == 3
+    assert out == ""
+    assert err == "error: expected '_' or ')' in Exit(...), found '0': relation atoms take no values\n"
+
+
 def test_missing_file_exit_three(run_cli):
     code, _, _ = run_cli("verify", "does-not-exist.imp")
     assert code == 3
