@@ -319,7 +319,8 @@ def fact_pure(atom: Atom) -> pl.Bop | None:
 
 
 def fact_var(atom: Atom) -> str | None:
-    """The variable a comparison fact constrains: its left argument."""
+    """The variable a comparison fact constrains: its left argument, or None
+    if that is a constant."""
     return atom.args[0] if atom.args and isinstance(atom.args[0], str) else None
 
 

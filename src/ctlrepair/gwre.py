@@ -589,7 +589,9 @@ def _term_region(phases: list[PhaseInfo], pi_res: pl.Pure) -> pl.Pure:
 def _closed(pre: pl.Pure, post: pl.Pure, clean_ga) -> bool:
     """Whether every clean branch taken from ``pre`` ends in ``post``: each
     is the (guard, parallel substitution) pair of ``_loop_branch``."""
-    return all(pl.entails(pl.mk_and(pre, guard), pl.subst_pure(post, moves)) for guard, moves in clean_ga)
+    return all(
+        pl.entails(pl.mk_and(pre, guard), pl.subst_pure(post, moves)) for guard, moves in clean_ga
+    )
 
 
 _PHASE_BOUND = 4

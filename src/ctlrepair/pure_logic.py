@@ -651,12 +651,12 @@ def wp_delta(
 
     ``branches`` is the list of (branch guard, parallel substitution) pairs
     of the body's disjunctive branches, both over the cycle-entry store: the
-    substitution maps each variable the branch assigns to its new value.  Returns (pi_T, pi_NT) where pi_T guarantees the
-    value of rf drops by at least 1 on every enabled branch, and pi_NT
-    guarantees it fails to drop on every enabled branch while at least one
-    branch is enabled.  If an enabled branch's change depends on a
-    nondeterministic value, both results are F — the analysis is
-    inconclusive for this candidate.
+    substitution maps each variable the branch assigns to its new value.
+    Returns (pi_T, pi_NT) where pi_T guarantees the value of rf drops by at
+    least 1 on every enabled branch, and pi_NT guarantees it fails to drop on
+    every enabled branch while at least one branch is enabled.  If an enabled
+    branch's change depends on a nondeterministic value, both results are F
+    — the analysis is inconclusive for this candidate.
     """
     pi_t: Pure = TRUE
     pi_nt: Pure = TRUE
