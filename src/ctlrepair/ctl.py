@@ -302,12 +302,12 @@ def pure_atom(pi: pl.Pure | pl.Rel, state) -> Atom | None:
     if not isinstance(pi, pl.Bop):
         return None
     pi = _canonical_bop(pi)
-    sides = (pi.left, pi.right)
-    if not all(isinstance(t, (pl.Var, pl.Const)) for t in sides):
+    left, right = pi.left, pi.right
+    if not isinstance(left, (pl.Var, pl.Const)) or not isinstance(right, (pl.Var, pl.Const)):
         return None
-    args = tuple(t.name if isinstance(t, pl.Var) else t.value for t in sides)
-    suffix = "Var" if all(isinstance(a, str) for a in args) else ""
-    return Atom(pi.op + suffix, args + (state,))
+    if isinstance(right, pl.Var):  # and so is left: _canonical_bop puts a variable there
+        return Atom(pi.op + "Var", (left.name, right.name, state))
+    return Atom(pi.op, (left.name if isinstance(left, pl.Var) else left.value, right.value, state))
 
 
 def fact_pure(atom: Atom) -> pl.Bop | None:
