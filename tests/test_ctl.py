@@ -210,17 +210,24 @@ PARSE_CORPUS = pathlib.Path(__file__).parent / "goldens" / "parse_ctl.json"
 
 def _corpus_formula(rng: random.Random, depth: int) -> str:
     """A property text drawn from the grammar, with random spacing."""
-    sp = lambda: rng.choice(("", "", " "))  # noqa: E731
+
+    def sp() -> str:
+        return rng.choice(("", "", " "))
+
+    def term() -> str:
+        return rng.choice(("x", "y", "n_1", "AFx", str(rng.randint(-3, 12))))
+
+    def sub() -> str:
+        return _corpus_formula(rng, depth - 1)
+
     kind = rng.choice(("atom",) * 3 + ("unary", "until", "not", "and", "or", "implies", "group"))
     if depth == 0 or kind == "atom":
         if rng.random() < 0.3:
             name = rng.choice(("Exit", "Exit", "Call", "exit", "E"))
             args = rng.choice(("", "_", "_", "0", "x", "-1", "_ _", "_, _", "_ 0"))
             return f"{name}({sp()}{args}{sp()})"
-        term = lambda: rng.choice(("x", "y", "n_1", "AFx", str(rng.randint(-3, 12))))  # noqa: E731
         op = rng.choice(("=", "!=", "<", "<=", ">", ">=") * 3 + ("==",))
         return f"{term()}{sp()}{op}{sp()}{term()}"
-    sub = lambda: _corpus_formula(rng, depth - 1)  # noqa: E731
     if kind == "unary":
         return f"{rng.choice(('AF', 'AG', 'EF', 'EG', 'AX', 'EX'))}{sp()}({sp()}{sub()}{sp()})"
     if kind == "until":
@@ -256,7 +263,7 @@ def test_parse_ctl_corpus_matches_golden():
     # intended change, delete the golden and run the test twice
     record = [[text, _parsed(text)] for text in _parse_corpus()]
     if not PARSE_CORPUS.exists():
-        PARSE_CORPUS.write_text(json.dumps(record, indent=0) + "\n")
+        PARSE_CORPUS.write_text("[\n" + ",\n".join(map(json.dumps, record)) + "\n]\n")
         pytest.fail(f"wrote missing golden {PARSE_CORPUS.name}; check it and rerun")
     expected = json.loads(PARSE_CORPUS.read_text())
     assert [t for t, _ in record] == [t for t, _ in expected]
