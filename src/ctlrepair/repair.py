@@ -58,7 +58,7 @@ class Analysis:
     cfg: fe.Program
     gwre: gw.GwreResult | None
     enc: enc_mod.EncodeResult | None
-    top: str
+    target: Atom | None  # the property's top atom at the entry state
     rules: list
     holds: bool
     unknown: str | None
@@ -87,14 +87,14 @@ def _analyze(source: str, ctl_text: str | None, stats: dict | None) -> Analysis:
     try:
         gwre_result = gw.cfg_to_gwre(cfg)
     except gw.SummaryInconclusive as exc:
-        return Analysis(source, text, cfg, None, None, "", [], False, str(exc))
+        return Analysis(source, text, cfg, None, None, None, [], False, str(exc))
     enc = enc_mod.abstract_facts(gwre_result, ctl_mod.pure_of_ctl(phi))
     top, ctl_rules = ctl_mod.ctl_to_datalog(phi)
+    target = Atom(top, (gwre_result.entry_state,))
     rules = list(enc.rules) + list(ctl_rules)
     _count(stats, "evaluations")
-    idb = evaluate(DatalogProgram(rules=rules, facts=list(enc.facts)))
-    holds = Atom(top, (gwre_result.entry_state,)) in idb
-    return Analysis(source, text, cfg, gwre_result, enc, top, rules, holds, None)
+    holds = target in evaluate(DatalogProgram(rules=rules, facts=list(enc.facts)))
+    return Analysis(source, text, cfg, gwre_result, enc, target, rules, holds, None)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +375,6 @@ def run_template(analysis: Analysis, template: str, config: RepairConfig, consts
 
     ``consts_at`` is ``sedl.compute_depend`` of the analysis' rules and facts."""
     enc = analysis.enc
-    target = Atom(analysis.top, (analysis.gwre.entry_state,))
     shapes = _alpha_shapes(analysis.rules) if template in ("update", "add") else [None]
     candidates: list[_Candidate] = []
     run_reports = []
@@ -390,7 +389,7 @@ def run_template(analysis: Analysis, template: str, config: RepairConfig, consts
         _count(stats, "sign_searches")
         try:
             psi = sedl.symbolic_execute(
-                analysis.rules, facts, target, config.xi_budget, valuations, worlds
+                analysis.rules, facts, analysis.target, config.xi_budget, valuations, worlds
             )
         except sedl.SignBudgetExceeded as exc:
             _count(stats, "sign_budget_exceeded")
@@ -589,23 +588,26 @@ def _early_exit(analysis: Analysis, fams: list[enc_mod.Family]):
 
 
 # ---------------------------------------------------------------------------
-# Replay check and the repair loop
+# Candidate check and the repair loop
 # ---------------------------------------------------------------------------
 
 
-def _replay(analysis: Analysis, cand: _Candidate, stats=None) -> bool:
-    del_keys = {f.key for f in cand.deletes}
-    facts = [
-        f
-        for f in analysis.enc.facts
-        if analysis.enc.fact_family.get(f) not in del_keys
-    ]
-    for a in cand.adds:
-        if a not in facts:
-            facts.append(a)
+def _decide(analysis: Analysis, candidates: list[_Candidate], stats) -> int:
+    """Bit ``i`` is set when candidate ``i``'s facts derive the target.  One
+    fixpoint decides every candidate in its own world: an encoder fact holds
+    in all but the worlds deleting its family, an added fact in its own."""
+    if not candidates:
+        return 0
+    kept = {}
+    full = (1 << len(candidates)) - 1
+    for i, cand in enumerate(candidates):
+        for fam in cand.deletes:
+            kept[fam.key] = kept.get(fam.key, full) & ~(1 << i)
+    adds = [(a, 1 << i) for i, cand in enumerate(candidates) for a in cand.adds]
+    DatalogProgram(facts=[a for a, _ in adds]).validate()  # _analyze checked the rest
+    facts = [(f, kept.get(analysis.enc.fact_family.get(f), full)) for f in analysis.enc.facts]
     _count(stats, "evaluations")
-    idb = evaluate(DatalogProgram(rules=list(analysis.rules), facts=facts))
-    return Atom(analysis.top, (analysis.gwre.entry_state,)) in idb
+    return sedl.annotated_eval(analysis.rules, facts + adds, full).get(analysis.target, 0)
 
 
 @dataclass
@@ -693,11 +695,10 @@ def _search(analysis: Analysis, config: RepairConfig, depth: int, stats):
     )
     patches: list[Patch] = []
     recursed = 0
-    for cand in candidates:
+    holds = _decide(analysis, candidates, stats)
+    for cand in [c for i, c in enumerate(candidates) if holds >> i & 1]:
         if len(patches) >= _MAX_PATCHES:
             break
-        if not _replay(analysis, cand, stats):
-            continue
         syn = _synthesize(analysis, cand)
         if syn is None:
             continue

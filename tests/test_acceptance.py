@@ -80,8 +80,8 @@ def test_criterion_1_overview_pipeline(fixture_text):
     assert Atom("EqVar", ("x", "y", 3)) in facts
 
     # the property fails at the entry state
-    assert analysis.top == "AF_yEQ5"
     target = Atom("AF_yEQ5", (1,))
+    assert analysis.target == target
     assert target not in _database(analysis)
     assert not analysis.holds
 

@@ -2,9 +2,10 @@ import logging
 
 import pytest
 
+from ctlrepair import encode as enc_mod
 from ctlrepair import pure_logic as pl
 from ctlrepair import repair as rp
-from ctlrepair.datalog_engine import Atom
+from ctlrepair.datalog_engine import Atom, DatalogProgram, evaluate, parse_program
 
 import oracle_programs
 from conftest import FIXTURES, verdict
@@ -215,28 +216,99 @@ def test_repair_loop_shares_one_memo_across_its_analyses(fixture_text):
     assert first.items() < pl._answers.items()
 
 
-def test_candidate_invariants(monkeypatch):
-    # each sign search injects one fact, so a candidate adds at most one;
-    # a candidate that is not an update adds only what its world added, and
-    # so replays true (an update's add is re-anchored, which the search
-    # never saw)
-    replays = []
-    replay = rp._replay
+def _reference(analysis: rp.Analysis, cand) -> bool:
+    """Whether one candidate's own fact base derives the target: the
+    encoder's facts less the families it deletes, plus its adds."""
+    deleted = {fam.key for fam in cand.deletes}
+    facts = [f for f in analysis.enc.facts if analysis.enc.fact_family.get(f) not in deleted]
+    facts += [a for a in cand.adds if a not in facts]
+    return analysis.target in evaluate(DatalogProgram(rules=list(analysis.rules), facts=facts))
 
-    def recording(analysis, cand, stats=None):
-        holds = replay(analysis, cand, stats)
-        replays.append((cand, holds))
+
+@pytest.fixture(scope="module")
+def decided():
+    """Each candidate ``_search`` decides over the fixtures plus
+    ``repair-deep`` seed 1 at depths 1 and 2, with its analysis and bit."""
+    out = []
+    decide = rp._decide
+
+    def recording(analysis, candidates, stats):
+        holds = decide(analysis, candidates, stats)
+        out.extend((analysis, cand, holds >> i & 1 == 1) for i, cand in enumerate(candidates))
         return holds
 
-    monkeypatch.setattr(rp, "_replay", recording)
-    monkeypatch.syspath_prepend(str(FIXTURES.parents[1] / "perfbench"))
-    import workloads
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rp, "_decide", recording)
+        mp.syspath_prepend(str(FIXTURES.parents[1] / "perfbench"))
+        import workloads
 
-    broken = ("bad_syntax.imp", "no_property.imp")  # no analysis to repair
-    sources = [p.read_text() for p in sorted(FIXTURES.glob("*.imp")) if p.name not in broken]
-    sources += [p.source for p in workloads.generate("repair-deep", 1)]
-    for source in sources:
-        rp.repair_loop(source, rp.RepairConfig(depth=1))
-    assert all(len(cand.adds) <= 1 for cand, _ in replays)
-    assert any(cand.updated is not None for cand, _ in replays)
-    assert all(holds for cand, holds in replays if cand.updated is None)
+        broken = ("bad_syntax.imp", "no_property.imp")  # no analysis to repair
+        sources = [p.read_text() for p in sorted(FIXTURES.glob("*.imp")) if p.name not in broken]
+        sources += [p.source for p in workloads.generate("repair-deep", 1)]
+        for source in sources:
+            for depth in (1, 2):
+                rp.repair_loop(source, rp.RepairConfig(depth=depth))
+    return out
+
+
+def test_batch_decides_each_candidate_as_its_own_fact_base(decided):
+    assert all(holds == _reference(analysis, cand) for analysis, cand, holds in decided)
+    assert {holds for _, _, holds in decided} == {True, False}
+    assert any(cand.updated is not None for _, cand, _ in decided)
+
+
+def test_candidate_invariants(decided):
+    # each sign search injects one fact, so a candidate adds at most one;
+    # a candidate that is not an update adds only what its world added, and
+    # so derives the target (an update's add is re-anchored, which the
+    # search never saw)
+    assert all(len(cand.adds) <= 1 for _, cand, _ in decided)
+    assert all(holds for _, cand, holds in decided if cand.updated is None)
+
+
+def _hand_built():
+    """``top(1)`` holds where ``a(1)`` and ``c(1)`` both hold, or where the
+    one member of family ``b`` is missing."""
+    program = parse_program("top(S) :- a(S), c(S). top(S) :- s(S), !b(S). s(1). b(1).")
+    key = enc_mod.FamilyKey("b", (), (1,))
+    fam = enc_mod.Family(key, None, None, [Atom("b", (1,))])
+    enc = enc_mod.EncodeResult(program.facts, [], {key: fam}, {Atom("b", (1,)): key}, {})
+    analysis = rp.Analysis("", "", None, None, enc, Atom("top", (1,)), program.rules, False, None)
+    return analysis, fam
+
+
+def _candidate(deletes=(), adds=()):
+    return rp._Candidate(tuple(deletes), tuple(adds), None, "add")
+
+
+def test_an_add_equal_to_a_deleted_member_comes_back():
+    analysis, fam = _hand_built()
+    cands = [_candidate([fam]), _candidate([fam], [Atom("b", (1,))])]
+    assert [_reference(analysis, c) for c in cands] == [True, False]
+    assert rp._decide(analysis, cands, None) == 0b01
+
+
+def test_candidates_do_not_leak_into_each_other():
+    # together the first two would derive top(1); the third's deletion must
+    # not reach the fourth, which adds an unrelated fact
+    analysis, fam = _hand_built()
+    cands = [
+        _candidate(adds=[Atom("a", (1,))]),
+        _candidate(adds=[Atom("c", (1,))]),
+        _candidate([fam]),
+        _candidate(adds=[Atom("s", (2,))]),
+    ]
+    assert [_reference(analysis, c) for c in cands] == [False, False, True, False]
+    stats = {}
+    assert rp._decide(analysis, cands, stats) == 0b0100
+    assert stats == {"evaluations": 1}
+
+
+def test_no_candidates_run_no_fixpoint(monkeypatch):
+    def fail(*args):
+        raise AssertionError("annotated_eval called")
+
+    monkeypatch.setattr(rp.sedl, "annotated_eval", fail)
+    stats = {}
+    assert rp._decide(_hand_built()[0], [], stats) == 0
+    assert stats == {}
