@@ -397,8 +397,7 @@ def run_template(analysis: Analysis, template: str, config: RepairConfig, consts
             continue
         if psi.truncated:
             _count(stats, "sign_truncated")
-        report_disjuncts = []
-        report_seen = set()
+        report = {}  # distinct report disjuncts by their text, first kept
         for d in psi.disjuncts:
             cand = _disjunct_candidate(d, fam_of_xi, shape, enc, config, template)
             if cand is not None:
@@ -406,10 +405,9 @@ def run_template(analysis: Analysis, template: str, config: RepairConfig, consts
             dj = d.to_json()
             if shape is not None and "xiA" in d.sign_false:
                 dj["alpha_bindings"] = {}
-            key = str(dj)
-            if key not in report_seen and len(report_disjuncts) < 64:
-                report_seen.add(key)
-                report_disjuncts.append(dj)
+            report.setdefault(str(dj), dj)
+        if len(report) > _MAX_REPORT_DISJUNCTS:
+            _count(stats, "report_truncated")
         run_reports.append(
             {
                 "shape": f"{shape[0]}/{shape[1]}" if shape else None,
@@ -417,7 +415,7 @@ def run_template(analysis: Analysis, template: str, config: RepairConfig, consts
                     name: str(_fam_representative(fam))
                     for name, fam in fam_of_xi.items()
                 },
-                "disjuncts": report_disjuncts,
+                "disjuncts": list(report.values())[:_MAX_REPORT_DISJUNCTS],
             }
         )
     if skipped:
@@ -634,6 +632,7 @@ class RepairResult:
 
 _MAX_RECURSED = 6
 _MAX_PATCHES = 10
+_MAX_REPORT_DISJUNCTS = 64
 
 
 def repair_loop(source: str, config: RepairConfig, ctl_text: str | None = None) -> RepairResult:

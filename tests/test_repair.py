@@ -118,6 +118,15 @@ def test_sign_budget_cut_offs_are_counted(fixture_text, caplog):
     assert warnings[1].startswith("5 of 5 sign searches skipped for template update: ")
 
 
+def test_dropped_report_disjuncts_are_counted(fixture_text):
+    # one of overview's searches has more distinct disjuncts than a report
+    # keeps; the report says so instead of looking complete
+    report = rp.repair_loop(fixture_text("overview.imp"), rp.RepairConfig()).to_json()
+    runs = [run for runs in report["constraints"].values() for run in runs]
+    assert max(len(run["disjuncts"]) for run in runs) == rp._MAX_REPORT_DISJUNCTS
+    assert report["timing"]["report_truncated"] == 1
+
+
 def test_generated_program_with_reordered_signs_is_repaired():
     # seed 1219: when the sign worlds were numbers whose bits repair and
     # sedl read in two orders, no candidate replayed and the program stayed
