@@ -82,7 +82,7 @@ EU = _binary("EU", False)
 
 _CTL_TOKEN = re.compile(
     r"(?P<skip>\s+)"
-    r"|(?P<tok>->|&&|\|\||>=|<=|!=|[!()=<>]|-?\d+|[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<tok>->|&&|\|\||==|>=|<=|!=|[!()=<>]|-?\d+|[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<bad>.)"
 )
 
@@ -172,6 +172,8 @@ def parse_ctl(text: str) -> CtlFormula:
             return AP(tok, pl.Rel(tok))
         left = parse_term()
         op = take()
+        if op == "==":
+            raise CtlSyntaxError("'==' is not a property operator; equality is written '='")
         if op not in _OP_PURE:
             raise CtlSyntaxError(f"expected a comparison operator, found {op!r}")
         pi = pl.Bop(_OP_PURE[op], left, parse_term())

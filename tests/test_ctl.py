@@ -51,6 +51,12 @@ def test_bad_character_message():
     assert str(err.value) == "bad character in property at offset 10: '$'"
 
 
+def test_double_equals_message_names_the_operator():
+    with pytest.raises(ctl.CtlSyntaxError) as err:
+        ctl.parse_ctl("AG(x==4)")
+    assert str(err.value) == "'==' is not a property operator; equality is written '='"
+
+
 def test_desugar_targets_core_fragment():
     def assert_core(node):
         assert isinstance(node, CORE), node
