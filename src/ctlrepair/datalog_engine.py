@@ -7,15 +7,15 @@ are stratified by SCC condensation of the predicate dependency graph
 with a semi-naive fixpoint.  Iteration is insertion-ordered throughout so
 dumps and evaluation results are deterministic.
 
-One evaluator, ``_fixpoint``, serves both plain and sign-annotated
+One evaluator, ``_fixpoint``, serves both plain and world-annotated
 evaluation.  Every atom carries a mask: an integer bitmask over a set of
-worlds (for ``sedl``, each pair of an alpha valuation and a sign world),
-bit w set when the atom is derivable in
-world w; ``full`` has every world's bit set.  Joins intersect masks,
-alternative derivations union them, and negation complements a lower
-stratum's final mask within ``full``.  Plain
-evaluation (``evaluate``) is the one-world case: every fact at mask 1 and
-``full=1``.
+worlds, bit w set when the atom is derivable in world w; ``full`` has
+every world's bit set.  For ``sedl`` a world is a pair of an alpha
+valuation and a sign world, for ``repair``'s candidate check one
+candidate.  Joins intersect masks, alternative derivations union them,
+and negation complements a lower stratum's final mask within ``full``.
+Plain evaluation (``evaluate``) is the one-world case: every fact at mask
+1 and ``full=1``.
 
 The join, ``_firings``, is indexed.  Each rule's body is put in binding
 order (positive literals first) and planned once per evaluation: every

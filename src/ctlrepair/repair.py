@@ -3,9 +3,10 @@
 A violated property is repaired by searching, symbolically, for small
 changes to the abstract fact base — deleting a fact family, adding a fresh
 fact, or updating an assignment's facts — that make the property's top
-predicate derivable again.  Each fact-level change is mapped back to a
-source edit, and every patch is verified end to end by re-analyzing the
-edited program.
+predicate derivable again.  One fixpoint checks every candidate at fact
+level before any source edit is made.  Each candidate that passes is
+mapped back to a source edit, and every patch is verified end to end by
+re-analyzing the edited program.
 """
 
 from __future__ import annotations
