@@ -669,7 +669,17 @@ def _within_caps(deltas: tuple, config: RepairConfig) -> bool:
     return deletes <= config.max_delete and adds <= config.max_add
 
 
-def _search(analysis: Analysis, config: RepairConfig, depth: int, stats):
+def _search(analysis: Analysis, config: RepairConfig, depth: int, stats, prefix: tuple | None = None):
+    """Verified patches for the analysis, from candidates tried cheapest first.
+
+    A nested search gets the calling round's deltas as ``prefix``; its caller
+    keeps only its cheapest patch ``p`` that ``_within_caps(prefix + p.deltas)``.
+    So it stops before the first candidate whose ``_estimated_cost`` exceeds
+    the cost of the cheapest such patch found so far.  That is exact: the
+    candidates come sorted by estimated cost, a direct patch costs exactly its
+    estimate, a composite one at least one more, and ``rank_patches`` orders
+    by cost first, so no later patch could rank ahead.  The top-level search
+    has no prefix and keeps every patch."""
     candidates: list[_Candidate] = []
     constraints: dict = {}
     seen = set()
@@ -695,9 +705,12 @@ def _search(analysis: Analysis, config: RepairConfig, depth: int, stats):
     )
     patches: list[Patch] = []
     recursed = 0
+    fit = None  # cost of the cheapest patch so far within the caps after prefix
     holds = _decide(analysis, candidates, stats)
     for cand in [c for i, c in enumerate(candidates) if holds >> i & 1]:
         if len(patches) >= _MAX_PATCHES:
+            break
+        if fit is not None and _estimated_cost(cand) > fit:
             break
         syn = _synthesize(analysis, cand)
         if syn is None:
@@ -712,26 +725,28 @@ def _search(analysis: Analysis, config: RepairConfig, depth: int, stats):
         if sub_analysis.unknown:
             continue
         if sub_analysis.holds:
-            patches.append(
-                Patch(deltas, edits, new_source, cost, 1, anchor, cand.template)
-            )
+            patch = Patch(deltas, edits, new_source, cost, 1, anchor, cand.template)
         elif depth > 1 and recursed < _MAX_RECURSED:
             recursed += 1
-            sub_patches, _ = _search(sub_analysis, config, depth - 1, stats)
+            sub_patches, _ = _search(sub_analysis, config, depth - 1, stats, deltas)
             best = next(
                 (p for p in rank_patches(sub_patches) if _within_caps(deltas + p.deltas, config)),
                 None,
             )
-            if best is not None:
-                patches.append(
-                    Patch(
-                        deltas + best.deltas,
-                        edits + best.edits,
-                        best.source,
-                        cost + best.cost,
-                        1 + best.iterations,
-                        anchor,
-                        cand.template,
-                    )
-                )
+            if best is None:
+                continue
+            patch = Patch(
+                deltas + best.deltas,
+                edits + best.edits,
+                best.source,
+                cost + best.cost,
+                1 + best.iterations,
+                anchor,
+                cand.template,
+            )
+        else:
+            continue
+        patches.append(patch)
+        if prefix is not None and _within_caps(prefix + patch.deltas, config):
+            fit = patch.cost if fit is None else min(fit, patch.cost)
     return patches, constraints

@@ -8,7 +8,7 @@ from ctlrepair import repair as rp
 from ctlrepair.datalog_engine import Atom, DatalogProgram, evaluate, parse_program
 
 import oracle_programs
-from conftest import FIXTURES, verdict
+from conftest import FIXTURES, Stopwatch, verdict
 
 
 def test_verify_verdicts(fixture_text):
@@ -321,3 +321,83 @@ def test_no_candidates_run_no_fixpoint(monkeypatch):
     stats = {}
     assert rp._decide(_hand_built()[0], [], stats) == 0
     assert stats == {}
+
+
+def _best_fitting(patches, prefix, config):
+    return next(
+        (p for p in rp.rank_patches(patches) if rp._within_caps(prefix + p.deltas, config)),
+        None,
+    )
+
+
+@pytest.fixture(scope="module")
+def nested_searches():
+    """Each nested search reached over the fixtures plus ``repair-deep``
+    seed 1 at depths 2 and 3, and at depth 2 with ``max_delete=1``: its
+    arguments, the patches it returned and the analyses it counted."""
+    out = []
+    search = rp._search
+
+    def recording(analysis, config, depth, stats, prefix=None):
+        before = stats["analyses"]
+        patches, constraints = search(analysis, config, depth, stats, prefix)
+        if prefix is not None:
+            out.append((analysis, config, depth, prefix, patches, stats["analyses"] - before))
+        return patches, constraints
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rp, "_search", recording)
+        mp.syspath_prepend(str(FIXTURES.parents[1] / "perfbench"))
+        import workloads
+
+        broken = ("bad_syntax.imp", "no_property.imp")  # no analysis to repair
+        sources = [p.read_text() for p in sorted(FIXTURES.glob("*.imp")) if p.name not in broken]
+        sources += [p.source for p in workloads.generate("repair-deep", 1)]
+        configs = (
+            rp.RepairConfig(depth=2),
+            rp.RepairConfig(depth=3),
+            rp.RepairConfig(depth=2, max_delete=1),
+        )
+        for source in sources:
+            for config in configs:
+                rp.repair_loop(source, config)
+    return out
+
+
+def test_nested_search_keeps_its_best_fitting_patch(nested_searches):
+    # a nested search stops at the first cost tier above its cheapest patch
+    # that fits the caps after the calling round's deltas; the search that
+    # keeps every patch must pick the same one
+    stopped = unfit = 0
+    for analysis, config, depth, prefix, patches, analyses in nested_searches:
+        stats = {}
+        full, _ = rp._search(analysis, config, depth, stats, None)
+        best = _best_fitting(patches, prefix, config)
+        reference = _best_fitting(full, prefix, config)
+        assert (best is None) == (reference is None)
+        if best is not None:
+            assert (best.to_json(), best.source) == (reference.to_json(), reference.source)
+        # the patches before the stop are the reference's, and a search
+        # with no fitting patch never stops
+        assert [p.to_json() for p in patches] == [p.to_json() for p in full[: len(patches)]]
+        assert analyses <= stats["analyses"]
+        if best is None:
+            assert analyses == stats["analyses"]
+        stopped += analyses < stats["analyses"]
+        unfit += best is None
+    assert len({depth for _, _, depth, *_ in nested_searches}) == 2
+    assert stopped and unfit
+
+
+def test_nested_rounds_stop_at_the_first_tier_past_a_fitting_patch(fixture_text):
+    # each second round stops analysing once a fitting patch is cheaper than
+    # its next candidate: 63 analyses when every second round ran to the end
+    result = rp.repair_loop(fixture_text("overview.imp"), rp.RepairConfig(depth=2))
+    assert result.stats["analyses"] == 24
+
+
+def test_infinite_repair_at_depth_3_within_budget(fixture_text):
+    watch = Stopwatch(3.0)
+    result = rp.repair_loop(fixture_text("infinite.imp"), rp.RepairConfig(depth=3))
+    assert result.verdict == "Repaired"
+    watch.check()
