@@ -35,11 +35,45 @@ facts, rules and families follow it):
 After the walk each state gets a ``State`` fact, and each target of a back
 edge of a depth-first search over every potential flow edge (the ``flow``
 facts and the guard rules' heads; roots in walk order) a ``Cyc`` fact.
+
+Paths that rejoin are walked once from there (the state merging of RWset,
+Boonstoppel, Cadar & Engler, TACAS 2008).  At an event or guard outside an
+omega block whose state labels two or more leaves of the effect, the walk
+adds the incoming ``flow`` fact or guard rule, then skips the entry if it
+has walked the same segment, with a structurally equal rest of the effect,
+from an equivalent store.  Two stores are equivalent when:
+
+- each live variable has the same term (hash-consed node id) and the same
+  ``def_state`` in both, or is unset in both.  A variable is live when the
+  segment or the rest mentions it (assignments and their right-hand sides,
+  constraints, guards, relation arguments), when a property atom or the
+  read set of one of their states names it, or when a tracked comparison
+  has it beside a live variable, since ``emit`` decides that comparison at
+  its variable's def state;
+- the conjuncts of the constraint connected to the live terms through
+  shared symbols, transitively, are the same, in order.  The others share
+  no symbol with anything read later, so while they are satisfiable they
+  change no entailment over the rationals, where ``pure_logic`` decides it
+  (short of its row limit);
+- both constraints are satisfiable, or neither is: ``emit`` emits nothing
+  from an unsatisfiable store, so an infeasible path must not stand for a
+  feasible one.
+
+All the skipped walk would add is then already there: nothing reads a
+variable that is not live, and since a state occurs at most once on a path
+outside omega blocks, no later state is its def state.  Only
+``fact_family``, where an atom of two families belongs to the one written
+last, is written again as the first walk left it.  The walk order, and the
+order of facts, rules and families that follows it, is that of a walk
+without merging.  Fresh symbols ``$1, $2, ...`` are numbered per path
+(``SymStore.symbols``), so paths with the same havocs name them alike; the
+first path names them as one counter for the whole walk would.
 """
 
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import ctl as ctl_mod
@@ -59,9 +93,14 @@ class SymStore:
     env: dict[str, pl.Term] = field(default_factory=dict)
     constraint: pl.Pure = pl.TRUE
     def_state: dict[str, int] = field(default_factory=dict)
+    symbols: int = 0  # fresh symbols named on this path so far
 
     def copy(self) -> "SymStore":
-        return SymStore(dict(self.env), self.constraint, dict(self.def_state))
+        return SymStore(dict(self.env), self.constraint, dict(self.def_state), self.symbols)
+
+    def fresh(self) -> pl.Term:
+        self.symbols += 1
+        return pl.Var(f"${self.symbols}")
 
 
 def _shape(pi: pl.Pure) -> tuple | None:
@@ -100,7 +139,19 @@ class EncodeResult:
     pair_of: dict[FamilyKey, FamilyKey]
 
 
-_ENTER, _CLOSE = "enter", "close"  # work-item steps of _Encoder.walk
+_ENTER, _CLOSE, _DONE = "enter", "close", "done"  # work-item steps of _Encoder.walk
+
+
+@dataclass
+class _Walk:
+    """The walk from a segment entry that ``_Encoder.merge`` keyed."""
+
+    store: SymStore  # the store it starts from
+    live: tuple[str, ...]  # the variables read from the entry on
+    start: int  # where its writes of fact_family start in _Encoder.writes
+    end: int = -1  # and end, once the walk is done
+    connected: tuple[int, ...] | None = None  # _Encoder.connected, once worked out
+    last: dict[Atom, FamilyKey] | None = None  # the last write of each atom
 
 
 class _Encoder:
@@ -127,23 +178,42 @@ class _Encoder:
         self.families: dict[FamilyKey, Family] = {}
         self.fact_family: dict[Atom, FamilyKey] = {}
         self.pair_of: dict[FamilyKey, FamilyKey] = {}
-        self.sym_counter = 0
+        # what entry_key reads: the variables every state reads, and per
+        # variable those of the tracked comparisons over it
+        self.always_live = _shape_vars(property_shapes)
+        self.partners: dict[str, frozenset[str]] = {}
+        for _, names, _, _ in self.tracked:
+            for v in names:
+                self.partners[v] = self.partners.get(v, frozenset()) | names
+        self.shared: set[int] = set()  # states that label two or more leaves, set by walk
+        # every fact_family write, in walk order, a merged entry's replayed
+        self.writes: list[tuple[Atom, FamilyKey]] = []
+        self.walked: dict[tuple[int, ...], list[_Walk]] = {}  # per entry_key
+        self.merged = 0  # segment entries skipped as already walked
+        # caches of entry_key, for one walk: interned effect shapes and the
+        # variables of each; per id() of an effect node the node, kept alive,
+        # and its shape id; per sequence shape that of its items but the
+        # first; the live variables of each (step, rest); the symbols of
+        # each term or constraint, by node id
+        self.effect_ids: dict[object, int] = {}
+        self.effect_vars: list[frozenset[str]] = []
+        self.effects: dict[int, tuple[gw.Re, int]] = {}
+        self.tails: dict[int, int] = {}
+        self.live: dict[tuple[int, int], tuple[str, ...]] = {}
+        self.symbol_sets: dict[int, frozenset[str]] = {}
+        self.nil = self.effect_id(gw.EPS)  # the empty sequence
 
     # -- bookkeeping ----------------------------------------------------------
 
     def add_flow(self, a: int, b: int) -> None:
         self.facts[Atom("flow", (a, b))] = None
 
-    def fresh_symbol(self) -> pl.Term:
-        self.sym_counter += 1
-        return pl.Var(f"${self.sym_counter}")
-
     # -- store transitions ------------------------------------------------------
 
     def apply_event(self, ev: gw.Ev, store: SymStore) -> SymStore:
         out = store.copy()
         for v, t in ev.assigns:
-            out.env[v] = pl.subst_term(pl.dewildcard(t, self.fresh_symbol), out.env)
+            out.env[v] = pl.subst_term(pl.dewildcard(t, out.fresh), out.env)
             out.def_state[v] = ev.s
         if not isinstance(ev.constraint, pl.TrueP):
             pi = pl.subst_pure(ev.constraint, out.env)
@@ -207,6 +277,7 @@ class _Encoder:
             fam.members.append(atom)
             fam.read = fam.read or self.is_read(_shape(pi), atom.args[-1])
         self.fact_family[atom] = key
+        self.writes.append((atom, key))
         if pair is not None:
             pair_atom = ctl_mod.pure_atom(pair, atom.args[-1])
             if pair_atom is not None:
@@ -246,6 +317,9 @@ class _Encoder:
         # enters phi reached from prev, a leading segment of phi takes it,
         # and _CLOSE closes the omega block whose body is phi.  terminals is
         # None outside omega bodies, else the enclosing body's terminal list.
+        # _DONE ends the _Walk phi.
+        counts = Counter(leaf.s for leaf in gw._leaves(phi))
+        self.shared = {s for s, n in counts.items() if n > 1}
         work: list[tuple] = [(_ENTER, phi, -1, SymStore(), None)]
         while work:
             step, phi, prev, store, terminals = work.pop()
@@ -264,6 +338,8 @@ class _Encoder:
                     elif prev not in terminals:
                         terminals.append(prev)
                 work.extend((f, phi, prev, store, terminals) for f in reversed(gw.first(phi)))
+            elif step is _DONE:
+                phi.end = len(self.writes)
             elif isinstance(step, gw.Omega):
                 if terminals is not None:
                     raise TypeError("nested omega blocks are not supported")
@@ -271,16 +347,209 @@ class _Encoder:
                 work.append((_CLOSE, step.body, -1, None, body_terminals))
                 work.append((_ENTER, step.body, prev, store, body_terminals))
             else:
+                rest = gw.derivative(step, phi)
                 if isinstance(step, gw.Ev):
-                    store = self.apply_event(step, store)
                     if prev >= 0:
                         self.add_flow(prev, step.s)
+                else:
+                    self.guard_rule(prev, step.s, step.pi)
+                if terminals is None and step.s in self.shared:
+                    earlier, walk = self.merge(step, phi, rest, store)
+                    if earlier is not None:
+                        self.merged += 1
+                        self.replay(earlier)
+                        continue
+                    work.append((_DONE, walk, -1, None, None))
+                if isinstance(step, gw.Ev):
+                    store = self.apply_event(step, store)
                     self.emit(step.s, store, step.rels)
                 else:
                     store = self.apply_guard(step, store)
-                    self.guard_rule(prev, step.s, step.pi)
                     self.emit(step.s, store)
-                work.append((_ENTER, gw.derivative(step, phi), step.s, store, terminals))
+                work.append((_ENTER, rest, step.s, store, terminals))
+
+    # -- merging ----------------------------------------------------------------
+
+    def merge(
+        self, step: gw.Ev | gw.Guard, phi: gw.Re, rest: gw.Re, store: SymStore
+    ) -> tuple[_Walk | None, _Walk]:
+        """The earlier walk that the walk from the entry of ``step`` into
+        ``phi``, with ``rest`` left after it, would repeat from ``store`` (or
+        None), and
+        this entry's walk, recorded when there is none.  The two stores
+        must agree on ``entry_key``, then on ``connected``, then on being
+        satisfiable: each is worked out only when the ones before agree."""
+        key, live = self.entry_key(step, phi, rest, store)
+        walk = _Walk(store, live, len(self.writes))
+        walks = self.walked.setdefault(key, [])
+        for earlier in walks:
+            if self.connected(earlier) != self.connected(walk):
+                continue
+            if pl.satisfiable(earlier.store.constraint) == pl.satisfiable(store.constraint):
+                return earlier, walk
+        walks.append(walk)
+        return None, walk
+
+    def entry_key(
+        self, step: gw.Ev | gw.Guard, phi: gw.Re, rest: gw.Re, store: SymStore
+    ) -> tuple[tuple[int, ...], tuple[str, ...]]:
+        """The shape ids of ``step`` and ``rest``, then the term id and
+        definition state of each live variable in ``store`` (-1, -1 where it
+        has none); and the live variables, in that order."""
+        if type(phi) is gw.Seq and phi.items[0] is step:
+            # rest is phi's items after step, which a long sequence keeps
+            # from one entry to the next: its id is phi's tail
+            rest_id = self.tails[self.effect_id(phi)]
+            self.effects[id(rest)] = (rest, rest_id)
+        else:
+            rest_id = self.effect_id(rest)
+        shape = (self.effect_id(step), rest_id)
+        live = self.live.get(shape)
+        if live is None:
+            read = self.always_live | self.effect_vars[shape[0]] | self.effect_vars[shape[1]]
+            live = self.live[shape] = tuple(
+                sorted(read.union(*(self.partners.get(v, ()) for v in read)))
+            )
+        key = list(shape)
+        for v in live:
+            term = store.env.get(v)
+            key += (-1, -1) if term is None else (pl._node_id(term), store.def_state[v])
+        return tuple(key), live
+
+    def connected(self, walk: _Walk) -> tuple[int, ...]:
+        """The ids of the conjuncts of the constraint of ``walk`` that are
+        connected to its live terms through shared symbols, in order."""
+        if walk.connected is None:
+            store = walk.store
+            reached: set[str] = set()
+            for v in walk.live:
+                term = store.env.get(v)
+                reached |= {v} if term is None else self.symbols(term)
+            conjs, stack = [], [store.constraint]
+            while stack:
+                pi = stack.pop()
+                if isinstance(pi, pl.And):
+                    stack += (pi.right, pi.left)
+                elif not isinstance(pi, pl.TrueP):
+                    conjs.append((pl._node_id(pi), self.symbols(pi)))
+            kept = [False] * len(conjs)
+            grew = True
+            while grew:
+                grew = False
+                for i, (_, names) in enumerate(conjs):
+                    if not kept[i] and not names.isdisjoint(reached):
+                        kept[i] = grew = True
+                        reached |= names
+            walk.connected = tuple(nid for (nid, _), keep in zip(conjs, kept) if keep)
+        return walk.connected
+
+    def replay(self, walk: _Walk) -> None:
+        """Write ``fact_family`` as ``walk`` left it: an atom of two families
+        belongs to the one that the walk wrote last."""
+        if walk.last is None:
+            walk.last = dict(self.writes[walk.start : walk.end])
+        self.fact_family.update(walk.last)
+        self.writes += walk.last.items()
+
+    def effect_id(self, root: gw.Re) -> int:
+        """The interned id of ``root``'s shape: structurally equal effects
+        share it.  One explicit-stack walk keys the nodes not keyed yet; a
+        new shape gets the variables that its leaves mention or read at
+        their states (``effect_vars``)."""
+        effects, nid = self.effects, pl._node_id
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            if id(node) in effects:
+                stack.pop()
+                continue
+            cls = type(node)
+            parts = (
+                node.items if cls is gw.Seq
+                else node.alts if cls is gw.OrRe
+                else (node.body,) if cls is gw.Omega else ()
+            )
+            pending = [part for part in parts if id(part) not in effects]
+            if pending:
+                stack += pending
+                continue
+            stack.pop()
+            if cls is gw.Seq:
+                sid = self.nil
+                for part in reversed(parts):
+                    sid = self.cons(effects[id(part)][1], sid)
+                effects[id(node)] = (node, sid)
+                continue
+            if cls is gw.Ev:
+                shape = (
+                    cls, node.s, tuple((v, nid(t)) for v, t in node.assigns), nid(node.constraint),
+                    tuple((r.name, *map(nid, r.args)) for r in node.rels),
+                )
+            elif cls is gw.Guard:
+                shape = (cls, node.s, nid(node.pi))
+            elif parts:
+                shape = (cls, *(effects[id(part)][1] for part in parts))
+            else:  # Eps, Bot, LoopMark
+                shape = node
+            sid = self.effect_ids.get(shape)
+            if sid is None:
+                sid = self.effect_ids[shape] = len(self.effect_vars)
+                self.effect_vars.append(
+                    self.leaf_vars(node) if cls in (gw.Ev, gw.Guard)
+                    else frozenset().union(*(self.effect_vars[effects[id(p)][1]] for p in parts))
+                )
+            effects[id(node)] = (node, sid)
+        return effects[id(root)][1]
+
+    def cons(self, head: int, tail: int) -> int:
+        """The shape id of the sequence of ``head`` then ``tail``: a sequence
+        is its first item followed by the sequence of the others, so that
+        what ``gw.derivative`` leaves of it is its entry in ``tails``."""
+        if tail == self.nil:
+            return head
+        shape = (gw.Seq, head, tail)
+        sid = self.effect_ids.get(shape)
+        if sid is None:
+            sid = self.effect_ids[shape] = len(self.effect_vars)
+            self.effect_vars.append(self.effect_vars[head] | self.effect_vars[tail])
+            self.tails[sid] = tail
+        return sid
+
+    def leaf_vars(self, leaf: gw.Ev | gw.Guard) -> frozenset[str]:
+        """The variables an event or guard mentions, and those read at its state."""
+        read = _shape_vars(self.reads.get(leaf.s, ()))
+        if isinstance(leaf, gw.Guard):
+            return self.symbols(leaf.pi) | read
+        return read.union(
+            (v for v, _ in leaf.assigns),
+            self.symbols(leaf.constraint),
+            *(self.symbols(t) for _, t in leaf.assigns),
+            *(self.symbols(a) for r in leaf.rels for a in r.args),
+        )
+
+    def symbols(self, node: pl.Term | pl.Pure) -> frozenset[str]:
+        """The variable names in a term or constraint, each shared node
+        walked once."""
+        key = pl._node_id(node)
+        names = self.symbol_sets.get(key)
+        if names is None:
+            found: set[str] = set()
+            seen: set[int] = set()
+            stack = [node]
+            while stack:
+                part = stack.pop()
+                if id(part) not in seen:
+                    seen.add(id(part))
+                    if type(part) is pl.Var:
+                        found.add(part.name)
+                    stack += pl._parts(part)[1]
+            names = self.symbol_sets[key] = frozenset(found)
+        return names
+
+
+def _shape_vars(shapes) -> frozenset[str]:
+    """The variables named by fact shapes."""
+    return frozenset(a for _, args in shapes for a in args if isinstance(a, str))
 
 
 def read_sets(phi: gw.Re) -> dict[int, set[tuple]]:
@@ -368,9 +637,10 @@ def abstract_facts(
         enc.facts[Atom("Cyc", (b,))] = None
     log.debug(
         "encode: %d states, %d facts, %d rules, %d families, "
-        "%d comparisons decided (states x tracked atoms: %d x %d)",
+        "%d comparisons decided (states x tracked atoms: %d x %d), "
+        "%d segment entries merged",
         len(enc.states), len(enc.facts), len(enc.rules), len(enc.families),
-        enc.decided, len(enc.states), len(enc.tracked),
+        enc.decided, len(enc.states), len(enc.tracked), enc.merged,
     )
     return EncodeResult(
         facts=list(enc.facts),

@@ -35,6 +35,26 @@ def break_loops(n: int) -> str:
     return f"//@ ctl: AF(Exit(_))\nvoid main() {{\n{loops}  return;\n}}\n"
 
 
+def ifs(n: int) -> str:
+    """``n`` sequential ``if``s, each on its own havocked variable."""
+    src = "//@ ctl: AF(Exit(_))\nvoid main() {\n  int x = 0;\n"
+    src += "".join(f"  int c{i} = *;\n  if (c{i} > 0) {{ x = x + 1; }}\n" for i in range(n))
+    return src + "  return;\n}\n"
+
+
+def loops(n: int) -> str:
+    """``n`` sequential countdown loops, each on its own havocked variable."""
+    src = "//@ ctl: AF(Exit(_))\nvoid main() {\n"
+    src += "".join(f"  int n{i} = *;\n  while (n{i} > 0) {{ n{i} = n{i} - 1; }}\n" for i in range(n))
+    return src + "  return;\n}\n"
+
+
+def calls(n: int) -> str:
+    """``n`` calls of a procedure whose two branches leave the same store."""
+    src = "//@ ctl: AF(Exit(_))\nint f(int v) {\n  int z = 0;\n  if (*) { } else { }\n  return z;\n}\n"
+    return src + "void main() {\n  int z0 = 0;\n" + "  z0 = f(z0);\n" * n + "  return;\n}\n"
+
+
 @pytest.fixture
 def fixtures_dir() -> pathlib.Path:
     return FIXTURES

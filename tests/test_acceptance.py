@@ -30,7 +30,7 @@ from ctlrepair.datalog_engine import (
 )
 
 import oracle_programs
-from conftest import Stopwatch, break_loops, verdict
+from conftest import Stopwatch, break_loops, ifs, verdict
 
 
 def _database(analysis):
@@ -1053,18 +1053,12 @@ def _nest(n: int) -> str:
     return src + "  return;\n}\n"
 
 
-def _ifs(n: int) -> str:
-    src = "//@ ctl: AF(Exit(_))\nvoid main() {\n  int x = 0;\n"
-    src += "".join(f"  int c{i} = *;\n  if (c{i} > 0) {{ x = x + 1; }}\n" for i in range(n))
-    return src + "  return;\n}\n"
-
-
 @pytest.mark.parametrize("shape, n, budget", [("nest", 50, 3.0), ("ifs", 10, 10.0)])
 def test_branchy_analyze_within_budget(shape, n, budget):
     # Deciding every tracked comparison at every state made these take
     # 13 s and 21 s on a 2-CPU VM; a state decides only what a rule out of
     # it reads.
-    src = {"nest": _nest, "ifs": _ifs}[shape](n)
+    src = {"nest": _nest, "ifs": ifs}[shape](n)
     watch = Stopwatch(budget)
     analysis = rp.analyze(src)
     assert analysis.unknown is None

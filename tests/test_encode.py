@@ -1,3 +1,6 @@
+import logging
+import re
+
 import pytest
 
 from ctlrepair import ctl
@@ -5,9 +8,11 @@ from ctlrepair import encode as enc_mod
 from ctlrepair import frontend as fe
 from ctlrepair import gwre as gw
 from ctlrepair import pure_logic as pl
+from ctlrepair import repair as rp
 from ctlrepair.datalog_engine import Atom, DVar
 
-from conftest import verdict
+import oracle_programs
+from conftest import FIXTURES, Stopwatch, calls, ifs, loops, verdict
 
 
 def encode(source: str, prop: str) -> enc_mod.EncodeResult:
@@ -149,6 +154,143 @@ def test_read_sets_cover_every_guard_rule(fixtures_dir):
                 shape = (lit.atom.predicate, lit.atom.args[:-1])
                 assert lit.atom.args[-1] == prev
                 assert shape in reads.get(prev, ()), (name, str(rule))
+
+
+def _encoding(gwre_result, phi) -> tuple:
+    """All that ``abstract_facts`` gives, in its order."""
+    enc = enc_mod.abstract_facts(gwre_result, ctl.pure_of_ctl(phi))
+    families = [(k, f.pure, f.var, f.members, f.read) for k, f in enc.families.items()]
+    return enc.facts, enc.rules, families, enc.fact_family, enc.pair_of
+
+
+# Each defeats one rule of the merge: a comparison over a variable that
+# nothing reads later is still decided where its other variable is
+# defined; a branch that cannot run rejoins one that can, with the
+# contradiction on a variable that nothing reads later; two branches leave
+# x equal but defined at different states, which its families tell apart;
+# and the paths through x's two definitions alternate, so the last to
+# reach a fact of x is one that merges.
+MERGE_PROGRAMS = {
+    "def-state-partner": (
+        "//@ ctl: AF(Exit(_))\nvoid main() {\n  int x = *;\n  int y = *;\n"
+        "  if (x > y) { x = 1; }\n  if (*) { y = 7; } else { y = 2; }\n"
+        "  x = 5;\n  return;\n}\n"
+    ),
+    "infeasible-branch": (
+        "//@ ctl: AG(x >= 0)\nvoid main() {\n  int c = 0;\n  int x = *;\n"
+        "  if (c > 0) { } else { }\n  if (x > 3) { x = 0; }\n  return;\n}\n"
+    ),
+    "def-state-only": (
+        "//@ ctl: AF(Exit(_))\nvoid main() {\n  int x = 0;\n"
+        "  if (*) { x = 0; } else { }\n  int y = 0;\n  if (x > 3) { x = 1; }\n  return;\n}\n"
+    ),
+    "last-family-write": (
+        "//@ ctl: AF(Exit(_))\nvoid main() {\n  int c = *;\n  int x = 0;\n"
+        "  if (c > 0) { } else { }\n  if (c <= 5) { x = 1; } else { x = 1; }\n"
+        "  int y = 0;\n  if (x > 3) { x = 2; }\n  return;\n}\n"
+    ),
+}
+
+
+def _merge_corpus():
+    """(name, source) of every program the merge is checked on."""
+    import workloads  # perfbench/, which the test puts on sys.path
+
+    for path in sorted(FIXTURES.glob("*.imp")):
+        yield path.name, path.read_text()
+    yield from MERGE_PROGRAMS.items()
+    for seed in range(oracle_programs.FIRST_SEED, oracle_programs.FIRST_SEED + 200):
+        yield f"oracle-{seed}", oracle_programs.program(seed)
+    for n in range(1, 9):
+        yield f"ifs-{n}", ifs(n)
+        yield f"loops-{n}", loops(n)
+        yield f"calls-{n}", calls(n)
+    for prog in workloads.generate("verify-branchy", 1):
+        yield f"verify-branchy-{prog.index}", prog.source
+
+
+def test_merged_walk_encodes_as_the_full_walk(monkeypatch):
+    """Skipping an entry already walked from an equivalent live store
+    changes no fact, rule, family or pair (ROADMAP item 3)."""
+    monkeypatch.syspath_prepend(str(FIXTURES.parents[1] / "perfbench"))
+    merge, replay = enc_mod._Encoder.merge, enc_mod._Encoder.replay
+
+    def unrecorded(self, step, phi, rest, store):
+        return None, enc_mod._Walk(store, (), 0)
+
+    def counted(self, walk):
+        merges.append(walk)
+        replay(self, walk)
+
+    merges = []
+    monkeypatch.setattr(enc_mod._Encoder, "replay", counted)
+    merging = set()
+    for name, source in _merge_corpus():
+        try:
+            ast = fe.parse(source)
+            if ast.ctl is None:
+                continue
+            gwre_result = gw.cfg_to_gwre(fe.build_cfg(ast))
+        except (fe.ImpSyntaxError, gw.SummaryInconclusive):
+            continue
+        phi = ctl.desugar(ctl.parse_ctl(ast.ctl))
+        # the reference records no walk, so nothing merges
+        monkeypatch.setattr(enc_mod._Encoder, "merge", unrecorded)
+        full = _encoding(gwre_result, phi)
+        monkeypatch.setattr(enc_mod._Encoder, "merge", merge)
+        before = len(merges)
+        assert _encoding(gwre_result, phi) == full, name
+        if len(merges) > before:
+            merging.add(name)
+    # the shapes, the verify-branchy programs and a few oracle programs merge
+    assert len(merging) > 40
+
+
+def _merged_entries(caplog, source: str) -> int:
+    with caplog.at_level(logging.DEBUG, logger="ctlrepair.encode"):
+        rp.analyze(source)
+    (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("encode:")]
+    return int(re.search(r"(\d+) segment entries merged", line).group(1))
+
+
+def test_merge_counts_are_exact(caplog):
+    # two branches that leave the same store rejoin in each call of f, so
+    # the rest of the program is walked once per call rather than once per
+    # path; a program with no rejoining branch merges nothing
+    assert _merged_entries(caplog, calls(14)) == 14
+    caplog.clear()
+    straight = "//@ ctl: AF(Exit(_))\nvoid main() {\n  int x = 0;\n  return;\n}\n"
+    assert _merged_entries(caplog, straight) == 0
+
+
+def test_calls_14_analyze_within_budget():
+    # every one of its 2^14 paths was walked to the end: 2.0-3.7 s
+    watch = Stopwatch(1.0)
+    analysis = rp.analyze(calls(14))
+    assert analysis.unknown is None and analysis.holds
+    watch.check()
+
+
+def test_loops_12_analyze_within_budget():
+    # every one of its 2^12 paths was walked to the end: about 6 s
+    watch = Stopwatch(2.0)
+    analysis = rp.analyze(loops(12))
+    assert analysis.unknown is None and analysis.holds
+    watch.check()
+
+
+def test_long_code_after_a_branch_encodes_within_budget():
+    # every entry after the if is keyed, and the id of what is left of the
+    # sequence is read off the entry before it rather than rebuilt from its
+    # items, which took 3.4 s here on a 2-CPU VM
+    watch = Stopwatch(2.0)
+    source = (
+        "//@ ctl: AF(Exit(_))\nvoid main() {\n  int x = 0;\n  int c = *;\n"
+        "  if (c > 0) { } else { }\n" + "  x = x + 1;\n" * 3000 + "  return;\n}\n"
+    )
+    analysis = rp.analyze(source)
+    assert analysis.unknown is None and analysis.holds
+    watch.check()
 
 
 # Programs with a run that breaks the property, which the encoding still
