@@ -38,10 +38,11 @@ facts and the guard rules' heads; roots in walk order) a ``Cyc`` fact.
 
 Paths that rejoin are walked once from there (the state merging of RWset,
 Boonstoppel, Cadar & Engler, TACAS 2008).  At an event or guard outside an
-omega block whose state labels two or more leaves of the effect, the walk
-adds the incoming ``flow`` fact or guard rule, then skips the entry if it
-has walked the same segment, with a structurally equal rest of the effect,
-from an equivalent store.  Two stores are equivalent when:
+omega block whose state labels two or more leaves of the effect, or has
+been entered before (it then starts a rest of the effect that two paths
+share), the walk adds the incoming ``flow`` fact or guard rule, then skips the
+entry if it has walked the same segment, with a structurally equal rest of
+the effect, from an equivalent store.  Two stores are equivalent when:
 
 - each live variable has the same term (hash-consed node id) and the same
   ``def_state`` in both, or is unset in both.  A variable is live when the
@@ -185,7 +186,9 @@ class _Encoder:
         for _, names, _, _ in self.tracked:
             for v in names:
                 self.partners[v] = self.partners.get(v, frozenset()) | names
-        self.shared: set[int] = set()  # states that label two or more leaves, set by walk
+        # states whose entries walk keys: those that label two or more
+        # leaves, and those it has entered before
+        self.shared: set[int] = set()
         # every fact_family write, in walk order, a merged entry's replayed
         self.writes: list[tuple[Atom, FamilyKey]] = []
         self.walked: dict[tuple[int, ...], list[_Walk]] = {}  # per entry_key
@@ -360,6 +363,8 @@ class _Encoder:
                         self.replay(earlier)
                         continue
                     work.append((_DONE, walk, -1, None, None))
+                elif terminals is None:
+                    self.shared.add(step.s)  # entered again, it is shared
                 if isinstance(step, gw.Ev):
                     store = self.apply_event(step, store)
                     self.emit(step.s, store, step.rels)

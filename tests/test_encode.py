@@ -192,6 +192,12 @@ MERGE_PROGRAMS = {
 }
 
 
+def _two_returns(n: int) -> str:
+    """``calls(n)`` with f's two returns at different states, so the path
+    expression holds the code after each call once, after both."""
+    return calls(n).replace("if (*) { } else { }\n  return z;", "if (*) { return z; }\n  return z;")
+
+
 def _merge_corpus():
     """(name, source) of every program the merge is checked on."""
     import workloads  # perfbench/, which the test puts on sys.path
@@ -205,6 +211,7 @@ def _merge_corpus():
         yield f"ifs-{n}", ifs(n)
         yield f"loops-{n}", loops(n)
         yield f"calls-{n}", calls(n)
+        yield f"two-returns-{n}", _two_returns(n)
     for prog in workloads.generate("verify-branchy", 1):
         yield f"verify-branchy-{prog.index}", prog.source
 
@@ -256,8 +263,11 @@ def _merged_entries(caplog, source: str) -> int:
 def test_merge_counts_are_exact(caplog):
     # two branches that leave the same store rejoin in each call of f, so
     # the rest of the program is walked once per call rather than once per
-    # path; a program with no rejoining branch merges nothing
+    # path; with _two_returns the first state after each call is keyed from
+    # its second entry on; a program with no rejoining branch merges nothing
     assert _merged_entries(caplog, calls(14)) == 14
+    caplog.clear()
+    assert _merged_entries(caplog, _two_returns(12)) == 28
     caplog.clear()
     straight = "//@ ctl: AF(Exit(_))\nvoid main() {\n  int x = 0;\n  return;\n}\n"
     assert _merged_entries(caplog, straight) == 0
