@@ -38,11 +38,12 @@ facts and the guard rules' heads; roots in walk order) a ``Cyc`` fact.
 
 Paths that rejoin are walked once from there (the state merging of RWset,
 Boonstoppel, Cadar & Engler, TACAS 2008).  At an event or guard outside an
-omega block whose state labels two or more leaves of the effect, or has
-been entered before (it then starts a rest of the effect that two paths
-share), the walk adds the incoming ``flow`` fact or guard rule, then skips the
-entry if it has walked the same segment, with a structurally equal rest of
-the effect, from an equivalent store.  Two stores are equivalent when:
+omega block whose state labels two or more leaves of the effect read as a
+tree (``gw.shared_states``, counted on the DAG), or has been entered before
+(it then starts a rest of the effect that two paths share), the walk adds
+the incoming ``flow`` fact or guard rule, then skips the entry if it has
+walked the same segment, with a structurally equal rest of the effect, from
+an equivalent store.  Two stores are equivalent when:
 
 - each live variable has the same term (hash-consed node id) and the same
   ``def_state`` in both, or is unset in both.  A variable is live when the
@@ -74,7 +75,6 @@ first path names them as one counter for the whole walk would.
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import dataclass, field
 
 from . import ctl as ctl_mod
@@ -321,8 +321,7 @@ class _Encoder:
         # and _CLOSE closes the omega block whose body is phi.  terminals is
         # None outside omega bodies, else the enclosing body's terminal list.
         # _DONE ends the _Walk phi.
-        counts = Counter(leaf.s for leaf in gw._leaves(phi))
-        self.shared = {s for s, n in counts.items() if n > 1}
+        self.shared = gw.shared_states(phi)
         work: list[tuple] = [(_ENTER, phi, -1, SymStore(), None)]
         while work:
             step, phi, prev, store, terminals = work.pop()

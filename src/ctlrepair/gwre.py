@@ -39,18 +39,32 @@ The CFG walk knows the innermost loop around it: a body path ends in
 ``CONTINUE`` at the loop's join and in ``BREAK`` at the node after the loop,
 which only a ``break`` reaches from inside.  So the code after a loop is
 lowered and summarized once, and D1, D2 and every ``break`` share it.
+
+An effect is a DAG, not a tree: one ``Re`` per CFG node and loop context
+that a walk starts from.  ``_Builder.walk`` is memoised on them, so a branch
+of a ``Join`` that several paths reach is one object on all of them, and a
+loop is summarized once per branch into it, with one set of summary-guard
+states, not once per path.  Every walk over an effect visits a shared node
+once and keeps it shared (``_leaves``, ``_map_leaves``, ``_replace_exit``),
+and what depends on how often a state occurs in the tree that the DAG stands
+for (``shared_states``, which ``renumber`` and the encoder read) is counted
+on the DAG.  Equality, ``str`` and ``_paths`` still read an effect as a
+tree.
 """
 
 from __future__ import annotations
 
+import logging
 import random
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Callable, Iterator
 
 from . import frontend as fe
 from . import pure_logic as pl
+
+log = logging.getLogger(__name__)
 
 
 class SummaryInconclusive(Exception):
@@ -267,33 +281,89 @@ def derivative(seg: Re, re: Re) -> Re:
     raise TypeError(f"not an effect: {re!r}")
 
 
-def _leaves(re: Re) -> Iterator[Ev | Guard]:
-    """Events and guards in syntactic left-to-right order, omega bodies
-    included."""
-    stack = [re]
+def _parts(re: Re) -> tuple[Re, ...]:
+    """The effects directly inside ``re``."""
+    if isinstance(re, Seq):
+        return re.items
+    if isinstance(re, OrRe):
+        return re.alts
+    if isinstance(re, Omega):
+        return (re.body,)
+    return ()
+
+
+def _leaves(*roots: Re, again: list[Re] | None = None) -> Iterator[Ev | Guard]:
+    """Events and guards of ``roots`` in syntactic left-to-right order,
+    omega bodies included, each node walked once: a node reached again is
+    skipped, since its leaves came first in a tree's order too, and added
+    to ``again``."""
+    seen: set[int] = set()
+    stack = list(reversed(roots))
     while stack:
         node = stack.pop()
+        if id(node) in seen:
+            if again is not None:
+                again.append(node)
+            continue
+        seen.add(id(node))
         if isinstance(node, (Ev, Guard)):
             yield node
-        elif isinstance(node, Seq):
-            stack.extend(reversed(node.items))
-        elif isinstance(node, OrRe):
-            stack.extend(reversed(node.alts))
-        elif isinstance(node, Omega):
-            stack.append(node.body)
+        else:
+            stack.extend(reversed(_parts(node)))
+
+
+def shared_states(re: Re) -> set[int]:
+    """The states that label two or more leaves of ``re`` read as a tree:
+    those of two leaf nodes, and those under a node that two edges enter,
+    which occurs twice in the tree."""
+    again: list[Re] = []
+    counts = Counter(leaf.s for leaf in _leaves(re, again=again))
+    return {s for s, n in counts.items() if n > 1} | {leaf.s for leaf in _leaves(*again)}
+
+
+def _tree_size(re: Re) -> tuple[int, int]:
+    """How many nodes ``re`` has, and how many leaves it has read as a
+    tree; each node is walked once."""
+    leaves: dict[int, int] = {}
+
+    def count(node: Re) -> int:
+        if id(node) not in leaves:
+            parts = _parts(node)
+            leaves[id(node)] = sum(map(count, parts)) if parts else int(isinstance(node, (Ev, Guard)))
+        return leaves[id(node)]
+
+    total = count(re)
+    return len(leaves), total
+
+
+def _rewrite(re: Re, fn: Callable[[Re], Re | None]) -> Re:
+    """``re`` with each node that ``fn`` maps to an effect replaced by it,
+    and the parts of every other node rewritten; a shared node is rewritten
+    once, and its image is shared as it was."""
+    done: dict[int, Re] = {}
+
+    def go(node: Re) -> Re:
+        out = done.get(id(node))
+        if out is None:
+            out = fn(node)
+            if out is None:
+                if isinstance(node, Seq):
+                    out = seq(*map(go, node.items))
+                elif isinstance(node, OrRe):
+                    out = or_(*map(go, node.alts))
+                elif isinstance(node, Omega):
+                    out = Omega(go(node.body))
+                else:
+                    out = node
+            done[id(node)] = out
+        return out
+
+    return go(re)
 
 
 def _map_leaves(re: Re, fn: Callable[[Ev | Guard], Re]) -> Re:
     """``re`` with every event and guard replaced by ``fn`` of it."""
-    if isinstance(re, (Ev, Guard)):
-        return fn(re)
-    if isinstance(re, Seq):
-        return seq(*(_map_leaves(item, fn) for item in re.items))
-    if isinstance(re, OrRe):
-        return or_(*(_map_leaves(alt, fn) for alt in re.alts))
-    if isinstance(re, Omega):
-        return Omega(_map_leaves(re.body, fn))
-    return re
+    return _rewrite(re, lambda node: fn(node) if isinstance(node, (Ev, Guard)) else None)
 
 
 def states_of(re: Re) -> list[int]:
@@ -365,11 +435,18 @@ def renumber(re: Re) -> tuple[Re, dict[int, int]]:
     queued breadth-first.  A state occurring on several alternatives defers
     the remainder of the current chain until the level is exhausted, so
     shared continuations are numbered after the branch-specific states.
+
+    A chain identical, item by item, to one already processed in the same
+    phase is skipped: in the first phase a shared state is never mapped,
+    and in the second nothing is deferred, so a repeat would map nothing
+    new.  Chains are keyed by the ids of their items, each kept alive by
+    the chain stored under its key.
     """
-    counts = Counter(leaf.s for leaf in _leaves(re))
+    shared = shared_states(re)
     mapping: dict[int, int] = {}  # ids are handed out 1, 2, ... in order
-    queue: list[list[Re]] = [_items(re)]
+    queue: deque[list[Re]] = deque([_items(re)])
     deferred: list[list[Re]] = []
+    processed: dict[tuple[int, ...], list[Re]] = {}
 
     def process(chain: list[Re], assigning_shared: bool) -> None:
         for i, item in enumerate(chain):
@@ -388,12 +465,10 @@ def renumber(re: Re) -> tuple[Re, dict[int, int]]:
             if (
                 not assigning_shared
                 and head
-                and counts[head[0].s] > 1
+                and head[0].s in shared
                 and head[0].s not in mapping
             ):
-                rest = chain[i:]
-                if rest not in deferred:
-                    deferred.append(rest)
+                deferred.append(chain[i:])
                 return
             if isinstance(item, Omega):
                 queue.append(_items(item.body))
@@ -405,9 +480,13 @@ def renumber(re: Re) -> tuple[Re, dict[int, int]]:
         if not queue:
             queue.extend(deferred)
             deferred.clear()
+            processed.clear()
             assigning_shared = True
-        chain = queue.pop(0)
-        process(chain, assigning_shared)
+        chain = queue.popleft()
+        key = tuple(map(id, chain))
+        if key not in processed:
+            processed[key] = chain
+            process(chain, assigning_shared)
 
     return _map_states(re, mapping), mapping
 
@@ -609,6 +688,7 @@ class _Builder:
         self.summaries: list[SummaryInfo] = []
         self.event_cache: dict[tuple[int, str], int] = {}
         self.inline_stack: list[str] = []
+        self.walks: dict[tuple[str, int, tuple[int, ...]], Re] = {}  # per walk's key
 
     def fresh(self, origin: Origin) -> int:
         sid = self.counter
@@ -629,7 +709,12 @@ class _Builder:
         statements and guards, then what ends it; only a ``Join`` recurses.
         ``loop`` is the innermost loop's ``(join, after)``, or ``()`` at top
         level: a path ends in ``CONTINUE`` at the join and in ``BREAK`` at
-        the node after the loop, which only a ``break`` reaches from inside."""
+        the node after the loop, which only a ``break`` reaches from inside.
+        Memoised on ``(proc.name, nid, loop)``, so a node walked from two
+        paths yields one object."""
+        key = (proc.name, nid, loop)
+        if key in self.walks:
+            return self.walks[key]
         run: list[Re] = []
         while nid not in loop:
             node = proc.nodes[nid]
@@ -661,7 +746,8 @@ class _Builder:
             nid = succs[0]
         else:
             tail = BREAK if nid == loop[1] else CONTINUE
-        return seq(*run, tail)
+        self.walks[key] = seq(*run, tail)
+        return self.walks[key]
 
     # -- interprocedural inlining -------------------------------------------
 
@@ -702,17 +788,19 @@ class _Builder:
         return self._peephole_chain(inlined)
 
     def _replace_exit(self, re: Re, result_var: str) -> Re:
-        if isinstance(re, Omega):
-            body = re.body
+        """``re`` with each ``Exit`` omega block outside omega blocks made an
+        assignment of the returned value to ``result_var``."""
+
+        def assign(node: Re) -> Re | None:
+            if not isinstance(node, Omega):
+                return None
+            body = node.body
             if isinstance(body, Ev) and body.rels and body.rels[0].name == "Exit":
                 value = body.rels[0].args[0] if body.rels[0].args else pl.Wildcard()
                 return Ev(s=body.s, assigns=((result_var, value),))
-            return re
-        if isinstance(re, Seq):
-            return seq(*(self._replace_exit(item, result_var) for item in re.items))
-        if isinstance(re, OrRe):
-            return or_(*(self._replace_exit(alt, result_var) for alt in re.alts))
-        return re
+            return node
+
+        return _rewrite(re, assign)
 
     def _peephole_chain(self, re: Re) -> Re:
         """Simplify a straight-line inlined chain of plain assignments."""
@@ -1079,6 +1167,13 @@ def cfg_to_gwre(program: fe.Program) -> GwreResult:
         entry = builder.fresh(Origin("entry", proc=proc.name))
         phi = seq(Ev(s=entry), phi)
     phi, mapping = renumber(phi)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "gwre: %d CFG nodes, %d effect nodes, %d leaves as a tree, "
+            "%d summaries, %d states",
+            sum(len(p.nodes) for p in program.procedures.values()), *_tree_size(phi),
+            len(builder.summaries), len(mapping),
+        )
     return GwreResult(
         phi=phi,
         origins={mapping[s]: builder.origins[s] for s in mapping},

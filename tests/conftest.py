@@ -49,6 +49,13 @@ def loops(n: int) -> str:
     return src + "  return;\n}\n"
 
 
+def kif(k: int) -> str:
+    """``k`` ``if``s on one havocked variable, then a countdown loop."""
+    src = "//@ ctl: AF(Exit(_))\nvoid main() {\n  int x = *;\n  int n = *;\n"
+    src += "".join(f"  if (x > {i}) {{ x = x - 1; }}\n" for i in range(k))
+    return src + "  while (n > 0) { n = n - 1; }\n  return;\n}\n"
+
+
 def calls(n: int) -> str:
     """``n`` calls of a procedure whose two branches leave the same store."""
     src = "//@ ctl: AF(Exit(_))\nint f(int v) {\n  int z = 0;\n  if (*) { } else { }\n  return z;\n}\n"

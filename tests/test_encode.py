@@ -1,4 +1,6 @@
+import dataclasses
 import logging
+import random
 import re
 
 import pytest
@@ -12,7 +14,7 @@ from ctlrepair import repair as rp
 from ctlrepair.datalog_engine import Atom, DVar
 
 import oracle_programs
-from conftest import FIXTURES, Stopwatch, calls, ifs, loops, verdict
+from conftest import FIXTURES, Stopwatch, calls, ifs, kif, loops, verdict
 
 
 def encode(source: str, prop: str) -> enc_mod.EncodeResult:
@@ -253,6 +255,42 @@ def test_merged_walk_encodes_as_the_full_walk(monkeypatch):
     assert len(merging) > 40
 
 
+def _tree(re: gw.Re) -> gw.Re:
+    """``re`` expanded into a tree, with one fresh object per occurrence."""
+    if isinstance(re, gw.Seq):
+        return gw.Seq(tuple(map(_tree, re.items)))
+    if isinstance(re, gw.OrRe):
+        return gw.OrRe(tuple(map(_tree, re.alts)))
+    if isinstance(re, gw.Omega):
+        return gw.Omega(_tree(re.body))
+    return dataclasses.replace(re) if isinstance(re, (gw.Ev, gw.Guard)) else re
+
+
+def test_dag_numbers_and_encodes_as_its_tree(monkeypatch):
+    """Every walk that visits a shared node once gives what it gives on the
+    tree the DAG stands for: ``renumber``'s mapping and the whole encoding."""
+    monkeypatch.syspath_prepend(str(FIXTURES.parents[1] / "perfbench"))
+    renumber, built = gw.renumber, []
+    monkeypatch.setattr(gw, "renumber", lambda re: built.append(re) or renumber(re))
+    sharing = 0
+    for name, source in _merge_corpus():
+        try:
+            ast = fe.parse(source)
+            if ast.ctl is None:
+                continue
+            gwre_result = gw.cfg_to_gwre(fe.build_cfg(ast))
+        except (fe.ImpSyntaxError, gw.SummaryInconclusive):
+            continue
+        dag, tree = built[-1], _tree(built[-1])
+        assert renumber(tree)[1] == renumber(dag)[1], name
+        phi = ctl.desugar(ctl.parse_ctl(ast.ctl))
+        tree_result = dataclasses.replace(gwre_result, phi=_tree(gwre_result.phi))
+        assert _encoding(tree_result, phi) == _encoding(gwre_result, phi), name
+        sharing += len(list(gw._leaves(dag))) < len(list(gw._leaves(tree)))
+    # the shapes, the verify-branchy programs and many oracle programs share
+    assert sharing > 100
+
+
 def _merged_entries(caplog, source: str) -> int:
     with caplog.at_level(logging.DEBUG, logger="ctlrepair.encode"):
         rp.analyze(source)
@@ -285,6 +323,23 @@ def test_loops_12_analyze_within_budget():
     # every one of its 2^12 paths was walked to the end: about 6 s
     watch = Stopwatch(2.0)
     analysis = rp.analyze(loops(12))
+    assert analysis.unknown is None and analysis.holds
+    watch.check()
+
+
+def test_ifs_12_analyze_within_budget():
+    # the code after each if was built, numbered and interned once per
+    # path: 1.1 s on a 2-CPU VM
+    watch = Stopwatch(1.0)
+    analysis = rp.analyze(ifs(12))
+    assert analysis.unknown is None and analysis.holds
+    watch.check()
+
+
+def test_calls_16_with_two_returns_analyze_within_budget():
+    # renumber processed each of the 2^16 paths: 2.7 s on a 2-CPU VM
+    watch = Stopwatch(1.0)
+    analysis = rp.analyze(_two_returns(16))
     assert analysis.unknown is None and analysis.holds
     watch.check()
 
@@ -355,3 +410,28 @@ def test_negative_constant_guard_keeps_its_condition():
         "  if (x < -5) { y = 1; }\n  return;\n}\n"
     )
     assert verdict(source) == "holds"
+
+
+def _stores(program: fe.Program, seed: int, max_steps: int = 200):
+    """The store after each step of one sampled run of ``main``, read off
+    runs cut one step later each time."""
+    for steps in range(1, max_steps + 1):
+        status, _, store = fe.run_cfg(program, "main", {}, random.Random(seed), max_steps=steps)
+        yield store
+        if status != "fuel":
+            return
+
+
+def test_oracle_seed_1148_verifies_with_every_run_keeping_x_at_0():
+    # with x, y and z set to 0 every run returns from the first while and
+    # keeps x = 0.  That loop was summarized once per path into it, and
+    # the flow rules out of the state before it, which all four paths
+    # share, read the facts the one feasible path left there; so they
+    # reached the summary guards of the copies on infeasible paths, where
+    # an unsatisfiable store emits no fact, and AG(x <= 3) failed there
+    source = oracle_programs.program(1148, "AG(x <= 3)")
+    assert verdict(source) == "holds"
+    program = fe.build_cfg(fe.parse(source))
+    for seed in range(16):
+        stores = list(_stores(program, seed))
+        assert all(store.get("x", 0) == 0 for store in stores), seed

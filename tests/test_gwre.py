@@ -1,4 +1,6 @@
+import logging
 import random
+import re
 
 import pytest
 
@@ -6,7 +8,7 @@ from ctlrepair import frontend as fe
 from ctlrepair import gwre as gw
 from ctlrepair import pure_logic as pl
 
-from conftest import break_loops, verdict
+from conftest import break_loops, kif, verdict
 
 
 def summarize(source: str) -> gw.GwreResult:
@@ -259,6 +261,29 @@ def test_code_after_a_loop_is_summarized_once(n):
     res = summarize(break_loops(n))
     assert len(res.summaries) == n
     assert len(gw.states_of(res.phi)) == 7 * n + 1
+
+
+def test_loop_after_ifs_is_summarized_once_per_branch_into_it():
+    # each loop was summarized once per path into it, 2^k times; a walk
+    # memoised on its node summarizes it once per branch of the last if
+    counts = {k: len(summarize(kif(k)).summaries) for k in range(1, 11)}
+    assert set(counts.values()) == {2}, counts
+
+
+def _gwre_sizes(caplog, source: str) -> list[int]:
+    with caplog.at_level(logging.DEBUG, logger="ctlrepair.gwre"):
+        summarize(source)
+    (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("gwre:")]
+    return [int(n) for n in re.findall(r"\d+", line)]
+
+
+def test_cfg_to_gwre_logs_its_sizes(caplog):
+    # CFG nodes, distinct effect nodes, leaves the tree would have,
+    # summaries and states: the DAG grows with the program (44 and 72
+    # nodes), the tree it reads as with its paths (127 and 2,047 leaves)
+    assert _gwre_sizes(caplog, kif(4)) == [24, 44, 127, 2, 20]
+    caplog.clear()
+    assert _gwre_sizes(caplog, kif(8)) == [40, 72, 2047, 2, 32]
 
 
 def test_omega_guard_drops_refuted_disjuncts(fixture_text):
