@@ -10,10 +10,11 @@ dumps and evaluation results are deterministic.
 One evaluator, ``_fixpoint``, serves both plain and world-annotated
 evaluation.  Every atom carries a mask: an integer bitmask over a set of
 worlds, bit w set when the atom is derivable in world w; ``full`` has
-every world's bit set.  For ``sedl`` a world is a pair of an alpha
-valuation and a sign world, for ``repair``'s candidate check one
-candidate.  Joins intersect masks, alternative derivations union them,
-and negation complements a lower stratum's final mask within ``full``.
+every world's bit set.  For ``sedl`` a world is a triple of a sign
+search, an alpha valuation and a sign world, for ``repair``'s candidate
+check one candidate.  Joins intersect masks, alternative derivations union
+them, and negation complements a lower stratum's final mask within
+``full``, so each world derives what it would alone.
 Plain evaluation (``evaluate``) is the one-world case: every fact at mask
 1 and ``full=1``.
 

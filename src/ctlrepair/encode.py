@@ -191,7 +191,8 @@ class _Encoder:
         self.shared: set[int] = set()
         # every fact_family write, in walk order, a merged entry's replayed
         self.writes: list[tuple[Atom, FamilyKey]] = []
-        self.walked: dict[tuple[int, ...], list[_Walk]] = {}  # per entry_key
+        # per entry_key, its walks by match (a key's first walk by None)
+        self.walked: dict[tuple[int, ...], dict] = {}
         self.merged = 0  # segment entries skipped as already walked
         # caches of entry_key, for one walk: interned effect shapes and the
         # variables of each; per id() of an effect node the node, kept alive,
@@ -379,20 +380,28 @@ class _Encoder:
     ) -> tuple[_Walk | None, _Walk]:
         """The earlier walk that the walk from the entry of ``step`` into
         ``phi``, with ``rest`` left after it, would repeat from ``store`` (or
-        None), and
-        this entry's walk, recorded when there is none.  The two stores
-        must agree on ``entry_key``, then on ``connected``, then on being
-        satisfiable: each is worked out only when the ones before agree."""
+        None), and this entry's walk, recorded when there is none.  The two
+        stores must agree on ``entry_key``, then on ``match``: the walks of
+        one key are indexed by it, which is exact because a walk is only
+        recorded when no earlier one matches.  The first walk of a key is
+        matched only when a second one comes, so ``match`` is worked out
+        only where a key repeats."""
         key, live = self.entry_key(step, phi, rest, store)
         walk = _Walk(store, live, len(self.writes))
-        walks = self.walked.setdefault(key, [])
-        for earlier in walks:
-            if self.connected(earlier) != self.connected(walk):
-                continue
-            if pl.satisfiable(earlier.store.constraint) == pl.satisfiable(store.constraint):
-                return earlier, walk
-        walks.append(walk)
-        return None, walk
+        walks = self.walked.setdefault(key, {})
+        if not walks:
+            walks[None] = walk
+            return None, walk
+        first = walks.pop(None, None)
+        if first is not None:
+            walks[self.match(first)] = first
+        earlier = walks.setdefault(self.match(walk), walk)
+        return (None if earlier is walk else earlier), walk
+
+    def match(self, walk: _Walk) -> tuple[tuple[int, ...], bool]:
+        """What two walks of one ``entry_key`` must agree on: ``connected``,
+        and whether the constraint is satisfiable."""
+        return self.connected(walk), pl.satisfiable(walk.store.constraint)
 
     def entry_key(
         self, step: gw.Ev | gw.Guard, phi: gw.Re, rest: gw.Re, store: SymStore

@@ -3,8 +3,10 @@
 A violated property is repaired by searching, symbolically, for small
 changes to the abstract fact base — deleting a fact family, adding a fresh
 fact, or updating an assignment's facts — that make the property's top
-predicate derivable again.  One fixpoint checks every candidate at fact
-level before any source edit is made.  Each candidate that passes is
+predicate derivable again.  A repair round takes two fixpoints: one answers
+every sign search of every template (``run_template``), and one checks
+every candidate at fact level before any source edit is made
+(``_decide``).  Each candidate that passes is
 mapped back to a source edit, and every patch is verified end to end by
 re-analyzing the edited program.
 """
@@ -371,60 +373,84 @@ def _value_for(pure: pl.Pure, var: str) -> object | None:
     return None
 
 
-def run_template(analysis: Analysis, template: str, config: RepairConfig, consts_at, stats=None):
-    """All fact-level candidates one template proposes, plus its constraints.
+def run_template(analysis: Analysis, config: RepairConfig, consts_at, stats=None):
+    """Every template's fact-level candidates and constraint reports for one
+    round, as ``(template, candidates, reports)`` in ``config.template_order``.
 
+    Every (template, injected shape) sign search of the round is built
+    first, and one ``sedl.sign_batch`` fixpoint answers them all.
     ``consts_at`` is ``sedl.compute_depend`` of the analysis' rules and facts."""
     enc = analysis.enc
-    shapes = _alpha_shapes(analysis.rules) if template in ("update", "add") else [None]
-    candidates: list[_Candidate] = []
-    run_reports = []
-    skipped: list[sedl.SignBudgetExceeded] = []
-    for shape in shapes:
-        facts, fam_of_xi = inject_symbols(enc, template, shape)
-        worlds = _candidate_worlds(list(fam_of_xi), config.max_delete)
-        valuations = [{}]
-        if shape is not None:
-            worlds += [off | {"xiA"} for off in worlds]
-            valuations = _alpha_valuations(shape, analysis.rules, consts_at, config.alpha_budget)
-        _count(stats, "sign_searches")
-        try:
-            psi = sedl.symbolic_execute(
-                analysis.rules, facts, analysis.target, config.xi_budget, valuations, worlds
+    plan = []  # per template, its searches' shapes and sign families
+    searches: list[sedl.SignSearch] = []
+    for template in config.template_order:
+        if template not in TEMPLATES:
+            raise ValueError(f"unknown template {template!r}")
+        _count(stats, "templates")
+        shapes = _alpha_shapes(analysis.rules) if template in ("update", "add") else [None]
+        planned = []
+        for shape in shapes:
+            facts, fam_of_xi = inject_symbols(enc, template, shape)
+            worlds = _candidate_worlds(list(fam_of_xi), config.max_delete)
+            valuations = [{}]
+            if shape is not None:
+                worlds += [off | {"xiA"} for off in worlds]
+                valuations = _alpha_valuations(shape, analysis.rules, consts_at, config.alpha_budget)
+            planned.append((len(searches), shape, fam_of_xi))
+            searches.append(sedl.SignSearch(facts, valuations, worlds))
+        plan.append((template, planned))
+    batch = sedl.sign_batch(analysis.rules, analysis.target, searches, config.xi_budget)
+    out = []
+    skipped_total = read = 0
+    for template, planned in plan:
+        candidates: list[_Candidate] = []
+        run_reports = []
+        skipped: list[sedl.SignBudgetExceeded] = []
+        for i, shape, fam_of_xi in planned:
+            _count(stats, "sign_searches")
+            try:
+                psi = sedl.symbolic_execute(batch, i)
+            except sedl.SignBudgetExceeded as exc:
+                _count(stats, "sign_budget_exceeded")
+                skipped.append(exc)
+                continue
+            read += len(psi.disjuncts)
+            if psi.truncated:
+                _count(stats, "sign_truncated")
+            report = {}  # distinct report disjuncts by their text, first kept
+            for d in psi.disjuncts:
+                cand = _disjunct_candidate(d, fam_of_xi, shape, enc, config, template)
+                if cand is not None:
+                    candidates.append(cand)
+                dj = d.to_json()
+                if shape is not None and "xiA" in d.sign_false:
+                    dj["alpha_bindings"] = {}
+                report.setdefault(str(dj), dj)
+            if len(report) > _MAX_REPORT_DISJUNCTS:
+                _count(stats, "report_truncated")
+            run_reports.append(
+                {
+                    "shape": f"{shape[0]}/{shape[1]}" if shape else None,
+                    "xi": {
+                        name: str(_fam_representative(fam))
+                        for name, fam in fam_of_xi.items()
+                    },
+                    "disjuncts": list(report.values())[:_MAX_REPORT_DISJUNCTS],
+                }
             )
-        except sedl.SignBudgetExceeded as exc:
-            _count(stats, "sign_budget_exceeded")
-            skipped.append(exc)
-            continue
-        if psi.truncated:
-            _count(stats, "sign_truncated")
-        report = {}  # distinct report disjuncts by their text, first kept
-        for d in psi.disjuncts:
-            cand = _disjunct_candidate(d, fam_of_xi, shape, enc, config, template)
-            if cand is not None:
-                candidates.append(cand)
-            dj = d.to_json()
-            if shape is not None and "xiA" in d.sign_false:
-                dj["alpha_bindings"] = {}
-            report.setdefault(str(dj), dj)
-        if len(report) > _MAX_REPORT_DISJUNCTS:
-            _count(stats, "report_truncated")
-        run_reports.append(
-            {
-                "shape": f"{shape[0]}/{shape[1]}" if shape else None,
-                "xi": {
-                    name: str(_fam_representative(fam))
-                    for name, fam in fam_of_xi.items()
-                },
-                "disjuncts": list(report.values())[:_MAX_REPORT_DISJUNCTS],
-            }
-        )
-    if skipped:
-        log.warning(
-            "%d of %d sign searches skipped for template %s: %s",
-            len(skipped), len(shapes), template, skipped[-1],
-        )
-    return candidates, run_reports
+        if skipped:
+            log.warning(
+                "%d of %d sign searches skipped for template %s: %s",
+                len(skipped), len(planned), template, skipped[-1],
+            )
+        skipped_total += len(skipped)
+        out.append((template, candidates, run_reports))
+    log.debug(
+        "sign searches: %d run, %d skipped for the sign budget, "
+        "%d world bits in one fixpoint, %d disjuncts read",
+        len(searches) - skipped_total, skipped_total, batch.bits, read,
+    )
+    return out
 
 
 def _disjunct_candidate(d, fam_of_xi, shape, enc, config, template) -> _Candidate | None:
@@ -684,11 +710,7 @@ def _search(analysis: Analysis, config: RepairConfig, depth: int, stats, prefix:
     constraints: dict = {}
     seen = set()
     consts_at = sedl.compute_depend(analysis.rules, analysis.enc.facts)
-    for template in config.template_order:
-        if template not in TEMPLATES:
-            raise ValueError(f"unknown template {template!r}")
-        _count(stats, "templates")
-        cands, reports = run_template(analysis, template, config, consts_at, stats)
+    for template, cands, reports in run_template(analysis, config, consts_at, stats):
         constraints[template] = reports
         for c in cands:
             key = (frozenset(f.key for f in c.deletes), frozenset(c.adds))

@@ -8,19 +8,24 @@ The input facts may contain two kinds of unknowns:
 * sign symbols (``xi``) marking facts whose presence is undecided; a sign
   world is the set of signs it sets false.
 
-``symbolic_execute`` characterizes, as a disjunction of constraints over the
-alphas and xis, exactly which of the given valuations and sign worlds make a
-target atom derivable.  The caller names both.  One fixpoint answers them
-all: every atom carries a mask with one bit per pair of a valuation and a
-sign world (the provenance annotation of Green, Karvounarakis & Tannen,
-"Provenance Semirings", PODS 2007, over sets of worlds).  ``compute_depend``
-gives the constants that may meet at each predicate position, from which a
-caller can draw its valuations.
+A sign search (``SignSearch``) asks, as a disjunction of constraints over
+the alphas and xis, exactly which of the given valuations and sign worlds
+make a target atom derivable.  One fixpoint answers a whole batch of
+searches over the same rules and target (``sign_batch``): every atom
+carries a mask with one bit per triple of a search, a valuation and a sign
+world (the provenance annotation of Green, Karvounarakis & Tannen,
+"Provenance Semirings", PODS 2007, over sets of worlds), and each search
+owns one contiguous block of bits.  Worlds never meet in the fixpoint, so
+a block holds what the search alone would derive, and
+``symbolic_execute`` reads one search's answer out of its block.
+``compute_depend`` gives the constants that may meet at each predicate
+position, from which a caller can draw its valuations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .datalog_engine import Atom, DVar, Rule, _fixpoint
 
@@ -117,7 +122,7 @@ def compute_depend(rules: list[Rule], facts: list[Atom]) -> dict[tuple[str, int]
 
 def annotated_eval(
     rules: list[Rule],
-    facts: list[tuple[Atom, int]],
+    facts: Iterable[tuple[Atom, int]],
     full: int,
 ) -> dict[Atom, int]:
     """Fixpoint where every atom carries the set of worlds deriving it.
@@ -193,72 +198,140 @@ def _target_variants(masks: dict[Atom, int], target: Atom):
 _MAX_DISJUNCTS = 4096
 
 
-def symbolic_execute(
-    rules: list[Rule],
-    facts: list[SymbolicFact],
-    target: Atom,
-    budget: int,
-    valuations: list[dict[str, object]],
-    worlds: list[frozenset[str]],
-) -> Psi:
-    """Constraint over alphas and signs under which the target holds.
+@dataclass
+class SignSearch:
+    """The facts of one search, and the valuations and sign worlds it
+    inspects.  A valuation maps alpha names to values, and a world is the
+    set of signs it sets false."""
 
-    A valuation maps alpha names to values, and a world is the set of signs
-    it sets false; only the given valuations and worlds are inspected.  The
-    signs are numbered in the order they are met on ``facts``, and the
-    worlds are read in the order of their key, the number whose bit ``i``
-    is set when sign ``i`` is true, so the result does not depend on the
-    order of ``worlds``.  A name that no fact carries is ignored, and
-    worlds with one key are one world.  More than ``budget`` signs raise
-    ``SignBudgetExceeded``.
+    facts: list[SymbolicFact]
+    valuations: list[dict[str, object]]
+    worlds: list[frozenset[str]]
 
-    One annotated fixpoint answers every valuation: bit ``v * n + j`` of a
-    mask stands for valuation ``v`` in the ``j``-th world (``n`` worlds).
-    A plain fact holds in its sign's worlds in every valuation's block, and
-    a fact with alphas gets one instance per valuation, confined to that
-    valuation's block.  Disjuncts are read valuation by valuation, then by
-    the target variant's bindings, then world by world; each lists its
-    signs in the order they are met.
+
+@dataclass
+class _Block:
+    """A search's place in a batch: its signs in the order met, its worlds
+    in key order, and the first of its bits (None when it has more signs
+    than the budget, so no bits)."""
+
+    signs: list[str]
+    worlds: list[frozenset[str]]
+    offset: int | None
+
+
+@dataclass
+class SignBatch:
+    """The searches of one fixpoint, with the target's variants over it."""
+
+    searches: list[SignSearch]
+    budget: int
+    blocks: list[_Block]
+    variants: list[tuple[tuple, int]]  # _target_variants over every block
+    bits: int  # the width of the batch: the bits of every block together
+
+
+def sign_batch(
+    rules: list[Rule], target: Atom, searches: list[SignSearch], budget: int
+) -> SignBatch:
+    """One annotated fixpoint for every search with at most ``budget`` signs.
+
+    The signs of a search are numbered in the order they are met on its
+    facts, and its worlds are kept in the order of their key, the number
+    whose bit ``i`` is set when sign ``i`` is true, so the result does not
+    depend on the order of ``worlds``.  A name that no fact carries is
+    ignored, and worlds with one key are one world.
+
+    Searches get consecutive blocks in the order given.  Within a block
+    starting at bit ``o``, bit ``o + v * n + j`` stands for valuation ``v``
+    in the ``j``-th world (``n`` worlds).  A plain fact holds in its sign's
+    worlds in every valuation of its search, and a fact with alphas gets
+    one instance per valuation, confined to that valuation's worlds.  A
+    fact that several searches share holds in the union of their bits.
+    Joins intersect masks bit by bit and negation complements within the
+    whole width, so every block derives what its search would alone.  A
+    search over the budget gets no block, and no fixpoint runs when no
+    search has a bit.
     """
-    signs = list(dict.fromkeys(f.xi for f in facts if f.xi is not None))
-    if len(signs) > budget:
-        raise SignBudgetExceeded(f"{len(signs)} sign symbols exceed the budget of {budget}")
-    met = frozenset(signs)
-    worlds = sorted(
-        {off & met for off in worlds},
-        key=lambda off: sum(1 << i for i, name in enumerate(signs) if name not in off),
-    )
-    n = len(worlds)
-    block = (1 << n) - 1
-    tile = sum(1 << (v * n) for v in range(len(valuations)))  # bit 0 of each block
-    in_world = {
-        name: sum(1 << j for j, off in enumerate(worlds) if name not in off)
-        for name in signs
-    }
-    masked: list[tuple[Atom, int]] = []
-    for f in facts:
-        mask = block if f.xi is None else in_world[f.xi]
-        if not any(isinstance(a, Alpha) for a in f.atom.args):
-            masked.append((f.atom, mask * tile))
+    blocks: list[_Block] = []
+    offset = 0
+    for search in searches:
+        signs = list(dict.fromkeys(f.xi for f in search.facts if f.xi is not None))
+        if len(signs) > budget:
+            blocks.append(_Block(signs, [], None))
             continue
-        for v, alpha_map in enumerate(valuations):
-            args = tuple(
-                alpha_map[a.name] if isinstance(a, Alpha) else a for a in f.atom.args
-            )
-            masked.append((Atom(f.atom.predicate, args), mask << (v * n)))
-    variants = _target_variants(annotated_eval(rules, masked, block * tile), target)
+        met = frozenset(signs)
+        worlds = sorted(
+            {off & met for off in search.worlds},
+            key=lambda off: sum(1 << i for i, name in enumerate(signs) if name not in off),
+        )
+        blocks.append(_Block(signs, worlds, offset))
+        offset += len(search.valuations) * len(worlds)
+    variants = []
+    if offset:
+        facts = (
+            fact
+            for search, block in zip(searches, blocks)
+            if block.offset is not None
+            for fact in _placed(search, block)
+        )
+        variants = _target_variants(annotated_eval(rules, facts, (1 << offset) - 1), target)
+    return SignBatch(searches, budget, blocks, variants, offset)
+
+
+def _placed(search: SignSearch, block: _Block):
+    """The facts of ``search``, each with its mask within ``block``."""
+    n = len(block.worlds)
+    every = (1 << n) - 1
+    tile = sum(1 << (block.offset + v * n) for v in range(len(search.valuations)))
+    in_world = {
+        name: sum(1 << j for j, off in enumerate(block.worlds) if name not in off)
+        for name in block.signs
+    }
+    for f in search.facts:
+        mask = every if f.xi is None else in_world[f.xi]
+        if not any(isinstance(a, Alpha) for a in f.atom.args):
+            yield f.atom, mask * tile
+            continue
+        for v, alpha_map in enumerate(search.valuations):
+            args = tuple(alpha_map[a.name] if isinstance(a, Alpha) else a for a in f.atom.args)
+            yield Atom(f.atom.predicate, args), mask << (block.offset + v * n)
+
+
+def symbolic_execute(batch: SignBatch, i: int) -> Psi:
+    """Constraint over alphas and signs under which the target holds, for
+    the ``i``-th search of ``batch``; ``SignBudgetExceeded`` if it has more
+    signs than the budget.
+
+    Disjuncts are read valuation by valuation, then by the target variant's
+    bindings, then world by world, and at most ``_MAX_DISJUNCTS`` of them;
+    each lists its signs in the order they are met.
+    """
+    search, block = batch.searches[i], batch.blocks[i]
+    if block.offset is None:
+        raise SignBudgetExceeded(
+            f"{len(block.signs)} sign symbols exceed the budget of {batch.budget}"
+        )
+    n = len(block.worlds)
+    every = (1 << n) - 1
+    window = (1 << (len(search.valuations) * n)) - 1
+    variants = [
+        (bindings, mine)
+        for bindings, mask in batch.variants
+        if (mine := (mask >> block.offset) & window)
+    ]
     disjuncts: list[Disjunct] = []
     seen = set()
-    for v, alpha_map in enumerate(valuations):
+    for v, alpha_map in enumerate(search.valuations):
         alpha_key = tuple(sorted(alpha_map.items(), key=repr))
         for bindings, mask in variants:
-            here = (mask >> (v * n)) & block
-            for j, off in enumerate(worlds):
+            here = (mask >> (v * n)) & every
+            for j, off in enumerate(block.worlds):
                 if not (here >> j) & 1 or (alpha_key, bindings, off) in seen:
                     continue
                 seen.add((alpha_key, bindings, off))
-                true_ = [name for name in signs if name not in off]
-                false_ = [name for name in signs if name in off]
+                true_ = [name for name in block.signs if name not in off]
+                false_ = [name for name in block.signs if name in off]
                 disjuncts.append(Disjunct(dict(alpha_map), dict(bindings), true_, false_))
                 if len(disjuncts) >= _MAX_DISJUNCTS:
                     return Psi(disjuncts, truncated=True)

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from ctlrepair import repair as rp
+from ctlrepair import sedl
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -24,6 +25,12 @@ def verdict(source: str, ctl_text: str | None = None) -> str:
     if analysis.unknown:
         return "unknown"
     return "holds" if analysis.holds else "violated"
+
+
+def execute_alone(rules, facts, target, budget, valuations, worlds) -> sedl.Psi:
+    """One sign search, run as a batch of one."""
+    search = sedl.SignSearch(facts, valuations, worlds)
+    return sedl.symbolic_execute(sedl.sign_batch(rules, target, [search], budget), 0)
 
 
 def break_loops(n: int) -> str:

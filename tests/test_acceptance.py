@@ -30,7 +30,7 @@ from ctlrepair.datalog_engine import (
 )
 
 import oracle_programs
-from conftest import Stopwatch, break_loops, ifs, verdict
+from conftest import Stopwatch, break_loops, execute_alone, ifs, verdict
 
 
 def _database(analysis):
@@ -278,7 +278,7 @@ a(X) :- e(X), !c(X).
         (Atom("d", (1,)), "xd"),
         (Atom("e", (1,)), "xe"),
     ]
-    psi = sedl.symbolic_execute(
+    psi = execute_alone(
         rules3,
         [sedl.SymbolicFact(atom, xi=name) for atom, name in facts],
         Atom("a", (1,)),
@@ -296,7 +296,7 @@ a(X) :- e(X), !c(X).
     # full constraint for the single-rule program: exactly the printed
     # two-disjunct formula
     first_rule = parse_program("a(X) :- b(X), c(X), !d(X), !e(X).").rules
-    psi = sedl.symbolic_execute(
+    psi = execute_alone(
         first_rule, symbolic, Atom("a", (1,)), 16, valuations, all_worlds(["xi1", "xi2"])
     )
     assert {
@@ -319,7 +319,7 @@ a(X) :- e(X), !c(X).
         sedl.SymbolicFact(Atom("c", (a2,))),
         sedl.SymbolicFact(Atom("d", (1,)), xi="xi1"),
     ]
-    psi = sedl.symbolic_execute(
+    psi = execute_alone(
         prune_rules, prune_facts, Atom("a", (1,)), 16, valuations, all_worlds(["xi1"])
     )
     assert {tuple(sorted(d.alpha.items())) for d in psi.disjuncts} == {
@@ -693,7 +693,7 @@ def test_criterion_8_symbolic_execution_matches_brute_force():
             for r in range(len(xi_names) + 1)
             for off in itertools.combinations(xi_names, r)
         ]
-        psi = sedl.symbolic_execute(rules, facts, target, len(xi_names), valuations, worlds)
+        psi = execute_alone(rules, facts, target, len(xi_names), valuations, worlds)
         assert not psi.truncated
         # a disjunct binds only the placeholders of one derived target atom
         assert all(len(d.bindings) <= len(target.args) for d in psi.disjuncts)
@@ -728,7 +728,7 @@ def test_criterion_8_symbolic_execution_matches_brute_force():
         some_valuations = [amap for amap in valuations if pick.random() < 0.6]
         some_worlds = [off for off in worlds if pick.random() < 0.5]
         pick.shuffle(some_worlds)
-        restricted = sedl.symbolic_execute(
+        restricted = execute_alone(
             rules, facts, target, len(xi_names), some_valuations, some_worlds
         )
         kept = {tuple(sorted(amap.items())) for amap in some_valuations}
@@ -743,7 +743,7 @@ def test_criterion_8_symbolic_execution_matches_brute_force():
         assert restricted.disjuncts == [
             d
             for amap in some_valuations
-            for d in sedl.symbolic_execute(
+            for d in execute_alone(
                 rules, facts, target, len(xi_names), [amap], some_worlds
             ).disjuncts
         ]

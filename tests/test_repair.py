@@ -8,7 +8,7 @@ from ctlrepair import repair as rp
 from ctlrepair.datalog_engine import Atom, DatalogProgram, evaluate, parse_program
 
 import oracle_programs
-from conftest import FIXTURES, Stopwatch, verdict
+from conftest import FIXTURES, Stopwatch, execute_alone, verdict
 
 
 def test_verify_verdicts(fixture_text):
@@ -235,19 +235,26 @@ def _reference(analysis: rp.Analysis, cand) -> bool:
 
 
 @pytest.fixture(scope="module")
-def decided():
-    """Each candidate ``_search`` decides over the fixtures plus
-    ``repair-deep`` seed 1 at depths 1 and 2, with its analysis and bit."""
-    out = []
-    decide = rp._decide
+def searched():
+    """Over the fixtures plus ``repair-deep`` seed 1 at depths 1 and 2: each
+    candidate ``_search`` decides, with its analysis and bit, and each
+    round's sign batch, with its rules and target."""
+    decided, batches = [], []
+    decide, sign_batch = rp._decide, rp.sedl.sign_batch
 
     def recording(analysis, candidates, stats):
         holds = decide(analysis, candidates, stats)
-        out.extend((analysis, cand, holds >> i & 1 == 1) for i, cand in enumerate(candidates))
+        decided.extend((analysis, cand, holds >> i & 1 == 1) for i, cand in enumerate(candidates))
         return holds
+
+    def recording_batch(rules, target, searches, budget):
+        batch = sign_batch(rules, target, searches, budget)
+        batches.append((rules, target, batch))
+        return batch
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rp, "_decide", recording)
+        mp.setattr(rp.sedl, "sign_batch", recording_batch)
         mp.syspath_prepend(str(FIXTURES.parents[1] / "perfbench"))
         import workloads
 
@@ -257,7 +264,63 @@ def decided():
         for source in sources:
             for depth in (1, 2):
                 rp.repair_loop(source, rp.RepairConfig(depth=depth))
-    return out
+    return decided, batches
+
+
+@pytest.fixture(scope="module")
+def decided(searched):
+    return searched[0]
+
+
+def test_each_batched_search_reads_as_a_batch_of_one(searched):
+    # every block of a round's fixpoint holds what its search derives alone:
+    # the same disjuncts (so the same to_json()), in the same order, and the
+    # same truncation
+    batches = searched[1]
+    for rules, target, batch in batches:
+        for i, search in enumerate(batch.searches):
+            alone = execute_alone(
+                rules, search.facts, target, batch.budget, search.valuations, search.worlds
+            )
+            psi = rp.sedl.symbolic_execute(batch, i)
+            assert psi == alone
+    assert max(len(batch.searches) for _, _, batch in batches) > 1
+    assert any(rp.sedl.symbolic_execute(batch, 0).disjuncts for _, _, batch in batches)
+
+
+def test_a_round_runs_one_fixpoint_for_its_searches_and_one_for_its_candidates(
+    fixture_text, monkeypatch
+):
+    annotated_eval, widths = rp.sedl.annotated_eval, []
+
+    def counted(rules, facts, full):
+        widths.append(full.bit_length())
+        return annotated_eval(rules, facts, full)
+
+    monkeypatch.setattr(rp.sedl, "annotated_eval", counted)
+    result = rp.repair_loop(fixture_text("overview.imp"), rp.RepairConfig(depth=1))
+    assert result.verdict == "Repaired"
+    assert result.stats["sign_searches"] == 11
+    # the round's 11 sign searches in one batch of 1,069 bits, then its
+    # candidates
+    assert len(widths) == 2 and widths[0] == 1069
+
+
+def test_each_round_logs_its_sign_batch(fixture_text, caplog):
+    def lines(config):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="ctlrepair.repair"):
+            rp.repair_loop(fixture_text("overview.imp"), config)
+        return [r.getMessage() for r in caplog.records if r.getMessage().startswith("sign searches:")]
+
+    assert lines(rp.RepairConfig(depth=1)) == [
+        "sign searches: 11 run, 0 skipped for the sign budget, "
+        "1069 world bits in one fixpoint, 280 disjuncts read"
+    ]
+    assert lines(rp.RepairConfig(depth=1, xi_budget=0)) == [
+        "sign searches: 0 run, 11 skipped for the sign budget, "
+        "0 world bits in one fixpoint, 0 disjuncts read"
+    ]
 
 
 def test_batch_decides_each_candidate_as_its_own_fact_base(decided):

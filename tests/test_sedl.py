@@ -6,6 +6,8 @@ import pytest
 from ctlrepair import sedl
 from ctlrepair.datalog_engine import Atom, parse_program
 
+from conftest import execute_alone
+
 NEGATION_RULES = parse_program(
     """
 a(X) :- b(X), c(X), !d(X), !e(X).
@@ -87,7 +89,7 @@ def test_all_dependent_sets_found_under_negation():
         (Atom("d", (1,)), "xd"),
         (Atom("e", (1,)), "xe"),
     ]
-    psi = sedl.symbolic_execute(
+    psi = execute_alone(
         NEGATION_RULES, signed_facts(facts), Atom("a", (1,)), BUDGET, [{}],
         all_worlds(["xb", "xc", "xd", "xe"]),
     )
@@ -101,7 +103,7 @@ def test_all_dependent_sets_found_under_negation():
 def test_sign_worlds_exhaustive():
     rules = parse_program("a(X) :- b(X), !c(X).").rules
     facts = [(Atom("b", (1,)), "xb"), (Atom("c", (1,)), "xc")]
-    psi = sedl.symbolic_execute(
+    psi = execute_alone(
         rules, signed_facts(facts), Atom("a", (1,)), BUDGET, [{}], all_worlds(["xb", "xc"])
     )
     assert [(d.sign_true, d.sign_false) for d in psi.disjuncts] == [(["xb"], ["xc"])]
@@ -110,11 +112,11 @@ def test_sign_worlds_exhaustive():
 def test_budget_exceeded():
     facts = [(Atom("b", (i,)), f"x{i}") for i in range(5)]
     with pytest.raises(sedl.SignBudgetExceeded):
-        sedl.symbolic_execute([], signed_facts(facts), Atom("b", (0,)), 3, [{}], [frozenset()])
+        execute_alone([], signed_facts(facts), Atom("b", (0,)), 3, [{}], [frozenset()])
 
 
 def test_symbolic_execution_two_disjunct_constraint():
-    psi = sedl.symbolic_execute(
+    psi = execute_alone(
         FIRST_RULE, two_symbolic_facts(), Atom("a", (1,)), BUDGET,
         both_placeholders(), all_worlds(["xi1", "xi2"]),
     )
@@ -143,7 +145,7 @@ def test_pruning_keeps_only_consistent_valuations():
         sedl.SymbolicFact(Atom("c", (A2,))),
         sedl.SymbolicFact(Atom("d", (1,)), xi="xi1"),
     ]
-    psi = sedl.symbolic_execute(
+    psi = execute_alone(
         rules, facts, Atom("a", (1,)), BUDGET, both_placeholders(), all_worlds(["xi1"])
     )
     # of the four candidate valuations only the diagonal ones can derive a(1)
@@ -163,7 +165,7 @@ def test_worlds_are_read_in_key_order_whatever_their_order():
         (Atom("e", (1,)), "xe"),
     ]
     worlds = all_worlds(["xb", "xc", "xd", "xe"])
-    psi = sedl.symbolic_execute(
+    psi = execute_alone(
         NEGATION_RULES, signed_facts(facts), Atom("a", (1,)), BUDGET, [{}], worlds
     )
     met = ["xd", "xb", "xc", "xe"]
@@ -176,7 +178,7 @@ def test_worlds_are_read_in_key_order_whatever_their_order():
     rng = random.Random(3)
     for _ in range(5):
         shuffled = rng.sample(worlds, len(worlds))
-        assert sedl.symbolic_execute(
+        assert execute_alone(
             NEGATION_RULES, signed_facts(facts), Atom("a", (1,)), BUDGET, [{}], shuffled
         ) == psi
 
@@ -184,8 +186,8 @@ def test_worlds_are_read_in_key_order_whatever_their_order():
 def test_unmet_sign_names_and_repeated_worlds_are_one_world():
     rules = parse_program("a(X) :- b(X).").rules
     facts = signed_facts([(Atom("b", (1,)), "xb")])
-    plain = sedl.symbolic_execute(rules, facts, Atom("a", (1,)), BUDGET, [{}], [frozenset()])
-    padded = sedl.symbolic_execute(
+    plain = execute_alone(rules, facts, Atom("a", (1,)), BUDGET, [{}], [frozenset()])
+    padded = execute_alone(
         rules, facts, Atom("a", (1,)), BUDGET, [{}],
         [frozenset(), frozenset({"xz"}), frozenset()],
     )
@@ -218,3 +220,31 @@ def test_target_variants_merge_equal_bindings_in_a_fixed_order():
     assert sedl._target_variants(masks, Atom("a", (1, 1))) == expected
     reordered = dict(reversed(list(masks.items())))
     assert sedl._target_variants(reordered, Atom("a", (1, 1))) == expected
+
+
+def test_a_search_over_the_budget_leaves_the_others_unchanged():
+    # four searches in one fixpoint: the second has more signs than the
+    # budget and gets no bits; the others share b(1), c(1), d(1) and e(1)
+    # under different signs and still read as if each ran alone
+    target = Atom("a", (1,))
+    atoms = [Atom(p, (1,)) for p in "bcde"]
+    signed = sedl.SignSearch(
+        signed_facts(zip(atoms, ["xb", "xc", "xd", "xe"])), [{}], all_worlds(["xb", "xc", "xd", "xe"])
+    )
+    over = sedl.SignSearch(
+        signed_facts((Atom("b", (i,)), f"x{i}") for i in range(5)), [{}], [frozenset()]
+    )
+    alphas = sedl.SignSearch(two_symbolic_facts(), both_placeholders(), all_worlds(["xi1", "xi2"]))
+    plain = sedl.SignSearch(signed_facts((atom, None) for atom in atoms[:3]), [{}], [frozenset()])
+    batch = sedl.sign_batch(NEGATION_RULES, target, [signed, over, alphas, plain], 4)
+    with pytest.raises(sedl.SignBudgetExceeded):
+        sedl.symbolic_execute(batch, 1)
+    for i, search in [(0, signed), (2, alphas), (3, plain)]:
+        alone = execute_alone(
+            NEGATION_RULES, search.facts, target, 4, search.valuations, search.worlds
+        )
+        assert alone.disjuncts
+        assert sedl.symbolic_execute(batch, i) == alone
+    # 16 worlds, none, 4 valuations in 4 worlds, one world
+    assert [b.offset for b in batch.blocks] == [0, None, 16, 32]
+    assert batch.bits == 33
