@@ -262,16 +262,18 @@ class _Encoder:
         for pi, neg in decide:
             atom = ctl_mod.pure_atom(pi, s)
             if pl.entails(store.constraint, pl.subst_pure(pi, store.env)):
-                self.record(pi, atom, store, pair=None)
+                self.record(pi, atom, store)
                 continue
             if pl.entails(store.constraint, pl.subst_pure(neg, store.env)):
                 continue
             neg_atom = ctl_mod.pure_atom(neg, s)
-            self.record(pi, atom, store, pair=None)
+            key = self.record(pi, atom, store)
             if neg_atom is not None:
-                self.record(neg, neg_atom, store, pair=pi)
+                neg_key = self.record(neg, neg_atom, store)
+                self.pair_of[neg_key] = key
+                self.pair_of[key] = neg_key
 
-    def record(self, pi: pl.Pure, atom: Atom, store: SymStore, pair: pl.Pure | None) -> None:
+    def record(self, pi: pl.Pure, atom: Atom, store: SymStore) -> FamilyKey:
         self.facts[atom] = None
         key = self.family_key(atom, store)
         if key not in self.families:
@@ -282,13 +284,7 @@ class _Encoder:
             fam.read = fam.read or self.is_read(_shape(pi), atom.args[-1])
         self.fact_family[atom] = key
         self.writes.append((atom, key))
-        if pair is not None:
-            pair_atom = ctl_mod.pure_atom(pair, atom.args[-1])
-            if pair_atom is not None:
-                pair_key = self.family_key(pair_atom, store)
-                if pair_key in self.families:
-                    self.pair_of[key] = pair_key
-                    self.pair_of[pair_key] = key
+        return key
 
     def family_key(self, atom: Atom, store: SymStore) -> FamilyKey:
         var_args = [a for a in atom.args[:-1] if isinstance(a, str)]
@@ -477,11 +473,7 @@ class _Encoder:
                 stack.pop()
                 continue
             cls = type(node)
-            parts = (
-                node.items if cls is gw.Seq
-                else node.alts if cls is gw.OrRe
-                else (node.body,) if cls is gw.Omega else ()
-            )
+            parts = gw._parts(node)
             pending = [part for part in parts if id(part) not in effects]
             if pending:
                 stack += pending
@@ -591,11 +583,7 @@ def read_sets(phi: gw.Re) -> dict[int, set[tuple]]:
         node, children_done = stack.pop()
         if id(node) in info:
             continue
-        if not children_done and isinstance(node, (gw.Seq, gw.OrRe, gw.Omega)):
-            parts = (
-                node.items if isinstance(node, gw.Seq)
-                else node.alts if isinstance(node, gw.OrRe) else (node.body,)
-            )
+        if not children_done and (parts := gw._parts(node)):
             stack += [(node, True)] + [(part, False) for part in parts]
             continue
         if isinstance(node, gw.Ev):

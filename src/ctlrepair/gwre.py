@@ -1194,12 +1194,10 @@ class SimResult:
     store: dict[str, int]
 
 
-def simulate(
-    phi: Re, fuel: int, rng: random.Random, store: dict[str, int] | None = None
-) -> SimResult:
+def simulate(phi: Re, fuel: int, rng: random.Random) -> SimResult:
     """Draw one concrete trace of at most ``fuel`` steps from an effect
     (choices and wildcards via ``rng``)."""
-    store = dict(store or {})
+    store: dict[str, int] = {}
     trace: list[tuple[int, str]] = []
 
     def draw() -> int:

@@ -131,74 +131,24 @@ class UpdateFact:
 
 
 @dataclass(frozen=True)
-class InsertAssign:
-    var: str
-    value: object
-    after_state: int
-    offset: int
-    text: str
+class SourceEdit:
+    """Replace ``source[start:end]`` with ``text``; ``fields`` are the
+    report's entries between ``kind`` and ``text``, in order."""
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "insert-assign",
-            "var": self.var,
-            "value": self.value,
-            "after_state": self.after_state,
-            "offset": self.offset,
-            "text": self.text,
-        }
-
-    def apply_range(self):
-        return (self.offset, self.offset, self.text)
-
-
-@dataclass(frozen=True)
-class InsertEarlyExit:
-    condition: str
-    before_state: int
-    offset: int
-    text: str
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "insert-early-exit",
-            "condition": self.condition,
-            "before_state": self.before_state,
-            "offset": self.offset,
-            "text": self.text,
-        }
-
-    def apply_range(self):
-        return (self.offset, self.offset, self.text)
-
-
-@dataclass(frozen=True)
-class ModifyAssign:
-    state: int
-    var: str
-    value: object
+    kind: str
+    fields: tuple
     start: int
     end: int
     text: str
 
     def to_json(self) -> dict:
-        return {
-            "kind": "modify-assign",
-            "state": self.state,
-            "var": self.var,
-            "value": self.value,
-            "text": self.text,
-        }
-
-    def apply_range(self):
-        return (self.start, self.end, self.text)
+        return {"kind": self.kind, **dict(self.fields), "text": self.text}
 
 
 def apply_edits(source: str, edits) -> str:
-    ranges = sorted((e.apply_range() for e in edits), key=lambda r: r[0], reverse=True)
     out = source
-    for start, end, text in ranges:
-        out = out[:start] + text + out[end:]
+    for e in sorted(edits, key=lambda e: e.start, reverse=True):
+        out = out[: e.start] + e.text + out[e.end :]
     return out
 
 
@@ -210,7 +160,6 @@ class Patch:
     cost: int
     iterations: int
     anchor: int
-    template: str
 
     def to_json(self) -> dict:
         return {
@@ -559,7 +508,8 @@ def _modify_assign(analysis: Analysis, fam: enc_mod.Family, new_atom: Atom):
     stmt_text = analysis.source[span.start : span.end]
     prefix = "int " if stmt_text.lstrip().startswith("int ") else ""
     text = f"{prefix}{var} = {value};"
-    return ModifyAssign(fam.def_state, var, value, span.start, span.end, text)
+    fields = (("state", fam.def_state), ("var", var), ("value", value))
+    return SourceEdit("modify-assign", fields, span.start, span.end, text)
 
 
 def _insert_assign(analysis: Analysis, atom: Atom):
@@ -579,18 +529,19 @@ def _insert_assign(analysis: Analysis, atom: Atom):
     proc = analysis.cfg.procedures.get(origin.proc)
     if proc is None:
         return None
+    text = f"{var} = {value}; "
     if origin.kind == "return" and origin.node in proc.spans:
-        span = proc.spans[origin.node]
-        return InsertAssign(var, value, state, span.start, f"{var} = {value}; ")
-    if origin.kind in ("loop-event", "exit-event") and origin.join is not None:
+        offset = proc.spans[origin.node].start
+    elif origin.kind in ("loop-event", "exit-event") and origin.join is not None:
         offset = proc.loop_insert.get(origin.join)
         if offset is None:
             return None
-        return InsertAssign(var, value, state, offset, f"{var} = {value}; ")
-    if origin.kind == "stmt" and origin.node in proc.spans:
-        span = proc.spans[origin.node]
-        return InsertAssign(var, value, state, span.end, f" {var} = {value};")
-    return None
+    elif origin.kind == "stmt" and origin.node in proc.spans:
+        offset, text = proc.spans[origin.node].end, f" {var} = {value};"
+    else:
+        return None
+    fields = (("var", var), ("value", value), ("after_state", state), ("offset", offset))
+    return SourceEdit("insert-assign", fields, offset, offset, text)
 
 
 def _early_exit(analysis: Analysis, fams: list[enc_mod.Family]):
@@ -609,7 +560,8 @@ def _early_exit(analysis: Analysis, fams: list[enc_mod.Family]):
             conds.append(cond)
     condition = " || ".join(conds)
     text = f" if ({condition}) {{ return; }}"
-    return InsertEarlyExit(condition, anchor_state, span.end, text), anchor_state
+    fields = (("condition", condition), ("before_state", anchor_state), ("offset", span.end))
+    return SourceEdit("insert-early-exit", fields, span.end, span.end, text), anchor_state
 
 
 # ---------------------------------------------------------------------------
@@ -747,7 +699,7 @@ def _search(analysis: Analysis, config: RepairConfig, depth: int, stats, prefix:
         if sub_analysis.unknown:
             continue
         if sub_analysis.holds:
-            patch = Patch(deltas, edits, new_source, cost, 1, anchor, cand.template)
+            patch = Patch(deltas, edits, new_source, cost, 1, anchor)
         elif depth > 1 and recursed < _MAX_RECURSED:
             recursed += 1
             sub_patches, _ = _search(sub_analysis, config, depth - 1, stats, deltas)
@@ -764,7 +716,6 @@ def _search(analysis: Analysis, config: RepairConfig, depth: int, stats, prefix:
                 cost + best.cost,
                 1 + best.iterations,
                 anchor,
-                cand.template,
             )
         else:
             continue

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import pathlib
@@ -234,6 +235,27 @@ def test_repair_depth_two_finds_multi_step_patch(run_cli, tmp_fixture):
     assert code == 0
     report = json.loads(out)
     assert any(p["iterations"] > 1 for p in report["patches"])
+
+
+EDIT_KEYS = {
+    "insert-assign": ["kind", "var", "value", "after_state", "offset", "text"],
+    "insert-early-exit": ["kind", "condition", "before_state", "offset", "text"],
+    "modify-assign": ["kind", "state", "var", "value", "text"],
+}
+
+
+def test_repair_text_report_keeps_edit_key_order(run_cli, tmp_fixture):
+    # the JSON report sorts its keys; the text report prints each edit as is
+    seen = set()
+    for name in ("overview.imp", "subtitle_loop.imp"):
+        code, out, _ = run_cli("repair", tmp_fixture(name))
+        assert code == 0
+        for line in out.splitlines():
+            if line.startswith("  {"):
+                edit = ast.literal_eval(line.strip())
+                assert list(edit) == EDIT_KEYS[edit["kind"]]
+                seen.add(edit["kind"])
+    assert seen == set(EDIT_KEYS)
 
 
 # ---------------------------------------------------------------------------

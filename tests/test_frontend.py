@@ -112,6 +112,40 @@ void main(int n) {
     assert store["n"] == 0
 
 
+def test_run_cfg_runs_compound_conditions_and_short_forms():
+    src = """void main() {
+  int x = 0;
+  int y = 0;
+  x += 2;
+  while (!(x > 4)) x = (x + 1);
+  if ((x > 0) && (y < 1)) { y = 7; }
+  if (x) { x = 0; }
+  return;
+}
+"""
+    program = fe.build_cfg(fe.parse(src))
+    assert fe.run_cfg(program, "main", {}, random.Random(0)) == ("return", 0, {"x": 0, "y": 7})
+
+
+@pytest.mark.parametrize(
+    "stmt, message",
+    [
+        ("x -= 1;", "expected '=' after 'x'"),
+        ("if ((x > 0) > 1) { x = 1; }", "comparison of boolean expressions is not supported"),
+    ],
+)
+def test_syntax_error_messages(stmt, message):
+    with pytest.raises(fe.ImpSyntaxError, match=message):
+        fe.parse(f"void main() {{ int x = 0; {stmt} return; }}")
+
+
+def test_pp_cond_brackets_disjuncts():
+    x = pl.Var("x")
+    inner = pl.And(pl.Bop(pl.GT, x, pl.Const(0)), pl.Bop(pl.LT, x, pl.Const(5)))
+    cond = pl.Or(inner, pl.Bop(pl.EQ, x, pl.Const(2)))
+    assert fe._pp_cond(cond) == "(x > 0 && x < 5) || (x == 2)"
+
+
 def test_run_cfg_replays_exact_draws(fixture_text):
     program = fe.build_cfg(fe.parse(fixture_text("overview.imp")))
     result = fe.run_cfg(program, "main", {}, random.Random(5))

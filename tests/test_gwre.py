@@ -322,20 +322,22 @@ def test_simulate_trace_matches_states(fixture_text):
 
 
 def test_simulate_respects_store():
-    res = summarize(
-        """//@ ctl: AF(Exit(_))
-void main(int x) {
+    def simulate(x):
+        res = summarize(
+            f"""//@ ctl: AF(Exit(_))
+void main() {{
+  int x = {x};
   int y = 0;
-  if (x > 0) { y = 1; }
+  if (x > 0) {{ y = 1; }}
   return;
-}
+}}
 """
-    )
+        )
+        return gw.simulate(res.phi, fuel=20, rng=random.Random(0))
+
     # with x > 0 the guarded branch must be taken and y ends at 1
-    sim = gw.simulate(res.phi, store={"x": 5}, fuel=20, rng=random.Random(0))
-    assert sim.store["y"] == 1
-    sim = gw.simulate(res.phi, store={"x": -5}, fuel=20, rng=random.Random(0))
-    assert sim.store["y"] == 0
+    assert simulate(5).store["y"] == 1
+    assert simulate(-5).store["y"] == 0
 
 
 def test_simulate_deterministic_for_seed(fixture_text):

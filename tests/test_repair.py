@@ -5,6 +5,7 @@ import pytest
 from ctlrepair import encode as enc_mod
 from ctlrepair import pure_logic as pl
 from ctlrepair import repair as rp
+from ctlrepair import sedl
 from ctlrepair.datalog_engine import Atom, DatalogProgram, evaluate, parse_program
 
 import oracle_programs
@@ -32,10 +33,10 @@ def test_property_missing(fixture_text):
 def test_apply_edits_inserts_at_descending_offsets():
     source = "abcdef"
     edits = [
-        rp.InsertAssign(var="x", value=1, after_state=0, offset=2, text="XX"),
-        rp.InsertAssign(var="y", value=2, after_state=0, offset=4, text="YY"),
+        rp.SourceEdit("insert-assign", (("var", "x"),), start=2, end=2, text="XX"),
+        rp.SourceEdit("modify-assign", (("var", "y"),), start=4, end=5, text="YY"),
     ]
-    assert rp.apply_edits(source, edits) == "abXXcdYYef"
+    assert rp.apply_edits(source, edits) == "abXXcdYYf"
 
 
 def test_value_for_comparisons():
@@ -58,7 +59,6 @@ def test_rank_patches_orders_by_cost_then_latest_anchor():
             cost=cost,
             iterations=1,
             anchor=anchor,
-            template="add",
         )
 
     patches = [patch(2, 9, 1), patch(1, 3, 2), patch(1, 7, 3)]
@@ -76,7 +76,6 @@ def test_rank_patches_deterministic_under_input_order():
             cost=cost,
             iterations=1,
             anchor=anchor,
-            template="add",
         )
 
     patches = [patch(1, 4, i) for i in range(6)]
@@ -125,6 +124,14 @@ def test_dropped_report_disjuncts_are_counted(fixture_text):
     runs = [run for runs in report["constraints"].values() for run in runs]
     assert max(len(run["disjuncts"]) for run in runs) == rp._MAX_REPORT_DISJUNCTS
     assert report["timing"]["report_truncated"] == 1
+
+
+def test_disjunct_cut_offs_are_counted(fixture_text, monkeypatch):
+    # a search that stops at the disjunct cap says so in the report
+    monkeypatch.setattr(sedl, "_MAX_DISJUNCTS", 8)
+    report = rp.repair_loop(fixture_text("overview.imp"), rp.RepairConfig()).to_json()
+    assert report["verdict"] == "Repaired"
+    assert report["timing"]["sign_truncated"] == 5
 
 
 def test_generated_program_with_reordered_signs_is_repaired():
@@ -178,12 +185,13 @@ def test_patched_source_applies_reported_edits(fixture_text):
 
 
 def test_template_order_restricts_search(fixture_text):
-    result = rp.repair_loop(
-        fixture_text("overview.imp"), rp.RepairConfig(template_order=("delete",))
-    )
+    src = fixture_text("subtitle_loop.imp")
+    result = rp.repair_loop(src, rp.RepairConfig(template_order=("delete",)))
+    assert result.patches
     for patch in result.patches:
-        assert patch.template == "delete"
         assert all(isinstance(d, rp.DeleteFact) for d in patch.deltas)
+    full = rp.repair_loop(src, rp.RepairConfig())
+    assert any(isinstance(d, rp.UpdateFact) for p in full.patches for d in p.deltas)
 
 
 def test_unknown_template_rejected(fixture_text):
