@@ -165,7 +165,7 @@ class _Encoder:
         # atomic comparisons worth tracking, each with its variables, its
         # complement, and the fact shapes of both
         self.tracked = [
-            (pi, pl.pure_vars(pi), pl.negate(pi), (_shape(pi), _shape(pl.negate(pi))))
+            (pi, frozenset(pl.names(pi)), pl.negate(pi), (_shape(pi), _shape(pl.negate(pi))))
             for pi in atoms
             if _shape(pi) is not None
         ]
@@ -197,8 +197,8 @@ class _Encoder:
         # caches of entry_key, for one walk: interned effect shapes and the
         # variables of each; per id() of an effect node the node, kept alive,
         # and its shape id; per sequence shape that of its items but the
-        # first; the live variables of each (step, rest); the symbols of
-        # each term or constraint, by node id
+        # first; the live variables of each (step, rest); and, for symbols,
+        # the pl.names of each term or constraint, by node id
         self.effect_ids: dict[object, int] = {}
         self.effect_vars: list[frozenset[str]] = []
         self.effects: dict[int, tuple[gw.Re, int]] = {}
@@ -217,7 +217,7 @@ class _Encoder:
     def apply_event(self, ev: gw.Ev, store: SymStore) -> SymStore:
         out = store.copy()
         for v, t in ev.assigns:
-            out.env[v] = pl.subst_term(pl.dewildcard(t, out.fresh), out.env)
+            out.env[v] = pl.subst_term(t, out.env, out.fresh)
             out.def_state[v] = ev.s
         if not isinstance(ev.constraint, pl.TrueP):
             pi = pl.subst_pure(ev.constraint, out.env)
@@ -229,7 +229,7 @@ class _Encoder:
         known = dict.fromkeys(
             conj
             for conj in pl.conjuncts(g.pi)
-            if pl.pure_vars(conj) <= set(out.env)
+            if pl.names(conj) <= out.env.keys()
         )
         pi = pl.TRUE
         for conj in known:
@@ -434,13 +434,7 @@ class _Encoder:
             for v in walk.live:
                 term = store.env.get(v)
                 reached |= {v} if term is None else self.symbols(term)
-            conjs, stack = [], [store.constraint]
-            while stack:
-                pi = stack.pop()
-                if isinstance(pi, pl.And):
-                    stack += (pi.right, pi.left)
-                elif not isinstance(pi, pl.TrueP):
-                    conjs.append((pl._node_id(pi), self.symbols(pi)))
+            conjs = [(pl._node_id(pi), self.symbols(pi)) for pi in pl.conjuncts(store.constraint)]
             kept = [False] * len(conjs)
             grew = True
             while grew:
@@ -524,31 +518,16 @@ class _Encoder:
         """The variables an event or guard mentions, and those read at its state."""
         read = _shape_vars(self.reads.get(leaf.s, ()))
         if isinstance(leaf, gw.Guard):
-            return self.symbols(leaf.pi) | read
-        return read.union(
-            (v for v, _ in leaf.assigns),
-            self.symbols(leaf.constraint),
-            *(self.symbols(t) for _, t in leaf.assigns),
-            *(self.symbols(a) for r in leaf.rels for a in r.args),
-        )
+            return read.union(pl.names(leaf.pi))
+        return read.union((v for v, _ in leaf.assigns), gw._reads_of_ev(leaf))
 
     def symbols(self, node: pl.Term | pl.Pure) -> frozenset[str]:
-        """The variable names in a term or constraint, each shared node
-        walked once."""
+        """``pl.names`` of a term or constraint, remembered by node id: the
+        merge asks again for the terms and conjuncts that stores share."""
         key = pl._node_id(node)
         names = self.symbol_sets.get(key)
         if names is None:
-            found: set[str] = set()
-            seen: set[int] = set()
-            stack = [node]
-            while stack:
-                part = stack.pop()
-                if id(part) not in seen:
-                    seen.add(id(part))
-                    if type(part) is pl.Var:
-                        found.add(part.name)
-                    stack += pl._parts(part)[1]
-            names = self.symbol_sets[key] = frozenset(found)
+            names = self.symbol_sets[key] = frozenset(pl.names(node))
         return names
 
 

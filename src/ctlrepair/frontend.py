@@ -157,7 +157,6 @@ class ProcedureAst:
 class ProgramAst:
     procedures: tuple[ProcedureAst, ...]
     ctl: str | None
-    source: str
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +388,7 @@ class _Parser:
         names = [p.name for p in procs]
         if len(set(names)) != len(names):
             raise ImpSyntaxError("duplicate procedure names")
-        return ProgramAst(tuple(procs), property_annotation(self.source), self.source)
+        return ProgramAst(tuple(procs), property_annotation(self.source))
 
 
 def parse(source: str) -> ProgramAst:
@@ -408,49 +407,42 @@ def _check_scopes(proc: ProcedureAst, arity: dict[str, int]) -> None:
     to any other name is an external call)."""
     declared = set(proc.params)
 
-    def term_ok(t: pl.Term) -> None:
-        for v in pl.term_vars(t):
-            if v not in declared:
-                raise ImpSyntaxError(f"use of undeclared variable {v!r} in {proc.name}")
-
-    def cond_ok(c) -> None:
-        if isinstance(c, NondetCond):
+    def reads_ok(value) -> None:
+        """A term, call or condition reads no undeclared variable (the
+        leftmost is named), and a call has its callee's arity."""
+        if isinstance(value, NondetCond):
             return
-        for v in pl.pure_vars(c):
-            if v not in declared:
-                raise ImpSyntaxError(f"use of undeclared variable {v!r} in {proc.name}")
-
-    def rhs_ok(value) -> None:
+        reads = (value,)
         if isinstance(value, CallExpr):
             if value.callee in arity and len(value.args) != arity[value.callee]:
                 raise ImpSyntaxError(
                     f"{value.callee!r} takes {arity[value.callee]} argument(s) "
                     f"but is called with {len(value.args)} in {proc.name}"
                 )
-            for a in value.args:
-                term_ok(a)
-        else:
-            term_ok(value)
+            reads = value.args
+        for v in pl.names(*reads):
+            if v not in declared:
+                raise ImpSyntaxError(f"use of undeclared variable {v!r} in {proc.name}")
 
     def walk(stmts, in_loop: bool) -> None:
         for s in stmts:
             if isinstance(s, DeclStmt):
-                rhs_ok(s.value)
+                reads_ok(s.value)
                 declared.add(s.name)
             elif isinstance(s, AssignStmt):
                 if s.name not in declared:
                     raise ImpSyntaxError(f"assignment to undeclared variable {s.name!r} in {proc.name}")
-                rhs_ok(s.value)
+                reads_ok(s.value)
             elif isinstance(s, IfStmt):
-                cond_ok(s.cond)
+                reads_ok(s.cond)
                 walk(s.then, in_loop)
                 walk(s.orelse, in_loop)
             elif isinstance(s, WhileStmt):
-                cond_ok(s.cond)
+                reads_ok(s.cond)
                 walk(s.body, True)
             elif isinstance(s, ReturnStmt):
                 if s.value is not None:
-                    term_ok(s.value)
+                    reads_ok(s.value)
             elif isinstance(s, BreakStmt) and not in_loop:
                 raise ImpSyntaxError(f"`break` outside a loop in {proc.name}")
 
@@ -548,7 +540,6 @@ class Procedure:
 @dataclass
 class Program:
     procedures: dict[str, Procedure]
-    ast: ProgramAst
 
 
 class _CfgBuilder:
@@ -657,7 +648,7 @@ def build_cfg(program_ast: ProgramAst) -> Program:
     for proc_ast in program_ast.procedures:
         builder = _CfgBuilder(counter)
         procedures[proc_ast.name] = builder.build(proc_ast)
-    return Program(procedures, program_ast)
+    return Program(procedures)
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ import random
 from collections import Counter, deque
 from dataclasses import dataclass, replace
 from functools import reduce
-from typing import Callable, Iterator
+from typing import Callable, Iterator, KeysView
 
 from . import frontend as fe
 from . import pure_logic as pl
@@ -605,7 +605,7 @@ def _loop_branch(segs: list[Re]) -> tuple[pl.Pure, dict[str, pl.Term]]:
             guard = pl.mk_and(guard, pl.subst_pure(seg.pi, env))
         elif isinstance(seg, Ev):
             for v, t in seg.assigns:
-                env[v] = pl.subst_term(pl.dewildcard(t, fresh), env)
+                env[v] = pl.subst_term(t, env, fresh)
                 moves[v] = pl.subst_term(t, moves)
             if not isinstance(seg.constraint, pl.TrueP):
                 guard = pl.mk_and(guard, pl.subst_pure(seg.constraint, env))
@@ -630,15 +630,12 @@ def _solved_for(v: str, pi: pl.Pure) -> pl.Term | None:
     return pl.term_of_linear({w: -c * a for w, a in lin[0].items() if w != v}, -c * lin[1])
 
 
-def _reads_of_ev(ev: Ev) -> set[str]:
-    out: set[str] = set()
-    for _, t in ev.assigns:
-        out |= pl.term_vars(t)
-    out |= pl.pure_vars(ev.constraint)
-    for r in ev.rels:
-        for a in r.args:
-            out |= pl.term_vars(a)
-    return out
+def _reads_of_ev(ev: Ev) -> KeysView[str]:
+    """The variables an event reads: its right-hand sides, its constraint
+    and its relation arguments (``pl.names``)."""
+    return pl.names(
+        *(t for _, t in ev.assigns), ev.constraint, *(a for r in ev.rels for a in r.args)
+    )
 
 
 def pretty_nonneg(rf: pl.Term) -> pl.Pure:
@@ -828,7 +825,7 @@ class _Builder:
             v = ev.assigns[0][0]
             dead = False
             for later in items[i + 1 :]:
-                if v in pl.term_vars(later.assigns[0][1]):
+                if v in pl.names(later.assigns[0][1]):
                     break
                 if later.assigns[0][0] == v:
                     dead = True
@@ -947,7 +944,7 @@ class _Builder:
         assigned_later = _assigned_vars(remainder)
         hoisted: list[Re] = []
         kept: list[Re] = []
-        read_so_far = pl.pure_vars(pi_g)
+        read_so_far = set(pl.names(pi_g))
         for i, seg in enumerate(chain_head):
             hoistable = (
                 isinstance(seg, Ev)
@@ -968,9 +965,9 @@ class _Builder:
             else:
                 kept.append(seg)
             if isinstance(seg, Ev):
-                read_so_far |= _reads_of_ev(seg)
+                read_so_far.update(_reads_of_ev(seg))
             elif isinstance(seg, Guard):
-                read_so_far |= pl.pure_vars(seg.pi)
+                read_so_far.update(pl.names(seg.pi))
         if not hoisted:
             return [], phi_cycle
         return hoisted, seq(*kept, remainder)
@@ -1139,7 +1136,7 @@ def _order_assignments(assigns: list[tuple[str, pl.Term]]):
         # pick an assignment whose variable is not read by any other rhs
         for i, (v, t) in enumerate(remaining):
             read_by_others = any(
-                v in pl.term_vars(t2) for u, t2 in remaining if u != v
+                v in pl.names(t2) for u, t2 in remaining if u != v
             )
             if not read_by_others:
                 ordered.append(remaining.pop(i))

@@ -7,6 +7,10 @@ propositions, and loop analysis:
 * ``Pure`` — boolean combinations of integer comparisons;
 * ``Rel`` — an uninterpreted relation, which is an event payload or a
   property atom and never part of a ``Pure`` constraint;
+* ``names`` — the variables of terms and constraints, left to right, each
+  shared node walked once; ``conjuncts`` — an ``And`` chain flattened
+  without recursion; ``subst_term`` — substitution, which with ``fresh``
+  also names each wildcard, left to right;
 * ``eval_term`` / ``eval_pure`` — concrete evaluation, drawing wildcards and
   unset variables from a caller's generator when one is given;
 * ``negate`` / ``satisfiable`` / ``entails`` — complementation and a sound
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, KeysView
 
 
 # ---------------------------------------------------------------------------
@@ -104,31 +108,21 @@ class Neg(Term):
         return f"-{s}"
 
 
-def term_vars(t: Term) -> set[str]:
-    """All variable names occurring in ``t``."""
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, (Const, Wildcard)):
-        return set()
-    if isinstance(t, (Add, Sub)):
-        return term_vars(t.left) | term_vars(t.right)
-    if isinstance(t, Neg):
-        return term_vars(t.operand)
-    raise TypeError(f"not a term: {t!r}")
-
-
-def subst_term(t: Term, env: dict[str, Term]) -> Term:
-    """Simultaneously substitute variables in ``t`` by ``env``."""
+def subst_term(t: Term, env: dict[str, Term], fresh: Callable[[], Term] | None = None) -> Term:
+    """Simultaneously substitute variables in ``t`` by ``env``; with
+    ``fresh``, each wildcard occurrence, left to right, becomes ``fresh()``."""
     if isinstance(t, Var):
         return env.get(t.name, t)
-    if isinstance(t, (Const, Wildcard)):
+    if isinstance(t, Wildcard):
+        return t if fresh is None else fresh()
+    if isinstance(t, Const):
         return t
     if isinstance(t, Add):
-        return Add(subst_term(t.left, env), subst_term(t.right, env))
+        return Add(subst_term(t.left, env, fresh), subst_term(t.right, env, fresh))
     if isinstance(t, Sub):
-        return Sub(subst_term(t.left, env), subst_term(t.right, env))
+        return Sub(subst_term(t.left, env, fresh), subst_term(t.right, env, fresh))
     if isinstance(t, Neg):
-        return Neg(subst_term(t.operand, env))
+        return Neg(subst_term(t.operand, env, fresh))
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -153,17 +147,6 @@ def eval_term(t: Term, store: dict[str, int], draw: Callable[[], int] | None = N
     if isinstance(t, Neg):
         return -eval_term(t.operand, store, draw)
     raise ValueError(f"cannot evaluate {t!r}")
-
-
-def dewildcard(t: Term, fresh: Callable[[], Term]) -> Term:
-    """Replace each wildcard occurrence, left to right, by ``fresh()``."""
-    if isinstance(t, Wildcard):
-        return fresh()
-    if isinstance(t, (Add, Sub)):
-        return type(t)(dewildcard(t.left, fresh), dewildcard(t.right, fresh))
-    if isinstance(t, Neg):
-        return Neg(dewildcard(t.operand, fresh))
-    return t
 
 
 Linear = tuple[dict[str, int], int]  # (coefficient of each variable, constant)
@@ -333,22 +316,47 @@ def mk_or(a: Pure, b: Pure) -> Pure:
 
 
 def conjuncts(pi: Pure) -> list[Pure]:
-    """Flatten nested conjunctions into a list (T disappears)."""
-    if isinstance(pi, And):
-        return conjuncts(pi.left) + conjuncts(pi.right)
-    if isinstance(pi, TrueP):
-        return []
-    return [pi]
+    """Flatten nested conjunctions into a list, left to right (T
+    disappears); an explicit stack, so a long chain does not recurse."""
+    out: list[Pure] = []
+    stack = [pi]
+    while stack:
+        pi = stack.pop()
+        if isinstance(pi, And):
+            stack += (pi.right, pi.left)
+        elif not isinstance(pi, TrueP):
+            out.append(pi)
+    return out
 
 
-def pure_vars(pi: Pure) -> set[str]:
-    if isinstance(pi, (TrueP, FalseP)):
-        return set()
-    if isinstance(pi, Bop):
-        return term_vars(pi.left) | term_vars(pi.right)
-    if isinstance(pi, (And, Or)):
-        return pure_vars(pi.left) | pure_vars(pi.right)
-    raise TypeError(f"not a pure constraint: {pi!r}")
+_LEAVES = (Const, Wildcard, TrueP, FalseP)
+_PAIRS = (Add, Sub, Bop, And, Or)
+
+
+def names(*nodes: Term | Pure) -> KeysView[str]:
+    """The variable names in terms and constraints as a set-like view that
+    iterates them left to right, in order of first occurrence.  One
+    explicit-stack walk visits a shared node once, so a DAG costs its size,
+    not its size as a tree."""
+    found: dict[str, None] = {}
+    seen: set[int] = set()  # ids of the composite nodes walked
+    stack = list(reversed(nodes))
+    while stack:
+        node = stack.pop()
+        cls = type(node)
+        if cls is Var:
+            found[node.name] = None
+        elif cls in _PAIRS:
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack += (node.right, node.left)
+        elif cls is Neg:
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack.append(node.operand)
+        elif cls not in _LEAVES:
+            raise TypeError(f"not a term or pure constraint: {node!r}")
+    return found.keys()
 
 
 def subst_pure(pi: Pure, env: dict[str, Term]) -> Pure:

@@ -309,12 +309,11 @@ _VALUE_SEARCH = [0] + [s * i for i in range(1, 11) for s in (1, -1)]
 
 def _value_for(pure: pl.Pure, var: str) -> object | None:
     """A small right-hand side making the comparison true."""
-    names = pl.pure_vars(pure)
-    others = names - {var}
+    others = [v for v in pl.names(pure) if v != var]
     if others:
         # variable-to-variable comparison: only equality is expressible
         if isinstance(pure, pl.Bop) and pure.op == pl.EQ and len(others) == 1:
-            return next(iter(others))
+            return others[0]
         return None
     for v in _VALUE_SEARCH:
         if pl.eval_pure(pure, {var: v}):

@@ -38,7 +38,7 @@ def _summarized_joins(program: fe.Program) -> set[int]:
     return {s.join for s in gw.cfg_to_gwre(program).summaries}
 
 
-def _assert_well_formed(program: fe.Program) -> None:
+def _assert_well_formed(program: fe.Program, source: str) -> None:
     for proc in program.procedures.values():
         assert isinstance(proc.nodes[proc.entry], fe.Start)
         for nid, succs in proc.trans.items():
@@ -52,7 +52,7 @@ def _assert_well_formed(program: fe.Program) -> None:
         # offset
         for join, offset in proc.loop_insert.items():
             assert isinstance(proc.nodes[join], fe.Join)
-            assert 0 <= offset <= len(program.ast.source)
+            assert 0 <= offset <= len(source)
     loops = {j for proc in program.procedures.values() for j in proc.loop_insert}
     try:
         assert loops == _summarized_joins(program)
@@ -62,12 +62,14 @@ def _assert_well_formed(program: fe.Program) -> None:
 
 @pytest.mark.parametrize("name", PARSEABLE)
 def test_cfg_well_formed(name, fixture_text):
-    _assert_well_formed(fe.build_cfg(fe.parse(fixture_text(name))))
+    source = fixture_text(name)
+    _assert_well_formed(fe.build_cfg(fe.parse(source)), source)
 
 
 def test_generated_cfgs_well_formed():
     for seed in range(1000, 1200):
-        _assert_well_formed(fe.build_cfg(fe.parse(oracle_programs.program(seed))))
+        source = oracle_programs.program(seed)
+        _assert_well_formed(fe.build_cfg(fe.parse(source)), source)
 
 
 LOOPS = """void main() {
@@ -137,6 +139,30 @@ def test_run_cfg_runs_compound_conditions_and_short_forms():
 def test_syntax_error_messages(stmt, message):
     with pytest.raises(fe.ImpSyntaxError, match=message):
         fe.parse(f"void main() {{ int x = 0; {stmt} return; }}")
+
+
+@pytest.mark.parametrize(
+    "program, message",
+    [
+        ("void main() { int x = 0 return; }", "line 1:25: expected ';', found 'return'"),
+        ("void main() { int 5 = 0; return; }", "line 1:19: expected a id, found '5'"),
+        (
+            "void main() { int x = 0; if (* && x > 0) { x = 1; } return; }",
+            "a `*` condition cannot be combined with && or ||",
+        ),
+        ("x = 1;", "line 1:1: expected a procedure, found 'x'"),
+        ("void f() { return; }\nvoid f() { return; }", "duplicate procedure names"),
+        # the leftmost undeclared variable, whatever the hash seed
+        ("void main() { int x = 0; x = a + b + c + d; return; }", "use of undeclared variable 'a' in main"),
+        ("void main() { int x = 0; if (p > q) { x = 1; } return; }", "use of undeclared variable 'p' in main"),
+    ],
+    ids=["missing-semicolon", "number-as-name", "nondet-in-conjunction", "top-level-statement",
+         "duplicate-procedure", "undeclared-in-term", "undeclared-in-condition"],
+)
+def test_syntax_errors_exit_three(run_cli, tmp_path, program, message):
+    path = tmp_path / "prog.imp"
+    path.write_text(program + "\n")
+    assert run_cli("verify", "--ctl", "AF(Exit(_))", path) == (3, "", f"error: {message}\n")
 
 
 def test_pp_cond_brackets_disjuncts():
@@ -216,8 +242,8 @@ def test_break_only_inside_a_loop():
 
 
 def test_spans_cover_statements(fixture_text):
-    program = fe.build_cfg(fe.parse(fixture_text("overview.imp")))
+    source = fixture_text("overview.imp")
+    program = fe.build_cfg(fe.parse(source))
     proc = program.procedures["main"]
-    source = program.ast.source
     for span in proc.spans.values():
         assert 0 <= span.start <= span.end <= len(source)

@@ -268,6 +268,43 @@ def test_keying_a_deep_chain_does_not_recurse():
     assert len(pl._answers) == 1
 
 
+def test_names_walks_each_shared_node_once():
+    # x = x + x forty times: 2^40 leaves as a tree, 41 term nodes as a DAG
+    t = pl.Var("x")
+    for _ in range(40):
+        t = pl.Add(t, t)
+    watch = Stopwatch(1.0)
+    assert set(pl.names(t)) == {"x"}
+    watch.check()
+
+
+def test_names_left_to_right_each_once():
+    a, b, c = pl.Var("a"), pl.Var("b"), pl.Var("c")
+    assert list(pl.names(pl.Add(pl.Add(a, b), c))) == ["a", "b", "c"]
+    guard = pl.mk_and(pl.Bop(pl.GT, pl.Sub(c, a), pl.Const(0)), pl.Bop(pl.EQ, pl.Neg(b), a))
+    assert list(pl.names(guard)) == ["c", "a", "b"]
+    assert list(pl.names(b, pl.TRUE, pl.Wildcard(), a)) == ["b", "a"]
+    with pytest.raises(TypeError):
+        list(pl.names(a, pl.Rel("Exit", ())))
+
+
+def test_conjuncts_of_a_long_chain_do_not_recurse():
+    atoms = [pl.Bop(pl.GT, pl.Var(f"x{i}"), pl.Const(i)) for i in range(5000)]
+    chain = pl.TRUE
+    for atom in atoms:
+        chain = pl.mk_and(chain, atom)
+    assert pl.conjuncts(chain) == atoms
+    assert pl.conjuncts(pl.mk_and(atoms[0], pl.mk_and(atoms[1], atoms[2]))) == atoms[:3]
+
+
+def test_subst_term_with_fresh_names_wildcards_left_to_right():
+    x, w = pl.Var("x"), pl.Wildcard()
+    count = itertools.count(1)
+    t = pl.subst_term(pl.Add(w, pl.Add(x, w)), {"x": pl.Var("y")}, lambda: pl.Var(f"${next(count)}"))
+    assert t == pl.Add(pl.Var("$1"), pl.Add(pl.Var("y"), pl.Var("$2")))
+    assert pl.subst_term(pl.Add(w, x), {"x": pl.Const(3)}) == pl.Add(w, pl.Const(3))
+
+
 def test_eval_term_with_and_without_draw():
     x, w = pl.Var("x"), pl.Wildcard()
     assert pl.eval_term(pl.Sub(x, pl.Const(2)), {"x": 5}) == 3
