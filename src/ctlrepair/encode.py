@@ -36,6 +36,14 @@ After the walk each state gets a ``State`` fact, and each target of a back
 edge of a depth-first search over every potential flow edge (the ``flow``
 facts and the guard rules' heads; roots in walk order) a ``Cyc`` fact.
 
+The path constraint is kept as blocks of conjuncts linked by shared
+symbols (constraint independence, Cadar, Dunbar & Engler, OSDI 2008).  A
+store is feasible when every block is satisfiable, and a comparison is
+decided against the blocks that share a symbol with its substituted form.
+Both are exact: Fourier-Motzkin never combines rows of symbol-disjoint
+blocks, so the others change no answer, short of ``pure_logic``'s counted
+row-limit give-ups.
+
 Paths that rejoin are walked once from there (the state merging of RWset,
 Boonstoppel, Cadar & Engler, TACAS 2008).  At an event or guard outside an
 omega block whose state labels two or more leaves of the effect read as a
@@ -52,11 +60,8 @@ an equivalent store.  Two stores are equivalent when:
   read set of one of their states names it, or when a tracked comparison
   has it beside a live variable, since ``emit`` decides that comparison at
   its variable's def state;
-- the conjuncts of the constraint connected to the live terms through
-  shared symbols, transitively, are the same, in order.  The others share
-  no symbol with anything read later, so while they are satisfiable they
-  change no entailment over the rationals, where ``pure_logic`` decides it
-  (short of its row limit);
+- the constraint blocks that share a symbol with the live terms are the
+  same, in order.  No later query reads the others;
 - both constraints are satisfiable, or neither is: ``emit`` emits nothing
   from an unsatisfiable store, so an infeasible path must not stand for a
   feasible one.
@@ -92,12 +97,17 @@ log = logging.getLogger(__name__)
 @dataclass
 class SymStore:
     env: dict[str, pl.Term] = field(default_factory=dict)
-    constraint: pl.Pure = pl.TRUE
     def_state: dict[str, int] = field(default_factory=dict)
     symbols: int = 0  # fresh symbols named on this path so far
+    # the path constraint, its conjuncts split into blocks linked by shared
+    # symbols: (the block's symbols, the conjunction of its conjuncts)
+    blocks: tuple[tuple[frozenset[str], pl.Pure], ...] = ()
+    feasible: bool | None = None  # every block satisfiable, once asked
 
     def copy(self) -> "SymStore":
-        return SymStore(dict(self.env), self.constraint, dict(self.def_state), self.symbols)
+        return SymStore(
+            dict(self.env), dict(self.def_state), self.symbols, self.blocks, self.feasible
+        )
 
     def fresh(self) -> pl.Term:
         self.symbols += 1
@@ -116,6 +126,19 @@ class FamilyKey:
     predicate: str
     args: tuple
     def_states: tuple[int, ...]
+    # the dataclass hash, computed once, as Atom's
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.predicate, self.args, self.def_states)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild rather than restore: a str hash is only valid in the
+        # process that computed it
+        return FamilyKey, (self.predicate, self.args, self.def_states)
 
 
 @dataclass
@@ -140,6 +163,22 @@ class EncodeResult:
     pair_of: dict[FamilyKey, FamilyKey]
 
 
+@dataclass(frozen=True)
+class _Fact:
+    """A tracked comparison and what its facts are made of, worked out once."""
+
+    pure: pl.Pure
+    shape: tuple  # _shape(pure)
+    var: str | None  # the variable its facts constrain (ctl.fact_var)
+    variables: tuple[str, ...]  # its variable arguments, whose def states key its family
+
+
+def _fact(pi: pl.Pure) -> _Fact:
+    shape = _shape(pi)
+    variables = tuple(a for a in shape[1] if isinstance(a, str))
+    return _Fact(pi, shape, ctl_mod.fact_var(Atom(*shape)), variables)
+
+
 _ENTER, _CLOSE, _DONE = "enter", "close", "done"  # work-item steps of _Encoder.walk
 
 
@@ -162,15 +201,27 @@ class _Encoder:
         reads: dict[int, set[tuple]],
         property_shapes: set[tuple],
     ):
-        # atomic comparisons worth tracking, each with its variables, its
-        # complement, and the fact shapes of both
+        # atomic comparisons worth tracking, each with its complement and
+        # its variables
         self.tracked = [
-            (pi, frozenset(pl.names(pi)), pl.negate(pi), (_shape(pi), _shape(pl.negate(pi))))
+            (_fact(pi), _fact(pl.negate(pi)), frozenset(pl.names(pi)))
             for pi in atoms
             if _shape(pi) is not None
         ]
         self.reads = reads  # per state, the shapes its guard rules read
         self.property_shapes = property_shapes
+        # the indexes in tracked of the comparisons read at each state, of
+        # those with each fact shape (their own or their complement's), and
+        # of those over each variable
+        self.read_at: dict[int, list[int]] = {}
+        self.with_shape: dict[tuple, set[int]] = {}
+        self.over: dict[str, list[int]] = {}
+        for i, (fact, neg, names) in enumerate(self.tracked):
+            for shape in (fact.shape, neg.shape):
+                self.with_shape.setdefault(shape, set()).add(i)
+            for v in names:
+                self.over.setdefault(v, []).append(i)
+        self.block_answers: dict[int, bool] = {}  # pl.satisfiable of each block, by node id
         self.decided = 0  # comparisons decided, over all emits
         # each output once, in first-insertion order
         self.facts: dict[Atom, None] = {}
@@ -182,10 +233,9 @@ class _Encoder:
         # what entry_key reads: the variables every state reads, and per
         # variable those of the tracked comparisons over it
         self.always_live = _shape_vars(property_shapes)
-        self.partners: dict[str, frozenset[str]] = {}
-        for _, names, _, _ in self.tracked:
-            for v in names:
-                self.partners[v] = self.partners.get(v, frozenset()) | names
+        self.partners = {
+            v: frozenset().union(*(self.tracked[i][2] for i in over)) for v, over in self.over.items()
+        }
         # states whose entries walk keys: those that label two or more
         # leaves, and those it has entered before
         self.shared: set[int] = set()
@@ -220,79 +270,120 @@ class _Encoder:
             out.env[v] = pl.subst_term(t, out.env, out.fresh)
             out.def_state[v] = ev.s
         if not isinstance(ev.constraint, pl.TrueP):
-            pi = pl.subst_pure(ev.constraint, out.env)
-            out.constraint = pl.mk_and(out.constraint, pi)
+            self.conjoin(out, pl.subst_pure(ev.constraint, out.env))
         return out
 
     def apply_guard(self, g: gw.Guard, store: SymStore) -> SymStore:
         out = store.copy()
-        known = dict.fromkeys(
-            conj
-            for conj in pl.conjuncts(g.pi)
-            if pl.names(conj) <= out.env.keys()
-        )
-        pi = pl.TRUE
-        for conj in known:
-            pi = pl.mk_and(pi, conj)
-        out.constraint = pl.mk_and(out.constraint, pl.subst_pure(pi, out.env))
+        for conj in dict.fromkeys(pl.conjuncts(g.pi)):
+            if out.env.keys() >= self.symbols(conj):
+                self.conjoin(out, pl.subst_pure(conj, out.env))
         return out
+
+    def conjoin(self, store: SymStore, pi: pl.Pure) -> None:
+        """Add ``pi`` to the constraint of ``store``: each conjunct joins
+        the blocks it shares a symbol with into one, at the end."""
+        blocks = store.blocks
+        for conj in pl.conjuncts(pi):
+            names = self.symbols(conj)
+            kept = []
+            joined = None
+            for block in blocks:
+                if block[0].isdisjoint(names):
+                    kept.append(block)
+                else:
+                    names = names | block[0]
+                    joined = block[1] if joined is None else pl.mk_and(joined, block[1])
+            kept.append((names, conj if joined is None else pl.mk_and(joined, conj)))
+            blocks = tuple(kept)
+            store.feasible = None
+        store.blocks = blocks
+
+    def feasible(self, store: SymStore) -> bool:
+        """Whether the constraint of ``store`` is satisfiable: whether each
+        of its blocks is, remembered per block and on the store."""
+        if store.feasible is None:
+            store.feasible = all(self.block_satisfiable(pi) for _, pi in store.blocks)
+        return store.feasible
+
+    def block_satisfiable(self, pi: pl.Pure) -> bool:
+        key = pl._node_id(pi)
+        answer = self.block_answers.get(key)
+        if answer is None:
+            answer = self.block_answers[key] = pl.satisfiable(pi)
+        return answer
+
+    def slice(self, store: SymStore, names: frozenset[str]) -> pl.Pure:
+        """The conjunction of the blocks of ``store`` that share a symbol
+        with the terms of ``names``: what a comparison over ``names`` is
+        decided against."""
+        if not store.blocks:
+            return pl.TRUE
+        reached = frozenset().union(*(self.symbols(store.env[v]) for v in names))
+        pi = pl.TRUE
+        for block_names, block in store.blocks:
+            if not block_names.isdisjoint(reached):
+                pi = pl.mk_and(pi, block)
+        return pi
 
     # -- fact emission ----------------------------------------------------------
 
     def is_read(self, shape: tuple | None, s: int) -> bool:
         return shape in self.property_shapes or shape in self.reads.get(s, ())
 
+    def to_decide(self, s: int, store: SymStore) -> list[tuple[_Fact, _Fact, frozenset[str]]]:
+        """The tracked comparisons over set variables that a fact at ``s``
+        could be read of (``read_at``), or that have a variable defined at
+        ``s``, in ``tracked`` order."""
+        read = self.read_at.get(s)
+        if read is None:
+            shapes = self.property_shapes.union(self.reads.get(s, ()))
+            read = self.read_at[s] = sorted(
+                set().union(*(self.with_shape.get(shape, ()) for shape in shapes))
+            )
+        here = [v for v in self.over if store.def_state.get(v) == s]
+        if here:
+            read = sorted(set(read).union(*(self.over[v] for v in here)))
+        known = store.env.keys()
+        return [self.tracked[i] for i in read if known >= self.tracked[i][2]]
+
     def emit(self, s: int, store: SymStore, rels: tuple[pl.Rel, ...] = ()) -> None:
         self.states[s] = None
-        known = set(store.env)
-        decide = [
-            (pi, neg)
-            for pi, names, neg, shapes in self.tracked
-            if names <= known
-            and (
-                any(self.is_read(shape, s) for shape in shapes)
-                or any(store.def_state.get(v) == s for v in names)
-            )
-        ]
-        if not (rels or decide) or not pl.satisfiable(store.constraint):
+        decide = self.to_decide(s, store) if self.tracked else ()
+        if not (rels or decide) or not self.feasible(store):
             return
         self.decided += len(decide)
         for rel in rels:
             self.facts[Atom(rel.name, (s,))] = None
-        for pi, neg in decide:
-            atom = ctl_mod.pure_atom(pi, s)
-            if pl.entails(store.constraint, pl.subst_pure(pi, store.env)):
-                self.record(pi, atom, store)
+        slices: dict[frozenset[str], pl.Pure] = {}
+        for fact, neg, names in decide:
+            sliced = slices.get(names)
+            if sliced is None:
+                sliced = slices[names] = self.slice(store, names)
+            if pl.entails(sliced, pl.subst_pure(fact.pure, store.env)):
+                self.record(fact, s, store)
                 continue
-            if pl.entails(store.constraint, pl.subst_pure(neg, store.env)):
+            if pl.entails(sliced, pl.subst_pure(neg.pure, store.env)):
                 continue
-            neg_atom = ctl_mod.pure_atom(neg, s)
-            key = self.record(pi, atom, store)
-            if neg_atom is not None:
-                neg_key = self.record(neg, neg_atom, store)
-                self.pair_of[neg_key] = key
-                self.pair_of[key] = neg_key
+            key = self.record(fact, s, store)
+            neg_key = self.record(neg, s, store)
+            self.pair_of[neg_key] = key
+            self.pair_of[key] = neg_key
 
-    def record(self, pi: pl.Pure, atom: Atom, store: SymStore) -> FamilyKey:
+    def record(self, fact: _Fact, s: int, store: SymStore) -> FamilyKey:
+        predicate, args = fact.shape
+        atom = Atom(predicate, (*args, s))
         self.facts[atom] = None
-        key = self.family_key(atom, store)
-        if key not in self.families:
-            self.families[key] = Family(key, pi, ctl_mod.fact_var(atom))
-        fam = self.families[key]
+        key = FamilyKey(predicate, args, tuple(store.def_state.get(v, -1) for v in fact.variables))
+        fam = self.families.get(key)
+        if fam is None:
+            fam = self.families[key] = Family(key, fact.pure, fact.var)
         if atom not in fam.members:
             fam.members.append(atom)
-            fam.read = fam.read or self.is_read(_shape(pi), atom.args[-1])
+            fam.read = fam.read or self.is_read(fact.shape, s)
         self.fact_family[atom] = key
         self.writes.append((atom, key))
         return key
-
-    def family_key(self, atom: Atom, store: SymStore) -> FamilyKey:
-        var_args = [a for a in atom.args[:-1] if isinstance(a, str)]
-        return FamilyKey(
-            atom.predicate,
-            atom.args[:-1],
-            tuple(store.def_state.get(v, -1) for v in var_args),
-        )
 
     # -- guard rules --------------------------------------------------------------
 
@@ -397,7 +488,7 @@ class _Encoder:
     def match(self, walk: _Walk) -> tuple[tuple[int, ...], bool]:
         """What two walks of one ``entry_key`` must agree on: ``connected``,
         and whether the constraint is satisfiable."""
-        return self.connected(walk), pl.satisfiable(walk.store.constraint)
+        return self.connected(walk), self.feasible(walk.store)
 
     def entry_key(
         self, step: gw.Ev | gw.Guard, phi: gw.Re, rest: gw.Re, store: SymStore
@@ -426,24 +517,18 @@ class _Encoder:
         return tuple(key), live
 
     def connected(self, walk: _Walk) -> tuple[int, ...]:
-        """The ids of the conjuncts of the constraint of ``walk`` that are
-        connected to its live terms through shared symbols, in order."""
+        """The ids of the constraint blocks of ``walk`` that share a symbol
+        with its live terms, in order: the conjuncts connected to them
+        through shared symbols, transitively."""
         if walk.connected is None:
             store = walk.store
             reached: set[str] = set()
             for v in walk.live:
                 term = store.env.get(v)
                 reached |= {v} if term is None else self.symbols(term)
-            conjs = [(pl._node_id(pi), self.symbols(pi)) for pi in pl.conjuncts(store.constraint)]
-            kept = [False] * len(conjs)
-            grew = True
-            while grew:
-                grew = False
-                for i, (_, names) in enumerate(conjs):
-                    if not kept[i] and not names.isdisjoint(reached):
-                        kept[i] = grew = True
-                        reached |= names
-            walk.connected = tuple(nid for (nid, _), keep in zip(conjs, kept) if keep)
+            walk.connected = tuple(
+                pl._node_id(block) for names, block in store.blocks if not names.isdisjoint(reached)
+            )
         return walk.connected
 
     def replay(self, walk: _Walk) -> None:
@@ -521,14 +606,33 @@ class _Encoder:
             return read.union(pl.names(leaf.pi))
         return read.union((v for v, _ in leaf.assigns), gw._reads_of_ev(leaf))
 
-    def symbols(self, node: pl.Term | pl.Pure) -> frozenset[str]:
-        """``pl.names`` of a term or constraint, remembered by node id: the
-        merge asks again for the terms and conjuncts that stores share."""
-        key = pl._node_id(node)
-        names = self.symbol_sets.get(key)
-        if names is None:
-            names = self.symbol_sets[key] = frozenset(pl.names(node))
-        return names
+    def symbols(self, root: pl.Term | pl.Pure) -> frozenset[str]:
+        """``pl.names`` of a term or constraint, remembered by node id for
+        every node under it: stores share terms and conjuncts, and a term
+        that extends a remembered one, as an update of ``x`` from ``x``
+        does, costs its new nodes only."""
+        memo, nid = self.symbol_sets, pl._node_id
+        names = memo.get(nid(root))
+        if names is not None:
+            return names
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            if nid(node) in memo:
+                stack.pop()
+                continue
+            children = pl._parts(node)[1]
+            known = []
+            for child in children:
+                names = memo.get(nid(child))
+                if names is None:
+                    stack.append(child)
+                else:
+                    known.append(names)
+            if len(known) == len(children):
+                stack.pop()
+                memo[node._nid[1]] = frozenset().union(*known) if children else frozenset(pl.names(node))
+        return memo[root._nid[1]]
 
 
 def _shape_vars(shapes) -> frozenset[str]:
@@ -608,6 +712,7 @@ def abstract_facts(
             if pure not in atoms:
                 atoms.append(pure)
     property_shapes.discard(None)
+    give_ups = pl.give_ups
     enc = _Encoder(atoms, read_sets(result.phi), property_shapes)
     enc.walk(result.phi)
     for s in enc.states:
@@ -618,9 +723,9 @@ def abstract_facts(
     log.debug(
         "encode: %d states, %d facts, %d rules, %d families, "
         "%d comparisons decided (states x tracked atoms: %d x %d), "
-        "%d segment entries merged",
+        "%d segment entries merged, %d row-limit give-ups",
         len(enc.states), len(enc.facts), len(enc.rules), len(enc.families),
-        enc.decided, len(enc.states), len(enc.tracked), enc.merged,
+        enc.decided, len(enc.states), len(enc.tracked), enc.merged, pl.give_ups - give_ups,
     )
     return EncodeResult(
         facts=list(enc.facts),

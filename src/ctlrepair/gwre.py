@@ -1157,8 +1157,13 @@ def cfg_to_gwre(program: fe.Program) -> GwreResult:
     proc = program.procedures.get("main")
     if proc is None:
         raise UnsupportedProgram("no procedure named 'main'")
+    give_ups = pl.give_ups
     builder = _Builder(program)
-    phi = builder.walk(proc, proc.entry)
+    try:
+        phi = builder.walk(proc, proc.entry)
+    except SummaryInconclusive:
+        log.debug("gwre: inconclusive, %d row-limit give-ups", pl.give_ups - give_ups)
+        raise
     firsts = first(phi)
     if len(firsts) != 1 or nullable(phi) or isinstance(firsts[0], Omega):
         entry = builder.fresh(Origin("entry", proc=proc.name))
@@ -1167,9 +1172,9 @@ def cfg_to_gwre(program: fe.Program) -> GwreResult:
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
             "gwre: %d CFG nodes, %d effect nodes, %d leaves as a tree, "
-            "%d summaries, %d states",
+            "%d summaries, %d states, %d row-limit give-ups",
             sum(len(p.nodes) for p in program.procedures.values()), *_tree_size(phi),
-            len(builder.summaries), len(mapping),
+            len(builder.summaries), len(mapping), pl.give_ups - give_ups,
         )
     return GwreResult(
         phi=phi,

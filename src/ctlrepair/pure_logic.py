@@ -27,11 +27,12 @@ Terms and constraints are immutable; integer semantics throughout.
 ``satisfiable`` and ``entails`` remember their answers, keyed by interned
 node ids (hash-consing): structurally equal nodes share one int, cached on
 the node, so a key costs one walk over the nodes not keyed before and an
-answer is never recomputed for an equal question.  The memo lives until
-``reset_memo``: ``repair.analyze`` calls it, and ``repair.repair_loop``
-only through its first analysis, so every re-analysis of one repair
-shares it.  The memo is module state: analyses in one process must not
-run on two threads at once.
+answer is never recomputed for an equal question.  The memo, with the
+rows of each wildcard-free comparison, lives until ``reset_memo``:
+``repair.analyze`` calls it, and ``repair.repair_loop`` only through its
+first analysis, so every re-analysis of one repair shares it.  The memo
+is module state: analyses in one process must not run on two threads at
+once.
 """
 
 from __future__ import annotations
@@ -110,20 +111,37 @@ class Neg(Term):
 
 def subst_term(t: Term, env: dict[str, Term], fresh: Callable[[], Term] | None = None) -> Term:
     """Simultaneously substitute variables in ``t`` by ``env``; with
-    ``fresh``, each wildcard occurrence, left to right, becomes ``fresh()``."""
-    if isinstance(t, Var):
+    ``fresh``, each wildcard occurrence, left to right, becomes ``fresh()``.
+    An explicit stack, so a long expression does not recurse."""
+    cls = type(t)
+    if cls is Var:
         return env.get(t.name, t)
-    if isinstance(t, Wildcard):
-        return t if fresh is None else fresh()
-    if isinstance(t, Const):
+    if cls is Const:
         return t
-    if isinstance(t, Add):
-        return Add(subst_term(t.left, env, fresh), subst_term(t.right, env, fresh))
-    if isinstance(t, Sub):
-        return Sub(subst_term(t.left, env, fresh), subst_term(t.right, env, fresh))
-    if isinstance(t, Neg):
-        return Neg(subst_term(t.operand, env, fresh))
-    raise TypeError(f"not a term: {t!r}")
+    done: list[Term] = []
+    stack: list = [t]  # a node to substitute, or the class of one to rebuild
+    while stack:
+        node = stack.pop()
+        cls = type(node)
+        if cls is Var:
+            done.append(env.get(node.name, node))
+        elif cls is Const:
+            done.append(node)
+        elif cls is Add or cls is Sub:
+            stack += (cls, node.right, node.left)
+        elif cls is type:
+            if node is Neg:
+                done[-1] = Neg(done[-1])
+            else:
+                right = done.pop()
+                done[-1] = node(done[-1], right)
+        elif cls is Neg:
+            stack += (cls, node.operand)
+        elif cls is Wildcard:
+            done.append(node if fresh is None else fresh())
+        else:
+            raise TypeError(f"not a term: {node!r}")
+    return done[0]
 
 
 def eval_term(t: Term, store: dict[str, int], draw: Callable[[], int] | None = None) -> int:
@@ -360,15 +378,26 @@ def names(*nodes: Term | Pure) -> KeysView[str]:
 
 
 def subst_pure(pi: Pure, env: dict[str, Term]) -> Pure:
-    if isinstance(pi, (TrueP, FalseP)):
-        return pi
-    if isinstance(pi, Bop):
+    """``subst_term`` in every comparison of ``pi``, on an explicit stack."""
+    if type(pi) is Bop:
         return Bop(pi.op, subst_term(pi.left, env), subst_term(pi.right, env))
-    if isinstance(pi, And):
-        return mk_and(subst_pure(pi.left, env), subst_pure(pi.right, env))
-    if isinstance(pi, Or):
-        return mk_or(subst_pure(pi.left, env), subst_pure(pi.right, env))
-    raise TypeError(f"not a pure constraint: {pi!r}")
+    done: list[Pure] = []
+    stack: list = [pi]  # a node to substitute, or mk_and/mk_or to rebuild one
+    while stack:
+        node = stack.pop()
+        cls = type(node)
+        if cls is Bop:
+            done.append(Bop(node.op, subst_term(node.left, env), subst_term(node.right, env)))
+        elif cls is And or cls is Or:
+            stack += (mk_and if cls is And else mk_or, node.right, node.left)
+        elif cls is TrueP or cls is FalseP:
+            done.append(node)
+        elif node is mk_and or node is mk_or:
+            right = done.pop()
+            done[-1] = node(done[-1], right)
+        else:
+            raise TypeError(f"not a pure constraint: {node!r}")
+    return done[0]
 
 
 def eval_pure(pi: Pure, store: dict[str, int], draw: Callable[[], int] | None = None) -> bool:
@@ -427,6 +456,7 @@ def simplify(pi: Pure) -> Pure:
 # A "row" is a linear form read as  coeffs·x + const >= 0.
 
 _ROW_LIMIT = 5000
+give_ups = 0  # _fm_unsat calls cut short by _ROW_LIMIT, over the process
 
 # (sign, tightening) of each row that  left op right  becomes
 _ROW_SHAPES = {GTEQ: [(1, 0)], LTEQ: [(-1, 0)], GT: [(1, 1)], LT: [(-1, 1)], EQ: [(1, 0), (-1, 0)]}
@@ -449,7 +479,10 @@ def _rows_of_bop(atom: Bop, named: int) -> tuple[list[Linear], int]:
 
 
 def _fm_unsat(rows: list[Linear]) -> bool:
-    """Fourier-Motzkin: True iff the row system has no rational solution."""
+    """Fourier-Motzkin: True iff the row system has no rational solution.
+    Past ``_ROW_LIMIT`` rows it gives up, answers False and counts that in
+    ``give_ups``."""
+    global give_ups
     while True:
         pending = [r for r in rows if r[0]]
         if not pending:
@@ -471,6 +504,7 @@ def _fm_unsat(rows: list[Linear]) -> bool:
                         coeffs[v] = c
                 new_rows.append((coeffs, b * pk + a * nk))
                 if len(new_rows) > _ROW_LIMIT:
+                    give_ups += 1
                     return False  # give up conservatively: treat as satisfiable
         rows = new_rows
 
@@ -496,7 +530,7 @@ def _unsat(pi: Pure) -> bool:
             elif isinstance(head, Bop) and head.op == NEQ:
                 left, right = Bop(LT, head.left, head.right), Bop(GT, head.left, head.right)
             elif isinstance(head, Bop):
-                new, named = _rows_of_bop(head, named)
+                new, named = _rows_of(head, named)
                 rows += new
                 continue
             elif isinstance(head, And):
@@ -525,14 +559,37 @@ def _unsat(pi: Pure) -> bool:
 _ids: dict[tuple, int] = {}
 _answers: dict[int | tuple[int, int], bool] = {}
 _generation = object()
+# the rows of each wildcard-free comparison whose sides are keyed, by
+# (operator, id of each side); they live and die with ``_answers``
+_rows: dict[tuple[str, int, int], list[Linear]] = {}
 
 
 def reset_memo() -> None:
-    """Forget every node id and every answer of ``satisfiable``/``entails``."""
+    """Forget every node id, every answer of ``satisfiable``/``entails``
+    and every memoised row."""
     global _generation
     _ids.clear()
     _answers.clear()
+    _rows.clear()
     _generation = object()
+
+
+def _rows_of(atom: Bop, named: int) -> tuple[list[Linear], int]:
+    """``_rows_of_bop``, read from ``_rows`` where both sides are keyed in
+    this generation; an atom with a wildcard is never memoised, since its
+    rows depend on ``named``."""
+    left = getattr(atom.left, "_nid", None)
+    right = getattr(atom.right, "_nid", None)
+    if left is None or right is None or left[0] is not _generation or right[0] is not _generation:
+        return _rows_of_bop(atom, named)
+    key = (atom.op, left[1], right[1])
+    rows = _rows.get(key)
+    if rows is None:
+        rows, after = _rows_of_bop(atom, named)
+        if after != named:
+            return rows, after
+        _rows[key] = rows
+    return rows, named
 
 
 def _parts(node: object) -> tuple[tuple, tuple]:
@@ -557,6 +614,9 @@ def _node_id(root: object) -> int:
     """The interned id of ``root``; one explicit-stack walk keys the nodes
     not yet keyed in this generation, each shared node once."""
     gen = _generation
+    tag = getattr(root, "_nid", None)
+    if tag is not None and tag[0] is gen:
+        return tag[1]
     stack = [root]
     while stack:
         node = stack[-1]
@@ -565,13 +625,18 @@ def _node_id(root: object) -> int:
             stack.pop()
             continue
         scalars, children = _parts(node)
-        pending = [c for c in children if getattr(c, "_nid", (None,))[0] is not gen]
-        if pending:
-            stack += pending
-            continue
-        stack.pop()
-        shape = (type(node), *scalars, *(c._nid[1] for c in children))
-        object.__setattr__(node, "_nid", (gen, _ids.setdefault(shape, len(_ids))))
+        shape = (type(node), *scalars)
+        waiting = False  # for a child to be keyed first
+        for child in children:
+            tag = getattr(child, "_nid", None)
+            if tag is not None and tag[0] is gen:
+                shape += (tag[1],)
+            else:
+                stack.append(child)
+                waiting = True
+        if not waiting:
+            stack.pop()
+            object.__setattr__(node, "_nid", (gen, _ids.setdefault(shape, len(_ids))))
     return root._nid[1]
 
 

@@ -42,6 +42,17 @@ def test_verify_unknown_exit_two(run_cli):
     assert out.startswith("Unknown")
 
 
+def test_long_expression_verifies(run_cli, tmp_path):
+    # x = x + 1 + ... + 1 with 3,000 terms: no walk of the term recurses
+    source = tmp_path / "long.imp"
+    source.write_text(
+        "//@ ctl: AF(Exit(_))\nvoid main() {\n  int x = 0;\n  x = x" + " + 1" * 3000 + ";\n  return;\n}\n"
+    )
+    code, out, _ = run_cli("verify", source)
+    assert code == 0
+    assert out.startswith("Verified")
+
+
 def test_verify_json_report(run_cli):
     code, out, _ = run_cli("verify", "--json", fix("overview.imp"))
     assert code == 1

@@ -162,7 +162,7 @@ def _encoding(gwre_result, phi) -> tuple:
     """All that ``abstract_facts`` gives, in its order."""
     enc = enc_mod.abstract_facts(gwre_result, ctl.pure_of_ctl(phi))
     families = [(k, f.pure, f.var, f.members, f.read) for k, f in enc.families.items()]
-    return enc.facts, enc.rules, families, enc.fact_family, enc.pair_of
+    return enc.facts, enc.rules, families, list(enc.fact_family.items()), list(enc.pair_of.items())
 
 
 # Each defeats one rule of the merge: a comparison over a variable that
@@ -253,6 +253,109 @@ def test_merged_walk_encodes_as_the_full_walk(monkeypatch):
             merging.add(name)
     # the shapes, the verify-branchy programs and a few oracle programs merge
     assert len(merging) > 40
+
+
+def test_family_key_hash_is_cached_and_survives_pickling():
+    # the repr, which the patch search sorts by, shows the three fields
+    # only; a key pickled by a process with another str-hash seed must hash
+    # as a key built here
+    import pickle
+    import subprocess
+    import sys
+
+    key = enc_mod.FamilyKey("Gt", ("x", 3), (2,))
+    assert str(key) == "FamilyKey(predicate='Gt', args=('x', 3), def_states=(2,))"
+    code = (
+        "import pickle, sys; from ctlrepair.encode import FamilyKey; "
+        "sys.stdout.buffer.write(pickle.dumps(FamilyKey('Gt', ('x', 3), (2,))))"
+    )
+    env = {"PYTHONHASHSEED": "1", "PYTHONPATH": ":".join(sys.path)}
+    payload = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, check=True
+    ).stdout
+    assert pickle.loads(payload) in {key}
+
+
+def _whole(store: enc_mod.SymStore) -> pl.Pure:
+    """The whole path constraint of ``store``: all its blocks."""
+    pi = pl.TRUE
+    for _, block in store.blocks:
+        pi = pl.mk_and(pi, block)
+    return pi
+
+
+def test_sliced_queries_encode_as_whole_queries(monkeypatch):
+    """Deciding a comparison over the constraint blocks that share a symbol
+    with it, and feasibility block by block, changes no fact, rule, family
+    or pair."""
+    monkeypatch.syspath_prepend(str(FIXTURES.parents[1] / "perfbench"))
+    sliced, feasible = enc_mod._Encoder.slice, enc_mod._Encoder.feasible
+    smaller = []
+
+    def counted(self, store, names):
+        pi = sliced(self, store, names)
+        smaller.append(len(pl.conjuncts(pi)) < len(pl.conjuncts(_whole(store))))
+        return pi
+
+    for name, source in _merge_corpus():
+        try:
+            ast = fe.parse(source)
+            if ast.ctl is None:
+                continue
+            gwre_result = gw.cfg_to_gwre(fe.build_cfg(ast))
+        except (fe.ImpSyntaxError, gw.SummaryInconclusive):
+            continue
+        phi = ctl.desugar(ctl.parse_ctl(ast.ctl))
+        monkeypatch.setattr(enc_mod._Encoder, "slice", lambda self, store, names: _whole(store))
+        monkeypatch.setattr(
+            enc_mod._Encoder, "feasible", lambda self, store: pl.satisfiable(_whole(store))
+        )
+        whole = _encoding(gwre_result, phi)
+        monkeypatch.setattr(enc_mod._Encoder, "slice", counted)
+        monkeypatch.setattr(enc_mod._Encoder, "feasible", feasible)
+        assert _encoding(gwre_result, phi) == whole, name
+    # most queries leave some of the constraint out
+    assert sum(smaller) > len(smaller) / 2
+
+
+def test_constraint_blocks_join_on_shared_symbols():
+    enc = enc_mod._Encoder([], {}, set())
+    x, y = pl.Var("x"), pl.Var("y")
+    x_pos, y_pos, x_lt_y = pl.Bop(pl.GT, x, pl.Const(0)), pl.Bop(pl.GT, y, pl.Const(0)), pl.Bop(pl.LT, x, y)
+    store = enc_mod.SymStore(env={"a": x, "b": y})
+    enc.conjoin(store, pl.mk_and(x_pos, y_pos))
+    assert [names for names, _ in store.blocks] == [{"x"}, {"y"}]
+    assert enc.slice(store, frozenset({"a"})) == x_pos
+    no_symbol = pl.Bop(pl.LT, pl.Const(1), pl.Const(2))
+    enc.conjoin(store, no_symbol)
+    assert store.blocks[2] == (frozenset(), no_symbol)
+    enc.conjoin(store, x_lt_y)
+    assert [names for names, _ in store.blocks] == [set(), {"x", "y"}]
+    assert pl.conjuncts(store.blocks[1][1]) == [x_pos, y_pos, x_lt_y]
+    assert pl.conjuncts(enc.slice(store, frozenset({"a"}))) == [x_pos, y_pos, x_lt_y]
+    assert enc.feasible(store)
+    enc.conjoin(store, pl.Bop(pl.LT, pl.Const(2), pl.Const(1)))
+    assert not enc.feasible(store)
+
+
+def test_row_limit_give_ups_show_on_the_encode_line(monkeypatch, caplog):
+    # after x > 0 the encoder asks whether x > 5 follows: one elimination
+    source = (
+        "//@ ctl: AF(Exit(_))\nvoid main() {\n  int x = *;\n"
+        "  if (x > 0) { if (x > 5) { x = 1; } }\n  return;\n}\n"
+    )
+
+    def give_ups() -> int:
+        (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("encode:")]
+        caplog.clear()
+        return int(re.search(r"(\d+) row-limit give-ups", line).group(1))
+
+    with caplog.at_level(logging.DEBUG, logger="ctlrepair.encode"):
+        rp.analyze(source)
+        assert give_ups() == 0
+        monkeypatch.setattr(pl, "_ROW_LIMIT", 0)
+        rp.analyze(source)
+        assert give_ups() > 0
 
 
 def _tree(re: gw.Re) -> gw.Re:

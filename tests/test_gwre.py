@@ -279,11 +279,11 @@ def _gwre_sizes(caplog, source: str) -> list[int]:
 
 def test_cfg_to_gwre_logs_its_sizes(caplog):
     # CFG nodes, distinct effect nodes, leaves the tree would have,
-    # summaries and states: the DAG grows with the program (44 and 72
+    # summaries, states and row-limit give-ups: the DAG grows with the program (44 and 72
     # nodes), the tree it reads as with its paths (127 and 2,047 leaves)
-    assert _gwre_sizes(caplog, kif(4)) == [24, 44, 127, 2, 20]
+    assert _gwre_sizes(caplog, kif(4)) == [24, 44, 127, 2, 20, 0]
     caplog.clear()
-    assert _gwre_sizes(caplog, kif(8)) == [40, 72, 2047, 2, 32]
+    assert _gwre_sizes(caplog, kif(8)) == [40, 72, 2047, 2, 32, 0]
 
 
 def test_omega_guard_drops_refuted_disjuncts(fixture_text):

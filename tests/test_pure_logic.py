@@ -305,6 +305,72 @@ def test_subst_term_with_fresh_names_wildcards_left_to_right():
     assert pl.subst_term(pl.Add(w, x), {"x": pl.Const(3)}) == pl.Add(w, pl.Const(3))
 
 
+def test_substitution_of_a_long_chain_does_not_recurse():
+    # x + 1 + ... + 1 with a wildcard at each end, 5,000 deep
+    x, w = pl.Var("x"), pl.Wildcard()
+    t = w
+    for _ in range(5000):
+        t = pl.Add(t, pl.Const(1))
+    t = pl.Add(pl.Add(t, x), w)
+    count = itertools.count(1)
+    out = pl.subst_term(t, {"x": pl.Var("y")}, lambda: pl.Var(f"${next(count)}"))
+    assert list(pl.names(out)) == ["$1", "y", "$2"]
+    assert pl.linearize(out) == ({"$1": 1, "y": 1, "$2": 1}, 5000)
+    pi = pl.Bop(pl.GT, t, pl.Var("x"))
+    for i in range(5000):
+        pi = pl.mk_and(pi, pl.mk_or(pl.Bop(pl.GT, pl.Var("x"), pl.Const(i)), pl.FALSE))
+    conjs = pl.conjuncts(pl.subst_pure(pi, {"x": pl.Const(2)}))
+    assert len(conjs) == 5001
+    assert pl.names(*conjs) == set()
+
+
+def _wildcard_free_atom(rng):
+    """A comparison that ``_unsat`` turns into rows (``!=`` it splits)."""
+    while True:
+        atom = _rand_pure(rng, ["x", "y", "z"], depth=0)
+        if atom.op != pl.NEQ and "Wildcard" not in repr(atom):
+            return atom
+
+
+def test_memoised_rows_equal_the_rows_of_each_atom():
+    rng = random.Random(11)
+    pl.reset_memo()
+    for _ in range(300):
+        atom = _wildcard_free_atom(rng)
+        pl._node_id(atom)
+        named = rng.randrange(3)
+        fresh = pl._rows_of_bop(atom, named)
+        assert pl._rows_of(atom, named) == fresh  # computed, then kept
+        assert pl._rows_of(atom, named) == fresh  # read back
+        assert pl._rows[(atom.op, atom.left._nid[1], atom.right._nid[1])] == fresh[0]
+    assert pl._rows
+    # a wildcard's row depends on how many came before it: never kept
+    atom = pl.Bop(pl.GT, pl.Var("x"), pl.Wildcard())
+    pl._node_id(atom)
+    kept = len(pl._rows)
+    assert pl._rows_of(atom, 0) == pl._rows_of_bop(atom, 0)
+    assert pl._rows_of(atom, 2) == ([({"x": 1, "__w3": -1}, -1)], 3)
+    assert len(pl._rows) == kept
+    pl.reset_memo()
+    assert not pl._rows
+
+
+def test_row_limit_give_ups_are_counted(monkeypatch):
+    # x_i < x_{i+1} around a cycle: eliminating x0 pairs every bound on it
+    chain = pl.TRUE
+    for i in range(6):
+        for j in range(6):
+            if i != j:
+                chain = pl.mk_and(chain, pl.Bop(pl.LT, pl.Var(f"x{i}"), pl.Var(f"x{j}")))
+    before = pl.give_ups
+    assert not pl.satisfiable(chain)
+    assert pl.give_ups == before
+    pl.reset_memo()
+    monkeypatch.setattr(pl, "_ROW_LIMIT", 4)
+    assert pl.satisfiable(chain)  # gave up: "satisfiable"
+    assert pl.give_ups > before
+
+
 def test_eval_term_with_and_without_draw():
     x, w = pl.Var("x"), pl.Wildcard()
     assert pl.eval_term(pl.Sub(x, pl.Const(2)), {"x": 5}) == 3
