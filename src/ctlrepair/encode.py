@@ -221,7 +221,6 @@ class _Encoder:
                 self.with_shape.setdefault(shape, set()).add(i)
             for v in names:
                 self.over.setdefault(v, []).append(i)
-        self.block_answers: dict[int, bool] = {}  # pl.satisfiable of each block, by node id
         self.decided = 0  # comparisons decided, over all emits
         # each output once, in first-insertion order
         self.facts: dict[Atom, None] = {}
@@ -301,17 +300,11 @@ class _Encoder:
 
     def feasible(self, store: SymStore) -> bool:
         """Whether the constraint of ``store`` is satisfiable: whether each
-        of its blocks is, remembered per block and on the store."""
+        of its blocks is, remembered on the store (``pl.satisfiable``
+        remembers each block's answer)."""
         if store.feasible is None:
-            store.feasible = all(self.block_satisfiable(pi) for _, pi in store.blocks)
+            store.feasible = all(pl.satisfiable(pi) for _, pi in store.blocks)
         return store.feasible
-
-    def block_satisfiable(self, pi: pl.Pure) -> bool:
-        key = pl._node_id(pi)
-        answer = self.block_answers.get(key)
-        if answer is None:
-            answer = self.block_answers[key] = pl.satisfiable(pi)
-        return answer
 
     def slice(self, store: SymStore, names: frozenset[str]) -> pl.Pure:
         """The conjunction of the blocks of ``store`` that share a symbol

@@ -5,10 +5,18 @@ nondeterministic value, assignments, `if`/`else`, `while`, `return`,
 `break`, and calls of the form `x = p(a, b);`.  A leading comment
 `//@ ctl: <formula>` binds the temporal property to check.
 
-Each procedure is lowered to a five-node CFG (Start / Exit / Join /
-Prune / Stmt) where every two-way branch is a Join whose successors are
-Prune nodes carrying complementary guards.  Node ids are assigned in a
-deterministic pre-order walk and are globally unique across procedures.
+`parse` reads the text in one pass from tokens to control-flow graph: each
+statement is lowered as it is read, with no syntax tree in between.  Each
+procedure becomes a five-node CFG (Start / Exit / Join / Prune / Stmt)
+where every two-way branch is a Join whose successors are Prune nodes
+carrying complementary guards.  Node ids follow source order and are
+globally unique across procedures.  Code after a `return` or `break` in a
+block is read and checked but gets no node.
+
+The same pass checks scopes: declarations before use, `break` only inside
+a loop, and the arity of each call to a procedure of the program.  The
+problems are reported once the whole text has parsed, the first in source
+order; a syntax error, and then a duplicate procedure name, comes first.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import pure_logic as pl
 
@@ -79,7 +88,7 @@ def property_annotation(source: str) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# Surface AST
+# CFG
 # ---------------------------------------------------------------------------
 
 
@@ -89,78 +98,85 @@ class Span:
     end: int  # exclusive, past the terminating ';' or '}'
 
 
-class StmtAst:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class DeclStmt(StmtAst):
-    name: str
-    value: object  # pl.Term | CallExpr; `int x;` declares x = *
-    span: Span
-
-
-@dataclass(frozen=True)
-class AssignStmt(StmtAst):
-    name: str
-    value: object  # pl.Term | CallExpr
-    span: Span
-
-
-@dataclass(frozen=True)
-class CallExpr:
-    callee: str
-    args: tuple[pl.Term, ...]
-
-
-@dataclass(frozen=True)
-class IfStmt(StmtAst):
-    cond: object  # pl.Pure | NondetCond
-    then: tuple[StmtAst, ...]
-    orelse: tuple[StmtAst, ...]
-    span: Span
-
-
-@dataclass(frozen=True)
-class WhileStmt(StmtAst):
-    cond: object
-    body: tuple[StmtAst, ...]
-    span: Span
-    body_end: int  # offset of the closing '}' of the body (insertion point)
-
-
-@dataclass(frozen=True)
-class ReturnStmt(StmtAst):
-    value: pl.Term | None
-    span: Span
-
-
-@dataclass(frozen=True)
-class BreakStmt(StmtAst):
-    span: Span
-
-
 @dataclass(frozen=True)
 class NondetCond:
     """A `*` condition: a purely nondeterministic two-way branch."""
 
 
 @dataclass(frozen=True)
-class ProcedureAst:
-    name: str
-    params: tuple[str, ...]
-    body: tuple[StmtAst, ...]
-    span: Span
+class Start:
+    s: int
 
 
 @dataclass(frozen=True)
-class ProgramAst:
-    procedures: tuple[ProcedureAst, ...]
+class ExitNode:
+    s: int
+
+
+@dataclass(frozen=True)
+class Join:
+    s: int
+
+
+@dataclass(frozen=True)
+class Prune:
+    pi: object  # pl.Pure; NondetCond branches carry T on both sides
+    s: int
+    nondet: bool = False
+
+
+@dataclass(frozen=True)
+class Assign:
+    x: str
+    t: pl.Term
+    s: int
+
+
+@dataclass(frozen=True)
+class Return:
+    x: pl.Term | None
+    s: int
+
+
+@dataclass(frozen=True)
+class Call:
+    p: str
+    args: tuple[pl.Term, ...]
+    r: str
+    s: int
+
+
+CfgNode = object
+
+
+@dataclass
+class Procedure:
+    name: str
+    params: tuple[str, ...]
+    entry: int
+    nodes: dict[int, CfgNode] = field(default_factory=dict)
+    trans: dict[int, list[int]] = field(default_factory=dict)
+    # source info: node id -> span; the Join of each while whose body comes
+    # back to it -> body insertion offset (these Joins are the CFG's loops)
+    spans: dict[int, Span] = field(default_factory=dict)
+    loop_insert: dict[int, int] = field(default_factory=dict)
+
+
+@dataclass
+class Program:
+    procedures: dict[str, Procedure]
+
+
+@dataclass(frozen=True)
+class ParsedProgram:
+    """What ``parse`` reads: the lowered procedures and the property text."""
+
+    procedures: tuple[Procedure, ...]  # in file order
     ctl: str | None
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Parser, lowering each statement as it reads it
 # ---------------------------------------------------------------------------
 
 
@@ -169,6 +185,12 @@ class _Parser:
         self.source = source
         self.tokens = _lex(source)
         self.i = 0
+        self.next_id = 1  # node ids are global across procedures
+        self.proc: Procedure | None = None
+        self.declared: set[str] = set()  # in the procedure, dead code too
+        # scope problems in source order: a message, or the (callee, number
+        # of arguments, caller) of a call, checked once every arity is known
+        self.problems: list[str | tuple[str, int, str]] = []
 
     def where(self, tok: Token) -> str:
         return _where(self.source, tok.pos)
@@ -184,6 +206,11 @@ class _Parser:
             raise ImpSyntaxError(f"{self.where(tok)}: expected a {kind}, found {tok.text!r}")
         self.i += 1
         return tok
+
+    def end_of_last(self) -> int:
+        """The offset just past the last token taken."""
+        tok = self.tokens[self.i - 1]
+        return tok.pos + len(tok.text)
 
     # -- expressions --------------------------------------------------------
 
@@ -272,14 +299,39 @@ class _Parser:
             return pl.TRUE if left.value != 0 else pl.FALSE
         return pl.Bop(pl.NEQ, left, pl.Const(0))
 
-    # -- statements ---------------------------------------------------------
+    # -- scopes -------------------------------------------------------------
 
-    def parse_rhs(self) -> object:
-        """Assignment right-hand side: an expression or a call."""
-        if (
-            self.peek().kind == "id"
-            and self.peek(1).text == "("
-        ):
+    def reads(self, *values: object) -> None:
+        """Note the leftmost undeclared variable the terms or condition read."""
+        for v in pl.names(*values):
+            if v not in self.declared:
+                self.problems.append(f"use of undeclared variable {v!r} in {self.proc.name}")
+                return
+
+    # -- statements ---------------------------------------------------------
+    #
+    # Each statement is read after ``preds``, the tails it follows, and
+    # returns its own tails.  With no ``preds`` it is dead code: read and
+    # checked, but given no node.  ``breaks`` collects the ``break`` nodes of
+    # the innermost loop, and is None outside a loop.
+
+    def node(self, make, preds: list[int], span: Span | None = None) -> int:
+        """A new node ``make(id)``, the successor of each of ``preds``."""
+        sid = self.next_id
+        self.next_id += 1
+        proc = self.proc
+        proc.nodes[sid] = make(sid)
+        proc.trans[sid] = []
+        if span is not None:
+            proc.spans[sid] = span
+        for p in preds:
+            proc.trans[p].append(sid)
+        return sid
+
+    def rhs(self, name: str):
+        """An assignment's right-hand side, an expression or a call, as the
+        maker of the node that writes it to ``name``."""
+        if self.peek().kind == "id" and self.peek(1).text == "(":
             callee = self.take(kind="id").text
             self.take("(")
             args: list[pl.Term] = []
@@ -288,83 +340,127 @@ class _Parser:
                 if self.peek().text == ",":
                     self.take(",")
             self.take(")")
-            return CallExpr(callee, tuple(args))
-        return self.parse_expr()
+            self.problems.append((callee, len(args), self.proc.name))
+            self.reads(*args)
+            return partial(Call, callee, tuple(args), name)
+        value = self.parse_expr()
+        self.reads(value)
+        return partial(Assign, name, value)
 
-    def parse_stmt(self) -> StmtAst:
+    def branch(self, preds: list[int], start: int) -> tuple[int | None, list[int], list[int]]:
+        """Read a parenthesized condition; after ``preds``, lower it to a Join
+        and its true and false Prune.  Returns the Join (None in dead code)
+        and each Prune as a tail list."""
+        self.take("(")
+        cond = self.parse_disj()
+        self.take(")")
+        nondet = isinstance(cond, NondetCond)
+        if not nondet:
+            self.reads(cond)
+        if not preds:
+            return None, [], []
+        true_pi, false_pi = (pl.TRUE, pl.TRUE) if nondet else (cond, pl.negate(cond))
+        # the statement's end is read later (close_branch); a provisional
+        # span keeps the spans in id order
+        provisional = Span(start, start)
+        join = self.node(Join, preds, provisional)
+        p_true = self.node(partial(Prune, true_pi, nondet=nondet), [join], provisional)
+        p_false = self.node(partial(Prune, false_pi, nondet=nondet), [join], provisional)
+        return join, [p_true], [p_false]
+
+    def close_branch(self, join: int | None, end: int) -> None:
+        """Give the Join and Prunes of a ``branch`` the span of its statement."""
+        if join is not None:
+            spans = self.proc.spans
+            spans[join] = spans[join + 1] = spans[join + 2] = Span(spans[join].start, end)
+
+    def stmt(self, preds: list[int], breaks: list[int] | None) -> list[int]:
         tok = self.peek()
         start = tok.pos
         if tok.text == "int":
             self.take("int")
             name = self.take(kind="id").text
-            value = pl.Wildcard()
+            make = partial(Assign, name, pl.Wildcard())
             if self.peek().text == "=":
                 self.take("=")
-                value = self.parse_rhs()
-            end = self.take(";").pos + 1
-            return DeclStmt(name, value, Span(start, end))
-        if tok.text == "if":
+                make = self.rhs(name)
+            self.declared.add(name)
+        elif tok.text == "if":
             self.take("if")
-            self.take("(")
-            cond = self.parse_disj()
-            self.take(")")
-            then = self.parse_block_or_stmt()
-            orelse: tuple[StmtAst, ...] = ()
+            join, then_preds, else_preds = self.branch(preds, start)
+            tails = self.block_or_stmt(then_preds, breaks)
             if self.peek().text == "else":
                 self.take("else")
-                orelse = self.parse_block_or_stmt()
-            end = self.tokens[self.i - 1].pos + len(self.tokens[self.i - 1].text)
-            return IfStmt(cond, then, orelse, Span(start, end))
-        if tok.text == "while":
+                else_preds = self.block_or_stmt(else_preds, breaks)
+            self.close_branch(join, self.end_of_last())
+            return tails + else_preds
+        elif tok.text == "while":
             self.take("while")
-            self.take("(")
-            cond = self.parse_disj()
-            self.take(")")
+            join, body_preds, after = self.branch(preds, start)
+            loop_breaks: list[int] = []
             if self.peek().text == "{":
-                body, closing = self.parse_block()
-                return WhileStmt(cond, body, Span(start, closing.pos + 1), closing.pos)
-            stmt = self.parse_stmt()
-            end = self.tokens[self.i - 1].pos + len(self.tokens[self.i - 1].text)
-            return WhileStmt(cond, (stmt,), Span(start, end), end - 1)
-        if tok.text == "return":
+                tails, closing = self.block(body_preds, loop_breaks)
+                end, insert = closing.pos + 1, closing.pos
+            else:
+                tails = self.stmt(body_preds, loop_breaks)
+                end = self.end_of_last()
+                insert = end - 1
+            self.close_branch(join, end)
+            if tails:  # a body that always returns or breaks never loops
+                for t in tails:
+                    self.proc.trans[t].append(join)  # back edge
+                self.proc.loop_insert[join] = insert
+            # break statements jump past the loop, joining the false branch exit
+            return after + loop_breaks
+        elif tok.text == "return":
             self.take("return")
             value: pl.Term | None = None
             if self.peek().text != ";":
                 value = self.parse_expr()
+                self.reads(value)
             end = self.take(";").pos + 1
-            return ReturnStmt(value, Span(start, end))
-        if tok.text == "break":
+            if preds:
+                self.node(partial(Return, value), preds, Span(start, end))
+            return []
+        elif tok.text == "break":
             self.take("break")
             end = self.take(";").pos + 1
-            return BreakStmt(Span(start, end))
-        if tok.kind == "id":
+            if breaks is None:
+                self.problems.append(f"`break` outside a loop in {self.proc.name}")
+            elif preds:
+                breaks.append(self.node(Join, preds, Span(start, end)))
+            return []
+        elif tok.kind == "id":
             name = self.take(kind="id").text
             op = self.take()
-            if op.text == "=":
-                value = self.parse_rhs()
-            elif op.text == "+=":
-                value = pl.Add(pl.Var(name), self.parse_expr())
-            else:
+            if op.text not in ("=", "+="):
                 raise ImpSyntaxError(f"{self.where(op)}: expected '=' after {name!r}")
-            end = self.take(";").pos + 1
-            return AssignStmt(name, value, Span(start, end))
-        raise ImpSyntaxError(f"{self.where(tok)}: unexpected {tok.text!r}")
+            if name not in self.declared:
+                self.problems.append(f"assignment to undeclared variable {name!r} in {self.proc.name}")
+            if op.text == "=":
+                make = self.rhs(name)
+            else:
+                value = pl.Add(pl.Var(name), self.parse_expr())
+                self.reads(value)
+                make = partial(Assign, name, value)
+        else:
+            raise ImpSyntaxError(f"{self.where(tok)}: unexpected {tok.text!r}")
+        end = self.take(";").pos + 1
+        return [self.node(make, preds, Span(start, end))] if preds else []
 
-    def parse_block(self) -> tuple[tuple[StmtAst, ...], Token]:
-        """The statements of a braced block, and its closing brace."""
+    def block(self, preds: list[int], breaks: list[int] | None) -> tuple[list[int], Token]:
+        """The tails of a braced block, and its closing brace."""
         self.take("{")
-        out: list[StmtAst] = []
         while self.peek().text != "}":
-            out.append(self.parse_stmt())
-        return tuple(out), self.take("}")
+            preds = self.stmt(preds, breaks)
+        return preds, self.take("}")
 
-    def parse_block_or_stmt(self) -> tuple[StmtAst, ...]:
+    def block_or_stmt(self, preds: list[int], breaks: list[int] | None) -> list[int]:
         if self.peek().text == "{":
-            return self.parse_block()[0]
-        return (self.parse_stmt(),)
+            return self.block(preds, breaks)[0]
+        return self.stmt(preds, breaks)
 
-    def parse_procedure(self) -> ProcedureAst:
-        start = self.peek().pos
+    def procedure(self) -> Procedure:
         if self.peek().text not in ("int", "void"):
             tok = self.peek()
             raise ImpSyntaxError(f"{self.where(tok)}: expected a procedure, found {tok.text!r}")
@@ -378,75 +474,40 @@ class _Parser:
             if self.peek().text == ",":
                 self.take(",")
         self.take(")")
-        body, closing = self.parse_block()
-        return ProcedureAst(name, tuple(params), body, Span(start, closing.pos + 1))
+        self.proc = Procedure(name, tuple(params), entry=self.next_id)  # the Start node, next
+        self.declared = set(params)
+        tails, _ = self.block([self.node(Start, [])], None)
+        if tails:
+            self.node(ExitNode, tails)
+        return self.proc
 
-    def parse_program(self) -> ProgramAst:
-        procs: list[ProcedureAst] = []
+    def program(self) -> ParsedProgram:
+        procs: list[Procedure] = []
         while self.peek().kind != "eof":
-            procs.append(self.parse_procedure())
-        names = [p.name for p in procs]
-        if len(set(names)) != len(names):
+            procs.append(self.procedure())
+        arity = {proc.name: len(proc.params) for proc in procs}
+        if len(arity) != len(procs):
             raise ImpSyntaxError("duplicate procedure names")
-        return ProgramAst(tuple(procs), property_annotation(self.source))
+        for problem in self.problems:
+            if isinstance(problem, tuple):  # a call; one to an external name takes any arity
+                callee, n, caller = problem
+                if arity.get(callee, n) == n:
+                    continue
+                problem = f"{callee!r} takes {arity[callee]} argument(s) but is called with {n} in {caller}"
+            raise ImpSyntaxError(problem)
+        return ParsedProgram(tuple(procs), property_annotation(self.source))
 
 
-def parse(source: str) -> ProgramAst:
-    """Parse mini-language text; checks each procedure's declarations,
-    ``break`` statements and calls."""
-    program = _Parser(source).parse_program()
-    arity = {proc.name: len(proc.params) for proc in program.procedures}
-    for proc in program.procedures:
-        _check_scopes(proc, arity)
-    return program
+def parse(source: str) -> ParsedProgram:
+    """Parse mini-language text into the CFG of each procedure, checking
+    declarations, ``break`` statements and the arity of calls (a call to a
+    name the program does not define is an external call, of any arity)."""
+    return _Parser(source).program()
 
 
-def _check_scopes(proc: ProcedureAst, arity: dict[str, int]) -> None:
-    """Declarations before use, ``break`` only inside a loop, and as many
-    arguments as parameters in a call to a procedure of the program (a call
-    to any other name is an external call)."""
-    declared = set(proc.params)
-
-    def reads_ok(value) -> None:
-        """A term, call or condition reads no undeclared variable (the
-        leftmost is named), and a call has its callee's arity."""
-        if isinstance(value, NondetCond):
-            return
-        reads = (value,)
-        if isinstance(value, CallExpr):
-            if value.callee in arity and len(value.args) != arity[value.callee]:
-                raise ImpSyntaxError(
-                    f"{value.callee!r} takes {arity[value.callee]} argument(s) "
-                    f"but is called with {len(value.args)} in {proc.name}"
-                )
-            reads = value.args
-        for v in pl.names(*reads):
-            if v not in declared:
-                raise ImpSyntaxError(f"use of undeclared variable {v!r} in {proc.name}")
-
-    def walk(stmts, in_loop: bool) -> None:
-        for s in stmts:
-            if isinstance(s, DeclStmt):
-                reads_ok(s.value)
-                declared.add(s.name)
-            elif isinstance(s, AssignStmt):
-                if s.name not in declared:
-                    raise ImpSyntaxError(f"assignment to undeclared variable {s.name!r} in {proc.name}")
-                reads_ok(s.value)
-            elif isinstance(s, IfStmt):
-                reads_ok(s.cond)
-                walk(s.then, in_loop)
-                walk(s.orelse, in_loop)
-            elif isinstance(s, WhileStmt):
-                reads_ok(s.cond)
-                walk(s.body, True)
-            elif isinstance(s, ReturnStmt):
-                if s.value is not None:
-                    reads_ok(s.value)
-            elif isinstance(s, BreakStmt) and not in_loop:
-                raise ImpSyntaxError(f"`break` outside a loop in {proc.name}")
-
-    walk(proc.body, False)
+def build_cfg(parsed: ParsedProgram) -> Program:
+    """The parsed procedures by name."""
+    return Program({proc.name: proc for proc in parsed.procedures})
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +519,6 @@ _RELOP_TEXT = {op: text for text, op in _Parser._RELOPS.items()}
 
 
 def _pp_cond(c) -> str:
-    if isinstance(c, NondetCond):
-        return "*"
     if isinstance(c, pl.TrueP):
         return "1"
     if isinstance(c, pl.FalseP):
@@ -472,183 +531,6 @@ def _pp_cond(c) -> str:
         return f"({_pp_cond(c.left)}) || ({_pp_cond(c.right)})"
     raise TypeError(f"not a printable condition: {c!r}")
 
-
-# ---------------------------------------------------------------------------
-# CFG
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Start:
-    s: int
-
-
-@dataclass(frozen=True)
-class ExitNode:
-    s: int
-
-
-@dataclass(frozen=True)
-class Join:
-    s: int
-
-
-@dataclass(frozen=True)
-class Prune:
-    pi: object  # pl.Pure; NondetCond branches carry T on both sides
-    s: int
-    nondet: bool = False
-
-
-@dataclass(frozen=True)
-class Assign:
-    x: str
-    t: pl.Term
-    s: int
-
-
-@dataclass(frozen=True)
-class Return:
-    x: pl.Term | None
-    s: int
-
-
-@dataclass(frozen=True)
-class Call:
-    p: str
-    args: tuple[pl.Term, ...]
-    r: str
-    s: int
-
-
-CfgNode = object
-
-
-@dataclass
-class Procedure:
-    name: str
-    params: tuple[str, ...]
-    entry: int
-    nodes: dict[int, CfgNode] = field(default_factory=dict)
-    trans: dict[int, list[int]] = field(default_factory=dict)
-    # source info: node id -> span; the Join of each while whose body comes
-    # back to it -> body insertion offset (these Joins are the CFG's loops)
-    spans: dict[int, Span] = field(default_factory=dict)
-    loop_insert: dict[int, int] = field(default_factory=dict)
-
-
-@dataclass
-class Program:
-    procedures: dict[str, Procedure]
-
-
-class _CfgBuilder:
-    def __init__(self, counter: list[int]):
-        self.counter = counter
-        self.proc: Procedure | None = None
-
-    def new(self, node_factory, span: Span | None = None) -> int:
-        sid = self.counter[0]
-        self.counter[0] += 1
-        node = node_factory(sid)
-        self.proc.nodes[sid] = node
-        self.proc.trans[sid] = []
-        if span is not None:
-            self.proc.spans[sid] = span
-        return sid
-
-    def edge(self, a: int, b: int) -> None:
-        if b not in self.proc.trans[a]:
-            self.proc.trans[a].append(b)
-
-    def prune_pair(self, cond, span: Span) -> tuple[int, int]:
-        """The true and false Prune nodes of a two-way branch on ``cond``."""
-        nondet = isinstance(cond, NondetCond)
-        true_pi, false_pi = (pl.TRUE, pl.TRUE) if nondet else (cond, pl.negate(cond))
-        p_true = self.new(lambda s: Prune(true_pi, s, nondet), span)
-        p_false = self.new(lambda s: Prune(false_pi, s, nondet), span)
-        return p_true, p_false
-
-    def build(self, ast_proc: ProcedureAst) -> Procedure:
-        self.proc = Procedure(ast_proc.name, ast_proc.params, entry=-1)
-        start = self.new(Start)
-        self.proc.entry = start
-        # `parse` rejects a `break` outside a loop, so no break is left over
-        tails = self.lower_block(ast_proc.body, [start], [])
-        if tails:
-            exit_id = self.new(ExitNode)
-            for t in tails:
-                self.edge(t, exit_id)
-        return self.proc
-
-    def lower_block(self, stmts, preds: list[int], breaks: list[int]) -> list[int]:
-        """Lower a statement list; returns its dangling tails.  A ``break``
-        adds its node to ``breaks``, the list of the innermost loop."""
-        for stmt in stmts:
-            if not preds:
-                break  # unreachable code after return/break
-            preds = self.lower_stmt(stmt, preds, breaks)
-        return preds
-
-    def lower_stmt(self, stmt, preds: list[int], breaks: list[int]) -> list[int]:
-        def link(sid: int) -> None:
-            for p in preds:
-                self.edge(p, sid)
-
-        if isinstance(stmt, (DeclStmt, AssignStmt)):
-            value = stmt.value
-            if isinstance(value, CallExpr):
-                sid = self.new(lambda s: Call(value.callee, value.args, stmt.name, s), stmt.span)
-            else:
-                sid = self.new(lambda s: Assign(stmt.name, value, s), stmt.span)
-            link(sid)
-            return [sid]
-        if isinstance(stmt, ReturnStmt):
-            sid = self.new(lambda s: Return(stmt.value, s), stmt.span)
-            link(sid)
-            return []
-        if isinstance(stmt, BreakStmt):
-            sid = self.new(Join, stmt.span)
-            link(sid)
-            breaks.append(sid)
-            return []
-        if isinstance(stmt, IfStmt):
-            join = self.new(Join, stmt.span)
-            link(join)
-            p_true, p_false = self.prune_pair(stmt.cond, stmt.span)
-            self.edge(join, p_true)
-            then_tails = self.lower_block(stmt.then, [p_true], breaks)
-            self.edge(join, p_false)
-            else_tails = self.lower_block(stmt.orelse, [p_false], breaks)
-            return then_tails + else_tails
-        if isinstance(stmt, WhileStmt):
-            join = self.new(Join, stmt.span)
-            link(join)
-            p_true, p_false = self.prune_pair(stmt.cond, stmt.span)
-            self.edge(join, p_true)
-            loop_breaks: list[int] = []
-            body_tails = self.lower_block(stmt.body, [p_true], loop_breaks)
-            for t in body_tails:
-                self.edge(t, join)  # back edge
-            if body_tails:  # a body that always returns or breaks never loops
-                self.proc.loop_insert[join] = stmt.body_end
-            self.edge(join, p_false)
-            # break statements jump past the loop, joining the false branch exit
-            preds_after = [p_false] + loop_breaks
-            return preds_after
-        raise TypeError(f"cannot lower statement: {stmt!r}")
-
-
-def build_cfg(program_ast: ProgramAst) -> Program:
-    """Lower every procedure; node ids are globally unique and pre-ordered."""
-    counter = [1]
-    procedures: dict[str, Procedure] = {}
-    # Procedures are lowered in file order, so main's node ids follow those
-    # of every procedure written before it.
-    for proc_ast in program_ast.procedures:
-        builder = _CfgBuilder(counter)
-        procedures[proc_ast.name] = builder.build(proc_ast)
-    return Program(procedures)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,9 @@ class Term:
 
     __slots__ = ()
 
+    def __str__(self) -> str:  # of a sum, difference or negation
+        return _term_text(self)
+
 
 @dataclass(frozen=True)
 class Var(Term):
@@ -82,31 +85,41 @@ class Add(Term):
     left: Term
     right: Term
 
-    def __str__(self) -> str:
-        return f"{self.left}+{self.right}"
-
 
 @dataclass(frozen=True)
 class Sub(Term):
     left: Term
     right: Term
 
-    def __str__(self) -> str:
-        r = str(self.right)
-        if isinstance(self.right, (Add, Sub)):
-            r = f"({r})"
-        return f"{self.left}-{r}"
-
 
 @dataclass(frozen=True)
 class Neg(Term):
     operand: Term
 
-    def __str__(self) -> str:
-        s = str(self.operand)
-        if isinstance(self.operand, (Add, Sub)):
-            s = f"({s})"
-        return f"-{s}"
+
+def _term_text(t: Term) -> str:
+    """The text of ``t``, a sum or difference bracketed right of ``-``.  An
+    explicit stack, so a long expression does not recurse."""
+    out: list[str] = []
+    stack: list = [t]  # a term to print, or text to write
+    while stack:
+        node = stack.pop()
+        cls = type(node)
+        if cls is Add:
+            stack += (node.right, "+", node.left)
+        elif cls is Sub or cls is Neg:
+            right = node.right if cls is Sub else node.operand
+            if type(right) is Add or type(right) is Sub:
+                stack += (")", right, "-(")
+            else:
+                stack += (right, "-")
+            if cls is Sub:
+                stack.append(node.left)
+        elif cls is str:
+            out.append(node)
+        else:
+            out.append(str(node))
+    return "".join(out)
 
 
 def subst_term(t: Term, env: dict[str, Term], fresh: Callable[[], Term] | None = None) -> Term:
@@ -150,21 +163,33 @@ def eval_term(t: Term, store: dict[str, int], draw: Callable[[], int] | None = N
     Without ``draw`` a wildcard raises ValueError and an unset variable
     KeyError.  With ``draw`` a wildcard evaluates to ``draw()`` and a
     variable to ``store.setdefault(name, draw())``, so every variable read
-    consumes one draw, set or not; seeded runs replay on that order.
+    consumes one draw, set or not; seeded runs replay on that order.  An
+    explicit stack, so a long expression does not recurse.
     """
-    if isinstance(t, Var):
-        return store[t.name] if draw is None else store.setdefault(t.name, draw())
-    if isinstance(t, Const):
-        return t.value
-    if isinstance(t, Wildcard) and draw is not None:
-        return draw()
-    if isinstance(t, Add):
-        return eval_term(t.left, store, draw) + eval_term(t.right, store, draw)
-    if isinstance(t, Sub):
-        return eval_term(t.left, store, draw) - eval_term(t.right, store, draw)
-    if isinstance(t, Neg):
-        return -eval_term(t.operand, store, draw)
-    raise ValueError(f"cannot evaluate {t!r}")
+    values: list[int] = []
+    stack: list = [t]  # a term to evaluate, or the class of one to combine
+    while stack:
+        node = stack.pop()
+        cls = type(node)
+        if cls is Var:
+            values.append(store[node.name] if draw is None else store.setdefault(node.name, draw()))
+        elif cls is Const:
+            values.append(node.value)
+        elif cls is Add or cls is Sub:
+            stack += (cls, node.right, node.left)  # the left side is read first
+        elif cls is Neg:
+            stack += (cls, node.operand)
+        elif cls is type:
+            if node is Neg:
+                values[-1] = -values[-1]
+            else:
+                right = values.pop()
+                values[-1] = values[-1] + right if node is Add else values[-1] - right
+        elif cls is Wildcard and draw is not None:
+            values.append(draw())
+        else:
+            raise ValueError(f"cannot evaluate {node!r}")
+    return values[0]
 
 
 Linear = tuple[dict[str, int], int]  # (coefficient of each variable, constant)

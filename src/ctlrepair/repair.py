@@ -79,14 +79,14 @@ def analyze(source: str, ctl_text: str | None = None, stats: dict | None = None)
 def _analyze(source: str, ctl_text: str | None, stats: dict | None) -> Analysis:
     """``analyze`` within the current entailment memo."""
     _count(stats, "analyses")
-    ast = fe.parse(source)
-    text = ctl_text or ast.ctl
+    parsed = fe.parse(source)
+    text = ctl_text or parsed.ctl
     if text is None:
         raise PropertyMissing(
             "no property: pass --ctl or add a first-line //@ ctl: annotation"
         )
     phi = ctl_mod.desugar(ctl_mod.parse_ctl(text))
-    cfg = fe.build_cfg(ast)
+    cfg = fe.build_cfg(parsed)
     try:
         gwre_result = gw.cfg_to_gwre(cfg)
     except gw.SummaryInconclusive as exc:

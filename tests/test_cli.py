@@ -51,6 +51,12 @@ def test_long_expression_verifies(run_cli, tmp_path):
     code, out, _ = run_cli("verify", source)
     assert code == 0
     assert out.startswith("Verified")
+    code, out, _ = run_cli("dump-gwre", source)
+    assert code == 0
+    assert out.count("+1") == 3000
+    code, out, _ = run_cli("simulate", "--seed", "1", source)
+    assert code == 0
+    assert 'store: {"x": 3000}' in out
 
 
 def test_verify_json_report(run_cli):

@@ -1,4 +1,7 @@
+import json
+import pathlib
 import random
+import re
 
 import pytest
 
@@ -155,9 +158,19 @@ def test_syntax_error_messages(stmt, message):
         # the leftmost undeclared variable, whatever the hash seed
         ("void main() { int x = 0; x = a + b + c + d; return; }", "use of undeclared variable 'a' in main"),
         ("void main() { int x = 0; if (p > q) { x = 1; } return; }", "use of undeclared variable 'p' in main"),
+        ("void main() { int x = 1 @ 2; return; }", "line 1:25: unexpected character '@'"),
+        (
+            "int f(int a) { int b = f(a); return b; }\nvoid main() { int y = f(1); return; }",
+            "recursive call to 'f' is not supported",
+        ),
+        # code after a return gets no node but is still checked
+        ("void main() { int x = 0; return; x = y; }", "use of undeclared variable 'y' in main"),
+        # a duplicate procedure is reported before any scope problem
+        ("void f() { x = 1; return; }\nvoid f() { return; }", "duplicate procedure names"),
     ],
     ids=["missing-semicolon", "number-as-name", "nondet-in-conjunction", "top-level-statement",
-         "duplicate-procedure", "undeclared-in-term", "undeclared-in-condition"],
+         "duplicate-procedure", "undeclared-in-term", "undeclared-in-condition", "bad-character",
+         "recursive-call", "undeclared-in-dead-code", "duplicate-before-undeclared"],
 )
 def test_syntax_errors_exit_three(run_cli, tmp_path, program, message):
     path = tmp_path / "prog.imp"
@@ -247,3 +260,160 @@ def test_spans_cover_statements(fixture_text):
     proc = program.procedures["main"]
     for span in proc.spans.values():
         assert 0 <= span.start <= span.end <= len(source)
+
+
+# ---------------------------------------------------------------------------
+# A seeded corpus of program texts and what parse and build_cfg make of each
+# ---------------------------------------------------------------------------
+
+IMP_CORPUS = pathlib.Path(__file__).parent / "goldens" / "parse_imp.json"
+
+# texts that reach what the fixtures and generated programs do not: bare
+# bodies, `+=`, `!`, `*` and constant conditions, loops left only by
+# `break` or `return`, and dead code
+HANDWRITTEN = [
+    """//@ ctl: AG(x >= 0)
+void main() {
+  int x;
+  int y = 0;
+  x += 3;
+  if (!(x > 2)) y = 1; else if (x == 3) y = 2; else { y = 3; }
+  while (x > 0) x = x - 1;
+  while (*) { if (y) break; y = y - 1; }
+  if (*) { x = -(y - 1); }
+  if (0) { x = 1; }
+  while (1) { if ((x > 0) || (y < 2 && x != y)) { return x; } x = x + y - (x - y); }
+}
+""",
+    """int f(int a, int b) {
+  while (a > b) { return a; }
+  while (b > 0) { while (a > 0) { if (a == 2) { break; } a = a - 1; } b = b - 1; break; }
+  return b - a;
+}
+void main() {
+  int u = f(1, 2);
+  int v = ext(u, u + 1, 3);
+  int w = ext();
+  if (u > v) { return; u = 1; } else { u = ext2(v); }
+}
+""",
+    """void main() {
+  int i = 0;
+  while (i < 10) {
+    i = i + 1;
+    if (i == 5) { break; i = 7; while (i > 0) { i = i - 1; } }
+    i = continue_here(i);
+  }
+}
+""",
+]
+
+DEAD = "int dd = 0; if (dd > 0) {{ dd = 1; }} while (dd < 3) {{ {stmt} }} {extra}dd = {call}; "
+
+
+def _mutants(rng: random.Random, text: str) -> list[tuple[str, str]]:
+    """Named variants of ``text``, each with one edit: the parse errors,
+    scope problems and dead code that ``parse`` must report or read."""
+
+    def insert_at(positions: list[int], snippet: str) -> str:
+        i = rng.choice(positions) if positions else len(text)
+        return text[:i] + snippet + text[i:]
+
+    after_semicolon = [m.end() for m in re.finditer(";", text)]
+    after_brace = [m.end() for m in re.finditer("{", text)]
+    after_return = [m.end() for m in re.finditer(r"\breturn[^;]*;", text)]
+    first_body = [m.end() for m in re.finditer(r"(?:void|int) \w+\([^)]*\)\s*{", text)]
+    out = [("as-is", text)]
+    if after_semicolon:
+        i = rng.choice(after_semicolon)
+        out.append(("drop-semicolon", text[: i - 1] + text[i:]))
+    out.append(("undeclared-assignment", insert_at(after_semicolon + after_brace, " zz = 1;")))
+    out.append(("break-outside-loop", insert_at(first_body, " break;")))
+    for name, stmt, extra, call in [
+        ("dead-code", "break;", "", "g(dd, 1)"),
+        ("dead-code-undeclared", "dd = qq;", "", "g(dd)"),
+        ("dead-code-stray-break", "break;", "break; ", "g()"),
+    ]:
+        dead = DEAD.format(stmt=stmt, extra=extra, call=call)
+        if after_return:
+            out.append((name, insert_at(after_return, " " + dead)))
+        else:
+            end = text.rindex("}")
+            out.append((name, text[:end] + "return; " + dead + text[end:]))
+    for name, args in [("later-callee", "a"), ("later-callee-arity", "a, 1")]:
+        head = f"int first(int a) {{ int r = later({args}); return r; }}\n"
+        out.append((name, head + text + "int later(int a) { return a; }\n"))
+    out.append(("second-main", text + "void main() { return; }\n"))
+    i = rng.randrange(len(text))
+    out.append(("bad-character", text[:i] + "@" + text[i:]))
+    return out
+
+
+def _imp_corpus() -> list[tuple[str, str]]:
+    """(name, text) of every fixture, 40 generated programs and the
+    handwritten texts, each as is and in every mutant; then 60 texts with
+    two mutations applied in turn, so that problems compete."""
+    rng = random.Random(30)
+    bases = [(p.name, p.read_text()) for p in sorted(FIXTURES.glob("*.imp"))]
+    bases += [(f"oracle-{seed}", oracle_programs.program(seed)) for seed in range(1000, 1040)]
+    bases += [(f"handwritten-{i}", text) for i, text in enumerate(HANDWRITTEN)]
+    corpus = []
+    for name, text in bases:
+        corpus += [(f"{name}/{kind}", mutant) for kind, mutant in _mutants(rng, text)]
+    for _ in range(60):
+        name, text = rng.choice(bases)
+        kind1, once = rng.choice(_mutants(rng, text)[1:])
+        kind2, twice = rng.choice(_mutants(rng, once)[1:])
+        corpus.append((f"{name}/{kind1}+{kind2}", twice))
+    return corpus
+
+
+def _node_text(node) -> str:
+    if isinstance(node, fe.Start):
+        return "S"
+    if isinstance(node, fe.ExitNode):
+        return "E"
+    if isinstance(node, fe.Join):
+        return "J"
+    if isinstance(node, fe.Prune):
+        return f"[{node.pi}]" + ("*" if node.nondet else "")
+    if isinstance(node, fe.Assign):
+        return f"{node.x}={node.t}"
+    if isinstance(node, fe.Call):
+        return f"{node.r}={node.p}({','.join(map(str, node.args))})"
+    if isinstance(node, fe.Return):
+        return f"ret {node.x}"
+    raise TypeError(node)
+
+
+def _lowered(text: str) -> str:
+    """The error message, or per procedure its parameters, each node with
+    its successors, the spans and loop_insert, all in dict order."""
+    try:
+        program = fe.build_cfg(fe.parse(text))
+    except fe.ImpSyntaxError as exc:
+        return f"ImpSyntaxError: {exc}"
+    procs = []
+    for name, proc in program.procedures.items():
+        assert list(proc.trans) == list(proc.nodes)
+        nodes = " ".join(
+            f"{nid}:{_node_text(node)}>{','.join(map(str, proc.trans[nid]))}"
+            for nid, node in proc.nodes.items()
+        )
+        spans = " ".join(f"{nid}@{s.start}-{s.end}" for nid, s in proc.spans.items())
+        loops = " ".join(f"{j}@{at}" for j, at in proc.loop_insert.items())
+        procs.append(f"{name}({','.join(proc.params)}) {proc.entry} | {nodes} | {spans} | {loops}")
+    return " || ".join(procs)
+
+
+def test_parse_corpus_matches_golden():
+    # every CFG and error message of the frontend over the corpus, pinned;
+    # to accept an intended change, delete the golden and run the test twice
+    record = [[name, _lowered(text)] for name, text in _imp_corpus()]
+    if not IMP_CORPUS.exists():
+        IMP_CORPUS.write_text("[\n" + ",\n".join(map(json.dumps, record)) + "\n]\n")
+        pytest.fail(f"wrote missing golden {IMP_CORPUS.name}; check it and rerun")
+    expected = json.loads(IMP_CORPUS.read_text())
+    assert [n for n, _ in record] == [n for n, _ in expected]
+    differing = [(n, got, want) for (n, got), (_, want) in zip(record, expected) if got != want]
+    assert not differing
