@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 import re
+from collections.abc import Generator
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -534,25 +535,41 @@ def _pp_cond(c) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Concrete CFG interpreter (test oracle for loop-summary soundness)
+# Concrete semantics: one step function, which every concrete run reads
 # ---------------------------------------------------------------------------
 
 
-def run_cfg(
+def steps(
     program: Program,
     proc_name: str,
     store: dict[str, int],
     rng: random.Random,
     max_steps: int = 10_000,
-    watch_join: int | None = None,
-) -> tuple[str, int, dict[str, int]]:
-    """Execute a procedure concretely.
+) -> Generator[tuple[int, dict[str, int]], None, str]:
+    """Run a procedure concretely, one node per step.
 
-    Returns (status, join_visits, final store) where status is one of
-    "return", "end", or "fuel".  ``join_visits`` counts arrivals at
-    ``watch_join`` (used to bound loop iterations in tests).  Calls to other
-    procedures execute recursively, and a callee that runs out of fuel ends
-    the caller's run with "fuel" too; wildcard values are drawn from ``rng``.
+    Yields ``(node_id, store)`` as each node is entered, with the store as
+    the node leaves it: an assignment's, a call's and a ``return``'s write
+    (to ``__ret__``) are in it.  A step that writes makes a new store, so a
+    yielded store never changes.  Returns the final status:
+
+    - ``"return"`` after a Return node;
+    - ``"end"`` after the Exit node, the run having fallen off the end of
+      the procedure.  That is not an ``Exit`` event: ``Exit(_)`` holds only
+      at a ``return``, so ``void main() { int y = 0; }`` is Violated under
+      ``AF(Exit(_))`` while its run ends with ``"end"``;
+    - ``"fuel"`` after ``max_steps`` steps, or after a call whose callee
+      ran out of fuel.
+
+    A call is one step.  The callee runs to its end through `run_cfg`
+    under its own ``max_steps``, and the stream shows only this
+    procedure's frame, so a property read off it can observe only the
+    caller's variables.  A callee that runs out of fuel writes nothing.
+
+    Values are drawn from ``rng`` in evaluation order, which seeded
+    replays and the goldens pin: ``randint(-8, 8)`` for each wildcard and
+    for the result of a call to a procedure the program does not define,
+    and ``choice`` of the successor at a ``*`` branch.
     """
     proc = program.procedures[proc_name]
     store = dict(store)
@@ -561,40 +578,59 @@ def run_cfg(
         return rng.randint(-8, 8)
 
     node_id = proc.entry
-    visits = 0
     for _ in range(max_steps):
         node = proc.nodes[node_id]
-        if isinstance(node, Return):
-            if node.x is not None:
-                store["__ret__"] = pl.eval_term(node.x, store, draw)
-            return "return", visits, store
-        if isinstance(node, ExitNode):
-            return "end", visits, store
-        if isinstance(node, Join) and node_id == watch_join:
-            visits += 1
         if isinstance(node, Assign):
-            store[node.x] = pl.eval_term(node.t, store, draw)
+            store = {**store, node.x: pl.eval_term(node.t, store, draw)}
+        elif isinstance(node, Return) and node.x is not None:
+            store = {**store, "__ret__": pl.eval_term(node.x, store, draw)}
         elif isinstance(node, Call):
             callee = program.procedures.get(node.p)
             if callee is None:
-                store[node.r] = draw()
+                store = {**store, node.r: draw()}
             else:
                 sub = {f: pl.eval_term(a, store, draw) for f, a in zip(callee.params, node.args)}
                 status, _, sub_store = run_cfg(program, node.p, sub, rng, max_steps)
                 if status == "fuel":
-                    return "fuel", visits, store
-                store[node.r] = sub_store.get("__ret__", draw())
+                    yield node_id, store
+                    return "fuel"
+                # the default is drawn even when the callee returned a value
+                store = {**store, node.r: sub_store.get("__ret__", draw())}
+        yield node_id, store
+        if isinstance(node, Return):
+            return "return"
         succs = proc.trans[node_id]
-        if not succs:
-            return "end", visits, store
+        if not succs:  # the Exit node
+            return "end"
         if isinstance(node, Join) and len(succs) == 2:
-            a, b = proc.nodes[succs[0]], proc.nodes[succs[1]]
+            a = proc.nodes[succs[0]]
             if isinstance(a, Prune) and a.nondet:
                 node_id = rng.choice(succs)
-                continue
-            node_id = succs[0] if pl.eval_pure(a.pi, store, draw) else succs[1]
-            continue
-        # Prune with a failing guard on a 1-successor chain cannot happen in
-        # lowered code; move on.
-        node_id = succs[0]
-    return "fuel", visits, store
+            else:
+                node_id = succs[0] if pl.eval_pure(a.pi, store, draw) else succs[1]
+        else:
+            # Prune with a failing guard on a 1-successor chain cannot happen
+            # in lowered code; move on.
+            node_id = succs[0]
+    return "fuel"
+
+
+def run_cfg(
+    program: Program,
+    proc_name: str,
+    store: dict[str, int],
+    rng: random.Random,
+    max_steps: int = 10_000,
+) -> tuple[str, int, dict[str, int]]:
+    """Run a procedure concretely: the fold of `steps` to its end.
+
+    Returns (status, the number of nodes entered, the final store).
+    """
+    run = steps(program, proc_name, store, rng, max_steps)
+    entered, final = 0, dict(store)
+    while True:
+        try:
+            _, final = next(run)
+        except StopIteration as stop:
+            return stop.value, entered, final
+        entered += 1

@@ -540,16 +540,6 @@ def test_negative_constant_guard_keeps_its_condition():
     assert verdict(source) == "holds"
 
 
-def _stores(program: fe.Program, seed: int, max_steps: int = 200):
-    """The store after each step of one sampled run of ``main``, read off
-    runs cut one step later each time."""
-    for steps in range(1, max_steps + 1):
-        status, _, store = fe.run_cfg(program, "main", {}, random.Random(seed), max_steps=steps)
-        yield store
-        if status != "fuel":
-            return
-
-
 def test_oracle_seed_1148_verifies_with_every_run_keeping_x_at_0():
     # with x, y and z set to 0 every run returns from the first while and
     # keeps x = 0.  That loop was summarized once per path into it, and
@@ -561,5 +551,5 @@ def test_oracle_seed_1148_verifies_with_every_run_keeping_x_at_0():
     assert verdict(source) == "holds"
     program = fe.build_cfg(fe.parse(source))
     for seed in range(16):
-        stores = list(_stores(program, seed))
-        assert all(store.get("x", 0) == 0 for store in stores), seed
+        run = fe.steps(program, "main", {}, random.Random(seed), max_steps=200)
+        assert all(store.get("x", 0) == 0 for _, store in run), seed

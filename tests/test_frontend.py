@@ -129,7 +129,7 @@ def test_run_cfg_runs_compound_conditions_and_short_forms():
 }
 """
     program = fe.build_cfg(fe.parse(src))
-    assert fe.run_cfg(program, "main", {}, random.Random(0)) == ("return", 0, {"x": 0, "y": 7})
+    assert fe.run_cfg(program, "main", {}, random.Random(0)) == ("return", 22, {"x": 0, "y": 7})
 
 
 @pytest.mark.parametrize(
@@ -185,13 +185,30 @@ def test_pp_cond_brackets_disjuncts():
     assert fe._pp_cond(cond) == "(x > 0 && x < 5) || (x == 2)"
 
 
-def test_run_cfg_replays_exact_draws(fixture_text):
-    program = fe.build_cfg(fe.parse(fixture_text("overview.imp")))
-    result = fe.run_cfg(program, "main", {}, random.Random(5))
-    assert result == ("end", 0, {"y": 5, "i": 0, "x": 3})
+@pytest.mark.parametrize(
+    "name, seed, max_steps, expected",
+    [
+        ("overview.imp", 5, 10_000, ("end", 10, {"y": 5, "i": 0, "x": 3})),
+        # a call is one step of the caller, and the callee runs on fuel of
+        # its own: counted against the caller's 10, the six steps of `pick`
+        # would cut this run short
+        ("calls.imp", 5, 10, ("end", 8, {"a": 0, "b": 0, "c": -7, "y": 0})),
+        ("calls.imp", 5, 40, ("end", 8, {"a": 0, "b": 0, "c": -7, "y": 0})),
+        ("calls.imp", 5, 10_000, ("end", 8, {"a": 0, "b": 0, "c": -7, "y": 0})),
+        # seed 7 enters the loop, which calls `subtitles` on each round
+        ("subtitle_loop.imp", 7, 10, ("fuel", 10, {"b": -6, "end": 2, "tmp": 5})),
+        ("subtitle_loop.imp", 7, 40, ("return", 22, {"b": 3, "end": 2, "tmp": 5})),
+        ("subtitle_loop.imp", 7, 10_000, ("return", 22, {"b": 3, "end": 2, "tmp": 5})),
+    ],
+    ids=["overview", "calls-10", "calls-40", "calls-10000", "subtitle_loop-10", "subtitle_loop-40",
+         "subtitle_loop-10000"],
+)
+def test_run_cfg_replays_exact_draws(fixture_text, name, seed, max_steps, expected):
+    program = fe.build_cfg(fe.parse(fixture_text(name)))
+    assert fe.run_cfg(program, "main", {}, random.Random(seed), max_steps) == expected
 
 
-def test_run_cfg_watch_join_counts_iterations():
+def test_steps_count_loop_iterations():
     src = """//@ ctl: AF(Exit(_))
 void main(int n) {
   while (n > 0) {
@@ -203,8 +220,20 @@ void main(int n) {
     program = fe.build_cfg(fe.parse(src))
     proc = program.procedures["main"]
     (join,) = [n for n, node in proc.nodes.items() if isinstance(node, fe.Join)]
-    _, visits, _ = fe.run_cfg(program, "main", {"n": 7}, random.Random(0), watch_join=join)
-    assert visits == 8  # 7 iterations plus the exiting guard check
+    run = list(fe.steps(program, "main", {"n": 7}, random.Random(0)))
+    assert sum(node_id == join for node_id, _ in run) == 8  # 7 iterations plus the exiting guard check
+    # each step's store is kept as it was: n as each node leaves it
+    assert [store["n"] for node_id, store in run if node_id == join] == [7, 6, 5, 4, 3, 2, 1, 0]
+
+
+def test_running_off_the_end_is_not_an_exit_event(run_cli, tmp_path):
+    # `Exit(_)` holds only at a `return`: a run that falls off the end of
+    # `main` ends with "end", and AF(Exit(_)) is violated
+    path = tmp_path / "prog.imp"
+    path.write_text("void main() { int y = 0; }\n")
+    program = fe.build_cfg(fe.parse(path.read_text()))
+    assert fe.run_cfg(program, "main", {}, random.Random(0)) == ("end", 3, {"y": 0})
+    assert run_cli("verify", "--ctl", "AF(Exit(_))", path) == (1, "Violated: AF(Exit(_))\n", "")
 
 
 def test_run_cfg_calls_and_return_value():
