@@ -534,23 +534,13 @@ class _Encoder:
 
     def effect_id(self, root: gw.Re) -> int:
         """The interned id of ``root``'s shape: structurally equal effects
-        share it.  One explicit-stack walk keys the nodes not keyed yet; a
+        share it.  One ``gw.postorder`` walk keys the nodes not keyed yet; a
         new shape gets the variables that its leaves mention or read at
         their states (``effect_vars``)."""
         effects, nid = self.effects, pl._node_id
-        stack = [root]
-        while stack:
-            node = stack[-1]
-            if id(node) in effects:
-                stack.pop()
-                continue
+        for node in gw.postorder(root, effects):
             cls = type(node)
             parts = gw._parts(node)
-            pending = [part for part in parts if id(part) not in effects]
-            if pending:
-                stack += pending
-                continue
-            stack.pop()
             if cls is gw.Seq:
                 sid = self.nil
                 for part in reversed(parts):
@@ -637,8 +627,8 @@ def read_sets(phi: gw.Re) -> dict[int, set[tuple]]:
     """Per state, the fact shapes that a guard rule out of it reads.
 
     A guard rule out of state ``s`` reads the conjuncts of a guard that can
-    follow ``s``; a state on several paths reads the union.  One postorder
-    pass, on an explicit stack, gives each node whether it is nullable, the
+    follow ``s``; a state on several paths reads the union.  One
+    ``gw.postorder`` pass gives each node whether it is nullable, the
     shapes its leading guards read and the states it can end at; a ``Seq``
     adds the follow step from the ends of each prefix of its items to the
     leading guards of the next item, and an ``Omega`` the step from its
@@ -654,14 +644,7 @@ def read_sets(phi: gw.Re) -> dict[int, set[tuple]]:
             for s in ends:
                 reads.setdefault(s, set()).update(shapes)
 
-    stack: list[tuple[gw.Re, bool]] = [(phi, False)]
-    while stack:
-        node, children_done = stack.pop()
-        if id(node) in info:
-            continue
-        if not children_done and (parts := gw._parts(node)):
-            stack += [(node, True)] + [(part, False) for part in parts]
-            continue
+    for node in gw.postorder(phi, info):
         if isinstance(node, gw.Ev):
             info[id(node)] = (False, none, frozenset((node.s,)))
         elif isinstance(node, gw.Guard):

@@ -45,11 +45,12 @@ that a walk starts from.  ``_Builder.walk`` is memoised on them, so a branch
 of a ``Join`` that several paths reach is one object on all of them, and a
 loop is summarized once per branch into it, with one set of summary-guard
 states, not once per path.  Every walk over an effect visits a shared node
-once and keeps it shared (``_leaves``, ``_map_leaves``, ``_replace_exit``),
-and what depends on how often a state occurs in the tree that the DAG stands
-for (``shared_states``, which ``renumber`` and the encoder read) is counted
-on the DAG.  Equality, ``str`` and ``_paths`` still read an effect as a
-tree.
+once and keeps it shared: ``_leaves`` in order, and ``postorder`` under
+``_tree_size``, ``_rewrite`` and the encoder's ``read_sets`` and
+``effect_id``.  What depends on how often a state occurs in the tree that
+the DAG stands for (``shared_states``, which ``renumber`` and the encoder
+read) is counted on the DAG.  Equality, ``str`` and ``_paths`` still read
+an effect as a tree.
 """
 
 from __future__ import annotations
@@ -321,49 +322,56 @@ def shared_states(re: Re) -> set[int]:
     return {s for s, n in counts.items() if n > 1} | {leaf.s for leaf in _leaves(*again)}
 
 
+def postorder(root: Re, seen) -> Iterator[Re]:
+    """The nodes of ``root`` whose ``id`` is not a key of ``seen``, each
+    after its parts, on an explicit stack.  The caller records each node in
+    ``seen`` before it asks for the next, so a shared node comes once."""
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if id(node) in seen:
+            stack.pop()
+            continue
+        pending = [part for part in _parts(node) if id(part) not in seen]
+        if pending:
+            stack += reversed(pending)
+            continue
+        stack.pop()
+        yield node
+
+
 def _tree_size(re: Re) -> tuple[int, int]:
     """How many nodes ``re`` has, and how many leaves it has read as a
     tree; each node is walked once."""
     leaves: dict[int, int] = {}
-
-    def count(node: Re) -> int:
-        if id(node) not in leaves:
-            parts = _parts(node)
-            leaves[id(node)] = sum(map(count, parts)) if parts else int(isinstance(node, (Ev, Guard)))
-        return leaves[id(node)]
-
-    total = count(re)
-    return len(leaves), total
+    for node in postorder(re, leaves):
+        parts = _parts(node)
+        if parts:
+            leaves[id(node)] = sum(leaves[id(part)] for part in parts)
+        else:
+            leaves[id(node)] = int(isinstance(node, (Ev, Guard)))
+    return len(leaves), leaves[id(re)]
 
 
 def _rewrite(re: Re, fn: Callable[[Re], Re | None]) -> Re:
     """``re`` with each node that ``fn`` maps to an effect replaced by it,
-    and the parts of every other node rewritten; a shared node is rewritten
-    once, and its image is shared as it was."""
+    and every other node rebuilt from the images of its parts; a shared node
+    is rewritten once, and its image is shared as it was.  ``fn`` is asked of
+    each node after its parts, so of the parts of a node it replaces too."""
     done: dict[int, Re] = {}
-
-    def go(node: Re) -> Re:
-        out = done.get(id(node))
+    for node in postorder(re, done):
+        out = fn(node)
         if out is None:
-            out = fn(node)
-            if out is None:
-                if isinstance(node, Seq):
-                    out = seq(*map(go, node.items))
-                elif isinstance(node, OrRe):
-                    out = or_(*map(go, node.alts))
-                elif isinstance(node, Omega):
-                    out = Omega(go(node.body))
-                else:
-                    out = node
-            done[id(node)] = out
-        return out
-
-    return go(re)
-
-
-def _map_leaves(re: Re, fn: Callable[[Ev | Guard], Re]) -> Re:
-    """``re`` with every event and guard replaced by ``fn`` of it."""
-    return _rewrite(re, lambda node: fn(node) if isinstance(node, (Ev, Guard)) else None)
+            if isinstance(node, Seq):
+                out = seq(*(done[id(item)] for item in node.items))
+            elif isinstance(node, OrRe):
+                out = or_(*(done[id(alt)] for alt in node.alts))
+            elif isinstance(node, Omega):
+                out = Omega(done[id(node.body)])
+            else:
+                out = node
+        done[id(node)] = out
+    return done[id(re)]
 
 
 def states_of(re: Re) -> list[int]:
@@ -387,24 +395,11 @@ def _assigned_vars(re: Re) -> set[str]:
 
 
 def _map_states(re: Re, mapping: dict[int, int]) -> Re:
-    return _map_leaves(re, lambda leaf: replace(leaf, s=mapping.get(leaf.s, leaf.s)))
-
-
-def _subst_re(re: Re, env: dict[str, pl.Term], rename: dict[str, str]) -> Re:
-    """Rename assigned variables and substitute into read positions."""
-
-    def subst(leaf: Ev | Guard) -> Re:
-        if isinstance(leaf, Guard):
-            return replace(leaf, pi=pl.subst_pure(leaf.pi, env))
-        assigns = tuple(
-            (rename.get(v, v), pl.subst_term(t, env)) for v, t in leaf.assigns
-        )
-        rels = tuple(
-            pl.Rel(r.name, tuple(pl.subst_term(a, env) for a in r.args)) for r in leaf.rels
-        )
-        return replace(leaf, assigns=assigns, constraint=pl.subst_pure(leaf.constraint, env), rels=rels)
-
-    return _map_leaves(re, subst)
+    """``re`` with the state of every event and guard mapped by ``mapping``."""
+    return _rewrite(
+        re,
+        lambda node: replace(node, s=mapping.get(node.s, node.s)) if isinstance(node, (Ev, Guard)) else None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -764,40 +759,46 @@ class _Builder:
             body = self.walk(callee, callee.entry)
         finally:
             self.inline_stack.pop()
-        # Freshen the callee's local names and states per call site.
+        # Freshen the callee's local names and states per call site, and make
+        # each Exit block an assignment of the returned value to the result.
         rename = {
             v: f"{v}__{node.s}"
             for v in (_assigned_vars(body) | set(callee.params))
         }
         env = {v: pl.Var(n) for v, n in rename.items()}
-        body = _subst_re(body, env, rename)
         remap = {
             s: self.fresh(Origin("stmt", node=node.s, proc=proc.name))
             for s in states_of(body)
         }
-        body = _map_states(body, remap)
-        body = self._replace_exit(body, node.r)
+
+        def freshen(part: Re) -> Re | None:
+            if isinstance(part, Guard):
+                return Guard(pl.subst_pure(part.pi, env), remap[part.s])
+            if isinstance(part, Ev):
+                return Ev(
+                    s=remap[part.s],
+                    assigns=tuple((rename.get(v, v), pl.subst_term(t, env)) for v, t in part.assigns),
+                    constraint=pl.subst_pure(part.constraint, env),
+                    rels=tuple(pl.Rel(r.name, tuple(pl.subst_term(a, env) for a in r.args)) for r in part.rels),
+                )
+            # The walk goes inside omega blocks, as freshening must, and so
+            # replaces every Exit block.  That is exact: an Exit block never
+            # sits inside another omega block, since the encoder rejects
+            # nested omega blocks and a summary puts none in a clean branch.
+            exit_ev = part.body if isinstance(part, Omega) else None
+            if isinstance(exit_ev, Ev) and exit_ev.rels and exit_ev.rels[0].name == "Exit":
+                args = exit_ev.rels[0].args
+                value = pl.subst_term(args[0], env) if args else pl.Wildcard()
+                return Ev(s=remap[exit_ev.s], assigns=((node.r, value),))
+            return None
+
+        body = _rewrite(body, freshen)
         prefix: list[Re] = []
         for formal, actual in zip(callee.params, node.args):
             sid = self.fresh(Origin("stmt", node=node.s, proc=proc.name))
             prefix.append(Ev(s=sid, assigns=((rename[formal], actual),)))
         inlined = seq(*prefix, body)
         return self._peephole_chain(inlined)
-
-    def _replace_exit(self, re: Re, result_var: str) -> Re:
-        """``re`` with each ``Exit`` omega block outside omega blocks made an
-        assignment of the returned value to ``result_var``."""
-
-        def assign(node: Re) -> Re | None:
-            if not isinstance(node, Omega):
-                return None
-            body = node.body
-            if isinstance(body, Ev) and body.rels and body.rels[0].name == "Exit":
-                value = body.rels[0].args[0] if body.rels[0].args else pl.Wildcard()
-                return Ev(s=body.s, assigns=((result_var, value),))
-            return node
-
-        return _rewrite(re, assign)
 
     def _peephole_chain(self, re: Re) -> Re:
         """Simplify a straight-line inlined chain of plain assignments."""

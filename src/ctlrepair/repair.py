@@ -106,28 +106,16 @@ def _analyze(source: str, ctl_text: str | None, stats: dict | None) -> Analysis:
 
 
 @dataclass(frozen=True)
-class DeleteFact:
-    representative: Atom
+class FactDelta:
+    """A change to the facts: ``op`` is ``delete`` (a family, by its
+    representative), ``add`` or ``update``; ``fields`` are the report's
+    entries after ``op``, in order, each an atom."""
+
+    op: str
+    fields: tuple[tuple[str, Atom], ...]
 
     def to_json(self) -> dict:
-        return {"op": "delete", "fact": str(self.representative)}
-
-
-@dataclass(frozen=True)
-class AddFact:
-    atom: Atom
-
-    def to_json(self) -> dict:
-        return {"op": "add", "fact": str(self.atom)}
-
-
-@dataclass(frozen=True)
-class UpdateFact:
-    old: Atom
-    new: Atom
-
-    def to_json(self) -> dict:
-        return {"op": "update", "old": str(self.old), "new": str(self.new)}
+        return {"op": self.op, **{name: str(atom) for name, atom in self.fields}}
 
 
 @dataclass(frozen=True)
@@ -460,7 +448,7 @@ def _synthesize(analysis: Analysis, cand: _Candidate):
         if edit is None:
             return None
         edits.append(edit)
-        deltas.append(UpdateFact(_fam_representative(fam), cand.adds[0]))
+        deltas.append(FactDelta("update", (("old", _fam_representative(fam)), ("new", cand.adds[0]))))
         anchor = max(anchor, fam.def_state)
     plain_deletes = [f for f in cand.deletes if f is not fam]
     plain_adds = cand.adds if fam is None else ()
@@ -469,14 +457,14 @@ def _synthesize(analysis: Analysis, cand: _Candidate):
         if exit_edit is None:
             return None
         edits.append(exit_edit)
-        deltas.extend(DeleteFact(_fam_representative(f)) for f in plain_deletes)
+        deltas.extend(FactDelta("delete", (("fact", _fam_representative(f)),)) for f in plain_deletes)
         anchor = max(anchor, exit_anchor)
     for a in plain_adds:
         edit = _insert_assign(analysis, a)
         if edit is None:
             return None
         edits.append(edit)
-        deltas.append(AddFact(a))
+        deltas.append(FactDelta("add", (("fact", a),)))
         anchor = max(anchor, a.args[-1] if isinstance(a.args[-1], int) else 0)
     if not edits:
         return None
@@ -641,8 +629,8 @@ def _estimated_cost(cand: _Candidate) -> int:
 def _within_caps(deltas: tuple, config: RepairConfig) -> bool:
     """A whole patch deletes at most ``max_delete`` families and adds at most
     ``max_add`` facts; an update is one of each."""
-    deletes = sum(not isinstance(d, AddFact) for d in deltas)
-    adds = sum(not isinstance(d, DeleteFact) for d in deltas)
+    deletes = sum(d.op != "add" for d in deltas)
+    adds = sum(d.op != "delete" for d in deltas)
     return deletes <= config.max_delete and adds <= config.max_add
 
 

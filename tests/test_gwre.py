@@ -371,3 +371,140 @@ void main() {
 }
 """
     assert verdict(source) == "unknown"
+
+
+_LOOPING_CALLEES = """//@ ctl: AF(Exit(_))
+int count(int n) {
+  int i = 0;
+  while (i < n) { i = i + 1; }
+  return i;
+}
+int spin(int k) {
+  if (k > 5) { return; }
+  while (1) { }
+  return k;
+}
+void main() {
+  int a = *;
+  int b = count(a);
+  int c = count(b);
+  int d = spin(c);
+  return;
+}
+"""
+
+
+def test_inlining_callees_with_loops_and_a_bare_return(run_cli, tmp_path):
+    # one rewrite per call freshens the callee's names and states, keeps its
+    # loop summaries, and makes each Exit block, with a value (count) or
+    # without one (spin's bare return), an assignment to the result; spin's
+    # omega block stays one
+    source = tmp_path / "callees.imp"
+    source.write_text(_LOOPING_CALLEES)
+    code, out, _ = run_cli("dump-gwre", source)
+    assert code == 0
+    assert out == (
+        "(a=*)@1·(n__19=a)@2·(i__19=0)@3·([i__19>=n__19]@4"
+        "·(b=i__19)@7 \\/ [i__19<n__19]@5·(i__19=n__19, i__19>=n__19)@6"
+        "·(b=i__19)@7)·(n__20=b)@8·(i__20=0)@9·([i__20>=n__20]@10"
+        "·(c=i__20)@11 \\/ [i__20<n__20]@13·(i__20=n__20, i__20>=n__20)@14"
+        "·(c=i__20)@11)·(k__21=c)@12·([k__21>5]@15·(d=*)@16 \\/ [k__21<=5]@17"
+        "·((T)@19)^w)·((Exit())@18)^w\n"
+    )
+    code, out, _ = run_cli("dump-datalog", source)
+    assert code == 0
+    assert out == """flow(3, 4) :- GtEqVar("i__19", "n__19", 3).
+flow(9, 10) :- GtEqVar("i__20", "n__20", 9).
+flow(12, 15) :- Gt("k__21", 5, 12).
+flow(12, 17) :- LtEq("k__21", 5, 12).
+flow(9, 13) :- LtVar("i__20", "n__20", 9).
+flow(3, 5) :- LtVar("i__19", "n__19", 3).
+Exit(S) :- Exit(S).
+AFT_Exit(S, S1) :- Cyc(S), !Exit(S), flow(S, S1).
+AFT_Exit(S, S1) :- AFT_Exit(S, S2), !Exit(S2), flow(S2, S1).
+AFS_Exit(S) :- AFT_Exit(S, S).
+AFS_Exit(S) :- !Exit(S), flow(S, S1), AFS_Exit(S1).
+AF_Exit(S) :- State(S), !AFS_Exit(S).
+flow(1, 2).
+flow(2, 3).
+GtEqVar("i__19", "n__19", 3).
+LtVar("i__19", "n__19", 3).
+flow(4, 7).
+flow(7, 8).
+flow(8, 9).
+GtEqVar("i__20", "n__20", 9).
+flow(10, 11).
+flow(11, 12).
+LtEq("k__21", 5, 12).
+flow(15, 16).
+flow(16, 18).
+flow(18, 18).
+flow(17, 19).
+flow(19, 19).
+flow(13, 14).
+flow(14, 11).
+flow(5, 6).
+GtEqVar("i__19", "n__19", 6).
+flow(6, 7).
+LtVar("i__20", "n__20", 9).
+GtEqVar("i__20", "n__20", 14).
+Gt("k__21", 5, 12).
+Exit(18).
+State(1).
+State(2).
+State(3).
+State(4).
+State(7).
+State(8).
+State(9).
+State(10).
+State(11).
+State(12).
+State(15).
+State(16).
+State(18).
+State(17).
+State(19).
+State(13).
+State(14).
+State(5).
+State(6).
+Cyc(18).
+Cyc(19).
+"""
+
+
+def _diamonds(n: int) -> gw.Re:
+    """``n`` diamonds in a chain: each a guard, then a choice whose two
+    alternatives are one object, the diamond before it."""
+    d = gw.Ev(s=0)
+    for i in range(1, n + 1):
+        d = gw.seq(gw.Guard(pl.TRUE, i), gw.or_(d, d))
+    return d
+
+
+def test_effect_walks_visit_a_shared_node_once():
+    d = _diamonds(60)
+    assert gw._tree_size(d) == (181, 2**61 - 1)
+    node = gw._map_states(d, {i: i + 100 for i in range(61)})
+    for i in range(60, 0, -1):
+        guard, choice = node.items
+        assert guard == gw.Guard(pl.TRUE, i + 100)
+        left, right = choice.alts
+        assert left is right
+        node = left
+    assert node == gw.Ev(s=100)
+
+
+def test_effect_walks_do_not_recurse_as_deep_as_the_effect_nests():
+    e = gw.Ev(s=0)
+    for i in range(1, 3001):
+        e = gw.or_(gw.seq(gw.Guard(pl.TRUE, i), e), gw.Ev(s=-i))
+    assert gw._tree_size(e) == (12001, 6001)
+    node = gw._map_states(e, {0: 7, 1: 8})
+    assert gw._tree_size(node) == (12001, 6001)
+    for i in range(3000, 0, -1):
+        path, other = node.alts
+        guard, node = path.items
+        assert guard.s == (8 if i == 1 else i) and other == gw.Ev(s=-i)
+    assert node == gw.Ev(s=7)

@@ -53,7 +53,7 @@ def test_value_for_comparisons():
 def test_rank_patches_orders_by_cost_then_latest_anchor():
     def patch(cost, anchor, tag):
         return rp.Patch(
-            deltas=(rp.AddFact(Atom("Eq", ("y", 5, tag))),),
+            deltas=(rp.FactDelta("add", (("fact", Atom("Eq", ("y", 5, tag))),)),),
             edits=(),
             source="",
             cost=cost,
@@ -70,7 +70,7 @@ def test_rank_patches_orders_by_cost_then_latest_anchor():
 def test_rank_patches_deterministic_under_input_order():
     def patch(cost, anchor, tag):
         return rp.Patch(
-            deltas=(rp.AddFact(Atom("Eq", ("y", 5, tag))),),
+            deltas=(rp.FactDelta("add", (("fact", Atom("Eq", ("y", 5, tag))),)),),
             edits=(),
             source="",
             cost=cost,
@@ -144,7 +144,7 @@ def test_generated_program_with_reordered_signs_is_repaired():
 
 
 def _families_deleted(patch: rp.Patch) -> int:
-    return sum(isinstance(d, (rp.DeleteFact, rp.UpdateFact)) for d in patch.deltas)
+    return sum(d.op in ("delete", "update") for d in patch.deltas)
 
 
 @pytest.mark.parametrize("max_delete, most", [(1, 1), (2, 2)])
@@ -156,7 +156,7 @@ def test_max_delete_caps_deleted_families(fixture_text, max_delete, most):
 
 
 def _facts_added(patch: rp.Patch) -> int:
-    return sum(isinstance(d, (rp.AddFact, rp.UpdateFact)) for d in patch.deltas)
+    return sum(d.op in ("add", "update") for d in patch.deltas)
 
 
 def test_caps_bound_the_whole_patch_across_rounds(fixture_text):
@@ -189,9 +189,9 @@ def test_template_order_restricts_search(fixture_text):
     result = rp.repair_loop(src, rp.RepairConfig(template_order=("delete",)))
     assert result.patches
     for patch in result.patches:
-        assert all(isinstance(d, rp.DeleteFact) for d in patch.deltas)
+        assert all(d.op == "delete" for d in patch.deltas)
     full = rp.repair_loop(src, rp.RepairConfig())
-    assert any(isinstance(d, rp.UpdateFact) for p in full.patches for d in p.deltas)
+    assert any(d.op == "update" for p in full.patches for d in p.deltas)
 
 
 def test_unknown_template_rejected(fixture_text):
