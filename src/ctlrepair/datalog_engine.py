@@ -156,6 +156,7 @@ _TOKEN = re.compile(
     r'|(?P<tok>:-|[(),.!]|"[^"]*"|-?\d+|[A-Za-z_][A-Za-z0-9_]*)'
     r"|(?P<bad>.)"
 )
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # a predicate or a variable
 
 
 def _tokenize(text: str) -> list[str]:
@@ -181,22 +182,28 @@ def parse_program(text: str) -> DatalogProgram:
 
     def parse_atom():
         nonlocal i
-        name = tokens[i]
+        name = peek()
+        if not _NAME.fullmatch(name):
+            raise DatalogError(f"expected a predicate, found {name!r}")
         i += 1
         args = []
         if i < len(tokens) and tokens[i] == "(":
             i += 1
             while peek() != ")":
+                if args:
+                    if peek() != ",":
+                        raise DatalogError(f"expected ',' or ')' in the arguments of {name}, found {peek()!r}")
+                    i += 1
                 tok = peek()
                 if tok.startswith('"'):
                     args.append(tok[1:-1])
                 elif re.fullmatch(r"-?\d+", tok):
                     args.append(int(tok))
-                else:
+                elif _NAME.fullmatch(tok):
                     args.append(DVar(tok))
+                else:
+                    raise DatalogError(f"expected an argument of {name}, found {tok!r}")
                 i += 1
-                if peek() == ",":
-                    i += 1
             i += 1
         return Atom(name, tuple(args))
 

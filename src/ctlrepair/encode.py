@@ -24,10 +24,11 @@ al., POPL 2002):
 The walk is one loop over an explicit stack, in this order (the lists of
 facts, rules and families follow it):
 
-- depth first over the derivatives, taking the leading segments of an
-  effect in ``gw.first`` order;
+- depth first over the pairs of each effect's linear form
+  (``gw.linear_form``: a leading segment and what remains after it), in
+  its order;
 - a segment's store update, incoming flow and emitted facts come before
-  its derivative is walked;
+  what remains after it is walked;
 - an omega block walks its body, collecting the states where the body may
   end (its terminals), then adds the flow from each terminal back to each
   head of the body.  Nested omega blocks raise ``TypeError``.
@@ -397,17 +398,17 @@ class _Encoder:
 
     def walk(self, phi: gw.Re) -> None:
         """Walk ``phi`` from the entry; see the module docstring for the order."""
-        # A work item is (step, phi, prev, store, terminals): step _ENTER
-        # enters phi reached from prev, a leading segment of phi takes it,
-        # and _CLOSE closes the omega block whose body is phi.  terminals is
-        # None outside omega bodies, else the enclosing body's terminal list.
-        # _DONE ends the _Walk phi.
+        # A work item is (step, phi, rest, prev, store, terminals): step
+        # _ENTER enters phi reached from prev, a leading segment of phi takes
+        # it and leaves rest, and _CLOSE closes the omega block whose body is
+        # phi.  terminals is None outside omega bodies, else the enclosing
+        # body's terminal list.  _DONE ends the _Walk phi.
         self.shared = gw.shared_states(phi)
-        work: list[tuple] = [(_ENTER, phi, -1, SymStore(), None)]
+        work: list[tuple] = [(_ENTER, phi, None, -1, SymStore(), None)]
         while work:
-            step, phi, prev, store, terminals = work.pop()
+            step, phi, rest, prev, store, terminals = work.pop()
             if step is _CLOSE:
-                heads = gw.first(phi)
+                heads = [h for h, _ in gw.linear_form(phi)[0]]
                 for t in terminals:
                     for h in heads:
                         if isinstance(h, gw.Ev):
@@ -415,22 +416,22 @@ class _Encoder:
                         else:
                             self.guard_rule(t, h.s, h.pi)
             elif step is _ENTER:
-                if gw.nullable(phi) and prev >= 0:
+                pairs, nullable = gw.linear_form(phi)
+                if nullable and prev >= 0:
                     if terminals is None:
                         self.add_flow(prev, prev)
                     elif prev not in terminals:
                         terminals.append(prev)
-                work.extend((f, phi, prev, store, terminals) for f in reversed(gw.first(phi)))
+                work.extend((f, phi, rest, prev, store, terminals) for f, rest in reversed(pairs))
             elif step is _DONE:
                 phi.end = len(self.writes)
             elif isinstance(step, gw.Omega):
                 if terminals is not None:
                     raise TypeError("nested omega blocks are not supported")
                 body_terminals: list[int] = []
-                work.append((_CLOSE, step.body, -1, None, body_terminals))
-                work.append((_ENTER, step.body, prev, store, body_terminals))
+                work.append((_CLOSE, step.body, None, -1, None, body_terminals))
+                work.append((_ENTER, step.body, None, prev, store, body_terminals))
             else:
-                rest = gw.derivative(step, phi)
                 if isinstance(step, gw.Ev):
                     if prev >= 0:
                         self.add_flow(prev, step.s)
@@ -442,7 +443,7 @@ class _Encoder:
                         self.merged += 1
                         self.replay(earlier)
                         continue
-                    work.append((_DONE, walk, -1, None, None))
+                    work.append((_DONE, walk, None, -1, None, None))
                 elif terminals is None:
                     self.shared.add(step.s)  # entered again, it is shared
                 if isinstance(step, gw.Ev):
@@ -451,7 +452,7 @@ class _Encoder:
                 else:
                     store = self.apply_guard(step, store)
                     self.emit(step.s, store)
-                work.append((_ENTER, rest, step.s, store, terminals))
+                work.append((_ENTER, rest, None, step.s, store, terminals))
 
     # -- merging ----------------------------------------------------------------
 
@@ -571,7 +572,8 @@ class _Encoder:
     def cons(self, head: int, tail: int) -> int:
         """The shape id of the sequence of ``head`` then ``tail``: a sequence
         is its first item followed by the sequence of the others, so that
-        what ``gw.derivative`` leaves of it is its entry in ``tails``."""
+        what ``gw.linear_form`` leaves of it after its first item is its entry
+        in ``tails``."""
         if tail == self.nil:
             return head
         shape = (gw.Seq, head, tail)
@@ -668,7 +670,7 @@ def read_sets(phi: gw.Re) -> dict[int, set[tuple]]:
             follow(bl, bf)
             info[id(node)] = (False, bf, none)  # an omega block is never left
         else:  # Eps, LoopMark, Bot
-            info[id(node)] = (gw.nullable(node), none, none)
+            info[id(node)] = (not isinstance(node, gw.Bot), none, none)
     return reads
 
 

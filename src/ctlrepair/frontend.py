@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 import re
-from collections.abc import Generator
+from collections.abc import Callable, Generator
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -208,6 +208,18 @@ class _Parser:
         self.i += 1
         return tok
 
+    def listing(self, entry: Callable[[], object]) -> list:
+        """A parenthesized list of what ``entry`` reads, ``,`` between each
+        two entries."""
+        self.take("(")
+        out = []
+        while self.peek().text != ")":
+            if out:
+                self.take(",")
+            out.append(entry())
+        self.take(")")
+        return out
+
     def end_of_last(self) -> int:
         """The offset just past the last token taken."""
         tok = self.tokens[self.i - 1]
@@ -334,13 +346,7 @@ class _Parser:
         maker of the node that writes it to ``name``."""
         if self.peek().kind == "id" and self.peek(1).text == "(":
             callee = self.take(kind="id").text
-            self.take("(")
-            args: list[pl.Term] = []
-            while self.peek().text != ")":
-                args.append(self.parse_expr())
-                if self.peek().text == ",":
-                    self.take(",")
-            self.take(")")
+            args = self.listing(self.parse_expr)
             self.problems.append((callee, len(args), self.proc.name))
             self.reads(*args)
             return partial(Call, callee, tuple(args), name)
@@ -461,20 +467,17 @@ class _Parser:
             return self.block(preds, breaks)[0]
         return self.stmt(preds, breaks)
 
+    def param(self) -> str:
+        self.take("int")
+        return self.take(kind="id").text
+
     def procedure(self) -> Procedure:
         if self.peek().text not in ("int", "void"):
             tok = self.peek()
             raise ImpSyntaxError(f"{self.where(tok)}: expected a procedure, found {tok.text!r}")
         self.take()
         name = self.take(kind="id").text
-        self.take("(")
-        params: list[str] = []
-        while self.peek().text != ")":
-            self.take("int")
-            params.append(self.take(kind="id").text)
-            if self.peek().text == ",":
-                self.take(",")
-        self.take(")")
+        params = self.listing(self.param)
         self.proc = Procedure(name, tuple(params), entry=self.next_id)  # the Start node, next
         self.declared = set(params)
         tails, _ = self.block([self.node(Start, [])], None)

@@ -10,7 +10,7 @@ analysis of the cycle body; inconclusive loops raise
 Sequences and choices are flat.  A ``Seq`` holds at least two items, none
 of them ``Eps``, ``Bot`` or ``Seq``; an ``OrRe`` holds at least two
 alternatives, none of them ``Bot`` or ``OrRe``.  ``seq`` and ``or_`` build
-them, splicing nested ones in and dropping units (``derivative`` also
+them, splicing nested ones in and dropping units (``linear_form`` also
 slices the items of a sequence), so a sequence or choice is the same node
 however its parts were grouped, and recursion over an effect goes as deep
 as the program nests, not as long as it runs.
@@ -155,7 +155,7 @@ class Omega(Re):
     body: Re
 
     def __post_init__(self) -> None:
-        if nullable(self.body):
+        if linear_form(self.body)[1]:
             raise ValueError("omega body must not accept the empty trace")
 
     def __str__(self) -> str:
@@ -210,76 +210,62 @@ def _items(re: Re) -> list[Re]:
 
 
 # ---------------------------------------------------------------------------
-# nullable / first / derivative
+# The linear form
 # ---------------------------------------------------------------------------
 
 
-def nullable(re: Re) -> bool:
-    if isinstance(re, (Eps, LoopMark)):
-        return True
-    if isinstance(re, (Bot, Ev, Guard, Omega)):
-        return False
-    if isinstance(re, Seq):
-        return all(map(nullable, re.items))
-    if isinstance(re, OrRe):
-        return any(map(nullable, re.alts))
-    raise TypeError(f"not an effect: {re!r}")
+def linear_form(re: Re) -> tuple[list[tuple[Re, Re]], bool]:
+    """Each leading segment of ``re`` (an event, a guard or an omega block)
+    paired with what remains of ``re`` after it, and whether ``re`` accepts
+    the empty trace (the linear form of Antimirov, TCS 1996).
 
-
-def first(re: Re) -> list[Re]:
-    """Leading segments (events, guards, or omega blocks), deduplicated."""
-    out: list[Re] = []
-
-    def add(seg: Re) -> None:
-        if seg not in out:
-            out.append(seg)
-
-    def walk(node: Re) -> None:
-        if isinstance(node, (Bot, Eps, LoopMark)):
-            return
-        if isinstance(node, (Ev, Guard, Omega)):
-            add(node)
-            return
-        if isinstance(node, Seq):
-            for item in node.items:
-                walk(item)
-                if not nullable(item):
-                    return
-            return
-        if isinstance(node, OrRe):
-            for alt in node.alts:
-                walk(alt)
-            return
-        raise TypeError(f"not an effect: {node!r}")
-
-    walk(re)
-    return out
-
-
-def derivative(seg: Re, re: Re) -> Re:
-    """What remains of ``re`` after consuming the leading segment ``seg``."""
-    if isinstance(re, (Bot, Eps, LoopMark)):
-        return BOT
+    A segment comes once, where it first occurs left to right; equal
+    segments are one, and their rests are joined.  An omega block is never
+    left, so it pairs with ``BOT``.  A sequence's rest is the rest of the
+    item the segment starts followed by the items after it; an item fully
+    consumed leaves those items as they stand."""
     if isinstance(re, (Ev, Guard)):
-        return EPS if re == seg else BOT
+        return [(re, EPS)], False
     if isinstance(re, Omega):
-        return BOT  # an omega block, once entered, is never left
-    if isinstance(re, Seq):
-        # seg can start any item up to and including the first that is not
-        # nullable; an item fully consumed leaves the rest as it stands
-        outs: list[Re] = []
-        for i, item in enumerate(re.items):
-            head, rest = derivative(seg, item), re.items[i + 1 :]
-            if isinstance(head, Eps):
-                outs.append(Seq(rest) if len(rest) > 1 else rest[0] if rest else EPS)
-            elif not isinstance(head, Bot):
-                outs.append(seq(head, *rest))
-            if not nullable(item):
-                break
-        return or_(*outs)
+        return [(re, BOT)], False
+    if isinstance(re, (Eps, LoopMark)):
+        return [], True
+    if isinstance(re, Bot):
+        return [], False
+    segs: list[Re] = []
+    rests: list[list[Re]] = []
+
+    def add(seg: Re, rest: Re) -> None:
+        for known, group in zip(segs, rests):
+            if known is seg or known == seg:
+                group.append(rest)
+                return
+        segs.append(seg)
+        rests.append([rest])
+
     if isinstance(re, OrRe):
-        return or_(*(derivative(seg, alt) for alt in re.alts))
-    raise TypeError(f"not an effect: {re!r}")
+        nullable = False
+        for alt in re.alts:
+            pairs, alt_nullable = linear_form(alt)
+            for seg, rest in pairs:
+                add(seg, rest)
+            nullable = nullable or alt_nullable
+    elif isinstance(re, Seq):
+        # a segment can start any item up to and including the first that
+        # is not nullable; the sequence is nullable if no item is not
+        for i, item in enumerate(re.items):
+            pairs, nullable = linear_form(item)
+            after = re.items[i + 1 :]
+            for seg, head in pairs:
+                if isinstance(head, Eps):
+                    add(seg, Seq(after) if len(after) > 1 else after[0] if after else EPS)
+                else:
+                    add(seg, seq(head, *after))
+            if not nullable:
+                break
+    else:
+        raise TypeError(f"not an effect: {re!r}")
+    return [(seg, or_(*group)) for seg, group in zip(segs, rests)], nullable
 
 
 def _parts(re: Re) -> tuple[Re, ...]:
@@ -456,7 +442,7 @@ def renumber(re: Re) -> tuple[Re, dict[int, int]]:
             if not isinstance(item, (Ev, Guard, Omega)):
                 continue
             # an omega block is entered at the head of its body
-            head = first(item.body)[:1] if isinstance(item, Omega) else [item]
+            head = [seg for seg, _ in linear_form(item.body)[0][:1]] if isinstance(item, Omega) else [item]
             if (
                 not assigning_shared
                 and head
@@ -1165,8 +1151,8 @@ def cfg_to_gwre(program: fe.Program) -> GwreResult:
     except SummaryInconclusive:
         log.debug("gwre: inconclusive, %d row-limit give-ups", pl.give_ups - give_ups)
         raise
-    firsts = first(phi)
-    if len(firsts) != 1 or nullable(phi) or isinstance(firsts[0], Omega):
+    pairs, nullable = linear_form(phi)
+    if len(pairs) != 1 or nullable or isinstance(pairs[0][0], Omega):
         entry = builder.fresh(Origin("entry", proc=proc.name))
         phi = seq(Ev(s=entry), phi)
     phi, mapping = renumber(phi)
@@ -1181,7 +1167,7 @@ def cfg_to_gwre(program: fe.Program) -> GwreResult:
         phi=phi,
         origins={mapping[s]: builder.origins[s] for s in mapping},
         summaries=builder.summaries,
-        entry_state=first(phi)[0].s,
+        entry_state=linear_form(phi)[0][0][0].s,
     )
 
 
@@ -1208,19 +1194,14 @@ def simulate(phi: Re, fuel: int, rng: random.Random) -> SimResult:
 
     current = phi
     for _ in range(fuel):
-        firsts = first(current)
-        options: list[Re] = []
-        for f in firsts:
-            if isinstance(f, Guard):
-                if pl.eval_pure(f.pi, store, draw):
-                    options.append(f)
-            else:
-                options.append(f)
+        pairs, nullable = linear_form(current)
+        options = [
+            (f, rest) for f, rest in pairs
+            if not isinstance(f, Guard) or pl.eval_pure(f.pi, store, draw)
+        ]
         if not options:
-            if nullable(current):
-                return SimResult(trace, "end", store)
-            return SimResult(trace, "stuck", store)
-        f = rng.choice(options)
+            return SimResult(trace, "end" if nullable else "stuck", store)
+        f, rest = rng.choice(options)
         if isinstance(f, Omega):
             # unroll one copy of the body and stay inside forever
             current = seq(f.body, f)
@@ -1233,5 +1214,5 @@ def simulate(phi: Re, fuel: int, rng: random.Random) -> SimResult:
             trace.append((f.s, str(f)))
         else:
             trace.append((f.s, str(f)))
-        current = derivative(f, current)
+        current = rest
     return SimResult(trace, "fuel", store)

@@ -172,7 +172,7 @@ def test_validate_rejects_unbound_head_var():
 
 
 def test_parse_errors():
-    for text in ("p(1", "p(1) :- .", ":- q(1).", "p(1)"):
+    for text in ("p(1", "p(1) :- .", ":- q(1).", "p(1)", "p(1 2).", "p(1,).", "1(2).", "p(1) :- (."):
         with pytest.raises(DatalogError):
             parse_program(text)
     with pytest.raises(DatalogError, match=r"^non-ground fact: p\(X\)$"):

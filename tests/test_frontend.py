@@ -167,10 +167,17 @@ def test_syntax_error_messages(stmt, message):
         ("void main() { int x = 0; return; x = y; }", "use of undeclared variable 'y' in main"),
         # a duplicate procedure is reported before any scope problem
         ("void f() { x = 1; return; }\nvoid f() { return; }", "duplicate procedure names"),
+        # arguments and parameters are separated by `,`, with none before `)`
+        ("void main() { int x = f(1 2); return; }", "line 1:27: expected ',', found '2'"),
+        ("void main() { int x = g(1,); return; }", "line 1:27: expected an expression, found ')'"),
+        ("int f(int a int b) { return a; }", "line 1:13: expected ',', found 'int'"),
+        ("int f(int a,) { return a; }", "line 1:13: expected 'int', found ')'"),
     ],
     ids=["missing-semicolon", "number-as-name", "nondet-in-conjunction", "top-level-statement",
          "duplicate-procedure", "undeclared-in-term", "undeclared-in-condition", "bad-character",
-         "recursive-call", "undeclared-in-dead-code", "duplicate-before-undeclared"],
+         "recursive-call", "undeclared-in-dead-code", "duplicate-before-undeclared",
+         "argument-without-comma", "argument-trailing-comma", "parameter-without-comma",
+         "parameter-trailing-comma"],
 )
 def test_syntax_errors_exit_three(run_cli, tmp_path, program, message):
     path = tmp_path / "prog.imp"

@@ -10,15 +10,26 @@ A fixture without a golden gets one written and its test fails, so a new
 golden is looked at before it is committed.  Each command is compared on
 its own, and a failure names the commands whose output moved.  To accept
 an intended output change, delete the golden and run the test twice.
+
+``test_generated_programs_match_digest`` pins the same three views (the
+effect, a simulated trace and the Datalog program) of 300 generated
+programs by one digest.
 """
 
+import hashlib
 import json
 import pathlib
+import random
 import shutil
 
 import pytest
 
+import oracle_programs
 from conftest import FIXTURES
+from ctlrepair import frontend as fe
+from ctlrepair import gwre as gw
+from ctlrepair import repair as rp
+from ctlrepair.datalog_engine import DatalogProgram
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 
@@ -59,3 +70,37 @@ def test_cli_output_matches_golden(name, run_cli, tmp_path, monkeypatch):
     assert {k: record[k] for k in differing} == {k: expected[k] for k in differing}, (
         f"{name}: output of {', '.join(differing)} differs from {golden.name}"
     )
+
+
+# The first 16 hex digits of the sha256 of ``_generated_views`` over the
+# oracle's programs of seeds 1000-1199 (``AF(Exit(_))``, inputs havocked)
+# and seeds 1000-1099 under ``AG(x <= 3)`` (inputs 0).
+GENERATED_DIGEST = "8e903dca1cc5f1ee"
+
+
+def _generated_views(source: str) -> str:
+    """What ``dump-gwre``, ``simulate --seed 0`` and ``dump-datalog`` print
+    for ``source``, an inconclusive summary as ``inconclusive: <reason>``."""
+    try:
+        phi = gw.cfg_to_gwre(fe.build_cfg(fe.parse(source))).phi
+    except gw.SummaryInconclusive as exc:
+        lines = [f"inconclusive: {exc}"]
+    else:
+        sim = gw.simulate(phi, fuel=50, rng=random.Random(0))
+        lines = [str(phi), *(f"{s}\t{text}" for s, text in sim.trace)]
+        lines += [f"status: {sim.status}", f"store: {json.dumps(sim.store, sort_keys=True)}"]
+    analysis = rp.analyze(source)
+    if analysis.unknown:
+        lines.append(f"inconclusive: {analysis.unknown}")
+    else:
+        lines.append(DatalogProgram(rules=list(analysis.rules), facts=list(analysis.enc.facts)).dump())
+    return "\n".join(lines) + "\n"
+
+
+def test_generated_programs_match_digest():
+    digest = hashlib.sha256()
+    programs = [oracle_programs.program(seed) for seed in range(1000, 1200)]
+    programs += [oracle_programs.program(seed, "AG(x <= 3)") for seed in range(1000, 1100)]
+    for source in programs:
+        digest.update(_generated_views(source).encode())
+    assert digest.hexdigest()[:16] == GENERATED_DIGEST

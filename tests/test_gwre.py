@@ -39,18 +39,25 @@ void main(int x) {
     assert sorted(states) == list(range(1, len(states) + 1))
 
 
-def test_first_nullable_derivative_algebra():
-    ev1 = gw.Ev(s=1)
-    ev2 = gw.Ev(s=2)
-    seq = gw.seq(ev1, ev2)
-    assert not gw.nullable(seq)
-    assert gw.first(seq) == [ev1]
-    rest = gw.derivative(ev1, seq)
-    assert gw.first(rest) == [ev2]
-    assert gw.nullable(gw.derivative(ev2, rest))
-
-    alt = gw.or_(ev1, ev2)
-    assert set(f.s for f in gw.first(alt)) == {1, 2}
+def test_linear_form_pairs_each_leading_segment_with_its_rest():
+    a, b, c, d = (gw.Ev(s=i) for i in range(1, 5))
+    # equal segments are one: alternatives that begin alike share a rest
+    assert gw.linear_form(gw.or_(gw.seq(a, b), gw.seq(gw.Ev(s=1), c))) == (
+        [(a, gw.or_(b, c))], False
+    )
+    # a nullable item lets the next one lead
+    assert gw.linear_form(gw.seq(gw.or_(gw.EPS, a), b)) == ([(a, b), (b, gw.EPS)], False)
+    # the rest after a sequence's first event is the slice of its items
+    phi = gw.seq(a, b, c)
+    [(head, rest)], nullable = gw.linear_form(phi)
+    assert head is a and not nullable
+    assert type(rest) is gw.Seq and rest.items == phi.items[1:]
+    # an omega block is never left, but stays a leading segment
+    omega = gw.Omega(gw.seq(a, d))
+    assert gw.linear_form(omega) == ([(omega, gw.BOT)], False)
+    assert gw.linear_form(gw.CONTINUE) == ([], True)
+    with pytest.raises(ValueError):
+        gw.Omega(gw.EPS)
 
 
 def test_sequences_and_choices_are_flat():
