@@ -43,7 +43,15 @@ store is feasible when every block is satisfiable, and a comparison is
 decided against the blocks that share a symbol with its substituted form.
 Both are exact: Fourier-Motzkin never combines rows of symbol-disjoint
 blocks, so the others change no answer, short of ``pure_logic``'s counted
-row-limit give-ups.
+row-limit give-ups.  A store known to be feasible asks only the blocks
+built since, as ``pl.satisfiable`` gives a block the same answer each time.
+
+A comparison's decision, each tracked atom's facts and the symbols of
+each term or constraint are remembered in ``pl.derived``, by the node ids
+they are worked out from, so that the re-analyses of one repair, which
+share that memo, work each out once.  The
+row-limit give-ups that ``abstract_facts`` logs count fresh work only, as
+``pl.entails`` counts only the questions it answers anew.
 
 Paths that rejoin are walked once from there (the state merging of RWset,
 Boonstoppel, Cadar & Engler, TACAS 2008).  At an event or guard outside an
@@ -104,10 +112,12 @@ class SymStore:
     # symbols: (the block's symbols, the conjunction of its conjuncts)
     blocks: tuple[tuple[frozenset[str], pl.Pure], ...] = ()
     feasible: bool | None = None  # every block satisfiable, once asked
+    checked: int = 0  # the leading blocks satisfiable when last feasible
 
     def copy(self) -> "SymStore":
         return SymStore(
-            dict(self.env), dict(self.def_state), self.symbols, self.blocks, self.feasible
+            dict(self.env), dict(self.def_state), self.symbols, self.blocks, self.feasible,
+            self.checked,
         )
 
     def fresh(self) -> pl.Term:
@@ -180,6 +190,25 @@ def _fact(pi: pl.Pure) -> _Fact:
     return _Fact(pi, shape, ctl_mod.fact_var(Atom(*shape)), variables)
 
 
+def _tracked(pi: pl.Pure) -> tuple[_Fact, _Fact, frozenset[str], tuple[str, ...]] | None:
+    """The facts of ``pi`` and of its complement, and its variables as a
+    set and by name, or None if ``pi`` has no fact shape; remembered in
+    ``pl.derived`` by ``pi``'s node id."""
+    key = ("tracked", pl._node_id(pi))
+    if key not in pl.derived:
+        tracked = None
+        if _shape(pi) is not None:
+            names = frozenset(pl.names(pi))
+            tracked = _fact(pi), _fact(pl.negate(pi)), names, tuple(sorted(names))
+        pl.derived[key] = tracked
+    return pl.derived[key]
+
+
+# what emit decides of a tracked comparison: its fact holds, its
+# complement's does, or neither is entailed and both are emitted
+_HOLDS, _FAILS, _OPEN = "holds", "fails", "open"
+
+
 _ENTER, _CLOSE, _DONE = "enter", "close", "done"  # work-item steps of _Encoder.walk
 
 
@@ -203,12 +232,8 @@ class _Encoder:
         property_shapes: set[tuple],
     ):
         # atomic comparisons worth tracking, each with its complement and
-        # its variables
-        self.tracked = [
-            (_fact(pi), _fact(pl.negate(pi)), frozenset(pl.names(pi)))
-            for pi in atoms
-            if _shape(pi) is not None
-        ]
+        # its variables, as a set and by name
+        self.tracked = [t for t in map(_tracked, atoms) if t is not None]
         self.reads = reads  # per state, the shapes its guard rules read
         self.property_shapes = property_shapes
         # the indexes in tracked of the comparisons read at each state, of
@@ -217,12 +242,13 @@ class _Encoder:
         self.read_at: dict[int, list[int]] = {}
         self.with_shape: dict[tuple, set[int]] = {}
         self.over: dict[str, list[int]] = {}
-        for i, (fact, neg, names) in enumerate(self.tracked):
+        for i, (fact, neg, _, ordered) in enumerate(self.tracked):
             for shape in (fact.shape, neg.shape):
                 self.with_shape.setdefault(shape, set()).add(i)
-            for v in names:
+            for v in ordered:
                 self.over.setdefault(v, []).append(i)
         self.decided = 0  # comparisons decided, over all emits
+        self.remembered = 0  # of them, those pl.derived answered
         # each output once, in first-insertion order
         self.facts: dict[Atom, None] = {}
         self.rules: dict[Rule, None] = {}
@@ -248,13 +274,14 @@ class _Encoder:
         # variables of each; per id() of an effect node the node, kept alive,
         # and its shape id; per sequence shape that of its items but the
         # first; the live variables of each (step, rest); and, for symbols,
-        # the pl.names of each term or constraint, by node id
+        # the pl.names of each term or constraint, by node id, which lives
+        # in pl.derived, so that every walk in one memo shares it
         self.effect_ids: dict[object, int] = {}
         self.effect_vars: list[frozenset[str]] = []
         self.effects: dict[int, tuple[gw.Re, int]] = {}
         self.tails: dict[int, int] = {}
         self.live: dict[tuple[int, int], tuple[str, ...]] = {}
-        self.symbol_sets: dict[int, frozenset[str]] = {}
+        self.symbol_sets: dict[int, frozenset[str]] = pl.derived.setdefault(("symbols",), {})
         self.nil = self.effect_id(gw.EPS)  # the empty sequence
 
     # -- bookkeeping ----------------------------------------------------------
@@ -283,28 +310,35 @@ class _Encoder:
     def conjoin(self, store: SymStore, pi: pl.Pure) -> None:
         """Add ``pi`` to the constraint of ``store``: each conjunct joins
         the blocks it shares a symbol with into one, at the end."""
-        blocks = store.blocks
+        blocks, checked = store.blocks, store.checked
         for conj in pl.conjuncts(pi):
             names = self.symbols(conj)
             kept = []
             joined = None
-            for block in blocks:
+            known = 0  # the kept blocks of the checked prefix, still leading
+            for i, block in enumerate(blocks):
                 if block[0].isdisjoint(names):
                     kept.append(block)
+                    known += i < checked
                 else:
                     names = names | block[0]
                     joined = block[1] if joined is None else pl.mk_and(joined, block[1])
             kept.append((names, conj if joined is None else pl.mk_and(joined, conj)))
-            blocks = tuple(kept)
+            blocks, checked = tuple(kept), known
             store.feasible = None
-        store.blocks = blocks
+        store.blocks, store.checked = blocks, checked
 
     def feasible(self, store: SymStore) -> bool:
         """Whether the constraint of ``store`` is satisfiable: whether each
-        of its blocks is, remembered on the store (``pl.satisfiable``
-        remembers each block's answer)."""
+        of its blocks is, remembered on the store.  Only the blocks after
+        ``store.checked``, those built since the store was last known to be
+        feasible, are asked: ``pl.satisfiable`` said yes to the others, and
+        gives a block the same answer each time."""
         if store.feasible is None:
-            store.feasible = all(pl.satisfiable(pi) for _, pi in store.blocks)
+            blocks = store.blocks
+            store.feasible = all(pl.satisfiable(pi) for _, pi in blocks[store.checked :])
+            if store.feasible:
+                store.checked = len(blocks)
         return store.feasible
 
     def slice(self, store: SymStore, names: frozenset[str]) -> pl.Pure:
@@ -325,7 +359,7 @@ class _Encoder:
     def is_read(self, shape: tuple | None, s: int) -> bool:
         return shape in self.property_shapes or shape in self.reads.get(s, ())
 
-    def to_decide(self, s: int, store: SymStore) -> list[tuple[_Fact, _Fact, frozenset[str]]]:
+    def to_decide(self, s: int, store: SymStore) -> list[tuple]:
         """The tracked comparisons over set variables that a fact at ``s``
         could be read of (``read_at``), or that have a variable defined at
         ``s``, in ``tracked`` order."""
@@ -350,19 +384,39 @@ class _Encoder:
         for rel in rels:
             self.facts[Atom(rel.name, (s,))] = None
         slices: dict[frozenset[str], pl.Pure] = {}
-        for fact, neg, names in decide:
+        for fact, neg, names, ordered in decide:
             sliced = slices.get(names)
             if sliced is None:
                 sliced = slices[names] = self.slice(store, names)
-            if pl.entails(sliced, pl.subst_pure(fact.pure, store.env)):
+            key = self.decision_key(sliced, fact, ordered, store)
+            decision = pl.derived.get(key)
+            if decision is None:
+                decision = pl.derived[key] = self.decision(sliced, fact, neg, store)
+            else:
+                self.remembered += 1
+            if decision is _HOLDS:
                 self.record(fact, s, store)
-                continue
-            if pl.entails(sliced, pl.subst_pure(neg.pure, store.env)):
-                continue
-            key = self.record(fact, s, store)
-            neg_key = self.record(neg, s, store)
-            self.pair_of[neg_key] = key
-            self.pair_of[key] = neg_key
+            elif decision is _OPEN:
+                key = self.record(fact, s, store)
+                neg_key = self.record(neg, s, store)
+                self.pair_of[neg_key] = key
+                self.pair_of[key] = neg_key
+
+    def decision_key(
+        self, sliced: pl.Pure, fact: _Fact, ordered: tuple[str, ...], store: SymStore
+    ) -> tuple:
+        """What ``decision`` reads, as node ids: the slice, the comparison
+        and the term of each of its variables, ``ordered`` by name."""
+        nid = pl._node_id
+        return ("decide", nid(sliced), nid(fact.pure), *(nid(store.env[v]) for v in ordered))
+
+    def decision(self, sliced: pl.Pure, fact: _Fact, neg: _Fact, store: SymStore) -> str:
+        """Whether ``sliced`` entails ``fact``, its complement, or neither."""
+        if pl.entails(sliced, pl.subst_pure(fact.pure, store.env)):
+            return _HOLDS
+        if pl.entails(sliced, pl.subst_pure(neg.pure, store.env)):
+            return _FAILS
+        return _OPEN
 
     def record(self, fact: _Fact, s: int, store: SymStore) -> FamilyKey:
         predicate, args = fact.shape
@@ -700,10 +754,10 @@ def abstract_facts(
         enc.facts[Atom("Cyc", (b,))] = None
     log.debug(
         "encode: %d states, %d facts, %d rules, %d families, "
-        "%d comparisons decided (states x tracked atoms: %d x %d), "
-        "%d segment entries merged, %d row-limit give-ups",
-        len(enc.states), len(enc.facts), len(enc.rules), len(enc.families),
-        enc.decided, len(enc.states), len(enc.tracked), enc.merged, pl.give_ups - give_ups,
+        "%d comparisons decided, %d of them from the memo (states x tracked atoms: %d x %d), "
+        "%d segment entries merged, %d row-limit give-ups in fresh work",
+        len(enc.states), len(enc.facts), len(enc.rules), len(enc.families), enc.decided,
+        enc.remembered, len(enc.states), len(enc.tracked), enc.merged, pl.give_ups - give_ups,
     )
     return EncodeResult(
         facts=list(enc.facts),

@@ -477,7 +477,7 @@ def renumber(re: Re) -> tuple[Re, dict[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhaseInfo:
     rf: pl.Term
     pi_t: pl.Pure
@@ -488,7 +488,9 @@ class PhaseInfo:
 class SummaryInfo:
     join: int
     guard: pl.Pure
-    phases: list[PhaseInfo]  # termination argument; empty only under a T guard
+    # termination argument, empty only under a T guard; immutable, as the
+    # summaries of two analyses that share ``pl.derived`` may share it
+    phases: tuple[PhaseInfo, ...]
     always_terminates: bool
     omega_condition: pl.Pure  # entry condition of the non-terminating disjunct
 
@@ -534,7 +536,15 @@ def _prune_disjuncts(pi: pl.Pure) -> pl.Pure:
 def prune_conjuncts(pi: pl.Pure, drop_refuted: bool = False) -> pl.Pure:
     """Drop conjuncts entailed by the remaining ones (guard cosmetics) and,
     with ``drop_refuted``, a conjunct's disjuncts that the remaining ones
-    refute, so the encoder never reads an ``A /\\ ~A`` branch."""
+    refute, so the encoder never reads an ``A /\\ ~A`` branch.  Remembered
+    in ``pl.derived`` by ``pi``'s node id."""
+    key = ("pruned", pl._node_id(pi), drop_refuted)
+    if key not in pl.derived:
+        pl.derived[key] = _pruned(pi, drop_refuted)
+    return pl.derived[key]
+
+
+def _pruned(pi: pl.Pure, drop_refuted: bool) -> pl.Pure:
     pi = pl.simplify(pi)
     if isinstance(pi, pl.FalseP):
         return pl.FALSE
@@ -635,7 +645,7 @@ def pretty_nonneg(rf: pl.Term) -> pl.Pure:
     return pl.Bop(pl.GTEQ, pl.term_of_linear(coeffs, const), pl.Const(0))
 
 
-def _term_region(phases: list[PhaseInfo], pi_res: pl.Pure) -> pl.Pure:
+def _term_region(phases: tuple[PhaseInfo, ...], pi_res: pl.Pure) -> pl.Pure:
     """Where an entered loop terminates through its guard (D2): where the
     one phase's rf drops, or wherever a chain's run leaves ``pi_res``."""
     if len(phases) == 1:
@@ -664,6 +674,7 @@ class _Builder:
         self.counter = top + 1
         self.origins: dict[int, Origin] = {}
         self.summaries: list[SummaryInfo] = []
+        self.remembered = 0  # loop rankings that pl.derived answered
         self.event_cache: dict[tuple[int, str], int] = {}
         self.inline_stack: list[str] = []
         self.walks: dict[tuple[str, int, tuple[int, ...]], Re] = {}  # per walk's key
@@ -859,7 +870,7 @@ class _Builder:
         if not isinstance(not_g, pl.FalseP):
             disjuncts.append(seq(guard_seg(not_g), phi_rest))
 
-        chosen = None if nondet else self._find_ranking(pi_g, clean_ga, enabled, leaks)
+        chosen = None if nondet else self.ranking(pi_g, clean_ga, enabled, leaks)
         guard_is_true = isinstance(pi_g, pl.TrueP)
 
         rf = steps = None
@@ -891,7 +902,7 @@ class _Builder:
                 )
             # Fallback for always-true guards: the clean body may repeat
             # forever; leaks below cover every way out.
-            phases, always_terminates, omega_condition = [], False, pi_g
+            phases, always_terminates, omega_condition = (), False, pi_g
             bodies = [seq(*b) for b in clean]
             bodies = [b for b in bodies if not isinstance(b, (Eps, Bot))]
             if bodies:
@@ -959,7 +970,26 @@ class _Builder:
             return [], phi_cycle
         return hoisted, seq(*kept, remainder)
 
-    def _find_ranking(self, pi_g, clean_ga, enabled, leaks):
+    def ranking(self, pi_g, clean_ga, enabled, leaks):
+        """``_find_ranking``, remembered in ``pl.derived`` by the node ids of
+        all it reads: the guard, each clean branch's guard and moves (by
+        variable name) and each leak's ``_loop_branch`` guard.  ``enabled``
+        is the disjunction of the clean guards."""
+        leak_guards = [guard for guard, _ in map(_loop_branch, leaks)]
+        nid = pl._node_id
+        key = (
+            "ranking",
+            nid(pi_g),
+            tuple((nid(g), *((v, nid(moves[v])) for v in sorted(moves))) for g, moves in clean_ga),
+            tuple(map(nid, leak_guards)),
+        )
+        if key in pl.derived:
+            self.remembered += 1
+        else:
+            pl.derived[key] = self._find_ranking(pi_g, clean_ga, enabled, leak_guards)
+        return pl.derived[key]
+
+    def _find_ranking(self, pi_g, clean_ga, enabled, leak_guards):
         """The phase chain, ``pi_res`` and D2 region of the first candidate
         whose chain is conclusive and whose first phase can run, else of the
         first conclusive one.  A chain is conclusive if no clean branch
@@ -967,7 +997,7 @@ class _Builder:
         candidates = pl.candidate_rfs(pi_g)
         for guard, _ in clean_ga:
             candidates += pl.candidate_rfs(guard)
-        for guard, _ in map(_loop_branch, leaks):
+        for guard in leak_guards:
             for conj in pl.conjuncts(guard):
                 if isinstance(conj, pl.Bop):
                     candidates += pl.candidate_rfs(pl.negate(conj))
@@ -1017,10 +1047,10 @@ class _Builder:
             phases.append(PhaseInfo(rf, pi_t, pi_nt))
             pi_res = pl.mk_and(pi_res, pi_nt)
             if not pl.satisfiable(pl.mk_and(pi_g, pi_res)):
-                return phases, pl.FALSE
+                return tuple(phases), pl.FALSE
             region = pl.mk_and(pi_g, pi_res)
             if _closed(region, region, clean_ga):
-                return phases, prune_conjuncts(pi_res)
+                return tuple(phases), prune_conjuncts(pi_res)
             cands = pl.candidate_rfs(pi_nt)
         return None
 
@@ -1149,7 +1179,10 @@ def cfg_to_gwre(program: fe.Program) -> GwreResult:
     try:
         phi = builder.walk(proc, proc.entry)
     except SummaryInconclusive:
-        log.debug("gwre: inconclusive, %d row-limit give-ups", pl.give_ups - give_ups)
+        log.debug(
+            "gwre: inconclusive, %d rankings from the memo, %d row-limit give-ups in fresh work",
+            builder.remembered, pl.give_ups - give_ups,
+        )
         raise
     pairs, nullable = linear_form(phi)
     if len(pairs) != 1 or nullable or isinstance(pairs[0][0], Omega):
@@ -1159,9 +1192,10 @@ def cfg_to_gwre(program: fe.Program) -> GwreResult:
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
             "gwre: %d CFG nodes, %d effect nodes, %d leaves as a tree, "
-            "%d summaries, %d states, %d row-limit give-ups",
+            "%d summaries, %d rankings from the memo, %d states, "
+            "%d row-limit give-ups in fresh work",
             sum(len(p.nodes) for p in program.procedures.values()), *_tree_size(phi),
-            len(builder.summaries), len(mapping), pl.give_ups - give_ups,
+            len(builder.summaries), builder.remembered, len(mapping), pl.give_ups - give_ups,
         )
     return GwreResult(
         phi=phi,

@@ -27,12 +27,22 @@ Terms and constraints are immutable; integer semantics throughout.
 ``satisfiable`` and ``entails`` remember their answers, keyed by interned
 node ids (hash-consing): structurally equal nodes share one int, cached on
 the node, so a key costs one walk over the nodes not keyed before and an
-answer is never recomputed for an equal question.  The memo, with the
-rows of each wildcard-free comparison, lives until ``reset_memo``:
-``repair.analyze`` calls it, and ``repair.repair_loop`` only through its
-first analysis, so every re-analysis of one repair shares it.  The memo
-is module state: analyses in one process must not run on two threads at
-once.
+answer is never recomputed for an equal question.  ``reset_memo`` clears
+four tables, which live until it is called again:
+
+* ``_ids`` — the interned id of each node shape;
+* ``_answers`` — each answer of ``satisfiable`` and ``entails``;
+* ``_rows`` — the rows of each wildcard-free comparison;
+* ``derived`` — what other modules derive from keyed nodes or text alone,
+  each under a key whose first item names what derived it: the encoder's
+  decision for a comparison, its tracked atoms and its table of each
+  node's symbols (``encode``), the ranking of a loop and each pruned
+  guard (``gwre``), and the compiled property (``repair``).
+
+``repair.analyze`` calls ``reset_memo``, and ``repair.repair_loop`` only
+through its first analysis, so every re-analysis of one repair shares the
+four tables.  They are module state: analyses in one process must not run
+on two threads at once.
 """
 
 from __future__ import annotations
@@ -587,15 +597,22 @@ _generation = object()
 # the rows of each wildcard-free comparison whose sides are keyed, by
 # (operator, id of each side); they live and die with ``_answers``
 _rows: dict[tuple[str, int, int], list[Linear]] = {}
+# results other modules derive from node ids of this generation, or from
+# text, under a key whose first item names the kind; they live and die with
+# ``_answers``, so a key never outlives the ids in it.  A key must not
+# depend on the order a set iterates in; a value must not be changed, but
+# for a table that only gains entries keyed by node id.
+derived: dict[tuple, object] = {}
 
 
 def reset_memo() -> None:
-    """Forget every node id, every answer of ``satisfiable``/``entails``
-    and every memoised row."""
+    """Forget every node id, every answer of ``satisfiable``/``entails``,
+    every memoised row and every ``derived`` result."""
     global _generation
     _ids.clear()
     _answers.clear()
     _rows.clear()
+    derived.clear()
     _generation = object()
 
 

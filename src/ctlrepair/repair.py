@@ -70,14 +70,16 @@ class Analysis:
 def analyze(source: str, ctl_text: str | None = None, stats: dict | None = None) -> Analysis:
     """Parse, summarize, encode, and evaluate one program end to end.
 
-    Starts a new entailment memo (``pure_logic.reset_memo``).
+    Starts a new memo (``pure_logic.reset_memo``): its entailment answers,
+    and the decisions, loop rankings and compiled property derived from
+    them, are shared by nothing that came before.
     """
     pl.reset_memo()
     return _analyze(source, ctl_text, stats)
 
 
 def _analyze(source: str, ctl_text: str | None, stats: dict | None) -> Analysis:
-    """``analyze`` within the current entailment memo."""
+    """``analyze`` within the current memo."""
     _count(stats, "analyses")
     parsed = fe.parse(source)
     text = ctl_text or parsed.ctl
@@ -85,19 +87,31 @@ def _analyze(source: str, ctl_text: str | None, stats: dict | None) -> Analysis:
         raise PropertyMissing(
             "no property: pass --ctl or add a first-line //@ ctl: annotation"
         )
-    phi = ctl_mod.desugar(ctl_mod.parse_ctl(text))
+    pures, top, ctl_rules = _compiled(text)
     cfg = fe.build_cfg(parsed)
     try:
         gwre_result = gw.cfg_to_gwre(cfg)
     except gw.SummaryInconclusive as exc:
         return Analysis(source, text, cfg, None, None, None, [], False, str(exc))
-    enc = enc_mod.abstract_facts(gwre_result, ctl_mod.pure_of_ctl(phi))
-    top, ctl_rules = ctl_mod.ctl_to_datalog(phi)
+    enc = enc_mod.abstract_facts(gwre_result, list(pures))
     target = Atom(top, (gwre_result.entry_state,))
     rules = list(enc.rules) + list(ctl_rules)
     _count(stats, "evaluations")
     holds = target in evaluate(DatalogProgram(rules=rules, facts=list(enc.facts)))
     return Analysis(source, text, cfg, gwre_result, enc, target, rules, holds, None)
+
+
+def _compiled(text: str) -> tuple[tuple, str, tuple]:
+    """The property ``text``'s atomic payloads (``ctl.pure_of_ctl``), top
+    predicate and rules (``ctl.ctl_to_datalog``), remembered in
+    ``pl.derived`` by the text."""
+    key = ("property", text)
+    compiled = pl.derived.get(key)
+    if compiled is None:
+        phi = ctl_mod.desugar(ctl_mod.parse_ctl(text))
+        top, rules = ctl_mod.ctl_to_datalog(phi)
+        compiled = pl.derived[key] = (tuple(ctl_mod.pure_of_ctl(phi)), top, tuple(rules))
+    return compiled
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +617,8 @@ _MAX_REPORT_DISJUNCTS = 64
 
 def repair_loop(source: str, config: RepairConfig, ctl_text: str | None = None) -> RepairResult:
     stats: dict = {}
-    # starts the entailment memo that every re-analysis in _search shares
+    # starts the memo that every re-analysis in _search shares: entailment
+    # answers, comparison decisions, loop rankings and the compiled property
     analysis = analyze(source, ctl_text, stats)
     if analysis.unknown:
         return RepairResult("Unknown", analysis.property_text, stats=stats, analysis=analysis)

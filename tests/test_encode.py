@@ -358,6 +358,94 @@ def test_row_limit_give_ups_show_on_the_encode_line(monkeypatch, caplog):
         assert give_ups() > 0
 
 
+def test_emit_asks_about_each_decision_once(fixture_text, monkeypatch):
+    """Within one analysis ``emit`` asks ``pl.entails`` about one decision
+    key at most once (for the comparison, then its complement); where the
+    key repeats, the memo answers (ROADMAP item 3)."""
+    emit, decision_key, entails = enc_mod._Encoder.emit, enc_mod._Encoder.decision_key, pl.entails
+    keys = []  # every key emit looked up, in order
+    asked: dict[tuple, set[int]] = {}  # per key, the lookups that asked pl.entails
+    inside = []
+
+    def emitting(self, *args):
+        inside.append(True)
+        try:
+            emit(self, *args)
+        finally:
+            inside.pop()
+
+    def keyed(self, *args):
+        keys.append(decision_key(self, *args))
+        return keys[-1]
+
+    def counted(state, goal):
+        if inside:
+            asked.setdefault(keys[-1], set()).add(len(keys))
+        return entails(state, goal)
+
+    monkeypatch.setattr(enc_mod._Encoder, "emit", emitting)
+    monkeypatch.setattr(enc_mod._Encoder, "decision_key", keyed)
+    monkeypatch.setattr(pl, "entails", counted)
+    rp.analyze(fixture_text("overview_fixed.imp"))
+    assert len(set(keys)) < len(keys)  # some key repeats
+    assert all(len(lookups) == 1 for lookups in asked.values())
+    assert set(asked) == set(keys)  # each key was asked about once
+
+
+def test_encode_line_counts_decisions_from_the_memo(fixture_text, caplog):
+    def decided() -> tuple[int, int]:
+        (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("encode:")]
+        caplog.clear()
+        found = re.search(r"(\d+) comparisons decided, (\d+) of them from the memo", line)
+        return int(found.group(1)), int(found.group(2))
+
+    source = fixture_text("overview_fixed.imp")
+    with caplog.at_level(logging.DEBUG, logger="ctlrepair.encode"):
+        rp.analyze(source)
+        total, remembered = decided()
+        assert 0 < remembered < total
+        # a second analysis within the same memo decides nothing anew
+        rp._analyze(source, None, None)
+        assert decided() == (total, total)
+
+
+def test_feasibility_asks_only_blocks_built_since_known_feasible(monkeypatch):
+    # each guard of ifs(n) is on its own variable, so it adds one block;
+    # a store known to be feasible asks that block alone
+    satisfiable, feasible = pl.satisfiable, enc_mod._Encoder.feasible
+    asked, checks = [], []
+
+    def counted_satisfiable(pi):
+        asked.append(pi)
+        return satisfiable(pi)
+
+    def counted_feasible(self, store):
+        if store.feasible is None:
+            checks.append(len(asked))
+        return feasible(self, store)
+
+    monkeypatch.setattr(pl, "satisfiable", counted_satisfiable)
+    monkeypatch.setattr(enc_mod._Encoder, "feasible", counted_feasible)
+    encode(ifs(12), "AF(Exit(_))")
+    checks.append(len(asked))
+    per_check = [b - a for a, b in zip(checks, checks[1:])]
+    assert len(per_check) > 100 and max(per_check) <= 1
+
+
+def test_checked_counts_the_leading_blocks_known_satisfiable():
+    enc = enc_mod._Encoder([], {}, set())
+    x, y = pl.Var("x"), pl.Var("y")
+    store = enc_mod.SymStore(env={"a": x, "b": y})
+    enc.conjoin(store, pl.Bop(pl.GT, x, pl.Const(0)))
+    assert enc.feasible(store) and store.checked == 1
+    copy = store.copy()
+    enc.conjoin(copy, pl.mk_and(pl.Bop(pl.LT, y, pl.Const(0)), pl.Bop(pl.GT, y, pl.Const(0))))
+    assert not enc.feasible(copy) and copy.checked == 1 and store.checked == 1
+    # joining x's block into y's leaves no block known to be satisfiable
+    enc.conjoin(copy, pl.Bop(pl.EQ, x, y))
+    assert copy.checked == 0 and not enc.feasible(copy)
+
+
 def _tree(re: gw.Re) -> gw.Re:
     """``re`` expanded into a tree, with one fresh object per occurrence."""
     if isinstance(re, gw.Seq):

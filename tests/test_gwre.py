@@ -277,7 +277,10 @@ def test_loop_after_ifs_is_summarized_once_per_branch_into_it():
     assert set(counts.values()) == {2}, counts
 
 
-def _gwre_sizes(caplog, source: str) -> list[int]:
+def _gwre_sizes(caplog, source: str, fresh: bool = True) -> list[int]:
+    if fresh:
+        pl.reset_memo()
+    caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="ctlrepair.gwre"):
         summarize(source)
     (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("gwre:")]
@@ -286,11 +289,14 @@ def _gwre_sizes(caplog, source: str) -> list[int]:
 
 def test_cfg_to_gwre_logs_its_sizes(caplog):
     # CFG nodes, distinct effect nodes, leaves the tree would have,
-    # summaries, states and row-limit give-ups: the DAG grows with the program (44 and 72
-    # nodes), the tree it reads as with its paths (127 and 2,047 leaves)
-    assert _gwre_sizes(caplog, kif(4)) == [24, 44, 127, 2, 20, 0]
-    caplog.clear()
-    assert _gwre_sizes(caplog, kif(8)) == [40, 72, 2047, 2, 32, 0]
+    # summaries, rankings from the memo, states and row-limit give-ups: the
+    # DAG grows with the program (44 and 72 nodes), the tree it reads as
+    # with its paths (127 and 2,047 leaves); the loop after the ifs is
+    # summarized once per branch into it, and ranked once
+    assert _gwre_sizes(caplog, kif(4)) == [24, 44, 127, 2, 1, 20, 0]
+    assert _gwre_sizes(caplog, kif(8)) == [40, 72, 2047, 2, 1, 32, 0]
+    # within one memo, a second analysis ranks no loop again
+    assert _gwre_sizes(caplog, kif(8), fresh=False) == [40, 72, 2047, 2, 2, 32, 0]
 
 
 def test_omega_guard_drops_refuted_disjuncts(fixture_text):

@@ -1,8 +1,10 @@
+import json
 import logging
 
 import pytest
 
 from ctlrepair import encode as enc_mod
+from ctlrepair import gwre as gw
 from ctlrepair import pure_logic as pl
 from ctlrepair import repair as rp
 from ctlrepair import sedl
@@ -231,6 +233,59 @@ def test_repair_loop_shares_one_memo_across_its_analyses(fixture_text):
     result = rp.repair_loop(src, rp.RepairConfig())
     assert result.stats["analyses"] > 1
     assert first.items() < pl._answers.items()
+
+
+def _first_violated(n: int) -> list[str]:
+    """The first ``n`` generated oracle programs found ``Violated``."""
+    found, seed = [], oracle_programs.FIRST_SEED
+    while len(found) < n:
+        source = oracle_programs.program(seed)
+        if verdict(source) == "violated":
+            found.append(source)
+        seed += 1
+    return found
+
+
+def test_a_shared_memo_repairs_as_a_fresh_memo_per_analysis(monkeypatch):
+    """The decisions, rankings and compiled property that the re-analyses
+    of one repair share change no byte of its report."""
+    broken = ("bad_syntax.imp", "no_property.imp")  # no analysis to repair
+    sources = [p.read_text() for p in sorted(FIXTURES.glob("*.imp")) if p.name not in broken]
+    sources += _first_violated(40)
+
+    def reports() -> list[str]:
+        return [json.dumps(rp.repair_loop(s, rp.RepairConfig(depth=2)).to_json()) for s in sources]
+
+    shared = reports()
+    analyze = rp._analyze
+    monkeypatch.setattr(rp, "_analyze", lambda *args: pl.reset_memo() or analyze(*args))
+    assert reports() == shared
+    verdicts = {json.loads(r)["verdict"] for r in shared}
+    assert {"Repaired", "Unrepaired"} <= verdicts
+
+
+def test_repair_loop_ranks_each_loop_once(fixture_text, monkeypatch):
+    # the re-analyses of a depth-2 repair summarize the same loop again and
+    # again; the memo ranks each distinct loop (guard, clean branches and
+    # leak guards) once
+    find_ranking, summarize = gw._Builder._find_ranking, gw._Builder.summarize
+    ranked, summaries = [], []
+
+    def counted(self, pi_g, clean_ga, enabled, leak_guards):
+        branches = tuple((g, tuple(sorted(moves.items()))) for g, moves in clean_ga)
+        ranked.append((pi_g, branches, tuple(leak_guards)))
+        return find_ranking(self, pi_g, clean_ga, enabled, leak_guards)
+
+    def summarized(self, *args):
+        summaries.append(args[1])
+        return summarize(self, *args)
+
+    monkeypatch.setattr(gw._Builder, "_find_ranking", counted)
+    monkeypatch.setattr(gw._Builder, "summarize", summarized)
+    result = rp.repair_loop(fixture_text("subtitle_loop.imp"), rp.RepairConfig(depth=2))
+    assert result.stats["analyses"] > 2
+    assert ranked and len(ranked) == len(set(ranked))
+    assert len(summaries) > len(ranked)
 
 
 def _reference(analysis: rp.Analysis, cand) -> bool:
