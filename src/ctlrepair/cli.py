@@ -14,6 +14,7 @@ import click
 from . import ctl as ctl_mod
 from . import frontend as fe
 from . import gwre as gw
+from . import pure_logic as pl
 from . import repair as rp
 from .datalog_engine import DatalogError, DatalogProgram
 
@@ -45,7 +46,7 @@ def _effect(path: str) -> gw.Re:
     a loop summary is inconclusive."""
     program = fe.build_cfg(fe.parse(_read_source(path)))
     try:
-        return gw.cfg_to_gwre(program).phi
+        return gw.cfg_to_gwre(program, pl.Memo()).phi
     except gw.SummaryInconclusive as exc:
         click.echo(f"inconclusive: {exc}", err=True)
         sys.exit(2)

@@ -47,9 +47,9 @@ row-limit give-ups.  A store known to be feasible asks only the blocks
 built since, as ``pl.satisfiable`` gives a block the same answer each time.
 
 A comparison's decision, each tracked atom's facts and the symbols of
-each term or constraint are remembered in ``pl.derived``, by the node ids
-they are worked out from, so that the re-analyses of one repair, which
-share that memo, work each out once.  The
+each term or constraint are remembered in the ``pl.Memo`` passed to
+``abstract_facts``, by the node ids they are worked out from, so that the
+re-analyses of one repair, which share its memo, work each out once.  The
 row-limit give-ups that ``abstract_facts`` logs count fresh work only, as
 ``pl.entails`` counts only the questions it answers anew.
 
@@ -190,18 +190,18 @@ def _fact(pi: pl.Pure) -> _Fact:
     return _Fact(pi, shape, ctl_mod.fact_var(Atom(*shape)), variables)
 
 
-def _tracked(pi: pl.Pure) -> tuple[_Fact, _Fact, frozenset[str], tuple[str, ...]] | None:
+def _tracked(pi: pl.Pure, memo: pl.Memo) -> tuple[_Fact, _Fact, frozenset[str], tuple[str, ...]] | None:
     """The facts of ``pi`` and of its complement, and its variables as a
     set and by name, or None if ``pi`` has no fact shape; remembered in
-    ``pl.derived`` by ``pi``'s node id."""
-    key = ("tracked", pl._node_id(pi))
-    if key not in pl.derived:
+    ``memo.derived`` by ``pi``'s node id."""
+    key = ("tracked", pl.node_id(pi, memo))
+    if key not in memo.derived:
         tracked = None
         if _shape(pi) is not None:
             names = frozenset(pl.names(pi))
             tracked = _fact(pi), _fact(pl.negate(pi)), names, tuple(sorted(names))
-        pl.derived[key] = tracked
-    return pl.derived[key]
+        memo.derived[key] = tracked
+    return memo.derived[key]
 
 
 # what emit decides of a tracked comparison: its fact holds, its
@@ -230,10 +230,12 @@ class _Encoder:
         atoms: list[pl.Pure],
         reads: dict[int, set[tuple]],
         property_shapes: set[tuple],
+        memo: pl.Memo,
     ):
+        self.memo = memo
         # atomic comparisons worth tracking, each with its complement and
         # its variables, as a set and by name
-        self.tracked = [t for t in map(_tracked, atoms) if t is not None]
+        self.tracked = [t for t in (_tracked(pi, memo) for pi in atoms) if t is not None]
         self.reads = reads  # per state, the shapes its guard rules read
         self.property_shapes = property_shapes
         # the indexes in tracked of the comparisons read at each state, of
@@ -248,7 +250,7 @@ class _Encoder:
             for v in ordered:
                 self.over.setdefault(v, []).append(i)
         self.decided = 0  # comparisons decided, over all emits
-        self.remembered = 0  # of them, those pl.derived answered
+        self.remembered = 0  # of them, those memo.derived answered
         # each output once, in first-insertion order
         self.facts: dict[Atom, None] = {}
         self.rules: dict[Rule, None] = {}
@@ -273,15 +275,12 @@ class _Encoder:
         # caches of entry_key, for one walk: interned effect shapes and the
         # variables of each; per id() of an effect node the node, kept alive,
         # and its shape id; per sequence shape that of its items but the
-        # first; the live variables of each (step, rest); and, for symbols,
-        # the pl.names of each term or constraint, by node id, which lives
-        # in pl.derived, so that every walk in one memo shares it
+        # first; and the live variables of each (step, rest)
         self.effect_ids: dict[object, int] = {}
         self.effect_vars: list[frozenset[str]] = []
         self.effects: dict[int, tuple[gw.Re, int]] = {}
         self.tails: dict[int, int] = {}
         self.live: dict[tuple[int, int], tuple[str, ...]] = {}
-        self.symbol_sets: dict[int, frozenset[str]] = pl.derived.setdefault(("symbols",), {})
         self.nil = self.effect_id(gw.EPS)  # the empty sequence
 
     # -- bookkeeping ----------------------------------------------------------
@@ -336,7 +335,7 @@ class _Encoder:
         gives a block the same answer each time."""
         if store.feasible is None:
             blocks = store.blocks
-            store.feasible = all(pl.satisfiable(pi) for _, pi in blocks[store.checked :])
+            store.feasible = all(pl.satisfiable(pi, self.memo) for _, pi in blocks[store.checked :])
             if store.feasible:
                 store.checked = len(blocks)
         return store.feasible
@@ -389,9 +388,9 @@ class _Encoder:
             if sliced is None:
                 sliced = slices[names] = self.slice(store, names)
             key = self.decision_key(sliced, fact, ordered, store)
-            decision = pl.derived.get(key)
+            decision = self.memo.derived.get(key)
             if decision is None:
-                decision = pl.derived[key] = self.decision(sliced, fact, neg, store)
+                decision = self.memo.derived[key] = self.decision(sliced, fact, neg, store)
             else:
                 self.remembered += 1
             if decision is _HOLDS:
@@ -407,14 +406,15 @@ class _Encoder:
     ) -> tuple:
         """What ``decision`` reads, as node ids: the slice, the comparison
         and the term of each of its variables, ``ordered`` by name."""
-        nid = pl._node_id
-        return ("decide", nid(sliced), nid(fact.pure), *(nid(store.env[v]) for v in ordered))
+        nid, memo = pl.node_id, self.memo
+        terms = (nid(store.env[v], memo) for v in ordered)
+        return ("decide", nid(sliced, memo), nid(fact.pure, memo), *terms)
 
     def decision(self, sliced: pl.Pure, fact: _Fact, neg: _Fact, store: SymStore) -> str:
         """Whether ``sliced`` entails ``fact``, its complement, or neither."""
-        if pl.entails(sliced, pl.subst_pure(fact.pure, store.env)):
+        if pl.entails(sliced, pl.subst_pure(fact.pure, store.env), self.memo):
             return _HOLDS
-        if pl.entails(sliced, pl.subst_pure(neg.pure, store.env)):
+        if pl.entails(sliced, pl.subst_pure(neg.pure, store.env), self.memo):
             return _FAILS
         return _OPEN
 
@@ -559,9 +559,10 @@ class _Encoder:
                 sorted(read.union(*(self.partners.get(v, ()) for v in read)))
             )
         key = list(shape)
+        nid, memo = pl.node_id, self.memo
         for v in live:
             term = store.env.get(v)
-            key += (-1, -1) if term is None else (pl._node_id(term), store.def_state[v])
+            key += (-1, -1) if term is None else (nid(term, memo), store.def_state[v])
         return tuple(key), live
 
     def connected(self, walk: _Walk) -> tuple[int, ...]:
@@ -574,9 +575,8 @@ class _Encoder:
             for v in walk.live:
                 term = store.env.get(v)
                 reached |= {v} if term is None else self.symbols(term)
-            walk.connected = tuple(
-                pl._node_id(block) for names, block in store.blocks if not names.isdisjoint(reached)
-            )
+            blocks = (block for names, block in store.blocks if not names.isdisjoint(reached))
+            walk.connected = tuple(pl.node_id(block, self.memo) for block in blocks)
         return walk.connected
 
     def replay(self, walk: _Walk) -> None:
@@ -592,7 +592,7 @@ class _Encoder:
         share it.  One ``gw.postorder`` walk keys the nodes not keyed yet; a
         new shape gets the variables that its leaves mention or read at
         their states (``effect_vars``)."""
-        effects, nid = self.effects, pl._node_id
+        effects, nid, memo = self.effects, pl.node_id, self.memo
         for node in gw.postorder(root, effects):
             cls = type(node)
             parts = gw._parts(node)
@@ -604,11 +604,12 @@ class _Encoder:
                 continue
             if cls is gw.Ev:
                 shape = (
-                    cls, node.s, tuple((v, nid(t)) for v, t in node.assigns), nid(node.constraint),
-                    tuple((r.name, *map(nid, r.args)) for r in node.rels),
+                    cls, node.s, tuple((v, nid(t, memo)) for v, t in node.assigns),
+                    nid(node.constraint, memo),
+                    tuple((r.name, *(nid(a, memo) for a in r.args)) for r in node.rels),
                 )
             elif cls is gw.Guard:
-                shape = (cls, node.s, nid(node.pi))
+                shape = (cls, node.s, nid(node.pi, memo))
             elif parts:
                 shape = (cls, *(effects[id(part)][1] for part in parts))
             else:  # Eps, Bot, LoopMark
@@ -650,28 +651,30 @@ class _Encoder:
         every node under it: stores share terms and conjuncts, and a term
         that extends a remembered one, as an update of ``x`` from ``x``
         does, costs its new nodes only."""
-        memo, nid = self.symbol_sets, pl._node_id
-        names = memo.get(nid(root))
+        memo, nid = self.memo, pl.node_id
+        table, root_id = memo.symbols, nid(root, memo)
+        names = table.get(root_id)
         if names is not None:
             return names
         stack = [root]
         while stack:
             node = stack[-1]
-            if nid(node) in memo:
+            node_id = nid(node, memo)
+            if node_id in table:
                 stack.pop()
                 continue
             children = pl._parts(node)[1]
             known = []
             for child in children:
-                names = memo.get(nid(child))
+                names = table.get(nid(child, memo))
                 if names is None:
                     stack.append(child)
                 else:
                     known.append(names)
             if len(known) == len(children):
                 stack.pop()
-                memo[node._nid[1]] = frozenset().union(*known) if children else frozenset(pl.names(node))
-        return memo[root._nid[1]]
+                table[node_id] = frozenset().union(*known) if children else frozenset(pl.names(node))
+        return table[root_id]
 
 
 def _shape_vars(shapes) -> frozenset[str]:
@@ -729,7 +732,7 @@ def read_sets(phi: gw.Re) -> dict[int, set[tuple]]:
 
 
 def abstract_facts(
-    result: gw.GwreResult, ctl_pures: list[pl.Bop | pl.Rel]
+    result: gw.GwreResult, ctl_pures: list[pl.Bop | pl.Rel], memo: pl.Memo
 ) -> EncodeResult:
     """Encode an effect into facts, flow rules, and fact families.
 
@@ -744,8 +747,8 @@ def abstract_facts(
             if pure not in atoms:
                 atoms.append(pure)
     property_shapes.discard(None)
-    give_ups = pl.give_ups
-    enc = _Encoder(atoms, read_sets(result.phi), property_shapes)
+    give_ups = memo.give_ups
+    enc = _Encoder(atoms, read_sets(result.phi), property_shapes, memo)
     enc.walk(result.phi)
     for s in enc.states:
         enc.facts[Atom("State", (s,))] = None
@@ -757,7 +760,7 @@ def abstract_facts(
         "%d comparisons decided, %d of them from the memo (states x tracked atoms: %d x %d), "
         "%d segment entries merged, %d row-limit give-ups in fresh work",
         len(enc.states), len(enc.facts), len(enc.rules), len(enc.families), enc.decided,
-        enc.remembered, len(enc.states), len(enc.tracked), enc.merged, pl.give_ups - give_ups,
+        enc.remembered, len(enc.states), len(enc.tracked), enc.merged, memo.give_ups - give_ups,
     )
     return EncodeResult(
         facts=list(enc.facts),

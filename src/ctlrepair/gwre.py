@@ -489,7 +489,7 @@ class SummaryInfo:
     join: int
     guard: pl.Pure
     # termination argument, empty only under a T guard; immutable, as the
-    # summaries of two analyses that share ``pl.derived`` may share it
+    # summaries of two analyses that share a ``pl.Memo`` may share it
     phases: tuple[PhaseInfo, ...]
     always_terminates: bool
     omega_condition: pl.Pure  # entry condition of the non-terminating disjunct
@@ -517,7 +517,7 @@ def _disjuncts(pi: pl.Pure) -> list[pl.Pure]:
     return [pi]
 
 
-def _prune_disjuncts(pi: pl.Pure) -> pl.Pure:
+def _prune_disjuncts(pi: pl.Pure, memo: pl.Memo) -> pl.Pure:
     """Drop disjuncts subsumed by another one (e.g. two spellings of the
     same comparison), so guards stay encodable as single comparisons."""
     ds = _disjuncts(pi)
@@ -526,43 +526,43 @@ def _prune_disjuncts(pi: pl.Pure) -> pl.Pure:
     kept: list[pl.Pure] = []
     for i, d in enumerate(ds):
         if not any(
-            i != j and pl.entails(d, other) and (other in kept or j > i)
+            i != j and pl.entails(d, other, memo) and (other in kept or j > i)
             for j, other in enumerate(ds)
         ):
             kept.append(d)
     return reduce(pl.mk_or, kept, pl.FALSE)
 
 
-def prune_conjuncts(pi: pl.Pure, drop_refuted: bool = False) -> pl.Pure:
+def prune_conjuncts(pi: pl.Pure, memo: pl.Memo, drop_refuted: bool = False) -> pl.Pure:
     """Drop conjuncts entailed by the remaining ones (guard cosmetics) and,
     with ``drop_refuted``, a conjunct's disjuncts that the remaining ones
     refute, so the encoder never reads an ``A /\\ ~A`` branch.  Remembered
-    in ``pl.derived`` by ``pi``'s node id."""
-    key = ("pruned", pl._node_id(pi), drop_refuted)
-    if key not in pl.derived:
-        pl.derived[key] = _pruned(pi, drop_refuted)
-    return pl.derived[key]
+    in ``memo.derived`` by ``pi``'s node id."""
+    key = ("pruned", pl.node_id(pi, memo), drop_refuted)
+    if key not in memo.derived:
+        memo.derived[key] = _pruned(pi, drop_refuted, memo)
+    return memo.derived[key]
 
 
-def _pruned(pi: pl.Pure, drop_refuted: bool) -> pl.Pure:
+def _pruned(pi: pl.Pure, drop_refuted: bool, memo: pl.Memo) -> pl.Pure:
     pi = pl.simplify(pi)
     if isinstance(pi, pl.FalseP):
         return pl.FALSE
-    cs = [_prune_disjuncts(c) for c in pl.conjuncts(pi)]
+    cs = [_prune_disjuncts(c, memo) for c in pl.conjuncts(pi)]
     changed = True
     while changed and len(cs) > 1:
         changed = False
         for i, c in enumerate(cs):
             rest = cs[:i] + cs[i + 1 :]
             others = reduce(pl.mk_and, rest, pl.TRUE)
-            if pl.entails(others, c):
+            if pl.entails(others, c, memo):
                 cs = rest
                 changed = True
                 break
             if not drop_refuted:
                 continue
             ds = _disjuncts(c)
-            kept = [d for d in ds if pl.satisfiable(pl.mk_and(others, d))]
+            kept = [d for d in ds if pl.satisfiable(pl.mk_and(others, d), memo)]
             if kept and len(kept) < len(ds):
                 cs[i] = reduce(pl.mk_or, kept, pl.FALSE)
                 changed = True
@@ -645,19 +645,20 @@ def pretty_nonneg(rf: pl.Term) -> pl.Pure:
     return pl.Bop(pl.GTEQ, pl.term_of_linear(coeffs, const), pl.Const(0))
 
 
-def _term_region(phases: tuple[PhaseInfo, ...], pi_res: pl.Pure) -> pl.Pure:
+def _term_region(phases: tuple[PhaseInfo, ...], pi_res: pl.Pure, memo: pl.Memo) -> pl.Pure:
     """Where an entered loop terminates through its guard (D2): where the
     one phase's rf drops, or wherever a chain's run leaves ``pi_res``."""
     if len(phases) == 1:
         return phases[0].pi_t
-    return prune_conjuncts(pl.negate(pi_res))
+    return prune_conjuncts(pl.negate(pi_res), memo)
 
 
-def _closed(pre: pl.Pure, post: pl.Pure, clean_ga) -> bool:
+def _closed(pre: pl.Pure, post: pl.Pure, clean_ga, memo: pl.Memo) -> bool:
     """Whether every clean branch taken from ``pre`` ends in ``post``: each
     is the (guard, parallel substitution) pair of ``_loop_branch``."""
     return all(
-        pl.entails(pl.mk_and(pre, guard), pl.subst_pure(post, moves)) for guard, moves in clean_ga
+        pl.entails(pl.mk_and(pre, guard), pl.subst_pure(post, moves), memo)
+        for guard, moves in clean_ga
     )
 
 
@@ -665,8 +666,9 @@ _PHASE_BOUND = 4
 
 
 class _Builder:
-    def __init__(self, program: fe.Program):
+    def __init__(self, program: fe.Program, memo: pl.Memo):
         self.program = program
+        self.memo = memo
         top = max(
             (nid for proc in program.procedures.values() for nid in proc.nodes),
             default=0,
@@ -674,7 +676,7 @@ class _Builder:
         self.counter = top + 1
         self.origins: dict[int, Origin] = {}
         self.summaries: list[SummaryInfo] = []
-        self.remembered = 0  # loop rankings that pl.derived answered
+        self.remembered = 0  # loop rankings that memo.derived answered
         self.event_cache: dict[tuple[int, str], int] = {}
         self.inline_stack: list[str] = []
         self.walks: dict[tuple[str, int, tuple[int, ...]], Re] = {}  # per walk's key
@@ -856,7 +858,7 @@ class _Builder:
             raise SummaryInconclusive(f"a branch of the loop at node {join} may never return")
         # a branch whose own path refutes its guard never runs; each one kept
         # would double the case split of every entailment over the branches
-        clean_ga = [ga for ga in map(_loop_branch, clean) if pl.satisfiable(ga[0])]
+        clean_ga = [ga for ga in map(_loop_branch, clean) if pl.satisfiable(ga[0], self.memo)]
         enabled = reduce(pl.mk_or, (guard for guard, _ in clean_ga), pl.FALSE)
         assigned = list(dict.fromkeys(v for _, moves in clean_ga for v in moves))
 
@@ -879,19 +881,19 @@ class _Builder:
             rf = phases[0].rf
             always_terminates = isinstance(pi_res, pl.FalseP)
             omega_condition = pl.FALSE
-            steps = _exact_steps(pi_g, term, clean_ga, phases, assigned)
+            steps = _exact_steps(pi_g, term, clean_ga, phases, assigned, self.memo)
             # D2: the loop is entered and terminates through the guard, no
             # leak firing on the way when every variable moves by a fixed
             # step; without one, D2 may hold states where a leak fires.
             if not guard_is_true:
                 region = pl.mk_and(term, _no_leak(enabled, leaks, rf, steps))
-                d2_guard = prune_conjuncts(pl.mk_and(pi_g, region))
-                if not isinstance(d2_guard, pl.FalseP) and pl.satisfiable(d2_guard):
+                d2_guard = prune_conjuncts(pl.mk_and(pi_g, region), self.memo)
+                if not isinstance(d2_guard, pl.FalseP) and pl.satisfiable(d2_guard, self.memo):
                     exit_ev = self._exit_event(join, proc, pi_g, assigned, rf, steps)
                     disjuncts.append(seq(guard_seg(d2_guard), exit_ev, phi_rest))
             # D3: the loop is entered and repeats forever.
             if not always_terminates:
-                omega_condition = prune_conjuncts(pl.mk_and(pi_g, pi_res), drop_refuted=True)
+                omega_condition = prune_conjuncts(pl.mk_and(pi_g, pi_res), self.memo, drop_refuted=True)
                 w = self.cached_event(join, "loop-event", proc.name)
                 body = Ev(s=w, constraint=pretty_nonneg(rf))
                 disjuncts.append(seq(guard_seg(omega_condition), Omega(body)))
@@ -971,23 +973,21 @@ class _Builder:
         return hoisted, seq(*kept, remainder)
 
     def ranking(self, pi_g, clean_ga, enabled, leaks):
-        """``_find_ranking``, remembered in ``pl.derived`` by the node ids of
-        all it reads: the guard, each clean branch's guard and moves (by
+        """``_find_ranking``, remembered in ``memo.derived`` by the node ids
+        of all it reads: the guard, each clean branch's guard and moves (by
         variable name) and each leak's ``_loop_branch`` guard.  ``enabled``
         is the disjunction of the clean guards."""
         leak_guards = [guard for guard, _ in map(_loop_branch, leaks)]
-        nid = pl._node_id
-        key = (
-            "ranking",
-            nid(pi_g),
-            tuple((nid(g), *((v, nid(moves[v])) for v in sorted(moves))) for g, moves in clean_ga),
-            tuple(map(nid, leak_guards)),
+        memo, nid = self.memo, pl.node_id
+        branches = tuple(
+            (nid(g, memo), *((v, nid(moves[v], memo)) for v in sorted(moves))) for g, moves in clean_ga
         )
-        if key in pl.derived:
+        key = ("ranking", nid(pi_g, memo), branches, tuple(nid(g, memo) for g in leak_guards))
+        if key in memo.derived:
             self.remembered += 1
         else:
-            pl.derived[key] = self._find_ranking(pi_g, clean_ga, enabled, leak_guards)
-        return pl.derived[key]
+            memo.derived[key] = self._find_ranking(pi_g, clean_ga, enabled, leak_guards)
+        return memo.derived[key]
 
     def _find_ranking(self, pi_g, clean_ga, enabled, leak_guards):
         """The phase chain, ``pi_res`` and D2 region of the first candidate
@@ -1008,11 +1008,11 @@ class _Builder:
             if chain is None:
                 continue
             phases, pi_res = chain
-            term = _term_region(phases, pi_res)
-            if not _closed(pl.mk_and(pi_g, term), pl.mk_or(pl.negate(pi_g), term), clean_ga):
+            term = _term_region(phases, pi_res, self.memo)
+            if not _closed(pl.mk_and(pi_g, term), pl.mk_or(pl.negate(pi_g), term), clean_ga, self.memo):
                 continue
             chain = phases, pi_res, term
-            if pl.satisfiable(pl.mk_and(pi_g, phases[0].pi_t)):
+            if pl.satisfiable(pl.mk_and(pi_g, phases[0].pi_t), self.memo):
                 return chain
             if fallback is None:
                 fallback = chain
@@ -1034,23 +1034,23 @@ class _Builder:
                 pi_t, pi_nt = pl.wp_delta(rf, clean_ga)
                 if isinstance(pi_t, pl.FalseP) and isinstance(pi_nt, pl.FalseP):
                     continue
-                if not pl.entails(region, pl.mk_or(pi_t, pi_nt)):
+                if not pl.entails(region, pl.mk_or(pi_t, pi_nt), self.memo):
                     continue
-                if phases and not pl.satisfiable(pl.mk_and(region, pi_t)):
+                if phases and not pl.satisfiable(pl.mk_and(region, pi_t), self.memo):
                     continue
                 bounded = pl.Bop(pl.GTEQ, rf, pl.Const(0))
-                if not pl.entails(pl.mk_and(pl.mk_and(region, pi_t), enabled), bounded):
+                if not pl.entails(pl.mk_and(pl.mk_and(region, pi_t), enabled), bounded, self.memo):
                     continue
                 break
             else:
                 return None
             phases.append(PhaseInfo(rf, pi_t, pi_nt))
             pi_res = pl.mk_and(pi_res, pi_nt)
-            if not pl.satisfiable(pl.mk_and(pi_g, pi_res)):
+            if not pl.satisfiable(pl.mk_and(pi_g, pi_res), self.memo):
                 return tuple(phases), pl.FALSE
             region = pl.mk_and(pi_g, pi_res)
-            if _closed(region, region, clean_ga):
-                return tuple(phases), prune_conjuncts(pi_res)
+            if _closed(region, region, clean_ga, self.memo):
+                return tuple(phases), prune_conjuncts(pi_res, self.memo)
             cands = pl.candidate_rfs(pi_nt)
         return None
 
@@ -1080,12 +1080,12 @@ class _Builder:
         moves = _after(k, steps, 0).items()
         in_range = pl.Bop(pl.GTEQ, k, pl.Const(0))
         bound = pretty_nonneg(pl.Add(rf, pl.Const(1)))
-        if not pl.entails(pi_g, bound):
+        if not pl.entails(pi_g, bound, self.memo):
             in_range = pl.mk_and(in_range, pl.mk_or(pl.Bop(pl.EQ, k, pl.Const(0)), bound))
         return Ev(s=sid, assigns=((k.name, pl.Wildcard()), *moves), constraint=pl.mk_and(in_range, pi_g))
 
 
-def _exact_steps(pi_g, term, clean_ga, phases, assigned) -> dict[str, int] | None:
+def _exact_steps(pi_g, term, clean_ga, phases, assigned, memo: pl.Memo) -> dict[str, int] | None:
     """Each ``assigned`` variable's step per iteration, when the one phase's
     rf steps down by one on every branch, every branch moves every assigned
     variable ``v`` to ``v + c_v`` with the same ``c_v``, and the guard holds
@@ -1104,7 +1104,7 @@ def _exact_steps(pi_g, term, clean_ga, phases, assigned) -> dict[str, int] | Non
             if lin is None or lin[0] != {v: 1} or steps.setdefault(v, lin[1]) != lin[1]:
                 return None
     last = _after(rf, steps, 0)
-    if not pl.entails(pl.mk_and(pi_g, term), _throughout(pi_g, last)):
+    if not pl.entails(pl.mk_and(pi_g, term), _throughout(pi_g, last), memo):
         return None
     return steps
 
@@ -1169,19 +1169,19 @@ def _order_assignments(assigns: list[tuple[str, pl.Term]]):
 # ---------------------------------------------------------------------------
 
 
-def cfg_to_gwre(program: fe.Program) -> GwreResult:
+def cfg_to_gwre(program: fe.Program, memo: pl.Memo) -> GwreResult:
     """Summarize ``main`` into a guarded effect with renumbered states."""
     proc = program.procedures.get("main")
     if proc is None:
         raise UnsupportedProgram("no procedure named 'main'")
-    give_ups = pl.give_ups
-    builder = _Builder(program)
+    give_ups = memo.give_ups
+    builder = _Builder(program, memo)
     try:
         phi = builder.walk(proc, proc.entry)
     except SummaryInconclusive:
         log.debug(
             "gwre: inconclusive, %d rankings from the memo, %d row-limit give-ups in fresh work",
-            builder.remembered, pl.give_ups - give_ups,
+            builder.remembered, memo.give_ups - give_ups,
         )
         raise
     pairs, nullable = linear_form(phi)
@@ -1195,7 +1195,7 @@ def cfg_to_gwre(program: fe.Program) -> GwreResult:
             "%d summaries, %d rankings from the memo, %d states, "
             "%d row-limit give-ups in fresh work",
             sum(len(p.nodes) for p in program.procedures.values()), *_tree_size(phi),
-            len(builder.summaries), builder.remembered, len(mapping), pl.give_ups - give_ups,
+            len(builder.summaries), builder.remembered, len(mapping), memo.give_ups - give_ups,
         )
     return GwreResult(
         phi=phi,

@@ -24,30 +24,39 @@ propositions, and loop analysis:
   split into a "strictly decreasing" and a "not decreasing" precondition.
 
 Terms and constraints are immutable; integer semantics throughout.
-``satisfiable`` and ``entails`` remember their answers, keyed by interned
-node ids (hash-consing): structurally equal nodes share one int, cached on
-the node, so a key costs one walk over the nodes not keyed before and an
-answer is never recomputed for an equal question.  ``reset_memo`` clears
-four tables, which live until it is called again:
+``satisfiable`` and ``entails`` remember their answers in the ``Memo``
+passed to them, keyed by interned node ids (hash-consing, ``node_id``):
+structurally equal nodes share one int, cached on the node, so a key costs
+one walk over the nodes not keyed before and an answer is never recomputed
+for an equal question.  A memo lives as long as its owner keeps it: one
+``repair.analyze``, or one ``repair.repair_loop``, whose re-analyses share
+the memo of its first analysis.  It holds:
 
-* ``_ids`` — the interned id of each node shape;
-* ``_answers`` — each answer of ``satisfiable`` and ``entails``;
-* ``_rows`` — the rows of each wildcard-free comparison;
+* ``ids`` — the interned id of each node shape;
+* ``answers`` — each answer of ``satisfiable`` and ``entails``;
+* ``rows`` — the rows of each wildcard-free comparison;
 * ``derived`` — what other modules derive from keyed nodes or text alone,
   each under a key whose first item names what derived it: the encoder's
-  decision for a comparison, its tracked atoms and its table of each
-  node's symbols (``encode``), the ranking of a loop and each pruned
-  guard (``gwre``), and the compiled property (``repair``).
+  decision for a comparison and its tracked atoms (``encode``), the
+  ranking of a loop and each pruned guard (``gwre``), and the compiled
+  property (``repair``).  No value is changed once stored;
+* ``symbols`` — the encoder's variables of each term or constraint;
+* ``give_ups`` — the Fourier-Motzkin runs cut short by ``_ROW_LIMIT``;
+* ``counts`` — a repair's counters, which its report shows as ``timing``.
 
-``repair.analyze`` calls ``reset_memo``, and ``repair.repair_loop`` only
-through its first analysis, so every re-analysis of one repair shares the
-four tables.  They are module state: analyses in one process must not run
-on two threads at once.
+The module keeps no state that changes after import.  A node's tag names
+the memo that keyed it by the memo's ``token``, so a constant such as
+``TRUE`` keeps no finished memo alive, and a node keyed by another memo is
+keyed again.  Analyses with memos of their own may run on several threads
+at once: a node both key only has its tag overwritten back and forth, and
+a tag is read as one tuple, so no memo reads another's id.  One memo must
+not serve two threads at once.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, KeysView
 
@@ -491,7 +500,6 @@ def simplify(pi: Pure) -> Pure:
 # A "row" is a linear form read as  coeffs·x + const >= 0.
 
 _ROW_LIMIT = 5000
-give_ups = 0  # _fm_unsat calls cut short by _ROW_LIMIT, over the process
 
 # (sign, tightening) of each row that  left op right  becomes
 _ROW_SHAPES = {GTEQ: [(1, 0)], LTEQ: [(-1, 0)], GT: [(1, 1)], LT: [(-1, 1)], EQ: [(1, 0), (-1, 0)]}
@@ -513,11 +521,10 @@ def _rows_of_bop(atom: Bop, named: int) -> tuple[list[Linear], int]:
     return rows, next(names) - 1
 
 
-def _fm_unsat(rows: list[Linear]) -> bool:
+def _fm_unsat(rows: list[Linear], memo: Memo) -> bool:
     """Fourier-Motzkin: True iff the row system has no rational solution.
     Past ``_ROW_LIMIT`` rows it gives up, answers False and counts that in
-    ``give_ups``."""
-    global give_ups
+    ``memo.give_ups``."""
     while True:
         pending = [r for r in rows if r[0]]
         if not pending:
@@ -539,15 +546,15 @@ def _fm_unsat(rows: list[Linear]) -> bool:
                         coeffs[v] = c
                 new_rows.append((coeffs, b * pk + a * nk))
                 if len(new_rows) > _ROW_LIMIT:
-                    give_ups += 1
+                    memo.give_ups += 1
                     return False  # give up conservatively: treat as satisfiable
         rows = new_rows
 
 
-def _unsat(pi: Pure) -> bool:
+def _unsat(pi: Pure, memo: Memo) -> bool:
     """True iff no disjunct of ``pi``'s DNF has satisfiable rows; the one
     decision behind ``satisfiable`` and ``entails``, so that neither module
-    global calls the other.
+    function calls the other.
 
     A depth-first case split visits the disjuncts left to right (``!=``
     reads as ``<`` then ``>``), drops a branch whose rows are already
@@ -565,7 +572,7 @@ def _unsat(pi: Pure) -> bool:
             elif isinstance(head, Bop) and head.op == NEQ:
                 left, right = Bop(LT, head.left, head.right), Bop(GT, head.left, head.right)
             elif isinstance(head, Bop):
-                new, named = _rows_of(head, named)
+                new, named = _rows_of(head, named, memo)
                 rows += new
                 continue
             elif isinstance(head, And):
@@ -577,60 +584,49 @@ def _unsat(pi: Pure) -> bool:
                 break
             else:
                 raise TypeError(f"not a pure constraint: {head!r}")
-            if rows and _fm_unsat(rows):
+            if rows and _fm_unsat(rows, memo):
                 break
             stack.append(((right, todo), list(rows), named))
             todo = left, todo
         else:
-            if not _fm_unsat(rows):
+            if not _fm_unsat(rows, memo):
                 return False
     return True
 
 
-# The memo of ``_unsat`` answers, and the interned id of each node shape.
-# A keyed node keeps (generation, id) in ``_nid``; ``reset_memo`` starts a
-# new generation, so a node keyed in an earlier one (or unpickled from
-# another process) is keyed again and its stale id never aliases.
-_ids: dict[tuple, int] = {}
-_answers: dict[int | tuple[int, int], bool] = {}
-_generation = object()
-# the rows of each wildcard-free comparison whose sides are keyed, by
-# (operator, id of each side); they live and die with ``_answers``
-_rows: dict[tuple[str, int, int], list[Linear]] = {}
-# results other modules derive from node ids of this generation, or from
-# text, under a key whose first item names the kind; they live and die with
-# ``_answers``, so a key never outlives the ids in it.  A key must not
-# depend on the order a set iterates in; a value must not be changed, but
-# for a table that only gains entries keyed by node id.
-derived: dict[tuple, object] = {}
+class Memo:
+    """The tables of the module docstring; a plain object, hashed by identity."""
+
+    __slots__ = ("token", "ids", "answers", "rows", "derived", "symbols", "give_ups", "counts")
+
+    def __init__(self):
+        self.token = object()  # a keyed node's ``_nid`` is (token, id)
+        self.ids: dict[tuple, int] = {}
+        self.answers: dict[int | tuple[int, int], bool] = {}  # ``_unsat``, by node ids
+        self.rows: dict[tuple[str, int, int], list[Linear]] = {}  # by operator and side ids
+        # a key must not depend on the order a set iterates in
+        self.derived: dict[tuple, object] = {}
+        self.symbols: dict[int, frozenset[str]] = {}  # by node id
+        self.give_ups = 0
+        self.counts: Counter = Counter()
 
 
-def reset_memo() -> None:
-    """Forget every node id, every answer of ``satisfiable``/``entails``,
-    every memoised row and every ``derived`` result."""
-    global _generation
-    _ids.clear()
-    _answers.clear()
-    _rows.clear()
-    derived.clear()
-    _generation = object()
-
-
-def _rows_of(atom: Bop, named: int) -> tuple[list[Linear], int]:
-    """``_rows_of_bop``, read from ``_rows`` where both sides are keyed in
-    this generation; an atom with a wildcard is never memoised, since its
-    rows depend on ``named``."""
+def _rows_of(atom: Bop, named: int, memo: Memo) -> tuple[list[Linear], int]:
+    """``_rows_of_bop``, read from ``memo.rows`` where both sides are keyed
+    in ``memo``; an atom with a wildcard is never memoised, since its rows
+    depend on ``named``."""
+    token = memo.token
     left = getattr(atom.left, "_nid", None)
     right = getattr(atom.right, "_nid", None)
-    if left is None or right is None or left[0] is not _generation or right[0] is not _generation:
+    if left is None or right is None or left[0] is not token or right[0] is not token:
         return _rows_of_bop(atom, named)
     key = (atom.op, left[1], right[1])
-    rows = _rows.get(key)
+    rows = memo.rows.get(key)
     if rows is None:
         rows, after = _rows_of_bop(atom, named)
         if after != named:
             return rows, after
-        _rows[key] = rows
+        memo.rows[key] = rows
     return rows, named
 
 
@@ -652,18 +648,19 @@ def _parts(node: object) -> tuple[tuple, tuple]:
     raise TypeError(f"not a term or pure constraint: {node!r}")
 
 
-def _node_id(root: object) -> int:
-    """The interned id of ``root``; one explicit-stack walk keys the nodes
-    not yet keyed in this generation, each shared node once."""
-    gen = _generation
+def node_id(root: object, memo: Memo) -> int:
+    """The interned id of ``root`` in ``memo``; one explicit-stack walk keys
+    the nodes not yet keyed there, each shared node once."""
+    token = memo.token
     tag = getattr(root, "_nid", None)
-    if tag is not None and tag[0] is gen:
+    if tag is not None and tag[0] is token:
         return tag[1]
+    ids = memo.ids
     stack = [root]
     while stack:
         node = stack[-1]
         tag = getattr(node, "_nid", None)
-        if tag is not None and tag[0] is gen:
+        if tag is not None and tag[0] is token:
             stack.pop()
             continue
         scalars, children = _parts(node)
@@ -671,36 +668,37 @@ def _node_id(root: object) -> int:
         waiting = False  # for a child to be keyed first
         for child in children:
             tag = getattr(child, "_nid", None)
-            if tag is not None and tag[0] is gen:
+            if tag is not None and tag[0] is token:
                 shape += (tag[1],)
             else:
                 stack.append(child)
                 waiting = True
         if not waiting:
             stack.pop()
-            object.__setattr__(node, "_nid", (gen, _ids.setdefault(shape, len(_ids))))
-    return root._nid[1]
+            nid = ids.setdefault(shape, len(ids))
+            object.__setattr__(node, "_nid", (token, nid))
+    return nid  # the root's, keyed last
 
 
-def satisfiable(pi: Pure) -> bool:
+def satisfiable(pi: Pure, memo: Memo) -> bool:
     """Sound-for-unsat satisfiability: False only if truly unsatisfiable."""
-    key = _node_id(pi)
-    unsat = _answers.get(key)
+    key = node_id(pi, memo)
+    unsat = memo.answers.get(key)
     if unsat is None:
-        unsat = _answers[key] = _unsat(pi)
+        unsat = memo.answers[key] = _unsat(pi, memo)
     return not unsat
 
 
-def entails(state: Pure, goal: Pure) -> bool:
+def entails(state: Pure, goal: Pure, memo: Memo) -> bool:
     """Sound integer entailment: True only if every model of state meets goal.
 
     That is, ``not satisfiable(state /\\ negate(goal))``: the conjunction is
     rationally unsatisfiable once strict bounds are tightened for integers.
     """
-    key = (_node_id(state), _node_id(goal))
-    unsat = _answers.get(key)
+    key = (node_id(state, memo), node_id(goal, memo))
+    unsat = memo.answers.get(key)
     if unsat is None:
-        unsat = _answers[key] = _unsat(mk_and(state, negate(goal)))
+        unsat = memo.answers[key] = _unsat(mk_and(state, negate(goal)), memo)
     return unsat
 
 

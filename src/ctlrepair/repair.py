@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import ctl as ctl_mod
@@ -40,11 +41,6 @@ class RepairConfig:
     depth: int = 1
 
 
-def _count(stats: dict | None, key: str, n: int = 1) -> None:
-    if stats is not None:
-        stats[key] = stats.get(key, 0) + n
-
-
 # ---------------------------------------------------------------------------
 # Whole-program analysis
 # ---------------------------------------------------------------------------
@@ -65,52 +61,52 @@ class Analysis:
     rules: list
     holds: bool
     unknown: str | None
+    memo: pl.Memo  # what it asked and counted, shared by its re-analyses
 
 
-def analyze(source: str, ctl_text: str | None = None, stats: dict | None = None) -> Analysis:
+def analyze(source: str, ctl_text: str | None = None) -> Analysis:
     """Parse, summarize, encode, and evaluate one program end to end.
 
-    Starts a new memo (``pure_logic.reset_memo``): its entailment answers,
-    and the decisions, loop rankings and compiled property derived from
-    them, are shared by nothing that came before.
+    Starts a new ``pl.Memo``: its entailment answers, and the decisions,
+    loop rankings and compiled property derived from them, are shared by
+    nothing that came before.
     """
-    pl.reset_memo()
-    return _analyze(source, ctl_text, stats)
+    return _analyze(source, ctl_text, pl.Memo())
 
 
-def _analyze(source: str, ctl_text: str | None, stats: dict | None) -> Analysis:
-    """``analyze`` within the current memo."""
-    _count(stats, "analyses")
+def _analyze(source: str, ctl_text: str | None, memo: pl.Memo) -> Analysis:
+    """``analyze`` within ``memo``."""
+    memo.counts["analyses"] += 1
     parsed = fe.parse(source)
     text = ctl_text or parsed.ctl
     if text is None:
         raise PropertyMissing(
             "no property: pass --ctl or add a first-line //@ ctl: annotation"
         )
-    pures, top, ctl_rules = _compiled(text)
+    pures, top, ctl_rules = _compiled(text, memo)
     cfg = fe.build_cfg(parsed)
     try:
-        gwre_result = gw.cfg_to_gwre(cfg)
+        gwre_result = gw.cfg_to_gwre(cfg, memo)
     except gw.SummaryInconclusive as exc:
-        return Analysis(source, text, cfg, None, None, None, [], False, str(exc))
-    enc = enc_mod.abstract_facts(gwre_result, list(pures))
+        return Analysis(source, text, cfg, None, None, None, [], False, str(exc), memo)
+    enc = enc_mod.abstract_facts(gwre_result, list(pures), memo)
     target = Atom(top, (gwre_result.entry_state,))
     rules = list(enc.rules) + list(ctl_rules)
-    _count(stats, "evaluations")
+    memo.counts["evaluations"] += 1
     holds = target in evaluate(DatalogProgram(rules=rules, facts=list(enc.facts)))
-    return Analysis(source, text, cfg, gwre_result, enc, target, rules, holds, None)
+    return Analysis(source, text, cfg, gwre_result, enc, target, rules, holds, None, memo)
 
 
-def _compiled(text: str) -> tuple[tuple, str, tuple]:
+def _compiled(text: str, memo: pl.Memo) -> tuple[tuple, str, tuple]:
     """The property ``text``'s atomic payloads (``ctl.pure_of_ctl``), top
     predicate and rules (``ctl.ctl_to_datalog``), remembered in
-    ``pl.derived`` by the text."""
+    ``memo.derived`` by the text."""
     key = ("property", text)
-    compiled = pl.derived.get(key)
+    compiled = memo.derived.get(key)
     if compiled is None:
         phi = ctl_mod.desugar(ctl_mod.parse_ctl(text))
         top, rules = ctl_mod.ctl_to_datalog(phi)
-        compiled = pl.derived[key] = (tuple(ctl_mod.pure_of_ctl(phi)), top, tuple(rules))
+        compiled = memo.derived[key] = (tuple(ctl_mod.pure_of_ctl(phi)), top, tuple(rules))
     return compiled
 
 
@@ -323,20 +319,21 @@ def _value_for(pure: pl.Pure, var: str) -> object | None:
     return None
 
 
-def run_template(analysis: Analysis, config: RepairConfig, consts_at, stats=None):
+def run_template(analysis: Analysis, config: RepairConfig, consts_at):
     """Every template's fact-level candidates and constraint reports for one
     round, as ``(template, candidates, reports)`` in ``config.template_order``.
 
     Every (template, injected shape) sign search of the round is built
     first, and one ``sedl.sign_batch`` fixpoint answers them all.
-    ``consts_at`` is ``sedl.compute_depend`` of the analysis' rules and facts."""
-    enc = analysis.enc
+    ``consts_at`` is ``sedl.compute_depend`` of the analysis' rules and facts.
+    The round's counts go to ``analysis.memo.counts``."""
+    enc, counts = analysis.enc, analysis.memo.counts
     plan = []  # per template, its searches' shapes and sign families
     searches: list[sedl.SignSearch] = []
     for template in config.template_order:
         if template not in TEMPLATES:
             raise ValueError(f"unknown template {template!r}")
-        _count(stats, "templates")
+        counts["templates"] += 1
         shapes = _alpha_shapes(analysis.rules) if template in ("update", "add") else [None]
         planned = []
         for shape in shapes:
@@ -357,16 +354,16 @@ def run_template(analysis: Analysis, config: RepairConfig, consts_at, stats=None
         run_reports = []
         skipped: list[sedl.SignBudgetExceeded] = []
         for i, shape, fam_of_xi in planned:
-            _count(stats, "sign_searches")
+            counts["sign_searches"] += 1
             try:
                 psi = sedl.symbolic_execute(batch, i)
             except sedl.SignBudgetExceeded as exc:
-                _count(stats, "sign_budget_exceeded")
+                counts["sign_budget_exceeded"] += 1
                 skipped.append(exc)
                 continue
             read += len(psi.disjuncts)
             if psi.truncated:
-                _count(stats, "sign_truncated")
+                counts["sign_truncated"] += 1
             report = {}  # distinct report disjuncts by their text, first kept
             for d in psi.disjuncts:
                 cand = _disjunct_candidate(d, fam_of_xi, shape, enc, config, template)
@@ -377,7 +374,7 @@ def run_template(analysis: Analysis, config: RepairConfig, consts_at, stats=None
                     dj["alpha_bindings"] = {}
                 report.setdefault(str(dj), dj)
             if len(report) > _MAX_REPORT_DISJUNCTS:
-                _count(stats, "report_truncated")
+                counts["report_truncated"] += 1
             run_reports.append(
                 {
                     "shape": f"{shape[0]}/{shape[1]}" if shape else None,
@@ -570,7 +567,7 @@ def _early_exit(analysis: Analysis, fams: list[enc_mod.Family]):
 # ---------------------------------------------------------------------------
 
 
-def _decide(analysis: Analysis, candidates: list[_Candidate], stats) -> int:
+def _decide(analysis: Analysis, candidates: list[_Candidate]) -> int:
     """Bit ``i`` is set when candidate ``i``'s facts derive the target.  One
     fixpoint decides every candidate in its own world: an encoder fact holds
     in all but the worlds deleting its family, an added fact in its own."""
@@ -584,7 +581,7 @@ def _decide(analysis: Analysis, candidates: list[_Candidate], stats) -> int:
     adds = [(a, 1 << i) for i, cand in enumerate(candidates) for a in cand.adds]
     DatalogProgram(facts=[a for a, _ in adds]).validate()  # _analyze checked the rest
     facts = [(f, kept.get(analysis.enc.fact_family.get(f), full)) for f in analysis.enc.facts]
-    _count(stats, "evaluations")
+    analysis.memo.counts["evaluations"] += 1
     return sedl.annotated_eval(analysis.rules, facts + adds, full).get(analysis.target, 0)
 
 
@@ -592,10 +589,14 @@ def _decide(analysis: Analysis, candidates: list[_Candidate], stats) -> int:
 class RepairResult:
     verdict: str  # Verified | Repaired | Unrepaired | Unknown
     property_text: str
+    analysis: Analysis  # of the program as given
     patches: list[Patch] = field(default_factory=list)
     constraints: dict = field(default_factory=dict)
-    stats: dict = field(default_factory=dict)
-    analysis: Analysis | None = None
+
+    @property
+    def stats(self) -> Counter:
+        """The counts of the repair's memo, which ``timing`` reports."""
+        return self.analysis.memo.counts
 
     def to_json(self) -> dict:
         out = {
@@ -616,24 +617,17 @@ _MAX_REPORT_DISJUNCTS = 64
 
 
 def repair_loop(source: str, config: RepairConfig, ctl_text: str | None = None) -> RepairResult:
-    stats: dict = {}
     # starts the memo that every re-analysis in _search shares: entailment
-    # answers, comparison decisions, loop rankings and the compiled property
-    analysis = analyze(source, ctl_text, stats)
+    # answers, comparison decisions, loop rankings, the compiled property
+    # and the counts that the report shows
+    analysis = analyze(source, ctl_text)
     if analysis.unknown:
-        return RepairResult("Unknown", analysis.property_text, stats=stats, analysis=analysis)
+        return RepairResult("Unknown", analysis.property_text, analysis)
     if analysis.holds:
-        return RepairResult("Verified", analysis.property_text, stats=stats, analysis=analysis)
-    patches, constraints = _search(analysis, config, config.depth, stats)
+        return RepairResult("Verified", analysis.property_text, analysis)
+    patches, constraints = _search(analysis, config, config.depth)
     verdict = "Repaired" if patches else "Unrepaired"
-    return RepairResult(
-        verdict,
-        analysis.property_text,
-        rank_patches(patches),
-        constraints,
-        stats,
-        analysis,
-    )
+    return RepairResult(verdict, analysis.property_text, analysis, rank_patches(patches), constraints)
 
 
 def _estimated_cost(cand: _Candidate) -> int:
@@ -649,7 +643,7 @@ def _within_caps(deltas: tuple, config: RepairConfig) -> bool:
     return deletes <= config.max_delete and adds <= config.max_add
 
 
-def _search(analysis: Analysis, config: RepairConfig, depth: int, stats, prefix: tuple | None = None):
+def _search(analysis: Analysis, config: RepairConfig, depth: int, prefix: tuple | None = None):
     """Verified patches for the analysis, from candidates tried cheapest first.
 
     A nested search gets the calling round's deltas as ``prefix``; its caller
@@ -664,7 +658,7 @@ def _search(analysis: Analysis, config: RepairConfig, depth: int, stats, prefix:
     constraints: dict = {}
     seen = set()
     consts_at = sedl.compute_depend(analysis.rules, analysis.enc.facts)
-    for template, cands, reports in run_template(analysis, config, consts_at, stats):
+    for template, cands, reports in run_template(analysis, config, consts_at):
         constraints[template] = reports
         for c in cands:
             key = (frozenset(f.key for f in c.deletes), frozenset(c.adds))
@@ -682,7 +676,7 @@ def _search(analysis: Analysis, config: RepairConfig, depth: int, stats, prefix:
     patches: list[Patch] = []
     recursed = 0
     fit = None  # cost of the cheapest patch so far within the caps after prefix
-    holds = _decide(analysis, candidates, stats)
+    holds = _decide(analysis, candidates)
     for cand in [c for i, c in enumerate(candidates) if holds >> i & 1]:
         if len(patches) >= _MAX_PATCHES:
             break
@@ -694,7 +688,7 @@ def _search(analysis: Analysis, config: RepairConfig, depth: int, stats, prefix:
         deltas, edits, anchor = syn
         new_source = apply_edits(analysis.source, edits)
         try:
-            sub_analysis = _analyze(new_source, analysis.property_text, stats)
+            sub_analysis = _analyze(new_source, analysis.property_text, analysis.memo)
         except (fe.ImpSyntaxError, gw.UnsupportedProgram):
             continue
         cost = len(deltas)
@@ -704,7 +698,7 @@ def _search(analysis: Analysis, config: RepairConfig, depth: int, stats, prefix:
             patch = Patch(deltas, edits, new_source, cost, 1, anchor)
         elif depth > 1 and recursed < _MAX_RECURSED:
             recursed += 1
-            sub_patches, _ = _search(sub_analysis, config, depth - 1, stats, deltas)
+            sub_patches, _ = _search(sub_analysis, config, depth - 1, deltas)
             best = next(
                 (p for p in rank_patches(sub_patches) if _within_caps(deltas + p.deltas, config)),
                 None,

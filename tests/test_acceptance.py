@@ -48,7 +48,7 @@ def test_criterion_1_overview_pipeline(fixture_text):
     src = fixture_text("overview.imp")
 
     # guarded-effect structure
-    res = gw.cfg_to_gwre(fe.build_cfg(fe.parse(src)))
+    res = gw.cfg_to_gwre(fe.build_cfg(fe.parse(src)), pl.Memo())
     assert str(res.phi) == (
         "(y=1)@1·(i=*)@2·(x=*)@3·"
         "([i>10]@4·(x=1)@5·([x!=y]@7·(y=5)@11 \\/ [x=y]@8·((x>=y)@12)^w)"
@@ -176,7 +176,7 @@ def test_criterion_3_loop_summaries(fixture_text):
     watch = Stopwatch(2.0)
 
     # (i) while (x == y) {} — never terminates once entered
-    res = gw.cfg_to_gwre(fe.build_cfg(fe.parse(fixture_text("equal_guard.imp"))))
+    res = gw.cfg_to_gwre(fe.build_cfg(fe.parse(fixture_text("equal_guard.imp"))), pl.Memo())
     (summary,) = res.summaries
     assert str(summary.guard) == "x=y"
     assert isinstance(summary.phases[0].pi_t, pl.FalseP)
@@ -185,17 +185,18 @@ def test_criterion_3_loop_summaries(fixture_text):
 
     # (ii) nested loops: the inner loop's termination precondition, taken at
     # the loop entry m=0, is exactly step >= 1
-    res = gw.cfg_to_gwre(fe.build_cfg(fe.parse(fixture_text("nested.imp"))))
+    memo = pl.Memo()
+    res = gw.cfg_to_gwre(fe.build_cfg(fe.parse(fixture_text("nested.imp"))), memo)
     inner = next(s for s in res.summaries if str(s.guard) == "m<step")
     wpc = pl.subst_pure(pl.mk_and(inner.guard, inner.phases[0].pi_t), {"m": pl.Const(0)})
     step_ge_1 = pl.Bop(pl.GTEQ, pl.Var("step"), pl.Const(1))
-    assert pl.entails(wpc, step_ge_1)
-    assert pl.entails(step_ge_1, wpc)
+    assert pl.entails(wpc, step_ge_1, memo)
+    assert pl.entails(step_ge_1, wpc, memo)
     assert verdict(fixture_text("nested.imp")) == "holds"
 
     # (iii) both multiphase loops always terminate (precondition T)
     for name, n_phases in (("multiphase1.imp", 2), ("multiphase2.imp", 3)):
-        res = gw.cfg_to_gwre(fe.build_cfg(fe.parse(fixture_text(name))))
+        res = gw.cfg_to_gwre(fe.build_cfg(fe.parse(fixture_text(name))), pl.Memo())
         (s,) = res.summaries
         assert s.always_terminates, name
         assert len(s.phases) == n_phases, name
@@ -827,7 +828,7 @@ void main(int x, int y, int z) {
 
 def _loop_setup(source):
     program = fe.build_cfg(fe.parse(source))
-    res = gw.cfg_to_gwre(program)
+    res = gw.cfg_to_gwre(program, pl.Memo())
     (summary,) = res.summaries
     return program, summary
 
@@ -1015,9 +1016,10 @@ def test_straight_line_5000_effect_and_encoding_within_budget():
     # a sequence is one flat node, so no step over the effect recurses once
     # per statement
     watch = Stopwatch(5.0)
-    res = gw.cfg_to_gwre(fe.build_cfg(fe.parse(_straight(5000))))
+    memo = pl.Memo()
+    res = gw.cfg_to_gwre(fe.build_cfg(fe.parse(_straight(5000))), memo)
     assert str(res.phi).count("x=x+1") == 5000
-    enc = encode.abstract_facts(res, [])
+    enc = encode.abstract_facts(res, [], memo)
     # a State and an outgoing flow fact per state, the Exit fact, and the
     # Cyc fact of the exit's self-loop
     assert len(enc.facts) == 5002 + 5002 + 1 + 1
@@ -1038,7 +1040,7 @@ def test_long_callee_inlines_within_budget():
     watch = Stopwatch(5.0)
     src = "int f(int a) {\n  int x = a;\n" + "  x = x + 1;\n" * 2000
     src += "  return x;\n}\nvoid main() {\n  int y = f(1);\n  return;\n}\n"
-    res = gw.cfg_to_gwre(fe.build_cfg(fe.parse(src)))
+    res = gw.cfg_to_gwre(fe.build_cfg(fe.parse(src)), pl.Memo())
     assert len(gw.states_of(res.phi)) == 2003
     watch.check()
 

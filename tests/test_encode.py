@@ -18,9 +18,10 @@ from conftest import FIXTURES, Stopwatch, calls, ifs, kif, loops, verdict
 
 
 def encode(source: str, prop: str) -> enc_mod.EncodeResult:
-    gwre_result = gw.cfg_to_gwre(fe.build_cfg(fe.parse(source)))
+    memo = pl.Memo()
+    gwre_result = gw.cfg_to_gwre(fe.build_cfg(fe.parse(source)), memo)
     phi = ctl.desugar(ctl.parse_ctl(prop))
-    return enc_mod.abstract_facts(gwre_result, ctl.pure_of_ctl(phi))
+    return enc_mod.abstract_facts(gwre_result, ctl.pure_of_ctl(phi), memo)
 
 
 def test_overview_state_facts(fixture_text):
@@ -114,7 +115,7 @@ def _analyzable_fixtures(fixtures_dir):
             ast = fe.parse(path.read_text())
             if ast.ctl is None:
                 continue
-            gwre_result = gw.cfg_to_gwre(fe.build_cfg(ast))
+            gwre_result = gw.cfg_to_gwre(fe.build_cfg(ast), pl.Memo())
         except (fe.ImpSyntaxError, gw.SummaryInconclusive):
             continue
         phi = ctl.desugar(ctl.parse_ctl(ast.ctl))
@@ -136,7 +137,7 @@ def test_every_comparison_fact_is_read_or_at_a_def_state(fixtures_dir):
     """A comparison is decided where its fact or its complement's is read, or
     where one of its variables is defined."""
     for name, gwre_result, phi in _analyzable_fixtures(fixtures_dir):
-        enc = enc_mod.abstract_facts(gwre_result, ctl.pure_of_ctl(phi))
+        enc = enc_mod.abstract_facts(gwre_result, ctl.pure_of_ctl(phi), pl.Memo())
         _, ctl_rules = ctl.ctl_to_datalog(phi)
         body = [lit.atom for r in list(enc.rules) + ctl_rules for lit in r.body]
         for fact, key in enc.fact_family.items():
@@ -149,7 +150,7 @@ def test_every_comparison_fact_is_read_or_at_a_def_state(fixtures_dir):
 def test_read_sets_cover_every_guard_rule(fixtures_dir):
     for name, gwre_result, phi in _analyzable_fixtures(fixtures_dir):
         reads = enc_mod.read_sets(gwre_result.phi)
-        enc = enc_mod.abstract_facts(gwre_result, ctl.pure_of_ctl(phi))
+        enc = enc_mod.abstract_facts(gwre_result, ctl.pure_of_ctl(phi), pl.Memo())
         for rule in enc.rules:
             prev = rule.head.args[0]
             for lit in rule.body:
@@ -160,7 +161,7 @@ def test_read_sets_cover_every_guard_rule(fixtures_dir):
 
 def _encoding(gwre_result, phi) -> tuple:
     """All that ``abstract_facts`` gives, in its order."""
-    enc = enc_mod.abstract_facts(gwre_result, ctl.pure_of_ctl(phi))
+    enc = enc_mod.abstract_facts(gwre_result, ctl.pure_of_ctl(phi), pl.Memo())
     families = [(k, f.pure, f.var, f.members, f.read) for k, f in enc.families.items()]
     return enc.facts, enc.rules, families, list(enc.fact_family.items()), list(enc.pair_of.items())
 
@@ -239,7 +240,7 @@ def test_merged_walk_encodes_as_the_full_walk(monkeypatch):
             ast = fe.parse(source)
             if ast.ctl is None:
                 continue
-            gwre_result = gw.cfg_to_gwre(fe.build_cfg(ast))
+            gwre_result = gw.cfg_to_gwre(fe.build_cfg(ast), pl.Memo())
         except (fe.ImpSyntaxError, gw.SummaryInconclusive):
             continue
         phi = ctl.desugar(ctl.parse_ctl(ast.ctl))
@@ -302,13 +303,13 @@ def test_sliced_queries_encode_as_whole_queries(monkeypatch):
             ast = fe.parse(source)
             if ast.ctl is None:
                 continue
-            gwre_result = gw.cfg_to_gwre(fe.build_cfg(ast))
+            gwre_result = gw.cfg_to_gwre(fe.build_cfg(ast), pl.Memo())
         except (fe.ImpSyntaxError, gw.SummaryInconclusive):
             continue
         phi = ctl.desugar(ctl.parse_ctl(ast.ctl))
         monkeypatch.setattr(enc_mod._Encoder, "slice", lambda self, store, names: _whole(store))
         monkeypatch.setattr(
-            enc_mod._Encoder, "feasible", lambda self, store: pl.satisfiable(_whole(store))
+            enc_mod._Encoder, "feasible", lambda self, store: pl.satisfiable(_whole(store), self.memo)
         )
         whole = _encoding(gwre_result, phi)
         monkeypatch.setattr(enc_mod._Encoder, "slice", counted)
@@ -319,7 +320,7 @@ def test_sliced_queries_encode_as_whole_queries(monkeypatch):
 
 
 def test_constraint_blocks_join_on_shared_symbols():
-    enc = enc_mod._Encoder([], {}, set())
+    enc = enc_mod._Encoder([], {}, set(), pl.Memo())
     x, y = pl.Var("x"), pl.Var("y")
     x_pos, y_pos, x_lt_y = pl.Bop(pl.GT, x, pl.Const(0)), pl.Bop(pl.GT, y, pl.Const(0)), pl.Bop(pl.LT, x, y)
     store = enc_mod.SymStore(env={"a": x, "b": y})
@@ -378,10 +379,10 @@ def test_emit_asks_about_each_decision_once(fixture_text, monkeypatch):
         keys.append(decision_key(self, *args))
         return keys[-1]
 
-    def counted(state, goal):
+    def counted(state, goal, memo):
         if inside:
             asked.setdefault(keys[-1], set()).add(len(keys))
-        return entails(state, goal)
+        return entails(state, goal, memo)
 
     monkeypatch.setattr(enc_mod._Encoder, "emit", emitting)
     monkeypatch.setattr(enc_mod._Encoder, "decision_key", keyed)
@@ -401,11 +402,11 @@ def test_encode_line_counts_decisions_from_the_memo(fixture_text, caplog):
 
     source = fixture_text("overview_fixed.imp")
     with caplog.at_level(logging.DEBUG, logger="ctlrepair.encode"):
-        rp.analyze(source)
+        memo = rp.analyze(source).memo
         total, remembered = decided()
         assert 0 < remembered < total
         # a second analysis within the same memo decides nothing anew
-        rp._analyze(source, None, None)
+        rp._analyze(source, None, memo)
         assert decided() == (total, total)
 
 
@@ -415,9 +416,9 @@ def test_feasibility_asks_only_blocks_built_since_known_feasible(monkeypatch):
     satisfiable, feasible = pl.satisfiable, enc_mod._Encoder.feasible
     asked, checks = [], []
 
-    def counted_satisfiable(pi):
+    def counted_satisfiable(pi, memo):
         asked.append(pi)
-        return satisfiable(pi)
+        return satisfiable(pi, memo)
 
     def counted_feasible(self, store):
         if store.feasible is None:
@@ -433,7 +434,7 @@ def test_feasibility_asks_only_blocks_built_since_known_feasible(monkeypatch):
 
 
 def test_checked_counts_the_leading_blocks_known_satisfiable():
-    enc = enc_mod._Encoder([], {}, set())
+    enc = enc_mod._Encoder([], {}, set(), pl.Memo())
     x, y = pl.Var("x"), pl.Var("y")
     store = enc_mod.SymStore(env={"a": x, "b": y})
     enc.conjoin(store, pl.Bop(pl.GT, x, pl.Const(0)))
@@ -469,7 +470,7 @@ def test_dag_numbers_and_encodes_as_its_tree(monkeypatch):
             ast = fe.parse(source)
             if ast.ctl is None:
                 continue
-            gwre_result = gw.cfg_to_gwre(fe.build_cfg(ast))
+            gwre_result = gw.cfg_to_gwre(fe.build_cfg(ast), pl.Memo())
         except (fe.ImpSyntaxError, gw.SummaryInconclusive):
             continue
         dag, tree = built[-1], _tree(built[-1])

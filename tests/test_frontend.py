@@ -38,7 +38,7 @@ def test_duplicate_procedure_or_missing_brace():
 
 
 def _summarized_joins(program: fe.Program) -> set[int]:
-    return {s.join for s in gw.cfg_to_gwre(program).summaries}
+    return {s.join for s in gw.cfg_to_gwre(program, pl.Memo()).summaries}
 
 
 def _assert_well_formed(program: fe.Program, source: str) -> None:

@@ -28,6 +28,7 @@ import oracle_programs
 from conftest import FIXTURES
 from ctlrepair import frontend as fe
 from ctlrepair import gwre as gw
+from ctlrepair import pure_logic as pl
 from ctlrepair import repair as rp
 from ctlrepair.datalog_engine import DatalogProgram
 
@@ -82,7 +83,7 @@ def _generated_views(source: str) -> str:
     """What ``dump-gwre``, ``simulate --seed 0`` and ``dump-datalog`` print
     for ``source``, an inconclusive summary as ``inconclusive: <reason>``."""
     try:
-        phi = gw.cfg_to_gwre(fe.build_cfg(fe.parse(source))).phi
+        phi = gw.cfg_to_gwre(fe.build_cfg(fe.parse(source)), pl.Memo()).phi
     except gw.SummaryInconclusive as exc:
         lines = [f"inconclusive: {exc}"]
     else:

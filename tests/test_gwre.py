@@ -11,8 +11,8 @@ from ctlrepair import pure_logic as pl
 from conftest import break_loops, kif, verdict
 
 
-def summarize(source: str) -> gw.GwreResult:
-    return gw.cfg_to_gwre(fe.build_cfg(fe.parse(source)))
+def summarize(source: str, memo: pl.Memo | None = None) -> gw.GwreResult:
+    return gw.cfg_to_gwre(fe.build_cfg(fe.parse(source)), pl.Memo() if memo is None else memo)
 
 
 def test_overview_effect_dump(fixture_text):
@@ -118,14 +118,15 @@ def test_multiphase_summaries(fixture_text):
 def test_summary_invariants_on_every_fixture(fixtures_dir):
     checked = 0
     for path in sorted(fixtures_dir.glob("*.imp")):
+        memo = pl.Memo()
         try:
-            res = summarize(path.read_text())
+            res = summarize(path.read_text(), memo)
         except (fe.ImpSyntaxError, gw.SummaryInconclusive):
             continue
         for s in res.summaries:
             assert s.always_terminates == isinstance(s.omega_condition, pl.FalseP), path.name
             if not s.always_terminates:
-                assert pl.satisfiable(pl.mk_and(s.guard, s.omega_condition)), path.name
+                assert pl.satisfiable(pl.mk_and(s.guard, s.omega_condition), memo), path.name
             # a T guard is also how a nondeterministic guard is kept
             if not isinstance(s.guard, pl.TrueP):
                 assert s.phases, path.name
@@ -242,7 +243,7 @@ void main() {
     ]
     n_is_5 = pl.Bop(pl.EQ, pl.Var("n"), pl.Const(5))
     assert d2_guards
-    assert not any(pl.satisfiable(pl.mk_and(pi, n_is_5)) for pi in d2_guards)
+    assert not any(pl.satisfiable(pl.mk_and(pi, n_is_5), pl.Memo()) for pi in d2_guards)
 
 
 def test_break_in_an_inner_loop_ends_that_loop():
@@ -277,12 +278,10 @@ def test_loop_after_ifs_is_summarized_once_per_branch_into_it():
     assert set(counts.values()) == {2}, counts
 
 
-def _gwre_sizes(caplog, source: str, fresh: bool = True) -> list[int]:
-    if fresh:
-        pl.reset_memo()
+def _gwre_sizes(caplog, source: str, memo: pl.Memo) -> list[int]:
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="ctlrepair.gwre"):
-        summarize(source)
+        summarize(source, memo)
     (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("gwre:")]
     return [int(n) for n in re.findall(r"\d+", line)]
 
@@ -293,10 +292,11 @@ def test_cfg_to_gwre_logs_its_sizes(caplog):
     # DAG grows with the program (44 and 72 nodes), the tree it reads as
     # with its paths (127 and 2,047 leaves); the loop after the ifs is
     # summarized once per branch into it, and ranked once
-    assert _gwre_sizes(caplog, kif(4)) == [24, 44, 127, 2, 1, 20, 0]
-    assert _gwre_sizes(caplog, kif(8)) == [40, 72, 2047, 2, 1, 32, 0]
+    assert _gwre_sizes(caplog, kif(4), pl.Memo()) == [24, 44, 127, 2, 1, 20, 0]
+    memo = pl.Memo()
+    assert _gwre_sizes(caplog, kif(8), memo) == [40, 72, 2047, 2, 1, 32, 0]
     # within one memo, a second analysis ranks no loop again
-    assert _gwre_sizes(caplog, kif(8), fresh=False) == [40, 72, 2047, 2, 2, 32, 0]
+    assert _gwre_sizes(caplog, kif(8), memo) == [40, 72, 2047, 2, 2, 32, 0]
 
 
 def test_omega_guard_drops_refuted_disjuncts(fixture_text):
@@ -321,7 +321,7 @@ def test_loop_summary_without_behaviour_is_unknown(fixture_text):
 def test_unsupported_missing_procedure():
     program = fe.build_cfg(fe.parse("void helper() { return; }"))
     with pytest.raises(gw.UnsupportedProgram):
-        gw.cfg_to_gwre(program)
+        gw.cfg_to_gwre(program, pl.Memo())
 
 
 def test_simulate_trace_matches_states(fixture_text):

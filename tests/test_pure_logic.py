@@ -74,6 +74,7 @@ def test_simplify_preserves_models():
 
 
 def test_satisfiable_matches_brute_force():
+    memo = pl.Memo()
     rng = random.Random(4)
     for _ in range(300):
         pi = _rand_pure(rng, NAMES)
@@ -81,25 +82,27 @@ def test_satisfiable_matches_brute_force():
         # satisfiable() decides over the rationals; it may be satisfiable
         # outside the sampled box but never the other way round
         if brute:
-            assert pl.satisfiable(pi)
+            assert pl.satisfiable(pi, memo)
 
 
 def test_satisfiable_exact_cases():
+    memo = pl.Memo()
     x = pl.Var("x")
-    assert not pl.satisfiable(pl.mk_and(pl.Bop(pl.GT, x, pl.Const(0)), pl.Bop(pl.LT, x, pl.Const(0))))
-    assert not pl.satisfiable(pl.mk_and(pl.Bop(pl.GTEQ, x, pl.Const(1)), pl.Bop(pl.LTEQ, x, pl.Const(0))))
-    assert pl.satisfiable(pl.Bop(pl.EQ, x, pl.Const(5)))
-    assert not pl.satisfiable(pl.FALSE)
-    assert pl.satisfiable(pl.TRUE)
+    assert not pl.satisfiable(pl.mk_and(pl.Bop(pl.GT, x, pl.Const(0)), pl.Bop(pl.LT, x, pl.Const(0))), memo)
+    assert not pl.satisfiable(pl.mk_and(pl.Bop(pl.GTEQ, x, pl.Const(1)), pl.Bop(pl.LTEQ, x, pl.Const(0))), memo)
+    assert pl.satisfiable(pl.Bop(pl.EQ, x, pl.Const(5)), memo)
+    assert not pl.satisfiable(pl.FALSE, memo)
+    assert pl.satisfiable(pl.TRUE, memo)
 
 
 def test_entails_sound_against_brute_force():
+    memo = pl.Memo()
     rng = random.Random(5)
     checked = 0
     for _ in range(300):
         a = _rand_pure(rng, NAMES)
         b = _rand_pure(rng, NAMES)
-        if pl.entails(a, b):
+        if pl.entails(a, b, memo):
             checked += 1
             for store in models(a, NAMES, -5, 5):
                 assert pl.eval_pure(b, store)
@@ -107,10 +110,11 @@ def test_entails_sound_against_brute_force():
 
 
 def test_entails_treats_each_wildcard_as_its_own_value():
+    memo = pl.Memo()
     x, w, zero = pl.Var("x"), pl.Wildcard(), pl.Const(0)
-    assert not pl.entails(pl.TRUE, pl.Bop(pl.EQ, pl.Sub(w, w), zero))
-    assert pl.entails(pl.TRUE, pl.Bop(pl.EQ, pl.Sub(x, x), zero))
-    assert not pl.entails(pl.Bop(pl.GT, x, w), pl.Bop(pl.GT, x, zero))
+    assert not pl.entails(pl.TRUE, pl.Bop(pl.EQ, pl.Sub(w, w), zero), memo)
+    assert pl.entails(pl.TRUE, pl.Bop(pl.EQ, pl.Sub(x, x), zero), memo)
+    assert not pl.entails(pl.Bop(pl.GT, x, w), pl.Bop(pl.GT, x, zero), memo)
 
 
 def _split_signs(n):
@@ -123,12 +127,13 @@ def _split_signs(n):
 
 
 def test_case_split_stops_at_first_model_and_prunes_conflicts():
+    memo = pl.Memo()
     y, zero = pl.Var("y"), pl.Const(0)
     signs = _split_signs(18)
     contradiction = pl.mk_and(pl.Bop(pl.GT, y, zero), pl.Bop(pl.LT, y, zero))
     start = time.monotonic()
-    assert pl.satisfiable(signs)
-    assert pl.entails(pl.mk_and(contradiction, signs), pl.FALSE)
+    assert pl.satisfiable(signs, memo)
+    assert pl.entails(pl.mk_and(contradiction, signs), pl.FALSE, memo)
     # expanding all 2^18 disjuncts up front takes 0.45 s and 32.5 s on a 2-CPU VM
     assert time.monotonic() - start < 1.0
 
@@ -153,7 +158,7 @@ def _ref_satisfiable(pi):
         for atom in disjunct:
             new, named = pl._rows_of_bop(atom, named)
             rows += new
-        if not pl._fm_unsat(rows):
+        if not pl._fm_unsat(rows, pl.Memo()):
             return True
     return False
 
@@ -161,18 +166,19 @@ def _ref_satisfiable(pi):
 def test_satisfiable_matches_whole_dnf_reference():
     # the case split must answer exactly as deciding every DNF disjunct
     # on its own rows, wildcards and all
+    memo = pl.Memo()
     rng = random.Random(7)
     answers = []
     for _ in range(300):
         pi = _rand_pure(rng, NAMES, depth=3, wild=True)
-        answers.append(pl.satisfiable(pi))
+        answers.append(pl.satisfiable(pi, memo))
         assert answers[-1] == _ref_satisfiable(pi), pi
     assert min(answers.count(False), answers.count(True)) >= 10  # both answers occur
 
 
 def test_memo_answers_match_direct_decision_and_brute_force():
     # each round builds equal but fresh formulas, so round 1 answers from
-    # the memo through interned ids and round 2 decides again after a reset
+    # the memo through interned ids and round 2 decides again in a new memo
     def cases():
         rng = random.Random(8)
         return [
@@ -180,22 +186,23 @@ def test_memo_answers_match_direct_decision_and_brute_force():
             for i in range(200)
         ]
 
-    pl.reset_memo()
+    memo = pl.Memo()
     sizes = []
     for round_ in range(3):
         if round_ == 2:
-            pl.reset_memo()
+            memo = pl.Memo()
         for a, b in cases():
             for _ in range(2):
-                assert pl.satisfiable(a) == (not pl._unsat(a)), a
-                assert pl.entails(a, b) == pl._unsat(pl.mk_and(a, pl.negate(b))), (a, b)
+                assert pl.satisfiable(a, memo) == (not pl._unsat(a, pl.Memo())), a
+                direct = pl._unsat(pl.mk_and(a, pl.negate(b)), pl.Memo())
+                assert pl.entails(a, b, memo) == direct, (a, b)
             if "*" in f"{a} {b}":
                 continue
             if any(True for _ in models(a, NAMES, -5, 5)):
-                assert pl.satisfiable(a)
-            if pl.entails(a, b):
+                assert pl.satisfiable(a, memo)
+            if pl.entails(a, b, memo):
                 assert all(pl.eval_pure(b, store) for store in models(a, NAMES, -5, 5))
-        sizes.append(len(pl._answers))
+        sizes.append(len(memo.answers))
     assert sizes[0] == sizes[1] == sizes[2]  # round 1 asked nothing new
 
 
@@ -208,41 +215,48 @@ def test_node_ids_tell_apart_shapes_and_share_equal_ones():
         (pl.Neg(x), pl.Sub(zero, x)),
         (pl.And(gt, lt), pl.Or(gt, lt)),
     ]
-    pl.reset_memo()
+    memo = pl.Memo()
     for a, b in pairs:
-        assert pl._node_id(a) != pl._node_id(b), (a, b)
-    assert pl._node_id(pl.Sub(pl.Var("x"), pl.Sub(pl.Var("y"), pl.Var("z")))) == pl._node_id(pairs[0][0])
+        assert pl.node_id(a, memo) != pl.node_id(b, memo), (a, b)
+    again = pl.Sub(pl.Var("x"), pl.Sub(pl.Var("y"), pl.Var("z")))
+    assert pl.node_id(again, memo) == pl.node_id(pairs[0][0], memo)
     # the memo answers each of a pair for itself
     one = pl.Const(1)
-    assert not pl.entails(pl.TRUE, pl.Bop(pl.EQ, pl.Var("1"), one))
-    assert pl.entails(pl.TRUE, pl.Bop(pl.EQ, one, one))
-    assert not pl.satisfiable(pl.And(gt, lt))
-    assert pl.satisfiable(pl.Or(gt, lt))
+    assert not pl.entails(pl.TRUE, pl.Bop(pl.EQ, pl.Var("1"), one), memo)
+    assert pl.entails(pl.TRUE, pl.Bop(pl.EQ, one, one), memo)
+    assert not pl.satisfiable(pl.And(gt, lt), memo)
+    assert pl.satisfiable(pl.Or(gt, lt), memo)
 
 
-def test_node_keyed_before_a_reset_is_keyed_again():
-    pl.reset_memo()
+def test_node_keyed_in_another_memo_is_keyed_again():
+    first = pl.Memo()
     old = pl.Bop(pl.GT, pl.Var("x"), pl.Var("y"))
-    assert pl.satisfiable(old)
-    stale = pl._node_id(old)
-    pl.reset_memo()
+    assert pl.satisfiable(old, first)
+    stale = pl.node_id(old, first)
+    memo = pl.Memo()
     new = pl.Bop(pl.GT, pl.Const(0), pl.Const(1))
-    assert pl._node_id(new) == stale  # the same int, now naming another node
-    assert not pl.satisfiable(new)
-    assert pl.satisfiable(old)
-    assert pl._node_id(old) != pl._node_id(new)
+    assert pl.node_id(new, memo) == stale  # the same int, now naming another node
+    assert not pl.satisfiable(new, memo)
+    assert pl.satisfiable(old, memo)
+    assert pl.node_id(old, memo) != pl.node_id(new, memo)
+    # the tag names a token of the memo, not the memo, and the first memo
+    # still reads its own id, keying the node again
+    assert old._nid[0] is memo.token and old._nid[0] is not memo
+    assert pl.node_id(old, first) == stale
+    assert pl.satisfiable(old, first) and len(first.answers) == 1
 
 
 def test_relation_argument_raises_every_time():
+    memo = pl.Memo()
     exit_ = pl.Rel("Exit", ())
     inside = pl.mk_and(pl.Bop(pl.GT, pl.Var("x"), pl.Const(0)), exit_)
     for _ in range(2):
         with pytest.raises(TypeError):
-            pl.satisfiable(exit_)
+            pl.satisfiable(exit_, memo)
         with pytest.raises(TypeError):
-            pl.satisfiable(inside)
+            pl.satisfiable(inside, memo)
         with pytest.raises(TypeError):
-            pl.entails(pl.TRUE, exit_)
+            pl.entails(pl.TRUE, exit_, memo)
 
 
 def test_keying_a_dag_walks_each_shared_node_once():
@@ -251,21 +265,21 @@ def test_keying_a_dag_walks_each_shared_node_once():
     for _ in range(60):
         t = pl.Add(t, t)
     watch = Stopwatch(1.0)
-    pl.reset_memo()
-    pl._node_id(pl.Bop(pl.GTEQ, t, pl.Const(0)))
+    memo = pl.Memo()
+    pl.node_id(pl.Bop(pl.GTEQ, t, pl.Const(0)), memo)
     watch.check()
-    assert len(pl._ids) == 63
+    assert len(memo.ids) == 63
 
 
 def test_keying_a_deep_chain_does_not_recurse():
     t = pl.Var("x")
     for _ in range(5000):
         t = pl.Add(t, pl.Const(1))
-    pl.reset_memo()
+    memo = pl.Memo()
     goal = pl.Bop(pl.GTEQ, t, pl.Var("x"))
-    assert pl.entails(pl.TRUE, goal)
-    assert pl.entails(pl.TRUE, goal)
-    assert len(pl._answers) == 1
+    assert pl.entails(pl.TRUE, goal, memo)
+    assert pl.entails(pl.TRUE, goal, memo)
+    assert len(memo.answers) == 1
 
 
 def test_names_walks_each_shared_node_once():
@@ -334,25 +348,31 @@ def _wildcard_free_atom(rng):
 
 def test_memoised_rows_equal_the_rows_of_each_atom():
     rng = random.Random(11)
-    pl.reset_memo()
+    memo = pl.Memo()
     for _ in range(300):
         atom = _wildcard_free_atom(rng)
-        pl._node_id(atom)
+        pl.node_id(atom, memo)
         named = rng.randrange(3)
         fresh = pl._rows_of_bop(atom, named)
-        assert pl._rows_of(atom, named) == fresh  # computed, then kept
-        assert pl._rows_of(atom, named) == fresh  # read back
-        assert pl._rows[(atom.op, atom.left._nid[1], atom.right._nid[1])] == fresh[0]
-    assert pl._rows
+        assert pl._rows_of(atom, named, memo) == fresh  # computed, then kept
+        assert pl._rows_of(atom, named, memo) == fresh  # read back
+        key = (atom.op, pl.node_id(atom.left, memo), pl.node_id(atom.right, memo))
+        assert memo.rows[key] == fresh[0]
+    assert memo.rows
     # a wildcard's row depends on how many came before it: never kept
     atom = pl.Bop(pl.GT, pl.Var("x"), pl.Wildcard())
-    pl._node_id(atom)
-    kept = len(pl._rows)
-    assert pl._rows_of(atom, 0) == pl._rows_of_bop(atom, 0)
-    assert pl._rows_of(atom, 2) == ([({"x": 1, "__w3": -1}, -1)], 3)
-    assert len(pl._rows) == kept
-    pl.reset_memo()
-    assert not pl._rows
+    pl.node_id(atom, memo)
+    kept = len(memo.rows)
+    assert pl._rows_of(atom, 0, memo) == pl._rows_of_bop(atom, 0)
+    assert pl._rows_of(atom, 2, memo) == ([({"x": 1, "__w3": -1}, -1)], 3)
+    assert len(memo.rows) == kept
+    # sides keyed in another memo read no row kept here
+    other = pl.Memo()
+    atom = _wildcard_free_atom(rng)
+    pl.node_id(atom, other)
+    kept = len(memo.rows)
+    assert pl._rows_of(atom, 0, memo) == pl._rows_of_bop(atom, 0)
+    assert len(memo.rows) == kept and not other.rows
 
 
 def test_row_limit_give_ups_are_counted(monkeypatch):
@@ -362,13 +382,13 @@ def test_row_limit_give_ups_are_counted(monkeypatch):
         for j in range(6):
             if i != j:
                 chain = pl.mk_and(chain, pl.Bop(pl.LT, pl.Var(f"x{i}"), pl.Var(f"x{j}")))
-    before = pl.give_ups
-    assert not pl.satisfiable(chain)
-    assert pl.give_ups == before
-    pl.reset_memo()
+    memo = pl.Memo()
+    assert not pl.satisfiable(chain, memo)
+    assert memo.give_ups == 0
+    memo = pl.Memo()
     monkeypatch.setattr(pl, "_ROW_LIMIT", 4)
-    assert pl.satisfiable(chain)  # gave up: "satisfiable"
-    assert pl.give_ups > before
+    assert pl.satisfiable(chain, memo)  # gave up: "satisfiable"
+    assert memo.give_ups > 0
 
 
 def test_eval_term_with_and_without_draw():
@@ -428,11 +448,12 @@ def test_candidate_rfs_for_simple_guard():
 
 def test_wp_delta_single_decreasing_branch():
     # while (...) { x = x - y }  with rf = x: decreases iff y >= 1
+    memo = pl.Memo()
     rf = pl.candidate_rfs(pl.Bop(pl.GTEQ, pl.Var("x"), pl.Const(0)))[0]
     pi_t, pi_nt = pl.wp_delta(rf, [(pl.TRUE, {"x": pl.Sub(pl.Var("x"), pl.Var("y"))})])
-    assert pl.entails(pi_t, pl.Bop(pl.GTEQ, pl.Var("y"), pl.Const(1)))
-    assert pl.entails(pl.Bop(pl.GTEQ, pl.Var("y"), pl.Const(1)), pi_t)
-    assert pl.entails(pi_nt, pl.Bop(pl.LTEQ, pl.Var("y"), pl.Const(0)))
+    assert pl.entails(pi_t, pl.Bop(pl.GTEQ, pl.Var("y"), pl.Const(1)), memo)
+    assert pl.entails(pl.Bop(pl.GTEQ, pl.Var("y"), pl.Const(1)), pi_t, memo)
+    assert pl.entails(pi_nt, pl.Bop(pl.LTEQ, pl.Var("y"), pl.Const(0)), memo)
 
 
 def test_wp_delta_wildcard_is_inconclusive():

@@ -1,9 +1,13 @@
 import json
 import logging
+import sys
+import threading
 
 import pytest
 
+from ctlrepair import ctl
 from ctlrepair import encode as enc_mod
+from ctlrepair import frontend as fe
 from ctlrepair import gwre as gw
 from ctlrepair import pure_logic as pl
 from ctlrepair import repair as rp
@@ -218,21 +222,87 @@ def test_report_shape(fixture_text):
 
 def test_analyze_starts_a_fresh_entailment_memo(fixture_text):
     a, b = fixture_text("nested.imp"), fixture_text("subtitle_loop.imp")
-    rp.analyze(b)
-    alone = dict(pl._answers)
-    rp.analyze(a)
-    assert pl._answers and pl._answers != alone
-    rp.analyze(b)
-    assert pl._answers == alone
+    alone = rp.analyze(b).memo
+    other = rp.analyze(a).memo
+    assert other.answers and other.answers != alone.answers
+    again = rp.analyze(b).memo
+    assert again is not alone and again.answers == alone.answers
 
 
-def test_repair_loop_shares_one_memo_across_its_analyses(fixture_text):
+def _layers(source: str) -> None:
+    """``cfg_to_gwre``, then ``abstract_facts``, in one fresh memo."""
+    memo, parsed = pl.Memo(), fe.parse(source)
+    result = gw.cfg_to_gwre(fe.build_cfg(parsed), memo)
+    enc_mod.abstract_facts(result, ctl.pure_of_ctl(ctl.desugar(ctl.parse_ctl(parsed.ctl))), memo)
+
+
+@pytest.mark.parametrize("analyse", [rp.analyze, _layers], ids=["analyze", "layers"])
+def test_debug_lines_do_not_depend_on_what_ran_before(fixture_text, caplog, analyse):
+    # both orders, back to back: an analysis that inherited the memo of the
+    # one before it would log more answers from the memo the second time
+    # it reads subtitle_loop.imp (the two programs share no node shape, so
+    # a memo carried from one to the other changes no line)
+    a, b = fixture_text("nested.imp"), fixture_text("subtitle_loop.imp")
+    lines = []
+    for source in (a, b, b, a):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="ctlrepair"):
+            analyse(source)
+        lines.append(
+            [r.getMessage() for r in caplog.records if r.getMessage().startswith(("gwre:", "encode:"))]
+        )
+    assert len(lines[0]) == len(lines[1]) == 2
+    assert lines[0] == lines[3] and lines[1] == lines[2]
+
+
+def test_memos_on_two_threads_share_the_nodes_of_one_program(fixture_text):
+    # each thread summarizes and encodes one parsed program in memos of its
+    # own, so each node's tag is overwritten back and forth; a thread switch
+    # every microsecond interleaves the keying walks
+    programs = [fe.build_cfg(fe.parse(fixture_text(n))) for n in ("nested.imp", "overview.imp")]
+
+    def encoded(program) -> tuple:
+        memo = pl.Memo()
+        result = gw.cfg_to_gwre(program, memo)
+        enc = enc_mod.abstract_facts(result, [], memo)
+        return str(result.phi), enc.facts, enc.rules, len(memo.ids)
+
+    alone = [encoded(p) for p in programs]
+    seen: list[list[tuple]] = [[] for _ in range(4)]
+
+    def run(i: int) -> None:
+        for _ in range(5):
+            seen[i].append(encoded(programs[i % 2]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(got == [alone[i % 2]] * 5 for i, got in enumerate(seen))
+
+
+def test_repair_loop_shares_one_memo_across_its_analyses(fixture_text, monkeypatch):
     src = fixture_text("subtitle_loop.imp")
-    rp.analyze(src)
-    first = dict(pl._answers)
+    first = rp.analyze(src).memo
+    memos, analyze = [], rp._analyze
+
+    def recording(source, text, memo):
+        memos.append(memo)
+        return analyze(source, text, memo)
+
+    monkeypatch.setattr(rp, "_analyze", recording)
     result = rp.repair_loop(src, rp.RepairConfig())
-    assert result.stats["analyses"] > 1
-    assert first.items() < pl._answers.items()
+    memo = result.analysis.memo
+    assert len(memos) == result.stats["analyses"] > 1
+    assert all(m is memo for m in memos) and result.stats is memo.counts
+    assert first.answers.items() < memo.answers.items()
 
 
 def _first_violated(n: int) -> list[str]:
@@ -258,7 +328,14 @@ def test_a_shared_memo_repairs_as_a_fresh_memo_per_analysis(monkeypatch):
 
     shared = reports()
     analyze = rp._analyze
-    monkeypatch.setattr(rp, "_analyze", lambda *args: pl.reset_memo() or analyze(*args))
+    def fresh(source, text, memo):
+        # counting into the loop's counter, so that the reports' timing
+        # reads alike
+        own = pl.Memo()
+        own.counts = memo.counts
+        return analyze(source, text, own)
+
+    monkeypatch.setattr(rp, "_analyze", fresh)
     assert reports() == shared
     verdicts = {json.loads(r)["verdict"] for r in shared}
     assert {"Repaired", "Unrepaired"} <= verdicts
@@ -305,8 +382,8 @@ def searched():
     decided, batches = [], []
     decide, sign_batch = rp._decide, rp.sedl.sign_batch
 
-    def recording(analysis, candidates, stats):
-        holds = decide(analysis, candidates, stats)
+    def recording(analysis, candidates):
+        holds = decide(analysis, candidates)
         decided.extend((analysis, cand, holds >> i & 1 == 1) for i, cand in enumerate(candidates))
         return holds
 
@@ -408,7 +485,9 @@ def _hand_built():
     key = enc_mod.FamilyKey("b", (), (1,))
     fam = enc_mod.Family(key, None, None, [Atom("b", (1,))])
     enc = enc_mod.EncodeResult(program.facts, [], {key: fam}, {Atom("b", (1,)): key}, {})
-    analysis = rp.Analysis("", "", None, None, enc, Atom("top", (1,)), program.rules, False, None)
+    analysis = rp.Analysis(
+        "", "", None, None, enc, Atom("top", (1,)), program.rules, False, None, pl.Memo()
+    )
     return analysis, fam
 
 
@@ -420,7 +499,7 @@ def test_an_add_equal_to_a_deleted_member_comes_back():
     analysis, fam = _hand_built()
     cands = [_candidate([fam]), _candidate([fam], [Atom("b", (1,))])]
     assert [_reference(analysis, c) for c in cands] == [True, False]
-    assert rp._decide(analysis, cands, None) == 0b01
+    assert rp._decide(analysis, cands) == 0b01
 
 
 def test_candidates_do_not_leak_into_each_other():
@@ -434,9 +513,8 @@ def test_candidates_do_not_leak_into_each_other():
         _candidate(adds=[Atom("s", (2,))]),
     ]
     assert [_reference(analysis, c) for c in cands] == [False, False, True, False]
-    stats = {}
-    assert rp._decide(analysis, cands, stats) == 0b0100
-    assert stats == {"evaluations": 1}
+    assert rp._decide(analysis, cands) == 0b0100
+    assert analysis.memo.counts == {"evaluations": 1}
 
 
 def test_no_candidates_run_no_fixpoint(monkeypatch):
@@ -444,9 +522,9 @@ def test_no_candidates_run_no_fixpoint(monkeypatch):
         raise AssertionError("annotated_eval called")
 
     monkeypatch.setattr(rp.sedl, "annotated_eval", fail)
-    stats = {}
-    assert rp._decide(_hand_built()[0], [], stats) == 0
-    assert stats == {}
+    analysis = _hand_built()[0]
+    assert rp._decide(analysis, []) == 0
+    assert analysis.memo.counts == {}
 
 
 def _best_fitting(patches, prefix, config):
@@ -464,11 +542,12 @@ def nested_searches():
     out = []
     search = rp._search
 
-    def recording(analysis, config, depth, stats, prefix=None):
-        before = stats["analyses"]
-        patches, constraints = search(analysis, config, depth, stats, prefix)
+    def recording(analysis, config, depth, prefix=None):
+        counts = analysis.memo.counts
+        before = counts["analyses"]
+        patches, constraints = search(analysis, config, depth, prefix)
         if prefix is not None:
-            out.append((analysis, config, depth, prefix, patches, stats["analyses"] - before))
+            out.append((analysis, config, depth, prefix, patches, counts["analyses"] - before))
         return patches, constraints
 
     with pytest.MonkeyPatch.context() as mp:
@@ -496,8 +575,10 @@ def test_nested_search_keeps_its_best_fitting_patch(nested_searches):
     # keeps every patch must pick the same one
     stopped = unfit = 0
     for analysis, config, depth, prefix, patches, analyses in nested_searches:
-        stats = {}
-        full, _ = rp._search(analysis, config, depth, stats, None)
+        counts = analysis.memo.counts
+        before = counts["analyses"]
+        full, _ = rp._search(analysis, config, depth, None)
+        total = counts["analyses"] - before
         best = _best_fitting(patches, prefix, config)
         reference = _best_fitting(full, prefix, config)
         assert (best is None) == (reference is None)
@@ -506,10 +587,10 @@ def test_nested_search_keeps_its_best_fitting_patch(nested_searches):
         # the patches before the stop are the reference's, and a search
         # with no fitting patch never stops
         assert [p.to_json() for p in patches] == [p.to_json() for p in full[: len(patches)]]
-        assert analyses <= stats["analyses"]
+        assert analyses <= total
         if best is None:
-            assert analyses == stats["analyses"]
-        stopped += analyses < stats["analyses"]
+            assert analyses == total
+        stopped += analyses < total
         unfit += best is None
     assert len({depth for _, _, depth, *_ in nested_searches}) == 2
     assert stopped and unfit
