@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import ctl as ctl_mod
 from . import encode as enc_mod
@@ -154,7 +154,7 @@ def apply_edits(source: str, edits) -> str:
 class Patch:
     deltas: tuple
     edits: tuple
-    source: str  # fully patched source, end-to-end verified
+    source: str  # fully patched source, end-to-end verified; "" before that
     cost: int
     iterations: int
     anchor: int
@@ -168,12 +168,14 @@ class Patch:
         }
 
 
+def _rank_key(p: Patch) -> tuple:
+    return (p.cost, -p.anchor, str(p.to_json()))
+
+
 def rank_patches(patches: list[Patch]) -> list[Patch]:
     """Cheapest first; ties prefer edits later in control flow, then a
     stable textual order."""
-    return sorted(
-        patches, key=lambda p: (p.cost, -p.anchor, str(p.to_json()))
-    )
+    return sorted(patches, key=_rank_key)
 
 
 # ---------------------------------------------------------------------------
@@ -242,17 +244,24 @@ def inject_symbols(
 # ---------------------------------------------------------------------------
 
 
-def _alpha_valuations(shape, rules, consts_at, budget: int) -> list[dict[str, object]]:
+def _alpha_valuations(shape, rules, consts_at, budget: int, counts) -> list[dict[str, object]]:
     """Instantiations worth trying: unify the injected fact against every
     rule literal of its shape, filling variable positions from the constants
-    known to interact there (``consts_at``, from ``sedl.compute_depend``)."""
+    known to interact there (``consts_at``, from ``sedl.compute_depend``).
+    At most ``budget`` of them: one that drops any adds one to ``counts``'
+    ``alpha_budget_exceeded``."""
     pred, arity = shape
     vals: list[dict[str, object]] = []
     seen = set()
+    dropped = False
 
     def push(args: tuple) -> None:
+        nonlocal dropped
         key = tuple(args)
-        if key in seen or len(vals) >= budget:
+        if key in seen:
+            return
+        if len(vals) >= budget:
+            dropped = True
             return
         seen.add(key)
         vals.append({f"alpha{i + 1}": a for i, a in enumerate(args)})
@@ -267,6 +276,8 @@ def _alpha_valuations(shape, rules, consts_at, budget: int) -> list[dict[str, ob
         for combo in itertools.product(*domains):
             push(combo)
     push(tuple(sedl.placeholder(i + 1) for i in range(arity)))
+    if dropped:
+        counts["alpha_budget_exceeded"] += 1
     return vals
 
 
@@ -342,7 +353,9 @@ def run_template(analysis: Analysis, config: RepairConfig, consts_at):
             valuations = [{}]
             if shape is not None:
                 worlds += [off | {"xiA"} for off in worlds]
-                valuations = _alpha_valuations(shape, analysis.rules, consts_at, config.alpha_budget)
+                valuations = _alpha_valuations(
+                    shape, analysis.rules, consts_at, config.alpha_budget, counts
+                )
             planned.append((len(searches), shape, fam_of_xi))
             searches.append(sedl.SignSearch(facts, valuations, worlds))
         plan.append((template, planned))
@@ -448,8 +461,10 @@ def _stmt_span(analysis: Analysis, state: int):
     return origin, proc, proc.spans[origin.node]
 
 
-def _synthesize(analysis: Analysis, cand: _Candidate):
-    """Source edits realizing a candidate, or None if inexpressible."""
+def _synthesize(analysis: Analysis, cand: _Candidate) -> Patch | None:
+    """The direct patch realizing a candidate, or None if inexpressible.  Its
+    cost is its delta count, which equals ``_estimated_cost(cand)``, and its
+    ``source`` stays "" until the edits are applied and verified."""
     deltas: list = []
     edits: list = []
     anchor = 0
@@ -479,7 +494,7 @@ def _synthesize(analysis: Analysis, cand: _Candidate):
         anchor = max(anchor, a.args[-1] if isinstance(a.args[-1], int) else 0)
     if not edits:
         return None
-    return tuple(deltas), tuple(edits), anchor
+    return Patch(tuple(deltas), tuple(edits), "", len(deltas), 1, anchor)
 
 
 def _modify_assign(analysis: Analysis, fam: enc_mod.Family, new_atom: Atom):
@@ -635,25 +650,37 @@ def _estimated_cost(cand: _Candidate) -> int:
     return len(cand.deletes) + len(cand.adds) - (cand.updated is not None)
 
 
-def _within_caps(deltas: tuple, config: RepairConfig) -> bool:
+def _within_caps(deltas: tuple, config: RepairConfig, deletes: int = 0, adds: int = 0) -> bool:
     """A whole patch deletes at most ``max_delete`` families and adds at most
-    ``max_add`` facts; an update is one of each."""
-    deletes = sum(d.op != "add" for d in deltas)
-    adds = sum(d.op != "delete" for d in deltas)
+    ``max_add`` facts; an update is one of each.  ``deletes`` and ``adds``
+    count families and facts of a patch not yet synthesized."""
+    deletes += sum(d.op != "add" for d in deltas)
+    adds += sum(d.op != "delete" for d in deltas)
     return deletes <= config.max_delete and adds <= config.max_add
 
 
 def _search(analysis: Analysis, config: RepairConfig, depth: int, prefix: tuple | None = None):
     """Verified patches for the analysis, from candidates tried cheapest first.
 
-    A nested search gets the calling round's deltas as ``prefix``; its caller
-    keeps only its cheapest patch ``p`` that ``_within_caps(prefix + p.deltas)``.
-    So it stops before the first candidate whose ``_estimated_cost`` exceeds
-    the cost of the cheapest such patch found so far.  That is exact: the
-    candidates come sorted by estimated cost, a direct patch costs exactly its
-    estimate, a composite one at least one more, and ``rank_patches`` orders
-    by cost first, so no later patch could rank ahead.  The top-level search
-    has no prefix and keeps every patch."""
+    The top-level search has no prefix and keeps every patch, up to
+    ``_MAX_PATCHES``.  A nested search gets the calling round's deltas as
+    ``prefix``; its caller keeps only its best patch ``p`` by
+    ``rank_patches`` that ``_within_caps(prefix + p.deltas)``.
+
+    A nested round that may still recurse stops before the first candidate
+    whose ``_estimated_cost`` exceeds the cost of the cheapest such patch
+    found so far.  That is exact: the candidates come sorted by estimated
+    cost, a direct patch costs exactly its estimate, a composite one at
+    least one more, and ``rank_patches`` orders by cost first, so no later
+    patch could rank ahead.
+
+    The last round (nested, ``depth`` 1) can return only direct patches,
+    whose rank is known before any re-analysis.  So it drops each candidate
+    whose patch breaks the caps after ``prefix`` (a direct patch deletes the
+    candidate's families and adds its facts), analyses the rest in
+    ``rank_patches`` order, and returns the first that holds.  That is the
+    patch its caller would pick out of the whole cheapest fitting tier,
+    which is what the stop above analyses."""
     candidates: list[_Candidate] = []
     constraints: dict = {}
     seen = set()
@@ -673,45 +700,63 @@ def _search(analysis: Analysis, config: RepairConfig, depth: int, prefix: tuple 
             repr((tuple(str(f.key) for f in c.deletes), tuple(map(str, c.adds)))),
         )
     )
+    counts = analysis.memo.counts
+    holds = _decide(analysis, candidates)
+    last = prefix is not None and depth == 1
+    decided = [
+        c
+        for i, c in enumerate(candidates)
+        if holds >> i & 1
+        and (not last or _within_caps(prefix, config, len(c.deletes), len(c.adds)))
+    ]
+    tried = ((c, _synthesize(analysis, c)) for c in decided)
+    if last:
+        tried = sorted(((c, d) for c, d in tried if d is not None), key=lambda t: _rank_key(t[1]))
     patches: list[Patch] = []
     recursed = 0
     fit = None  # cost of the cheapest patch so far within the caps after prefix
-    holds = _decide(analysis, candidates)
-    for cand in [c for i, c in enumerate(candidates) if holds >> i & 1]:
+    for cand, direct in tried:
         if len(patches) >= _MAX_PATCHES:
+            counts["patch_cap"] += 1
             break
         if fit is not None and _estimated_cost(cand) > fit:
             break
-        syn = _synthesize(analysis, cand)
-        if syn is None:
+        if direct is None:
             continue
-        deltas, edits, anchor = syn
-        new_source = apply_edits(analysis.source, edits)
+        new_source = apply_edits(analysis.source, direct.edits)
         try:
             sub_analysis = _analyze(new_source, analysis.property_text, analysis.memo)
         except (fe.ImpSyntaxError, gw.UnsupportedProgram):
             continue
-        cost = len(deltas)
         if sub_analysis.unknown:
             continue
         if sub_analysis.holds:
-            patch = Patch(deltas, edits, new_source, cost, 1, anchor)
-        elif depth > 1 and recursed < _MAX_RECURSED:
+            patch = replace(direct, source=new_source)
+            if last:
+                return [patch], constraints
+        elif depth > 1:
+            if recursed >= _MAX_RECURSED:
+                counts["recursion_cap"] += 1
+                continue
             recursed += 1
-            sub_patches, _ = _search(sub_analysis, config, depth - 1, deltas)
+            sub_patches, _ = _search(sub_analysis, config, depth - 1, direct.deltas)
             best = next(
-                (p for p in rank_patches(sub_patches) if _within_caps(deltas + p.deltas, config)),
+                (
+                    p
+                    for p in rank_patches(sub_patches)
+                    if _within_caps(direct.deltas + p.deltas, config)
+                ),
                 None,
             )
             if best is None:
                 continue
             patch = Patch(
-                deltas + best.deltas,
-                edits + best.edits,
+                direct.deltas + best.deltas,
+                direct.edits + best.edits,
                 best.source,
-                cost + best.cost,
+                direct.cost + best.cost,
                 1 + best.iterations,
-                anchor,
+                direct.anchor,
             )
         else:
             continue

@@ -2,6 +2,7 @@ import json
 import logging
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -569,14 +570,24 @@ def nested_searches():
     return out
 
 
-def test_nested_search_keeps_its_best_fitting_patch(nested_searches):
-    # a nested search stops at the first cost tier above its cheapest patch
-    # that fits the caps after the calling round's deltas; the search that
-    # keeps every patch must pick the same one
+def test_nested_search_keeps_its_best_fitting_patch(nested_searches, monkeypatch):
+    # a nested search stops early (at the first cost tier above its cheapest
+    # fitting patch, or in its last round at its first fitting patch); the
+    # search that keeps every patch must pick the same one
+    decided = []
+    decide = rp._decide
+
+    def recording(analysis, candidates):
+        holds = decide(analysis, candidates)
+        decided.append([c for i, c in enumerate(candidates) if holds >> i & 1])
+        return holds
+
+    monkeypatch.setattr(rp, "_decide", recording)
     stopped = unfit = 0
     for analysis, config, depth, prefix, patches, analyses in nested_searches:
         counts = analysis.memo.counts
         before = counts["analyses"]
+        decided.clear()
         full, _ = rp._search(analysis, config, depth, None)
         total = counts["analyses"] - before
         best = _best_fitting(patches, prefix, config)
@@ -584,23 +595,138 @@ def test_nested_search_keeps_its_best_fitting_patch(nested_searches):
         assert (best is None) == (reference is None)
         if best is not None:
             assert (best.to_json(), best.source) == (reference.to_json(), reference.source)
-        # the patches before the stop are the reference's, and a search
-        # with no fitting patch never stops
-        assert [p.to_json() for p in patches] == [p.to_json() for p in full[: len(patches)]]
+        # every returned patch is one of the reference's, and a last round
+        # with no fitting patch analyses exactly the candidates whose direct
+        # patch fits the caps after the prefix
+        found = [(p.to_json(), p.source) for p in full]
+        assert all((p.to_json(), p.source) in found for p in patches)
         assert analyses <= total
-        if best is None:
-            assert analyses == total
+        if best is None and depth == 1:
+            directs = [rp._synthesize(analysis, c) for c in decided[0]]
+            fitting = [d for d in directs if d and rp._within_caps(prefix + d.deltas, config)]
+            assert analyses == len(fitting)
         stopped += analyses < total
         unfit += best is None
     assert len({depth for _, _, depth, *_ in nested_searches}) == 2
     assert stopped and unfit
 
 
-def test_nested_rounds_stop_at_the_first_tier_past_a_fitting_patch(fixture_text):
-    # each second round stops analysing once a fitting patch is cheaper than
-    # its next candidate: 63 analyses when every second round ran to the end
+def test_last_nested_rounds_stop_at_their_first_fitting_patch(fixture_text):
+    # each second round analyses its fitting patches in rank order and stops
+    # at the first that holds: 24 analyses when it analysed its whole
+    # cheapest fitting tier, 63 when every second round ran to the end
     result = rp.repair_loop(fixture_text("overview.imp"), rp.RepairConfig(depth=2))
-    assert result.stats["analyses"] == 24
+    assert result.stats["analyses"] == 14
+
+
+@pytest.mark.parametrize("name", ["calls.imp", "infinite.imp", "overview.imp"])
+def test_last_round_analyses_fitting_direct_patches_in_rank_order(fixture_text, name, monkeypatch):
+    # in a nested round at depth 1, the analysed sources are the round's
+    # fitting direct patches in rank_patches order, up to the first that
+    # holds, and the round returns that one
+    rounds = []
+    search, decide, analyze = rp._search, rp._decide, rp._analyze
+
+    def searching(analysis, config, depth, prefix=None):
+        last = prefix is not None and depth == 1
+        if last:
+            rounds.append({"analysis": analysis, "prefix": prefix, "analysed": []})
+        patches, constraints = search(analysis, config, depth, prefix)
+        if last:
+            rounds[-1]["patches"] = patches
+        return patches, constraints
+
+    def deciding(analysis, candidates):
+        holds = decide(analysis, candidates)
+        if rounds and rounds[-1]["analysis"] is analysis:
+            rounds[-1]["decided"] = [c for i, c in enumerate(candidates) if holds >> i & 1]
+        return holds
+
+    def analysing(source, ctl_text, memo):
+        analysed = rounds[-1]["analysed"] if rounds and "patches" not in rounds[-1] else []
+        analysed.append((source, False))  # until it is seen to hold
+        sub = analyze(source, ctl_text, memo)
+        analysed[-1] = (source, sub.holds and not sub.unknown)
+        return sub
+
+    monkeypatch.setattr(rp, "_search", searching)
+    monkeypatch.setattr(rp, "_decide", deciding)
+    monkeypatch.setattr(rp, "_analyze", analysing)
+    config = rp.RepairConfig(depth=2)
+    rp.repair_loop(fixture_text(name), config)
+    assert rounds
+    for r in rounds:
+        analysis, prefix, analysed = r["analysis"], r["prefix"], r["analysed"]
+        directs = [rp._synthesize(analysis, c) for c in r["decided"]]
+        expected = rp.rank_patches(
+            [d for d in directs if d and rp._within_caps(prefix + d.deltas, config)]
+        )
+        sources = [rp.apply_edits(analysis.source, d.edits) for d in expected]
+        assert [source for source, _ in analysed] == sources[: len(analysed)]
+        held = [holds for _, holds in analysed]
+        if r["patches"]:
+            assert held == [False] * (len(held) - 1) + [True]
+            (patch,) = r["patches"]
+            assert patch.to_json() == expected[len(held) - 1].to_json()
+            assert patch.source == sources[len(held) - 1]
+        else:
+            assert held == [False] * len(sources)
+    assert any(r["patches"] for r in rounds)
+    # calls.imp has rounds whose first candidates fail and a round with no
+    # fitting patch, infinite.imp a round whose third candidate holds
+    if name != "overview.imp":
+        assert any(len(r["analysed"]) > 1 and r["patches"] for r in rounds)
+
+
+def test_patch_cap_is_counted(fixture_text, monkeypatch):
+    # overview's top-level search has more verified patches than it keeps
+    source = fixture_text("overview.imp")
+    timing = rp.repair_loop(source, rp.RepairConfig(depth=1)).to_json()["timing"]
+    assert timing["patch_cap"] == 1
+    monkeypatch.setattr(rp, "_MAX_PATCHES", 1000)
+    result = rp.repair_loop(source, rp.RepairConfig(depth=1))
+    assert "patch_cap" not in result.stats
+    assert len(result.patches) > 10
+
+
+def test_recursion_cap_is_counted(fixture_text, monkeypatch):
+    # with no nested search allowed, each violated re-analysis of the
+    # top-level round is one recursion_cap, and the patches are depth 1's
+    violated = []
+    analyze = rp._analyze
+
+    def analysing(source, ctl_text, memo):
+        sub = analyze(source, ctl_text, memo)
+        violated.append(not sub.holds and not sub.unknown)
+        return sub
+
+    source = fixture_text("overview.imp")
+    depth_1 = rp.repair_loop(source, rp.RepairConfig(depth=1)).to_json()
+    monkeypatch.setattr(rp, "_MAX_RECURSED", 0)
+    monkeypatch.setattr(rp, "_analyze", analysing)
+    capped = rp.repair_loop(source, rp.RepairConfig(depth=2)).to_json()
+    # the first analysis is of the program as given
+    assert capped["timing"]["recursion_cap"] == sum(violated[1:]) > 0
+    assert "recursion_cap" not in depth_1["timing"]
+    assert capped["patches"] == depth_1["patches"]
+
+
+def test_alpha_budget_cut_offs_are_counted(fixture_text):
+    # p(1, S) with two constants at position 1 gives two valuations, and
+    # the placeholder one more
+    rules = parse_program("t(S) :- p(1, S).").rules
+    consts_at = {("p", 1): (3, 4)}
+    counts = Counter()
+    assert len(rp._alpha_valuations(("p", 2), rules, consts_at, 3, counts)) == 3
+    assert counts == {}
+    assert len(rp._alpha_valuations(("p", 2), rules, consts_at, 2, counts)) == 2
+    assert counts == {"alpha_budget_exceeded": 1}
+    # each of overview's 10 update and add searches has more than one
+    # valuation
+    source = fixture_text("overview.imp")
+    timing = rp.repair_loop(source, rp.RepairConfig(alpha_budget=1)).to_json()["timing"]
+    assert timing["alpha_budget_exceeded"] == 10
+    assert "alpha_budget_exceeded" not in rp.repair_loop(source, rp.RepairConfig()).stats
 
 
 def test_infinite_repair_at_depth_3_within_budget(fixture_text):
