@@ -747,7 +747,7 @@ def abstract_facts(
             if pure not in atoms:
                 atoms.append(pure)
     property_shapes.discard(None)
-    give_ups = memo.give_ups
+    give_ups = memo.counts["row_limit"]
     enc = _Encoder(atoms, read_sets(result.phi), property_shapes, memo)
     enc.walk(result.phi)
     for s in enc.states:
@@ -760,7 +760,8 @@ def abstract_facts(
         "%d comparisons decided, %d of them from the memo (states x tracked atoms: %d x %d), "
         "%d segment entries merged, %d row-limit give-ups in fresh work",
         len(enc.states), len(enc.facts), len(enc.rules), len(enc.families), enc.decided,
-        enc.remembered, len(enc.states), len(enc.tracked), enc.merged, memo.give_ups - give_ups,
+        enc.remembered, len(enc.states), len(enc.tracked), enc.merged,
+        memo.counts["row_limit"] - give_ups,
     )
     return EncodeResult(
         facts=list(enc.facts),

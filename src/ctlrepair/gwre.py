@@ -1174,14 +1174,14 @@ def cfg_to_gwre(program: fe.Program, memo: pl.Memo) -> GwreResult:
     proc = program.procedures.get("main")
     if proc is None:
         raise UnsupportedProgram("no procedure named 'main'")
-    give_ups = memo.give_ups
+    give_ups = memo.counts["row_limit"]
     builder = _Builder(program, memo)
     try:
         phi = builder.walk(proc, proc.entry)
     except SummaryInconclusive:
         log.debug(
             "gwre: inconclusive, %d rankings from the memo, %d row-limit give-ups in fresh work",
-            builder.remembered, memo.give_ups - give_ups,
+            builder.remembered, memo.counts["row_limit"] - give_ups,
         )
         raise
     pairs, nullable = linear_form(phi)
@@ -1195,7 +1195,8 @@ def cfg_to_gwre(program: fe.Program, memo: pl.Memo) -> GwreResult:
             "%d summaries, %d rankings from the memo, %d states, "
             "%d row-limit give-ups in fresh work",
             sum(len(p.nodes) for p in program.procedures.values()), *_tree_size(phi),
-            len(builder.summaries), builder.remembered, len(mapping), memo.give_ups - give_ups,
+            len(builder.summaries), builder.remembered, len(mapping),
+            memo.counts["row_limit"] - give_ups,
         )
     return GwreResult(
         phi=phi,

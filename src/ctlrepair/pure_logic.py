@@ -41,8 +41,9 @@ the memo of its first analysis.  It holds:
   ranking of a loop and each pruned guard (``gwre``), and the compiled
   property (``repair``).  No value is changed once stored;
 * ``symbols`` — the encoder's variables of each term or constraint;
-* ``give_ups`` — the Fourier-Motzkin runs cut short by ``_ROW_LIMIT``;
-* ``counts`` — a repair's counters, which its report shows as ``timing``.
+* ``counts`` — the counters that a repair's report shows as ``timing``:
+  a repair's work, and under ``row_limit`` the Fourier-Motzkin runs cut
+  short by ``_ROW_LIMIT``.
 
 The module keeps no state that changes after import.  A node's tag names
 the memo that keyed it by the memo's ``token``, so a constant such as
@@ -524,7 +525,7 @@ def _rows_of_bop(atom: Bop, named: int) -> tuple[list[Linear], int]:
 def _fm_unsat(rows: list[Linear], memo: Memo) -> bool:
     """Fourier-Motzkin: True iff the row system has no rational solution.
     Past ``_ROW_LIMIT`` rows it gives up, answers False and counts that in
-    ``memo.give_ups``."""
+    ``memo.counts["row_limit"]``."""
     while True:
         pending = [r for r in rows if r[0]]
         if not pending:
@@ -546,7 +547,7 @@ def _fm_unsat(rows: list[Linear], memo: Memo) -> bool:
                         coeffs[v] = c
                 new_rows.append((coeffs, b * pk + a * nk))
                 if len(new_rows) > _ROW_LIMIT:
-                    memo.give_ups += 1
+                    memo.counts["row_limit"] += 1
                     return False  # give up conservatively: treat as satisfiable
         rows = new_rows
 
@@ -597,7 +598,7 @@ def _unsat(pi: Pure, memo: Memo) -> bool:
 class Memo:
     """The tables of the module docstring; a plain object, hashed by identity."""
 
-    __slots__ = ("token", "ids", "answers", "rows", "derived", "symbols", "give_ups", "counts")
+    __slots__ = ("token", "ids", "answers", "rows", "derived", "symbols", "counts")
 
     def __init__(self):
         self.token = object()  # a keyed node's ``_nid`` is (token, id)
@@ -607,7 +608,6 @@ class Memo:
         # a key must not depend on the order a set iterates in
         self.derived: dict[tuple, object] = {}
         self.symbols: dict[int, frozenset[str]] = {}  # by node id
-        self.give_ups = 0
         self.counts: Counter = Counter()
 
 

@@ -330,15 +330,16 @@ def _value_for(pure: pl.Pure, var: str) -> object | None:
     return None
 
 
-def run_template(analysis: Analysis, config: RepairConfig, consts_at):
-    """Every template's fact-level candidates and constraint reports for one
-    round, as ``(template, candidates, reports)`` in ``config.template_order``.
+def run_template(analysis: Analysis, config: RepairConfig):
+    """Every sign search of one round that kept within the sign budget, with
+    its answer, as ``(template, shape, fam_of_xi, psi)`` in
+    ``config.template_order``.
 
     Every (template, injected shape) sign search of the round is built
-    first, and one ``sedl.sign_batch`` fixpoint answers them all.
-    ``consts_at`` is ``sedl.compute_depend`` of the analysis' rules and facts.
-    The round's counts go to ``analysis.memo.counts``."""
+    first, and one ``sedl.sign_batch`` fixpoint answers them all.  The
+    round's counts go to ``analysis.memo.counts``."""
     enc, counts = analysis.enc, analysis.memo.counts
+    consts_at = sedl.compute_depend(analysis.rules, enc.facts)
     plan = []  # per template, its searches' shapes and sign families
     searches: list[sedl.SignSearch] = []
     for template in config.template_order:
@@ -363,8 +364,6 @@ def run_template(analysis: Analysis, config: RepairConfig, consts_at):
     out = []
     skipped_total = read = 0
     for template, planned in plan:
-        candidates: list[_Candidate] = []
-        run_reports = []
         skipped: list[sedl.SignBudgetExceeded] = []
         for i, shape, fam_of_xi in planned:
             counts["sign_searches"] += 1
@@ -377,40 +376,44 @@ def run_template(analysis: Analysis, config: RepairConfig, consts_at):
             read += len(psi.disjuncts)
             if psi.truncated:
                 counts["sign_truncated"] += 1
-            report = {}  # distinct report disjuncts by their text, first kept
-            for d in psi.disjuncts:
-                cand = _disjunct_candidate(d, fam_of_xi, shape, enc, config, template)
-                if cand is not None:
-                    candidates.append(cand)
-                dj = d.to_json()
-                if shape is not None and "xiA" in d.sign_false:
-                    dj["alpha_bindings"] = {}
-                report.setdefault(str(dj), dj)
-            if len(report) > _MAX_REPORT_DISJUNCTS:
-                counts["report_truncated"] += 1
-            run_reports.append(
-                {
-                    "shape": f"{shape[0]}/{shape[1]}" if shape else None,
-                    "xi": {
-                        name: str(_fam_representative(fam))
-                        for name, fam in fam_of_xi.items()
-                    },
-                    "disjuncts": list(report.values())[:_MAX_REPORT_DISJUNCTS],
-                }
-            )
+            out.append((template, shape, fam_of_xi, psi))
         if skipped:
             log.warning(
                 "%d of %d sign searches skipped for template %s: %s",
                 len(skipped), len(planned), template, skipped[-1],
             )
         skipped_total += len(skipped)
-        out.append((template, candidates, run_reports))
     log.debug(
         "sign searches: %d run, %d skipped for the sign budget, "
         "%d world bits in one fixpoint, %d disjuncts read",
         len(searches) - skipped_total, skipped_total, batch.bits, read,
     )
     return out
+
+
+def _constraints(searched, config: RepairConfig, counts: Counter) -> dict:
+    """The report of a round's answered sign searches (``run_template``):
+    per template, each search's shape, the representative fact of each
+    sign and its distinct disjuncts.  A search with more than
+    ``_MAX_REPORT_DISJUNCTS`` of them adds one to ``report_truncated``."""
+    constraints: dict = {template: [] for template in config.template_order}
+    for template, shape, fam_of_xi, psi in searched:
+        report = {}  # distinct report disjuncts by their text, first kept
+        for d in psi.disjuncts:
+            dj = d.to_json()
+            if shape is not None and "xiA" in d.sign_false:
+                dj["alpha_bindings"] = {}
+            report.setdefault(str(dj), dj)
+        if len(report) > _MAX_REPORT_DISJUNCTS:
+            counts["report_truncated"] += 1
+        constraints[template].append(
+            {
+                "shape": f"{shape[0]}/{shape[1]}" if shape else None,
+                "xi": {name: str(_fam_representative(fam)) for name, fam in fam_of_xi.items()},
+                "disjuncts": list(report.values())[:_MAX_REPORT_DISJUNCTS],
+            }
+        )
+    return constraints
 
 
 def _disjunct_candidate(d, fam_of_xi, shape, enc, config, template) -> _Candidate | None:
@@ -640,9 +643,11 @@ def repair_loop(source: str, config: RepairConfig, ctl_text: str | None = None) 
         return RepairResult("Unknown", analysis.property_text, analysis)
     if analysis.holds:
         return RepairResult("Verified", analysis.property_text, analysis)
-    patches, constraints = _search(analysis, config, config.depth)
+    searched = run_template(analysis, config)
+    patches = rank_patches(_search(analysis, config, config.depth, searched))
+    constraints = _constraints(searched, config, analysis.memo.counts)
     verdict = "Repaired" if patches else "Unrepaired"
-    return RepairResult(verdict, analysis.property_text, analysis, rank_patches(patches), constraints)
+    return RepairResult(verdict, analysis.property_text, analysis, patches, constraints)
 
 
 def _estimated_cost(cand: _Candidate) -> int:
@@ -659,35 +664,31 @@ def _within_caps(deltas: tuple, config: RepairConfig, deletes: int = 0, adds: in
     return deletes <= config.max_delete and adds <= config.max_add
 
 
-def _search(analysis: Analysis, config: RepairConfig, depth: int, prefix: tuple | None = None):
-    """Verified patches for the analysis, from candidates tried cheapest first.
+def _search(
+    analysis: Analysis, config: RepairConfig, depth: int, searched, prefix: tuple | None = None
+) -> list[Patch]:
+    """Verified patches for the analysis, from the candidates of its
+    answered sign searches ``searched`` (``run_template``).
 
-    The top-level search has no prefix and keeps every patch, up to
-    ``_MAX_PATCHES``.  A nested search gets the calling round's deltas as
-    ``prefix``; its caller keeps only its best patch ``p`` by
-    ``rank_patches`` that ``_within_caps(prefix + p.deltas)``.
-
-    A nested round that may still recurse stops before the first candidate
-    whose ``_estimated_cost`` exceeds the cost of the cheapest such patch
-    found so far.  That is exact: the candidates come sorted by estimated
-    cost, a direct patch costs exactly its estimate, a composite one at
-    least one more, and ``rank_patches`` orders by cost first, so no later
-    patch could rank ahead.
-
-    The last round (nested, ``depth`` 1) can return only direct patches,
-    whose rank is known before any re-analysis.  So it drops each candidate
-    whose patch breaks the caps after ``prefix`` (a direct patch deletes the
-    candidate's families and adds its facts), analyses the rest in
-    ``rank_patches`` order, and returns the first that holds.  That is the
-    patch its caller would pick out of the whole cheapest fitting tier,
-    which is what the stop above analyses."""
+    The top-level search has no prefix, tries its candidates cheapest first
+    and keeps every patch, up to ``_MAX_PATCHES``.  A nested search gets
+    the deltas of the whole chain of rounds before it as ``prefix`` and
+    returns the one patch ``p`` best by ``rank_patches`` with
+    ``_within_caps(prefix + p.deltas)``, or none.  It drops each candidate
+    whose direct patch breaks those caps, since a composite patch extends
+    its direct patch's deltas; analyses the rest in ``rank_patches`` order
+    of their direct patches; and stops at the first direct patch that does
+    not rank before the best patch so far.  That is exact: every later
+    direct patch ranks after it too, and a composite patch built on it
+    costs at least one more than it, which costs no less than the best
+    patch, and ``rank_patches`` orders by cost first."""
     candidates: list[_Candidate] = []
-    constraints: dict = {}
     seen = set()
-    consts_at = sedl.compute_depend(analysis.rules, analysis.enc.facts)
-    for template, cands, reports in run_template(analysis, config, consts_at):
-        constraints[template] = reports
-        for c in cands:
+    for template, shape, fam_of_xi, psi in searched:
+        for d in psi.disjuncts:
+            c = _disjunct_candidate(d, fam_of_xi, shape, analysis.enc, config, template)
+            if c is None:
+                continue
             key = (frozenset(f.key for f in c.deletes), frozenset(c.adds))
             if key not in seen:
                 seen.add(key)
@@ -702,27 +703,25 @@ def _search(analysis: Analysis, config: RepairConfig, depth: int, prefix: tuple 
     )
     counts = analysis.memo.counts
     holds = _decide(analysis, candidates)
-    last = prefix is not None and depth == 1
-    decided = [
-        c
+    nested = prefix is not None
+    directs = (
+        _synthesize(analysis, c)
         for i, c in enumerate(candidates)
         if holds >> i & 1
-        and (not last or _within_caps(prefix, config, len(c.deletes), len(c.adds)))
-    ]
-    tried = ((c, _synthesize(analysis, c)) for c in decided)
-    if last:
-        tried = sorted(((c, d) for c, d in tried if d is not None), key=lambda t: _rank_key(t[1]))
+        and (not nested or _within_caps(prefix, config, len(c.deletes), len(c.adds)))
+    )
+    if nested:
+        directs = sorted((d for d in directs if d is not None), key=_rank_key)
     patches: list[Patch] = []
     recursed = 0
-    fit = None  # cost of the cheapest patch so far within the caps after prefix
-    for cand, direct in tried:
+    for direct in directs:
         if len(patches) >= _MAX_PATCHES:
             counts["patch_cap"] += 1
             break
-        if fit is not None and _estimated_cost(cand) > fit:
-            break
         if direct is None:
             continue
+        if nested and patches and _rank_key(direct) >= _rank_key(patches[0]):
+            break
         new_source = apply_edits(analysis.source, direct.edits)
         try:
             sub_analysis = _analyze(new_source, analysis.property_text, analysis.memo)
@@ -732,24 +731,16 @@ def _search(analysis: Analysis, config: RepairConfig, depth: int, prefix: tuple 
             continue
         if sub_analysis.holds:
             patch = replace(direct, source=new_source)
-            if last:
-                return [patch], constraints
         elif depth > 1:
             if recursed >= _MAX_RECURSED:
                 counts["recursion_cap"] += 1
                 continue
             recursed += 1
-            sub_patches, _ = _search(sub_analysis, config, depth - 1, direct.deltas)
-            best = next(
-                (
-                    p
-                    for p in rank_patches(sub_patches)
-                    if _within_caps(direct.deltas + p.deltas, config)
-                ),
-                None,
-            )
-            if best is None:
+            chain = (prefix or ()) + direct.deltas
+            found = _search(sub_analysis, config, depth - 1, run_template(sub_analysis, config), chain)
+            if not found:
                 continue
+            (best,) = found
             patch = Patch(
                 direct.deltas + best.deltas,
                 direct.edits + best.edits,
@@ -760,7 +751,8 @@ def _search(analysis: Analysis, config: RepairConfig, depth: int, prefix: tuple 
             )
         else:
             continue
-        patches.append(patch)
-        if prefix is not None and _within_caps(prefix + patch.deltas, config):
-            fit = patch.cost if fit is None else min(fit, patch.cost)
-    return patches, constraints
+        if not nested:
+            patches.append(patch)
+        elif not patches or _rank_key(patch) < _rank_key(patches[0]):
+            patches = [patch]
+    return patches

@@ -16,12 +16,12 @@ may lie outside the sample.
 
 prints the verdict counts against the concrete runs, every wrong `Verified`
 with its seed and source, and exits 1 if there is one.  With `--repair` it
-also runs `repair_loop` at depth 1 (what `ctlrepair repair` runs) on every
-`Violated` program, and runs the same sampled runs on every patch of a
-`Repaired` result: a patched program with a run that does not exit is a
-wrong `Repaired`, and also makes the exit status 1.  It prints how many
-`Unrepaired` results had a sign search cut by the sign budget
-(`--xi-budget`).
+also runs `repair_loop` at depth 1 (what `ctlrepair repair` runs; `--depth
+N` for N rounds) on every `Violated` program, and runs the same sampled
+runs on every patch of a `Repaired` result: a patched program with a run
+that does not exit is a wrong `Repaired`, and also makes the exit status 1.
+It prints how many `Unrepaired` results had a sign search cut by the sign
+budget (`--xi-budget`).
 
     PYTHONPATH=src python tests/oracle_programs.py --programs 200 --ctl 'AG(x <= 3)'
 
@@ -159,8 +159,8 @@ def check(seeds) -> tuple[Counter, list[int], list[int]]:
     return counts, wrong, violated
 
 
-def check_repairs(seeds) -> tuple[Counter, list[tuple[int, str]], int]:
-    """Counts of the depth-1 `repair` verdicts (`timeout` past
+def check_repairs(seeds, depth: int = 1) -> tuple[Counter, list[tuple[int, str]], int]:
+    """Counts of the `repair --depth depth` verdicts (`timeout` past
     ``TIMEOUT_S``) on the programs of ``seeds``, the (seed, patched source)
     pairs of `Repaired` patches with a run that does not exit, and how many
     `Unrepaired` results had a sign search cut by the sign budget."""
@@ -168,7 +168,7 @@ def check_repairs(seeds) -> tuple[Counter, list[tuple[int, str]], int]:
     wrong: list[tuple[int, str]] = []
     cut = 0
     for seed in seeds:
-        result = _limited(lambda: rp.repair_loop(program(seed), rp.RepairConfig(depth=1)))
+        result = _limited(lambda: rp.repair_loop(program(seed), rp.RepairConfig(depth=depth)))
         found = "timeout" if result is None else result.verdict
         counts[found] += 1
         if found == "Repaired":
@@ -193,6 +193,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--programs", type=int, default=200)
     parser.add_argument("--repair", action="store_true", help="also repair every Violated program")
+    parser.add_argument("--depth", type=int, default=1, help="repair rounds with --repair")
     parser.add_argument("--ctl", help="list each verdict under this property, x, y and z set to 0")
     args = parser.parse_args(argv)
     if args.ctl is not None:
@@ -211,8 +212,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if wrong else 0
     # a skipped sign search is counted below rather than logged per template
     logging.getLogger("ctlrepair.repair").setLevel(logging.ERROR)
-    repairs, wrong_repairs, cut = check_repairs(violated)
-    print(f"\nrepair --depth 1 on {len(violated)} Violated programs:")
+    repairs, wrong_repairs, cut = check_repairs(violated, args.depth)
+    print(f"\nrepair --depth {args.depth} on {len(violated)} Violated programs:")
     for found in ("Repaired", "Unrepaired", "Unknown", "Verified", "timeout"):
         print(f"{found:<12}{repairs[found]:>5}")
     print(f"{cut} Unrepaired had a sign search cut by --xi-budget")

@@ -340,23 +340,26 @@ def test_constraint_blocks_join_on_shared_symbols():
 
 
 def test_row_limit_give_ups_show_on_the_encode_line(monkeypatch, caplog):
-    # after x > 0 the encoder asks whether x > 5 follows: one elimination
+    # after x > 0 the encoder asks whether x > 5 follows: one elimination;
+    # the gwre: and encode: lines split the memo's row_limit count
     source = (
         "//@ ctl: AF(Exit(_))\nvoid main() {\n  int x = *;\n"
         "  if (x > 0) { if (x > 5) { x = 1; } }\n  return;\n}\n"
     )
 
-    def give_ups() -> int:
-        (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("encode:")]
-        caplog.clear()
+    def give_ups(prefix: str) -> int:
+        (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith(prefix)]
         return int(re.search(r"(\d+) row-limit give-ups", line).group(1))
 
-    with caplog.at_level(logging.DEBUG, logger="ctlrepair.encode"):
-        rp.analyze(source)
-        assert give_ups() == 0
+    with caplog.at_level(logging.DEBUG, logger="ctlrepair"):
+        counts = rp.analyze(source).memo.counts
+        assert give_ups("encode:") == give_ups("gwre:") == 0
+        assert "row_limit" not in counts
+        caplog.clear()
         monkeypatch.setattr(pl, "_ROW_LIMIT", 0)
-        rp.analyze(source)
-        assert give_ups() > 0
+        counts = rp.analyze(source).memo.counts
+        assert give_ups("encode:") > 0
+        assert give_ups("gwre:") + give_ups("encode:") == counts["row_limit"]
 
 
 def test_emit_asks_about_each_decision_once(fixture_text, monkeypatch):

@@ -375,6 +375,17 @@ def _reference(analysis: rp.Analysis, cand) -> bool:
     return analysis.target in evaluate(DatalogProgram(rules=list(analysis.rules), facts=facts))
 
 
+def _fixtures_and_deep_seed_1() -> list[str]:
+    """The fixtures that analyse, then the programs of ``repair-deep`` seed 1."""
+    broken = ("bad_syntax.imp", "no_property.imp")  # no analysis to repair
+    sources = [p.read_text() for p in sorted(FIXTURES.glob("*.imp")) if p.name not in broken]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(FIXTURES.parents[1] / "perfbench"))
+        import workloads
+
+        return sources + [p.source for p in workloads.generate("repair-deep", 1)]
+
+
 @pytest.fixture(scope="module")
 def searched():
     """Over the fixtures plus ``repair-deep`` seed 1 at depths 1 and 2: each
@@ -396,13 +407,7 @@ def searched():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rp, "_decide", recording)
         mp.setattr(rp.sedl, "sign_batch", recording_batch)
-        mp.syspath_prepend(str(FIXTURES.parents[1] / "perfbench"))
-        import workloads
-
-        broken = ("bad_syntax.imp", "no_property.imp")  # no analysis to repair
-        sources = [p.read_text() for p in sorted(FIXTURES.glob("*.imp")) if p.name not in broken]
-        sources += [p.source for p in workloads.generate("repair-deep", 1)]
-        for source in sources:
+        for source in _fixtures_and_deep_seed_1():
             for depth in (1, 2):
                 rp.repair_loop(source, rp.RepairConfig(depth=depth))
     return decided, batches
@@ -543,71 +548,46 @@ def nested_searches():
     out = []
     search = rp._search
 
-    def recording(analysis, config, depth, prefix=None):
+    def recording(analysis, config, depth, searched, prefix=None):
         counts = analysis.memo.counts
         before = counts["analyses"]
-        patches, constraints = search(analysis, config, depth, prefix)
+        patches = search(analysis, config, depth, searched, prefix)
         if prefix is not None:
             out.append((analysis, config, depth, prefix, patches, counts["analyses"] - before))
-        return patches, constraints
+        return patches
 
+    configs = (
+        rp.RepairConfig(depth=2),
+        rp.RepairConfig(depth=3),
+        rp.RepairConfig(depth=2, max_delete=1),
+    )
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rp, "_search", recording)
-        mp.syspath_prepend(str(FIXTURES.parents[1] / "perfbench"))
-        import workloads
-
-        broken = ("bad_syntax.imp", "no_property.imp")  # no analysis to repair
-        sources = [p.read_text() for p in sorted(FIXTURES.glob("*.imp")) if p.name not in broken]
-        sources += [p.source for p in workloads.generate("repair-deep", 1)]
-        configs = (
-            rp.RepairConfig(depth=2),
-            rp.RepairConfig(depth=3),
-            rp.RepairConfig(depth=2, max_delete=1),
-        )
-        for source in sources:
+        for source in _fixtures_and_deep_seed_1():
             for config in configs:
                 rp.repair_loop(source, config)
     return out
 
 
-def test_nested_search_keeps_its_best_fitting_patch(nested_searches, monkeypatch):
-    # a nested search stops early (at the first cost tier above its cheapest
-    # fitting patch, or in its last round at its first fitting patch); the
-    # search that keeps every patch must pick the same one
-    decided = []
-    decide = rp._decide
-
-    def recording(analysis, candidates):
-        holds = decide(analysis, candidates)
-        decided.append([c for i, c in enumerate(candidates) if holds >> i & 1])
-        return holds
-
-    monkeypatch.setattr(rp, "_decide", recording)
+def test_nested_search_keeps_its_best_fitting_patch(nested_searches):
+    # a nested search stops at its first direct patch that does not rank
+    # before its best patch so far, and returns that best patch alone; the
+    # search that keeps every patch must pick the same one after the prefix
+    # of the whole chain
     stopped = unfit = 0
     for analysis, config, depth, prefix, patches, analyses in nested_searches:
         counts = analysis.memo.counts
         before = counts["analyses"]
-        decided.clear()
-        full, _ = rp._search(analysis, config, depth, None)
+        full = rp._search(analysis, config, depth, rp.run_template(analysis, config), None)
         total = counts["analyses"] - before
-        best = _best_fitting(patches, prefix, config)
         reference = _best_fitting(full, prefix, config)
-        assert (best is None) == (reference is None)
-        if best is not None:
-            assert (best.to_json(), best.source) == (reference.to_json(), reference.source)
-        # every returned patch is one of the reference's, and a last round
-        # with no fitting patch analyses exactly the candidates whose direct
-        # patch fits the caps after the prefix
-        found = [(p.to_json(), p.source) for p in full]
-        assert all((p.to_json(), p.source) in found for p in patches)
+        assert [(p.to_json(), p.source) for p in patches] == (
+            [] if reference is None else [(reference.to_json(), reference.source)]
+        )
         assert analyses <= total
-        if best is None and depth == 1:
-            directs = [rp._synthesize(analysis, c) for c in decided[0]]
-            fitting = [d for d in directs if d and rp._within_caps(prefix + d.deltas, config)]
-            assert analyses == len(fitting)
         stopped += analyses < total
-        unfit += best is None
-    assert len({depth for _, _, depth, *_ in nested_searches}) == 2
+        unfit += reference is None
+    assert {depth for _, _, depth, *_ in nested_searches} == {1, 2}
     assert stopped and unfit
 
 
@@ -620,30 +600,34 @@ def test_last_nested_rounds_stop_at_their_first_fitting_patch(fixture_text):
 
 
 @pytest.mark.parametrize("name", ["calls.imp", "infinite.imp", "overview.imp"])
-def test_last_round_analyses_fitting_direct_patches_in_rank_order(fixture_text, name, monkeypatch):
-    # in a nested round at depth 1, the analysed sources are the round's
-    # fitting direct patches in rank_patches order, up to the first that
-    # holds, and the round returns that one
-    rounds = []
+def test_nested_rounds_analyse_fitting_direct_patches_in_rank_order(fixture_text, name, monkeypatch):
+    # at depths 2 and 3, a nested round analyses its fitting direct patches
+    # in rank_patches order, up to the first that does not rank before the
+    # patch it returns; only the last it analyses may hold, and then it
+    # returns that
+    rounds, active = [], []
     search, decide, analyze = rp._search, rp._decide, rp._analyze
 
-    def searching(analysis, config, depth, prefix=None):
-        last = prefix is not None and depth == 1
-        if last:
-            rounds.append({"analysis": analysis, "prefix": prefix, "analysed": []})
-        patches, constraints = search(analysis, config, depth, prefix)
-        if last:
-            rounds[-1]["patches"] = patches
-        return patches, constraints
+    def searching(analysis, config, depth, searched, prefix=None):
+        if prefix is None:
+            return search(analysis, config, depth, searched, prefix)
+        # the prefix is the whole chain: its caller's prefix, then more
+        outer = active[-1]["prefix"] if active else ()
+        assert prefix[: len(outer)] == outer and len(prefix) > len(outer)
+        active.append({"analysis": analysis, "prefix": prefix, "depth": depth, "analysed": []})
+        patches = search(analysis, config, depth, searched, prefix)
+        rounds.append(active.pop())
+        rounds[-1]["patches"] = patches
+        return patches
 
     def deciding(analysis, candidates):
         holds = decide(analysis, candidates)
-        if rounds and rounds[-1]["analysis"] is analysis:
-            rounds[-1]["decided"] = [c for i, c in enumerate(candidates) if holds >> i & 1]
+        if active and active[-1]["analysis"] is analysis:
+            active[-1]["decided"] = [c for i, c in enumerate(candidates) if holds >> i & 1]
         return holds
 
     def analysing(source, ctl_text, memo):
-        analysed = rounds[-1]["analysed"] if rounds and "patches" not in rounds[-1] else []
+        analysed = active[-1]["analysed"] if active else []
         analysed.append((source, False))  # until it is seen to hold
         sub = analyze(source, ctl_text, memo)
         analysed[-1] = (source, sub.holds and not sub.unknown)
@@ -652,9 +636,20 @@ def test_last_round_analyses_fitting_direct_patches_in_rank_order(fixture_text, 
     monkeypatch.setattr(rp, "_search", searching)
     monkeypatch.setattr(rp, "_decide", deciding)
     monkeypatch.setattr(rp, "_analyze", analysing)
-    config = rp.RepairConfig(depth=2)
-    rp.repair_loop(fixture_text(name), config)
-    assert rounds
+    for depth in (2, 3):
+        rounds.clear()
+        config = rp.RepairConfig(depth=depth)
+        rp.repair_loop(fixture_text(name), config)
+        _check_nested_rounds(rounds, config)
+        assert any(r["patches"] for r in rounds)
+        # calls.imp has rounds whose first candidates fail and a round with
+        # no fitting patch, infinite.imp a round whose third candidate holds
+        if name != "overview.imp":
+            assert any(len(r["analysed"]) > 1 and r["patches"] for r in rounds)
+        assert any(r["depth"] == depth - 1 for r in rounds)
+
+
+def _check_nested_rounds(rounds, config):
     for r in rounds:
         analysis, prefix, analysed = r["analysis"], r["prefix"], r["analysed"]
         directs = [rp._synthesize(analysis, c) for c in r["decided"]]
@@ -662,20 +657,36 @@ def test_last_round_analyses_fitting_direct_patches_in_rank_order(fixture_text, 
             [d for d in directs if d and rp._within_caps(prefix + d.deltas, config)]
         )
         sources = [rp.apply_edits(analysis.source, d.edits) for d in expected]
-        assert [source for source, _ in analysed] == sources[: len(analysed)]
+        n = len(analysed)
+        assert [source for source, _ in analysed] == sources[:n]
         held = [holds for _, holds in analysed]
-        if r["patches"]:
-            assert held == [False] * (len(held) - 1) + [True]
-            (patch,) = r["patches"]
-            assert patch.to_json() == expected[len(held) - 1].to_json()
-            assert patch.source == sources[len(held) - 1]
+        assert not any(held[:-1])
+        if not r["patches"]:
+            assert n == len(sources) and not any(held)
+            continue
+        (patch,) = r["patches"]
+        assert rp._within_caps(prefix + patch.deltas, config)
+        key = rp._rank_key(patch)
+        assert n == len(expected) or rp._rank_key(expected[n]) >= key
+        if held[-1]:
+            assert patch.to_json() == expected[n - 1].to_json()
+            assert patch.source == sources[n - 1]
         else:
-            assert held == [False] * len(sources)
-    assert any(r["patches"] for r in rounds)
-    # calls.imp has rounds whose first candidates fail and a round with no
-    # fitting patch, infinite.imp a round whose third candidate holds
-    if name != "overview.imp":
-        assert any(len(r["analysed"]) > 1 and r["patches"] for r in rounds)
+            assert r["depth"] > 1 and patch.iterations > 1
+            assert all(rp._rank_key(d) < key for d in expected[:n])
+
+
+def test_every_patch_keeps_within_the_caps_at_depth_3():
+    # a nested round returns only a patch that fits the caps after the whole
+    # chain before it, which is all that keeps a composite patch in bounds
+    composite = 0
+    for max_delete, max_add in [(1, 1), (0, 2), (2, 0), (1, 2)]:
+        config = rp.RepairConfig(depth=3, max_delete=max_delete, max_add=max_add)
+        for source in _fixtures_and_deep_seed_1():
+            for patch in rp.repair_loop(source, config).patches:
+                assert rp._within_caps(patch.deltas, config)
+                composite += patch.iterations > 1
+    assert composite
 
 
 def test_patch_cap_is_counted(fixture_text, monkeypatch):
@@ -727,6 +738,17 @@ def test_alpha_budget_cut_offs_are_counted(fixture_text):
     timing = rp.repair_loop(source, rp.RepairConfig(alpha_budget=1)).to_json()["timing"]
     assert timing["alpha_budget_exceeded"] == 10
     assert "alpha_budget_exceeded" not in rp.repair_loop(source, rp.RepairConfig()).stats
+
+
+def test_row_limit_give_ups_show_in_the_timing(fixture_text, monkeypatch):
+    # overview's analyses give up on Fourier-Motzkin runs past 4 rows, and
+    # the repair report counts them instead of passing them off silently
+    source = fixture_text("overview.imp")
+    assert "row_limit" not in rp.repair_loop(source, rp.RepairConfig()).to_json()["timing"]
+    monkeypatch.setattr(pl, "_ROW_LIMIT", 4)
+    report = rp.repair_loop(source, rp.RepairConfig()).to_json()
+    assert report["verdict"] == "Repaired"
+    assert report["timing"]["row_limit"] > 0
 
 
 def test_infinite_repair_at_depth_3_within_budget(fixture_text):
