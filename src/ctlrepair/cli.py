@@ -63,6 +63,8 @@ def _template_order(text: str) -> tuple[str, ...]:
             raise click.UsageError(
                 f"unknown template {t!r}; choose from {', '.join(rp.TEMPLATES)}"
             )
+        if order.count(t) > 1:
+            raise click.UsageError(f"template {t!r} given more than once")
     if not order:
         raise click.UsageError("empty --template-order")
     return order

@@ -8,7 +8,9 @@ every sign search of every template (``run_template``), and one checks
 every candidate at fact level before any source edit is made
 (``_decide``).  Each candidate that passes is
 mapped back to a source edit, and every patch is verified end to end by
-re-analyzing the edited program.
+re-analyzing the edited program.  A nested round searches only the sign
+worlds whose edits fit the caps left after its chain of rounds: the others
+yield no candidate it could keep (``run_template``).
 """
 
 from __future__ import annotations
@@ -213,17 +215,15 @@ def _alpha_shapes(rules) -> list[tuple[str, int]]:
 
 
 def inject_symbols(
-    enc: enc_mod.EncodeResult,
-    template: str,
-    shape: tuple[str, int] | None,
+    enc: enc_mod.EncodeResult, template: str
 ) -> tuple[list[sedl.SymbolicFact], dict[str, enc_mod.Family]]:
-    """Mark the template's facts with signs and inject one symbolic fact.
+    """Mark the template's facts with signs.
 
     Sign ``xi{i+1}`` names the ``i``-th family to own a fact of
     ``enc.facts``, so the signs are numbered in the order ``sedl`` meets
-    and reports them, and the injected fact's ``xiA`` comes last.  A family
-    whose every member ``enc.fact_family`` gives to a later family gets no
-    sign."""
+    and reports them, and the ``xiA`` of a fact that ``run_template``
+    injects after them comes last.  A family whose every member
+    ``enc.fact_family`` gives to a later family gets no sign."""
     fams = {fam.key: fam for fam in _xi_families(enc, template)}
     owners = dict.fromkeys(k for k in map(enc.fact_family.get, enc.facts) if k in fams)
     fam_of_xi = {f"xi{i + 1}": fams[key] for i, key in enumerate(owners)}
@@ -232,10 +232,6 @@ def inject_symbols(
         sedl.SymbolicFact(f, xi_of_key.get(enc.fact_family.get(f)))
         for f in enc.facts
     ]
-    if shape is not None:
-        pred, arity = shape
-        alpha_args = tuple(sedl.Alpha(f"alpha{i + 1}") for i in range(arity))
-        facts.append(sedl.SymbolicFact(Atom(pred, alpha_args), "xiA"))
     return facts, fam_of_xi
 
 
@@ -330,35 +326,53 @@ def _value_for(pure: pl.Pure, var: str) -> object | None:
     return None
 
 
-def run_template(analysis: Analysis, config: RepairConfig):
+def run_template(analysis: Analysis, config: RepairConfig, prefix: tuple | None = None):
     """Every sign search of one round that kept within the sign budget, with
     its answer, as ``(template, shape, fam_of_xi, psi)`` in
     ``config.template_order``.
 
     Every (template, injected shape) sign search of the round is built
     first, and one ``sedl.sign_batch`` fixpoint answers them all.  The
-    round's counts go to ``analysis.memo.counts``."""
+    round's counts go to ``analysis.memo.counts``.
+
+    A nested round passes the deltas of its chain as ``prefix``, and its
+    worlds then hold only edits that fit the caps left after them: at most
+    the deletes left false family signs, and the injected fact present only
+    while an add is left.  That is exact: ``_search`` drops every candidate
+    of a world with more signs false, and without an add left a world with
+    the injected fact yields only adds, which it drops, or deletes that its
+    twin world without the fact yields too when they derive the target."""
     enc, counts = analysis.enc, analysis.memo.counts
     consts_at = sedl.compute_depend(analysis.rules, enc.facts)
+    deletes_left, add_left = config.max_delete, True
+    if prefix is not None:
+        deleted, added = _edit_counts(prefix)
+        deletes_left, add_left = config.max_delete - deleted, added < config.max_add
     plan = []  # per template, its searches' shapes and sign families
     searches: list[sedl.SignSearch] = []
     for template in config.template_order:
         if template not in TEMPLATES:
             raise ValueError(f"unknown template {template!r}")
+        if config.template_order.count(template) > 1:
+            raise ValueError(f"template {template!r} given more than once")
         counts["templates"] += 1
         shapes = _alpha_shapes(analysis.rules) if template in ("update", "add") else [None]
+        signed, fam_of_xi = inject_symbols(enc, template)
+        worlds = _candidate_worlds(list(fam_of_xi), deletes_left)
         planned = []
         for shape in shapes:
-            facts, fam_of_xi = inject_symbols(enc, template, shape)
-            worlds = _candidate_worlds(list(fam_of_xi), config.max_delete)
-            valuations = [{}]
+            facts, valuations, search_worlds = signed, [{}], worlds
             if shape is not None:
-                worlds += [off | {"xiA"} for off in worlds]
+                pred, arity = shape
+                alphas = tuple(sedl.Alpha(f"alpha{i + 1}") for i in range(arity))
+                facts = signed + [sedl.SymbolicFact(Atom(pred, alphas), "xiA")]
                 valuations = _alpha_valuations(
                     shape, analysis.rules, consts_at, config.alpha_budget, counts
                 )
+                absent = [off | {"xiA"} for off in worlds]
+                search_worlds = worlds + absent if add_left else absent
             planned.append((len(searches), shape, fam_of_xi))
-            searches.append(sedl.SignSearch(facts, valuations, worlds))
+            searches.append(sedl.SignSearch(facts, valuations, search_worlds))
         plan.append((template, planned))
     batch = sedl.sign_batch(analysis.rules, analysis.target, searches, config.xi_budget)
     out = []
@@ -417,7 +431,8 @@ def _constraints(searched, config: RepairConfig, counts: Counter) -> dict:
 
 
 def _disjunct_candidate(d, fam_of_xi, shape, enc, config, template) -> _Candidate | None:
-    # at most config.max_delete of them: _candidate_worlds caps the false signs
+    # at most the deletes left after the round's chain (config.max_delete at
+    # the top level): run_template's worlds cap the false signs
     deletes = [fam_of_xi[n] for n in d.sign_false if n in fam_of_xi]
     keys = {f.key for f in deletes}
     for f in deletes:
@@ -655,13 +670,44 @@ def _estimated_cost(cand: _Candidate) -> int:
     return len(cand.deletes) + len(cand.adds) - (cand.updated is not None)
 
 
+def _edit_counts(deltas: tuple) -> tuple[int, int]:
+    """The families ``deltas`` delete and the facts they add; an update is
+    one of each."""
+    return sum(d.op != "add" for d in deltas), sum(d.op != "delete" for d in deltas)
+
+
 def _within_caps(deltas: tuple, config: RepairConfig, deletes: int = 0, adds: int = 0) -> bool:
     """A whole patch deletes at most ``max_delete`` families and adds at most
-    ``max_add`` facts; an update is one of each.  ``deletes`` and ``adds``
-    count families and facts of a patch not yet synthesized."""
-    deletes += sum(d.op != "add" for d in deltas)
-    adds += sum(d.op != "delete" for d in deltas)
-    return deletes <= config.max_delete and adds <= config.max_add
+    ``max_add`` facts (``_edit_counts``).  ``deletes`` and ``adds`` count
+    families and facts of a patch not yet synthesized."""
+    deleted, added = _edit_counts(deltas)
+    return deletes + deleted <= config.max_delete and adds + added <= config.max_add
+
+
+def _candidates(analysis: Analysis, config: RepairConfig, searched) -> list[_Candidate]:
+    """The distinct candidates of the answered sign searches ``searched``
+    (``run_template``), in the order ``_search`` tries them: cheapest first,
+    then by template, then by text."""
+    candidates: list[_Candidate] = []
+    seen = set()
+    for template, shape, fam_of_xi, psi in searched:
+        for d in psi.disjuncts:
+            c = _disjunct_candidate(d, fam_of_xi, shape, analysis.enc, config, template)
+            if c is None:
+                continue
+            key = (frozenset(f.key for f in c.deletes), frozenset(c.adds))
+            if key not in seen:
+                seen.add(key)
+                candidates.append(c)
+    order = {t: i for i, t in enumerate(config.template_order)}
+    return sorted(
+        candidates,
+        key=lambda c: (
+            _estimated_cost(c),
+            order[c.template],
+            repr((tuple(str(f.key) for f in c.deletes), tuple(map(str, c.adds)))),
+        ),
+    )
 
 
 def _search(
@@ -682,25 +728,7 @@ def _search(
     direct patch ranks after it too, and a composite patch built on it
     costs at least one more than it, which costs no less than the best
     patch, and ``rank_patches`` orders by cost first."""
-    candidates: list[_Candidate] = []
-    seen = set()
-    for template, shape, fam_of_xi, psi in searched:
-        for d in psi.disjuncts:
-            c = _disjunct_candidate(d, fam_of_xi, shape, analysis.enc, config, template)
-            if c is None:
-                continue
-            key = (frozenset(f.key for f in c.deletes), frozenset(c.adds))
-            if key not in seen:
-                seen.add(key)
-                candidates.append(c)
-    order = {t: i for i, t in enumerate(config.template_order)}
-    candidates.sort(
-        key=lambda c: (
-            _estimated_cost(c),
-            order[c.template],
-            repr((tuple(str(f.key) for f in c.deletes), tuple(map(str, c.adds)))),
-        )
-    )
+    candidates = _candidates(analysis, config, searched)
     counts = analysis.memo.counts
     holds = _decide(analysis, candidates)
     nested = prefix is not None
@@ -737,7 +765,8 @@ def _search(
                 continue
             recursed += 1
             chain = (prefix or ()) + direct.deltas
-            found = _search(sub_analysis, config, depth - 1, run_template(sub_analysis, config), chain)
+            searched = run_template(sub_analysis, config, chain)
+            found = _search(sub_analysis, config, depth - 1, searched, chain)
             if not found:
                 continue
             (best,) = found

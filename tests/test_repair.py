@@ -208,6 +208,15 @@ def test_unknown_template_rejected(fixture_text):
         )
 
 
+def test_repeated_template_rejected(fixture_text):
+    # a repeat would run that template's sign searches once per occurrence
+    with pytest.raises(ValueError, match="'delete' given more than once"):
+        rp.repair_loop(
+            fixture_text("overview.imp"),
+            rp.RepairConfig(template_order=("delete", "update", "delete")),
+        )
+
+
 def test_report_shape(fixture_text):
     result = rp.repair_loop(fixture_text("overview.imp"), rp.RepairConfig())
     report = result.to_json()
@@ -375,15 +384,20 @@ def _reference(analysis: rp.Analysis, cand) -> bool:
     return analysis.target in evaluate(DatalogProgram(rules=list(analysis.rules), facts=facts))
 
 
-def _fixtures_and_deep_seed_1() -> list[str]:
-    """The fixtures that analyse, then the programs of ``repair-deep`` seed 1."""
-    broken = ("bad_syntax.imp", "no_property.imp")  # no analysis to repair
-    sources = [p.read_text() for p in sorted(FIXTURES.glob("*.imp")) if p.name not in broken]
+def _deep_seed_1() -> list[str]:
+    """The programs of ``repair-deep`` seed 1."""
     with pytest.MonkeyPatch.context() as mp:
         mp.syspath_prepend(str(FIXTURES.parents[1] / "perfbench"))
         import workloads
 
-        return sources + [p.source for p in workloads.generate("repair-deep", 1)]
+        return [p.source for p in workloads.generate("repair-deep", 1)]
+
+
+def _fixtures_and_deep_seed_1() -> list[str]:
+    """The fixtures that analyse, then the programs of ``repair-deep`` seed 1."""
+    broken = ("bad_syntax.imp", "no_property.imp")  # no analysis to repair
+    sources = [p.read_text() for p in sorted(FIXTURES.glob("*.imp")) if p.name not in broken]
+    return sources + _deep_seed_1()
 
 
 @pytest.fixture(scope="module")
@@ -540,11 +554,15 @@ def _best_fitting(patches, prefix, config):
     )
 
 
+_CAP_PAIRS = [(1, 1), (0, 2), (2, 0), (1, 2)]  # (max_delete, max_add)
+
+
 @pytest.fixture(scope="module")
 def nested_searches():
     """Each nested search reached over the fixtures plus ``repair-deep``
-    seed 1 at depths 2 and 3, and at depth 2 with ``max_delete=1``: its
-    arguments, the patches it returned and the analyses it counted."""
+    seed 1 at depths 2 and 3, at depth 2 with ``max_delete=1`` and at depth
+    3 under each of ``_CAP_PAIRS``: its arguments, the patches it returned,
+    the analyses it counted and its answered sign searches."""
     out = []
     search = rp._search
 
@@ -553,14 +571,15 @@ def nested_searches():
         before = counts["analyses"]
         patches = search(analysis, config, depth, searched, prefix)
         if prefix is not None:
-            out.append((analysis, config, depth, prefix, patches, counts["analyses"] - before))
+            analyses = counts["analyses"] - before
+            out.append((analysis, config, depth, prefix, patches, analyses, searched))
         return patches
 
     configs = (
         rp.RepairConfig(depth=2),
         rp.RepairConfig(depth=3),
         rp.RepairConfig(depth=2, max_delete=1),
-    )
+    ) + tuple(rp.RepairConfig(depth=3, max_delete=d, max_add=a) for d, a in _CAP_PAIRS)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rp, "_search", recording)
         for source in _fixtures_and_deep_seed_1():
@@ -575,7 +594,7 @@ def test_nested_search_keeps_its_best_fitting_patch(nested_searches):
     # search that keeps every patch must pick the same one after the prefix
     # of the whole chain
     stopped = unfit = 0
-    for analysis, config, depth, prefix, patches, analyses in nested_searches:
+    for analysis, config, depth, prefix, patches, analyses, _ in nested_searches:
         counts = analysis.memo.counts
         before = counts["analyses"]
         full = rp._search(analysis, config, depth, rp.run_template(analysis, config), None)
@@ -589,6 +608,81 @@ def test_nested_search_keeps_its_best_fitting_patch(nested_searches):
         unfit += reference is None
     assert {depth for _, _, depth, *_ in nested_searches} == {1, 2}
     assert stopped and unfit
+
+
+def test_nested_rounds_decide_the_fitting_candidates_of_the_whole_budget(nested_searches):
+    # a nested round's worlds hold only the edits that fit the caps left
+    # after its chain, so it decides true exactly the true candidates of the
+    # unbounded round whose direct patch fits them (a candidate's deletes
+    # and adds are its direct patch's), with the same templates, in order
+    def held(analysis, config, searched):
+        candidates = rp._candidates(analysis, config, searched)
+        holds = rp._decide(analysis, candidates)
+        return [c for i, c in enumerate(candidates) if holds >> i & 1]
+
+    def keys(candidates):
+        return [(frozenset(f.key for f in c.deletes), c.adds, c.template) for c in candidates]
+
+    dropped = 0
+    for analysis, config, _, prefix, _, _, searched in nested_searches:
+        full = held(analysis, config, rp.run_template(analysis, config))
+        fitting = [
+            c for c in full if rp._within_caps(prefix, config, len(c.deletes), len(c.adds))
+        ]
+        assert keys(held(analysis, config, searched)) == keys(fitting)
+        dropped += len(full) - len(fitting)
+    assert dropped
+
+
+def test_nested_rounds_search_only_the_worlds_their_caps_allow(monkeypatch):
+    # over repair-deep seed 1 at depth 2, the nested rounds' sign batches
+    # span 2,856 bits (13,509 when they searched the whole budget), and the
+    # top-level rounds' keep their 3,454
+    run_template, sign_batch = rp.run_template, rp.sedl.sign_batch
+    nested, bits = [], Counter()
+
+    def running(analysis, config, prefix=None):
+        nested.append(prefix is not None)
+        try:
+            return run_template(analysis, config, prefix)
+        finally:
+            nested.pop()
+
+    def batching(rules, target, searches, budget):
+        batch = sign_batch(rules, target, searches, budget)
+        bits["nested" if nested[-1] else "top"] += batch.bits
+        return batch
+
+    monkeypatch.setattr(rp, "run_template", running)
+    monkeypatch.setattr(rp.sedl, "sign_batch", batching)
+    for source in _deep_seed_1():
+        rp.repair_loop(source, rp.RepairConfig(depth=2))
+    assert bits == {"top": 3454, "nested": 2856}
+
+
+def test_the_searches_of_a_template_share_its_signed_facts(fixture_text, monkeypatch):
+    # each template's signed facts are built once; a search with a shape
+    # appends its injected fact to them
+    batches, sign_batch = [], rp.sedl.sign_batch
+
+    def batching(*args):
+        batches.append(sign_batch(*args))
+        return batches[-1]
+
+    monkeypatch.setattr(rp.sedl, "sign_batch", batching)
+    searched = rp.run_template(rp.analyze(fixture_text("overview.imp")), rp.RepairConfig())
+    (batch,) = batches
+    assert len(searched) == len(batch.searches) == 11
+    signed = {}
+    for (template, shape, _, _), search in zip(searched, batch.searches):
+        facts = search.facts if shape is None else search.facts[:-1]
+        first = signed.setdefault(template, facts)
+        assert len(facts) == len(first) and all(a is b for a, b in zip(facts, first))
+        if shape is not None:
+            injected = search.facts[-1]
+            assert injected.xi == "xiA"
+            assert (injected.atom.predicate, len(injected.atom.args)) == shape
+    assert list(signed) == list(rp.TEMPLATES)
 
 
 def test_last_nested_rounds_stop_at_their_first_fitting_patch(fixture_text):
@@ -680,7 +774,7 @@ def test_every_patch_keeps_within_the_caps_at_depth_3():
     # a nested round returns only a patch that fits the caps after the whole
     # chain before it, which is all that keeps a composite patch in bounds
     composite = 0
-    for max_delete, max_add in [(1, 1), (0, 2), (2, 0), (1, 2)]:
+    for max_delete, max_add in _CAP_PAIRS:
         config = rp.RepairConfig(depth=3, max_delete=max_delete, max_add=max_add)
         for source in _fixtures_and_deep_seed_1():
             for patch in rp.repair_loop(source, config).patches:
