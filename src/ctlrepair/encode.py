@@ -13,7 +13,7 @@ al., POPL 2002):
 
 - its fact shape, or its complement's, is in the read set of ``s``: the
   conjuncts of every guard that can follow ``s``, the omega terminal →
-  head edges included (``read_sets``);
+  head edges included (``read_sets``, a union over the automaton's edges);
 - its shape, or its complement's, is a property atom, which the property's
   rules read at every state;
 - ``s`` is the ``def_state`` of one of its variables.  Nothing may read
@@ -21,12 +21,12 @@ al., POPL 2002):
   stands for the family in a repair, so families, their order and the
   ``xi`` names do not depend on which later states read them.
 
-The walk is one loop over an explicit stack, in this order (the lists of
-facts, rules and families follow it):
+The walk is one loop over an explicit stack over ``gw.automaton``, built
+once per encoding, whose edges are the pairs of each state's linear form (a
+leading segment and the state after it).  It goes in this order (the
+lists of facts, rules and families follow it):
 
-- depth first over the pairs of each effect's linear form
-  (``gw.linear_form``: a leading segment and what remains after it), in
-  its order;
+- depth first over the edges of each state, in ``gw.linear_form``'s order;
 - a segment's store update, incoming flow and emitted facts come before
   what remains after it is walked;
 - an omega block walks its body, collecting the states where the body may
@@ -59,16 +59,18 @@ omega block whose state labels two or more leaves of the effect read as a
 tree (``gw.shared_states``, counted on the DAG), or has been entered before
 (it then starts a rest of the effect that two paths share), the walk adds
 the incoming ``flow`` fact or guard rule, then skips the entry if it has
-walked the same segment, with a structurally equal rest of the effect, from
-an equivalent store.  Two stores are equivalent when:
+walked the same edge from an equivalent store.  The merge key is the
+segment's key and the state it leads to (equal up to structure, so
+``==`` effects share them), then the live store.  Two stores are
+equivalent when:
 
 - each live variable has the same term (hash-consed node id) and the same
   ``def_state`` in both, or is unset in both.  A variable is live when the
-  segment or the rest mentions it (assignments and their right-hand sides,
-  constraints, guards, relation arguments), when a property atom or the
-  read set of one of their states names it, or when a tracked comparison
-  has it beside a live variable, since ``emit`` decides that comparison at
-  its variable's def state;
+  segment or a segment reachable from the state it leads to mentions it
+  (assignments and their right-hand sides, constraints, guards, relation
+  arguments), when a property atom or the read set of one of their states
+  names it, or when a tracked comparison has it beside a live variable,
+  since ``emit`` decides that comparison at its variable's def state;
 - the constraint blocks that share a symbol with the live terms are the
   same, in order.  No later query reads the others;
 - both constraints are satisfiable, or neither is: ``emit`` emits nothing
@@ -264,24 +266,19 @@ class _Encoder:
         self.partners = {
             v: frozenset().union(*(self.tracked[i][2] for i in over)) for v, over in self.over.items()
         }
-        # states whose entries walk keys: those that label two or more
-        # leaves, and those it has entered before
+        # the automaton walked, and the states whose entries walk keys: those
+        # that label two or more leaves, and those it has entered before
+        self.automaton: gw.Automaton | None = None
         self.shared: set[int] = set()
         # every fact_family write, in walk order, a merged entry's replayed
         self.writes: list[tuple[Atom, FamilyKey]] = []
         # per entry_key, its walks by match (a key's first walk by None)
         self.walked: dict[tuple[int, ...], dict] = {}
         self.merged = 0  # segment entries skipped as already walked
-        # caches of entry_key, for one walk: interned effect shapes and the
-        # variables of each; per id() of an effect node the node, kept alive,
-        # and its shape id; per sequence shape that of its items but the
-        # first; and the live variables of each (step, rest)
-        self.effect_ids: dict[object, int] = {}
-        self.effect_vars: list[frozenset[str]] = []
-        self.effects: dict[int, tuple[gw.Re, int]] = {}
-        self.tails: dict[int, int] = {}
+        # caches of entry_key: the variables of each state (state_vars) and
+        # the live variables of each (segment, next state)
+        self.state_vars_of: dict[int, frozenset[str]] = {}
         self.live: dict[tuple[int, int], tuple[str, ...]] = {}
-        self.nil = self.effect_id(gw.EPS)  # the empty sequence
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -435,64 +432,55 @@ class _Encoder:
 
     # -- guard rules --------------------------------------------------------------
 
-    def guard_rule(self, prev: int, s: int, pi: pl.Pure) -> None:
+    def guard_rule(self, prev: int, seg: gw.Ev | gw.Guard) -> None:
+        """The flow from state ``prev`` into ``seg``: a ``flow`` fact, or a
+        rule whose body reads the facts of ``seg``'s guard at ``prev``."""
         if prev < 0:
             return
-        body: list[Literal] = []
-        for conj in pl.conjuncts(pi):
-            atom = ctl_mod.pure_atom(conj, prev)
-            if atom is not None:
-                body.append(Literal(atom))
+        atoms = (ctl_mod.pure_atom(c, prev) for c in pl.conjuncts(seg.pi)) if isinstance(seg, gw.Guard) else ()
+        body = tuple(Literal(atom) for atom in atoms if atom is not None)
         if not body:
-            self.add_flow(prev, s)
+            self.add_flow(prev, seg.s)
         else:
-            self.rules[Rule(Atom("flow", (prev, s)), tuple(body))] = None
+            self.rules[Rule(Atom("flow", (prev, seg.s)), body)] = None
 
     # -- traversal ----------------------------------------------------------------
 
-    def walk(self, phi: gw.Re) -> None:
-        """Walk ``phi`` from the entry; see the module docstring for the order."""
-        # A work item is (step, phi, rest, prev, store, terminals): step
-        # _ENTER enters phi reached from prev, a leading segment of phi takes
-        # it and leaves rest, and _CLOSE closes the omega block whose body is
-        # phi.  terminals is None outside omega bodies, else the enclosing
-        # body's terminal list.  _DONE ends the _Walk phi.
-        self.shared = gw.shared_states(phi)
-        work: list[tuple] = [(_ENTER, phi, None, -1, SymStore(), None)]
+    def walk(self, a: gw.Automaton, shared: set[int]) -> None:
+        """Walk ``a`` from its start; see the module docstring for the
+        order.  ``shared`` holds the states whose entries merge."""
+        # A work item is (step, key, rest, prev, store, terminals): _ENTER
+        # enters state key from prev, a segment step keyed key leads to state
+        # rest, and _CLOSE closes the omega block whose body is state key.
+        # terminals is None outside omega bodies, else the enclosing body's
+        # terminal list.  _DONE ends the _Walk key.
+        self.automaton, self.shared = a, shared
+        work: list[tuple] = [(_ENTER, a.start, None, -1, SymStore(), None)]
         while work:
-            step, phi, rest, prev, store, terminals = work.pop()
+            step, key, rest, prev, store, terminals = work.pop()
             if step is _CLOSE:
-                heads = [h for h, _ in gw.linear_form(phi)[0]]
                 for t in terminals:
-                    for h in heads:
-                        if isinstance(h, gw.Ev):
-                            self.add_flow(t, h.s)
-                        else:
-                            self.guard_rule(t, h.s, h.pi)
+                    for h, _, _ in a.pairs[key]:
+                        self.guard_rule(t, h)
             elif step is _ENTER:
-                pairs, nullable = gw.linear_form(phi)
-                if nullable and prev >= 0:
+                if a.nullable[key] and prev >= 0:
                     if terminals is None:
                         self.add_flow(prev, prev)
                     elif prev not in terminals:
                         terminals.append(prev)
-                work.extend((f, phi, rest, prev, store, terminals) for f, rest in reversed(pairs))
+                work.extend((f, k, n, prev, store, terminals) for f, k, n in reversed(a.pairs[key]))
             elif step is _DONE:
-                phi.end = len(self.writes)
+                key.end = len(self.writes)
             elif isinstance(step, gw.Omega):
                 if terminals is not None:
                     raise TypeError("nested omega blocks are not supported")
                 body_terminals: list[int] = []
-                work.append((_CLOSE, step.body, None, -1, None, body_terminals))
-                work.append((_ENTER, step.body, None, prev, store, body_terminals))
+                work.append((_CLOSE, rest, None, -1, None, body_terminals))
+                work.append((_ENTER, rest, None, prev, store, body_terminals))
             else:
-                if isinstance(step, gw.Ev):
-                    if prev >= 0:
-                        self.add_flow(prev, step.s)
-                else:
-                    self.guard_rule(prev, step.s, step.pi)
+                self.guard_rule(prev, step)
                 if terminals is None and step.s in self.shared:
-                    earlier, walk = self.merge(step, phi, rest, store)
+                    earlier, walk = self.merge(step, key, rest, store)
                     if earlier is not None:
                         self.merged += 1
                         self.replay(earlier)
@@ -511,17 +499,17 @@ class _Encoder:
     # -- merging ----------------------------------------------------------------
 
     def merge(
-        self, step: gw.Ev | gw.Guard, phi: gw.Re, rest: gw.Re, store: SymStore
+        self, step: gw.Ev | gw.Guard, seg: int, rest: int, store: SymStore
     ) -> tuple[_Walk | None, _Walk]:
-        """The earlier walk that the walk from the entry of ``step`` into
-        ``phi``, with ``rest`` left after it, would repeat from ``store`` (or
+        """The earlier walk that the walk from the entry of ``step``, keyed
+        ``seg`` and leading to state ``rest``, would repeat from ``store`` (or
         None), and this entry's walk, recorded when there is none.  The two
         stores must agree on ``entry_key``, then on ``match``: the walks of
         one key are indexed by it, which is exact because a walk is only
         recorded when no earlier one matches.  The first walk of a key is
         matched only when a second one comes, so ``match`` is worked out
         only where a key repeats."""
-        key, live = self.entry_key(step, phi, rest, store)
+        key, live = self.entry_key(step, seg, rest, store)
         walk = _Walk(store, live, len(self.writes))
         walks = self.walked.setdefault(key, {})
         if not walks:
@@ -539,22 +527,15 @@ class _Encoder:
         return self.connected(walk), self.feasible(walk.store)
 
     def entry_key(
-        self, step: gw.Ev | gw.Guard, phi: gw.Re, rest: gw.Re, store: SymStore
+        self, step: gw.Ev | gw.Guard, seg: int, rest: int, store: SymStore
     ) -> tuple[tuple[int, ...], tuple[str, ...]]:
-        """The shape ids of ``step`` and ``rest``, then the term id and
-        definition state of each live variable in ``store`` (-1, -1 where it
-        has none); and the live variables, in that order."""
-        if type(phi) is gw.Seq and phi.items[0] is step:
-            # rest is phi's items after step, which a long sequence keeps
-            # from one entry to the next: its id is phi's tail
-            rest_id = self.tails[self.effect_id(phi)]
-            self.effects[id(rest)] = (rest, rest_id)
-        else:
-            rest_id = self.effect_id(rest)
-        shape = (self.effect_id(step), rest_id)
+        """``step``'s key ``seg`` and the state ``rest`` it leads to, then
+        the term id and definition state of each live variable in ``store``
+        (-1, -1 where it has none); and the live variables, in that order."""
+        shape = (seg, rest)
         live = self.live.get(shape)
         if live is None:
-            read = self.always_live | self.effect_vars[shape[0]] | self.effect_vars[shape[1]]
+            read = self.always_live | self.leaf_vars(step) | self.state_vars(rest)
             live = self.live[shape] = tuple(
                 sorted(read.union(*(self.partners.get(v, ()) for v in read)))
             )
@@ -587,57 +568,21 @@ class _Encoder:
         self.fact_family.update(walk.last)
         self.writes += walk.last.items()
 
-    def effect_id(self, root: gw.Re) -> int:
-        """The interned id of ``root``'s shape: structurally equal effects
-        share it.  One ``gw.postorder`` walk keys the nodes not keyed yet; a
-        new shape gets the variables that its leaves mention or read at
-        their states (``effect_vars``)."""
-        effects, nid, memo = self.effects, pl.node_id, self.memo
-        for node in gw.postorder(root, effects):
-            cls = type(node)
-            parts = gw._parts(node)
-            if cls is gw.Seq:
-                sid = self.nil
-                for part in reversed(parts):
-                    sid = self.cons(effects[id(part)][1], sid)
-                effects[id(node)] = (node, sid)
+    def state_vars(self, q: int) -> frozenset[str]:
+        """The variables of the segments reachable from state ``q``, omega
+        bodies included (``leaf_vars``), worked out once per state, after
+        the states its segments lead to."""
+        a, known, stack = self.automaton, self.state_vars_of, [q]
+        while stack:
+            after = [n for _, _, n in a.pairs[stack[-1]]]
+            pending = [n for n in after if n not in known]
+            if pending:
+                stack += pending
                 continue
-            if cls is gw.Ev:
-                shape = (
-                    cls, node.s, tuple((v, nid(t, memo)) for v, t in node.assigns),
-                    nid(node.constraint, memo),
-                    tuple((r.name, *(nid(a, memo) for a in r.args)) for r in node.rels),
-                )
-            elif cls is gw.Guard:
-                shape = (cls, node.s, nid(node.pi, memo))
-            elif parts:
-                shape = (cls, *(effects[id(part)][1] for part in parts))
-            else:  # Eps, Bot, LoopMark
-                shape = node
-            sid = self.effect_ids.get(shape)
-            if sid is None:
-                sid = self.effect_ids[shape] = len(self.effect_vars)
-                self.effect_vars.append(
-                    self.leaf_vars(node) if cls in (gw.Ev, gw.Guard)
-                    else frozenset().union(*(self.effect_vars[effects[id(p)][1]] for p in parts))
-                )
-            effects[id(node)] = (node, sid)
-        return effects[id(root)][1]
-
-    def cons(self, head: int, tail: int) -> int:
-        """The shape id of the sequence of ``head`` then ``tail``: a sequence
-        is its first item followed by the sequence of the others, so that
-        what ``gw.linear_form`` leaves of it after its first item is its entry
-        in ``tails``."""
-        if tail == self.nil:
-            return head
-        shape = (gw.Seq, head, tail)
-        sid = self.effect_ids.get(shape)
-        if sid is None:
-            sid = self.effect_ids[shape] = len(self.effect_vars)
-            self.effect_vars.append(self.effect_vars[head] | self.effect_vars[tail])
-            self.tails[sid] = tail
-        return sid
+            top = stack.pop()
+            leaves = (self.leaf_vars(f) for f, _, _ in a.pairs[top] if not isinstance(f, gw.Omega))
+            known[top] = frozenset().union(*leaves, *(known[n] for n in after))
+        return known[q]
 
     def leaf_vars(self, leaf: gw.Ev | gw.Guard) -> frozenset[str]:
         """The variables an event or guard mentions, and those read at its state."""
@@ -682,52 +627,36 @@ def _shape_vars(shapes) -> frozenset[str]:
     return frozenset(a for _, args in shapes for a in args if isinstance(a, str))
 
 
-def read_sets(phi: gw.Re) -> dict[int, set[tuple]]:
-    """Per state, the fact shapes that a guard rule out of it reads.
+def read_sets(a: gw.Automaton) -> dict[int, set[tuple]]:
+    """Per state, the fact shapes that a guard rule out of it reads: the
+    conjuncts of each guard that can follow it, over the automaton's edges.
+    Each event or guard reads the leading guards of the state it leads to
+    (an omega block's are its body's), and each terminal of an omega body
+    (an edge to a state that may end) the leading guards of the body."""
+    heads: dict[int, set] = {}  # per state, the shapes its leading guards read
 
-    A guard rule out of state ``s`` reads the conjuncts of a guard that can
-    follow ``s``; a state on several paths reads the union.  One
-    ``gw.postorder`` pass gives each node whether it is nullable, the
-    shapes its leading guards read and the states it can end at; a ``Seq``
-    adds the follow step from the ends of each prefix of its items to the
-    leading guards of the next item, and an ``Omega`` the step from its
-    body's ends (the terminals) to its body's leading guards (the heads).
-    """
+    def leading(q: int) -> set:
+        if q not in heads:
+            heads[q] = set().union(*(
+                leading(n) if isinstance(f, gw.Omega)
+                else map(_shape, pl.conjuncts(f.pi)) if isinstance(f, gw.Guard) else ()
+                for f, _, n in a.pairs[q]
+            )) - {None}
+        return heads[q]
+
+    edges = [(f.s, n) for pairs in a.pairs.values() for f, _, n in pairs if not isinstance(f, gw.Omega)]
+    for body in {n for pairs in a.pairs.values() for f, _, n in pairs if isinstance(f, gw.Omega)}:
+        inside, todo = set(), [body]  # the states reachable from the body
+        while todo:
+            q = todo.pop()
+            if q not in inside:
+                inside.add(q)
+                todo += (n for f, _, n in a.pairs[q] if not isinstance(f, gw.Omega))
+        edges += ((f.s, body) for q in inside for f, _, n in a.pairs[q] if a.nullable[n])
     reads: dict[int, set[tuple]] = {}
-    # id of a node -> (nullable, shapes its leading guards read, end states)
-    info: dict[int, tuple[bool, frozenset, frozenset]] = {}
-    none = frozenset()
-
-    def follow(ends: frozenset, shapes: frozenset) -> None:
-        if shapes:
-            for s in ends:
-                reads.setdefault(s, set()).update(shapes)
-
-    for node in gw.postorder(phi, info):
-        if isinstance(node, gw.Ev):
-            info[id(node)] = (False, none, frozenset((node.s,)))
-        elif isinstance(node, gw.Guard):
-            shapes = frozenset(map(_shape, pl.conjuncts(node.pi))) - {None}
-            info[id(node)] = (False, shapes, frozenset((node.s,)))
-        elif isinstance(node, gw.Seq):
-            # fold left: each item follows the ends of the items before it
-            nul, heads, ends = info[id(node.items[0])]
-            for item in node.items[1:]:
-                item_nul, item_heads, item_ends = info[id(item)]
-                follow(ends, item_heads)
-                heads = heads | item_heads if nul else heads
-                ends = item_ends | ends if item_nul else item_ends
-                nul = nul and item_nul
-            info[id(node)] = (nul, heads, ends)
-        elif isinstance(node, gw.OrRe):
-            nuls, heads, ends = zip(*(info[id(alt)] for alt in node.alts))
-            info[id(node)] = (any(nuls), none.union(*heads), none.union(*ends))
-        elif isinstance(node, gw.Omega):
-            _, bf, bl = info[id(node.body)]
-            follow(bl, bf)
-            info[id(node)] = (False, bf, none)  # an omega block is never left
-        else:  # Eps, LoopMark, Bot
-            info[id(node)] = (not isinstance(node, gw.Bot), none, none)
+    for s, q in edges:
+        if leading(q):
+            reads.setdefault(s, set()).update(leading(q))
     return reads
 
 
@@ -748,8 +677,9 @@ def abstract_facts(
                 atoms.append(pure)
     property_shapes.discard(None)
     give_ups = memo.counts["row_limit"]
-    enc = _Encoder(atoms, read_sets(result.phi), property_shapes, memo)
-    enc.walk(result.phi)
+    automaton = gw.automaton(result.phi)
+    enc = _Encoder(atoms, read_sets(automaton), property_shapes, memo)
+    enc.walk(automaton, gw.shared_states(result.phi))
     for s in enc.states:
         enc.facts[Atom("State", (s,))] = None
     edges = [f.args for f in enc.facts if f.predicate == "flow"]

@@ -46,11 +46,14 @@ of a ``Join`` that several paths reach is one object on all of them, and a
 loop is summarized once per branch into it, with one set of summary-guard
 states, not once per path.  Every walk over an effect visits a shared node
 once and keeps it shared: ``_leaves`` in order, and ``postorder`` under
-``_tree_size``, ``_rewrite`` and the encoder's ``read_sets`` and
-``effect_id``.  What depends on how often a state occurs in the tree that
-the DAG stands for (``shared_states``, which ``renumber`` and the encoder
-read) is counted on the DAG.  Equality, ``str`` and ``_paths`` still read
-an effect as a tree.
+``_tree_size``, ``_rewrite`` and ``automaton``.  What depends on how often
+a state occurs in the tree that the DAG stands for (``shared_states``,
+which ``renumber`` and the encoder read) is counted on the DAG.  Equality,
+``str`` and ``_paths`` still read an effect as a tree.
+
+``automaton`` is built once per encoding from the renumbered effect; the
+encoder's walk, merge key (segment key, next state, live store), omega
+heads, live sets and ``read_sets`` read it, and ``simulate`` walks it.
 """
 
 from __future__ import annotations
@@ -386,6 +389,75 @@ def _map_states(re: Re, mapping: dict[int, int]) -> Re:
         re,
         lambda node: replace(node, s=mapping.get(node.s, node.s)) if isinstance(node, (Ev, Guard)) else None,
     )
+
+
+# ---------------------------------------------------------------------------
+# The linear-form automaton
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class Automaton:
+    """Antimirov's partial-derivative automaton: each state a distinct
+    derivative of the effect, each edge a pair of its ``linear_form``.  A
+    state is a key that equal effects share: a leaf is keyed by its type,
+    its state and ``==`` against the leaves keyed there; a sequence by its
+    first item and the key of the others, so a suffix's key is known; any
+    other effect by its parts' keys."""
+
+    start: int  # the state of the effect itself
+    # per state: each pair (segment, the segment's key, next state), in
+    # linear_form's order, where an omega block, never left, goes on to its
+    # body's state; and whether it may end
+    pairs: dict[int, tuple[tuple[Re, int, int], ...]]
+    nullable: dict[int, bool]
+
+
+def automaton(phi: Re) -> Automaton:
+    """The linear-form automaton of ``phi``: the states its pairs reach."""
+    keys: dict[object, int] = {}  # per structure, its key
+    known: dict[int, tuple[Re, int]] = {}  # per id() of a keyed node, the node, kept alive, and its key
+    leaves: dict[tuple[type, int], list[Re]] = {}  # per (type, state), its unequal leaves
+    tails: dict[int, int] = {}  # per key of a sequence, that of its items but the first
+
+    def key(root: Re) -> int:
+        for node in () if id(root) in known else postorder(root, known):
+            cls = type(node)
+            if cls is Seq:
+                k = known[id(node.items[-1])][1]
+                for item in reversed(node.items[:-1]):
+                    cell = keys.setdefault((Seq, known[id(item)][1], k), len(keys))
+                    tails[cell], k = k, cell
+            elif cls is Ev or cls is Guard:
+                same = leaves.setdefault((cls, node.s), [])
+                i = next((i for i, leaf in enumerate(same) if leaf is node or leaf == node), len(same))
+                if i == len(same):
+                    same.append(node)
+                k = keys.setdefault((cls, node.s, i), len(keys))
+            elif cls is OrRe or cls is Omega:
+                k = keys.setdefault((cls, *(known[id(part)][1] for part in _parts(node))), len(keys))
+            else:  # Eps, Bot, LoopMark
+                k = keys.setdefault(node, len(keys))
+            known[id(node)] = (node, k)
+        return known[id(root)][1]
+
+    a = Automaton(key(phi), {}, {})
+    todo = [(a.start, phi)]
+    while todo:
+        q, re = todo.pop()
+        if q in a.pairs:
+            continue
+        if type(re) is Seq and isinstance(re.items[0], (Ev, Guard)):  # one pair, to re's items but the first
+            rest = Seq(re.items[1:]) if len(re.items) > 2 else re.items[1]
+            known.setdefault(id(rest), (rest, tails[q]))
+            a.pairs[q], a.nullable[q] = ((re.items[0], known[id(re.items[0])][1], tails[q]),), False
+            todo.append((tails[q], rest))
+            continue
+        form, a.nullable[q] = linear_form(re)
+        form = [(seg, seg.body if isinstance(seg, Omega) else rest) for seg, rest in form]
+        a.pairs[q] = pairs = tuple((seg, known[id(seg)][1], key(rest)) for seg, rest in form)
+        todo += ((n, rest) for (_, _, n), (_, rest) in zip(pairs, form))
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -1190,13 +1262,14 @@ def cfg_to_gwre(program: fe.Program, memo: pl.Memo) -> GwreResult:
         phi = seq(Ev(s=entry), phi)
     phi, mapping = renumber(phi)
     if log.isEnabledFor(logging.DEBUG):
+        a = automaton(phi)
         log.debug(
             "gwre: %d CFG nodes, %d effect nodes, %d leaves as a tree, "
             "%d summaries, %d rankings from the memo, %d states, "
-            "%d row-limit give-ups in fresh work",
+            "%d row-limit give-ups in fresh work, %d automaton states, %d automaton edges",
             sum(len(p.nodes) for p in program.procedures.values()), *_tree_size(phi),
             len(builder.summaries), builder.remembered, len(mapping),
-            memo.counts["row_limit"] - give_ups,
+            memo.counts["row_limit"] - give_ups, len(a.pairs), sum(map(len, a.pairs.values())),
         )
     return GwreResult(
         phi=phi,
@@ -1219,35 +1292,30 @@ class SimResult:
 
 
 def simulate(phi: Re, fuel: int, rng: random.Random) -> SimResult:
-    """Draw one concrete trace of at most ``fuel`` steps from an effect
-    (choices and wildcards via ``rng``)."""
+    """Draw one concrete trace of at most ``fuel`` steps from an effect's
+    ``automaton`` (choices and wildcards via ``rng``).  In an omega block, a
+    state that may end may also start the block again, after its pairs."""
+    a = automaton(phi)
     store: dict[str, int] = {}
     trace: list[tuple[int, str]] = []
 
     def draw() -> int:
         return rng.randint(-8, 8)
 
-    current = phi
+    q, block = a.start, None  # block: the pair that entered the omega block the run is in
     for _ in range(fuel):
-        pairs, nullable = linear_form(current)
-        options = [
-            (f, rest) for f, rest in pairs
-            if not isinstance(f, Guard) or pl.eval_pure(f.pi, store, draw)
-        ]
+        options = [p for p in a.pairs[q] if not isinstance(p[0], Guard) or pl.eval_pure(p[0].pi, store, draw)]
+        options += [block] if block is not None and a.nullable[q] else []
         if not options:
-            return SimResult(trace, "end" if nullable else "stuck", store)
-        f, rest = rng.choice(options)
+            return SimResult(trace, "end" if a.nullable[q] else "stuck", store)
+        f, k, q = rng.choice(options)
         if isinstance(f, Omega):
-            # unroll one copy of the body and stay inside forever
-            current = seq(f.body, f)
+            block = (f, k, q)
             continue
         if isinstance(f, Ev):
             for v, t in f.assigns:
                 store[v] = pl.eval_term(t, store, draw)
             if not pl.eval_pure(f.constraint, store, draw):
                 return SimResult(trace, "stuck", store)
-            trace.append((f.s, str(f)))
-        else:
-            trace.append((f.s, str(f)))
-        current = rest
+        trace.append((f.s, str(f)))
     return SimResult(trace, "fuel", store)

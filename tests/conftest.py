@@ -1,12 +1,18 @@
+import functools
 import pathlib
+import sys
 import time
 
 import pytest
 
+from ctlrepair import frontend as fe
+from ctlrepair import gwre as gw
+from ctlrepair import pure_logic as pl
 from ctlrepair import repair as rp
 from ctlrepair import sedl
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+PERFBENCH = pathlib.Path(__file__).parents[1] / "perfbench"
 
 
 class Stopwatch:
@@ -61,6 +67,51 @@ def kif(k: int) -> str:
     src = "//@ ctl: AF(Exit(_))\nvoid main() {\n  int x = *;\n  int n = *;\n"
     src += "".join(f"  if (x > {i}) {{ x = x - 1; }}\n" for i in range(k))
     return src + "  while (n > 0) { n = n - 1; }\n  return;\n}\n"
+
+
+@functools.lru_cache(maxsize=None)
+def effect_corpus() -> tuple[tuple[str, gw.GwreResult], ...]:
+    """(name, summary) of each program among the fixtures, the bench
+    programs of seeds 1-3 and the oracle programs of seeds 1000-1599 that
+    parses and summarizes."""
+    import oracle_programs
+
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    sources = [(path.name, path.read_text()) for path in sorted(FIXTURES.glob("*.imp"))]
+    for name in workloads.WORKLOADS:
+        for seed in (1, 2, 3):
+            sources += ((f"{name}-{seed}-{p.index}", p.source) for p in workloads.generate(name, seed))
+    sources += ((f"oracle-{seed}", oracle_programs.program(seed)) for seed in range(1000, 1600))
+    out = []
+    for name, source in sources:
+        try:
+            out.append((name, gw.cfg_to_gwre(fe.build_cfg(fe.parse(source)), pl.Memo())))
+        except (fe.ImpSyntaxError, gw.SummaryInconclusive, gw.UnsupportedProgram):
+            continue
+    return tuple(out)
+
+
+def derivatives(a: gw.Automaton, phi: gw.Re) -> dict[int, gw.Re]:
+    """Per state of ``a``, the effect it stands for, read off the pairs of
+    ``gw.linear_form`` from ``phi`` on; each pair of a state must be its
+    linear form's, in order, leading to a state that stands for an equal
+    effect (an omega block to its body)."""
+    effects, todo = {a.start: phi}, [a.start]
+    while todo:
+        q = todo.pop()
+        form, nullable = gw.linear_form(effects[q])
+        assert a.nullable[q] == nullable and [f for f, _, _ in a.pairs[q]] == [f for f, _ in form]
+        for (f, _, n), (_, rest) in zip(a.pairs[q], form):
+            rest = f.body if isinstance(f, gw.Omega) else rest
+            if n not in effects:
+                effects[n] = rest
+                todo.append(n)
+            assert effects[n] == rest
+    return effects
 
 
 def calls(n: int) -> str:

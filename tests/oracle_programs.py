@@ -27,9 +27,17 @@ budget (`--xi-budget`).
 
 replaces the property, initialises `x`, `y` and `z` to 0, and prints one
 `<seed> <verdict>` line per program, then the verdict counts, so that the
-output of two checkouts can be diffed.  It checks no run and never fails:
+output of two checkouts can be diffed.  It also decides exactly each
+program without `*`: such a program has one run, which exits or repeats a
+(node, store) within ``FUEL`` steps or is left undecided, and on one path
+`A` and `E` coincide, so labelling that lasso with the classic CTL
+fixpoints (`explicit_check`) gives the verdict of every property.  The
+property is read from the run's first step at which `x`, `y` and `z` are
+all set.  On stderr it prints how many programs it decided, how many it
+left to sampling (they draw values, or their run outlasts the fuel), and
+the seeds of each wrong `Verified` and wrong `Violated`.  It never fails:
 the encoding still has known soundness holes under other properties
-(ROADMAP item 10).
+(ROADMAP items 10 and 23).
 """
 
 from __future__ import annotations
@@ -41,7 +49,9 @@ import signal
 import sys
 from collections import Counter
 
+from ctlrepair import ctl
 from ctlrepair import frontend as fe
+from ctlrepair import pure_logic as pl
 from ctlrepair import repair as rp
 
 VARS = ("x", "y", "z")
@@ -178,15 +188,120 @@ def check_repairs(seeds, depth: int = 1) -> tuple[Counter, list[tuple[int, str]]
     return counts, wrong, cut
 
 
-def list_verdicts(seeds, ctl: str) -> None:
-    """Print the verdict of each seed's program under ``ctl``, then the
-    counts."""
+def explicit_check(phi, states, succ, holds, unknown: bool = False) -> set:
+    """The states of an explicit structure at which the core formula
+    ``phi`` (``ctl.desugar``) holds, by the classic fixpoint labelling
+    (Clarke, Emerson & Sistla, TOPLAS 1986).  ``succ[s]`` is the set of
+    successors of ``s``, and ``holds(s, ap)`` says whether the atom ``ap``
+    holds at ``s``: True, False, or None where it is unknown.  An unknown
+    atom is read as ``unknown``, and under a negation as its opposite, so
+    that ``unknown=False`` gives the states where ``phi`` holds whatever
+    the unknown atoms are, and ``unknown=True`` those where it may hold
+    (three-valued model checking, Bruns & Godefroid, CAV 1999)."""
+    all_states = set(states)
+    if isinstance(phi, ctl.AP):
+        return {s for s in states if (value := holds(s, phi)) or (value is None and unknown)}
+    if isinstance(phi, ctl.Not):
+        return all_states - explicit_check(phi.operand, states, succ, holds, not unknown)
+    if isinstance(phi, (ctl.CAnd, ctl.COr)):
+        left = explicit_check(phi.left, states, succ, holds, unknown)
+        right = explicit_check(phi.right, states, succ, holds, unknown)
+        return left & right if isinstance(phi, ctl.CAnd) else left | right
+    if isinstance(phi, ctl.EX):
+        p = explicit_check(phi.operand, states, succ, holds, unknown)
+        return {s for s in states if succ[s] & p}
+    if isinstance(phi, (ctl.EF, ctl.AF, ctl.EU)):
+        # the least fixpoint: x grows by the states whose successors reach it
+        if isinstance(phi, ctl.EU):
+            among = explicit_check(phi.left, states, succ, holds, unknown)
+            x = explicit_check(phi.right, states, succ, holds, unknown)
+        else:
+            among, x = all_states, explicit_check(phi.operand, states, succ, holds, unknown)
+        while True:
+            if isinstance(phi, ctl.AF):
+                nxt = x | {s for s in among if succ[s] <= x}
+            else:
+                nxt = x | {s for s in among if succ[s] & x}
+            if nxt == x:
+                return x
+            x = nxt
+    raise TypeError(phi)
+
+
+def exact_verdict(source: str) -> str | None:
+    """`holds` or `violated`, decided on the one run of a program without
+    `*`, from its first step at which `x`, `y` and `z` are all set; None
+    for a program with `*`.
+
+    A run that exits loops at its last step, and one that repeats a (node,
+    store) loops back to its first visit.  A run that does neither within
+    ``FUEL`` steps goes on to one more step that stands for all it may do
+    next: there every atom is unknown, and it loops to itself.  The verdict
+    is then exact where it is the same whatever those atoms are, and None
+    where it is not."""
+    if "*" in source:
+        return None
+    ast = fe.parse(source)
+    program = fe.build_cfg(ast)
+    nodes = program.procedures["main"].nodes
+    run = fe.steps(program, "main", {}, random.Random(0), max_steps=FUEL)
+    trace: list[tuple[int, dict[str, int]]] = []
+    seen: dict[tuple, int] = {}
+    while True:
+        try:
+            node, store = next(run)
+        except StopIteration as stop:
+            # an exit loops at its last step; out of fuel, the run goes on
+            # to the step past its end
+            back = len(trace) if stop.value == "fuel" else len(trace) - 1
+            break
+        if not store.keys() >= set(VARS):
+            continue
+        back = seen.setdefault((node, tuple(sorted(store.items()))), len(trace))
+        if back < len(trace):
+            break
+        trace.append((node, store))
+    succ = {i: {i + 1} for i in range(len(trace) - 1)}
+    succ[len(trace) - 1] = {back}
+    if back == len(trace):
+        succ[back] = {back}
+
+    def holds(i: int, ap) -> bool | None:
+        if i == len(trace):
+            return None
+        node, store = trace[i]
+        if isinstance(ap.pure, pl.Rel):
+            return ap.pure.name == "Exit" and isinstance(nodes[node], fe.Return)
+        return pl.eval_pure(ap.pure, store, None)
+
+    core = ctl.desugar(ctl.parse_ctl(ast.ctl))
+    states = list(succ)
+    if 0 in explicit_check(core, states, succ, holds):
+        return "holds"
+    if 0 not in explicit_check(core, states, succ, holds, unknown=True):
+        return "violated"
+    return None
+
+
+def check_ctl(seeds, ctl_text: str, listing=None) -> tuple[Counter, Counter, dict]:
+    """The verdict counts of the programs of ``seeds`` under ``ctl_text``
+    (each ``<seed> <verdict>`` also printed to ``listing``), how many were
+    decided exactly and how many left to sampling, and the seeds of each
+    kind of wrong verdict: `Verified` or `Violated`."""
     counts: Counter = Counter()
+    decided: Counter = Counter()
+    wrong: dict[str, list[int]] = {"Verified": [], "Violated": []}
     for seed in seeds:
-        found = verdict(program(seed, ctl))
+        source = program(seed, ctl_text)
+        found = verdict(source)
         counts[found] += 1
-        print(seed, found)
-    print(" ".join(f"{found} {counts[found]}" for found in ("holds", "violated", "unknown", "timeout")))
+        if listing is not None:
+            print(seed, found, file=listing)
+        exact = exact_verdict(source)
+        decided["decided" if exact is not None else "sampled"] += 1
+        if found in ("holds", "violated") and exact is not None and found != exact:
+            wrong["Verified" if found == "holds" else "Violated"].append(seed)
+    return counts, decided, wrong
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -194,12 +309,24 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--programs", type=int, default=200)
     parser.add_argument("--repair", action="store_true", help="also repair every Violated program")
     parser.add_argument("--depth", type=int, default=1, help="repair rounds with --repair")
-    parser.add_argument("--ctl", help="list each verdict under this property, x, y and z set to 0")
+    parser.add_argument(
+        "--ctl", help="list each verdict under this property, x, y and z set to 0, and check it"
+    )
     args = parser.parse_args(argv)
     if args.ctl is not None:
         if args.repair:
             parser.error("--ctl lists verdicts only; it does not combine with --repair")
-        list_verdicts(range(FIRST_SEED, FIRST_SEED + args.programs), args.ctl)
+        seeds = range(FIRST_SEED, FIRST_SEED + args.programs)
+        counts, decided, wrong = check_ctl(seeds, args.ctl, sys.stdout)
+        print(" ".join(f"{found} {counts[found]}" for found in ("holds", "violated", "unknown", "timeout")))
+        print(
+            f"{args.ctl}: {decided['decided']} decided exactly, {decided['sampled']} left to sampling; "
+            f"{len(wrong['Verified'])} wrong Verified, {len(wrong['Violated'])} wrong Violated",
+            file=sys.stderr,
+        )
+        for kind, found in wrong.items():
+            if found:
+                print(f"wrong {kind}, seeds {' '.join(map(str, found))}", file=sys.stderr)
         return 0
     counts, wrong, violated = check(range(FIRST_SEED, FIRST_SEED + args.programs))
     print(f"{'verdict':<10}{'runs all exit':>15}{'some run diverges':>19}")

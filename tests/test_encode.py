@@ -14,7 +14,7 @@ from ctlrepair import repair as rp
 from ctlrepair.datalog_engine import Atom, DVar
 
 import oracle_programs
-from conftest import FIXTURES, Stopwatch, calls, ifs, kif, loops, verdict
+from conftest import FIXTURES, Stopwatch, calls, derivatives, effect_corpus, ifs, kif, loops, verdict
 
 
 def encode(source: str, prop: str) -> enc_mod.EncodeResult:
@@ -149,7 +149,7 @@ def test_every_comparison_fact_is_read_or_at_a_def_state(fixtures_dir):
 
 def test_read_sets_cover_every_guard_rule(fixtures_dir):
     for name, gwre_result, phi in _analyzable_fixtures(fixtures_dir):
-        reads = enc_mod.read_sets(gwre_result.phi)
+        reads = enc_mod.read_sets(gw.automaton(gwre_result.phi))
         enc = enc_mod.abstract_facts(gwre_result, ctl.pure_of_ctl(phi), pl.Memo())
         for rule in enc.rules:
             prev = rule.head.args[0]
@@ -157,6 +157,67 @@ def test_read_sets_cover_every_guard_rule(fixtures_dir):
                 shape = (lit.atom.predicate, lit.atom.args[:-1])
                 assert lit.atom.args[-1] == prev
                 assert shape in reads.get(prev, ()), (name, str(rule))
+
+
+def _read_sets_by_postorder(phi: gw.Re) -> dict[int, set[tuple]]:
+    """``read_sets`` as one post-order pass over the effect worked it out:
+    each node's nullability, leading guards' shapes and end states, a
+    sequence following the ends of each prefix with the next item's heads,
+    and an omega block its body's ends with its body's heads."""
+    reads: dict[int, set[tuple]] = {}
+    info: dict[int, tuple[bool, frozenset, frozenset]] = {}
+    none = frozenset()
+
+    def follow(ends: frozenset, shapes: frozenset) -> None:
+        if shapes:
+            for s in ends:
+                reads.setdefault(s, set()).update(shapes)
+
+    for node in gw.postorder(phi, info):
+        if isinstance(node, gw.Ev):
+            info[id(node)] = (False, none, frozenset((node.s,)))
+        elif isinstance(node, gw.Guard):
+            shapes = frozenset(map(enc_mod._shape, pl.conjuncts(node.pi))) - {None}
+            info[id(node)] = (False, shapes, frozenset((node.s,)))
+        elif isinstance(node, gw.Seq):
+            nul, heads, ends = info[id(node.items[0])]
+            for item in node.items[1:]:
+                item_nul, item_heads, item_ends = info[id(item)]
+                follow(ends, item_heads)
+                heads = heads | item_heads if nul else heads
+                ends = item_ends | ends if item_nul else item_ends
+                nul = nul and item_nul
+            info[id(node)] = (nul, heads, ends)
+        elif isinstance(node, gw.OrRe):
+            nuls, heads, ends = zip(*(info[id(alt)] for alt in node.alts))
+            info[id(node)] = (any(nuls), none.union(*heads), none.union(*ends))
+        elif isinstance(node, gw.Omega):
+            _, bf, bl = info[id(node.body)]
+            follow(bl, bf)
+            info[id(node)] = (False, bf, none)
+        else:
+            info[id(node)] = (not isinstance(node, gw.Bot), none, none)
+    return reads
+
+
+def test_read_sets_and_live_sets_are_those_of_the_effect():
+    # the unions over the automaton's edges give what one post-order pass
+    # over the effect gives; the live variables of an edge are what its
+    # segment and every leaf of the derivative it leads to mention or read
+    # at their states, as the interned shapes of that derivative gave them
+    for name, result in effect_corpus():
+        a = gw.automaton(result.phi)
+        reads = enc_mod.read_sets(a)
+        assert reads == _read_sets_by_postorder(result.phi), name
+        enc = enc_mod._Encoder([], reads, set(), pl.Memo())
+        enc.automaton = a
+        effects = derivatives(a, result.phi)
+        for q, pairs in a.pairs.items():
+            for f, k, n in pairs:
+                if not isinstance(f, gw.Omega):
+                    effect_vars = frozenset().union(*map(enc.leaf_vars, gw._leaves(effects[n])))
+                    live = enc.entry_key(f, k, n, enc_mod.SymStore())[1]
+                    assert live == tuple(sorted(enc.leaf_vars(f) | effect_vars)), (name, q)
 
 
 def _encoding(gwre_result, phi) -> tuple:

@@ -8,7 +8,7 @@ from ctlrepair import frontend as fe
 from ctlrepair import gwre as gw
 from ctlrepair import pure_logic as pl
 
-from conftest import break_loops, kif, verdict
+from conftest import break_loops, derivatives, effect_corpus, kif, verdict
 
 
 def summarize(source: str, memo: pl.Memo | None = None) -> gw.GwreResult:
@@ -288,15 +288,16 @@ def _gwre_sizes(caplog, source: str, memo: pl.Memo) -> list[int]:
 
 def test_cfg_to_gwre_logs_its_sizes(caplog):
     # CFG nodes, distinct effect nodes, leaves the tree would have,
-    # summaries, rankings from the memo, states and row-limit give-ups: the
+    # summaries, rankings from the memo, states, row-limit give-ups, and
+    # the automaton's states and edges: the
     # DAG grows with the program (44 and 72 nodes), the tree it reads as
     # with its paths (127 and 2,047 leaves); the loop after the ifs is
     # summarized once per branch into it, and ranked once
-    assert _gwre_sizes(caplog, kif(4), pl.Memo()) == [24, 44, 127, 2, 1, 20, 0]
+    assert _gwre_sizes(caplog, kif(4), pl.Memo()) == [24, 44, 127, 2, 1, 20, 0, 16, 21]
     memo = pl.Memo()
-    assert _gwre_sizes(caplog, kif(8), memo) == [40, 72, 2047, 2, 1, 32, 0]
+    assert _gwre_sizes(caplog, kif(8), memo) == [40, 72, 2047, 2, 1, 32, 0, 24, 33]
     # within one memo, a second analysis ranks no loop again
-    assert _gwre_sizes(caplog, kif(8), memo) == [40, 72, 2047, 2, 2, 32, 0]
+    assert _gwre_sizes(caplog, kif(8), memo) == [40, 72, 2047, 2, 2, 32, 0, 24, 33]
 
 
 def test_omega_guard_drops_refuted_disjuncts(fixture_text):
@@ -521,3 +522,64 @@ def test_effect_walks_do_not_recurse_as_deep_as_the_effect_nests():
         guard, node = path.items
         assert guard.s == (8 if i == 1 else i) and other == gw.Ev(s=-i)
     assert node == gw.Ev(s=7)
+
+
+def test_automaton_states_are_the_linear_forms_of_their_derivatives():
+    # and two states never stand for equal effects
+    states = 0
+    for name, result in effect_corpus():
+        a = gw.automaton(result.phi)
+        effects = derivatives(a, result.phi)
+        assert effects.keys() == a.pairs.keys(), name
+        assert len({str(effect) for effect in effects.values()}) == len(effects), name
+        states += len(a.pairs)
+    assert states > 10_000
+
+
+def test_automaton_keys_equal_leaves_once_and_unequal_leaves_apart():
+    # four leaves at state 1, two of each value, each a node of its own
+    x = [gw.Ev(s=1, assigns=(("x", pl.Const(c)),)) for c in (1, 1, 2, 2)]
+    phi = gw.or_(*(gw.seq(ev, gw.Ev(s=10 + i)) for i, ev in enumerate(x)))
+    a = gw.automaton(phi)
+    (first, k1, n1), (second, k2, n2) = a.pairs[a.start]
+    assert first is x[0] and second is x[2] and k1 != k2
+    effects = derivatives(a, phi)
+    assert effects[n1] == gw.or_(gw.Ev(s=10), gw.Ev(s=11))
+    assert effects[n2] == gw.or_(gw.Ev(s=12), gw.Ev(s=13))
+
+
+def _simulate_by_linear_form(phi, fuel, rng):
+    """``gw.simulate`` as it read each step's linear form off the effect."""
+    store, trace = {}, []
+
+    def draw():
+        return rng.randint(-8, 8)
+
+    current = phi
+    for _ in range(fuel):
+        pairs, nullable = gw.linear_form(current)
+        options = [
+            (f, rest) for f, rest in pairs
+            if not isinstance(f, gw.Guard) or pl.eval_pure(f.pi, store, draw)
+        ]
+        if not options:
+            return gw.SimResult(trace, "end" if nullable else "stuck", store)
+        f, rest = rng.choice(options)
+        if isinstance(f, gw.Omega):
+            current = gw.seq(f.body, f)
+            continue
+        if isinstance(f, gw.Ev):
+            for v, t in f.assigns:
+                store[v] = pl.eval_term(t, store, draw)
+            if not pl.eval_pure(f.constraint, store, draw):
+                return gw.SimResult(trace, "stuck", store)
+        trace.append((f.s, str(f)))
+        current = rest
+    return gw.SimResult(trace, "fuel", store)
+
+
+def test_simulate_draws_as_the_linear_form_walk():
+    for name, result in effect_corpus()[::3]:
+        for seed in range(3):
+            expected = _simulate_by_linear_form(result.phi, 60, random.Random(seed))
+            assert gw.simulate(result.phi, 60, random.Random(seed)) == expected, (name, seed)
