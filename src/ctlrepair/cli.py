@@ -56,20 +56,6 @@ def _emit_json(payload: dict) -> None:
     click.echo(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
-def _template_order(text: str) -> tuple[str, ...]:
-    order = tuple(t.strip() for t in text.split(",") if t.strip())
-    for t in order:
-        if t not in rp.TEMPLATES:
-            raise click.UsageError(
-                f"unknown template {t!r}; choose from {', '.join(rp.TEMPLATES)}"
-            )
-        if order.count(t) > 1:
-            raise click.UsageError(f"template {t!r} given more than once")
-    if not order:
-        raise click.UsageError("empty --template-order")
-    return order
-
-
 @click.group(name="ctlrepair")
 def cli() -> None:
     """Verify temporal properties of small imperative programs and
@@ -140,14 +126,17 @@ def repair(
     was found, 2 when the analysis is inconclusive.
     """
     source = _read_source(file)
-    config = rp.RepairConfig(
-        template_order=_template_order(template_order),
-        alpha_budget=alpha_budget,
-        xi_budget=xi_budget,
-        max_add=max_add,
-        max_delete=max_delete,
-        depth=depth,
-    )
+    try:
+        config = rp.RepairConfig(
+            template_order=tuple(t.strip() for t in template_order.split(",") if t.strip()),
+            alpha_budget=alpha_budget,
+            xi_budget=xi_budget,
+            max_add=max_add,
+            max_delete=max_delete,
+            depth=depth,
+        )
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
     result = rp.repair_loop(source, config, ctl_text)
     report = result.to_json()
     fixed_path = None

@@ -6,11 +6,12 @@ fact, or updating an assignment's facts — that make the property's top
 predicate derivable again.  A repair round takes two fixpoints: one answers
 every sign search of every template (``run_template``), and one checks
 every candidate at fact level before any source edit is made
-(``_decide``).  Each candidate that passes is
-mapped back to a source edit, and every patch is verified end to end by
-re-analyzing the edited program.  A nested round searches only the sign
-worlds whose edits fit the caps left after its chain of rounds: the others
-yield no candidate it could keep (``run_template``).
+(``_decide``).  Each candidate that passes is mapped back to a source
+edit, and every patch is verified end to end by re-analyzing the edited
+program.  A nested round searches only the sign worlds whose edits fit the
+caps left after its chain of rounds: the others yield no candidate it
+could keep (``run_template``).  ``RepairConfig`` rejects an empty, unknown
+or repeated template in its order when it is made, before any analysis.
 """
 
 from __future__ import annotations
@@ -41,6 +42,15 @@ class RepairConfig:
     max_add: int = 2
     max_delete: int = 2
     depth: int = 1
+
+    def __post_init__(self) -> None:
+        if not self.template_order:
+            raise ValueError("empty template order")
+        for t in self.template_order:
+            if t not in TEMPLATES:
+                raise ValueError(f"unknown template {t!r}; choose from {', '.join(TEMPLATES)}")
+            if self.template_order.count(t) > 1:
+                raise ValueError(f"template {t!r} given more than once")
 
 
 # ---------------------------------------------------------------------------
@@ -243,48 +253,23 @@ def inject_symbols(
 def _alpha_valuations(shape, rules, consts_at, budget: int, counts) -> list[dict[str, object]]:
     """Instantiations worth trying: unify the injected fact against every
     rule literal of its shape, filling variable positions from the constants
-    known to interact there (``consts_at``, from ``sedl.compute_depend``).
-    At most ``budget`` of them: one that drops any adds one to ``counts``'
+    known to interact there (``consts_at``, from ``sedl.compute_depend``),
+    then the all-placeholder one, each once in the order met.  At most
+    ``budget`` of them: one that drops any adds one to ``counts``'
     ``alpha_budget_exceeded``."""
     pred, arity = shape
-    vals: list[dict[str, object]] = []
-    seen = set()
-    dropped = False
-
-    def push(args: tuple) -> None:
-        nonlocal dropped
-        key = tuple(args)
-        if key in seen:
-            return
-        if len(vals) >= budget:
-            dropped = True
-            return
-        seen.add(key)
-        vals.append({f"alpha{i + 1}": a for i, a in enumerate(args)})
-
-    for lit in _body_literals(rules):
-        if lit.predicate != pred or len(lit.args) != arity:
-            continue
-        domains = [
-            consts_at.get((pred, i), ()) if isinstance(a, DVar) else [a]
-            for i, a in enumerate(lit.args)
-        ]
-        for combo in itertools.product(*domains):
-            push(combo)
-    push(tuple(sedl.placeholder(i + 1) for i in range(arity)))
-    if dropped:
+    combos = dict.fromkeys(
+        combo
+        for lit in _body_literals(rules)
+        if lit.predicate == pred and len(lit.args) == arity
+        for combo in itertools.product(
+            *(consts_at.get((pred, i), ()) if isinstance(a, DVar) else [a] for i, a in enumerate(lit.args))
+        )
+    )
+    combos.setdefault(tuple(sedl.placeholder(i + 1) for i in range(arity)))
+    if len(combos) > budget:
         counts["alpha_budget_exceeded"] += 1
-    return vals
-
-
-def _candidate_worlds(names: list[str], max_delete: int) -> list[frozenset[str]]:
-    """Sign worlds honoring the edit budget, each the set of signs it sets
-    false: at most ``max_delete`` of the family signs ``names``."""
-    return [
-        frozenset(off)
-        for r in range(max_delete + 1)
-        for off in itertools.combinations(names, r)
-    ]
+    return [{f"alpha{i + 1}": a for i, a in enumerate(args)} for args in itertools.islice(combos, budget)]
 
 
 # ---------------------------------------------------------------------------
@@ -344,23 +329,19 @@ def run_template(analysis: Analysis, config: RepairConfig, prefix: tuple | None 
     twin world without the fact yields too when they derive the target."""
     enc, counts = analysis.enc, analysis.memo.counts
     consts_at = sedl.compute_depend(analysis.rules, enc.facts)
-    deletes_left, add_left = config.max_delete, True
-    if prefix is not None:
-        deleted, added = _edit_counts(prefix)
-        deletes_left, add_left = config.max_delete - deleted, added < config.max_add
-    plan = []  # per template, its searches' shapes and sign families
+    deleted, added = _edit_counts(prefix or ())
+    add_left = prefix is None or added < config.max_add
+    plan = []  # each search's template, shape and sign families
     searches: list[sedl.SignSearch] = []
     for template in config.template_order:
-        if template not in TEMPLATES:
-            raise ValueError(f"unknown template {template!r}")
-        if config.template_order.count(template) > 1:
-            raise ValueError(f"template {template!r} given more than once")
         counts["templates"] += 1
-        shapes = _alpha_shapes(analysis.rules) if template in ("update", "add") else [None]
         signed, fam_of_xi = inject_symbols(enc, template)
-        worlds = _candidate_worlds(list(fam_of_xi), deletes_left)
-        planned = []
-        for shape in shapes:
+        worlds = [
+            frozenset(off)
+            for r in range(config.max_delete - deleted + 1)
+            for off in itertools.combinations(fam_of_xi, r)
+        ]
+        for shape in _alpha_shapes(analysis.rules) if template in ("update", "add") else [None]:
             facts, valuations, search_worlds = signed, [{}], worlds
             if shape is not None:
                 pred, arity = shape
@@ -371,36 +352,32 @@ def run_template(analysis: Analysis, config: RepairConfig, prefix: tuple | None 
                 )
                 absent = [off | {"xiA"} for off in worlds]
                 search_worlds = worlds + absent if add_left else absent
-            planned.append((len(searches), shape, fam_of_xi))
+            plan.append((template, shape, fam_of_xi))
             searches.append(sedl.SignSearch(facts, valuations, search_worlds))
-        plan.append((template, planned))
     batch = sedl.sign_batch(analysis.rules, analysis.target, searches, config.xi_budget)
-    out = []
-    skipped_total = read = 0
-    for template, planned in plan:
-        skipped: list[sedl.SignBudgetExceeded] = []
-        for i, shape, fam_of_xi in planned:
-            counts["sign_searches"] += 1
-            try:
-                psi = sedl.symbolic_execute(batch, i)
-            except sedl.SignBudgetExceeded as exc:
-                counts["sign_budget_exceeded"] += 1
-                skipped.append(exc)
-                continue
-            read += len(psi.disjuncts)
-            if psi.truncated:
-                counts["sign_truncated"] += 1
-            out.append((template, shape, fam_of_xi, psi))
-        if skipped:
-            log.warning(
-                "%d of %d sign searches skipped for template %s: %s",
-                len(skipped), len(planned), template, skipped[-1],
-            )
-        skipped_total += len(skipped)
+    out, read = [], 0
+    skipped: dict[str, list[sedl.SignBudgetExceeded]] = {}
+    for i, (template, shape, fam_of_xi) in enumerate(plan):
+        counts["sign_searches"] += 1
+        try:
+            psi = sedl.symbolic_execute(batch, i)
+        except sedl.SignBudgetExceeded as exc:
+            counts["sign_budget_exceeded"] += 1
+            skipped.setdefault(template, []).append(exc)
+            continue
+        read += len(psi.disjuncts)
+        if psi.truncated:
+            counts["sign_truncated"] += 1
+        out.append((template, shape, fam_of_xi, psi))
+    for template, excs in skipped.items():
+        log.warning(
+            "%d of %d sign searches skipped for template %s: %s",
+            len(excs), sum(t == template for t, _, _ in plan), template, excs[-1],
+        )
     log.debug(
         "sign searches: %d run, %d skipped for the sign budget, "
         "%d world bits in one fixpoint, %d disjuncts read",
-        len(searches) - skipped_total, skipped_total, batch.bits, read,
+        len(out), len(searches) - len(out), batch.bits, read,
     )
     return out
 

@@ -244,16 +244,20 @@ def sign_batch(
 
     Searches get consecutive blocks in the order given.  Within a block
     starting at bit ``o``, bit ``o + v * n + j`` stands for valuation ``v``
-    in the ``j``-th world (``n`` worlds).  A plain fact holds in its sign's
-    worlds in every valuation of its search, and a fact with alphas gets
-    one instance per valuation, confined to that valuation's worlds.  A
-    fact that several searches share holds in the union of their bits.
+    in the ``j``-th world (``n`` worlds).  One pass over the blocks builds
+    the table of input facts, each with its mask, that ``annotated_eval``
+    starts from: a plain fact holds in its sign's worlds in every valuation
+    of its search, and a fact with alphas gets one instance per valuation,
+    confined to that valuation's worlds.  An atom enters the table where it
+    is first met, and an atom that several searches or instances share
+    holds in the union of their bits.
     Joins intersect masks bit by bit and negation complements within the
     whole width, so every block derives what its search would alone.  A
     search over the budget gets no block, and no fixpoint runs when no
     search has a bit.
     """
     blocks: list[_Block] = []
+    masks: dict[Atom, int] = {}
     offset = 0
     for search in searches:
         signs = list(dict.fromkeys(f.xi for f in search.facts if f.xi is not None))
@@ -266,36 +270,25 @@ def sign_batch(
             key=lambda off: sum(1 << i for i, name in enumerate(signs) if name not in off),
         )
         blocks.append(_Block(signs, worlds, offset))
-        offset += len(search.valuations) * len(worlds)
+        n = len(worlds)
+        in_world = {
+            name: sum(1 << j for j, off in enumerate(worlds) if name not in off) for name in signs
+        }
+        tile = sum(1 << (offset + v * n) for v in range(len(search.valuations)))
+        for f in search.facts:
+            mask = (1 << n) - 1 if f.xi is None else in_world[f.xi]
+            if not any(isinstance(a, Alpha) for a in f.atom.args):
+                masks[f.atom] = masks.get(f.atom, 0) | mask * tile
+                continue
+            for v, alpha_map in enumerate(search.valuations):
+                args = tuple(alpha_map[a.name] if isinstance(a, Alpha) else a for a in f.atom.args)
+                atom = Atom(f.atom.predicate, args)
+                masks[atom] = masks.get(atom, 0) | mask << (offset + v * n)
+        offset += len(search.valuations) * n
     variants = []
     if offset:
-        facts = (
-            fact
-            for search, block in zip(searches, blocks)
-            if block.offset is not None
-            for fact in _placed(search, block)
-        )
-        variants = _target_variants(annotated_eval(rules, facts, (1 << offset) - 1), target)
+        variants = _target_variants(annotated_eval(rules, masks.items(), (1 << offset) - 1), target)
     return SignBatch(searches, budget, blocks, variants, offset)
-
-
-def _placed(search: SignSearch, block: _Block):
-    """The facts of ``search``, each with its mask within ``block``."""
-    n = len(block.worlds)
-    every = (1 << n) - 1
-    tile = sum(1 << (block.offset + v * n) for v in range(len(search.valuations)))
-    in_world = {
-        name: sum(1 << j for j, off in enumerate(block.worlds) if name not in off)
-        for name in block.signs
-    }
-    for f in search.facts:
-        mask = every if f.xi is None else in_world[f.xi]
-        if not any(isinstance(a, Alpha) for a in f.atom.args):
-            yield f.atom, mask * tile
-            continue
-        for v, alpha_map in enumerate(search.valuations):
-            args = tuple(alpha_map[a.name] if isinstance(a, Alpha) else a for a in f.atom.args)
-            yield Atom(f.atom.predicate, args), mask << (block.offset + v * n)
 
 
 def symbolic_execute(batch: SignBatch, i: int) -> Psi:

@@ -38,11 +38,22 @@ left to sampling (they draw values, or their run outlasts the fuel), and
 the seeds of each wrong `Verified` and wrong `Violated`.  It never fails:
 the encoding still has known soundness holes under other properties
 (ROADMAP items 10 and 23).
+
+    PYTHONPATH=src python tests/oracle_programs.py --programs 200 --facts --ctl 'AG(x <= 3)'
+
+checks the encoder's output instead of its verdicts (`fact_check`): every
+comparison a state claims must hold on each sampled run's visits that map
+to that state, and consecutive visits must have a derived `flow`.  Without
+`--ctl` it checks the `AF(Exit(_))` programs.  It prints the counts of
+visits, of visits that map to no state and of flow pairs checked, then
+each flagged program with its state, false claim and store, all on
+stderr, and never fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import random
 import signal
@@ -53,6 +64,7 @@ from ctlrepair import ctl
 from ctlrepair import frontend as fe
 from ctlrepair import pure_logic as pl
 from ctlrepair import repair as rp
+from ctlrepair.datalog_engine import DatalogProgram, evaluate
 
 VARS = ("x", "y", "z")
 OPS = ("<", "<=", ">", ">=", "==", "!=")
@@ -60,6 +72,9 @@ RUNS = 16
 FUEL = 2_000
 TIMEOUT_S = 10.0
 FIRST_SEED = 1000
+FACT_STEPS = 400  # the steps of a run that the fact check follows
+_STEPS = (fe.Assign, fe.Call, fe.Prune, fe.Return)  # statement, guard and return nodes
+FACT_KINDS = ("loop-free", "loop-head", "loop-exit")  # the visits fact_check maps
 
 
 def _cond(rng: random.Random) -> str:
@@ -304,6 +319,146 @@ def check_ctl(seeds, ctl_text: str, listing=None) -> tuple[Counter, Counter, dic
     return counts, decided, wrong
 
 
+def _loop_bodies(proc: fe.Procedure) -> dict[int, set[int]]:
+    """Per loop ``Join`` of ``proc``, its natural loop: the ``Join`` and
+    the nodes that reach a back edge into it without passing it, so its
+    body up to the ``break`` and ``return`` paths out of it, and the bodies
+    of the loops nested in it."""
+
+    def reach(starts, succ, avoid: int) -> set[int]:
+        seen, todo = set(), list(starts)
+        while todo:
+            n = todo.pop()
+            if n != avoid and n not in seen:
+                seen.add(n)
+                todo += succ(n)
+        return seen
+
+    preds: dict[int, list[int]] = {}
+    for n, succs in proc.trans.items():
+        for m in succs:
+            preds.setdefault(m, []).append(n)
+    bodies = {}
+    for join in proc.loop_insert:
+        # the sources of back edges: the Join dominates them
+        outside = reach([proc.entry], proc.trans.__getitem__, join)
+        latches = [n for n in preds[join] if n not in outside]
+        bodies[join] = {join} | reach(latches, lambda n: preds.get(n, []), join)
+    return bodies
+
+
+def _claims(enc) -> dict[int, list[pl.Bop]]:
+    """Per state, the comparisons it claims: their fact is there and their
+    complement's is not."""
+    facts = set(enc.facts)
+    claims: dict[int, list[pl.Bop]] = {}
+    for fact in enc.facts:
+        pure = ctl.fact_pure(fact)
+        if pure is not None and ctl.pure_atom(pl.negate(pure), fact.args[-1]) not in facts:
+            claims.setdefault(fact.args[-1], []).append(pure)
+    return claims
+
+
+def _false(claims: list[pl.Bop], store: dict[str, int]) -> list[pl.Bop]:
+    """The claims over variables that ``store`` sets that fail there."""
+    return [c for c in claims if set(pl.names(c)) <= store.keys() and not pl.eval_pure(c, store)]
+
+
+def _run(cfg: fe.Program, rng: random.Random) -> tuple[list[tuple[int, dict[str, int]]], bool]:
+    """The steps of one run of ``main``, ``FACT_STEPS`` at most, and whether
+    it is still going after them."""
+    run, visits = fe.steps(cfg, "main", {}, rng, FACT_STEPS), []
+    while True:
+        try:
+            visits.append(next(run))
+        except StopIteration as stop:
+            return visits, stop.value == "fuel"
+
+
+def fact_check(seeds, ctl_text: str | None, runs: int = 8) -> tuple[Counter, dict]:
+    """Check the encoder's facts and flow against ``runs`` sampled runs of
+    each program of ``seeds`` (``program(seed, ctl_text)``; ROADMAP item
+    24).
+
+    A state claims each comparison whose fact it has and whose
+    complement's fact it has not.  Each step of a run is mapped through
+    ``gwre.origins`` to the states that stand for it:
+
+    - ``loop-free``: a statement, guard or return node on no cycle of the
+      CFG, to its own states;
+    - ``loop-head``: a loop's ``Join``, on a run still going after
+      ``FACT_STEPS`` steps and from step ``FACT_STEPS // 2`` on, to that
+      loop's ``loop-event`` states;
+    - ``loop-exit``: the step that leaves a loop through its guard after an
+      iteration, to that loop's ``exit-event`` states.
+
+    Other steps are not checked.  A mapped visit must be admitted by one of
+    its states: every claim of that state over variables the store sets
+    holds there.  Two consecutive loop-free steps with states must have a
+    derived ``flow`` between some pair of their states.
+
+    Returns the counts (the visits of each kind, those that map to no
+    state, the flow pairs checked, the programs checked and those without
+    facts, which are ``Unknown`` or time out) and the flags: per ``(seed,
+    kind, node, states)`` of a visit that no state admits, or ``(seed,
+    "flow", (node, next node), ())`` of a step with no flow, how many
+    visits, and the store of the first with each state's false claims
+    there."""
+    counts: Counter = Counter()
+    flags: dict[tuple, list] = {}
+    for seed in seeds:
+        source = program(seed, ctl_text)
+        analysis = _limited(lambda: rp.analyze(source))
+        if analysis is None or analysis.unknown:
+            counts["programs without facts"] += 1
+            continue
+        counts["programs"] += 1
+        proc = analysis.cfg.procedures["main"]
+        claims = _claims(analysis.enc)
+        derived = evaluate(DatalogProgram(rules=list(analysis.rules), facts=list(analysis.enc.facts)))
+        flow = {a.args for a in derived if a.predicate == "flow"}
+        bodies = _loop_bodies(proc)
+        inside = set().union(*bodies.values())
+        exits = {proc.trans[join][1]: join for join in bodies}  # a loop's guard-false Prune
+        states: dict[tuple, list[int]] = {}  # per (kind, node or loop Join)
+        for state, origin in sorted(analysis.gwre.origins.items()):
+            if origin.kind in ("stmt", "guard", "return") and origin.node not in inside:
+                states.setdefault(("loop-free", origin.node), []).append(state)
+            elif origin.kind in ("loop-event", "exit-event"):
+                kind = "loop-head" if origin.kind == "loop-event" else "loop-exit"
+                states.setdefault((kind, origin.join), []).append(state)
+
+        def flag(key: tuple, store: dict[str, int], false: dict) -> None:
+            flags.setdefault((seed, *key), [0, store, false])[0] += 1
+
+        for r in range(runs):
+            visits, going = _run(analysis.cfg, random.Random(f"{seed}/{r}"))
+            before = []  # the states of the step before, when loop-free
+            for i, (node, store) in enumerate(visits):
+                if node in exits and i >= 2 and visits[i - 2][0] in bodies[exits[node]]:
+                    key = ("loop-exit", exits[node])
+                elif node not in inside and isinstance(proc.nodes[node], _STEPS):
+                    key = ("loop-free", node)
+                elif node in bodies and going and i >= FACT_STEPS // 2:
+                    key = ("loop-head", node)
+                else:
+                    before = []
+                    continue
+                mapped = states.get(key, [])
+                counts[key[0]] += 1
+                counts[f"{key[0]} unmapped"] += not mapped
+                false = {s: _false(claims.get(s, []), store) for s in mapped}
+                if mapped and all(false.values()):
+                    flag((key[0], node, tuple(mapped)), store, false)
+                loop_free = mapped if key[0] == "loop-free" else []
+                if loop_free and before:
+                    counts["flow pairs"] += 1
+                    if not any((a, b) in flow for a in before for b in loop_free):
+                        flag(("flow", (visits[i - 1][0], node), ()), store, {})
+                before = loop_free
+    return counts, {key: tuple(found) for key, found in flags.items()}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--programs", type=int, default=200)
@@ -312,7 +467,32 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--ctl", help="list each verdict under this property, x, y and z set to 0, and check it"
     )
+    parser.add_argument(
+        "--facts",
+        action="store_true",
+        help="check the encoder's facts and flow on sampled runs instead (under --ctl, or under "
+        "AF(Exit(_)) with x, y and z havocked); the counts and flags go to stderr",
+    )
     args = parser.parse_args(argv)
+    if args.facts:
+        if args.repair:
+            parser.error("--facts checks facts only; it does not combine with --repair")
+        counts, flags = fact_check(range(FIRST_SEED, FIRST_SEED + args.programs), args.ctl)
+        print(
+            f"facts under {args.ctl or 'AF(Exit(_))'}: {counts['programs']} programs "
+            f"({counts['programs without facts']} more without facts); "
+            + ", ".join(f"{counts[k]} {k} visits ({counts[k + ' unmapped']} to no state)" for k in FACT_KINDS)
+            + f"; {counts['flow pairs']} flow pairs; {len(flags)} flags",
+            file=sys.stderr,
+        )
+        for (seed, kind, where, states), (visits, store, false) in flags.items():
+            claims = "; ".join(f"state {s} claims {' and '.join(map(str, c))}" for s, c in false.items())
+            print(
+                f"fact flag, seed {seed}: {kind} {where}, states {list(states)}, {visits} visits; "
+                f"first store {json.dumps(store, sort_keys=True)}{': ' + claims if claims else ''}",
+                file=sys.stderr,
+            )
+        return 0
     if args.ctl is not None:
         if args.repair:
             parser.error("--ctl lists verdicts only; it does not combine with --repair")

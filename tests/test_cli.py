@@ -254,6 +254,12 @@ def test_repair_rejects_a_repeated_template(run_cli, tmp_fixture):
     assert "template 'delete' given more than once" in err
 
 
+def test_repair_rejects_an_empty_template_order(run_cli, tmp_fixture):
+    code, _, err = run_cli("repair", "--template-order", " , ", tmp_fixture("overview.imp"))
+    assert code == 3
+    assert "error: empty template order" in err
+
+
 def test_repair_depth_two_finds_multi_step_patch(run_cli, tmp_fixture):
     target = tmp_fixture("overview.imp")
     code, out, _ = run_cli("repair", "--json", "--depth", "2", target)

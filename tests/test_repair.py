@@ -217,6 +217,21 @@ def test_repeated_template_rejected(fixture_text):
         )
 
 
+@pytest.mark.parametrize(
+    "order, message",
+    [
+        ((), "empty template order"),
+        (("delete", "bogus"), "unknown template 'bogus'; choose from delete, update, add"),
+        (("delete", "update", "delete"), "template 'delete' given more than once"),
+    ],
+)
+def test_config_rejects_a_bad_template_order_when_made(order, message):
+    # before any analysis: the config alone raises
+    with pytest.raises(ValueError) as raised:
+        rp.RepairConfig(template_order=order)
+    assert str(raised.value) == message
+
+
 def test_report_shape(fixture_text):
     result = rp.repair_loop(fixture_text("overview.imp"), rp.RepairConfig())
     report = result.to_json()
