@@ -74,7 +74,6 @@ TIMEOUT_S = 10.0
 FIRST_SEED = 1000
 FACT_STEPS = 400  # the steps of a run that the fact check follows
 _STEPS = (fe.Assign, fe.Call, fe.Prune, fe.Return)  # statement, guard and return nodes
-FACT_KINDS = ("loop-free", "loop-head", "loop-exit")  # the visits fact_check maps
 
 
 def _cond(rng: random.Random) -> str:
@@ -478,11 +477,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.repair:
             parser.error("--facts checks facts only; it does not combine with --repair")
         counts, flags = fact_check(range(FIRST_SEED, FIRST_SEED + args.programs), args.ctl)
+        visits = ", ".join(
+            f"{counts[kind]} {kind} visits ({counts[kind + ' unmapped']} to no state)"
+            for kind in ("loop-free", "loop-head", "loop-exit")
+        )
         print(
             f"facts under {args.ctl or 'AF(Exit(_))'}: {counts['programs']} programs "
-            f"({counts['programs without facts']} more without facts); "
-            + ", ".join(f"{counts[k]} {k} visits ({counts[k + ' unmapped']} to no state)" for k in FACT_KINDS)
-            + f"; {counts['flow pairs']} flow pairs; {len(flags)} flags",
+            f"({counts['programs without facts']} more without facts); {visits}; "
+            f"{counts['flow pairs']} flow pairs; {len(flags)} flags",
             file=sys.stderr,
         )
         for (seed, kind, where, states), (visits, store, false) in flags.items():
