@@ -7,6 +7,14 @@ are stratified by SCC condensation of the predicate dependency graph
 with a semi-naive fixpoint.  Iteration is insertion-ordered throughout so
 dumps and evaluation results are deterministic.
 
+The syntax records (``DVar``, ``Atom``, ``Literal``, ``Rule``) are named
+tuples: their hash and equality are those of the tuple of their fields,
+computed in C, so an ``Atom`` also equals the plain tuple ``(predicate,
+args)``.  Effect, term, CTL and CFG nodes stay dataclasses, because a
+tuple equals any tuple with equal items whatever its class: a sequence
+node holding one tuple, or ``pl.Rel`` with the fields of an ``Atom``, would
+then equal nodes of another kind.
+
 One evaluator, ``_fixpoint``, serves both plain and world-annotated
 evaluation.  Every atom carries a mask: an integer bitmask over a set of
 worlds, bit w set when the atom is derivable in world w; ``full`` has
@@ -36,7 +44,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 log = logging.getLogger(__name__)
 
@@ -46,8 +54,7 @@ log = logging.getLogger(__name__)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DVar:
+class DVar(NamedTuple):
     """A rule variable (atom arguments are DVar | str-constant | int)."""
 
     name: str
@@ -56,24 +63,9 @@ class DVar:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
+class Atom(NamedTuple):
     predicate: str
     args: tuple = ()
-    # the dataclass hash, computed once: atoms are looked up far more often
-    # than they are built
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.predicate, self.args)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # rebuild rather than restore: a str hash is only valid in the
-        # process that computed it
-        return Atom, (self.predicate, self.args)
 
     def __str__(self) -> str:
         return f"{self.predicate}({', '.join(_arg_str(a) for a in self.args)})"
@@ -82,8 +74,7 @@ class Atom:
         return not any(isinstance(a, DVar) for a in self.args)
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(NamedTuple):
     atom: Atom
     positive: bool = True
 
@@ -91,8 +82,7 @@ class Literal:
         return str(self.atom) if self.positive else f"!{self.atom}"
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     head: Atom
     body: tuple[Literal, ...]
 

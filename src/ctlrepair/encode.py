@@ -92,6 +92,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import ctl as ctl_mod
 from . import gwre as gw
@@ -134,24 +135,10 @@ def _shape(pi: pl.Pure) -> tuple | None:
     return None if atom is None else (atom.predicate, atom.args[:-1])
 
 
-@dataclass(frozen=True)
-class FamilyKey:
+class FamilyKey(NamedTuple):
     predicate: str
     args: tuple
     def_states: tuple[int, ...]
-    # the dataclass hash, computed once, as Atom's
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.predicate, self.args, self.def_states)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # rebuild rather than restore: a str hash is only valid in the
-        # process that computed it
-        return FamilyKey, (self.predicate, self.args, self.def_states)
 
 
 @dataclass

@@ -323,10 +323,10 @@ def run_template(analysis: Analysis, config: RepairConfig, prefix: tuple | None 
     A nested round passes the deltas of its chain as ``prefix``, and its
     worlds then hold only edits that fit the caps left after them: at most
     the deletes left false family signs, and the injected fact present only
-    while an add is left.  That is exact: ``_search`` drops every candidate
-    of a world with more signs false, and without an add left a world with
-    the injected fact yields only adds, which it drops, or deletes that its
-    twin world without the fact yields too when they derive the target."""
+    while an add is left.  That is exact: a world with more signs false
+    yields only candidates past the caps, and without an add left a world
+    with the injected fact yields only adds, also past them, or deletes that
+    its twin world without the fact yields too when they derive the target."""
     enc, counts = analysis.enc, analysis.memo.counts
     consts_at = sedl.compute_depend(analysis.rules, enc.facts)
     deleted, added = _edit_counts(prefix or ())
@@ -653,14 +653,6 @@ def _edit_counts(deltas: tuple) -> tuple[int, int]:
     return sum(d.op != "add" for d in deltas), sum(d.op != "delete" for d in deltas)
 
 
-def _within_caps(deltas: tuple, config: RepairConfig, deletes: int = 0, adds: int = 0) -> bool:
-    """A whole patch deletes at most ``max_delete`` families and adds at most
-    ``max_add`` facts (``_edit_counts``).  ``deletes`` and ``adds`` count
-    families and facts of a patch not yet synthesized."""
-    deleted, added = _edit_counts(deltas)
-    return deletes + deleted <= config.max_delete and adds + added <= config.max_add
-
-
 def _candidates(analysis: Analysis, config: RepairConfig, searched) -> list[_Candidate]:
     """The distinct candidates of the answered sign searches ``searched``
     (``run_template``), in the order ``_search`` tries them: cheapest first,
@@ -695,12 +687,10 @@ def _search(
 
     The top-level search has no prefix, tries its candidates cheapest first
     and keeps every patch, up to ``_MAX_PATCHES``.  A nested search gets
-    the deltas of the whole chain of rounds before it as ``prefix`` and
-    returns the one patch ``p`` best by ``rank_patches`` with
-    ``_within_caps(prefix + p.deltas)``, or none.  It drops each candidate
-    whose direct patch breaks those caps, since a composite patch extends
-    its direct patch's deltas; analyses the rest in ``rank_patches`` order
-    of their direct patches; and stops at the first direct patch that does
+    the deltas of the whole chain of rounds before it as ``prefix``, whose
+    caps ``run_template`` already held its candidates to, and returns the
+    one patch best by ``rank_patches``, or none.  It analyses its direct
+    patches in ``rank_patches`` order and stops at the first that does
     not rank before the best patch so far.  That is exact: every later
     direct patch ranks after it too, and a composite patch built on it
     costs at least one more than it, which costs no less than the best
@@ -713,7 +703,6 @@ def _search(
         _synthesize(analysis, c)
         for i, c in enumerate(candidates)
         if holds >> i & 1
-        and (not nested or _within_caps(prefix, config, len(c.deletes), len(c.adds)))
     )
     if nested:
         directs = sorted((d for d in directs if d is not None), key=_rank_key)

@@ -21,7 +21,8 @@ N` for N rounds) on every `Violated` program, and runs the same sampled
 runs on every patch of a `Repaired` result: a patched program with a run
 that does not exit is a wrong `Repaired`, and also makes the exit status 1.
 It prints how many `Unrepaired` results had a sign search cut by the sign
-budget (`--xi-budget`).
+budget (`--xi-budget`).  The seed of each program, or repair, that ran
+past ``TIMEOUT_S`` goes to stderr.
 
     PYTHONPATH=src python tests/oracle_programs.py --programs 200 --ctl 'AG(x <= 3)'
 
@@ -168,7 +169,8 @@ def diverges(source: str, seed: int) -> bool:
 
 def check(seeds) -> tuple[Counter, list[int], list[int]]:
     """Counts of (verdict, some run diverges), the seeds whose `Verified`
-    has a run that does not exit, and the seeds found `Violated`."""
+    has a run that does not exit, and the seeds found `Violated`.  The seed
+    of each program that runs past ``TIMEOUT_S`` goes to stderr."""
     counts: Counter = Counter()
     wrong: list[int] = []
     violated: list[int] = []
@@ -176,6 +178,8 @@ def check(seeds) -> tuple[Counter, list[int], list[int]]:
         source = program(seed)
         found, bad = verdict(source), diverges(source, seed)
         counts[found, bad] += 1
+        if found == "timeout":
+            print(f"timeout, seed {seed}", file=sys.stderr)
         if found == "holds" and bad:
             wrong.append(seed)
         if found == "violated":
@@ -187,7 +191,8 @@ def check_repairs(seeds, depth: int = 1) -> tuple[Counter, list[tuple[int, str]]
     """Counts of the `repair --depth depth` verdicts (`timeout` past
     ``TIMEOUT_S``) on the programs of ``seeds``, the (seed, patched source)
     pairs of `Repaired` patches with a run that does not exit, and how many
-    `Unrepaired` results had a sign search cut by the sign budget."""
+    `Unrepaired` results had a sign search cut by the sign budget.  The seed
+    of each repair that runs past ``TIMEOUT_S`` goes to stderr."""
     counts: Counter = Counter()
     wrong: list[tuple[int, str]] = []
     cut = 0
@@ -195,6 +200,8 @@ def check_repairs(seeds, depth: int = 1) -> tuple[Counter, list[tuple[int, str]]
         result = _limited(lambda: rp.repair_loop(program(seed), rp.RepairConfig(depth=depth)))
         found = "timeout" if result is None else result.verdict
         counts[found] += 1
+        if found == "timeout":
+            print(f"repair timeout, seed {seed}", file=sys.stderr)
         if found == "Repaired":
             wrong += [(seed, p.source) for p in result.patches if diverges(p.source, seed)]
         if found == "Unrepaired" and result.stats.get("sign_budget_exceeded"):

@@ -258,6 +258,27 @@ def test_atom_hash_survives_pickling_across_hash_seeds():
     assert atom in {Atom("flow", ("a", 2))}
 
 
+def test_records_hash_as_the_tuple_of_their_fields():
+    # set and dict orders follow these hashes, so they must stay the tuple
+    # hash the records had as dataclasses; the patch search sorts by the
+    # text of a family key
+    from ctlrepair import pure_logic as pl
+    from ctlrepair import sedl
+    from ctlrepair.encode import FamilyKey
+
+    assert hash(Atom("Gt", ("x", 3))) == hash(("Gt", ("x", 3)))
+    assert hash(FamilyKey("Gt", ("x", 3), (2,))) == hash(("Gt", ("x", 3), (2,)))
+    assert (
+        str(FamilyKey("Gt", ("x", 3), (2,)))
+        == "FamilyKey(predicate='Gt', args=('x', 3), def_states=(2,))"
+    )
+    # a record of another kind with the same fields stays apart
+    assert Atom("Exit", ()) != pl.Rel("Exit", ())
+    assert pl.Rel("Exit", ()) != Atom("Exit", ())
+    assert DVar("a") != sedl.Alpha("a") and sedl.Alpha("a") != DVar("a")
+    assert len({Atom("Exit", ()), pl.Rel("Exit", ()), DVar("a"), sedl.Alpha("a")}) == 4
+
+
 def test_fixpoint_debug_line(caplog, run_cli, fixtures_dir):
     with caplog.at_level(logging.DEBUG, logger="ctlrepair.datalog_engine"):
         evaluate(parse_program(TC))

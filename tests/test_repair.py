@@ -562,9 +562,17 @@ def test_no_candidates_run_no_fixpoint(monkeypatch):
     assert analysis.memo.counts == {}
 
 
+def _within_caps(deltas: tuple, config: rp.RepairConfig, deletes: int = 0, adds: int = 0) -> bool:
+    """A whole patch deletes at most ``max_delete`` families and adds at most
+    ``max_add`` facts (``rp._edit_counts``).  ``deletes`` and ``adds`` count
+    families and facts of a patch not yet synthesized."""
+    deleted, added = rp._edit_counts(deltas)
+    return deletes + deleted <= config.max_delete and adds + added <= config.max_add
+
+
 def _best_fitting(patches, prefix, config):
     return next(
-        (p for p in rp.rank_patches(patches) if rp._within_caps(prefix + p.deltas, config)),
+        (p for p in rp.rank_patches(patches) if _within_caps(prefix + p.deltas, config)),
         None,
     )
 
@@ -642,7 +650,7 @@ def test_nested_rounds_decide_the_fitting_candidates_of_the_whole_budget(nested_
     for analysis, config, _, prefix, _, _, searched in nested_searches:
         full = held(analysis, config, rp.run_template(analysis, config))
         fitting = [
-            c for c in full if rp._within_caps(prefix, config, len(c.deletes), len(c.adds))
+            c for c in full if _within_caps(prefix, config, len(c.deletes), len(c.adds))
         ]
         assert keys(held(analysis, config, searched)) == keys(fitting)
         dropped += len(full) - len(fitting)
@@ -763,7 +771,7 @@ def _check_nested_rounds(rounds, config):
         analysis, prefix, analysed = r["analysis"], r["prefix"], r["analysed"]
         directs = [rp._synthesize(analysis, c) for c in r["decided"]]
         expected = rp.rank_patches(
-            [d for d in directs if d and rp._within_caps(prefix + d.deltas, config)]
+            [d for d in directs if d and _within_caps(prefix + d.deltas, config)]
         )
         sources = [rp.apply_edits(analysis.source, d.edits) for d in expected]
         n = len(analysed)
@@ -774,7 +782,7 @@ def _check_nested_rounds(rounds, config):
             assert n == len(sources) and not any(held)
             continue
         (patch,) = r["patches"]
-        assert rp._within_caps(prefix + patch.deltas, config)
+        assert _within_caps(prefix + patch.deltas, config)
         key = rp._rank_key(patch)
         assert n == len(expected) or rp._rank_key(expected[n]) >= key
         if held[-1]:
@@ -793,7 +801,7 @@ def test_every_patch_keeps_within_the_caps_at_depth_3():
         config = rp.RepairConfig(depth=3, max_delete=max_delete, max_add=max_add)
         for source in _fixtures_and_deep_seed_1():
             for patch in rp.repair_loop(source, config).patches:
-                assert rp._within_caps(patch.deltas, config)
+                assert _within_caps(patch.deltas, config)
                 composite += patch.iterations > 1
     assert composite
 
