@@ -2,9 +2,10 @@
 
 The surface grammar supports AF/AG/EF/EG/AX/EX, AU(p)(q), EU(p)(q), `->`,
 `&&`, `||`, `!`, arithmetic atoms such as `y=5` or `x>=y`, and relation
-atoms such as `Exit(_)`, which take no values.  Properties are desugared into an 8-construct core
-(AP, Not, And, Or, EX, EF, AF, EU) which translates rule-by-rule into
-stratified Datalog over a `flow` relation and abstract-state facts.
+atoms such as `Exit(_)`, which take no values.  Properties are parsed straight
+into an 8-construct core (AP, Not, And, Or, EX, EF, AF, EU), which translates
+rule-by-rule into stratified Datalog over a `flow` relation and abstract-state
+facts.
 """
 
 from __future__ import annotations
@@ -64,16 +65,11 @@ def _binary(symbol: str, infix: bool):
 
 
 Not = _unary("!")
-AX = _unary("AX")
 EX = _unary("EX")
 AF = _unary("AF")
 EF = _unary("EF")
-AG = _unary("AG")
-EG = _unary("EG")
 CAnd = _binary("&&", True)
 COr = _binary("||", True)
-Implies = _binary("->", True)
-AU = _binary("AU", False)
 EU = _binary("EU", False)
 
 # ---------------------------------------------------------------------------
@@ -87,8 +83,14 @@ _CTL_TOKEN = re.compile(
 )
 
 _OP_PURE = {text: op for op, text in pl._OP_SYMBOL.items()}
-_UNARY = {"AF": AF, "AG": AG, "EF": EF, "EG": EG, "AX": AX, "EX": EX}
-_UNTIL = {"AU": AU, "EU": EU}
+# each surface operator, as a builder of its core form
+_UNARY = {
+    "AF": AF, "EF": EF, "EX": EX,
+    "AG": lambda p: Not(EF(Not(p))),
+    "EG": lambda p: Not(AF(Not(p))),
+    "AX": lambda p: Not(EX(Not(p))),
+}
+_UNTIL = {"EU": EU, "AU": lambda p, q: CAnd(Not(EU(Not(q), CAnd(Not(p), Not(q)))), AF(q))}
 
 
 class CtlSyntaxError(ValueError):
@@ -109,7 +111,8 @@ def _name_part(t: pl.Term) -> str:
 
 
 def parse_ctl(text: str) -> CtlFormula:
-    """Parse a property; atoms are auto-named (e.g. yEQ5 for y=5)."""
+    """Parse a property into the core fragment; atoms are auto-named (e.g.
+    yEQ5 for y=5)."""
     tokens = []
     for m in _CTL_TOKEN.finditer(text):
         if m.lastgroup == "skip":
@@ -197,65 +200,13 @@ def parse_ctl(text: str) -> CtlFormula:
         out = parse_or()
         if peek() == "->":
             take()
-            return Implies(out, parse_implies())
+            return COr(Not(out), parse_implies())
         return out
 
     result = parse_implies()
     if peek() != "<eof>":
         raise CtlSyntaxError(f"trailing tokens in property: {peek()!r}")
     return result
-
-
-# ---------------------------------------------------------------------------
-# Desugaring to the 8-construct core
-# ---------------------------------------------------------------------------
-
-
-def desugar(phi: CtlFormula) -> CtlFormula:
-    """Rewrite into the core fragment: AP, Not, And, Or, EX, EF, AF, EU."""
-    if isinstance(phi, AP):
-        return phi
-    if isinstance(phi, Not):
-        return Not(desugar(phi.operand))
-    if isinstance(phi, CAnd):
-        return CAnd(desugar(phi.left), desugar(phi.right))
-    if isinstance(phi, COr):
-        return COr(desugar(phi.left), desugar(phi.right))
-    if isinstance(phi, Implies):
-        return COr(Not(desugar(phi.left)), desugar(phi.right))
-    if isinstance(phi, (EX, EF, AF)):
-        return type(phi)(desugar(phi.operand))
-    if isinstance(phi, AX):
-        return Not(EX(Not(desugar(phi.operand))))
-    if isinstance(phi, EG):
-        return Not(AF(Not(desugar(phi.operand))))
-    if isinstance(phi, AG):
-        return Not(EF(Not(desugar(phi.operand))))
-    if isinstance(phi, EU):
-        return EU(desugar(phi.left), desugar(phi.right))
-    if isinstance(phi, AU):
-        p = desugar(phi.left)
-        q = desugar(phi.right)
-        return CAnd(Not(EU(Not(q), CAnd(Not(p), Not(q)))), AF(q))
-    raise TypeError(f"not a property AST node: {phi!r}")
-
-
-def pure_of_ctl(phi: CtlFormula) -> list[pl.Bop | pl.Rel]:
-    """All atomic-proposition payloads, deduplicated, pre-order."""
-    out: list[pl.Bop | pl.Rel] = []
-
-    def walk(node: CtlFormula) -> None:
-        if isinstance(node, AP):
-            if node.pure not in out:
-                out.append(node.pure)
-        elif isinstance(node, (Not, AX, EX, AF, EF, AG, EG)):
-            walk(node.operand)
-        else:
-            walk(node.left)
-            walk(node.right)
-
-    walk(phi)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +340,16 @@ def _rename(atom: Atom, names: dict[str, str]) -> Atom:
     return atom if name is None else Atom(name, atom.args)
 
 
-def ctl_to_datalog(phi: CtlFormula) -> tuple[str, list[Rule]]:
+def ctl_to_datalog(phi: CtlFormula) -> tuple[str, list[Rule], list[pl.Bop | pl.Rel]]:
     """Translate a core-fragment property into stratified Datalog rules.
 
-    Returns the top predicate name and the rule list: an atomic
-    proposition's rule, then each operator's ``_RULES`` after its operands'.
+    Returns the top predicate name, the rule list (an atomic proposition's
+    rule, then each operator's ``_RULES`` after its operands') and the
+    atomic propositions' payloads, each once, in their first occurrence
+    from the left.
     """
     rules: list[Rule] = []
+    pures: list[pl.Bop | pl.Rel] = []
     names_used: set[str] = set()
     memo: dict[CtlFormula, str] = {}
 
@@ -415,6 +369,7 @@ def ctl_to_datalog(phi: CtlFormula) -> tuple[str, list[Rule]]:
             name = fresh(node.name)
             # its payload in the fact shape the encoder emits
             rules.append(Rule(Atom(name, (S,)), (Literal(pure_atom(node.pure, S)),)))
+            pures.append(node.pure)
         elif type(node) in _NAMES:
             sub = dict(zip("PQ", (translate(getattr(node, f.name)) for f in fields(node))))
             names = [fresh(pattern.format(**sub)) for pattern in _NAMES[type(node)]]
@@ -429,4 +384,4 @@ def ctl_to_datalog(phi: CtlFormula) -> tuple[str, list[Rule]]:
         return name
 
     top = translate(phi)
-    return top, rules
+    return top, rules, pures

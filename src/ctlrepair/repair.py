@@ -110,15 +110,14 @@ def _analyze(source: str, ctl_text: str | None, memo: pl.Memo) -> Analysis:
 
 
 def _compiled(text: str, memo: pl.Memo) -> tuple[tuple, str, tuple]:
-    """The property ``text``'s atomic payloads (``ctl.pure_of_ctl``), top
-    predicate and rules (``ctl.ctl_to_datalog``), remembered in
-    ``memo.derived`` by the text."""
+    """The property ``text``'s atomic payloads, top predicate and rules, as
+    ``ctl.ctl_to_datalog`` gives them for ``ctl.parse_ctl(text)``,
+    remembered in ``memo.derived`` by the text."""
     key = ("property", text)
     compiled = memo.derived.get(key)
     if compiled is None:
-        phi = ctl_mod.desugar(ctl_mod.parse_ctl(text))
-        top, rules = ctl_mod.ctl_to_datalog(phi)
-        compiled = memo.derived[key] = (tuple(ctl_mod.pure_of_ctl(phi)), top, tuple(rules))
+        top, rules, pures = ctl_mod.ctl_to_datalog(ctl_mod.parse_ctl(text))
+        compiled = memo.derived[key] = (tuple(pures), top, tuple(rules))
     return compiled
 
 

@@ -13,7 +13,7 @@ runs the checks below on the programs of the seeds from
 - ``AF``: `check`, the `AF(Exit(_))` oracle;
 - ``R1``: `check_repairs` at depth 1 on the programs `check` found
   `Violated`;
-- ``C1``-``C5``: `check_ctl`, the exact oracle, under each of ``CTL``;
+- ``C1``-``C6``: `check_ctl`, the exact oracle, under each of ``CTL``;
 - ``F1``-``F3``: `fact_check` under each of ``FACTS``.
 
 No golden and no digest is run.  A check kills a mutant when its counts or
@@ -38,9 +38,11 @@ from ctlrepair import gwre as gw
 
 import oracle_programs as op
 
-CTL = ("AG(x <= 3)", "AG(x >= -2)", "AG(y != 2)", "EF(y = 2)", "AF(Exit(_))")
+CTL = ("AG(x <= 3)", "AG(x >= -2)", "AG(y != 2)", "EF(y = 2)", "AF(Exit(_))", "AF(x >= 1)")
 FACTS = (None, "AG(x <= 3)", "AG(y != 2)")  # None: AF(Exit(_)), x, y and z havocked
-CHECKS = ("AF", "R1") + tuple(f"C{i}" for i in range(1, 6)) + tuple(f"F{i}" for i in range(1, 4))
+CHECKS = ("AF", "R1") + tuple(f"C{i}" for i in range(1, len(CTL) + 1)) + tuple(
+    f"F{i}" for i in range(1, len(FACTS) + 1)
+)
 
 
 class Mutant(NamedTuple):

@@ -211,7 +211,7 @@ def check_repairs(seeds, depth: int = 1) -> tuple[Counter, list[tuple[int, str]]
 
 def explicit_check(phi, states, succ, holds, unknown: bool = False) -> set:
     """The states of an explicit structure at which the core formula
-    ``phi`` (``ctl.desugar``) holds, by the classic fixpoint labelling
+    ``phi`` (as ``ctl.parse_ctl`` gives it) holds, by the classic fixpoint labelling
     (Clarke, Emerson & Sistla, TOPLAS 1986).  ``succ[s]`` is the set of
     successors of ``s``, and ``holds(s, ap)`` says whether the atom ``ap``
     holds at ``s``: True, False, or None where it is unknown.  An unknown
@@ -295,7 +295,7 @@ def exact_verdict(source: str) -> str | None:
             return ap.pure.name == "Exit" and isinstance(nodes[node], fe.Return)
         return pl.eval_pure(ap.pure, store, None)
 
-    core = ctl.desugar(ctl.parse_ctl(ast.ctl))
+    core = ctl.parse_ctl(ast.ctl)
     states = list(succ)
     if 0 in explicit_check(core, states, succ, holds):
         return "holds"

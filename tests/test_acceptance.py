@@ -350,6 +350,7 @@ def _random_kripke(rng):
 
 
 def _random_formula(rng, depth):
+    """A random core formula; a surface operator comes as parse_ctl builds it."""
     if depth == 0 or rng.random() < 0.3:
         v = rng.choice(APS)
         return ctl.AP(f"{v}EQ1", pl.Bop(pl.EQ, pl.Var(v), pl.Const(1)))
@@ -358,16 +359,16 @@ def _random_formula(rng, depth):
     return {
         "n": lambda: ctl.Not(sub()),
         "x": lambda: ctl.EX(sub()),
-        "X": lambda: ctl.AX(sub()),
+        "X": lambda: ctl._UNARY["AX"](sub()),
         "f": lambda: ctl.EF(sub()),
         "F": lambda: ctl.AF(sub()),
-        "g": lambda: ctl.EG(sub()),
-        "G": lambda: ctl.AG(sub()),
+        "g": lambda: ctl._UNARY["EG"](sub()),
+        "G": lambda: ctl._UNARY["AG"](sub()),
         "a": lambda: ctl.CAnd(sub(), sub()),
         "o": lambda: ctl.COr(sub(), sub()),
-        "i": lambda: ctl.Implies(sub(), sub()),
+        "i": lambda: ctl.COr(ctl.Not(sub()), sub()),
         "u": lambda: ctl.EU(sub(), sub()),
-        "U": lambda: ctl.AU(sub(), sub()),
+        "U": lambda: ctl._UNTIL["AU"](sub(), sub()),
     }[kind]()
 
 
@@ -386,7 +387,7 @@ def _kripke_labels(core, states, succ, label, guarded=(), enabled=()):
     facts += [Atom("Cyc", (b,)) for b in ctl.cycle_heads(edges + list(guarded), states)]
     facts += [Atom("Eq", (v, 1, s)) for s in states for v in sorted(label[s])]
     facts += [Atom("G", (s,)) for s in enabled]
-    top, rules = ctl.ctl_to_datalog(core)
+    top, rules, _ = ctl.ctl_to_datalog(core)
     rules += [Rule(Atom("flow", e), (Literal(Atom("G", e[:1])),)) for e in guarded]
     idb = evaluate(DatalogProgram(rules=rules, facts=facts))
     return {s for s in states if Atom(top, (s,)) in idb}
@@ -397,7 +398,7 @@ def test_criterion_6_encoding_matches_explicit_checker():
     rng = random.Random(66)
     for _ in range(500):
         states, succ, label = _random_kripke(rng)
-        core = ctl.desugar(_random_formula(rng, rng.randint(1, 3)))
+        core = _random_formula(rng, rng.randint(1, 3))
         assert _kripke_labels(core, states, succ, label) == oracle_programs.explicit_check(
             core, states, succ, _labelled(label)
         ), f"mismatch for {core} on flow={succ} label={label}"
@@ -411,7 +412,7 @@ def test_criterion_6_seeds_cover_every_enabled_subgraph():
     rng = random.Random(67)
     for _ in range(500):
         states, succ, label = _random_kripke(rng)
-        core = ctl.desugar(_random_formula(rng, rng.randint(1, 3)))
+        core = _random_formula(rng, rng.randint(1, 3))
         guarded = [(s, t) for s in states for t in sorted(succ[s]) if rng.random() < 1 / 3]
         enabled = [s for s in states if rng.random() < 0.5]
         plain = {s: {t for t in succ[s] if (s, t) not in guarded} for s in states}

@@ -123,6 +123,36 @@ def test_relation_atom_with_a_value_exit_three(run_cli, tmp_path, prop):
     assert err == "error: expected '_' or ')' in Exit(...), found '0': relation atoms take no values\n"
 
 
+_CLASH = pytest.mark.xfail(
+    strict=True, reason="a relation atom named like a generated or an encoder predicate reads that relation"
+)
+
+
+@pytest.mark.parametrize(
+    "prop",
+    [
+        "AFS_Exit(_) || AF(Exit(_))",
+        # AF's translation names AFS_Exit first, and the atom reads its lasso
+        pytest.param("AF(Exit(_)) || AFS_Exit(_)", marks=_CLASH),
+        # the atom reads the encoder's Cyc facts
+        pytest.param("AF(Cyc(_))", marks=_CLASH),
+    ],
+)
+def test_relation_atom_reads_only_its_own_event(run_cli, tmp_path, prop):
+    # the program never exits and has no AFS_Exit or Cyc event
+    path = tmp_path / "prog.imp"
+    path.write_text("void main() { int x = 0; while (1) { x = 1; } }\n")
+    code, out, _ = run_cli("verify", "--ctl", prop, path)
+    assert (code, out) == (1, f"Violated: {prop}\n")
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 22: parse_ctl recurses once per parenthesis")
+def test_deeply_parenthesized_property_is_no_internal_error(run_cli):
+    prop = "AG(" + "(" * 200 + "x >= 0" + ")" * 200 + ")"
+    code, _, _ = run_cli("verify", "--ctl", prop, fix("overview.imp"))
+    assert code in (0, 1, 2, 3)
+
+
 def test_missing_file_exit_three(run_cli):
     code, _, _ = run_cli("verify", "does-not-exist.imp")
     assert code == 3

@@ -8,7 +8,7 @@ from ctlrepair import ctl
 from ctlrepair import pure_logic as pl
 from ctlrepair.datalog_engine import Atom
 
-# the core fragment that desugar targets
+# the core fragment that parse_ctl builds
 CORE = (ctl.AP, ctl.Not, ctl.CAnd, ctl.COr, ctl.EX, ctl.EF, ctl.AF, ctl.EU)
 
 
@@ -18,12 +18,13 @@ def test_parse_basic_shapes():
     assert isinstance(phi.operand, ctl.AP)
     assert phi.operand.name == "yEQ5"
 
+    # AG p is !EF !p, and p -> q is !p || q
     phi = ctl.parse_ctl("AG(x=1 -> AF(x=0))")
-    assert isinstance(phi, ctl.AG)
-    assert isinstance(phi.operand, ctl.Implies)
+    assert str(phi) == "!(EF(!((!(x=1) || AF(x=0)))))"
 
+    # AU(p)(q) is !EU(!q)(!p && !q) && AF q
     phi = ctl.parse_ctl("AU(x>0)(y=1)")
-    assert isinstance(phi, ctl.AU)
+    assert str(phi) == "(!(EU(!(y=1))((!(x>0) && !(y=1)))) && AF(y=1))"
 
     phi = ctl.parse_ctl("AF(Exit(_))")
     assert isinstance(phi.operand, ctl.AP)
@@ -57,17 +58,18 @@ def test_double_equals_message_names_the_operator():
     assert str(err.value) == "'==' is not a property operator; equality is written '='"
 
 
-def test_desugar_targets_core_fragment():
-    def assert_core(node):
-        assert isinstance(node, CORE), node
-        if isinstance(node, ctl.AP):
-            return
-        if hasattr(node, "operand"):
-            assert_core(node.operand)
-        else:
-            assert_core(node.left)
-            assert_core(node.right)
+def _assert_core(node):
+    assert isinstance(node, CORE), node
+    if isinstance(node, ctl.AP):
+        return
+    if hasattr(node, "operand"):
+        _assert_core(node.operand)
+    else:
+        _assert_core(node.left)
+        _assert_core(node.right)
 
+
+def test_parse_ctl_yields_only_the_core():
     for text in (
         "AG(x=1 -> AF(x=0))",
         "AU(x>0)(y=1)",
@@ -75,20 +77,31 @@ def test_desugar_targets_core_fragment():
         "AX(EX(x=1))",
         "!(x=1) || EF(y=2)",
     ):
-        assert_core(ctl.desugar(ctl.parse_ctl(text)))
+        _assert_core(ctl.parse_ctl(text))
+    parsed = 0
+    for text in _parse_corpus():
+        try:
+            phi = ctl.parse_ctl(text)
+        except ctl.CtlSyntaxError:
+            continue
+        _assert_core(phi)
+        parsed += 1
+    assert parsed == 326
 
 
-def test_desugar_ag_is_not_ef_not():
-    phi = ctl.desugar(ctl.parse_ctl("AG(x=1)"))
+def test_parse_ag_as_not_ef_not():
+    phi = ctl.parse_ctl("AG(x=1)")
     assert isinstance(phi, ctl.Not)
     assert isinstance(phi.operand, ctl.EF)
     assert isinstance(phi.operand.operand, ctl.Not)
 
 
-def test_pure_of_ctl_deduplicates():
-    phi = ctl.parse_ctl("AG(x=1 -> AF(x=1))")
-    pures = ctl.pure_of_ctl(phi)
-    assert len(pures) == 1
+def test_ctl_to_datalog_payloads_once_in_first_occurrence():
+    _, _, pures = ctl.ctl_to_datalog(ctl.parse_ctl("AG(x=1 -> AF(x=1))"))
+    assert pures == [pl.Bop(pl.EQ, pl.Var("x"), pl.Const(1))]
+    # AU(p)(q) reads q first; Exit and y = 1 come back once each
+    _, _, pures = ctl.ctl_to_datalog(ctl.parse_ctl("AU(Exit(_) || y=1)(y=1) && EF(Exit(_))"))
+    assert list(map(str, pures)) == ["y=1", "Exit()"]
 
 
 def test_pure_atom_shapes():
@@ -153,7 +166,7 @@ def test_ap_name_deterministic():
 
 
 def test_ctl_to_datalog_af_shape():
-    top, rules = ctl.ctl_to_datalog(ctl.desugar(ctl.parse_ctl("AF(y=5)")))
+    top, rules, _ = ctl.ctl_to_datalog(ctl.parse_ctl("AF(y=5)"))
     assert top == "AF_yEQ5"
     heads = [r.head.predicate for r in rules]
     assert heads.count("AFT_yEQ5") == 2
@@ -168,9 +181,7 @@ def test_ctl_to_datalog_af_shape():
 
 
 def test_ctl_to_datalog_fresh_names_do_not_collide():
-    top, rules = ctl.ctl_to_datalog(
-        ctl.desugar(ctl.parse_ctl("AF(y=5) && AF(y=5) || !(AF(y=5))"))
-    )
+    top, rules, _ = ctl.ctl_to_datalog(ctl.parse_ctl("AF(y=5) && AF(y=5) || !(AF(y=5))"))
     # the repeated AF(y=5) subterm is shared via memoization, not renamed
     assert [r.head.predicate for r in rules].count("AF_yEQ5") == 1
     assert len(set(rules)) == len(rules)
@@ -179,8 +190,8 @@ def test_ctl_to_datalog_fresh_names_do_not_collide():
 def test_ctl_to_datalog_text_of_every_core_operator():
     # one property over Not, CAnd, COr, EX, EF, AF and EU: the rules, their
     # order and the fresh names are what dump-datalog prints
-    top, rules = ctl.ctl_to_datalog(
-        ctl.desugar(ctl.parse_ctl("EU(x=1)(EX(y>0)) && (AF(Exit(_)) || !EF(x<2 && y=1))"))
+    top, rules, _ = ctl.ctl_to_datalog(
+        ctl.parse_ctl("EU(x=1)(EX(y>0)) && (AF(Exit(_)) || !EF(x<2 && y=1))")
     )
     assert top == "xEQ1_EU_EX_yGT0_AND_AF_Exit_OR_NOT_EF_xLT2_AND_yEQ1"
     assert "\n".join(map(str, rules)) == """\

@@ -20,8 +20,8 @@ from conftest import FIXTURES, Stopwatch, calls, derivatives, effect_corpus, ifs
 def encode(source: str, prop: str) -> enc_mod.EncodeResult:
     memo = pl.Memo()
     gwre_result = gw.cfg_to_gwre(fe.build_cfg(fe.parse(source)), memo)
-    phi = ctl.desugar(ctl.parse_ctl(prop))
-    return enc_mod.abstract_facts(gwre_result, ctl.pure_of_ctl(phi), memo)
+    _, _, pures = ctl.ctl_to_datalog(ctl.parse_ctl(prop))
+    return enc_mod.abstract_facts(gwre_result, pures, memo)
 
 
 def test_overview_state_facts(fixture_text):
@@ -118,7 +118,7 @@ def _analyzable_fixtures(fixtures_dir):
             gwre_result = gw.cfg_to_gwre(fe.build_cfg(ast), pl.Memo())
         except (fe.ImpSyntaxError, gw.SummaryInconclusive):
             continue
-        phi = ctl.desugar(ctl.parse_ctl(ast.ctl))
+        phi = ctl.parse_ctl(ast.ctl)
         yield path.name, gwre_result, phi
 
 
@@ -137,8 +137,8 @@ def test_every_comparison_fact_is_read_or_at_a_def_state(fixtures_dir):
     """A comparison is decided where its fact or its complement's is read, or
     where one of its variables is defined."""
     for name, gwre_result, phi in _analyzable_fixtures(fixtures_dir):
-        enc = enc_mod.abstract_facts(gwre_result, ctl.pure_of_ctl(phi), pl.Memo())
-        _, ctl_rules = ctl.ctl_to_datalog(phi)
+        _, ctl_rules, pures = ctl.ctl_to_datalog(phi)
+        enc = enc_mod.abstract_facts(gwre_result, pures, pl.Memo())
         body = [lit.atom for r in list(enc.rules) + ctl_rules for lit in r.body]
         for fact, key in enc.fact_family.items():
             fam = enc.families[key]
@@ -150,7 +150,7 @@ def test_every_comparison_fact_is_read_or_at_a_def_state(fixtures_dir):
 def test_read_sets_cover_every_guard_rule(fixtures_dir):
     for name, gwre_result, phi in _analyzable_fixtures(fixtures_dir):
         reads = enc_mod.read_sets(gw.automaton(gwre_result.phi))
-        enc = enc_mod.abstract_facts(gwre_result, ctl.pure_of_ctl(phi), pl.Memo())
+        enc = enc_mod.abstract_facts(gwre_result, ctl.ctl_to_datalog(phi)[2], pl.Memo())
         for rule in enc.rules:
             prev = rule.head.args[0]
             for lit in rule.body:
@@ -222,7 +222,7 @@ def test_read_sets_and_live_sets_are_those_of_the_effect():
 
 def _encoding(gwre_result, phi) -> tuple:
     """All that ``abstract_facts`` gives, in its order."""
-    enc = enc_mod.abstract_facts(gwre_result, ctl.pure_of_ctl(phi), pl.Memo())
+    enc = enc_mod.abstract_facts(gwre_result, ctl.ctl_to_datalog(phi)[2], pl.Memo())
     families = [(k, f.pure, f.var, f.members, f.read) for k, f in enc.families.items()]
     return enc.facts, enc.rules, families, list(enc.fact_family.items()), list(enc.pair_of.items())
 
@@ -304,7 +304,7 @@ def test_merged_walk_encodes_as_the_full_walk(monkeypatch):
             gwre_result = gw.cfg_to_gwre(fe.build_cfg(ast), pl.Memo())
         except (fe.ImpSyntaxError, gw.SummaryInconclusive):
             continue
-        phi = ctl.desugar(ctl.parse_ctl(ast.ctl))
+        phi = ctl.parse_ctl(ast.ctl)
         # the reference records no walk, so nothing merges
         monkeypatch.setattr(enc_mod._Encoder, "merge", unrecorded)
         full = _encoding(gwre_result, phi)
@@ -367,7 +367,7 @@ def test_sliced_queries_encode_as_whole_queries(monkeypatch):
             gwre_result = gw.cfg_to_gwre(fe.build_cfg(ast), pl.Memo())
         except (fe.ImpSyntaxError, gw.SummaryInconclusive):
             continue
-        phi = ctl.desugar(ctl.parse_ctl(ast.ctl))
+        phi = ctl.parse_ctl(ast.ctl)
         monkeypatch.setattr(enc_mod._Encoder, "slice", lambda self, store, names: _whole(store))
         monkeypatch.setattr(
             enc_mod._Encoder, "feasible", lambda self, store: pl.satisfiable(_whole(store), self.memo)
@@ -539,7 +539,7 @@ def test_dag_numbers_and_encodes_as_its_tree(monkeypatch):
             continue
         dag, tree = built[-1], _tree(built[-1])
         assert renumber(tree)[1] == renumber(dag)[1], name
-        phi = ctl.desugar(ctl.parse_ctl(ast.ctl))
+        phi = ctl.parse_ctl(ast.ctl)
         tree_result = dataclasses.replace(gwre_result, phi=_tree(gwre_result.phi))
         assert _encoding(tree_result, phi) == _encoding(gwre_result, phi), name
         sharing += len(list(gw._leaves(dag))) < len(list(gw._leaves(tree)))

@@ -53,3 +53,12 @@ def test_the_matrix_runs_on_a_handful_of_programs(capsys):
     for row in rows:
         assert set(row.split()[1 : 1 + len(mutants.CHECKS)]) <= {"x", "."}
     assert lines[-1].startswith("killed by no check: ")
+
+
+def test_the_exact_oracle_under_af_of_a_comparison_sees_m4():
+    # seed 1392 is decided exactly under AF(x >= 1); with AF's lasso blind
+    # to x >= 1 on a cycle, the tool wrongly says Violated
+    assert oracle_programs.check_ctl([1392], "AF(x >= 1)")[2] == {"Verified": [], "Violated": []}
+    m4 = next(m for m in mutants.MUTANTS if m.name == "M4")
+    with m4.apply():
+        assert oracle_programs.check_ctl([1392], "AF(x >= 1)")[2] == {"Verified": [], "Violated": [1392]}

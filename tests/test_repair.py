@@ -258,7 +258,7 @@ def _layers(source: str) -> None:
     """``cfg_to_gwre``, then ``abstract_facts``, in one fresh memo."""
     memo, parsed = pl.Memo(), fe.parse(source)
     result = gw.cfg_to_gwre(fe.build_cfg(parsed), memo)
-    enc_mod.abstract_facts(result, ctl.pure_of_ctl(ctl.desugar(ctl.parse_ctl(parsed.ctl))), memo)
+    enc_mod.abstract_facts(result, ctl.ctl_to_datalog(ctl.parse_ctl(parsed.ctl))[2], memo)
 
 
 @pytest.mark.parametrize("analyse", [rp.analyze, _layers], ids=["analyze", "layers"])
